@@ -26,8 +26,10 @@ echo "==> bench smoke (event_queue: heap vs timing wheel)"
 cargo bench -p blueprint-bench --bench event_queue -- --test
 
 echo "==> parallel-engine determinism (BLUEPRINT_THREADS=1 vs =4)"
-# The same experiment suite must produce identical results whatever the
-# default worker count is; the test itself also pins the 1-vs-4 equality.
+# BLUEPRINT_THREADS sets only the number of cross-run par_run workers (each
+# simulation runs on one sequential event loop). The same experiment suite
+# must produce identical results whatever that count is; the test itself
+# also pins the 1-vs-4 equality.
 BLUEPRINT_THREADS=1 cargo test --release --test parallel_determinism -q
 BLUEPRINT_THREADS=4 cargo test --release --test parallel_determinism -q
 
@@ -40,7 +42,8 @@ cargo bench -p blueprint-bench --bench par_sweep -- --test \
     | tee results/ci_par_sweep.txt
 
 echo "==> fault-matrix smoke (2 cells, BLUEPRINT_THREADS=1 vs =4)"
-# The resilience matrix must be byte-identical whatever the worker count;
+# The resilience matrix must be byte-identical whatever the cross-run
+# worker count;
 # the binary itself panics on any conservation or amplification violation.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_faults -- \
     --quick --smoke
@@ -54,7 +57,7 @@ echo "==> overload-protection smoke (BLUEPRINT_THREADS=1 vs =4)"
 # The miniature Type-1 metastability case with and without a retry budget:
 # the binary panics on any conservation violation or a budget arm breaking
 # the 1 + ratio amplification bound, and the report must be byte-identical
-# whatever the worker count.
+# whatever the cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_overload -- \
     --smoke
 mv results/overload_matrix.txt results/ci_overload.txt
@@ -68,7 +71,7 @@ echo "==> reconfig smoke (BLUEPRINT_THREADS=1 vs =4)"
 # flash crowd: the binary panics on any conservation violation, on a drained
 # deploy showing unavailability, or on the autoscaler arm failing to absorb
 # the ramp the fixed-replica arm does not. The report must be byte-identical
-# whatever the worker count.
+# whatever the cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_reconfig -- \
     --smoke
 mv results/reconfig_matrix.txt results/ci_reconfig.txt
@@ -82,8 +85,8 @@ echo "==> consistency smoke (BLUEPRINT_THREADS=1 vs =4)"
 # through the anomaly oracle: the binary panics on any conservation
 # violation, on quorum w=2 showing any anomaly, on session breaking
 # read-your-writes, or on the crash scenario failing to lose writes under
-# async replication. The report must be byte-identical whatever the worker
-# count.
+# async replication. The report must be byte-identical whatever the
+# cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_consistency -- \
     --smoke
 mv results/consistency_matrix.txt results/ci_consistency.txt
@@ -101,7 +104,7 @@ cargo run --release -p blueprint-bench --bin lint_gate
 echo "==> lint cross-validation smoke (BLUEPRINT_THREADS=1 vs =4)"
 # The static hazard predictions must bracket the dynamic fault-matrix
 # outcomes (the binary panics otherwise), and the report must be
-# byte-identical whatever the worker count.
+# byte-identical whatever the cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin lint_validation -- \
     --smoke
 mv results/lint_validation.txt results/ci_lint_validation.txt
@@ -113,7 +116,7 @@ mv results/lint_validation.txt results/ci_lint_validation.txt
 echo "==> capacity cross-validation smoke (BLUEPRINT_THREADS=1 vs =4)"
 # The analytic BP013-BP015 capacity bracket must contain each app's simulated
 # saturation knee (the binary panics otherwise), and the report must be
-# byte-identical whatever the worker count.
+# byte-identical whatever the cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin capacity_validation -- \
     --smoke
 mv results/capacity_validation.txt results/ci_capacity.txt
@@ -121,12 +124,6 @@ BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin capacity_valida
     --smoke
 cmp results/ci_capacity.txt results/capacity_validation.txt
 mv results/capacity_validation.txt results/ci_capacity.txt
-
-echo "==> intra-run dispatch smoke (1 vs 4 shards, identity asserted in-binary)"
-# --test mode runs the single-simulation shard sweep at 1 and 4 shards only;
-# the binary itself panics if the completion streams diverge. The full
-# 1/2/4/8 sweep is recorded in results/intra_run_speedup.txt.
-cargo bench -p blueprint-bench --bench intra_run -- --test
 
 echo "==> completion-stream identity check"
 # With no fault plan and no reconfig plan the completion stream must be
@@ -138,22 +135,5 @@ echo "==> completion-stream identity check"
 # moved from one global stream to derive_seed-keyed per-entity streams.)
 cargo run --release --example stream_checksum | tee results/ci_stream_checksum.txt
 grep -q "checksum=1bc85aa9969bffcf" results/ci_stream_checksum.txt
-
-echo "==> epoch-parallel identity (BLUEPRINT_THREADS=1/2/4, both queues)"
-# The conservative epoch executor and the timing-wheel implementation must
-# both be invisible in the results: the same run at 2 and 4 shards (under
-# either queue implementation) reproduces the sequential stream bit-for-bit,
-# still pinned to the historical checksum.
-BLUEPRINT_THREADS=1 cargo run --release --example stream_checksum \
-    | tee results/ci_shard.txt
-grep -q "checksum=1bc85aa9969bffcf" results/ci_shard.txt
-for threads in 2 4; do
-    for evq in heap wheel; do
-        BLUEPRINT_THREADS=$threads BLUEPRINT_EVQ=$evq \
-            cargo run --release --example stream_checksum > results/ci_shard_var.txt
-        cmp results/ci_shard.txt results/ci_shard_var.txt
-    done
-done
-rm -f results/ci_shard_var.txt
 
 echo "CI OK"

@@ -499,30 +499,6 @@ mod tests {
         assert!(spec.processes[db.process].gc.is_none());
     }
 
-    /// The lowered app's conservative-parallel lookahead: fe→us crosses
-    /// hosts over default gRPC (50 µs one-way), while us→db is a Local
-    /// binding that merges the two hosts into one group. The minimum
-    /// cross-group latency — the epoch width the simulator may run shards
-    /// ahead by — is therefore exactly the gRPC network latency.
-    #[test]
-    fn lowered_spec_exposes_grpc_lookahead() {
-        let spec = lower_app(false);
-        assert_eq!(spec.lookahead_ns(), Some(50_000));
-        // Booted, the spec splits into enough host groups for real
-        // intra-run parallelism (fe's group vs the merged us+db group).
-        let sim = blueprint_simrt::Sim::new(
-            &spec,
-            blueprint_simrt::SimConfig {
-                shards: Some(4),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(sim.host_group_count() >= 2);
-        assert!(sim.shard_count() >= 2);
-        assert_eq!(sim.lookahead_ns(), Some(50_000));
-    }
-
     #[test]
     fn replicated_dependency_lowers_to_lb_binding() {
         let spec = lower_app(true);

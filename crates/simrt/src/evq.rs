@@ -1,34 +1,20 @@
-//! Event-queue implementations for the discrete-event core.
+//! The event queue of the discrete-event core.
 //!
 //! [`crate::sim::Sim`] dispatches events in `(time, seq)` order — `time` is
-//! virtual nanoseconds, `seq` the global push sequence number. Two
-//! interchangeable priority queues provide that order:
+//! virtual nanoseconds, `seq` the unique push sequence number. [`Wheel`], a
+//! hierarchical timing wheel (Varghese & Lauck), provides that order: far
+//! events land in time-bucketed slots in O(1), cascading toward a small
+//! near-term heap (`due`) that provides the final total order. Ties are
+//! resolved by `seq`, never by insertion order or bucket layout, so the pop
+//! order is exactly that of a `BinaryHeap<Reverse<Entry>>` over the same
+//! pushes — the unit tests below check the wheel against that heap, and
+//! `benches/event_queue.rs` times the two at 10k/100k/1M concurrent timers
+//! (see `results/event_queue_bench.txt`).
 //!
-//! * [`EvQueueKind::Heap`] — `BinaryHeap<Reverse<Entry>>`: the classic
-//!   O(log n) binary heap.
-//! * [`EvQueueKind::Wheel`] — a hierarchical timing wheel (Varghese & Lauck):
-//!   far events land in time-bucketed slots in O(1), cascading toward a small
-//!   near-term heap (`due`) that provides the final total order.
-//!
-//! Both produce **byte-identical pop order by construction**: ties are
-//! resolved by `seq`, never by insertion order or internal layout, so the
-//! simulator's determinism pin does not depend on which implementation is
-//! selected. `benches/event_queue.rs` compares them at 10k/100k/1M
-//! concurrent timers; the measured winner is the [`EvQueueKind::default`]
-//! (see `results/event_queue_bench.txt`), and `BLUEPRINT_EVQ=heap|wheel`
-//! overrides the choice per run.
-//!
-//! [`EventShards`] composes one queue per shard for the sharded event loop,
-//! plus a separate **control queue** for cluster-wide events (fault firings,
-//! chaos draws, process restarts) that need exclusive access to the whole
-//! world. Pushes route to the target entity's home shard; pops take the
-//! k-way minimum across shard heads and the control head — the same
-//! index-ordered merge discipline as `blueprint_workload::parallel::par_run`,
-//! applied inside a single run. During epoch-parallel execution the shard
-//! queues are split out with [`EventShards::shards_mut`] and each worker
-//! drains only its own; cross-shard sends buffer in per-epoch outboxes that
-//! the coordinator flushes at the epoch barrier (safe because conservative
-//! lookahead guarantees they land strictly after the epoch bound).
+//! The simulator keeps two wheels: one for lane events and one for
+//! cluster-wide control events (fault firings, chaos draws, process
+//! restarts, reconfiguration), which run with exclusive access to the whole
+//! world between lane-dispatch segments.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -72,34 +58,6 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// Selects the event-queue implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvQueueKind {
-    /// `BinaryHeap<Reverse<Entry>>`. Kept selectable as the obviously-correct
-    /// baseline; it edges out the wheel only at small populations (~10k
-    /// timers) where its `O(log n)` comparisons are still cheap.
-    Heap,
-    /// Hierarchical timing wheel: `O(1)` insert, amortized-cheap cascade.
-    /// The microbench winner from 100k timers up (2.1× at 100k, 7.4× at 1M;
-    /// see `results/event_queue_bench.txt`) and ~8% faster end-to-end on the
-    /// pinned HotelReservation run, so it is the default — the scaling
-    /// target is million-user single runs, exactly where the heap collapses.
-    #[default]
-    Wheel,
-}
-
-impl EvQueueKind {
-    /// The `BLUEPRINT_EVQ` override (`heap` / `wheel`), falling back to the
-    /// benchmarked default. Unrecognized values fall back too.
-    pub fn from_env() -> Self {
-        match std::env::var("BLUEPRINT_EVQ").as_deref() {
-            Ok("heap") => EvQueueKind::Heap,
-            Ok("wheel") => EvQueueKind::Wheel,
-            _ => EvQueueKind::default(),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Hierarchical timing wheel.
 // ---------------------------------------------------------------------------
@@ -139,8 +97,15 @@ pub struct Wheel<T> {
     len: usize,
 }
 
+impl<T> Default for Wheel<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<T> Wheel<T> {
-    fn new() -> Self {
+    /// An empty wheel with its cursor at tick 0.
+    pub fn new() -> Self {
         Wheel {
             due: BinaryHeap::new(),
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
@@ -151,7 +116,8 @@ impl<T> Wheel<T> {
         }
     }
 
-    fn push(&mut self, e: Entry<T>) {
+    /// Inserts an event.
+    pub fn push(&mut self, e: Entry<T>) {
         self.len += 1;
         if tick_of(e.time) < self.cur_tick {
             self.due.push(Reverse(e));
@@ -262,184 +228,29 @@ impl<T> Wheel<T> {
         }
     }
 
-    fn peek_key(&mut self) -> Option<EvKey> {
+    /// The minimum `(time, seq)` key, if any. Takes `&mut self` because the
+    /// wheel may cascade buckets to find its minimum.
+    pub fn peek_key(&mut self) -> Option<EvKey> {
         self.ensure_due();
         self.due.peek().map(|Reverse(e)| e.key())
     }
 
-    fn pop(&mut self) -> Option<Entry<T>> {
+    /// Removes and returns the minimum event.
+    pub fn pop(&mut self) -> Option<Entry<T>> {
         self.ensure_due();
         let Reverse(e) = self.due.pop()?;
         self.len -= 1;
         Some(e)
     }
-}
-
-// ---------------------------------------------------------------------------
-// The unified queue.
-// ---------------------------------------------------------------------------
-
-/// A `(time, seq)`-ordered event queue with a selectable implementation.
-#[derive(Debug)]
-pub enum EvQueue<T> {
-    /// Binary-heap implementation.
-    Heap(BinaryHeap<Reverse<Entry<T>>>),
-    /// Hierarchical-timing-wheel implementation.
-    Wheel(Wheel<T>),
-}
-
-impl<T> EvQueue<T> {
-    /// An empty queue of the given kind.
-    pub fn new(kind: EvQueueKind) -> Self {
-        match kind {
-            EvQueueKind::Heap => EvQueue::Heap(BinaryHeap::new()),
-            EvQueueKind::Wheel => EvQueue::Wheel(Wheel::new()),
-        }
-    }
-
-    /// Inserts an event.
-    pub fn push(&mut self, e: Entry<T>) {
-        match self {
-            EvQueue::Heap(h) => h.push(Reverse(e)),
-            EvQueue::Wheel(w) => w.push(e),
-        }
-    }
-
-    /// The minimum `(time, seq)` key, if any. Takes `&mut self` because the
-    /// wheel may cascade buckets to find its minimum.
-    pub fn peek_key(&mut self) -> Option<EvKey> {
-        match self {
-            EvQueue::Heap(h) => h.peek().map(|Reverse(e)| e.key()),
-            EvQueue::Wheel(w) => w.peek_key(),
-        }
-    }
-
-    /// Removes and returns the minimum event.
-    pub fn pop(&mut self) -> Option<Entry<T>> {
-        match self {
-            EvQueue::Heap(h) => h.pop().map(|Reverse(e)| e),
-            EvQueue::Wheel(w) => w.pop(),
-        }
-    }
 
     /// Number of queued events.
     pub fn len(&self) -> usize {
-        match self {
-            EvQueue::Heap(h) => h.len(),
-            EvQueue::Wheel(w) => w.len,
-        }
+        self.len
     }
 
-    /// Whether the queue is empty.
+    /// Whether the wheel is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded composition.
-// ---------------------------------------------------------------------------
-
-/// Per-shard event queues plus a control queue, with a deterministic
-/// `(time, seq)` merge.
-///
-/// The caller routes each entity-local push to a shard (the simulator shards
-/// by the target entity's home host group); cluster-wide control events
-/// (fault firings, chaos draws, process restarts) go to the dedicated
-/// control queue so the epoch executor can treat them as barriers. Pops take
-/// the k-way minimum key across shard heads and the control head, so the pop
-/// order is byte-identical at every shard count by construction.
-#[derive(Debug)]
-pub(crate) struct EventShards<T> {
-    shards: Vec<EvQueue<T>>,
-    ctrl: EvQueue<T>,
-}
-
-impl<T> EventShards<T> {
-    /// `n_shards` shard queues of the given kind (clamped up to 1), plus the
-    /// control queue.
-    pub fn new(kind: EvQueueKind, n_shards: usize) -> Self {
-        EventShards {
-            shards: (0..n_shards.max(1)).map(|_| EvQueue::new(kind)).collect(),
-            ctrl: EvQueue::new(kind),
-        }
-    }
-
-    /// Total queued events, control queue included.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(EvQueue::len).sum::<usize>() + self.ctrl.len()
-    }
-
-    /// Events queued on shard queues (control queue excluded).
-    pub fn queued_len(&self) -> usize {
-        self.shards.iter().map(EvQueue::len).sum()
-    }
-
-    /// Whether no events are queued anywhere.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Queues an entity-local event on `shard`.
-    pub fn push_shard(&mut self, shard: usize, e: Entry<T>) {
-        self.shards[shard].push(e);
-    }
-
-    /// Queues a cluster-wide control event.
-    pub fn push_ctrl(&mut self, e: Entry<T>) {
-        self.ctrl.push(e);
-    }
-
-    /// The shard holding the minimum shard-queued key.
-    pub fn queue_min(&mut self) -> Option<(usize, EvKey)> {
-        let mut best: Option<(usize, EvKey)> = None;
-        for (i, q) in self.shards.iter_mut().enumerate() {
-            if let Some(k) = q.peek_key() {
-                if best.map(|(_, bk)| k < bk).unwrap_or(true) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        best
-    }
-
-    /// The minimum key on the control queue.
-    pub fn ctrl_peek_key(&mut self) -> Option<EvKey> {
-        self.ctrl.peek_key()
-    }
-
-    /// Removes and returns the minimal control event.
-    pub fn pop_ctrl(&mut self) -> Option<Entry<T>> {
-        self.ctrl.pop()
-    }
-
-    /// The global minimum `(time, seq)` key across shards and control.
-    #[cfg(test)]
-    pub fn peek_key(&mut self) -> Option<EvKey> {
-        let q = self.queue_min().map(|(_, k)| k);
-        match (q, self.ctrl.peek_key()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Removes and returns the globally minimal event (shards or control).
-    #[cfg(test)]
-    pub fn pop(&mut self) -> Option<Entry<T>> {
-        let q = self.queue_min();
-        let c = self.ctrl.peek_key();
-        match (q, c) {
-            (Some((i, qk)), Some(ck)) if qk < ck => self.shards[i].pop(),
-            (Some(_), Some(_)) | (None, Some(_)) => self.ctrl.pop(),
-            (Some((i, _)), None) => self.shards[i].pop(),
-            (None, None) => None,
-        }
-    }
-
-    /// Mutable access to the shard queues, for the epoch executor to split
-    /// across workers.
-    pub fn shards_mut(&mut self) -> &mut [EvQueue<T>] {
-        &mut self.shards
+        self.len == 0
     }
 }
 
@@ -449,6 +260,8 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
+    const TICK: SimTime = 1 << TICK_SHIFT;
+
     fn e(time: SimTime, seq: u64) -> Entry<u64> {
         Entry {
             time,
@@ -457,8 +270,8 @@ mod tests {
         }
     }
 
-    /// Drains a queue fully, returning the pop order as keys.
-    fn drain<T>(q: &mut EvQueue<T>) -> Vec<EvKey> {
+    /// Drains a wheel fully, returning the pop order as keys.
+    fn drain<T>(q: &mut Wheel<T>) -> Vec<EvKey> {
         let mut out = Vec::new();
         while let Some(x) = q.pop() {
             out.push((x.time, x.seq));
@@ -466,62 +279,136 @@ mod tests {
         out
     }
 
-    #[test]
-    fn ties_resolve_by_seq_in_both_impls() {
-        for kind in [EvQueueKind::Heap, EvQueueKind::Wheel] {
-            let mut q = EvQueue::new(kind);
-            // Same timestamp, shuffled insertion order.
-            for seq in [5u64, 1, 9, 0, 3] {
-                q.push(e(1_000, seq));
+    /// Feeds a wheel and the reference `BinaryHeap<Reverse<Entry>>` the same
+    /// pushes and pops, asserting after every pop that both agree on the
+    /// popped key, the peeked key, and the population.
+    struct Oracle {
+        heap: BinaryHeap<Reverse<Entry<u64>>>,
+        wheel: Wheel<u64>,
+        pops: usize,
+    }
+
+    impl Oracle {
+        fn new() -> Self {
+            Oracle {
+                heap: BinaryHeap::new(),
+                wheel: Wheel::new(),
+                pops: 0,
             }
-            assert_eq!(
-                drain(&mut q),
-                vec![(1_000, 0), (1_000, 1), (1_000, 3), (1_000, 5), (1_000, 9)]
-            );
         }
+
+        fn push(&mut self, time: SimTime, seq: u64) {
+            self.heap.push(Reverse(e(time, seq)));
+            self.wheel.push(e(time, seq));
+        }
+
+        /// Pops from both, returning the popped time.
+        fn pop(&mut self) -> Option<SimTime> {
+            let want = self.heap.peek().map(|Reverse(x)| x.key());
+            assert_eq!(self.wheel.peek_key(), want, "peek #{}", self.pops);
+            let a = self.heap.pop().map(|Reverse(x)| x.key());
+            let b = self.wheel.pop().map(|x| x.key());
+            assert_eq!(a, b, "wheel diverged from the heap at pop #{}", self.pops);
+            assert_eq!(self.wheel.len(), self.heap.len());
+            self.pops += usize::from(a.is_some());
+            a.map(|(t, _)| t)
+        }
+
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+            assert!(self.wheel.is_empty());
+        }
+    }
+
+    #[test]
+    fn ties_resolve_by_seq() {
+        let mut q = Wheel::new();
+        // Same timestamp, shuffled insertion order.
+        for seq in [5u64, 1, 9, 0, 3] {
+            q.push(e(1_000, seq));
+        }
+        assert_eq!(
+            drain(&mut q),
+            vec![(1_000, 0), (1_000, 1), (1_000, 3), (1_000, 5), (1_000, 9)]
+        );
     }
 
     #[test]
     fn wheel_matches_heap_on_random_interleaving() {
         let mut rng = SmallRng::seed_from_u64(99);
-        let mut heap = EvQueue::new(EvQueueKind::Heap);
-        let mut wheel = EvQueue::new(EvQueueKind::Wheel);
+
+        // Input 1: random pushes (near, far, same-tick, and tied times)
+        // interleaved with pops that advance the clock like the simulator.
+        let mut q = Oracle::new();
         let mut seq = 0u64;
         let mut now: SimTime = 0;
-        let mut heap_out = Vec::new();
-        let mut wheel_out = Vec::new();
         for _ in 0..20_000 {
-            if rng.gen::<f64>() < 0.55 || heap.is_empty() {
-                // Mix of near, far, and same-tick times (plus ties).
+            if rng.gen::<f64>() < 0.55 || q.heap.is_empty() {
                 let dt = match rng.gen_range(0..4u32) {
                     0 => rng.gen_range(0..2_000),
                     1 => rng.gen_range(0..1_000_000),
                     2 => rng.gen_range(0..5_000_000_000),
                     _ => 0,
                 };
-                let t = now + dt;
-                heap.push(e(t, seq));
-                wheel.push(e(t, seq));
+                q.push(now + dt, seq);
                 seq += 1;
             } else {
-                let a = heap.pop().expect("heap non-empty");
-                let b = wheel.pop().expect("wheel matches heap occupancy");
-                now = a.time; // Pops advance the clock, like the simulator.
-                heap_out.push((a.time, a.seq));
-                wheel_out.push((b.time, b.seq));
+                now = q.pop().expect("non-empty");
             }
         }
-        heap_out.extend(drain(&mut heap));
-        wheel_out.extend(drain(&mut wheel));
-        assert_eq!(heap_out, wheel_out);
-        // Sanity: the order is actually sorted by (time, seq) per prefix
-        // monotonicity of pops between pushes is already covered above.
-        assert!(!heap_out.is_empty());
+        q.drain();
+        assert!(q.pops > 10_000);
+
+        // Input 2: a 200-key equal-time storm with shuffled `seq`s, with a
+        // pop every 16 pushes so later keys land behind the cursor (in
+        // `due`) as well as in the wheel.
+        let mut q = Oracle::new();
+        let mut seqs: Vec<u64> = (0..200).collect();
+        for i in (1..seqs.len()).rev() {
+            seqs.swap(i, rng.gen_range(0..i + 1));
+        }
+        let t = 3 * 64 * TICK + 17;
+        for (i, &s) in seqs.iter().enumerate() {
+            q.push(t, s);
+            if i % 16 == 15 {
+                q.pop();
+            }
+        }
+        q.drain();
+        assert_eq!(q.pops, 200);
+
+        // Input 3: cohorts on level-1 (64-tick) and level-2 (4096-tick)
+        // rotation boundaries and one tick either side, then re-arms that
+        // land exactly on the next level-1 boundary after each pop — the
+        // cursor positions where a cascade must run before the scan moves.
+        let mut q = Oracle::new();
+        let mut seq = 0u64;
+        for width in [64, 64 * 64] {
+            for k in 1..4u64 {
+                for tick in [k * width - 1, k * width, k * width + 1] {
+                    for jitter in [0, 1, TICK - 1] {
+                        q.push(tick * TICK + jitter, seq);
+                        seq += 1;
+                    }
+                }
+            }
+        }
+        let mut rearms = 0;
+        while let Some(t) = q.pop() {
+            if rearms < 300 && q.pops.is_multiple_of(3) {
+                let next_rotation = ((tick_of(t) >> SLOT_SHIFT) + 1) << SLOT_SHIFT;
+                q.push(next_rotation * TICK, seq);
+                seq += 1;
+                rearms += 1;
+            }
+        }
+        assert!(q.wheel.is_empty());
+        assert_eq!(q.pops as u64, seq);
     }
 
     #[test]
     fn wheel_handles_overflow_horizon() {
-        let mut q = EvQueue::new(EvQueueKind::Wheel);
+        let mut q = Wheel::new();
         // Far beyond the 68.7 s horizon, plus a near event.
         q.push(e(500_000_000_000, 1));
         q.push(e(10, 2));
@@ -538,73 +425,16 @@ mod tests {
     /// delivered after tick 130's cohort.
     #[test]
     fn wheel_cascades_when_drain_ends_on_rotation_boundary() {
-        let tick = 1u64 << TICK_SHIFT;
-        let mut q = EvQueue::new(EvQueueKind::Wheel);
-        q.push(e(63 * tick, 0)); // level 0, last slot of rotation 0
-        q.push(e(70 * tick, 1)); // level 1, slot 1 (ticks 64..127)
-        q.push(e(130 * tick, 2)); // level 1, slot 2 (ticks 128..191)
+        let mut q = Wheel::new();
+        q.push(e(63 * TICK, 0)); // level 0, last slot of rotation 0
+        q.push(e(70 * TICK, 1)); // level 1, slot 1 (ticks 64..127)
+        q.push(e(130 * TICK, 2)); // level 1, slot 2 (ticks 128..191)
 
         // Popping seq 0 drains tick 63 and parks the cursor at tick 64 — a
         // rotation boundary whose level-1 slot holds seq 1.
         assert_eq!(
             drain(&mut q),
-            vec![(63 * tick, 0), (70 * tick, 1), (130 * tick, 2)]
+            vec![(63 * TICK, 0), (70 * TICK, 1), (130 * TICK, 2)]
         );
-    }
-
-    #[test]
-    fn shard_counts_agree_on_pop_order() {
-        // The same push stream must pop identically at 1, 3, and 4 shards,
-        // for both queue kinds, with a slice of pushes routed to the control
-        // queue to exercise the three-way merge.
-        for kind in [EvQueueKind::Heap, EvQueueKind::Wheel] {
-            let mut streams: Vec<Vec<EvKey>> = Vec::new();
-            for shards in [1usize, 3, 4] {
-                let mut q: EventShards<u64> = EventShards::new(kind, shards);
-                let mut rng = SmallRng::seed_from_u64(7);
-                let mut now: SimTime = 0;
-                let mut out = Vec::new();
-                for seq in 0..5_000u64 {
-                    let t = now + rng.gen_range(0..100_000);
-                    if seq % 17 == 0 {
-                        q.push_ctrl(e(t, seq));
-                    } else {
-                        q.push_shard((seq as usize) % shards, e(t, seq));
-                    }
-                    if rng.gen::<f64>() < 0.4 {
-                        if let Some(x) = q.pop() {
-                            now = x.time;
-                            out.push((x.time, x.seq));
-                        }
-                    }
-                }
-                while let Some(x) = q.pop() {
-                    out.push((x.time, x.seq));
-                }
-                assert_eq!(out.len(), 5_000);
-                streams.push(out);
-            }
-            assert_eq!(streams[0], streams[1]);
-            assert_eq!(streams[0], streams[2]);
-        }
-    }
-
-    #[test]
-    fn global_peek_matches_pop() {
-        // `peek_key` must always report exactly the key `pop` returns next,
-        // across both planes (shard queues and the control queue).
-        let mut q: EventShards<u64> = EventShards::new(EvQueueKind::Heap, 2);
-        q.push_shard(0, e(30, 3));
-        q.push_shard(1, e(10, 1));
-        q.push_ctrl(e(10, 0));
-        q.push_ctrl(e(20, 2));
-        let mut popped = Vec::new();
-        while let Some(k) = q.peek_key() {
-            let x = q.pop().expect("peeked");
-            assert_eq!((x.time, x.seq), k);
-            popped.push(k);
-        }
-        assert_eq!(popped, vec![(10, 0), (10, 1), (20, 2), (30, 3)]);
-        assert!(q.pop().is_none());
     }
 }

@@ -34,12 +34,12 @@
 //!   process. In-flight work affected by a fault fails fast with a
 //!   classified error, preserving request conservation.
 //!
-//! Determinism: one seeded RNG and a total event order by `(time, sequence)`,
-//! with no wall-clock anywhere. The event queue is sharded by host
-//! ([`evq::EventShards`], `BLUEPRINT_THREADS`); the pop-side merge preserves
-//! the exact same total order at any shard count, so the same spec + seed +
-//! driver script produces bit-identical results (tested) — and [`sim::Sim`]
-//! is `Send`, so whole runs can also be farmed out across threads.
+//! Determinism: per-entity RNG streams derived from one seed and a total
+//! event order by `(time, sequence)`, dispatched by one sequential loop over
+//! a timing wheel ([`evq::Wheel`]), with no wall-clock anywhere. The same
+//! spec + seed + driver script produces bit-identical results (tested) — and
+//! [`sim::Sim`] is `Send`, so whole runs can be farmed out across threads
+//! (`blueprint_workload::parallel::par_run`).
 
 pub mod evq;
 pub mod host;
@@ -48,7 +48,6 @@ pub mod sim;
 pub mod spec;
 pub mod time;
 
-pub use evq::EvQueueKind;
 pub use sim::{Completion, EntryHandle, Sim, SimConfig};
 pub use spec::{
     AutoscalerSpec, BackendRtKind, BackendSpec, BreakerSpec, Change, ChaosSpec, ClientSpec,

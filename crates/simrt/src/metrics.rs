@@ -81,43 +81,6 @@ pub struct SimCounters {
     pub quorum_rejections: u64,
 }
 
-impl SimCounters {
-    /// Field-wise accumulation. Every counter is an additive `u64`, so sums
-    /// are invariant under any partition of the work — the epoch executor
-    /// gives each worker its own scratch `SimCounters` and merges them here.
-    pub fn merge_from(&mut self, other: &SimCounters) {
-        self.submitted += other.submitted;
-        self.completed_ok += other.completed_ok;
-        self.completed_err += other.completed_err;
-        self.timeouts += other.timeouts;
-        self.retries += other.retries;
-        self.breaker_rejections += other.breaker_rejections;
-        self.breaker_opens += other.breaker_opens;
-        self.admission_rejections += other.admission_rejections;
-        self.gc_pauses += other.gc_pauses;
-        self.gc_pause_ns += other.gc_pause_ns;
-        self.spans += other.spans;
-        self.queue_drops += other.queue_drops;
-        self.faults_injected += other.faults_injected;
-        self.process_crashes += other.process_crashes;
-        self.crashed_frames += other.crashed_frames;
-        self.link_unreachable += other.link_unreachable;
-        self.brownout_rejections += other.brownout_rejections;
-        self.deadline_exceeded += other.deadline_exceeded;
-        self.shed_rejections += other.shed_rejections;
-        self.budget_denied += other.budget_denied;
-        self.client_calls += other.client_calls;
-        self.drain_rejections += other.drain_rejections;
-        self.reconfig_changes += other.reconfig_changes;
-        self.autoscale_ups += other.autoscale_ups;
-        self.autoscale_downs += other.autoscale_downs;
-        self.canary_promotions += other.canary_promotions;
-        self.canary_rollbacks += other.canary_rollbacks;
-        self.store_failovers += other.store_failovers;
-        self.quorum_rejections += other.quorum_rejections;
-    }
-}
-
 /// Per-backend statistics.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct BackendStats {

@@ -2,11 +2,11 @@
 //! transports, backends, and GC.
 //!
 //! See the crate docs for the modeling overview. The implementation is a
-//! discrete-event simulator: event queues ordered by `(time, sequence)`
-//! dispatch into the [`Sim`] world state. Requests execute as **frames** —
-//! explicit interpreter states over the behavior programs of the workflow
-//! spec — so the simulator never recurses through the service call graph on
-//! the machine stack.
+//! discrete-event simulator: one sequential loop pops events in
+//! `(time, sequence)` order and dispatches them into the [`Sim`] world
+//! state. Requests execute as **frames** — explicit interpreter states over
+//! the behavior programs of the workflow spec — so the simulator never
+//! recurses through the service call graph on the machine stack.
 //!
 //! At boot the workflow `Behavior` programs are compiled into [`CProg`]s:
 //! every dependency name is resolved to a dense `u32` client id, every target
@@ -20,11 +20,8 @@
 //!
 //! Mutable runtime state is partitioned into per-host [`HostLane`]s over an
 //! immutable [`Shared`] core, and every stochastic draw comes from a
-//! deterministic per-entity RNG stream (see [`derive_seed`]). Together these
-//! make the event loop *parallel within a run*: shards of hosts dispatch
-//! concurrently inside conservative epochs bounded by the minimum cross-shard
-//! network latency, and the output is byte-identical at any shard count (see
-//! [`crate::evq`] and `DESIGN.md` §6).
+//! deterministic per-entity RNG stream (see [`derive_seed`]), so an entity's
+//! randomness depends only on its own event order (see `DESIGN.md` §6).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -34,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use blueprint_trace::{SpanId, TraceCollector, TraceId};
 use blueprint_workflow::{Behavior, CacheOp, DbOp, KeyExpr, Step};
 
-use crate::evq::{self, EvKey, EvQueue, EvQueueKind, EventShards};
+use crate::evq::{self, EvKey, Wheel};
 use crate::host::{JobId, PsHost, NO_PROC};
 use crate::metrics::{BackendStats, Metrics, SimCounters};
 use crate::spec::{
@@ -53,8 +50,7 @@ use crate::{Result, SimError};
 pub struct SimConfig {
     /// RNG seed; everything non-deterministic derives from it.
     pub seed: u64,
-    /// Record spans for services that have tracing enabled. Tracing forces
-    /// sequential dispatch (one shared collector); results are unaffected.
+    /// Record spans for services that have tracing enabled.
     pub record_traces: bool,
     /// Hard cap on live frames; submissions beyond it fast-fail (memory
     /// guard under extreme overload).
@@ -63,26 +59,6 @@ pub struct SimConfig {
     /// zero events and RNG draws, so fault-free runs are byte-identical to
     /// a build without the engine.
     pub faults: FaultPlan,
-    /// Event-loop shard count. `None` (the default) resolves from the
-    /// `BLUEPRINT_THREADS` environment variable, falling back to `1` (the
-    /// classic single-queue loop). Explicit values must be in `1..=64`;
-    /// `Sim::new` rejects `Some(0)` and `Some(>64)` as spec errors. The
-    /// effective count is additionally capped by the number of independent
-    /// host groups in the spec. Shard count never affects results — epochs
-    /// close with the `(time, seq)` merge — only how many cores dispatch
-    /// concurrently.
-    pub shards: Option<usize>,
-    /// Event-queue implementation. `None` (the default) resolves from the
-    /// `BLUEPRINT_EVQ` environment variable via [`EvQueueKind::from_env`].
-    /// Like `shards`, the choice never affects results.
-    pub queue: Option<EvQueueKind>,
-    /// Minimum number of queued events before an epoch is dispatched on
-    /// worker threads; below it the epoch runs inline on the calling thread
-    /// (thread-spawn latency would dominate). `None` picks the default
-    /// (4096). The threshold never affects results — only where dispatch
-    /// happens — and exists as a config field (not an env var) so tests can
-    /// force the threaded path without racy env mutation.
-    pub par_epoch_min: Option<usize>,
     /// Live runtime changes to apply during the run (rolling deploys,
     /// scale-out/in, canary rollouts, autoscalers). Like `faults`, an empty
     /// plan (the default) adds zero events and RNG draws, so no-reconfig
@@ -97,9 +73,6 @@ impl Default for SimConfig {
             record_traces: false,
             max_frames: 2_000_000,
             faults: FaultPlan::default(),
-            shards: None,
-            queue: None,
-            par_epoch_min: None,
             reconfig: ReconfigPlan::default(),
         }
     }
@@ -182,8 +155,7 @@ fn mix64(mut z: u64) -> u64 {
 /// `entity_id -> seed` is a bijection (each round is invertible), so streams
 /// within a domain can never collide. Because each entity draws only from
 /// its own stream, its draw sequence depends solely on its own event order —
-/// which is what makes shard interleaving invisible to randomness and
-/// intra-run parallel dispatch deterministic.
+/// adding entities or reordering other entities' events never perturbs it.
 pub fn derive_seed(root_seed: u64, domain: u64, entity_id: u64) -> u64 {
     let s1 = mix64(root_seed ^ domain.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     mix64(s1 ^ entity_id.wrapping_mul(0xBF58_476D_1CE4_E5B9))
@@ -196,9 +168,9 @@ pub fn derive_seed(root_seed: u64, domain: u64, entity_id: u64) -> u64 {
 /// Event keys are `(time, seq)`; `seq` packs the generating context (a host
 /// id, or [`CTRL_CTX`] for the driver/control plane) into the high 16 bits
 /// over a per-context 48-bit push counter. Uniqueness is therefore local —
-/// each context only needs its own counter, which is what lets shard workers
-/// assign keys without synchronization — while the resulting total order is
-/// deterministic and independent of the shard layout.
+/// each context only needs its own counter — and the resulting total order
+/// is deterministic. This packing is part of what pins the completion-stream
+/// checksum: changing it reorders same-time events.
 const CTX_SHIFT: u32 = 48;
 /// Low-bit mask for the per-context push counter.
 const SEQ_MASK: u64 = (1 << CTX_SHIFT) - 1;
@@ -213,8 +185,8 @@ const MAX_HOSTS: usize = 0xFFFE;
 // ---------------------------------------------------------------------------
 
 /// Generational frame handle. Frame tables are per-host, so the handle
-/// carries the owning host: any executor can both route an event to the
-/// frame's home shard and resolve the frame without a global table.
+/// carries the owning host: the executor resolves the frame (and keys the
+/// events it dispatches) without a global table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct FrameId {
     host: u32,
@@ -1034,7 +1006,7 @@ struct CanaryRt {
     done: bool,
 }
 
-/// Deterministic canary routing state, read by LB picks during epochs.
+/// Deterministic canary routing state, read by LB picks.
 #[derive(Debug, Clone, Copy)]
 struct CanaryRoute {
     /// Seeded salt hashed with the request's root sequence number, so one
@@ -1329,7 +1301,8 @@ struct BackendRt {
     store: StoreRt,
     queue: VecDeque<u64>,
     stats: BackendStats,
-    /// Whether any op has touched `stats` (controls metrics-map visibility).
+    /// Whether `stats` changed since the last mirror into `Metrics::backends`
+    /// (a backend no op has touched never appears in that map).
     stats_dirty: bool,
     /// Brownout window end (0 = no brownout ever injected).
     brownout_until: SimTime,
@@ -1363,15 +1336,14 @@ enum JobCont {
 }
 
 // ---------------------------------------------------------------------------
-// The simulator: shared core, per-host lanes, shard executors.
+// The simulator: shared core, per-host lanes, the executor.
 // ---------------------------------------------------------------------------
 
-/// State shared read-only by every shard worker during an epoch. Everything
-/// here is either immutable after boot (programs, names, location tables,
-/// shard layout) or mutated exclusively by the control plane *between*
-/// epochs (`proc_down`, `proc_gen`, `link_faults`) — control events run with
-/// `&mut Sim` while no worker is live, so workers only ever observe a
-/// consistent snapshot.
+/// State the executor only reads while it dispatches lane events. Everything
+/// here is either immutable after boot (programs, names, location tables)
+/// or mutated exclusively by the control plane *between* lane-dispatch
+/// segments (`proc_down`, `proc_gen`, `link_faults`) — control events run
+/// with `&mut Sim` while no executor is live.
 struct Shared {
     /// All compiled behavior programs (see [`ProgArena`]).
     progs: ProgArena,
@@ -1399,22 +1371,7 @@ struct Shared {
     /// Process → host.
     proc_host: Vec<u32>,
 
-    // Event-loop layout (see `DESIGN.md` §6).
-    /// Host → event-queue shard.
-    host_shard: Vec<u32>,
-    /// Host → lane position within its shard's epoch executor.
-    par_lane_idx: Vec<u32>,
-    /// Host → lane position in an all-owning executor (identity).
-    seq_lane_idx: Vec<u32>,
-    /// Conservative epoch width: the minimum network latency on any binding
-    /// that crosses host groups. `None` when nothing crosses groups (epochs
-    /// are then bounded only by the run horizon and control events).
-    lookahead: Option<SimTime>,
-    /// Independent host groups in the spec (hosts joined by any 0 ns
-    /// cross-host binding collapse into one group).
-    n_groups: usize,
-
-    // Fault state: written by the control plane between epochs only.
+    // Fault state: written by the control plane only.
     /// Whether each process is currently crashed.
     proc_down: Vec<bool>,
     /// Crash generation per process; guards stale `ProcRestart` events.
@@ -1423,8 +1380,8 @@ struct Shared {
     /// (src process, dst process). Lookup-only, so map order never matters.
     link_faults: HashMap<(usize, usize), LinkFault>,
 
-    // Reconfiguration state: written by the control plane between epochs
-    // only, and read on hot paths only behind `reconfig_on` — a run with an
+    // Reconfiguration state: written by the control plane only, and read
+    // on hot paths only behind `reconfig_on` — a run with an
     // empty plan never branches past the single bool.
     /// Whether any reconfiguration is (or ever was) in effect.
     reconfig_on: bool,
@@ -1440,9 +1397,7 @@ struct Shared {
 
 /// All mutable runtime state homed on one host: its CPU scheduler, the
 /// processes/services/clients/backends that live there, its frame table, and
-/// its share of the event-sequence counter. During an epoch a lane is owned
-/// by exactly one shard worker, which is what makes concurrent dispatch
-/// race-free without locks.
+/// its share of the event-sequence counter.
 struct HostLane {
     ps: PsHost,
     /// Bumped on every scheduler perturbation; guards stale `HostCheck`s.
@@ -1467,7 +1422,7 @@ struct HostLane {
     ev_seq: u64,
 
     /// Completions of entry frames homed here (the workload host, in
-    /// practice). Drained in host order, which is partition-invariant.
+    /// practice). Drained in host order.
     completions: Vec<Completion>,
 }
 
@@ -1517,49 +1472,30 @@ impl HostLane {
     }
 }
 
-/// Sentinel shard id for the executor that owns every lane (sequential and
-/// inline dispatch); disables the foreign-lane debug guard.
-const ALL_SHARDS: u32 = u32::MAX;
-
-/// One dispatch executor: a view over the shared core plus exclusive
-/// ownership of some subset of lanes and their event queues. The sequential
-/// loop builds one executor owning everything; the epoch-parallel loop
-/// builds one per shard, each on its own scoped thread, with sends to
-/// foreign shards buffered in `outbox` until the epoch closes.
-struct ShardExec<'a> {
+/// The lane-event executor: a view over the shared core that borrows every
+/// lane, the lane-event wheel, the run's counters and its trace collector
+/// from [`Sim`] for one dispatch segment (up to the run horizon or the next
+/// control event, whichever comes first).
+struct Exec<'a> {
     sh: &'a Shared,
-    /// Owned lanes; indexed through `lane_idx` by host id.
-    lanes: Vec<&'a mut HostLane>,
-    /// Host → position in `lanes` (only valid for owned hosts).
-    lane_idx: &'a [u32],
-    /// Shard queues; `None` marks queues owned by another worker this epoch.
-    queues: Vec<Option<&'a mut EvQueue<Ev>>>,
-    /// Events bound for foreign shards, flushed after the epoch. Every such
-    /// event is a network send with delay ≥ the lookahead, so it lands at or
-    /// beyond the epoch bound — never inside a queue a peer is popping.
-    outbox: Vec<(usize, evq::Entry<Ev>)>,
+    /// Every host's lane, indexed by host id.
+    lanes: &'a mut [HostLane],
+    /// The lane-event queue.
+    events: &'a mut Wheel<Ev>,
     now: SimTime,
     /// Host whose event is currently being dispatched (the context id for
     /// key packing).
     cur_host: u32,
-    /// This worker's shard id, or [`ALL_SHARDS`] (debug guard only).
-    shard: u32,
-    /// Scratch counters, merged into `Metrics` after the epoch (all fields
-    /// are additive, so partition and merge order are invisible).
-    counters: SimCounters,
-    /// Span collector; `Some` only in sequential dispatch (tracing forces
-    /// it), `None` on epoch workers.
-    traces: Option<&'a mut TraceCollector>,
+    counters: &'a mut SimCounters,
+    traces: &'a mut TraceCollector,
 }
 
-/// Home host of a lane event — the host whose lane must be exclusively
-/// owned to dispatch it. `None` for control-plane events, which run between
-/// epochs with full `&mut Sim` access.
+/// Home host of a lane event — the host whose context keys the events its
+/// dispatch pushes. `None` for control-plane events, which go to the
+/// control queue and run with full `&mut Sim` access.
 ///
-/// Unlike the pre-epoch router this is *total and exact*: frame ids carry
-/// their home host, so routing never needs to resolve (possibly dead)
-/// frames, and an event can never land on a shard that does not own the
-/// state it touches.
+/// Frame ids carry their home host, so this never needs to resolve
+/// (possibly dead) frames.
 fn ev_home_host(sh: &Shared, ev: &Ev) -> Option<usize> {
     match ev {
         Ev::HostCheck { host, .. } | Ev::HogEnd { host, .. } => Some(*host),
@@ -1582,12 +1518,11 @@ fn ev_home_host(sh: &Shared, ev: &Ev) -> Option<usize> {
         }
         // Control plane: fault application mutates cluster-wide state
         // (`proc_down`, `link_faults`, multi-host crash sweeps), so these
-        // serialize between epochs. Reconfiguration events do the same for
-        // `svc_active`/`svc_draining`/`canary_route` and client rewiring —
-        // running them in the ctrl slot is what makes a plan byte-identical
-        // at any thread count.
-        // Store failover joins them: an election re-points the store's
-        // serving process (`backend_proc`), which shard workers read.
+        // run in the ctrl slot between lane-dispatch segments.
+        // Reconfiguration events do the same for `svc_active`/
+        // `svc_draining`/`canary_route` and client rewiring. Store failover
+        // joins them: an election re-points the store's serving process
+        // (`backend_proc`), which the executor reads.
         Ev::FaultFire { .. }
         | Ev::ProcRestart { .. }
         | Ev::ChaosFire
@@ -1606,7 +1541,11 @@ pub struct Sim {
     now: SimTime,
     /// Push counter for driver/control events (the [`CTRL_CTX`] context).
     ctrl_seq: u64,
-    events: EventShards<Ev>,
+    /// Lane events (everything [`ev_home_host`] homes on a host).
+    events: Wheel<Ev>,
+    /// Control-plane events, dispatched with `&mut Sim` in `(time, seq)`
+    /// order among the lane events.
+    ctrl: Wheel<Ev>,
 
     sh: Shared,
     /// Per-host mutable runtime, indexed by host id.
@@ -1625,14 +1564,6 @@ pub struct Sim {
     /// [`Sim::apply_change`] is first called.
     reconfig: Option<Box<ReconfigRt>>,
 
-    /// Effective shard count: the requested count capped by the number of
-    /// independent host groups.
-    n_shards: usize,
-    /// Epoch-parallel dispatch enabled (`n_shards > 1` and tracing off).
-    par_enabled: bool,
-    /// Queued-event threshold below which epochs dispatch inline.
-    par_epoch_min: usize,
-
     /// Aggregate metrics of the run.
     pub metrics: Metrics,
     /// Trace collector (populated when tracing is enabled).
@@ -1642,14 +1573,11 @@ pub struct Sim {
 }
 
 /// `Sim` is `Send` by construction: program interning is arena-index based
-/// (no `Rc`), so a run can migrate across threads and epoch workers can be
-/// scoped threads. This assert is the compile-time pin — reintroducing an
-/// `Rc` (or any other `!Send` field) fails the build here.
+/// (no `Rc`), so a run can migrate across threads (cross-run `par_run`
+/// workers). This assert is the compile-time pin — reintroducing an `Rc` (or
+/// any other `!Send` field) fails the build here.
 const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<Sim>();
-/// Epoch workers additionally share `&Shared` across threads.
-const fn _assert_sync<T: Sync>() {}
-const _: () = _assert_sync::<Shared>();
 
 /// Frame slots are addressed by `u32` indices (`FrameId::idx`), so the frame
 /// table is hard-capped; [`Sim::new`] rejects a larger `max_frames` loudly
@@ -1666,29 +1594,6 @@ impl Sim {
                 cfg.max_frames, MAX_FRAMES_CAP
             )));
         }
-        // Resolve the event-loop layout up front so bad values fail loudly
-        // (out-of-range shard counts used to be silently clamped).
-        let requested_shards = match cfg.shards {
-            None => std::env::var("BLUEPRINT_THREADS")
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-                .filter(|n| *n >= 1)
-                .unwrap_or(1)
-                .min(64),
-            Some(0) => {
-                return Err(SimError::BadSpec(
-                    "shards must be >= 1 (Some(0) is not a valid shard count; \
-                     use None to defer to BLUEPRINT_THREADS)"
-                        .into(),
-                ))
-            }
-            Some(n) if n > 64 => {
-                return Err(SimError::BadSpec(format!(
-                    "shards {n} exceeds the cap of 64"
-                )))
-            }
-            Some(n) => n,
-        };
         if !cfg.faults.is_empty() {
             // Validated against the user's spec, so plans can never target
             // the hidden workload host/process appended below.
@@ -1886,29 +1791,6 @@ impl Sim {
             })
             .collect();
 
-        // Host-group layout: hosts joined by any 0 ns cross-host binding
-        // must share a shard (their interactions admit no lookahead), and
-        // the epoch width is the minimum latency crossing group boundaries.
-        // Computed on the augmented spec so the workload shims participate.
-        let groups = crate::spec::host_groups(&spec);
-        let n_shards = requested_shards.min(groups.n_groups).max(1);
-        let host_shard: Vec<u32> = groups
-            .group_of
-            .iter()
-            .map(|g| (g % n_shards) as u32)
-            .collect();
-        let mut shard_fill = vec![0u32; n_shards];
-        let par_lane_idx: Vec<u32> = host_shard
-            .iter()
-            .map(|&s| {
-                let i = shard_fill[s as usize];
-                shard_fill[s as usize] += 1;
-                i
-            })
-            .collect();
-        let seq_lane_idx: Vec<u32> = (0..host_names.len() as u32).collect();
-        let queue_kind = cfg.queue.unwrap_or_else(EvQueueKind::from_env);
-
         // Location tables + lane distribution, in global-id order per kind
         // (local indices are therefore deterministic).
         let proc_host: Vec<u32> = spec.processes.iter().map(|p| p.host as u32).collect();
@@ -1964,8 +1846,6 @@ impl Sim {
 
         let n_procs = proc_names.len();
         let n_svcs = spec.services.len();
-        let par_enabled = n_shards > 1 && !cfg.record_traces;
-        let par_epoch_min = cfg.par_epoch_min.unwrap_or(4096);
         let sh = Shared {
             progs: compiler.arena,
             names,
@@ -1981,11 +1861,6 @@ impl Sim {
             backend_proc,
             client_owner,
             proc_host,
-            host_shard,
-            par_lane_idx,
-            seq_lane_idx,
-            lookahead: groups.lookahead,
-            n_groups: groups.n_groups,
             proc_down: vec![false; n_procs],
             proc_gen: vec![0; n_procs],
             link_faults: HashMap::new(),
@@ -1998,7 +1873,8 @@ impl Sim {
             cfg,
             now: 0,
             ctrl_seq: 0,
-            events: EventShards::new(queue_kind, n_shards),
+            events: Wheel::new(),
+            ctrl: Wheel::new(),
             sh,
             lanes,
             host_names,
@@ -2010,9 +1886,6 @@ impl Sim {
             next_root: 1,
             chaos: None,
             reconfig: None,
-            n_shards,
-            par_enabled,
-            par_epoch_min,
             metrics: Metrics::default(),
             traces: TraceCollector::new(),
             spec_name: spec.name.clone(),
@@ -2197,15 +2070,14 @@ impl Sim {
         self.now
     }
 
-    /// Number of events currently queued (across all shards and the control
-    /// queue).
+    /// Number of events currently queued (lane and control events).
     pub fn pending_events(&self) -> usize {
-        self.events.len()
+        self.events.len() + self.ctrl.len()
     }
 
     /// Whether the event queue is completely drained.
     pub fn is_idle(&self) -> bool {
-        self.events.is_empty()
+        self.events.is_empty() && self.ctrl.is_empty()
     }
 
     /// Application/variant name.
@@ -2218,25 +2090,10 @@ impl Sim {
         self.lanes.iter().map(|l| l.live).sum()
     }
 
-    /// Effective event-loop shard count (requested count capped by the
-    /// number of independent host groups in the spec).
+    /// Number of event-loop shards. Always 1: a run dispatches on one
+    /// sequential loop. Kept for callers that report it alongside results.
     pub fn shard_count(&self) -> usize {
-        self.n_shards
-    }
-
-    /// Number of independent host groups (hosts transitively joined by
-    /// zero-latency links count as one group). This caps `shard_count`.
-    pub fn host_group_count(&self) -> usize {
-        self.sh.n_groups
-    }
-
-    /// Conservative epoch width: the minimum network latency crossing host
-    /// groups, ns. `None` when no binding crosses groups. A spec whose
-    /// cross-host links include a 0 ns hop collapses those hosts into one
-    /// group instead of producing a zero lookahead, so this is `None` or
-    /// ≥ 1 — never `Some(0)`.
-    pub fn lookahead_ns(&self) -> Option<SimTime> {
-        self.sh.lookahead
+        1
     }
 
     /// Number of requests (frames) a service instance has served so far.
@@ -2294,8 +2151,8 @@ impl Sim {
 
     /// Pushes an event from the driver/control plane. Keys use the
     /// [`CTRL_CTX`] context, which sorts after every host context at equal
-    /// times; driver pushes only happen between `run_until` slices or
-    /// between epochs, so they are shard-layout-invariant.
+    /// times. Lane events go to the lane wheel, control events to the
+    /// control wheel.
     fn push_ev(&mut self, time: SimTime, ev: Ev) {
         debug_assert!(self.ctrl_seq < SEQ_MASK);
         let seq = (CTRL_CTX << CTX_SHIFT) | self.ctrl_seq;
@@ -2306,11 +2163,8 @@ impl Sim {
             item: ev,
         };
         match ev_home_host(&self.sh, &entry.item) {
-            Some(h) => {
-                let shard = self.sh.host_shard[h] as usize;
-                self.events.push_shard(shard, entry);
-            }
-            None => self.events.push_ctrl(entry),
+            Some(_) => self.events.push(entry),
+            None => self.ctrl.push(entry),
         }
     }
 
@@ -2461,205 +2315,39 @@ impl Sim {
 
     /// Runs the event loop until virtual time `t`.
     ///
-    /// With more than one effective shard (and tracing off) this uses
-    /// conservative epoch-parallel dispatch; otherwise the classic
-    /// sequential loop. Either path yields byte-identical results.
+    /// One sequential loop: the executor drains lane events up to the next
+    /// control event, which then runs with `&mut Sim`, so control events
+    /// interleave with lane events in global `(time, seq)` order.
     pub fn run_until(&mut self, t: SimTime) {
-        if self.par_enabled {
-            self.run_until_par(t);
-        } else {
-            self.run_until_seq(t);
-        }
-        self.now = self.now.max(t);
-        self.sync_backend_metrics();
-    }
-
-    /// Sequential dispatch: one executor owns every lane and every queue.
-    /// Control events bound the inner drain so they still interleave with
-    /// lane events in global `(time, seq)` order.
-    fn run_until_seq(&mut self, t: SimTime) {
         loop {
-            let cmin = self.events.ctrl_peek_key();
-            {
-                let mut exec = ShardExec {
-                    sh: &self.sh,
-                    lanes: self.lanes.iter_mut().collect(),
-                    lane_idx: &self.sh.seq_lane_idx,
-                    queues: self.events.shards_mut().iter_mut().map(Some).collect(),
-                    outbox: Vec::new(),
-                    now: self.now,
-                    cur_host: 0,
-                    shard: ALL_SHARDS,
-                    counters: SimCounters::default(),
-                    traces: Some(&mut self.traces),
-                };
-                exec.run(t, cmin);
-                debug_assert!(
-                    exec.outbox.is_empty(),
-                    "all-owning executor buffered a send"
-                );
-                self.now = exec.now;
-                let counters = std::mem::take(&mut exec.counters);
-                drop(exec);
-                self.metrics.counters.merge_from(&counters);
-            }
+            let cmin = self.ctrl.peek_key();
+            let mut exec = Exec {
+                sh: &self.sh,
+                lanes: &mut self.lanes,
+                events: &mut self.events,
+                now: self.now,
+                cur_host: 0,
+                counters: &mut self.metrics.counters,
+                traces: &mut self.traces,
+            };
+            exec.run(t, cmin);
+            self.now = exec.now;
             match cmin {
                 Some((ct, _)) if ct <= t => {
-                    let e = self.events.pop_ctrl().expect("peeked control event");
+                    let e = self.ctrl.pop().expect("peeked control event");
                     self.now = e.time;
                     self.dispatch_ctrl(e.item);
                 }
                 _ => break,
             }
         }
-    }
-
-    /// Conservative epoch-parallel dispatch (see `DESIGN.md` §6). Each
-    /// iteration either runs one control event (exclusively, between
-    /// epochs) or one epoch `[t0, t0 + lookahead)` during which every
-    /// non-empty shard drains its local events on a scoped thread; sends to
-    /// foreign shards buffer in per-worker outboxes and flush at the
-    /// barrier, where they land at or beyond the epoch bound by
-    /// construction (network delay ≥ lookahead).
-    fn run_until_par(&mut self, t: SimTime) {
-        loop {
-            let cmin = self.events.ctrl_peek_key();
-            let qmin = self.events.queue_min().map(|(_, k)| k);
-            let ctrl_first = match (qmin, cmin) {
-                (None, Some(_)) => true,
-                (Some(qk), Some(ck)) => ck < qk,
-                _ => false,
-            };
-            if ctrl_first {
-                let ck = cmin.expect("control key peeked");
-                if ck.0 > t {
-                    break;
-                }
-                let e = self.events.pop_ctrl().expect("peeked control event");
-                self.now = e.time;
-                self.dispatch_ctrl(e.item);
-                continue;
-            }
-            let Some(qk) = qmin else { break };
-            if qk.0 > t {
-                break;
-            }
-
-            if self.events.queued_len() < self.par_epoch_min {
-                // Too few events to amortize thread spawns: dispatch inline
-                // with one all-owning executor. Bounded only by the next
-                // control event (not the epoch), which processes strictly
-                // more work per pass — results are invariant either way.
-                let mut exec = ShardExec {
-                    sh: &self.sh,
-                    lanes: self.lanes.iter_mut().collect(),
-                    lane_idx: &self.sh.seq_lane_idx,
-                    queues: self.events.shards_mut().iter_mut().map(Some).collect(),
-                    outbox: Vec::new(),
-                    now: self.now,
-                    cur_host: 0,
-                    shard: ALL_SHARDS,
-                    counters: SimCounters::default(),
-                    traces: None,
-                };
-                exec.run(t, cmin);
-                debug_assert!(exec.outbox.is_empty());
-                self.now = exec.now;
-                let counters = std::mem::take(&mut exec.counters);
-                drop(exec);
-                self.metrics.counters.merge_from(&counters);
-                continue;
-            }
-
-            // Epoch bound: strictly-less-than `t0 + lookahead` expressed as
-            // a key bound with seq 0, additionally clipped by the next
-            // control event. `lookahead` is `None` when nothing crosses
-            // shards — then only the horizon and control events bound the
-            // epoch.
-            let epoch_bound = self.sh.lookahead.map(|la| (qk.0.saturating_add(la), 0u64));
-            let bound = match (epoch_bound, cmin) {
-                (Some(e), Some(c)) => Some(e.min(c)),
-                (Some(e), None) => Some(e),
-                (None, c) => c,
-            };
-
-            let sh = &self.sh;
-            let n_shards = self.n_shards;
-            let now0 = self.now;
-            let mut lane_parts: Vec<Vec<&mut HostLane>> =
-                (0..n_shards).map(|_| Vec::new()).collect();
-            for (h, lane) in self.lanes.iter_mut().enumerate() {
-                lane_parts[sh.host_shard[h] as usize].push(lane);
-            }
-            let mut execs: Vec<ShardExec> = Vec::with_capacity(n_shards);
-            for (s, (lanes, q)) in lane_parts
-                .into_iter()
-                .zip(self.events.shards_mut().iter_mut())
-                .enumerate()
-            {
-                // A worker whose queue is empty can receive no work this
-                // epoch (cross-shard sends land beyond the bound), so skip
-                // spawning it.
-                if q.is_empty() {
-                    continue;
-                }
-                let mut queues: Vec<Option<&mut EvQueue<Ev>>> =
-                    (0..n_shards).map(|_| None).collect();
-                queues[s] = Some(q);
-                execs.push(ShardExec {
-                    sh,
-                    lanes,
-                    lane_idx: &sh.par_lane_idx,
-                    queues,
-                    outbox: Vec::new(),
-                    now: now0,
-                    cur_host: 0,
-                    shard: s as u32,
-                    counters: SimCounters::default(),
-                    traces: None,
-                });
-            }
-            let finished: Vec<ShardExec> = std::thread::scope(|scope| {
-                let handles: Vec<_> = execs
-                    .into_iter()
-                    .map(|mut e| {
-                        scope.spawn(move || {
-                            e.run(t, bound);
-                            e
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("epoch worker panicked"))
-                    .collect()
-            });
-            // Close the epoch: merge scratch counters (additive, so merge
-            // order is invisible) and flush outboxes. Keys are globally
-            // unique, so queue insertion order cannot affect pop order.
-            let mut max_now = self.now;
-            let mut counters = SimCounters::default();
-            let mut flush: Vec<(usize, evq::Entry<Ev>)> = Vec::new();
-            for mut e in finished {
-                max_now = max_now.max(e.now);
-                counters.merge_from(&e.counters);
-                flush.append(&mut e.outbox);
-            }
-            self.metrics.counters.merge_from(&counters);
-            self.now = max_now;
-            for (shard, entry) in flush {
-                debug_assert!(
-                    epoch_bound.is_none_or(|(te, _)| entry.time >= te),
-                    "cross-shard send landed inside its own epoch"
-                );
-                self.events.push_shard(shard, entry);
-            }
-        }
+        self.now = self.now.max(t);
+        self.sync_backend_metrics();
     }
 
     /// Dispatches a control-plane event. Runs with `&mut Sim` between
-    /// epochs (or between sequential drain segments), so it may touch
-    /// cluster-wide state that shard workers only read.
+    /// lane-dispatch segments, so it may touch cluster-wide state that the
+    /// executor only reads.
     fn dispatch_ctrl(&mut self, ev: Ev) {
         match ev {
             Ev::FaultFire { fault } => self.apply_fault(fault),
@@ -2685,13 +2373,16 @@ impl Sim {
     /// Mirrors dense per-backend stats into the name-keyed metrics map.
     /// Entries appear only for backends that have seen at least one op,
     /// matching the old on-demand-creation semantics. The map is a
-    /// `BTreeMap` keyed by name, so lane iteration order is invisible.
+    /// `BTreeMap` keyed by name, so lane iteration order is invisible. Only
+    /// backends whose stats changed since the last sync are copied; every
+    /// stats mutation sets `stats_dirty`, and the sync clears it.
     fn sync_backend_metrics(&mut self) {
-        for lane in &self.lanes {
-            for b in &lane.backends {
+        for lane in &mut self.lanes {
+            for b in &mut lane.backends {
                 if !b.stats_dirty {
                     continue;
                 }
+                b.stats_dirty = false;
                 let name = self.sh.names.get(b.name);
                 if let Some(slot) = self.metrics.backends.get_mut(name) {
                     slot.clone_from(&b.stats);
@@ -2908,7 +2599,7 @@ impl Sim {
     }
 
     /// Re-arms a host's `HostCheck` after a driver/control-plane scheduler
-    /// perturbation (the executor-side equivalent lives in `ShardExec`).
+    /// perturbation (the executor-side equivalent lives in `Exec`).
     fn touch_host_sim(&mut self, host: usize) {
         let now = self.now;
         let lane = &mut self.lanes[host];

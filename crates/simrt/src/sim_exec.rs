@@ -1,44 +1,22 @@
 // Execution half of the simulator: event dispatch and the behavior
-// interpreter, as methods on `ShardExec` so the same code path serves both
-// the sequential loop (one executor owning every lane) and epoch-parallel
-// workers (one executor per shard). Included by `sim.rs` (same module) to
-// keep file sizes reviewable while sharing all private types.
+// interpreter, as methods on the lane-event executor `Exec`. Included by
+// `sim.rs` (same module) to keep file sizes reviewable while sharing all
+// private types.
 
-impl<'a> ShardExec<'a> {
+impl<'a> Exec<'a> {
     // ------------------------------------------------------------------
-    // Executor core: queue scan, event push, lane/entity access.
+    // Executor core: queue drain, event push, lane/entity access.
     // ------------------------------------------------------------------
 
-    /// Drains owned queues in `(time, seq)` order until the horizon
+    /// Drains the lane wheel in `(time, seq)` order until the horizon
     /// `until` (inclusive) or the first event at or beyond `bound`
-    /// (exclusive — used for epoch ends and pending control events).
+    /// (exclusive — the next pending control event).
     fn run(&mut self, until: SimTime, bound: Option<EvKey>) {
-        loop {
-            // k-way min scan over owned queues. k is the shard count (tiny);
-            // for the common one-owned-queue worker this is one peek.
-            let mut best: Option<(usize, EvKey)> = None;
-            for (si, q) in self.queues.iter_mut().enumerate() {
-                let Some(q) = q else { continue };
-                if let Some(k) = q.peek_key() {
-                    if best.is_none_or(|(_, bk)| k < bk) {
-                        best = Some((si, k));
-                    }
-                }
-            }
-            let Some((si, key)) = best else { return };
-            if key.0 > until {
+        while let Some(key) = self.events.peek_key() {
+            if key.0 > until || bound.is_some_and(|b| key >= b) {
                 return;
             }
-            if let Some(b) = bound {
-                if key >= b {
-                    return;
-                }
-            }
-            let e = self.queues[si]
-                .as_mut()
-                .expect("owned queue")
-                .pop()
-                .expect("peeked event exists");
+            let e = self.events.pop().expect("peeked event exists");
             self.now = e.time;
             self.cur_host = ev_home_host(self.sh, &e.item).expect("lane event has a home host")
                 as u32;
@@ -46,14 +24,14 @@ impl<'a> ShardExec<'a> {
         }
     }
 
-    /// Pushes an event, keyed by the current dispatch context: the high key
-    /// bits carry `cur_host`, the low bits that lane's private push counter.
-    /// Events homed on a foreign shard buffer in the outbox (every such
-    /// event is a network send with delay ≥ the lookahead, so it lands at
-    /// or beyond the epoch bound).
+    /// Pushes a lane event, keyed by the current dispatch context: the high
+    /// key bits carry `cur_host`, the low bits that lane's private push
+    /// counter.
     fn push_ev(&mut self, time: SimTime, ev: Ev) {
-        let home = ev_home_host(self.sh, &ev).expect("executors only push lane events");
-        let shard = self.sh.host_shard[home] as usize;
+        debug_assert!(
+            ev_home_host(self.sh, &ev).is_some(),
+            "the executor only pushes lane events"
+        );
         let now = self.now;
         let cur = self.cur_host;
         let seq = {
@@ -63,31 +41,19 @@ impl<'a> ShardExec<'a> {
             lane.ev_seq += 1;
             s
         };
-        let entry = evq::Entry {
+        self.events.push(evq::Entry {
             time: time.max(now),
             seq,
             item: ev,
-        };
-        match self.queues.get_mut(shard).and_then(|q| q.as_mut()) {
-            Some(q) => q.push(entry),
-            None => self.outbox.push((shard, entry)),
-        }
+        });
     }
 
     fn lane(&mut self, host: usize) -> &mut HostLane {
-        debug_assert!(
-            self.shard == ALL_SHARDS || self.sh.host_shard[host] == self.shard,
-            "dispatch touched a foreign host's lane"
-        );
-        &mut *self.lanes[self.lane_idx[host] as usize]
+        &mut self.lanes[host]
     }
 
     fn lane_ref(&self, host: usize) -> &HostLane {
-        debug_assert!(
-            self.shard == ALL_SHARDS || self.sh.host_shard[host] == self.shard,
-            "dispatch touched a foreign host's lane"
-        );
-        &*self.lanes[self.lane_idx[host] as usize]
+        &self.lanes[host]
     }
 
     // Entity accessors: global id → lane-local slot via the location tables.
@@ -172,11 +138,7 @@ impl<'a> ShardExec<'a> {
                 FrameKind::Entry { method, .. } => *method,
                 FrameKind::Rpc { .. } | FrameKind::SubTask { .. } => sh.rpc_name,
             };
-            let tr = self
-                .traces
-                .as_mut()
-                .expect("tracing forces sequential dispatch");
-            let sid = tr.start_span(
+            let sid = self.traces.start_span(
                 TraceId(root_seq),
                 parent_span.map(|(_, s)| s),
                 sh.names.get(sh.svc_names[service]),
@@ -311,8 +273,8 @@ impl<'a> ShardExec<'a> {
                     m.watermark = m.watermark.max(version);
                 }
             }
-            // Control events never reach shard queues (`ev_home_host`
-            // routes them to the control plane).
+            // Control events never reach the lane wheel (`ev_home_host`
+            // routes them to the control queue).
             Ev::FaultFire { .. }
             | Ev::ProcRestart { .. }
             | Ev::ChaosFire
@@ -322,7 +284,7 @@ impl<'a> ShardExec<'a> {
             | Ev::AutoscaleTick { .. }
             | Ev::CanaryEval { .. }
             | Ev::StoreFailover { .. } => {
-                unreachable!("control event on a shard queue")
+                unreachable!("control event on the lane queue")
             }
         }
     }
@@ -1998,10 +1960,7 @@ impl<'a> ShardExec<'a> {
         if span_owned {
             if let Some((tid, sid)) = span {
                 let now = self.now;
-                self.traces
-                    .as_mut()
-                    .expect("tracing forces sequential dispatch")
-                    .end_span(tid, sid, now, !ok);
+                self.traces.end_span(tid, sid, now, !ok);
             }
         }
 
@@ -2085,9 +2044,9 @@ impl<'a> ShardExec<'a> {
 
 // ----------------------------------------------------------------------
 // Control plane: fault injection and chaos. These run with `&mut Sim`
-// between epochs (and between sequential drain segments), so they may
-// freely mutate cluster-wide state (`proc_down`, `link_faults`,
-// `proc_gen`) that shard workers only read.
+// between lane-dispatch segments, so they may freely mutate cluster-wide
+// state (`proc_down`, `link_faults`, `proc_gen`) that the executor only
+// reads.
 // ----------------------------------------------------------------------
 
 impl Sim {
@@ -2499,9 +2458,9 @@ impl Sim {
 
 // ----------------------------------------------------------------------
 // Control plane: runtime reconfiguration. Like fault injection, these
-// handlers run with `&mut Sim` between epochs (the ctrl-event slot), so
-// rotation state (`svc_active`, `svc_draining`, `canary_route`) mutates
-// only while shard workers are quiescent.
+// handlers run with `&mut Sim` in the ctrl-event slot, so rotation state
+// (`svc_active`, `svc_draining`, `canary_route`) never changes in the
+// middle of a lane-event dispatch.
 // ----------------------------------------------------------------------
 
 impl Sim {

@@ -1583,24 +1583,13 @@ fn brownout_sub_one_slow_factor_rejected_at_injection() {
 
 /// A storm of identical-timestamp submissions: every entry frame, fan-out
 /// child, and backend op schedules events at heavily tied times, so the
-/// completion order is decided purely by the `(time, seq)` tie-break. The
-/// full completion vector must be identical across shard counts and queue
-/// implementations.
+/// completion order is decided purely by the `(time, seq)` tie-break. Two
+/// runs of the same config must produce the identical completion vector.
 #[test]
-fn tied_event_storm_is_identical_across_shards_and_queues() {
-    let storm = |shards: usize, queue: EvQueueKind| -> Vec<Completion> {
+fn tied_event_storm_is_deterministic() {
+    let storm = || -> Vec<Completion> {
         let spec = cache_db_spec();
-        let mut sim = Sim::new(
-            &spec,
-            SimConfig {
-                shards: Some(shards),
-                queue: Some(queue),
-                // Force threaded epochs even at tiny event counts.
-                par_epoch_min: Some(0),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
         // All 200 submissions land at t=0 with zero think time between
         // them — maximal (time, seq) ties across the hosts.
         for i in 0..200u64 {
@@ -1612,164 +1601,64 @@ fn tied_event_storm_is_identical_across_shards_and_queues() {
         assert_eq!(done.len(), 200, "every submission terminates");
         done
     };
-    let baseline = storm(1, EvQueueKind::Heap);
-    for (shards, queue) in [
-        (1, EvQueueKind::Wheel),
-        (3, EvQueueKind::Heap),
-        (4, EvQueueKind::Heap),
-        (4, EvQueueKind::Wheel),
-    ] {
-        let got = storm(shards, queue);
-        assert_eq!(
-            got, baseline,
-            "completion stream diverged at shards={shards} queue={queue:?}"
-        );
-    }
+    assert_eq!(storm(), storm());
 }
 
-// ---------------------------------------------------------------------------
-// Epoch-parallel dispatch: shard validation, degenerate lookahead, and
-// per-entity RNG streams.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn shard_count_zero_is_rejected() {
-    let spec = single_service(Behavior::build().compute(us(10), 0).done());
-    let err = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(0),
-            ..Default::default()
-        },
-    );
-    assert!(
-        matches!(err, Err(SimError::BadSpec(_))),
-        "shards=Some(0) must fail spec validation"
-    );
-}
-
-#[test]
-fn shard_count_above_cap_is_rejected() {
-    let spec = single_service(Behavior::build().compute(us(10), 0).done());
-    let err = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(65),
-            ..Default::default()
-        },
-    );
-    assert!(
-        matches!(err, Err(SimError::BadSpec(_))),
-        "shards=Some(65) must fail spec validation"
-    );
-}
-
-#[test]
-fn shard_count_at_cap_is_accepted() {
-    let spec = single_service(Behavior::build().compute(us(10), 0).done());
-    let sim = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(64),
-            ..Default::default()
-        },
-    )
-    .expect("64 is the inclusive cap");
-    // One host (plus the workload shim joined to it) → one group → the
-    // request is clamped down to sequential execution.
-    assert_eq!(sim.shard_count(), 1);
-}
-
-/// A zero-latency cross-host link admits no lookahead, so the two hosts must
-/// merge into one group and dispatch falls back to sequential — no livelock,
-/// no panic, no zero-width epochs.
-#[test]
-fn zero_latency_cross_host_link_falls_back_to_sequential() {
-    let client = ClientSpec::over(TransportSpec::Grpc {
-        serialize_ns: 5_000,
-        net_ns: 0,
-    });
-    let spec = two_tier(Behavior::build().compute(us(50), 0).done(), client);
-    let mut sim = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(4),
-            par_epoch_min: Some(0),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(sim.host_group_count(), 1, "0 ns link must merge the hosts");
-    assert_eq!(sim.shard_count(), 1, "one group admits only one shard");
-    assert_eq!(sim.lookahead_ns(), None, "no binding crosses groups");
-    for i in 0..50 {
-        sim.submit("front", "M", i).unwrap();
-    }
-    sim.run_until(secs(10));
-    let done = sim.drain_completions();
-    assert_eq!(done.len(), 50, "every request terminates");
-    assert!(done.iter().all(|c| c.ok));
-}
-
-/// With a real network latency between the hosts, the spec splits into two
-/// groups and the epoch width equals the cross-group latency.
-#[test]
-fn positive_latency_cross_host_link_enables_parallel_shards() {
-    let client = ClientSpec::over(TransportSpec::Grpc {
-        serialize_ns: 5_000,
-        net_ns: 50_000,
-    });
-    let spec = two_tier(Behavior::build().compute(us(50), 0).done(), client);
-    let sim = Sim::new(
-        &spec,
-        SimConfig {
-            shards: Some(4),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    // The workload shim reaches `front` over a Local binding (0 ns), so it
-    // merges with host 0; `back` stays its own group across the 50 µs wire.
-    assert_eq!(sim.host_group_count(), 2);
-    assert_eq!(sim.shard_count(), 2, "requested 4, capped by 2 groups");
-    assert_eq!(sim.lookahead_ns(), Some(50_000));
-}
-
-/// The threaded epoch executor and the inline fast path (which skips the
-/// epoch bound entirely) must produce byte-identical completion streams:
-/// `par_epoch_min` is a performance knob, never a semantics knob.
-#[test]
-fn inline_fast_path_matches_threaded_epochs() {
-    let run = |par_epoch_min: Option<usize>| -> Vec<Completion> {
-        let spec = cache_db_spec();
-        let mut sim = Sim::new(
-            &spec,
-            SimConfig {
-                shards: Some(4),
-                par_epoch_min,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        for i in 0..150u64 {
-            let m = if i % 3 == 0 { "Write" } else { "Read" };
-            sim.submit("front", m, i % 11).unwrap();
+/// Asserts `metrics.backends` mirrors the dense per-backend stats: an entry
+/// equal to the dense stats for every backend an op has touched, none for
+/// untouched ones, and no backend left marked dirty by the sync.
+fn assert_backend_metrics_mirror_dense(sim: &Sim) {
+    for b in sim.lanes.iter().flat_map(|l| &l.backends) {
+        let name = sim.sh.names.get(b.name);
+        assert!(!b.stats_dirty, "{name} still dirty after run_until");
+        match sim.metrics.backends.get(name) {
+            Some(m) => assert_eq!(m, &b.stats, "{name} mirror is stale"),
+            None => assert_eq!(b.stats, BackendStats::default(), "{name} never mirrored"),
         }
-        sim.run_until(secs(30));
-        sim.drain_completions()
-    };
-    let threaded = run(Some(0));
-    let inline = run(Some(usize::MAX));
-    let default = run(None);
-    assert_eq!(threaded.len(), 150);
-    assert_eq!(threaded, inline);
-    assert_eq!(threaded, default);
+    }
 }
+
+/// `run_until` re-mirrors only backends whose stats changed since the last
+/// sync: an idle backend keeps its entry as it was, a backend touched again
+/// is mirrored again, and after every slice the map equals the dense stats.
+#[test]
+fn backend_metrics_sync_only_changed_backends() {
+    let spec = cache_db_spec();
+    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
+
+    // Slice 1: a write touches both the store and the cache.
+    sim.submit("front", "Write", 1).unwrap();
+    sim.run_until(secs(1));
+    assert_backend_metrics_mirror_dense(&sim);
+    let db_after_write = sim.metrics.backends["db"].clone();
+    let cache_after_write = sim.metrics.backends["cache"].clone();
+    assert_eq!(db_after_write.writes, 1);
+
+    // Slice 2: a read of the cached key hits the cache and never reaches
+    // the store, so only the cache entry moves.
+    sim.submit("front", "Read", 1).unwrap();
+    sim.run_until(secs(2));
+    assert_backend_metrics_mirror_dense(&sim);
+    assert_eq!(sim.metrics.backends["db"], db_after_write);
+    assert_eq!(
+        sim.metrics.backends["cache"].reads,
+        cache_after_write.reads + 1
+    );
+
+    // Slice 3: no work at all; nothing moves.
+    let before = sim.metrics.backends.clone();
+    sim.run_until(secs(3));
+    assert_backend_metrics_mirror_dense(&sim);
+    assert_eq!(sim.metrics.backends, before);
+}
+
+// ---------------------------------------------------------------------------
+// Per-entity RNG streams.
+// ---------------------------------------------------------------------------
 
 /// Stream independence: an entity's draw sequence is a pure function of
 /// `(root_seed, domain, id)` — interleaving draws by *other* entities in any
-/// order, or adding entities, cannot perturb it. This is the property that
-/// lets shards consume randomness concurrently without a global draw order.
+/// order, or adding entities, cannot perturb it.
 #[test]
 fn entity_stream_is_independent_of_interleaving() {
     let draws_for_target = |schedule: &[u64]| -> Vec<u64> {

@@ -119,17 +119,6 @@ impl TransportSpec {
             net_ns: 60_000,
         }
     }
-
-    /// One-way network latency of this transport, ns. `Local` is 0: a
-    /// same-process (or co-located) call crosses no wire.
-    pub fn net_ns(&self) -> SimTime {
-        match self {
-            TransportSpec::Local => 0,
-            TransportSpec::Grpc { net_ns, .. }
-            | TransportSpec::Thrift { net_ns, .. }
-            | TransportSpec::Http { net_ns, .. } => *net_ns,
-        }
-    }
 }
 
 /// Circuit breaker configuration (paper §6.3 "Prototyping New Solutions").
@@ -479,8 +468,8 @@ impl ConsistencyMode {
 /// Absent (`None`), replicas are plain lag-modeled state inside the
 /// store's own process and the store is unavailable while that process is
 /// down — the historical behavior. Present, each replica lives in its own
-/// peer process on the *same host* (the store's state stays on one
-/// simulation lane, which is what keeps epoch-parallel runs deterministic),
+/// peer process on the *same host* (the store's state stays on its home
+/// host's simulation lane),
 /// and when the primary's process crashes or is partitioned from every
 /// peer, the most-caught-up reachable replica promotes after
 /// `detection_ns + election_ns`. Writes the old primary acknowledged but
@@ -1065,11 +1054,11 @@ impl SystemSpec {
                                 b.name, self.processes[p].name
                             )));
                         }
-                        // Same-host is a determinism constraint, not a
+                        // Same-host is a layout constraint, not a
                         // convenience: the store's state lives on one
                         // simulation lane, and promotion re-points the
-                        // serving process without migrating state across
-                        // epoch-parallel shards.
+                        // serving process without migrating state to
+                        // another host's lane.
                         if self.processes[p].host != home {
                             return Err(SimError::BadSpec(format!(
                                 "store {} failover replica process {} is on host \
@@ -1449,125 +1438,6 @@ fn edit_distance(a: &str, b: &str) -> usize {
         std::mem::swap(&mut prev, &mut cur);
     }
     prev[b.len()]
-}
-
-// ----------------------------------------------------------------------
-// Host grouping and conservative lookahead.
-// ----------------------------------------------------------------------
-
-/// The host-communication structure of a spec, used by the simulator to
-/// decide how far apart hosts can execute without seeing each other's
-/// events (the conservative-parallel lookahead).
-///
-/// Hosts joined by any *zero-latency* cross-host binding (a `Local`
-/// transport or a 0 ns network) are merged into one group: their
-/// interactions admit no lookahead, so they must execute on the same
-/// shard. The lookahead is then the minimum one-way network latency over
-/// bindings that cross group boundaries — every cross-group event arrives
-/// at least that far in the future, which is exactly the window a shard
-/// may run ahead of the others.
-#[derive(Debug, Clone)]
-pub(crate) struct HostGroups {
-    /// Host index → dense group id (numbered by first-seen host).
-    pub(crate) group_of: Vec<usize>,
-    /// Number of distinct groups.
-    pub(crate) n_groups: usize,
-    /// Minimum one-way latency over cross-group bindings; `None` when no
-    /// binding crosses groups (single group, or fully host-local wiring).
-    pub(crate) lookahead: Option<SimTime>,
-}
-
-/// Computes [`HostGroups`] for a spec. Call on the *augmented* spec (with
-/// workload shims attached) so entry-point client bindings participate.
-pub(crate) fn host_groups(spec: &SystemSpec) -> HostGroups {
-    let n_hosts = spec.hosts.len();
-    let mut parent: Vec<usize> = (0..n_hosts).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]]; // path halving
-            x = parent[x];
-        }
-        x
-    }
-
-    // Collect every (src_host, dst_host, net_ns) binding edge once, then
-    // union the zero-latency cross-host pairs.
-    let mut edges: Vec<(usize, usize, SimTime)> = Vec::new();
-    for s in &spec.services {
-        let src = spec.processes[s.process].host;
-        for dep in s.deps.values() {
-            let net = dep.client().transport.net_ns();
-            match dep {
-                DepBinding::Service { target, .. } => {
-                    edges.push((
-                        src,
-                        spec.processes[spec.services[*target].process].host,
-                        net,
-                    ));
-                }
-                DepBinding::ReplicatedService { targets, .. } => {
-                    for t in targets {
-                        edges.push((src, spec.processes[spec.services[*t].process].host, net));
-                    }
-                }
-                DepBinding::Backend { target, .. } => {
-                    edges.push((
-                        src,
-                        spec.processes[spec.backends[*target].process].host,
-                        net,
-                    ));
-                }
-            }
-        }
-    }
-    for &(a, b, net) in &edges {
-        if a != b && net == 0 {
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                parent[ra] = rb;
-            }
-        }
-    }
-
-    // Dense group ids in first-seen host order (deterministic).
-    let mut root_group = vec![usize::MAX; n_hosts];
-    let mut group_of = vec![0usize; n_hosts];
-    let mut n_groups = 0usize;
-    for (h, g) in group_of.iter_mut().enumerate() {
-        let r = find(&mut parent, h);
-        if root_group[r] == usize::MAX {
-            root_group[r] = n_groups;
-            n_groups += 1;
-        }
-        *g = root_group[r];
-    }
-
-    // Lookahead: min latency over edges that still cross groups. Zero-ns
-    // edges never cross (their endpoints were merged above), so the
-    // minimum here is strictly positive when present.
-    let mut lookahead: Option<SimTime> = None;
-    for &(a, b, net) in &edges {
-        if group_of[a] != group_of[b] {
-            debug_assert!(net > 0, "zero-latency edge survived grouping");
-            lookahead = Some(lookahead.map_or(net, |cur| cur.min(net)));
-        }
-    }
-    HostGroups {
-        group_of,
-        n_groups,
-        lookahead,
-    }
-}
-
-impl SystemSpec {
-    /// The conservative-parallel lookahead of this spec, ns: the minimum
-    /// one-way network latency between host groups that can execute
-    /// concurrently. `None` means the deployment collapses to one group
-    /// (everything effectively co-located) and only sequential execution
-    /// is possible. See [`crate::sim::SimConfig::shards`].
-    pub fn lookahead_ns(&self) -> Option<SimTime> {
-        host_groups(self).lookahead
-    }
 }
 
 #[cfg(test)]

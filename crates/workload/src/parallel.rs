@@ -19,11 +19,8 @@
 //! Thread count comes from [`Threads`]: the `BLUEPRINT_THREADS` environment
 //! variable when set, otherwise [`std::thread::available_parallelism`];
 //! `BLUEPRINT_THREADS=1` forces the legacy sequential path (no threads are
-//! spawned at all). The same knob also shards the event queue *inside* each
-//! simulation (see `blueprint_simrt::evq`), so a single large run uses
-//! multiple cores too — with a pop-side `(time, seq)` merge that keeps the
-//! result byte-identical at any shard count, mirroring the index-ordered
-//! merge here.
+//! spawned at all). The knob sets only the number of cross-run workers:
+//! each simulation itself dispatches on one sequential event loop.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

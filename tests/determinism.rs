@@ -6,25 +6,13 @@
 
 use blueprint::apps::{hotel_reservation as hr, WiringOpts};
 use blueprint::core::Blueprint;
-use blueprint::simrt::{Completion, EvQueueKind, SimConfig};
+use blueprint::simrt::{Completion, SimConfig};
 use blueprint::workload::generator::OpenLoopGen;
 use blueprint::workload::generator::Phase;
 
 /// Runs HotelReservation for `secs` seconds at `rps` with the given seed and
 /// returns the full completion stream in emission order.
 fn completion_stream(seed: u64, secs: u64, rps: f64) -> Vec<Completion> {
-    completion_stream_with(seed, secs, rps, 1, None)
-}
-
-/// As [`completion_stream`], pinning the event-queue sharding and
-/// implementation instead of taking them from the environment.
-fn completion_stream_with(
-    seed: u64,
-    secs: u64,
-    rps: f64,
-    shards: usize,
-    queue: Option<EvQueueKind>,
-) -> Vec<Completion> {
     let app = Blueprint::new()
         .without_artifacts()
         .compile(&hr::workflow(), &hr::wiring(&WiringOpts::default()))
@@ -32,12 +20,6 @@ fn completion_stream_with(
     let mut sim = app
         .simulation_with(SimConfig {
             seed,
-            shards: Some(shards),
-            queue,
-            // Force the epoch-parallel executor (scoped worker threads) even
-            // at the small event counts of a test run, so this test compares
-            // genuinely threaded dispatch against the sequential baseline.
-            par_epoch_min: Some(0),
             ..Default::default()
         })
         .expect("sim boots");
@@ -69,36 +51,6 @@ fn same_seed_identical_completion_streams() {
     assert_eq!(a.len(), b.len(), "completion counts diverge");
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
         assert_eq!(x, y, "completion #{i} diverges");
-    }
-}
-
-/// A single run sharded over N event queues must emit a byte-identical
-/// completion stream to the sequential run — the cross-shard exchange
-/// merges by `(time, seq)`, so shard count (and queue implementation) can
-/// never reach the results. This is the in-run analogue of `par_run`'s
-/// index-ordered merge guarantee.
-#[test]
-fn sharded_single_run_matches_sequential() {
-    let baseline = completion_stream_with(77, 1, 500.0, 1, Some(EvQueueKind::Heap));
-    assert!(!baseline.is_empty(), "workload produced no completions");
-    for (shards, queue) in [
-        (1, EvQueueKind::Wheel),
-        (2, EvQueueKind::Heap),
-        (4, EvQueueKind::Heap),
-        (4, EvQueueKind::Wheel),
-    ] {
-        let got = completion_stream_with(77, 1, 500.0, shards, Some(queue));
-        assert_eq!(
-            got.len(),
-            baseline.len(),
-            "count diverges at shards={shards} queue={queue:?}"
-        );
-        for (i, (x, y)) in got.iter().zip(&baseline).enumerate() {
-            assert_eq!(
-                x, y,
-                "completion #{i} diverges at shards={shards} queue={queue:?}"
-            );
-        }
     }
 }
 
