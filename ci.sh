@@ -3,6 +3,14 @@
 # Run from the repo root. Fails fast on the first broken step.
 set -eu
 
+# Every deterministic report a step below writes is compared byte for byte
+# with its committed copy: the matrix smokes `cmp` the fresh 1-thread report
+# against `results/ci_*.txt` before replacing it, and the lint and checksum
+# reports are saved here first. Only `ci_par_sweep.txt` (wall-clock
+# timings) is not gated.
+committed=$(mktemp -d)
+trap 'rm -rf "$committed"' EXIT
+
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -47,6 +55,7 @@ echo "==> fault-matrix smoke (2 cells, BLUEPRINT_THREADS=1 vs =4)"
 # the binary itself panics on any conservation or amplification violation.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_faults -- \
     --quick --smoke
+cmp results/ci_fault_matrix.txt results/fault_matrix.txt
 mv results/fault_matrix.txt results/ci_fault_matrix.txt
 BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_faults -- \
     --quick --smoke
@@ -60,6 +69,7 @@ echo "==> overload-protection smoke (BLUEPRINT_THREADS=1 vs =4)"
 # whatever the cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_overload -- \
     --smoke
+cmp results/ci_overload.txt results/overload_matrix.txt
 mv results/overload_matrix.txt results/ci_overload.txt
 BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_overload -- \
     --smoke
@@ -74,6 +84,7 @@ echo "==> reconfig smoke (BLUEPRINT_THREADS=1 vs =4)"
 # whatever the cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_reconfig -- \
     --smoke
+cmp results/ci_reconfig.txt results/reconfig_matrix.txt
 mv results/reconfig_matrix.txt results/ci_reconfig.txt
 BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_reconfig -- \
     --smoke
@@ -89,6 +100,7 @@ echo "==> consistency smoke (BLUEPRINT_THREADS=1 vs =4)"
 # cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_consistency -- \
     --smoke
+cmp results/ci_consistency.txt results/consistency_matrix.txt
 mv results/consistency_matrix.txt results/ci_consistency.txt
 BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_consistency -- \
     --smoke
@@ -98,8 +110,10 @@ mv results/consistency_matrix.txt results/ci_consistency.txt
 echo "==> lint gate (every app's default wiring must be deny-clean)"
 # Runs the static-analysis passes over the five benchmark apps and writes
 # per-app counts to results/ci_lint.txt; exits nonzero on any deny-severity
-# diagnostic.
+# diagnostic or when the counts differ from the committed copy.
+cp results/ci_lint.txt "$committed/"
 cargo run --release -p blueprint-bench --bin lint_gate
+cmp "$committed/ci_lint.txt" results/ci_lint.txt
 
 echo "==> lint cross-validation smoke (BLUEPRINT_THREADS=1 vs =4)"
 # The static hazard predictions must bracket the dynamic fault-matrix
@@ -107,6 +121,7 @@ echo "==> lint cross-validation smoke (BLUEPRINT_THREADS=1 vs =4)"
 # byte-identical whatever the cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin lint_validation -- \
     --smoke
+cmp results/ci_lint_validation.txt results/lint_validation.txt
 mv results/lint_validation.txt results/ci_lint_validation.txt
 BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin lint_validation -- \
     --smoke
@@ -119,6 +134,7 @@ echo "==> capacity cross-validation smoke (BLUEPRINT_THREADS=1 vs =4)"
 # byte-identical whatever the cross-run worker count.
 BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin capacity_validation -- \
     --smoke
+cmp results/ci_capacity.txt results/capacity_validation.txt
 mv results/capacity_validation.txt results/ci_capacity.txt
 BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin capacity_validation -- \
     --smoke
@@ -133,7 +149,9 @@ echo "==> completion-stream identity check"
 # plan is empty, or this pin moves.
 # (The pin moved once, 73897de1072914b2 -> 1bc85aa9969bffcf, when RNG draws
 # moved from one global stream to derive_seed-keyed per-entity streams.)
+cp results/ci_stream_checksum.txt "$committed/"
 cargo run --release --example stream_checksum | tee results/ci_stream_checksum.txt
 grep -q "checksum=1bc85aa9969bffcf" results/ci_stream_checksum.txt
+cmp "$committed/ci_stream_checksum.txt" results/ci_stream_checksum.txt
 
 echo "CI OK"

@@ -6,18 +6,21 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
 use blueprint_core::Blueprint;
-use blueprint_simrt::host::{JobId, PsHost};
+use blueprint_simrt::host::PsHost;
 use blueprint_simrt::time::secs;
 use blueprint_simrt::SimConfig;
 use blueprint_workload::generator::{OpenLoopGen, Phase};
 use blueprint_workload::{run_experiment, ExperimentSpec};
 
 fn bench_ps_host(c: &mut Criterion) {
+    // Each job carries a payload continuation, as in the simulator; one
+    // drain buffer is reused across completions and iterations.
+    let mut due: Vec<u64> = Vec::new();
     c.bench_function("ps_host_add_drain_1000_jobs", |b| {
         b.iter(|| {
             let mut h = PsHost::new(8.0);
             for i in 0..1000u64 {
-                h.add(i, JobId(i), 10_000.0, (i % 16) as usize);
+                h.add(i, 10_000.0, (i % 16) as usize, i);
             }
             let mut t = 1_000;
             let mut done = 0;
@@ -25,7 +28,9 @@ fn bench_ps_host(c: &mut Criterion) {
                 match h.next_completion(t) {
                     Some(next) => {
                         t = next;
-                        done += h.collect_due(t).len();
+                        due.clear();
+                        h.collect_due(t, &mut due);
+                        done += due.len();
                     }
                     None => break,
                 }

@@ -15,54 +15,99 @@
 //! stop-the-world GC pause): frozen jobs keep their residual work and do not
 //! count towards `n`. A **hog** (CPU contention injected by the anomaly
 //! driver, standing in for FIRM's anomaly injector) reduces effective cores.
+//!
+//! Jobs live in a slab that owns each job's continuation `C` (what to run
+//! when the work is done), so the per-job path does no hashing and, once
+//! the slab and heap have grown to the host's working set, no allocation:
+//! [`PsHost::add`] returns an opaque [`JobId`] handle, and
+//! [`PsHost::collect_due`], [`PsHost::cancel`] and [`PsHost::cancel_proc`]
+//! hand the continuations back. Active jobs are ordered by a binary min-heap
+//! over `(deadline, admission seq)` with lazy deletion: every (re)activation
+//! bumps the slot's epoch, and heap entries whose epoch no longer matches an
+//! active slot (left behind by a freeze or a cancel) are skipped when they
+//! surface. Equal deadlines complete in admission order. Freeze, unfreeze
+//! and crash scan the slab; they run once per GC pause or crash, not per job.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Unique job identifier (scoped to the whole simulation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct JobId(pub u64);
+#[cfg(test)]
+mod tests;
+
+/// Handle to a job on one [`PsHost`], returned by [`PsHost::add`] and
+/// [`PsHost::add_frozen`]. It names the job's slab slot and its host-local
+/// admission sequence number, so a handle whose job has already finished is
+/// recognised as stale even after the slot has been reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JobId {
+    slot: u32,
+    seq: u64,
+}
 
 /// Minimum effective cores, so hogs can never fully wedge a host.
 const MIN_CORES: f64 = 0.05;
-
-/// Order-preserving bit encoding for non-negative f64 keys.
-fn key(v: f64) -> u64 {
-    debug_assert!(v >= 0.0 && v.is_finite());
-    v.to_bits()
-}
-
-/// A processor-sharing host.
-#[derive(Debug)]
-pub struct PsHost {
-    cores: f64,
-    hog_cores: f64,
-    /// Virtual service accumulated per active job, ns.
-    v: f64,
-    last_update: SimTime,
-    /// Active jobs ordered by virtual deadline.
-    queue: BTreeMap<(u64, JobId), f64>,
-    /// Active job → virtual deadline.
-    deadlines: HashMap<JobId, f64>,
-    /// Frozen jobs → (residual work ns, process tag).
-    frozen: HashMap<JobId, (f64, usize)>,
-    /// Active job → process tag.
-    job_proc: HashMap<JobId, usize>,
-    /// Total CPU-ns of work completed (for utilization accounting).
-    pub completed_work_ns: f64,
-}
 
 /// Process tag for jobs that are never frozen by GC (the GC pause itself,
 /// serialization work attributed to the runtime, hog placeholders).
 pub const NO_PROC: usize = usize::MAX;
 
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    Free,
+    Active,
+    Frozen,
+}
+
+#[derive(Debug)]
+struct Slot<C> {
+    state: State,
+    /// Bumped on every (re)activation; heap entries carrying an older epoch
+    /// are stale.
+    epoch: u32,
+    /// Host-local admission sequence number.
+    seq: u64,
+    /// Virtual deadline while active; residual work (ns) while frozen.
+    val: f64,
+    /// Process tag.
+    proc: usize,
+    /// `Some` exactly while the slot is occupied.
+    cont: Option<C>,
+}
+
+/// Active-order heap entry, smallest first: `(deadline bits, seq, slot,
+/// epoch)`. Deadlines are non-negative, so their bit patterns order like the
+/// values; `seq` is unique, so `slot` and `epoch` never decide the order.
+type Entry = Reverse<(u64, u64, u32, u32)>;
+
+/// A processor-sharing host whose jobs carry continuations of type `C`.
+#[derive(Debug)]
+pub struct PsHost<C> {
+    cores: f64,
+    hog_cores: f64,
+    /// Virtual service accumulated per active job, ns.
+    v: f64,
+    last_update: SimTime,
+    slots: Vec<Slot<C>>,
+    /// Free slot indices (reused last-in, first-out).
+    free: Vec<u32>,
+    /// Active jobs by virtual deadline, with lazily deleted stale entries.
+    heap: BinaryHeap<Entry>,
+    active: usize,
+    frozen: usize,
+    /// Next admission sequence number.
+    next_seq: u64,
+    /// Total CPU-ns of work completed (for utilization accounting).
+    pub completed_work_ns: f64,
+}
+
 // The host model is plain owned data; `Sim` embeds one per host and is
 // itself `Send`, so any shared-state regression here must fail to compile.
 const fn _assert_send_sync<T: Send + Sync>() {}
-const _: () = _assert_send_sync::<PsHost>();
+const _: () = _assert_send_sync::<PsHost<()>>();
 
-impl PsHost {
+impl<C> PsHost<C> {
     /// Creates a host with the given core count.
     pub fn new(cores: f64) -> Self {
         assert!(cores > 0.0);
@@ -71,10 +116,12 @@ impl PsHost {
             hog_cores: 0.0,
             v: 0.0,
             last_update: 0,
-            queue: BTreeMap::new(),
-            deadlines: HashMap::new(),
-            frozen: HashMap::new(),
-            job_proc: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            heap: BinaryHeap::new(),
+            active: 0,
+            frozen: 0,
+            next_seq: 0,
             completed_work_ns: 0.0,
         }
     }
@@ -85,7 +132,7 @@ impl PsHost {
 
     /// Per-job progress rate with the current active set.
     fn rate(&self) -> f64 {
-        let n = self.queue.len();
+        let n = self.active;
         if n == 0 {
             0.0
         } else {
@@ -100,61 +147,139 @@ impl PsHost {
         let rate = self.rate();
         if rate > 0.0 && dt > 0.0 {
             self.v += dt * rate;
-            self.completed_work_ns += dt * rate * self.queue.len() as f64;
+            self.completed_work_ns += dt * rate * self.active as f64;
         }
         self.last_update = now;
     }
 
-    /// Adds a job with `work_ns` of CPU work for process `proc`.
-    pub fn add(&mut self, now: SimTime, job: JobId, work_ns: f64, proc: usize) {
+    /// Occupies a slot with a new job in `state`; `val` is its deadline
+    /// (active) or residual work (frozen).
+    fn occupy(&mut self, state: State, val: f64, proc: usize, cont: C) -> JobId {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let fresh = Slot {
+            state,
+            epoch: 0,
+            seq,
+            val,
+            proc,
+            cont: Some(cont),
+        };
+        let slot = match self.free.pop() {
+            Some(i) => {
+                let s = &mut self.slots[i as usize];
+                // Keep the epoch: heap entries of the slot's previous job
+                // must stay stale.
+                *s = Slot {
+                    epoch: s.epoch,
+                    ..fresh
+                };
+                i
+            }
+            None => {
+                let i = u32::try_from(self.slots.len()).expect("job slab exceeds u32 slots");
+                self.slots.push(fresh);
+                i
+            }
+        };
+        JobId { slot, seq }
+    }
+
+    /// Makes the job in `slot` active at the deadline in its `val`.
+    fn activate(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        debug_assert!(s.val >= 0.0 && s.val.is_finite());
+        s.state = State::Active;
+        s.epoch = s.epoch.wrapping_add(1);
+        self.heap
+            .push(Reverse((s.val.to_bits(), s.seq, slot, s.epoch)));
+        self.active += 1;
+    }
+
+    /// Frees an occupied slot and returns its continuation.
+    fn release(&mut self, slot: u32) -> C {
+        let s = &mut self.slots[slot as usize];
+        match s.state {
+            State::Active => self.active -= 1,
+            State::Frozen => self.frozen -= 1,
+            State::Free => unreachable!("released a free slot"),
+        }
+        s.state = State::Free;
+        self.free.push(slot);
+        let cont = s.cont.take().expect("occupied slot has a continuation");
+        self.drop_stale_if_idle();
+        cont
+    }
+
+    /// With no active job every heap entry is stale: drop them all at once.
+    fn drop_stale_if_idle(&mut self) {
+        if self.active == 0 {
+            self.heap.clear();
+        }
+    }
+
+    /// The earliest active job as `(deadline, slot)`, discarding stale heap
+    /// entries on the way.
+    fn peek_active(&mut self) -> Option<(f64, u32)> {
+        while let Some(&Reverse((bits, _, slot, epoch))) = self.heap.peek() {
+            let s = &self.slots[slot as usize];
+            if s.state == State::Active && s.epoch == epoch {
+                return Some((f64::from_bits(bits), slot));
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Adds a job with `work_ns` of CPU work for process `proc`; `cont` is
+    /// handed back when the job completes or is cancelled.
+    pub fn add(&mut self, now: SimTime, work_ns: f64, proc: usize, cont: C) -> JobId {
         self.advance(now);
         let deadline = self.v + work_ns.max(0.0);
-        self.queue.insert((key(deadline), job), deadline);
-        self.deadlines.insert(job, deadline);
-        self.job_proc.insert(job, proc);
+        let id = self.occupy(State::Active, deadline, proc, cont);
+        self.activate(id.slot);
+        id
     }
 
     /// Adds a job that starts frozen (its process is mid-GC).
-    pub fn add_frozen(&mut self, now: SimTime, job: JobId, work_ns: f64, proc: usize) {
+    pub fn add_frozen(&mut self, now: SimTime, work_ns: f64, proc: usize, cont: C) -> JobId {
         self.advance(now);
-        self.frozen.insert(job, (work_ns.max(0.0), proc));
+        self.frozen += 1;
+        self.occupy(State::Frozen, work_ns.max(0.0), proc, cont)
     }
 
-    /// Removes a job without completing it (e.g. its frame was dropped).
-    pub fn cancel(&mut self, now: SimTime, job: JobId) {
+    /// Removes a job without completing it (e.g. its frame was dropped) and
+    /// returns its continuation; `None` if the job already finished.
+    pub fn cancel(&mut self, now: SimTime, job: JobId) -> Option<C> {
         self.advance(now);
-        if let Some(d) = self.deadlines.remove(&job) {
-            self.queue.remove(&(key(d), job));
-            self.job_proc.remove(&job);
+        let s = self.slots.get(job.slot as usize)?;
+        if s.state == State::Free || s.seq != job.seq {
+            return None;
         }
-        self.frozen.remove(&job);
+        Some(self.release(job.slot))
     }
 
-    /// Collects all jobs whose work is finished as of `now`.
-    pub fn collect_due(&mut self, now: SimTime) -> Vec<JobId> {
+    /// Appends to `out` the continuations of all jobs whose work is finished
+    /// as of `now`, in completion order.
+    pub fn collect_due(&mut self, now: SimTime, out: &mut Vec<C>) {
         self.advance(now);
-        let mut done = Vec::new();
         // Tolerance: one femto-fraction of v to absorb f64 rounding from the
         // time quantization in `next_completion`.
         let cutoff = self.v * (1.0 + 1e-12) + 1e-6;
-        while let Some((&(k, job), &deadline)) = self.queue.iter().next() {
-            if deadline <= cutoff {
-                self.queue.remove(&(k, job));
-                self.deadlines.remove(&job);
-                self.job_proc.remove(&job);
-                done.push(job);
-            } else {
+        while let Some((deadline, slot)) = self.peek_active() {
+            if deadline > cutoff {
                 break;
             }
+            self.heap.pop();
+            out.push(self.release(slot));
         }
-        done
     }
 
     /// When the next job completes, if nothing else changes. Returns a time
     /// `>= now` (rounded up to whole ns).
     pub fn next_completion(&mut self, now: SimTime) -> Option<SimTime> {
         self.advance(now);
-        let (_, &deadline) = self.queue.iter().next()?;
+        let (deadline, _) = self.peek_active()?;
         let rate = self.rate();
         if rate <= 0.0 {
             return None;
@@ -167,70 +292,45 @@ impl PsHost {
     /// Freezes all jobs of `proc` (stop-the-world pause begins).
     pub fn freeze_proc(&mut self, now: SimTime, proc: usize) {
         self.advance(now);
-        let victims: Vec<JobId> = self
-            .job_proc
-            .iter()
-            .filter(|(_, p)| **p == proc)
-            .map(|(j, _)| *j)
-            .collect();
-        for job in victims {
-            let d = self
-                .deadlines
-                .remove(&job)
-                .expect("active job has deadline");
-            self.queue.remove(&(key(d), job));
-            self.job_proc.remove(&job);
-            let residual = (d - self.v).max(0.0);
-            self.frozen.insert(job, (residual, proc));
+        let v = self.v;
+        for s in &mut self.slots {
+            if s.state == State::Active && s.proc == proc {
+                s.state = State::Frozen;
+                s.val = (s.val - v).max(0.0);
+                self.active -= 1;
+                self.frozen += 1;
+            }
         }
+        self.drop_stale_if_idle();
     }
 
     /// Removes every job (active or frozen) of `proc` without completing it
-    /// — the process crashed. Returns the cancelled jobs in `JobId` order so
-    /// callers can process them deterministically (the internal maps iterate
-    /// in arbitrary order).
-    pub fn cancel_proc(&mut self, now: SimTime, proc: usize) -> Vec<JobId> {
+    /// — the process crashed. Returns their continuations in admission order
+    /// so callers process them deterministically.
+    pub fn cancel_proc(&mut self, now: SimTime, proc: usize) -> Vec<C> {
         self.advance(now);
-        let mut victims: Vec<JobId> = self
-            .job_proc
+        let mut victims: Vec<(u64, u32)> = self
+            .slots
             .iter()
-            .filter(|(_, p)| **p == proc)
-            .map(|(j, _)| *j)
+            .zip(0u32..)
+            .filter(|(s, _)| s.state != State::Free && s.proc == proc)
+            .map(|(s, i)| (s.seq, i))
             .collect();
-        for job in &victims {
-            let d = self.deadlines.remove(job).expect("active job has deadline");
-            self.queue.remove(&(key(d), *job));
-            self.job_proc.remove(job);
-        }
-        let frozen: Vec<JobId> = self
-            .frozen
-            .iter()
-            .filter(|(_, (_, p))| *p == proc)
-            .map(|(j, _)| *j)
-            .collect();
-        for job in frozen {
-            self.frozen.remove(&job);
-            victims.push(job);
-        }
         victims.sort_unstable();
-        victims
+        victims.into_iter().map(|(_, i)| self.release(i)).collect()
     }
 
     /// Unfreezes all jobs of `proc` (pause ends).
     pub fn unfreeze_proc(&mut self, now: SimTime, proc: usize) {
         self.advance(now);
-        let thawed: Vec<(JobId, f64)> = self
-            .frozen
-            .iter()
-            .filter(|(_, (_, p))| *p == proc)
-            .map(|(j, (w, _))| (*j, *w))
-            .collect();
-        for (job, work) in thawed {
-            self.frozen.remove(&job);
-            let deadline = self.v + work;
-            self.queue.insert((key(deadline), job), deadline);
-            self.deadlines.insert(job, deadline);
-            self.job_proc.insert(job, proc);
+        for i in 0..self.slots.len() {
+            let s = &mut self.slots[i];
+            if s.state == State::Frozen && s.proc == proc {
+                // `v + residual` (IEEE addition commutes bit for bit).
+                s.val += self.v;
+                self.frozen -= 1;
+                self.activate(i as u32);
+            }
         }
     }
 
@@ -242,12 +342,12 @@ impl PsHost {
 
     /// Number of currently active (unfrozen) jobs.
     pub fn active_jobs(&self) -> usize {
-        self.queue.len()
+        self.active
     }
 
     /// Number of frozen jobs.
     pub fn frozen_jobs(&self) -> usize {
-        self.frozen.len()
+        self.frozen
     }
 
     /// Current hog level in cores.
@@ -258,180 +358,5 @@ impl PsHost {
     /// Configured cores.
     pub fn cores(&self) -> f64 {
         self.cores
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn drain_at(h: &mut PsHost, t: SimTime) -> Vec<JobId> {
-        h.collect_due(t)
-    }
-
-    #[test]
-    fn single_job_completes_after_its_work() {
-        let mut h = PsHost::new(2.0);
-        h.add(0, JobId(1), 1000.0, 0);
-        assert_eq!(h.next_completion(0), Some(1000));
-        assert!(drain_at(&mut h, 999).is_empty());
-        assert_eq!(drain_at(&mut h, 1000), vec![JobId(1)]);
-        assert_eq!(h.active_jobs(), 0);
-    }
-
-    #[test]
-    fn two_jobs_share_one_core() {
-        let mut h = PsHost::new(1.0);
-        h.add(0, JobId(1), 1000.0, 0);
-        h.add(0, JobId(2), 1000.0, 0);
-        // Each runs at rate 0.5 → both due at t=2000.
-        assert_eq!(h.next_completion(0), Some(2000));
-        let done = drain_at(&mut h, 2000);
-        assert_eq!(done.len(), 2);
-    }
-
-    #[test]
-    fn many_cores_cap_per_job_rate_at_one() {
-        let mut h = PsHost::new(48.0);
-        h.add(0, JobId(1), 5000.0, 0);
-        // Single job cannot exceed one core.
-        assert_eq!(h.next_completion(0), Some(5000));
-    }
-
-    #[test]
-    fn later_arrival_slows_everyone() {
-        let mut h = PsHost::new(1.0);
-        h.add(0, JobId(1), 1000.0, 0);
-        // At t=500, job1 has 500 left; a second job arrives.
-        h.add(500, JobId(2), 500.0, 0);
-        // Both progress at 0.5: job1 done at 500 + 1000 = 1500; job2 too.
-        assert_eq!(h.next_completion(500), Some(1500));
-        let done = drain_at(&mut h, 1500);
-        assert_eq!(done.len(), 2);
-    }
-
-    #[test]
-    fn freeze_pauses_progress_and_unfreeze_resumes() {
-        let mut h = PsHost::new(1.0);
-        h.add(0, JobId(1), 1000.0, 7);
-        h.freeze_proc(200, 7);
-        assert_eq!(h.active_jobs(), 0);
-        assert_eq!(h.frozen_jobs(), 1);
-        assert_eq!(h.next_completion(500), None);
-        h.unfreeze_proc(1000, 7);
-        // 800 ns of work remained.
-        assert_eq!(h.next_completion(1000), Some(1800));
-        assert_eq!(drain_at(&mut h, 1800), vec![JobId(1)]);
-    }
-
-    #[test]
-    fn freeze_only_targets_one_proc() {
-        let mut h = PsHost::new(2.0);
-        h.add(0, JobId(1), 1000.0, 1);
-        h.add(0, JobId(2), 1000.0, 2);
-        h.freeze_proc(0, 1);
-        assert_eq!(h.active_jobs(), 1);
-        // Job 2 now runs alone at full speed.
-        assert_eq!(h.next_completion(0), Some(1000));
-        assert_eq!(drain_at(&mut h, 1000), vec![JobId(2)]);
-    }
-
-    #[test]
-    fn hog_reduces_effective_cores() {
-        let mut h = PsHost::new(2.0);
-        h.adjust_hog(0, 1.0);
-        h.add(0, JobId(1), 1000.0, 0);
-        h.add(0, JobId(2), 1000.0, 0);
-        // 1 effective core shared by 2 jobs → rate 0.5 → done at 2000.
-        assert_eq!(h.next_completion(0), Some(2000));
-        h.adjust_hog(500, -1.0);
-        assert_eq!(h.hog_cores(), 0.0);
-        // At t=500 each had 750 left, now at rate 1 → done at 1250.
-        assert_eq!(h.next_completion(500), Some(1250));
-    }
-
-    #[test]
-    fn hog_never_fully_stops_host() {
-        let mut h = PsHost::new(1.0);
-        h.adjust_hog(0, 100.0);
-        h.add(0, JobId(1), 100.0, 0);
-        let t = h.next_completion(0).unwrap();
-        assert!(t >= 100 && t <= 100.0 as u64 * (1.0 / MIN_CORES) as u64 + 1);
-    }
-
-    #[test]
-    fn cancel_removes_job() {
-        let mut h = PsHost::new(1.0);
-        h.add(0, JobId(1), 1000.0, 0);
-        h.add(0, JobId(2), 1000.0, 0);
-        h.cancel(100, JobId(1));
-        assert_eq!(h.active_jobs(), 1);
-        // Job 2 had 950 left at t=100, full speed now → 1050.
-        assert_eq!(h.next_completion(100), Some(1050));
-    }
-
-    #[test]
-    fn cancel_proc_removes_active_and_frozen_jobs_in_id_order() {
-        let mut h = PsHost::new(2.0);
-        h.add(0, JobId(3), 1000.0, 7);
-        h.add(0, JobId(1), 1000.0, 7);
-        h.add(0, JobId(2), 1000.0, 8);
-        h.add_frozen(0, JobId(5), 400.0, 7);
-        let victims = h.cancel_proc(100, 7);
-        assert_eq!(victims, vec![JobId(1), JobId(3), JobId(5)]);
-        assert_eq!(h.active_jobs(), 1);
-        assert_eq!(h.frozen_jobs(), 0);
-        // Three active jobs on two cores ran at 2/3 speed for 100 ns, so the
-        // survivor has 1000 - 66.67 left; alone at full speed → ⌈933.3⌉.
-        assert_eq!(h.next_completion(100), Some(1034));
-        assert_eq!(drain_at(&mut h, 1034), vec![JobId(2)]);
-    }
-
-    #[test]
-    fn zero_work_jobs_complete_immediately() {
-        let mut h = PsHost::new(1.0);
-        h.add(0, JobId(1), 0.0, 0);
-        assert_eq!(h.next_completion(0), Some(0));
-        assert_eq!(drain_at(&mut h, 0), vec![JobId(1)]);
-    }
-
-    #[test]
-    fn add_frozen_then_unfreeze() {
-        let mut h = PsHost::new(1.0);
-        h.add_frozen(0, JobId(1), 500.0, 3);
-        assert_eq!(h.active_jobs(), 0);
-        h.unfreeze_proc(100, 3);
-        assert_eq!(h.next_completion(100), Some(600));
-    }
-
-    #[test]
-    fn work_conservation() {
-        // Throw a batch of jobs at the host and verify completed work equals
-        // the sum of job sizes once all are drained.
-        let mut h = PsHost::new(3.0);
-        let mut total = 0.0;
-        for i in 0..50u64 {
-            let w = 100.0 + (i * 37 % 500) as f64;
-            total += w;
-            h.add(i * 10, JobId(i), w, (i % 4) as usize);
-        }
-        let mut t = 500;
-        let mut done = 0;
-        while done < 50 {
-            if let Some(next) = h.next_completion(t) {
-                t = next;
-                done += h.collect_due(t).len();
-            } else {
-                panic!("stalled with {done} done");
-            }
-        }
-        // Event-time quantization (ceil to whole ns) can over-account a few
-        // ns of work per completion event.
-        assert!(
-            (h.completed_work_ns - total).abs() < total * 1e-3 + 1_000.0,
-            "completed={} expected={}",
-            h.completed_work_ns,
-            total
-        );
     }
 }

@@ -24,6 +24,7 @@
 //! randomness depends only on its own event order (see `DESIGN.md` §6).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -146,6 +147,34 @@ fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// [`Hasher`] for maps keyed by a single `u64` (cache keys, store keys,
+/// session entities): the [`mix64`] finalizer of the key. Unlike the std
+/// default it has no per-process random state and costs two multiplies. It
+/// gives up SipHash's collision resistance, which is fine only because every
+/// key comes from the simulated workload (entity ids and key expressions),
+/// never from untrusted input.
+#[derive(Default)]
+struct Mix64Hasher(u64);
+
+impl Hasher for Mix64Hasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix64(self.0 ^ x);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `u64`-keyed map hashed with [`Mix64Hasher`].
+type U64Map<V> = HashMap<u64, V, BuildHasherDefault<Mix64Hasher>>;
 
 /// Derives the seed of one entity's private RNG stream from the run's root
 /// seed, a domain tag, and the entity's dense id.
@@ -806,7 +835,8 @@ enum Ev {
     },
     HogEnd {
         host: usize,
-        milli_cores: u64,
+        /// The exact core count the hog added, subtracted when it ends.
+        cores: f64,
     },
     ConnFreed {
         client: u32,
@@ -1186,7 +1216,7 @@ struct EntryRt {
 /// Cache runtime with O(1) random eviction.
 #[derive(Debug, Default)]
 struct CacheRt {
-    map: HashMap<u64, (usize, u64)>,
+    map: U64Map<(usize, u64)>,
     keys: Vec<u64>,
 }
 
@@ -1239,7 +1269,7 @@ impl CacheRt {
 /// bookkeeping failover elections rank candidates by.
 #[derive(Debug, Default)]
 struct StoreMember {
-    map: HashMap<u64, u64>,
+    map: U64Map<u64>,
     /// Owning process (the store's own process unless a failover spec
     /// placed this member elsewhere). Same host as the primary's process by
     /// validation, so every member stays on one simulation lane.
@@ -1273,7 +1303,7 @@ struct StoreRt {
     election_pending: bool,
     /// Session mode: entity → lowest version its reads may observe
     /// (read-your-writes floor, raised by both acked writes and reads).
-    session_floor: HashMap<u64, u64>,
+    session_floor: U64Map<u64>,
 }
 
 impl StoreRt {
@@ -1399,7 +1429,9 @@ struct Shared {
 /// processes/services/clients/backends that live there, its frame table, and
 /// its share of the event-sequence counter.
 struct HostLane {
-    ps: PsHost,
+    ps: PsHost<JobCont>,
+    /// Reused buffer for the continuations a `HostCheck` collects.
+    due: Vec<JobCont>,
     /// Bumped on every scheduler perturbation; guards stale `HostCheck`s.
     host_gen: u64,
     procs: Vec<ProcRt>,
@@ -1415,8 +1447,6 @@ struct HostLane {
     /// Recycled interpreter stacks of completed frames.
     stack_pool: Vec<Vec<ExecCtx>>,
 
-    jobs: HashMap<JobId, JobCont>,
-    next_job: u64,
     /// Push counter for events generated while dispatching this host
     /// (the low 48 bits of their `(time, seq)` keys).
     ev_seq: u64,
@@ -1647,7 +1677,7 @@ impl Sim {
 
         let host_names: Vec<String> = spec.hosts.iter().map(|h| h.name.clone()).collect();
         let proc_names: Vec<String> = spec.processes.iter().map(|p| p.name.clone()).collect();
-        let hosts: Vec<PsHost> = spec.hosts.iter().map(|h| PsHost::new(h.cores)).collect();
+        let hosts: Vec<PsHost<JobCont>> = spec.hosts.iter().map(|h| PsHost::new(h.cores)).collect();
         let procs: Vec<ProcRt> = spec
             .processes
             .iter()
@@ -1802,6 +1832,7 @@ impl Sim {
             .into_iter()
             .map(|ps| HostLane {
                 ps,
+                due: Vec::new(),
                 host_gen: 0,
                 procs: Vec::new(),
                 services: Vec::new(),
@@ -1812,8 +1843,6 @@ impl Sim {
                 free_frames: Vec::new(),
                 live: 0,
                 stack_pool: Vec::new(),
-                jobs: HashMap::new(),
-                next_job: 0,
                 ev_seq: 0,
                 completions: Vec::new(),
             })
@@ -2415,15 +2444,14 @@ impl Sim {
             .iter()
             .position(|n| n == host)
             .ok_or_else(|| SimError::Unknown(format!("host {host}")))?;
+        if !cores.is_finite() || cores < 0.0 {
+            return Err(SimError::BadSpec(format!(
+                "CPU hog of {cores} cores on host {host}: must be finite and non-negative"
+            )));
+        }
         self.lanes[h].ps.adjust_hog(self.now, cores);
         self.touch_host_sim(h);
-        self.push_ev(
-            self.now + duration,
-            Ev::HogEnd {
-                host: h,
-                milli_cores: (cores * 1000.0).round() as u64,
-            },
-        );
+        self.push_ev(self.now + duration, Ev::HogEnd { host: h, cores });
         Ok(())
     }
 

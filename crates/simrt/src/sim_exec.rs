@@ -191,20 +191,23 @@ impl<'a> Exec<'a> {
             Ev::HostCheck { host, gen } => {
                 let now = self.now;
                 // Collect continuations first, then run them: every removal
-                // precedes any `run_cont` (which may allocate fresh job ids
-                // but can never cancel a due one on this path), so this
-                // matches remove-as-you-go order exactly.
-                let conts: Vec<JobCont> = {
+                // precedes any `run_cont` (which may add fresh jobs but can
+                // never cancel a due one on this path), so this matches
+                // remove-as-you-go order exactly. The lane's buffer is
+                // borrowed out for the loop and handed back empty.
+                let mut due = {
                     let lane = self.lane(host);
                     if lane.host_gen != gen {
                         return;
                     }
-                    let done = lane.ps.collect_due(now);
-                    done.iter().filter_map(|j| lane.jobs.remove(j)).collect()
+                    let mut due = std::mem::take(&mut lane.due);
+                    lane.ps.collect_due(now, &mut due);
+                    due
                 };
-                for cont in conts {
+                for cont in due.drain(..) {
                     self.run_cont(cont);
                 }
+                self.lane(host).due = due;
                 self.touch_host(host);
             }
             Ev::Resume { frame } => self.step_frame(frame),
@@ -214,11 +217,9 @@ impl<'a> Exec<'a> {
             Ev::DeliverResponse { frame, seq, attempt, outcome } => {
                 self.on_deliver_response(frame, seq, attempt, outcome)
             }
-            Ev::HogEnd { host, milli_cores } => {
+            Ev::HogEnd { host, cores } => {
                 let now = self.now;
-                self.lane(host)
-                    .ps
-                    .adjust_hog(now, -(milli_cores as f64 / 1000.0));
+                self.lane(host).ps.adjust_hog(now, -cores);
                 self.touch_host(host);
             }
             Ev::ConnFreed { client } => {
@@ -361,16 +362,12 @@ impl<'a> Exec<'a> {
         let frozen = proc_tag != NO_PROC && self.proc_ref(proc_tag).in_gc;
         let now = self.now;
         let job = {
-            let lane = self.lane(host);
-            let id = JobId(lane.next_job);
-            lane.next_job += 1;
-            lane.jobs.insert(id, cont);
+            let ps = &mut self.lane(host).ps;
             if frozen {
-                lane.ps.add_frozen(now, id, work_ns, proc_tag);
+                ps.add_frozen(now, work_ns, proc_tag, cont)
             } else {
-                lane.ps.add(now, id, work_ns, proc_tag);
+                ps.add(now, work_ns, proc_tag, cont)
             }
-            id
         };
         self.touch_host(host);
         job
@@ -2117,9 +2114,7 @@ impl Sim {
         // its base size (or empty without a GC spec).
         if let Some(job) = self.proc_rt_mut(proc).gc_job.take() {
             let now = self.now;
-            let lane = &mut self.lanes[host];
-            lane.ps.cancel(now, job);
-            lane.jobs.remove(&job);
+            self.lanes[host].ps.cancel(now, job);
         }
         {
             let base = self.sh.gc_specs[proc].as_ref().map(|g| g.base_heap_bytes).unwrap_or(0);
@@ -2131,8 +2126,7 @@ impl Sim {
         // Cancel every CPU job of the process; in-flight work that would have
         // produced a response fails fast so callers are never left hanging.
         let victims = self.lanes[host].ps.cancel_proc(self.now, proc);
-        for job in victims {
-            let Some(cont) = self.lanes[host].jobs.remove(&job) else { continue };
+        for cont in victims {
             match cont {
                 // The frame dies in the sweep below; nothing to route.
                 JobCont::FrameStep(_) | JobCont::SendRequest(..) | JobCont::GcEnd { .. } => {}

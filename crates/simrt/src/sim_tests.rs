@@ -753,6 +753,47 @@ fn hog_slows_processing() {
     assert_eq!(c.latency_ns(), ms(1));
 }
 
+fn host0_hog(sim: &Sim) -> f64 {
+    sim.lanes[0].ps.hog_cores()
+}
+
+#[test]
+fn cpu_hogs_end_exactly() {
+    let spec = single_service(Behavior::build().compute(ms(1), 0).done());
+    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
+    // Below one milli-core: must still end.
+    sim.inject_cpu_hog("h0", 0.0004, ms(10)).unwrap();
+    assert_eq!(host0_hog(&sim), 0.0004);
+    sim.run_until(ms(20));
+    assert_eq!(host0_hog(&sim).to_bits(), 0.0f64.to_bits());
+    // Overlapping hogs with more than three decimals: the first one's end
+    // removes all of it, not a milli-core-rounded amount.
+    sim.inject_cpu_hog("h0", 1.2345, ms(10)).unwrap();
+    sim.run_until(ms(25));
+    sim.inject_cpu_hog("h0", 1.0, ms(10)).unwrap();
+    sim.run_until(ms(32));
+    assert!((host0_hog(&sim) - 1.0).abs() < 1e-12, "{}", host0_hog(&sim));
+    sim.run_until(ms(40));
+    assert_eq!(host0_hog(&sim).to_bits(), 0.0f64.to_bits());
+}
+
+#[test]
+fn cpu_hog_rejects_negative_and_non_finite_cores() {
+    let spec = single_service(Behavior::build().compute(ms(1), 0).done());
+    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
+    sim.inject_cpu_hog("h0", 1.5, ms(10)).unwrap();
+    for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert!(matches!(
+            sim.inject_cpu_hog("h0", bad, ms(1)),
+            Err(SimError::BadSpec(_))
+        ));
+    }
+    // The rejected hogs neither erased nor extended the earlier one.
+    assert_eq!(host0_hog(&sim), 1.5);
+    sim.run_until(ms(20));
+    assert_eq!(host0_hog(&sim).to_bits(), 0.0f64.to_bits());
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection.
 // ---------------------------------------------------------------------------
