@@ -4,10 +4,9 @@
 set -eu
 
 # Every deterministic report a step below writes is compared byte for byte
-# with its committed copy: the matrix smokes `cmp` the fresh 1-thread report
-# against `results/ci_*.txt` before replacing it, and the lint and checksum
-# reports are saved here first. Only `ci_par_sweep.txt` (wall-clock
-# timings) is not gated.
+# with its committed copy, saved here first. The wall-clock par_sweep
+# timings are not gated and land here too, so a green run leaves the tree
+# clean.
 committed=$(mktemp -d)
 trap 'rm -rf "$committed"' EXIT
 
@@ -43,69 +42,9 @@ BLUEPRINT_THREADS=4 cargo test --release --test parallel_determinism -q
 
 echo "==> parallel-engine wall-clock smoke (fig7 grid, 1 vs 4 threads)"
 # --test mode times the quick grid at 1 and 4 worker threads only; the full
-# 1/2/4/8 sweep is recorded in results/par_speedup.txt. Timings land in
-# results/ci_par_sweep.txt for comparison across runs.
-mkdir -p results
+# 1/2/4/8 sweep is recorded in results/par_speedup.txt.
 cargo bench -p blueprint-bench --bench par_sweep -- --test \
-    | tee results/ci_par_sweep.txt
-
-echo "==> fault-matrix smoke (2 cells, BLUEPRINT_THREADS=1 vs =4)"
-# The resilience matrix must be byte-identical whatever the cross-run
-# worker count;
-# the binary itself panics on any conservation or amplification violation.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_faults -- \
-    --quick --smoke
-cmp results/ci_fault_matrix.txt results/fault_matrix.txt
-mv results/fault_matrix.txt results/ci_fault_matrix.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_faults -- \
-    --quick --smoke
-cmp results/ci_fault_matrix.txt results/fault_matrix.txt
-mv results/fault_matrix.txt results/ci_fault_matrix.txt
-
-echo "==> overload-protection smoke (BLUEPRINT_THREADS=1 vs =4)"
-# The miniature Type-1 metastability case with and without a retry budget:
-# the binary panics on any conservation violation or a budget arm breaking
-# the 1 + ratio amplification bound, and the report must be byte-identical
-# whatever the cross-run worker count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_overload -- \
-    --smoke
-cmp results/ci_overload.txt results/overload_matrix.txt
-mv results/overload_matrix.txt results/ci_overload.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_overload -- \
-    --smoke
-cmp results/ci_overload.txt results/overload_matrix.txt
-mv results/overload_matrix.txt results/ci_overload.txt
-
-echo "==> reconfig smoke (BLUEPRINT_THREADS=1 vs =4)"
-# Rolling deploys, the deterministic autoscaler, and canary rollouts under a
-# flash crowd: the binary panics on any conservation violation, on a drained
-# deploy showing unavailability, or on the autoscaler arm failing to absorb
-# the ramp the fixed-replica arm does not. The report must be byte-identical
-# whatever the cross-run worker count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_reconfig -- \
-    --smoke
-cmp results/ci_reconfig.txt results/reconfig_matrix.txt
-mv results/reconfig_matrix.txt results/ci_reconfig.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_reconfig -- \
-    --smoke
-cmp results/ci_reconfig.txt results/reconfig_matrix.txt
-mv results/reconfig_matrix.txt results/ci_reconfig.txt
-
-echo "==> consistency smoke (BLUEPRINT_THREADS=1 vs =4)"
-# Consistency arms (read-replica / quorum / session) x disturbance scenarios
-# through the anomaly oracle: the binary panics on any conservation
-# violation, on quorum w=2 showing any anomaly, on session breaking
-# read-your-writes, or on the crash scenario failing to lose writes under
-# async replication. The report must be byte-identical whatever the
-# cross-run worker count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin ablation_consistency -- \
-    --smoke
-cmp results/ci_consistency.txt results/consistency_matrix.txt
-mv results/consistency_matrix.txt results/ci_consistency.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin ablation_consistency -- \
-    --smoke
-cmp results/ci_consistency.txt results/consistency_matrix.txt
-mv results/consistency_matrix.txt results/ci_consistency.txt
+    | tee "$committed/par_sweep.txt"
 
 echo "==> lint gate (every app's default wiring must be deny-clean)"
 # Runs the static-analysis passes over the five benchmark apps and writes
@@ -115,31 +54,39 @@ cp results/ci_lint.txt "$committed/"
 cargo run --release -p blueprint-bench --bin lint_gate
 cmp "$committed/ci_lint.txt" results/ci_lint.txt
 
-echo "==> lint cross-validation smoke (BLUEPRINT_THREADS=1 vs =4)"
-# The static hazard predictions must bracket the dynamic fault-matrix
-# outcomes (the binary panics otherwise), and the report must be
-# byte-identical whatever the cross-run worker count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin lint_validation -- \
-    --smoke
-cmp results/ci_lint_validation.txt results/lint_validation.txt
-mv results/lint_validation.txt results/ci_lint_validation.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin lint_validation -- \
-    --smoke
-cmp results/ci_lint_validation.txt results/lint_validation.txt
-mv results/lint_validation.txt results/ci_lint_validation.txt
-
-echo "==> capacity cross-validation smoke (BLUEPRINT_THREADS=1 vs =4)"
-# The analytic BP013-BP015 capacity bracket must contain each app's simulated
-# saturation knee (the binary panics otherwise), and the report must be
-# byte-identical whatever the cross-run worker count.
-BLUEPRINT_THREADS=1 cargo run --release -p blueprint-bench --bin capacity_validation -- \
-    --smoke
-cmp results/ci_capacity.txt results/capacity_validation.txt
-mv results/capacity_validation.txt results/ci_capacity.txt
-BLUEPRINT_THREADS=4 cargo run --release -p blueprint-bench --bin capacity_validation -- \
-    --smoke
-cmp results/ci_capacity.txt results/capacity_validation.txt
-mv results/capacity_validation.txt results/ci_capacity.txt
+# The matrix and cross-validation smokes. Each binary panics when one of its
+# invariants breaks:
+# - ablation_faults: conservation, or the breaker arm failing to suppress
+#   retry amplification;
+# - ablation_overload: conservation, or a retry-budget arm breaking its
+#   1 + ratio amplification bound (miniature Type-1 metastability);
+# - ablation_reconfig: conservation, a drained deploy showing
+#   unavailability, or the autoscaler failing to absorb the flash crowd;
+# - ablation_consistency: conservation, quorum w=2 showing any anomaly,
+#   session breaking read-your-writes, or async replication not losing
+#   writes on a primary crash;
+# - lint_validation: the static hazard predictions not bracketing the
+#   dynamic fault-matrix outcomes;
+# - capacity_validation: the analytic BP013-BP015 capacity bracket missing
+#   an app's simulated saturation knee.
+# Under --smoke each writes its committed results/ci_*.txt report, which
+# must be byte-identical whatever the cross-run worker count.
+for smoke in \
+    ablation_faults:ci_fault_matrix.txt \
+    ablation_overload:ci_overload.txt \
+    ablation_reconfig:ci_reconfig.txt \
+    ablation_consistency:ci_consistency.txt \
+    lint_validation:ci_lint_validation.txt \
+    capacity_validation:ci_capacity.txt; do
+    bin=${smoke%%:*}
+    report=${smoke#*:}
+    cp "results/$report" "$committed/"
+    for threads in 1 4; do
+        echo "==> $bin smoke (BLUEPRINT_THREADS=$threads)"
+        BLUEPRINT_THREADS=$threads cargo run --release -p blueprint-bench --bin "$bin" -- --smoke
+        cmp "$committed/$report" "results/$report"
+    done
+done
 
 echo "==> completion-stream identity check"
 # With no fault plan and no reconfig plan the completion stream must be

@@ -14,10 +14,10 @@ use blueprint_core::Blueprint;
 use blueprint_simrt::time::{ms, secs, SimTime};
 use blueprint_simrt::{Change, Completion, Fault, ReconfigPlan, Sim, SimConfig, SystemSpec};
 use blueprint_workload::resilience::{
-    run_consistency_matrix, ConsistencyProbe, ConsistencyScenario, ResilienceConfig,
+    run_matrix, ConsistencyProbe, ResilienceConfig, Scenario, Trigger,
 };
 use blueprint_workload::{
-    par_run, Action, ApiMix, ExperimentSpec, OpenLoopGen, OracleSpec, Phase, Threads,
+    par_run, ApiMix, ExperimentSpec, OpenLoopGen, OracleSpec, Phase, Threads,
 };
 
 const ENTITIES: u64 = 100;
@@ -47,29 +47,26 @@ fn primary_process(system: &SystemSpec) -> String {
 
 /// Replica partition at 1s (healed at 2s), primary crash at 2s — mid
 /// rolling restart — and both user-timeline replicas drained and restarted.
-fn combined(system: &SystemSpec) -> ConsistencyScenario {
+fn combined(system: &SystemSpec) -> Scenario {
     let primary = primary_process(system);
-    let mut s = ConsistencyScenario::faults(
-        "partition+crash+rolling",
-        vec![
-            (
-                secs(1),
-                Fault::Partition {
-                    a: primary.clone(),
-                    b: "ut_db_replica_0".to_string(),
-                    duration_ns: secs(1),
-                },
-            ),
-            (
-                secs(2),
-                Fault::ProcessCrash {
-                    process: primary,
-                    restart_delay_ns: secs(10),
-                },
-            ),
-        ],
-    );
-    s.plan = ReconfigPlan::none()
+    let actions = vec![
+        (
+            secs(1),
+            Trigger::Fault(Fault::Partition {
+                a: primary.clone(),
+                b: "ut_db_replica_0".to_string(),
+                duration_ns: secs(1),
+            }),
+        ),
+        (
+            secs(2),
+            Trigger::Fault(Fault::ProcessCrash {
+                process: primary,
+                restart_delay_ns: secs(10),
+            }),
+        ),
+    ];
+    let plan = ReconfigPlan::none()
         .at(
             ms(1500),
             Change::RollingRestart {
@@ -88,7 +85,12 @@ fn combined(system: &SystemSpec) -> ConsistencyScenario {
                 drainless: false,
             },
         );
-    s
+    Scenario {
+        name: "partition+crash+rolling".to_string(),
+        actions,
+        plan,
+        ..Scenario::baseline()
+    }
 }
 
 fn mix() -> ApiMix {
@@ -102,7 +104,7 @@ fn mix() -> ApiMix {
 /// process).
 fn run_full(
     system: &SystemSpec,
-    scenario: &ConsistencyScenario,
+    scenario: &Scenario,
     seed: u64,
 ) -> Result<(Vec<Completion>, u64, String), blueprint_simrt::SimError> {
     let mut sim = Sim::new(
@@ -116,8 +118,8 @@ fn run_full(
     sim.store_fill("ut_db", ENTITIES, 1)?;
     let gen = OpenLoopGen::new(vec![Phase::new(DURATION_S, 250.0)], mix(), ENTITIES, seed);
     let mut exp = ExperimentSpec::new(gen).drain(secs(2));
-    for (t, fault) in &scenario.faults {
-        exp = exp.at(*t, Action::Fault(fault.clone()));
+    for (t, trigger) in &scenario.actions {
+        exp = exp.at(*t, trigger.to_action());
     }
     let (_, mut completions) = blueprint_workload::run_experiment_collecting(&mut sim, exp)?;
     // Settle so in-flight replication and the election have finished.
@@ -184,12 +186,6 @@ fn combined_plan_cell_reports_identical_across_thread_counts() {
         ("quorum-w2-r2".to_string(), armed("quorum", Some((2, 2)))),
     ];
     let scenarios = vec![combined(&variants[0].1)];
-    let probe = ConsistencyProbe {
-        oracle: OracleSpec::new(["ComposePost"], ["ReadUserTimeline"]),
-        audit_entry: "gateway".to_string(),
-        audit_method: "ReadUserTimeline".to_string(),
-        settle_ns: secs(2),
-    };
     for seed in SEEDS {
         let cfg = ResilienceConfig {
             rps: 250.0,
@@ -197,20 +193,18 @@ fn combined_plan_cell_reports_identical_across_thread_counts() {
             entities: ENTITIES,
             seed,
             prefill_stores: vec![("ut_db".to_string(), ENTITIES)],
+            probe: Some(ConsistencyProbe {
+                oracle: OracleSpec::new(["ComposePost"], ["ReadUserTimeline"]),
+                audit_entry: "gateway".to_string(),
+                audit_method: "ReadUserTimeline".to_string(),
+                settle_ns: secs(2),
+            }),
             ..Default::default()
         };
-        let seq = run_consistency_matrix(
-            &variants,
-            &scenarios,
-            &mix(),
-            &probe,
-            &cfg,
-            Threads::sequential(),
-        )
-        .expect("sequential matrix");
-        let par =
-            run_consistency_matrix(&variants, &scenarios, &mix(), &probe, &cfg, Threads::new(4))
-                .expect("parallel matrix");
+        let seq = run_matrix(&variants, &scenarios, &mix(), &cfg, Threads::sequential())
+            .expect("sequential matrix");
+        let par = run_matrix(&variants, &scenarios, &mix(), &cfg, Threads::new(4))
+            .expect("parallel matrix");
         assert_eq!(seq, par, "[seed {seed}] cell reports diverge");
         for c in &seq {
             assert!(
@@ -218,7 +212,8 @@ fn combined_plan_cell_reports_identical_across_thread_counts() {
                 "[{} seed {seed}] conservation: {}",
                 c.variant, c.conservation
             );
-            assert_eq!(c.audited, ENTITIES, "[{} seed {seed}] audit", c.variant);
+            let audited = c.consistency.as_ref().map(|a| a.audited);
+            assert_eq!(audited, Some(ENTITIES), "[{} seed {seed}] audit", c.variant);
             assert!(
                 c.failovers >= 1,
                 "[{} seed {seed}] the crash must fail over",

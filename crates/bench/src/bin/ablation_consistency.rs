@@ -24,11 +24,10 @@
 //! clean in its guaranteed classes (read-your-writes + monotonic reads),
 //! every cell request-conserved, and the whole report byte-identical across
 //! `BLUEPRINT_THREADS` settings (ci.sh compares `=1` vs `=4` in `--smoke`
-//! mode).
-
-use std::io::Write as _;
+//! mode, which writes `results/ci_consistency.txt`).
 
 use blueprint_apps::{social_network as sn, WiringOpts};
+use blueprint_bench::matrix::{assert_conserved, cell, Run};
 use blueprint_bench::report;
 use blueprint_core::Blueprint;
 use blueprint_simrt::time::{ms, secs, SimTime};
@@ -36,8 +35,7 @@ use blueprint_simrt::{Change, Fault, ReconfigPlan, SystemSpec};
 use blueprint_workload::generator::ApiMix;
 use blueprint_workload::parallel::Threads;
 use blueprint_workload::resilience::{
-    run_consistency_matrix, ConsistencyCellReport, ConsistencyProbe, ConsistencyScenario,
-    ResilienceConfig,
+    run_matrix, CellReport, ConsistencyAudit, ConsistencyProbe, ResilienceConfig, Scenario, Trigger,
 };
 use blueprint_workload::OracleSpec;
 
@@ -84,41 +82,43 @@ fn primary_process(system: &SystemSpec) -> String {
     system.processes[b.process].name.clone()
 }
 
-fn scenarios(system: &SystemSpec, duration_s: u64) -> Vec<ConsistencyScenario> {
+fn scenarios(system: &SystemSpec, duration_s: u64) -> Vec<Scenario> {
     let primary = primary_process(system);
     vec![
-        ConsistencyScenario::baseline(),
+        Scenario::baseline(),
         // Crash the primary late in the traffic window: writes acked inside
         // the replication-lag window right before the crash have nowhere to
         // go on the unguarded arm — they are lost, and the audit proves it.
-        ConsistencyScenario::faults(
-            "primary crash",
-            vec![(
+        Scenario {
+            name: "primary crash".to_string(),
+            actions: vec![(
                 secs(duration_s) - ms(200),
-                Fault::ProcessCrash {
+                Trigger::Fault(Fault::ProcessCrash {
                     process: primary.clone(),
                     restart_delay_ns: secs(10),
-                },
+                }),
             )],
-        ),
+            ..Scenario::baseline()
+        },
         // Fully cut one replica's replication link mid-traffic; the store
         // must route reads around it and catch it up at heal time.
-        ConsistencyScenario::faults(
-            "replica partition",
-            vec![(
+        Scenario {
+            name: "replica partition".to_string(),
+            actions: vec![(
                 secs(1),
-                Fault::Partition {
+                Trigger::Fault(Fault::Partition {
                     a: primary,
                     b: "ut_db_replica_0".to_string(),
                     duration_ns: secs(2),
-                },
+                }),
             )],
-        ),
-        // PR 8's runtime-change machinery as a consistency disturbance:
+            ..Scenario::baseline()
+        },
+        // The runtime-change machinery as a consistency disturbance:
         // drain-and-restart each user-timeline replica in turn.
-        ConsistencyScenario::reconfig(
-            "rolling restart",
-            ReconfigPlan::none()
+        Scenario {
+            name: "rolling restart".to_string(),
+            plan: ReconfigPlan::none()
                 .at(
                     secs(1),
                     Change::RollingRestart {
@@ -137,11 +137,20 @@ fn scenarios(system: &SystemSpec, duration_s: u64) -> Vec<ConsistencyScenario> {
                         drainless: false,
                     },
                 ),
-        ),
+            ..Scenario::baseline()
+        },
     ]
 }
 
-fn row(c: &ConsistencyCellReport) -> Vec<String> {
+/// The consistency audit every cell carries (the config sets a probe).
+fn audit(c: &CellReport) -> &ConsistencyAudit {
+    c.consistency
+        .as_ref()
+        .expect("probed cell carries an audit")
+}
+
+fn row(c: &CellReport) -> Vec<String> {
+    let a = audit(c);
     vec![
         c.variant.clone(),
         c.scenario.clone(),
@@ -152,12 +161,12 @@ fn row(c: &ConsistencyCellReport) -> Vec<String> {
         } else {
             "LOST".into()
         },
-        c.audited.to_string(),
+        a.audited.to_string(),
         c.failovers.to_string(),
-        c.anomalies.stale_reads.to_string(),
-        c.anomalies.lost_writes.to_string(),
-        c.anomalies.ryw_violations.to_string(),
-        c.anomalies.non_monotonic_reads.to_string(),
+        a.anomalies.stale_reads.to_string(),
+        a.anomalies.lost_writes.to_string(),
+        a.anomalies.ryw_violations.to_string(),
+        a.anomalies.non_monotonic_reads.to_string(),
         c.quorum_rejections.to_string(),
         c.session_redirects.to_string(),
         c.runtime_lost_writes.to_string(),
@@ -165,21 +174,21 @@ fn row(c: &ConsistencyCellReport) -> Vec<String> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let duration_s = if smoke { 4 } else { 8 };
+    let run = Run::from_args();
+    let duration_s = if run.smoke { 4 } else { 8 };
     let cfg = ResilienceConfig {
         rps: 300.0,
         duration_s,
         entities: ENTITIES,
         seed: 17,
         prefill_stores: vec![("ut_db".to_string(), ENTITIES)],
+        probe: Some(ConsistencyProbe {
+            oracle: OracleSpec::new(["ComposePost"], ["ReadUserTimeline"]),
+            audit_entry: "gateway".to_string(),
+            audit_method: "ReadUserTimeline".to_string(),
+            settle_ns: secs(2),
+        }),
         ..Default::default()
-    };
-    let probe = ConsistencyProbe {
-        oracle: OracleSpec::new(["ComposePost"], ["ReadUserTimeline"]),
-        audit_entry: "gateway".to_string(),
-        audit_method: "ReadUserTimeline".to_string(),
-        settle_ns: secs(2),
     };
     let mix =
         ApiMix::new()
@@ -187,22 +196,9 @@ fn main() {
             .add("gateway", "ReadUserTimeline", 0.8);
     let variants = arms();
     let scenarios = scenarios(&variants[0].1, duration_s);
-    let cells = run_consistency_matrix(
-        &variants,
-        &scenarios,
-        &mix,
-        &probe,
-        &cfg,
-        Threads::from_env(),
-    )
-    .expect("consistency matrix runs");
-
-    let cell = |variant: &str, scenario: &str| -> &ConsistencyCellReport {
-        cells
-            .iter()
-            .find(|c| c.variant == variant && c.scenario == scenario)
-            .expect("cell present")
-    };
+    let cells = run_matrix(&variants, &scenarios, &mix, &cfg, Threads::from_env())
+        .expect("consistency matrix runs");
+    let cell = |variant: &str, scenario: &str| cell(&cells, variant, scenario);
 
     let unguarded = cell("read-replica", "none");
     let crashed = cell("read-replica", "primary crash");
@@ -256,55 +252,51 @@ fn main() {
          - every cell request-conserved; every audit reached all {ENTITIES} \
            entities\n\
          - read-replica: {} stale reads under plain lag; primary crash loses \
-           {} acked writes (runtime agrees: {})\n\
+           {} acked writes (runtime discarded {} at elections)\n\
          - quorum-w2-r2: zero anomalies in every class, every scenario\n\
          - session: read-your-writes + monotonic reads clean in every \
            scenario ({} primary redirects)\n",
-        unguarded.anomalies.stale_reads,
-        crashed.anomalies.lost_writes,
+        audit(unguarded).anomalies.stale_reads,
+        audit(crashed).anomalies.lost_writes,
         crashed.runtime_lost_writes,
         redirects,
     ));
-    print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/consistency_matrix.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write report");
+    run.emit(&out, "consistency_matrix.txt", "ci_consistency.txt");
 
     // Every cell conserves requests and audits every entity, through every
     // crash, partition, election, and rolling restart.
+    assert_conserved(&cells);
     for c in &cells {
-        assert!(
-            c.conserved,
-            "conservation violated in [{} × {}]: {}",
-            c.variant, c.scenario, c.conservation
-        );
         assert_eq!(
-            c.audited, ENTITIES,
+            audit(c).audited,
+            ENTITIES,
             "[{} × {}] settle-time audit must reach every entity",
-            c.variant, c.scenario
+            c.variant,
+            c.scenario
         );
     }
 
     // The unguarded arm shows its anomalies: stale reads under plain
     // replication lag, and acked-but-lost writes once the primary dies.
     assert!(
-        unguarded.anomalies.stale_reads > 0,
+        audit(unguarded).anomalies.stale_reads > 0,
         "read-replica × none must show stale reads under lag"
     );
     assert_eq!(
-        unguarded.anomalies.lost_writes, 0,
+        audit(unguarded).anomalies.lost_writes,
+        0,
         "no write is lost without a failover"
     );
     assert_eq!(unguarded.failovers, 0);
     assert!(crashed.failovers >= 1, "the crash must elect a new primary");
     assert!(
-        crashed.anomalies.lost_writes >= 1,
+        audit(crashed).anomalies.lost_writes >= 1,
         "the unguarded arm must lose at least one acked write, got {}",
-        crashed.anomalies.lost_writes
+        audit(crashed).anomalies.lost_writes
     );
     assert!(
         crashed.runtime_lost_writes >= 1,
-        "the simulator's own loss accounting must agree"
+        "the simulator must discard at least one acked write at the election"
     );
 
     // Quorum w=2 r=2: the sync replica survives every election and reads
@@ -318,9 +310,9 @@ fn main() {
     ] {
         let q = cell("quorum-w2-r2", s);
         assert!(
-            q.anomalies.clean(),
+            audit(q).anomalies.clean(),
             "[quorum-w2-r2 × {s}] must be anomaly-free, got {}",
-            q.anomalies
+            audit(q).anomalies
         );
         assert_eq!(
             q.runtime_lost_writes, 0,
@@ -337,13 +329,13 @@ fn main() {
         "replica partition",
         "rolling restart",
     ] {
-        let c = cell("session", s);
+        let a = audit(cell("session", s));
         assert_eq!(
-            c.anomalies.ryw_violations, 0,
+            a.anomalies.ryw_violations, 0,
             "[session × {s}] read-your-writes must hold"
         );
         assert_eq!(
-            c.anomalies.non_monotonic_reads, 0,
+            a.anomalies.non_monotonic_reads, 0,
             "[session × {s}] monotonic reads must hold"
         );
     }

@@ -14,19 +14,19 @@
 //!   amplification hazard; the breaker arms suppress it.
 //!
 //! Output goes to stdout and `results/fault_matrix.txt`. `--quick` shortens
-//! the runs; `--smoke` limits the matrix to 2 cells (the CI smoke, which
-//! compares `BLUEPRINT_THREADS=1` vs `=4` byte-for-byte).
-
-use std::io::Write as _;
+//! the runs; `--smoke` limits the matrix to 2 cells and writes
+//! `results/ci_fault_matrix.txt` (the CI smoke, which compares
+//! `BLUEPRINT_THREADS=1` vs `=4` byte-for-byte).
 
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
-use blueprint_bench::{report, Mode};
+use blueprint_bench::matrix::{assert_conserved, mid_run_fault, Run};
+use blueprint_bench::report;
 use blueprint_core::Blueprint;
 use blueprint_simrt::time::secs;
 use blueprint_simrt::{Fault, SystemSpec};
 use blueprint_wiring::{mutate, Arg, WiringSpec};
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::resilience::{run_matrix, CellReport, FaultScenario, ResilienceConfig};
+use blueprint_workload::resilience::{run_matrix, CellReport, ResilienceConfig, Scenario};
 
 /// Compiles one mitigation arm of the hotel app.
 fn compile(wiring: &WiringSpec) -> SystemSpec {
@@ -113,53 +113,37 @@ fn variants(smoke: bool) -> Vec<(String, SystemSpec)> {
 
 /// The fault scenarios, placed mid-run so the steady state is visible on
 /// both sides of the outage.
-fn scenarios(smoke: bool, duration_s: u64) -> Vec<FaultScenario> {
-    let mid = secs(duration_s * 2 / 5);
-    let crash = FaultScenario::new(
-        "search crash 2s",
-        vec![(
-            mid,
-            Fault::ProcessCrash {
-                process: "proc_search".into(),
-                restart_delay_ns: secs(2),
-            },
-        )],
-        mid,
-        mid + secs(2),
-    );
+fn scenarios(smoke: bool, duration_s: u64) -> Vec<Scenario> {
+    let crash = Fault::ProcessCrash {
+        process: "proc_search".into(),
+        restart_delay_ns: secs(2),
+    };
+    let mut scenarios = vec![mid_run_fault("search crash 2s", duration_s, crash)];
     if smoke {
-        return vec![crash];
+        return scenarios;
     }
-    vec![
-        crash,
-        FaultScenario::new(
-            "frontend/profile partition 2s",
-            vec![(
-                mid,
-                Fault::Partition {
-                    a: "proc_frontend".into(),
-                    b: "proc_profile".into(),
-                    duration_ns: secs(2),
-                },
-            )],
-            mid,
-            mid + secs(2),
-        ),
-        FaultScenario::new(
-            "rate_db brownout ×8 2s",
-            vec![(
-                mid,
-                Fault::Brownout {
-                    backend: "rate_db".into(),
-                    duration_ns: secs(2),
-                    slow_factor: 8.0,
-                    unavailable: false,
-                },
-            )],
-            mid,
-            mid + secs(2),
-        ),
-    ]
+    let partition = Fault::Partition {
+        a: "proc_frontend".into(),
+        b: "proc_profile".into(),
+        duration_ns: secs(2),
+    };
+    let brownout = Fault::Brownout {
+        backend: "rate_db".into(),
+        duration_ns: secs(2),
+        slow_factor: 8.0,
+        unavailable: false,
+    };
+    scenarios.push(mid_run_fault(
+        "frontend/profile partition 2s",
+        duration_s,
+        partition,
+    ));
+    scenarios.push(mid_run_fault(
+        "rate_db brownout ×8 2s",
+        duration_s,
+        brownout,
+    ));
+    scenarios
 }
 
 fn row(c: &CellReport) -> Vec<String> {
@@ -182,9 +166,8 @@ fn row(c: &CellReport) -> Vec<String> {
 }
 
 fn main() {
-    let mode = Mode::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let duration_s = if smoke { 8 } else { mode.secs(20) };
+    let run = Run::from_args();
+    let duration_s = if run.smoke { 8 } else { run.mode.secs(20) };
     let cfg = ResilienceConfig {
         rps: 1_500.0,
         duration_s,
@@ -193,8 +176,8 @@ fn main() {
         rto_ns: secs(3),
         ..Default::default()
     };
-    let variants = variants(smoke);
-    let scenarios = scenarios(smoke, duration_s);
+    let variants = variants(run.smoke);
+    let scenarios = scenarios(run.smoke, duration_s);
     let cells = run_matrix(
         &variants,
         &scenarios,
@@ -205,13 +188,7 @@ fn main() {
     .expect("fault matrix runs");
 
     // Hard invariant: request conservation in every cell, fault or not.
-    for c in &cells {
-        assert!(
-            c.conserved,
-            "conservation violated in [{} × {}]: {}",
-            c.variant, c.scenario, c.conservation
-        );
-    }
+    assert_conserved(&cells);
     // The amplification story: the retry-only arm pushes extra attempts
     // onto the wire during the crash outage; the breaker arm suppresses it.
     let wire = |variant: &str| {
@@ -247,8 +224,5 @@ fn main() {
         ],
         &cells.iter().map(row).collect::<Vec<_>>(),
     );
-    print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/fault_matrix.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write matrix");
+    run.emit(&out, "fault_matrix.txt", "ci_fault_matrix.txt");
 }

@@ -20,11 +20,11 @@
 //! cleared) and at least one protected arm must recover.
 //!
 //! Output goes to stdout and `results/overload_matrix.txt`. `--smoke` runs
-//! a miniature Type 1 with two arms (the CI determinism compare).
-
-use std::io::Write as _;
+//! a miniature Type 1 with two arms into `results/ci_overload.txt` (the CI
+//! determinism compare).
 
 use blueprint_bench::figures::fig6::{meta_cases, smoke_case, MetaCase};
+use blueprint_bench::matrix::{assert_conserved, Run};
 use blueprint_bench::report;
 use blueprint_core::Blueprint;
 use blueprint_simrt::SystemSpec;
@@ -126,8 +126,8 @@ fn row(case: &MetaCase, c: &CellReport) -> Vec<String> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let cases = if smoke {
+    let run = Run::from_args();
+    let cases = if run.smoke {
         vec![smoke_case()]
     } else {
         meta_cases()
@@ -135,7 +135,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for case in &cases {
-        let variants = arms(case, smoke);
+        let variants = arms(case, run.smoke);
         let scenarios = vec![case.scenario.clone()];
         let cells = run_matrix(
             &variants,
@@ -146,13 +146,9 @@ fn main() {
         )
         .expect("overload matrix runs");
 
+        // Hard invariant: request conservation in every cell.
+        assert_conserved(&cells);
         for c in &cells {
-            // Hard invariant: request conservation in every cell.
-            assert!(
-                c.conserved,
-                "conservation violated in [{} × {}]: {}",
-                case.name, c.variant, c.conservation
-            );
             // Hard invariant: the token bucket bounds hop-level wire
             // amplification by construction (the cap allows a 10-token
             // initial burst, hence the epsilon).
@@ -167,7 +163,7 @@ fn main() {
             }
         }
 
-        if !smoke {
+        if !run.smoke {
             // The headline: unmitigated stays degraded after the trigger
             // clears; at least one protected arm returns to steady state.
             let unmitigated = cells
@@ -197,7 +193,7 @@ fn main() {
     let out = report::table(
         &format!(
             "Overload-protection ablation — Fig. 6 metastability types × mitigation arms{}",
-            if smoke { " (smoke)" } else { "" }
+            if run.smoke { " (smoke)" } else { "" }
         ),
         &[
             "type",
@@ -216,8 +212,5 @@ fn main() {
         ],
         &rows,
     );
-    print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/overload_matrix.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write matrix");
+    run.emit(&out, "overload_matrix.txt", "ci_overload.txt");
 }

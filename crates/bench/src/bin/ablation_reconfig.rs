@@ -27,10 +27,9 @@
 //!
 //! Every cell is asserted request-conserved, and the report is
 //! byte-identical across `BLUEPRINT_THREADS` settings (ci.sh compares
-//! `=1` vs `=4` in `--smoke` mode).
+//! `=1` vs `=4` in `--smoke` mode, which writes `results/ci_reconfig.txt`).
 
-use std::io::Write as _;
-
+use blueprint_bench::matrix::{assert_conserved, cell, Run};
 use blueprint_bench::report;
 use blueprint_simrt::time::{ms, secs, SimTime};
 use blueprint_simrt::{
@@ -40,9 +39,7 @@ use blueprint_simrt::{
 use blueprint_workflow::Behavior;
 use blueprint_workload::generator::{ApiMix, Phase};
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::resilience::{
-    run_reconfig_matrix, CellReport, ReconfigScenario, ResilienceConfig,
-};
+use blueprint_workload::resilience::{run_matrix, CellReport, ResilienceConfig, Scenario};
 
 /// Per-replica work, ns (1 ms on a 2-core host ⇒ ~2 000 rps per replica).
 const API_WORK_NS: u64 = 1_000_000;
@@ -158,15 +155,15 @@ impl Timeline {
     }
 }
 
-fn rolling(t: &Timeline, drainless: bool) -> ReconfigScenario {
+fn rolling(t: &Timeline, drainless: bool) -> Scenario {
     let name = if drainless {
         "rolling drainless"
     } else {
         "rolling drained"
     };
-    ReconfigScenario::new(
-        name,
-        ReconfigPlan::none().at(
+    Scenario {
+        name: name.to_string(),
+        plan: ReconfigPlan::none().at(
             t.roll_at,
             Change::RollingRestart {
                 service: "api".into(),
@@ -175,9 +172,9 @@ fn rolling(t: &Timeline, drainless: bool) -> ReconfigScenario {
                 drainless,
             },
         ),
-        t.roll_at,
-        t.roll_at + secs(2),
-    )
+        window: (t.roll_at, t.roll_at + secs(2)),
+        ..Scenario::baseline()
+    }
 }
 
 fn scale_to_one() -> Change {
@@ -188,21 +185,21 @@ fn scale_to_one() -> Change {
     }
 }
 
-fn fixed_replica(t: &Timeline) -> ReconfigScenario {
+fn fixed_replica(t: &Timeline) -> Scenario {
     // The scale-in itself is invisible (steady load fits one replica); the
     // judged window is the flash crowd the lone replica then faces.
-    ReconfigScenario::new(
-        "fixed 1 replica",
-        ReconfigPlan::none().at(ms(100), scale_to_one()),
-        t.flash_start,
-        t.flash_end,
-    )
+    Scenario {
+        name: "fixed 1 replica".to_string(),
+        plan: ReconfigPlan::none().at(ms(100), scale_to_one()),
+        window: (t.flash_start, t.flash_end),
+        ..Scenario::baseline()
+    }
 }
 
-fn autoscaled(t: &Timeline) -> ReconfigScenario {
-    ReconfigScenario::new(
-        "autoscaled",
-        ReconfigPlan::none()
+fn autoscaled(t: &Timeline) -> Scenario {
+    Scenario {
+        name: "autoscaled".to_string(),
+        plan: ReconfigPlan::none()
             .at(ms(100), scale_to_one())
             .with_autoscaler(AutoscalerSpec {
                 service: "api".into(),
@@ -217,9 +214,9 @@ fn autoscaled(t: &Timeline) -> ReconfigScenario {
                 end_ns: t.end,
                 drain_ns: ms(200),
             }),
-        t.flash_start,
-        t.flash_end,
-    )
+        window: (t.flash_start, t.flash_end),
+        ..Scenario::baseline()
+    }
 }
 
 fn row(c: &CellReport) -> Vec<String> {
@@ -247,8 +244,8 @@ fn row(c: &CellReport) -> Vec<String> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let t = Timeline::new(smoke);
+    let run = Run::from_args();
+    let t = Timeline::new(run.smoke);
     let cfg = ResilienceConfig {
         duration_s: 2 * t.steady_s + t.flash_s,
         entities: 10_000,
@@ -263,13 +260,13 @@ fn main() {
     };
     let variants = arms();
     let scenarios = vec![
-        ReconfigScenario::baseline(),
+        Scenario::baseline(),
         rolling(&t, false),
         rolling(&t, true),
         fixed_replica(&t),
         autoscaled(&t),
     ];
-    let cells = run_reconfig_matrix(
+    let cells = run_matrix(
         &variants,
         &scenarios,
         &ApiMix::single("front", "M"),
@@ -278,22 +275,11 @@ fn main() {
     )
     .expect("reconfig matrix runs");
 
-    let cell = |variant: &str, scenario: &str| -> &CellReport {
-        cells
-            .iter()
-            .find(|c| c.variant == variant && c.scenario == scenario)
-            .expect("cell present")
-    };
+    let cell = |variant: &str, scenario: &str| cell(&cells, variant, scenario);
 
     // Every cell conserves requests through every drain, restart, and
     // rotation change.
-    for c in &cells {
-        assert!(
-            c.conserved,
-            "conservation violated in [{} × {}]: {}",
-            c.variant, c.scenario, c.conservation
-        );
-    }
+    assert_conserved(&cells);
 
     // Baseline: three replicas absorb the flash crowd outright.
     for v in ["none", "overload-protection"] {
@@ -427,8 +413,5 @@ fn main() {
         cell("none", "autoscaled").autoscale_ups,
         cell("none", "autoscaled").autoscale_downs,
     ));
-    print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/reconfig_matrix.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write report");
+    run.emit(&out, "reconfig_matrix.txt", "ci_reconfig.txt");
 }

@@ -36,13 +36,14 @@
 //! Output goes to stdout and `results/capacity_validation.txt`; the file is
 //! timestamp-free and byte-identical across `BLUEPRINT_THREADS` settings
 //! (the CI smoke compares `=1` vs `=4`). `--quick` shortens the runs;
-//! `--smoke` shortens them further for CI.
+//! `--smoke` shortens them further for CI and writes
+//! `results/ci_capacity.txt`.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 
 use blueprint_apps::{hotel_reservation, sock_shop, train_ticket, WiringOpts};
-use blueprint_bench::{report, Mode};
+use blueprint_bench::matrix::Run;
+use blueprint_bench::report;
 use blueprint_core::Blueprint;
 use blueprint_lint::model::{Mode as ModelMode, Model};
 use blueprint_lint::{context::LintContext, Diagnostic, LintConfig, Linter, Severity};
@@ -315,9 +316,8 @@ fn run_arm(
 }
 
 fn main() {
-    let mode = Mode::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let duration_s = if smoke { 4 } else { mode.secs(12) };
+    let run = Run::from_args();
+    let duration_s = if run.smoke { 4 } else { run.mode.secs(12) };
 
     // CPU-reduced cluster, tracing off — same convention as fig6/fig7.
     let opts = WiringOpts {
@@ -447,7 +447,7 @@ fn main() {
             &case.wiring,
             &p,
             duration_s,
-            smoke,
+            run.smoke,
         );
 
         // ---- Known model limit: stop-the-world GC convoys. --------------
@@ -528,7 +528,7 @@ fn main() {
             &fixed_wiring,
             &fixed_p,
             duration_s,
-            smoke,
+            run.smoke,
         );
         let _ = writeln!(
             out,
@@ -554,8 +554,5 @@ fn main() {
          true bottleneck named, and the suggested replicate fix is BP013-silent at the \
          operating rate and raises the measured knee."
     );
-    print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/capacity_validation.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write report");
+    run.emit(&out, "capacity_validation.txt", "ci_capacity.txt");
 }

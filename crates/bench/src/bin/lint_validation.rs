@@ -53,20 +53,21 @@
 //! Output goes to stdout and `results/lint_validation.txt`; the file is
 //! timestamp-free and byte-identical across `BLUEPRINT_THREADS` settings
 //! (the CI smoke compares `=1` vs `=4`). `--quick` shortens the runs;
-//! `--smoke` shortens them further for CI.
+//! `--smoke` shortens them further for CI and writes
+//! `results/ci_lint_validation.txt`.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
-use blueprint_bench::{report, Mode};
+use blueprint_bench::matrix::{assert_conserved, cell, mid_run_fault, Run};
+use blueprint_bench::report;
 use blueprint_core::Blueprint;
 use blueprint_lint::{Diagnostic, LintConfig, Linter};
 use blueprint_simrt::time::secs;
 use blueprint_simrt::{Fault, SystemSpec};
 use blueprint_wiring::{mutate, Arg, WiringSpec};
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::resilience::{run_matrix, CellReport, FaultScenario, ResilienceConfig};
+use blueprint_workload::resilience::{run_matrix, CellReport, ResilienceConfig};
 
 /// One experiment arm: the static findings plus the deployable system.
 struct Arm {
@@ -260,42 +261,6 @@ fn consistency_findings(wiring: &WiringSpec, kill_store: bool) -> Vec<Diagnostic
     Linter::new(cfg).run_with_workflow(app.ir(), wiring, Some(&wf))
 }
 
-fn crash_scenario(duration_s: u64) -> FaultScenario {
-    let mid = secs(duration_s * 2 / 5);
-    FaultScenario::new(
-        "search crash 2s",
-        vec![(
-            mid,
-            Fault::ProcessCrash {
-                process: "proc_search".into(),
-                restart_delay_ns: secs(2),
-            },
-        )],
-        mid,
-        mid + secs(2),
-    )
-}
-
-fn brownout_scenario(duration_s: u64) -> FaultScenario {
-    let mid = secs(duration_s * 2 / 5);
-    // ×1200 pushes rate_db's sub-millisecond ops past the 250 ms leaf
-    // deadline — the regime the timeout tiering is supposed to survive.
-    FaultScenario::new(
-        "rate_db brownout ×1200 2s",
-        vec![(
-            mid,
-            Fault::Brownout {
-                backend: "rate_db".into(),
-                duration_ns: secs(2),
-                slow_factor: 1200.0,
-                unavailable: false,
-            },
-        )],
-        mid,
-        mid + secs(2),
-    )
-}
-
 fn row(c: &CellReport) -> Vec<String> {
     vec![
         c.variant.clone(),
@@ -334,9 +299,8 @@ fn static_lines(out: &mut String, rule: &str, name: &str, found: &[&Diagnostic])
 }
 
 fn main() {
-    let mode = Mode::from_args();
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let duration_s = if smoke { 8 } else { mode.secs(20) };
+    let run = Run::from_args();
+    let duration_s = if run.smoke { 8 } else { run.mode.secs(20) };
     let cfg = ResilienceConfig {
         rps: 1_500.0,
         duration_s,
@@ -523,12 +487,26 @@ fn main() {
     );
 
     // ---- Dynamic side: the fault matrix over the same arms. -------------
+    let crash = Fault::ProcessCrash {
+        process: "proc_search".into(),
+        restart_delay_ns: secs(2),
+    };
+    let crash = mid_run_fault("search crash 2s", duration_s, crash);
+    // ×1200 pushes rate_db's sub-millisecond ops past the 250 ms leaf
+    // deadline — the regime the timeout tiering is supposed to survive.
+    let brownout = Fault::Brownout {
+        backend: "rate_db".into(),
+        duration_ns: secs(2),
+        slow_factor: 1200.0,
+        unavailable: false,
+    };
+    let brownout = mid_run_fault("rate_db brownout ×1200 2s", duration_s, brownout);
     let bp001_cells = run_matrix(
         &[
             (storm.name.to_string(), storm.system.clone()),
             (storm_fixed.name.to_string(), storm_fixed.system.clone()),
         ],
-        &[crash_scenario(duration_s)],
+        std::slice::from_ref(&crash),
         &hr::paper_mix(),
         &cfg,
         Threads::from_env(),
@@ -539,33 +517,20 @@ fn main() {
             (inverted.name.to_string(), inverted.system.clone()),
             (graded.name.to_string(), graded.system.clone()),
         ],
-        &[brownout_scenario(duration_s)],
+        std::slice::from_ref(&brownout),
         &hr::paper_mix(),
         &cfg,
         Threads::from_env(),
     )
     .expect("BP002 matrix runs");
 
-    for c in bp001_cells.iter().chain(&bp002_cells) {
-        assert!(
-            c.conserved,
-            "conservation violated in [{} × {}]: {}",
-            c.variant, c.scenario, c.conservation
-        );
-    }
-
-    let cell = |cells: &[CellReport], variant: &str| -> CellReport {
-        cells
-            .iter()
-            .find(|c| c.variant == variant)
-            .expect("cell present")
-            .clone()
-    };
+    assert_conserved(&bp001_cells);
+    assert_conserved(&bp002_cells);
 
     // BP001 bracket: measured wire amplification stays under the static
     // worst-case bound, and the fix visibly suppresses the storm.
-    let storm_cell = cell(&bp001_cells, storm.name);
-    let fixed_cell = cell(&bp001_cells, storm_fixed.name);
+    let storm_cell = cell(&bp001_cells, storm.name, &crash.name);
+    let fixed_cell = cell(&bp001_cells, storm_fixed.name, &crash.name);
     assert!(
         storm_cell.wire_amplification <= bp001_bound,
         "measured amplification {} exceeds the static bound {bp001_bound}",
@@ -581,8 +546,8 @@ fn main() {
     // BP002 bracket: the inverted arm loses at least as many requests under
     // the brownout as the graded arm, and its callers burn more attempts on
     // the wire (aborting while downstream work is still running).
-    let inv_cell = cell(&bp002_cells, inverted.name);
-    let graded_cell = cell(&bp002_cells, graded.name);
+    let inv_cell = cell(&bp002_cells, inverted.name, &brownout.name);
+    let graded_cell = cell(&bp002_cells, graded.name, &brownout.name);
     assert!(
         inv_cell.conservation.errors > graded_cell.conservation.errors,
         "the lint-suggested graded deadlines must fail fewer requests than the \
@@ -593,7 +558,7 @@ fn main() {
 
     // The BP002 arms carry retries of their own (BP001 warns at 4^3 there);
     // their measured amplification must bracket that bound too.
-    for (arm, c) in [(&inverted, &inv_cell), (&graded, &graded_cell)] {
+    for (arm, c) in [(&inverted, inv_cell), (&graded, graded_cell)] {
         if let Some(b) = arm.findings("BP001").first().and_then(|d| d.bound) {
             assert!(
                 c.wire_amplification <= b,
@@ -730,8 +695,5 @@ fn main() {
          held in results/consistency_matrix.txt: the unguarded arm's stale \
          reads and crash-lost writes vanish on the guarded arms)",
     );
-    print!("{out}");
-    std::fs::create_dir_all("results").expect("results dir");
-    let mut f = std::fs::File::create("results/lint_validation.txt").expect("results file");
-    f.write_all(out.as_bytes()).expect("write report");
+    run.emit(&out, "lint_validation.txt", "ci_lint_validation.txt");
 }

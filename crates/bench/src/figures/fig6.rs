@@ -26,7 +26,7 @@ use blueprint_wiring::WiringSpec;
 use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::generator::{ApiMix, OpenLoopGen, Phase};
 use blueprint_workload::recorder::IntervalStats;
-use blueprint_workload::resilience::{FaultScenario, ResilienceConfig, Trigger};
+use blueprint_workload::resilience::{ResilienceConfig, Scenario, Trigger};
 use blueprint_workload::{run_experiment, Action, ExperimentSpec};
 
 use crate::{report, Mode};
@@ -278,7 +278,7 @@ pub struct MetaCase {
     /// Per-case workload + invariant configuration (phases, prefill, RTO).
     pub cfg: ResilienceConfig,
     /// The trigger schedule and its active window.
-    pub scenario: FaultScenario,
+    pub scenario: Scenario,
 }
 
 /// Timeline key-space used by the Type 4 matrix case — smaller than the
@@ -309,7 +309,11 @@ pub fn meta_cases() -> Vec<MetaCase> {
             rto_ns: secs(5),
             ..ResilienceConfig::default()
         },
-        scenario: FaultScenario::triggered("spike 13k rps 10s", vec![], secs(20), secs(30)),
+        scenario: Scenario {
+            name: "spike 13k rps 10s".into(),
+            window: (secs(20), secs(30)),
+            ..Scenario::baseline()
+        },
     });
 
     // Type 2: CPU contention on the GOGC=75 ReservationService machine.
@@ -330,9 +334,9 @@ pub fn meta_cases() -> Vec<MetaCase> {
             rto_ns: secs(5),
             ..ResilienceConfig::default()
         },
-        scenario: FaultScenario::triggered(
-            "cpu hog reservation 10s",
-            vec![(
+        scenario: Scenario {
+            name: "cpu hog reservation 10s".into(),
+            actions: vec![(
                 secs(20),
                 Trigger::CpuHog {
                     host: host2,
@@ -340,9 +344,9 @@ pub fn meta_cases() -> Vec<MetaCase> {
                     duration_ns: secs(10),
                 },
             )],
-            secs(20),
-            secs(30),
-        ),
+            window: (secs(20), secs(30)),
+            ..Scenario::baseline()
+        },
     });
 
     // Type 3: CPU contention on the frontend with 1 s timeouts.
@@ -363,9 +367,9 @@ pub fn meta_cases() -> Vec<MetaCase> {
             rto_ns: secs(5),
             ..ResilienceConfig::default()
         },
-        scenario: FaultScenario::triggered(
-            "cpu hog frontend 10s",
-            vec![(
+        scenario: Scenario {
+            name: "cpu hog frontend 10s".into(),
+            actions: vec![(
                 secs(20),
                 Trigger::CpuHog {
                     host: host3,
@@ -373,9 +377,9 @@ pub fn meta_cases() -> Vec<MetaCase> {
                     duration_ns: secs(10),
                 },
             )],
-            secs(20),
-            secs(30),
-        ),
+            window: (secs(20), secs(30)),
+            ..Scenario::baseline()
+        },
     });
 
     // Type 4: user-timeline cache flush over a capacity-constrained DB.
@@ -402,17 +406,17 @@ pub fn meta_cases() -> Vec<MetaCase> {
             prefill_caches: vec![("ut_cache".to_string(), MATRIX_TIMELINES)],
             ..ResilienceConfig::default()
         },
-        scenario: FaultScenario::triggered(
-            "flush ut_cache",
-            vec![(
+        scenario: Scenario {
+            name: "flush ut_cache".into(),
+            actions: vec![(
                 secs(20),
                 Trigger::CacheFlush {
                     backend: "ut_cache".into(),
                 },
             )],
-            secs(20),
-            secs(22),
-        ),
+            window: (secs(20), secs(22)),
+            ..Scenario::baseline()
+        },
     });
 
     cases
@@ -431,7 +435,11 @@ pub fn smoke_case() -> MetaCase {
     // Long enough for a worst-case retry chain (11 × 500 ms + backoffs).
     c.cfg.drain_ns = secs(8);
     c.cfg.rto_ns = secs(3);
-    c.scenario = FaultScenario::triggered("spike 13k rps 3s", vec![], secs(5), secs(8));
+    c.scenario = Scenario {
+        name: "spike 13k rps 3s".into(),
+        window: (secs(5), secs(8)),
+        ..Scenario::baseline()
+    };
     c
 }
 

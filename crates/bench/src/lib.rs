@@ -17,6 +17,10 @@
 //! | Fig. 11 (realism)             | `fig11_realism`         | [`figures::fig11`] |
 //! | Fig. 12 (cache interface)     | `fig12_cache_interface` | [`figures::fig12`] |
 //!
+//! The resilience matrix and cross-validation binaries
+//! (`ablation_{faults,overload,reconfig,consistency}`, `lint_validation`,
+//! `capacity_validation`) share the [`matrix`] skeleton.
+//!
 //! Each binary accepts `--quick` for a reduced-duration run. Absolute
 //! numbers come from the simulation substrate, so they are not the paper's
 //! testbed numbers; the *shapes* (who wins, crossovers, metastable
@@ -29,6 +33,7 @@
 //! overload-ratio shape while keeping event counts tractable.
 
 pub mod figures;
+pub mod matrix;
 pub mod report;
 pub mod tables;
 

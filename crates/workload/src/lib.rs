@@ -20,9 +20,11 @@
 //!   (`BLUEPRINT_THREADS` configures the worker count);
 //! * [`sweep`] — latency–throughput sweeps (Figs. 5, 11, 12) and the
 //!   metastability vulnerability grid (Fig. 7), built on [`parallel`];
-//! * [`resilience`] — fault × mitigation matrices with invariant checks
-//!   (request conservation, bounded unavailability, retry amplification),
-//!   built on [`driver`] fault actions and [`parallel`];
+//! * [`resilience`] — variants × disturbance matrices with invariant checks
+//!   (request conservation, bounded unavailability, retry amplification,
+//!   and an optional consistency audit): one [`Scenario`] type carries
+//!   faults, triggers and reconfiguration plans, built on [`driver`]
+//!   actions and [`parallel`];
 //! * [`oracle`] — the deterministic consistency-anomaly checker: classifies
 //!   stale reads, lost writes, read-your-writes violations, and
 //!   non-monotonic reads from a completion log.
@@ -42,5 +44,6 @@ pub use oracle::{classify, classify_with_audit, converged_versions, AnomalyCount
 pub use parallel::{par_run, Threads};
 pub use recorder::{ConservationReport, IntervalStats, Recorder};
 pub use resilience::{
-    assess, run_cell, run_matrix, Assessment, CellReport, FaultScenario, ResilienceConfig, Trigger,
+    assess, run_cell, run_matrix, Assessment, CellReport, ConsistencyAudit, ConsistencyProbe,
+    ResilienceConfig, Scenario, Trigger,
 };

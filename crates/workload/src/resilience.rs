@@ -1,27 +1,31 @@
-//! Resilience verification: fault × mitigation matrices with invariant
+//! Resilience verification: variants × disturbance matrices with invariant
 //! checks (the robustness half of the fault-injection engine).
 //!
-//! A [`FaultScenario`] names a set of scheduled faults plus the window in
-//! which they act; [`run_cell`] drives one system variant through one
-//! scenario and verifies three invariants on the recorded series:
+//! A [`Scenario`] is one disturbance: scheduled [`Trigger`]s (faults, CPU
+//! contention, cache flushes), a [`ReconfigPlan`] (rolling restarts,
+//! scaling, canaries, an autoscaler), and the window in which they act.
+//! [`run_cell`] drives one system variant through one scenario and verifies
+//! three invariants on the recorded series:
 //!
 //! * **request conservation** — every submitted request terminates exactly
 //!   once (the simulator fails affected work *fast* with a classified
 //!   error, so nothing can hang or be double-counted);
 //! * **bounded unavailability** — intervals whose error rate exceeds the
-//!   configured threshold must all fall inside
-//!   `[fault_start, fault_end + rto]`;
+//!   configured threshold must all fall inside the scenario window extended
+//!   by the RTO;
 //! * **retry amplification** — retries per submitted request, the hazard
 //!   metric a circuit breaker is supposed to suppress.
 //!
-//! [`run_matrix`] fans a variants × scenarios grid over the deterministic
-//! parallel engine: each cell is an independent seeded run, so the matrix is
-//! byte-identical at any `BLUEPRINT_THREADS`.
+//! With a [`ConsistencyProbe`] in the [`ResilienceConfig`], the cell also
+//! settles, audit-reads every entity, and classifies the whole log with the
+//! consistency oracle. [`run_matrix`] fans a variants × scenarios grid over
+//! the deterministic parallel engine: each cell is an independent seeded
+//! run, so the matrix is byte-identical at any `BLUEPRINT_THREADS`.
 
 use blueprint_simrt::time::SimTime;
 use blueprint_simrt::{Fault, ReconfigPlan, Sim, SimConfig, SimError, SystemSpec};
 
-use crate::driver::{run_experiment, run_experiment_collecting, Action, ExperimentSpec};
+use crate::driver::{run_experiment_collecting, Action, ExperimentSpec};
 use crate::generator::{ApiMix, OpenLoopGen, Phase};
 use crate::oracle::{classify_with_audit, converged_versions, AnomalyCounts, OracleSpec};
 use crate::parallel::{par_run, Threads};
@@ -51,7 +55,8 @@ pub enum Trigger {
 }
 
 impl Trigger {
-    fn to_action(&self) -> Action {
+    /// The driver action that executes this trigger.
+    pub fn to_action(&self) -> Action {
         match self {
             Trigger::Fault(f) => Action::Fault(f.clone()),
             Trigger::CpuHog {
@@ -70,75 +75,56 @@ impl Trigger {
     }
 }
 
-/// A named fault scenario: `(time, fault)` pairs plus the window in which
-/// the faults are considered active (used by the bounded-unavailability
-/// check). Scenarios can also schedule non-fault [`Trigger`]s — CPU
-/// contention and cache flushes — which is how the Fig. 6 metastability
-/// exhibits run through the same verified matrix.
+/// A named disturbance scenario. Build one from [`Scenario::baseline`] with
+/// struct-update syntax, setting whichever of `actions`, `plan` and
+/// `window` the scenario needs.
 #[derive(Debug, Clone)]
-pub struct FaultScenario {
+pub struct Scenario {
     /// Scenario label (appears in matrix rows).
     pub name: String,
-    /// Faults injected at the given virtual times.
-    pub faults: Vec<(SimTime, Fault)>,
-    /// Non-fault disturbances injected at the given virtual times.
-    pub triggers: Vec<(SimTime, Trigger)>,
-    /// When the first fault takes effect.
-    pub fault_start_ns: SimTime,
-    /// When the last fault's effect ends (restart completed, partition
-    /// healed, brownout window over).
-    pub fault_end_ns: SimTime,
+    /// Triggers executed through the experiment driver at the given virtual
+    /// times; same-time triggers run in list order.
+    pub actions: Vec<(SimTime, Trigger)>,
+    /// Runtime-change plan riding in [`SimConfig`], so rolling steps,
+    /// autoscaler ticks and canary evaluations run in the simulator's
+    /// ctrl-event slot.
+    pub plan: ReconfigPlan,
+    /// `(start, end)`: when the disturbance starts acting and when its
+    /// effect ends (restart completed, partition healed, deploy settled).
+    /// Unavailability outside `[start, end + rto]` fails the `bounded`
+    /// invariant.
+    pub window: (SimTime, SimTime),
 }
 
-impl FaultScenario {
-    /// A scenario with scheduled faults and an explicit active window.
-    pub fn new(
-        name: &str,
-        faults: Vec<(SimTime, Fault)>,
-        fault_start_ns: SimTime,
-        fault_end_ns: SimTime,
-    ) -> Self {
-        FaultScenario {
-            name: name.to_string(),
-            faults,
-            triggers: Vec::new(),
-            fault_start_ns,
-            fault_end_ns,
-        }
-    }
-
-    /// A scenario built from non-fault triggers (metastability exhibits).
-    pub fn triggered(
-        name: &str,
-        triggers: Vec<(SimTime, Trigger)>,
-        fault_start_ns: SimTime,
-        fault_end_ns: SimTime,
-    ) -> Self {
-        FaultScenario {
-            name: name.to_string(),
-            faults: Vec::new(),
-            triggers,
-            fault_start_ns,
-            fault_end_ns,
-        }
-    }
-
-    /// Adds a scheduled trigger.
-    pub fn with_trigger(mut self, at_ns: SimTime, trigger: Trigger) -> Self {
-        self.triggers.push((at_ns, trigger));
-        self
-    }
-
-    /// The fault-free baseline: any unavailability at all is unbounded.
+impl Scenario {
+    /// The disturbance-free baseline: any unavailability at all is
+    /// unbounded.
     pub fn baseline() -> Self {
-        FaultScenario {
+        Scenario {
             name: "none".to_string(),
-            faults: Vec::new(),
-            triggers: Vec::new(),
-            fault_start_ns: 0,
-            fault_end_ns: 0,
+            actions: Vec::new(),
+            plan: ReconfigPlan::none(),
+            window: (0, 0),
         }
     }
+}
+
+/// How a cell probes consistency: which methods the oracle treats as
+/// writes/reads, the entry used for settle-time audit reads, and how long
+/// to let replication settle before auditing.
+#[derive(Debug, Clone)]
+pub struct ConsistencyProbe {
+    /// Write/read method classification for the oracle.
+    pub oracle: OracleSpec,
+    /// Entry the audit reads are submitted to.
+    pub audit_entry: String,
+    /// Audit read method (must be in `oracle.read_methods` so audit
+    /// observations both feed the converged-version map and participate in
+    /// classification).
+    pub audit_method: String,
+    /// Post-traffic quiet period before the audit; must exceed the store's
+    /// maximum replication lag so surviving writes have converged.
+    pub settle_ns: SimTime,
 }
 
 /// Workload + invariant configuration shared by every cell of a matrix.
@@ -157,7 +143,7 @@ pub struct ResilienceConfig {
     /// Drain after the last arrival so in-flight requests terminate.
     pub drain_ns: SimTime,
     /// Recovery-time objective: unavailability may extend at most this far
-    /// past `fault_end_ns`.
+    /// past the end of the scenario window.
     pub rto_ns: SimTime,
     /// Interval error rate above which the interval counts as unavailable.
     pub error_threshold: f64,
@@ -172,6 +158,9 @@ pub struct ResilienceConfig {
     /// run to count as *metastable* (degraded state sustained after the
     /// trigger cleared) rather than merely slow to recover.
     pub sustain_fraction: f64,
+    /// When set, every cell settles, audits and classifies consistency
+    /// (see [`CellReport::consistency`]).
+    pub probe: Option<ConsistencyProbe>,
 }
 
 impl Default for ResilienceConfig {
@@ -189,44 +178,46 @@ impl Default for ResilienceConfig {
             prefill_stores: Vec::new(),
             prefill_caches: Vec::new(),
             sustain_fraction: 0.5,
+            probe: None,
         }
     }
 }
 
-/// The availability verdict of one recorded series against one scenario —
-/// the invariant half of a [`CellReport`], extracted so the metastability
-/// check is unit-testable on synthetic series.
+/// The availability verdict of one recorded series against one disturbance
+/// window — the invariant half of a [`CellReport`], extracted so the
+/// metastability check is unit-testable on synthetic series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assessment {
     /// Total width of unavailable intervals (error rate above threshold).
     pub unavailable_ns: SimTime,
     /// End of the last unavailable interval, if any.
     pub recovered_ns: Option<SimTime>,
-    /// Whether all unavailability fell inside the fault window + RTO.
+    /// Whether all unavailability fell inside the window + RTO.
     pub bounded: bool,
     /// Whether the degraded state *sustained* after the trigger cleared:
     /// at least `sustain_fraction` of the busy intervals past
-    /// `fault_end + rto` stayed unavailable. This is the metastability
+    /// `window end + rto` stayed unavailable. This is the metastability
     /// signature — the trigger is gone but the system does not return to
     /// its steady state.
     pub metastable: bool,
-    /// Time from `fault_end_ns` to the end of the last unavailable
+    /// Time from the window end to the end of the last unavailable
     /// interval: `Some(0)` if the run never degraded, `None` if it never
     /// recovered (metastable).
     pub recovery_ns: Option<SimTime>,
 }
 
-/// Scans a recorded series and classifies the run's availability:
-/// bounded/unbounded, metastable or not, and the measured recovery time.
+/// Scans a recorded series against the `(start, end)` disturbance window
+/// and classifies the run's availability: bounded/unbounded, metastable or
+/// not, and the measured recovery time.
 pub fn assess(
     series: &[IntervalStats],
-    scenario: &FaultScenario,
+    (start_ns, end_ns): (SimTime, SimTime),
     cfg: &ResilienceConfig,
 ) -> Assessment {
     let mut unavailable_ns = 0;
     let mut first_bad_ns: Option<SimTime> = None;
     let mut last_bad_end_ns: Option<SimTime> = None;
-    let post_window_start = scenario.fault_end_ns + cfg.rto_ns;
+    let post_window_start = end_ns + cfg.rto_ns;
     let (mut post_busy, mut post_bad) = (0u64, 0u64);
     for s in series {
         let busy = s.count > 0;
@@ -244,15 +235,13 @@ pub fn assess(
         }
     }
     // Bounded: no unavailability at all, or every unavailable interval sits
-    // inside the fault's active window extended by the RTO. An interval
-    // that *contains* fault_start may dip below the threshold before the
-    // fault fires, so the start check is interval-granular.
+    // inside the active window extended by the RTO. An interval that
+    // *contains* the window start may dip below the threshold before the
+    // disturbance fires, so the start check is interval-granular.
     let bounded = match (first_bad_ns, last_bad_end_ns) {
         (None, None) => true,
         (Some(first), Some(end)) => {
-            scenario.fault_end_ns > scenario.fault_start_ns
-                && first + cfg.interval_ns > scenario.fault_start_ns
-                && end <= post_window_start
+            end_ns > start_ns && first + cfg.interval_ns > start_ns && end <= post_window_start
         }
         _ => unreachable!("first and last unavailable interval set together"),
     };
@@ -262,7 +251,7 @@ pub fn assess(
     } else {
         Some(
             last_bad_end_ns
-                .map(|end| end.saturating_sub(scenario.fault_end_ns))
+                .map(|end| end.saturating_sub(end_ns))
                 .unwrap_or(0),
         )
     };
@@ -273,6 +262,15 @@ pub fn assess(
         metastable,
         recovery_ns,
     }
+}
+
+/// The consistency half of a probed cell.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ConsistencyAudit {
+    /// Oracle classification of the full log (traffic + audit reads).
+    pub anomalies: AnomalyCounts,
+    /// Entities whose settle-time audit read succeeded.
+    pub audited: u64,
 }
 
 /// The verified outcome of one (variant, scenario) cell.
@@ -290,12 +288,12 @@ pub struct CellReport {
     pub unavailable_ns: SimTime,
     /// End of the last unavailable interval, if any.
     pub recovered_ns: Option<SimTime>,
-    /// Whether all unavailability fell inside the fault window + RTO.
+    /// Whether all unavailability fell inside the window + RTO.
     pub bounded: bool,
-    /// Whether the degraded state sustained past the fault window + RTO
-    /// (the metastability signature; see [`Assessment::metastable`]).
+    /// Whether the degraded state sustained past the window + RTO (the
+    /// metastability signature; see [`Assessment::metastable`]).
     pub metastable: bool,
-    /// Measured recovery time past `fault_end_ns` (`Some(0)` = never
+    /// Measured recovery time past the window end (`Some(0)` = never
     /// degraded, `None` = never recovered).
     pub recovery_ns: Option<SimTime>,
     /// Total client-side retries issued during the run.
@@ -327,144 +325,39 @@ pub struct CellReport {
     pub autoscale_ups: u64,
     /// Autoscaler scale-in actions taken during the run.
     pub autoscale_downs: u64,
+    /// Primary failovers the simulator executed.
+    pub failovers: u64,
+    /// Acked writes the simulator discarded at elections.
+    pub runtime_lost_writes: u64,
+    /// Writes/reads rejected for lack of a reachable quorum.
+    pub quorum_rejections: u64,
+    /// Session-mode reads redirected to the primary by the session floor.
+    pub session_redirects: u64,
+    /// The consistency audit, present when the config carries a probe.
+    pub consistency: Option<ConsistencyAudit>,
 }
 
 /// Runs one variant through one scenario and verifies the invariants.
 ///
-/// The scenario's faults are injected through the experiment driver's
-/// [`Action::Fault`] schedule, so the run is an ordinary deterministic
-/// experiment: same seed + same scenario ⇒ identical report.
+/// The scenario's triggers run through the experiment driver's action
+/// schedule and its plan rides in [`SimConfig`], so the run is an ordinary
+/// deterministic experiment: same seed + same scenario ⇒ identical report.
+/// With `cfg.probe` set, the traffic is followed by a settle period (whose
+/// stragglers still count toward conservation), one audit read per entity,
+/// and oracle classification of the whole log against the converged
+/// versions the audit observed.
 pub fn run_cell(
     system: &SystemSpec,
     mix: &ApiMix,
     variant: &str,
-    scenario: &FaultScenario,
-    cfg: &ResilienceConfig,
-) -> Result<CellReport, SimError> {
-    let mut actions: Vec<(SimTime, Action)> = Vec::new();
-    for (t, fault) in &scenario.faults {
-        actions.push((*t, Action::Fault(fault.clone())));
-    }
-    for (t, trigger) in &scenario.triggers {
-        actions.push((*t, trigger.to_action()));
-    }
-    measure_cell(
-        system,
-        mix,
-        variant,
-        &scenario.name,
-        (scenario.fault_start_ns, scenario.fault_end_ns),
-        ReconfigPlan::none(),
-        actions,
-        cfg,
-    )
-}
-
-/// A scheduled runtime-change scenario: the reconfiguration analogue of
-/// [`FaultScenario`]. The plan rides in [`SimConfig`] (not the action
-/// schedule), so rolling steps, autoscaler ticks, and canary evaluations
-/// execute in the simulator's ctrl-event slot with full determinism;
-/// `change_start_ns..change_end_ns` is the window (extended by the RTO)
-/// outside of which any unavailability fails the `bounded` invariant.
-#[derive(Debug, Clone)]
-pub struct ReconfigScenario {
-    /// Scenario label (appears in matrix rows).
-    pub name: String,
-    /// The runtime-change plan under test.
-    pub plan: ReconfigPlan,
-    /// When the first change starts acting.
-    pub change_start_ns: SimTime,
-    /// When the last change's effect ends (final replica healthy, scaling
-    /// settled, canary decided).
-    pub change_end_ns: SimTime,
-}
-
-impl ReconfigScenario {
-    /// A scenario with an explicit active window.
-    pub fn new(
-        name: &str,
-        plan: ReconfigPlan,
-        change_start_ns: SimTime,
-        change_end_ns: SimTime,
-    ) -> Self {
-        ReconfigScenario {
-            name: name.to_string(),
-            plan,
-            change_start_ns,
-            change_end_ns,
-        }
-    }
-
-    /// The change-free baseline: any unavailability at all is unbounded.
-    pub fn baseline() -> Self {
-        ReconfigScenario {
-            name: "none".to_string(),
-            plan: ReconfigPlan::none(),
-            change_start_ns: 0,
-            change_end_ns: 0,
-        }
-    }
-}
-
-/// Runs one variant through one runtime-change scenario, verifying the
-/// same invariants as [`run_cell`]: conservation through every drain,
-/// unavailability bounded by the change window + RTO, no metastable
-/// trigger from the deploy itself, and the amplification metrics.
-pub fn run_reconfig_cell(
-    system: &SystemSpec,
-    mix: &ApiMix,
-    variant: &str,
-    scenario: &ReconfigScenario,
-    cfg: &ResilienceConfig,
-) -> Result<CellReport, SimError> {
-    measure_cell(
-        system,
-        mix,
-        variant,
-        &scenario.name,
-        (scenario.change_start_ns, scenario.change_end_ns),
-        scenario.plan.clone(),
-        Vec::new(),
-        cfg,
-    )
-}
-
-/// Runs the variants × reconfig-scenarios matrix on the parallel engine
-/// (same cell indexing as [`run_matrix`]).
-pub fn run_reconfig_matrix(
-    variants: &[(String, SystemSpec)],
-    scenarios: &[ReconfigScenario],
-    mix: &ApiMix,
-    cfg: &ResilienceConfig,
-    threads: Threads,
-) -> Result<Vec<CellReport>, SimError> {
-    let n = variants.len() * scenarios.len();
-    par_run(n, threads, |i| {
-        let (vi, si) = (i / scenarios.len(), i % scenarios.len());
-        let (name, system) = &variants[vi];
-        run_reconfig_cell(system, mix, name, &scenarios[si], cfg)
-    })
-}
-
-/// Shared measurement body: seeded sim (fault-free or carrying a reconfig
-/// plan), open-loop workload, scheduled actions, then invariant checks
-/// against the `(start, end)` disturbance window.
-#[allow(clippy::too_many_arguments)]
-fn measure_cell(
-    system: &SystemSpec,
-    mix: &ApiMix,
-    variant: &str,
-    scenario_name: &str,
-    window: (SimTime, SimTime),
-    reconfig: ReconfigPlan,
-    actions: Vec<(SimTime, Action)>,
+    scenario: &Scenario,
     cfg: &ResilienceConfig,
 ) -> Result<CellReport, SimError> {
     let mut sim = Sim::new(
         system,
         SimConfig {
             seed: cfg.seed,
-            reconfig,
+            reconfig: scenario.plan.clone(),
             ..Default::default()
         },
     )?;
@@ -486,23 +379,49 @@ fn measure_cell(
     let mut exp = ExperimentSpec::new(gen)
         .interval(cfg.interval_ns)
         .drain(cfg.drain_ns);
-    for (t, action) in actions {
-        exp = exp.at(t, action);
+    for (t, trigger) in &scenario.actions {
+        exp = exp.at(*t, trigger.to_action());
     }
-    let rec = run_experiment(&mut sim, exp)?;
+    let (mut rec, mut completions) = run_experiment_collecting(&mut sim, exp)?;
+    let consistency = match &cfg.probe {
+        None => None,
+        Some(probe) => {
+            // Quiet period: let every surviving replica apply its in-flight
+            // replication before the audit (stragglers past the driver's
+            // drain are still recorded so conservation stays honest).
+            let settled = sim.now() + probe.settle_ns;
+            sim.run_until(settled);
+            for c in sim.drain_completions() {
+                rec.record(&c);
+                completions.push(c);
+            }
+            // One audit read per entity (not recorded: they are not part of
+            // the traffic); their observations define the converged
+            // versions that split lost writes from merely-stale reads.
+            let handle = sim.entry_handle(&probe.audit_entry, &probe.audit_method)?;
+            for entity in 0..cfg.entities {
+                sim.submit_handle(handle, entity)?;
+            }
+            sim.run_until(sim.now() + cfg.drain_ns);
+            let audit = sim.drain_completions();
+            let audited = audit.iter().filter(|c| c.ok).count() as u64;
+            let converged = converged_versions(&audit, &probe.oracle);
+            completions.extend(audit);
+            let anomalies = classify_with_audit(&completions, &probe.oracle, &converged);
+            Some(ConsistencyAudit { anomalies, audited })
+        }
+    };
     let conservation = rec.conservation(submitted);
     let conserved = conservation.holds();
-    // `assess` only reads the disturbance window from the scenario, so a
-    // synthetic window scenario serves both the fault and reconfig paths.
-    let win = FaultScenario::new(scenario_name, Vec::new(), window.0, window.1);
-    let verdict = assess(&rec.series(), &win, cfg);
+    let verdict = assess(&rec.series(), scenario.window, cfg);
 
-    let c = &sim.metrics.counters;
+    let m = &sim.metrics;
+    let c = &m.counters;
     let (retries, breaker_rejections, client_calls) =
         (c.retries, c.breaker_rejections, c.client_calls);
     Ok(CellReport {
         variant: variant.to_string(),
-        scenario: scenario_name.to_string(),
+        scenario: scenario.name.clone(),
         conservation,
         conserved,
         unavailable_ns: verdict.unavailable_ns,
@@ -533,6 +452,11 @@ fn measure_cell(
         drain_rejections: c.drain_rejections,
         autoscale_ups: c.autoscale_ups,
         autoscale_downs: c.autoscale_downs,
+        failovers: c.store_failovers,
+        runtime_lost_writes: m.backends.values().map(|b| b.lost_writes).sum(),
+        quorum_rejections: c.quorum_rejections,
+        session_redirects: m.backends.values().map(|b| b.session_redirects).sum(),
+        consistency,
     })
 }
 
@@ -543,7 +467,7 @@ fn measure_cell(
 /// byte-identical to the sequential double loop at any thread count.
 pub fn run_matrix(
     variants: &[(String, SystemSpec)],
-    scenarios: &[FaultScenario],
+    scenarios: &[Scenario],
     mix: &ApiMix,
     cfg: &ResilienceConfig,
     threads: Threads,
@@ -553,193 +477,6 @@ pub fn run_matrix(
         let (vi, si) = (i / scenarios.len(), i % scenarios.len());
         let (name, system) = &variants[vi];
         run_cell(system, mix, name, &scenarios[si], cfg)
-    })
-}
-
-/// A consistency scenario: the disturbance an arm of the consistency
-/// matrix runs under — scheduled faults (crashes, partitions) and/or a
-/// reconfiguration plan (rolling restarts), both of which can make a
-/// replicated store lose or hide acknowledged writes.
-#[derive(Debug, Clone)]
-pub struct ConsistencyScenario {
-    /// Scenario label (appears in matrix rows).
-    pub name: String,
-    /// Faults injected at the given virtual times.
-    pub faults: Vec<(SimTime, Fault)>,
-    /// Runtime-change plan riding in [`SimConfig`].
-    pub plan: ReconfigPlan,
-}
-
-impl ConsistencyScenario {
-    /// The disturbance-free baseline.
-    pub fn baseline() -> Self {
-        ConsistencyScenario {
-            name: "none".to_string(),
-            faults: Vec::new(),
-            plan: ReconfigPlan::none(),
-        }
-    }
-
-    /// A scenario built from scheduled faults.
-    pub fn faults(name: &str, faults: Vec<(SimTime, Fault)>) -> Self {
-        ConsistencyScenario {
-            name: name.to_string(),
-            faults,
-            plan: ReconfigPlan::none(),
-        }
-    }
-
-    /// A scenario built from a reconfiguration plan.
-    pub fn reconfig(name: &str, plan: ReconfigPlan) -> Self {
-        ConsistencyScenario {
-            name: name.to_string(),
-            faults: Vec::new(),
-            plan,
-        }
-    }
-}
-
-/// How a consistency cell probes the system: which methods the oracle
-/// treats as writes/reads, the entry used for settle-time audit reads, and
-/// how long to let replication settle before auditing.
-#[derive(Debug, Clone)]
-pub struct ConsistencyProbe {
-    /// Write/read method classification for the oracle.
-    pub oracle: OracleSpec,
-    /// Entry the audit reads are submitted to.
-    pub audit_entry: String,
-    /// Audit read method (must be in `oracle.read_methods` so audit
-    /// observations both feed the converged-version map and participate in
-    /// classification).
-    pub audit_method: String,
-    /// Post-traffic quiet period before the audit; must exceed the store's
-    /// maximum replication lag so surviving writes have converged.
-    pub settle_ns: SimTime,
-}
-
-/// The verified outcome of one (variant, consistency-scenario) cell.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConsistencyCellReport {
-    /// System-variant label (the consistency-mode arm).
-    pub variant: String,
-    /// Scenario label.
-    pub scenario: String,
-    /// Conservation accounting of the traffic phase.
-    pub conservation: ConservationReport,
-    /// Whether every submitted request terminated exactly once.
-    pub conserved: bool,
-    /// Oracle classification of the full log (traffic + audit reads).
-    pub anomalies: AnomalyCounts,
-    /// Entities whose settle-time audit read succeeded.
-    pub audited: u64,
-    /// Primary failovers the simulator executed.
-    pub failovers: u64,
-    /// Acked writes the simulator discarded at elections (runtime-side
-    /// ground truth the oracle's `lost_writes` is checked against).
-    pub runtime_lost_writes: u64,
-    /// Writes/reads rejected for lack of a reachable quorum.
-    pub quorum_rejections: u64,
-    /// Session-mode reads redirected to the primary by the session floor.
-    pub session_redirects: u64,
-}
-
-/// Runs one variant through one consistency scenario: seeded traffic with
-/// the scenario's faults and plan, a settle period, one audit read per
-/// entity, then oracle classification of the whole log against the
-/// converged versions the audit observed.
-pub fn run_consistency_cell(
-    system: &SystemSpec,
-    mix: &ApiMix,
-    probe: &ConsistencyProbe,
-    variant: &str,
-    scenario: &ConsistencyScenario,
-    cfg: &ResilienceConfig,
-) -> Result<ConsistencyCellReport, SimError> {
-    let mut sim = Sim::new(
-        system,
-        SimConfig {
-            seed: cfg.seed,
-            reconfig: scenario.plan.clone(),
-            ..Default::default()
-        },
-    )?;
-    for (backend, n) in &cfg.prefill_stores {
-        sim.store_fill(backend, *n, 1)?;
-    }
-    for (backend, n) in &cfg.prefill_caches {
-        sim.cache_fill(backend, *n, 1)?;
-    }
-    let phases = if cfg.phases.is_empty() {
-        vec![Phase::new(cfg.duration_s, cfg.rps)]
-    } else {
-        cfg.phases.clone()
-    };
-    let gen = OpenLoopGen::new(phases, mix.clone(), cfg.entities, cfg.seed);
-    let submitted = gen.clone().count() as u64;
-    let mut exp = ExperimentSpec::new(gen)
-        .interval(cfg.interval_ns)
-        .drain(cfg.drain_ns);
-    for (t, fault) in &scenario.faults {
-        exp = exp.at(*t, Action::Fault(fault.clone()));
-    }
-    let (mut rec, mut completions) = run_experiment_collecting(&mut sim, exp)?;
-
-    // Quiet period: let every surviving replica apply its in-flight
-    // replication before the audit (stragglers past the driver's drain are
-    // still recorded so conservation stays honest).
-    let settled = sim.now() + probe.settle_ns;
-    sim.run_until(settled);
-    for c in sim.drain_completions() {
-        rec.record(&c);
-        completions.push(c);
-    }
-    let conservation = rec.conservation(submitted);
-    let conserved = conservation.holds();
-
-    // One audit read per entity; their observations define the converged
-    // versions that split lost writes from merely-stale reads.
-    let handle = sim.entry_handle(&probe.audit_entry, &probe.audit_method)?;
-    for entity in 0..cfg.entities {
-        sim.submit_handle(handle, entity)?;
-    }
-    sim.run_until(sim.now() + cfg.drain_ns);
-    let audit = sim.drain_completions();
-    let audited = audit.iter().filter(|c| c.ok).count() as u64;
-    let converged = converged_versions(&audit, &probe.oracle);
-    completions.extend(audit);
-    let anomalies = classify_with_audit(&completions, &probe.oracle, &converged);
-
-    let m = &sim.metrics;
-    Ok(ConsistencyCellReport {
-        variant: variant.to_string(),
-        scenario: scenario.name.clone(),
-        conservation,
-        conserved,
-        anomalies,
-        audited,
-        failovers: m.counters.store_failovers,
-        runtime_lost_writes: m.backends.values().map(|b| b.lost_writes).sum(),
-        quorum_rejections: m.counters.quorum_rejections,
-        session_redirects: m.backends.values().map(|b| b.session_redirects).sum(),
-    })
-}
-
-/// Runs the variants × consistency-scenarios matrix on the parallel engine
-/// (same cell indexing as [`run_matrix`]), so the matrix is byte-identical
-/// at any `BLUEPRINT_THREADS`.
-pub fn run_consistency_matrix(
-    variants: &[(String, SystemSpec)],
-    scenarios: &[ConsistencyScenario],
-    mix: &ApiMix,
-    probe: &ConsistencyProbe,
-    cfg: &ResilienceConfig,
-    threads: Threads,
-) -> Result<Vec<ConsistencyCellReport>, SimError> {
-    let n = variants.len() * scenarios.len();
-    par_run(n, threads, |i| {
-        let (vi, si) = (i / scenarios.len(), i % scenarios.len());
-        let (name, system) = &variants[vi];
-        run_consistency_cell(system, mix, probe, name, &scenarios[si], cfg)
     })
 }
 
@@ -756,7 +493,7 @@ mod tests {
     const fn assert_send<T: Send>() {}
     const _: () = {
         assert_send::<CellReport>();
-        assert_send::<FaultScenario>();
+        assert_send::<Scenario>();
     };
 
     fn two_tier(client: ClientSpec) -> SystemSpec {
@@ -808,19 +545,19 @@ mod tests {
         spec
     }
 
-    fn crash_scenario() -> FaultScenario {
-        FaultScenario::new(
-            "backend crash",
-            vec![(
+    fn crash_scenario() -> Scenario {
+        Scenario {
+            name: "backend crash".into(),
+            actions: vec![(
                 secs(4),
-                Fault::ProcessCrash {
+                Trigger::Fault(Fault::ProcessCrash {
                     process: "p_back".into(),
                     restart_delay_ns: secs(2),
-                },
+                }),
             )],
-            secs(4),
-            secs(6),
-        )
+            window: (secs(4), secs(6)),
+            ..Scenario::baseline()
+        }
     }
 
     fn cfg() -> ResilienceConfig {
@@ -840,7 +577,7 @@ mod tests {
             &spec,
             &ApiMix::single("front", "M"),
             "none",
-            &FaultScenario::baseline(),
+            &Scenario::baseline(),
             &cfg(),
         )
         .unwrap();
@@ -926,7 +663,6 @@ mod tests {
             rto_ns: secs(2),
             ..ResilienceConfig::default()
         };
-        let scenario = FaultScenario::new("s", vec![], secs(4), secs(6));
         let series: Vec<IntervalStats> = (0..30)
             .map(|t| {
                 if t >= 4 {
@@ -936,7 +672,7 @@ mod tests {
                 }
             })
             .collect();
-        let a = assess(&series, &scenario, &c);
+        let a = assess(&series, (secs(4), secs(6)), &c);
         assert!(a.metastable, "{a:?}");
         assert!(!a.bounded);
         assert_eq!(a.recovery_ns, None);
@@ -953,7 +689,6 @@ mod tests {
             rto_ns: secs(2),
             ..ResilienceConfig::default()
         };
-        let scenario = FaultScenario::new("s", vec![], secs(4), secs(6));
         let series: Vec<IntervalStats> = (0..30)
             .map(|t| {
                 if (4..10).contains(&t) {
@@ -963,14 +698,14 @@ mod tests {
                 }
             })
             .collect();
-        let a = assess(&series, &scenario, &c);
+        let a = assess(&series, (secs(4), secs(6)), &c);
         assert!(!a.metastable, "{a:?}");
         assert!(!a.bounded, "last bad interval ends at 10 s > 6 s + 2 s rto");
         assert_eq!(a.recovery_ns, Some(secs(4)));
 
         // A clean series never degrades: bounded, recovery 0.
         let clean: Vec<IntervalStats> = (0..30).map(|t| interval(secs(t), 100, 0)).collect();
-        let a = assess(&clean, &scenario, &c);
+        let a = assess(&clean, (secs(4), secs(6)), &c);
         assert!(a.bounded);
         assert!(!a.metastable);
         assert_eq!(a.recovery_ns, Some(0));
@@ -983,9 +718,9 @@ mod tests {
     #[test]
     fn trigger_scenario_runs_through_cell() {
         let spec = two_tier(ClientSpec::local());
-        let scenario = FaultScenario::triggered(
-            "cpu hog",
-            vec![(
+        let scenario = Scenario {
+            name: "cpu hog".into(),
+            actions: vec![(
                 secs(4),
                 Trigger::CpuHog {
                     host: "h1".into(),
@@ -993,9 +728,9 @@ mod tests {
                     duration_ns: secs(2),
                 },
             )],
-            secs(4),
-            secs(6),
-        );
+            window: (secs(4), secs(6)),
+            ..Scenario::baseline()
+        };
         let r = run_cell(
             &spec,
             &ApiMix::single("front", "M"),
@@ -1005,25 +740,6 @@ mod tests {
         )
         .unwrap();
         assert!(r.conserved, "{}", r.conservation);
-    }
-
-    #[test]
-    fn matrix_is_deterministic_across_thread_counts() {
-        let variants = vec![
-            ("none".to_string(), two_tier(ClientSpec::local())),
-            ("retry".to_string(), {
-                let mut c = ClientSpec::local();
-                c.retries = 3;
-                two_tier(c)
-            }),
-        ];
-        let scenarios = vec![FaultScenario::baseline(), crash_scenario()];
-        let mix = ApiMix::single("front", "M");
-        let seq = run_matrix(&variants, &scenarios, &mix, &cfg(), Threads::sequential()).unwrap();
-        let par = run_matrix(&variants, &scenarios, &mix, &cfg(), Threads::new(4)).unwrap();
-        assert_eq!(seq.len(), 4);
-        assert_eq!(seq, par);
-        assert!(seq.iter().all(|c| c.conserved));
     }
 
     /// front --LB--> {back, back_r1}, each replica in its own process, so a
@@ -1083,16 +799,22 @@ mod tests {
         spec
     }
 
-    fn rolling_plan(drainless: bool) -> ReconfigPlan {
-        ReconfigPlan::none().at(
-            secs(2),
-            Change::RollingRestart {
-                service: "back".into(),
-                drain_ns: ms(200),
-                restart_ns: ms(100),
-                drainless,
-            },
-        )
+    /// Two replicas × (drain 200ms + restart 100ms) ≈ 600ms of deploy.
+    fn rolling(name: &str, drainless: bool) -> Scenario {
+        Scenario {
+            name: name.into(),
+            plan: ReconfigPlan::none().at(
+                secs(2),
+                Change::RollingRestart {
+                    service: "back".into(),
+                    drain_ns: ms(200),
+                    restart_ns: ms(100),
+                    drainless,
+                },
+            ),
+            window: (secs(2), secs(3)),
+            ..Scenario::baseline()
+        }
     }
 
     #[test]
@@ -1100,13 +822,11 @@ mod tests {
         let mut client = ClientSpec::local();
         client.retries = 2;
         let spec = replicated_two_tier(client);
-        // Two replicas × (drain 200ms + restart 100ms) ≈ 600ms of deploy.
-        let scenario = ReconfigScenario::new("rolling", rolling_plan(false), secs(2), secs(3));
-        let r = run_reconfig_cell(
+        let r = run_cell(
             &spec,
             &ApiMix::single("front", "M"),
             "drained",
-            &scenario,
+            &rolling("rolling", false),
             &cfg(),
         )
         .unwrap();
@@ -1119,46 +839,6 @@ mod tests {
         assert_eq!(
             r.conservation.errors, 0,
             "failover + retries absorb the drained deploy entirely"
-        );
-    }
-
-    #[test]
-    fn reconfig_matrix_is_deterministic_across_thread_counts() {
-        let mut retry = ClientSpec::local();
-        retry.retries = 2;
-        let variants = vec![
-            ("none".to_string(), replicated_two_tier(ClientSpec::local())),
-            ("retry".to_string(), replicated_two_tier(retry)),
-        ];
-        let scenarios = vec![
-            ReconfigScenario::baseline(),
-            ReconfigScenario::new("rolling", rolling_plan(false), secs(2), secs(3)),
-            ReconfigScenario::new("drainless", rolling_plan(true), secs(2), secs(3)),
-        ];
-        let mix = ApiMix::single("front", "M");
-        let seq = run_reconfig_matrix(&variants, &scenarios, &mix, &cfg(), Threads::sequential())
-            .unwrap();
-        let par =
-            run_reconfig_matrix(&variants, &scenarios, &mix, &cfg(), Threads::new(4)).unwrap();
-        assert_eq!(seq.len(), 6);
-        assert_eq!(seq, par);
-        assert!(seq.iter().all(|c| c.conserved), "every cell conserved");
-        // Unprotected variant: the drainless arm kills in-flight work and
-        // fast-fails arrivals on the dead replica; draining eliminates both.
-        let drained = &seq[1];
-        let drainless = &seq[2];
-        assert_eq!(drained.conservation.errors, 0, "drained deploy invisible");
-        assert!(
-            drainless.conservation.errors > 0,
-            "drainless must show the error spike draining eliminates"
-        );
-        // Retry variant: failover to the live replica masks even the
-        // drainless spike end-to-end — visible instead as retry traffic.
-        let retry_drainless = &seq[scenarios.len() + 2];
-        assert_eq!(retry_drainless.conservation.errors, 0);
-        assert!(
-            retry_drainless.retries > seq[scenarios.len() + 1].retries,
-            "masking the drainless spike costs retries"
         );
     }
 
@@ -1238,15 +918,6 @@ mod tests {
         spec
     }
 
-    fn probe() -> ConsistencyProbe {
-        ConsistencyProbe {
-            oracle: crate::oracle::OracleSpec::new(["Write"], ["Read"]),
-            audit_entry: "front".into(),
-            audit_method: "Read".into(),
-            settle_ns: secs(1),
-        }
-    }
-
     fn cons_cfg() -> ResilienceConfig {
         ResilienceConfig {
             rps: 300.0,
@@ -1254,6 +925,12 @@ mod tests {
             entities: 50,
             seed: 11,
             prefill_stores: vec![("db".into(), 50)],
+            probe: Some(ConsistencyProbe {
+                oracle: OracleSpec::new(["Write"], ["Read"]),
+                audit_entry: "front".into(),
+                audit_method: "Read".into(),
+                settle_ns: secs(1),
+            }),
             ..Default::default()
         }
     }
@@ -1266,62 +943,61 @@ mod tests {
 
     /// Crash the primary shortly before traffic ends, so writes acked in
     /// the last replication-lag window are lost and not rewritten.
-    fn late_crash() -> ConsistencyScenario {
-        ConsistencyScenario::faults(
-            "primary crash",
-            vec![(
+    fn late_crash() -> Scenario {
+        Scenario {
+            name: "primary crash".into(),
+            actions: vec![(
                 secs(7) + ms(800),
-                Fault::ProcessCrash {
+                Trigger::Fault(Fault::ProcessCrash {
                     process: "p_db".into(),
                     restart_delay_ns: secs(3),
-                },
+                }),
             )],
-        )
+            ..Scenario::baseline()
+        }
     }
 
-    #[test]
-    fn unguarded_arm_shows_stale_and_lost_under_primary_crash() {
-        let r = run_consistency_cell(
-            &failover_store(ConsistencyMode::ReadReplica),
+    /// Runs one consistency arm under the late primary crash and returns
+    /// the report plus its audit.
+    fn cons_cell(mode: ConsistencyMode, variant: &str) -> (CellReport, ConsistencyAudit) {
+        let r = run_cell(
+            &failover_store(mode),
             &cons_mix(),
-            &probe(),
-            "read_replica",
+            variant,
             &late_crash(),
             &cons_cfg(),
         )
         .unwrap();
         assert!(r.conserved, "{}", r.conservation);
-        assert_eq!(r.audited, 50, "every entity audited after settle");
+        let audit = r.consistency.clone().expect("probed cell carries an audit");
+        (r, audit)
+    }
+
+    #[test]
+    fn unguarded_arm_shows_stale_and_lost_under_primary_crash() {
+        let (r, a) = cons_cell(ConsistencyMode::ReadReplica, "read_replica");
+        assert_eq!(a.audited, 50, "every entity audited after settle");
         assert!(r.failovers >= 1, "crash must elect a replica: {r:?}");
         assert!(
-            r.anomalies.stale_reads > 0,
+            a.anomalies.stale_reads > 0,
             "asynchronous lag must surface stale reads: {}",
-            r.anomalies
+            a.anomalies
         );
         assert!(
-            r.anomalies.lost_writes >= 1 && r.runtime_lost_writes >= 1,
+            a.anomalies.lost_writes >= 1 && r.runtime_lost_writes >= 1,
             "acked writes in the lag window must be lost at failover: {} (runtime {})",
-            r.anomalies,
+            a.anomalies,
             r.runtime_lost_writes
         );
     }
 
     #[test]
     fn quorum_arm_is_anomaly_free_under_primary_crash() {
-        let r = run_consistency_cell(
-            &failover_store(ConsistencyMode::Quorum { w: 2, r: 2 }),
-            &cons_mix(),
-            &probe(),
-            "quorum",
-            &late_crash(),
-            &cons_cfg(),
-        )
-        .unwrap();
-        assert!(r.conserved, "{}", r.conservation);
+        let (r, a) = cons_cell(ConsistencyMode::Quorum { w: 2, r: 2 }, "quorum");
         assert!(
-            r.anomalies.clean(),
+            a.anomalies.clean(),
             "w=2/r=2 guarantees freshness and durability: {}",
-            r.anomalies
+            a.anomalies
         );
         assert_eq!(
             r.runtime_lost_writes, 0,
@@ -1331,62 +1007,150 @@ mod tests {
 
     #[test]
     fn session_arm_keeps_its_guaranteed_classes_clean() {
-        let r = run_consistency_cell(
-            &failover_store(ConsistencyMode::Session),
-            &cons_mix(),
-            &probe(),
-            "session",
-            &late_crash(),
-            &cons_cfg(),
-        )
-        .unwrap();
-        assert!(r.conserved, "{}", r.conservation);
+        let (r, a) = cons_cell(ConsistencyMode::Session, "session");
         assert!(r.session_redirects > 0, "the floor must redirect: {r:?}");
         assert_eq!(
-            (r.anomalies.ryw_violations, r.anomalies.non_monotonic_reads),
+            (a.anomalies.ryw_violations, a.anomalies.non_monotonic_reads),
             (0, 0),
             "session mode guarantees read-your-writes and monotonic reads: {}",
-            r.anomalies
+            a.anomalies
         );
     }
 
+    /// The matrix is byte-identical sequentially and on four workers for
+    /// every kind of disturbance: faults, reconfiguration plans, and probed
+    /// consistency cells.
     #[test]
-    fn consistency_matrix_is_deterministic_across_thread_counts() {
-        let variants = vec![
-            (
-                "read_replica".to_string(),
-                failover_store(ConsistencyMode::ReadReplica),
-            ),
-            (
-                "session".to_string(),
-                failover_store(ConsistencyMode::Session),
-            ),
-        ];
-        let scenarios = vec![ConsistencyScenario::baseline(), late_crash()];
-        let cfg = ResilienceConfig {
-            duration_s: 4,
-            ..cons_cfg()
+    fn matrices_are_deterministic_across_thread_counts() {
+        let matrix = |variants: Vec<(String, SystemSpec)>,
+                      scenarios: Vec<Scenario>,
+                      mix: ApiMix,
+                      cfg: ResilienceConfig| {
+            let seq = run_matrix(&variants, &scenarios, &mix, &cfg, Threads::sequential()).unwrap();
+            let par = run_matrix(&variants, &scenarios, &mix, &cfg, Threads::new(4)).unwrap();
+            assert_eq!(seq.len(), variants.len() * scenarios.len());
+            assert_eq!(seq, par);
+            assert!(seq.iter().all(|c| c.conserved), "every cell conserved");
+            seq
         };
-        let seq = run_consistency_matrix(
-            &variants,
-            &scenarios,
+        let retry = |retries| ClientSpec {
+            retries,
+            ..ClientSpec::local()
+        };
+        let front = || ApiMix::single("front", "M");
+
+        matrix(
+            vec![
+                ("none".into(), two_tier(ClientSpec::local())),
+                ("retry".into(), two_tier(retry(3))),
+            ],
+            vec![Scenario::baseline(), crash_scenario()],
+            front(),
+            cfg(),
+        );
+
+        let scenarios = vec![
+            Scenario::baseline(),
+            rolling("rolling", false),
+            rolling("drainless", true),
+        ];
+        let n = scenarios.len();
+        let seq = matrix(
+            vec![
+                ("none".into(), replicated_two_tier(ClientSpec::local())),
+                ("retry".into(), replicated_two_tier(retry(2))),
+            ],
+            scenarios,
+            front(),
+            cfg(),
+        );
+        // Unprotected variant: the drainless arm kills in-flight work and
+        // fast-fails arrivals on the dead replica; draining eliminates both.
+        assert_eq!(seq[1].conservation.errors, 0, "drained deploy invisible");
+        assert!(
+            seq[2].conservation.errors > 0,
+            "drainless must show the error spike draining eliminates"
+        );
+        // Retry variant: failover to the live replica masks even the
+        // drainless spike end-to-end — visible instead as retry traffic.
+        assert_eq!(seq[n + 2].conservation.errors, 0);
+        assert!(
+            seq[n + 2].retries > seq[n + 1].retries,
+            "masking the drainless spike costs retries"
+        );
+
+        let seq = matrix(
+            vec![
+                (
+                    "read_replica".into(),
+                    failover_store(ConsistencyMode::ReadReplica),
+                ),
+                ("session".into(), failover_store(ConsistencyMode::Session)),
+            ],
+            vec![Scenario::baseline(), late_crash()],
+            cons_mix(),
+            ResilienceConfig {
+                duration_s: 4,
+                ..cons_cfg()
+            },
+        );
+        assert!(seq.iter().all(|c| c.consistency.is_some()));
+    }
+
+    /// One scenario carries a fault, a CPU-hog trigger and a rolling-restart
+    /// plan at once, and a probed cell reports availability and consistency
+    /// from the same run.
+    #[test]
+    fn one_scenario_combines_fault_trigger_plan_and_probe() {
+        let scenario = Scenario {
+            name: "hog+crash+rolling".into(),
+            actions: vec![
+                (
+                    secs(2),
+                    Trigger::CpuHog {
+                        host: "h1".into(),
+                        cores: 3.9,
+                        duration_ns: secs(1),
+                    },
+                ),
+                (
+                    secs(4),
+                    Trigger::Fault(Fault::ProcessCrash {
+                        process: "p_db".into(),
+                        restart_delay_ns: secs(3),
+                    }),
+                ),
+            ],
+            plan: ReconfigPlan::none().at(
+                secs(5),
+                Change::RollingRestart {
+                    service: "svc".into(),
+                    drain_ns: ms(200),
+                    restart_ns: ms(100),
+                    drainless: false,
+                },
+            ),
+            window: (secs(2), secs(6)),
+        };
+        let r = run_cell(
+            &failover_store(ConsistencyMode::ReadReplica),
             &cons_mix(),
-            &probe(),
-            &cfg,
-            Threads::sequential(),
+            "read_replica",
+            &scenario,
+            &cons_cfg(),
         )
         .unwrap();
-        let par = run_consistency_matrix(
-            &variants,
-            &scenarios,
-            &cons_mix(),
-            &probe(),
-            &cfg,
-            Threads::new(4),
-        )
-        .unwrap();
-        assert_eq!(seq.len(), 4);
-        assert_eq!(seq, par);
-        assert!(seq.iter().all(|c| c.conserved), "every cell conserved");
+        // Availability: the crash and the drain both fail work fast, and the
+        // outage stays inside the window.
+        assert!(r.conserved, "{}", r.conservation);
+        for cause in ["crash", "drain"] {
+            assert!(r.conservation.by_cause.contains_key(cause), "{r:?}");
+        }
+        assert!(r.unavailable_ns > 0 && r.bounded && !r.metastable, "{r:?}");
+        assert!(r.failovers >= 1 && r.drain_rejections > 0, "{r:?}");
+        // Consistency: the same run was settled, audited and classified.
+        let a = r.consistency.expect("probed cell carries an audit");
+        assert_eq!(a.audited, 50);
+        assert!(a.anomalies.stale_reads > 0, "{}", a.anomalies);
     }
 }
