@@ -101,4 +101,22 @@ cargo run --release --example stream_checksum | tee results/ci_stream_checksum.t
 grep -q "checksum=1bc85aa9969bffcf" results/ci_stream_checksum.txt
 cmp "$committed/ci_stream_checksum.txt" results/ci_stream_checksum.txt
 
+echo "==> benchmark smoke (one round, four pinned completion streams)"
+# One interleaved round of every workload in examples/benchmark (its own
+# package and target dir). The binary exits nonzero on any failed
+# correctness check; the greps pin each workload's completion-stream digest.
+# social-failover is the one stream where control events (partition, crash,
+# failover, rolling restart) meet host events at equal times, so it pins the
+# (time, seq) order between them.
+bench="$committed/benchmark.txt"
+if ! cargo run --release --offline --manifest-path examples/benchmark/Cargo.toml \
+    -- --rounds 1 >"$bench" 2>&1; then
+    cat "$bench"
+    exit 1
+fi
+grep "^benchmark: .* digest " "$bench"
+for digest in 1bc85aa9969bffcf 91c9633ec4be4750 9151f92df6589720 2c89fdc513530f4b; do
+    grep -q "digest $digest" "$bench" || { echo "digest $digest missing"; exit 1; }
+done
+
 echo "CI OK"

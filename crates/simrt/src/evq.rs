@@ -11,10 +11,11 @@
 //! `benches/event_queue.rs` times the two at 10k/100k/1M concurrent timers
 //! (see `results/event_queue_bench.txt`).
 //!
-//! The simulator keeps two wheels: one for lane events and one for
+//! The simulator keeps one wheel for every event: host events and
 //! cluster-wide control events (fault firings, chaos draws, process
-//! restarts, reconfiguration), which run with exclusive access to the whole
-//! world between lane-dispatch segments.
+//! restarts, reconfiguration) share it and interleave in `(time, seq)`
+//! order. Its run loop pops with [`Wheel::pop_until`], which never moves
+//! the cursor past the run horizon.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -83,8 +84,10 @@ fn tick_of(time: SimTime) -> u64 {
 /// Invariant: every event with `tick < cur_tick` lives in `due` (a heap, so
 /// the final `(time, seq)` order never depends on bucket layout); every
 /// event with `tick >= cur_tick` lives in the slot of the lowest level whose
-/// window contained it at insert time, or in `overflow` past the horizon.
-/// `due`'s minimum is therefore always the global minimum.
+/// window contained it at insert time, or in `overflow` if that was past the
+/// wheel span — `advance` moves overflow events into the wheel before the
+/// cursor can reach them. `due`'s minimum is therefore always the global
+/// minimum.
 #[derive(Debug)]
 pub struct Wheel<T> {
     due: BinaryHeap<Reverse<Entry<T>>>,
@@ -146,15 +149,21 @@ impl<T> Wheel<T> {
         self.level_count.iter().sum::<usize>() + self.overflow.len()
     }
 
-    /// Advances the cursor until at least one event cohort lands in `due`.
+    /// Advances the cursor until at least one event cohort lands in `due`,
+    /// or until it reaches tick `stop` with no cohort before it. The cursor
+    /// never passes `stop`: events pushed later for earlier ticks then still
+    /// land in wheel slots rather than in the `due` heap.
     /// Precondition: the wheel (slots or overflow) is non-empty.
-    fn advance(&mut self) {
-        loop {
+    fn advance(&mut self, stop: u64) {
+        while self.cur_tick < stop {
+            // One step moves the cursor less than a wheel span, so pulling
+            // the overflow in first keeps the cursor from passing its events.
+            self.refill();
             if self.level_count[0] > 0 {
                 // Scan level 0 within the current rotation; the first
                 // non-empty slot holds the next cohort.
                 let rot_end = ((self.cur_tick >> SLOT_SHIFT) + 1) << SLOT_SHIFT;
-                for t in self.cur_tick..rot_end {
+                for t in self.cur_tick..rot_end.min(stop) {
                     let idx = (t & (SLOTS as u64 - 1)) as usize;
                     if !self.slots[idx].is_empty() {
                         let n = self.slots[idx].len();
@@ -171,27 +180,44 @@ impl<T> Wheel<T> {
                         return;
                     }
                 }
+                // Stopping short of the rotation end crosses no boundary, so
+                // there is nothing to cascade.
+                if rot_end > stop {
+                    self.cur_tick = stop;
+                    return;
+                }
                 self.cur_tick = rot_end;
             } else if self.level_count[1..].iter().any(|c| *c > 0) {
                 // Nothing near-term: skip to the next rotation boundary.
-                self.cur_tick = ((self.cur_tick >> SLOT_SHIFT) + 1) << SLOT_SHIFT;
+                let rot_end = ((self.cur_tick >> SLOT_SHIFT) + 1) << SLOT_SHIFT;
+                if rot_end > stop {
+                    self.cur_tick = stop;
+                    return;
+                }
+                self.cur_tick = rot_end;
             } else {
-                // Only the overflow holds events: jump straight to its
-                // minimum and pull everything within the horizon back in.
+                // Only the overflow holds events and every slot is empty, so
+                // the cursor may jump straight to its minimum (the next
+                // refill pulls it in) or to `stop`.
                 let Some(Reverse(head)) = self.overflow.peek() else {
                     return; // Defensive: violated precondition.
                 };
-                self.cur_tick = tick_of(head.time);
-                while let Some(Reverse(h)) = self.overflow.peek() {
-                    if tick_of(h.time) - self.cur_tick >= WHEEL_SPAN {
-                        break;
-                    }
-                    let Reverse(e) = self.overflow.pop().expect("peeked");
-                    self.insert_wheel(e);
-                }
+                self.cur_tick = tick_of(head.time).min(stop);
                 continue;
             }
             self.cascade();
+        }
+    }
+
+    /// Moves every overflow event within a wheel span of the cursor into
+    /// the wheel.
+    fn refill(&mut self) {
+        while let Some(Reverse(h)) = self.overflow.peek() {
+            if tick_of(h.time) >= self.cur_tick + WHEEL_SPAN {
+                break;
+            }
+            let Reverse(e) = self.overflow.pop().expect("peeked");
+            self.insert_wheel(e);
         }
     }
 
@@ -222,22 +248,28 @@ impl<T> Wheel<T> {
         }
     }
 
-    fn ensure_due(&mut self) {
-        while self.due.is_empty() && self.wheel_occupancy() > 0 {
-            self.advance();
+    /// Fills `due` with the next cohort, looking no further than tick
+    /// `stop` (exclusive).
+    fn ensure_due(&mut self, stop: u64) {
+        while self.due.is_empty() && self.wheel_occupancy() > 0 && self.cur_tick < stop {
+            self.advance(stop);
         }
-    }
-
-    /// The minimum `(time, seq)` key, if any. Takes `&mut self` because the
-    /// wheel may cascade buckets to find its minimum.
-    pub fn peek_key(&mut self) -> Option<EvKey> {
-        self.ensure_due();
-        self.due.peek().map(|Reverse(e)| e.key())
     }
 
     /// Removes and returns the minimum event.
     pub fn pop(&mut self) -> Option<Entry<T>> {
-        self.ensure_due();
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Removes and returns the minimum event if its time is at most `until`.
+    /// The cursor stops at `until`'s tick, so a run loop that pops up to a
+    /// horizon never jumps the wheel ahead to a far event (a fault seconds
+    /// away) and turns it into a plain heap for everything pushed before it.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<Entry<T>> {
+        self.ensure_due(tick_of(until) + 1);
+        if self.due.peek()?.0.time > until {
+            return None;
+        }
         let Reverse(e) = self.due.pop()?;
         self.len -= 1;
         Some(e)
@@ -281,7 +313,7 @@ mod tests {
 
     /// Feeds a wheel and the reference `BinaryHeap<Reverse<Entry>>` the same
     /// pushes and pops, asserting after every pop that both agree on the
-    /// popped key, the peeked key, and the population.
+    /// popped key and the population.
     struct Oracle {
         heap: BinaryHeap<Reverse<Entry<u64>>>,
         wheel: Wheel<u64>,
@@ -304,14 +336,32 @@ mod tests {
 
         /// Pops from both, returning the popped time.
         fn pop(&mut self) -> Option<SimTime> {
-            let want = self.heap.peek().map(|Reverse(x)| x.key());
-            assert_eq!(self.wheel.peek_key(), want, "peek #{}", self.pops);
             let a = self.heap.pop().map(|Reverse(x)| x.key());
             let b = self.wheel.pop().map(|x| x.key());
             assert_eq!(a, b, "wheel diverged from the heap at pop #{}", self.pops);
             assert_eq!(self.wheel.len(), self.heap.len());
             self.pops += usize::from(a.is_some());
             a.map(|(t, _)| t)
+        }
+
+        /// Pops from both if the minimum is due by `until`.
+        fn pop_until(&mut self, until: SimTime) -> Option<SimTime> {
+            let want = match self.heap.peek() {
+                Some(Reverse(x)) if x.time <= until => Some(x.key()),
+                _ => None,
+            };
+            let got = self.wheel.pop_until(until).map(|x| x.key());
+            assert_eq!(
+                got, want,
+                "pop_until({until}) diverged at pop #{}",
+                self.pops
+            );
+            if want.is_some() {
+                self.heap.pop();
+                self.pops += 1;
+            }
+            assert_eq!(self.wheel.len(), self.heap.len());
+            want.map(|(t, _)| t)
         }
 
         fn drain(&mut self) {
@@ -404,6 +454,74 @@ mod tests {
         }
         assert!(q.wheel.is_empty());
         assert_eq!(q.pops as u64, seq);
+
+        // Input 4: a run loop that drains up to a horizon, then pushes
+        // more, with far events (seconds ahead, some past the wheel span)
+        // pending the whole time — the horizon-bounded pops must agree
+        // with the heap and leave nothing behind.
+        let mut q = Oracle::new();
+        let mut seq = 0u64;
+        for k in 1..=4u64 {
+            q.push(k * 20_000_000_000, seq);
+            seq += 1;
+        }
+        let mut now: SimTime = 0;
+        for _ in 0..5_000 {
+            for _ in 0..rng.gen_range(0..4u32) {
+                let dt = match rng.gen_range(0..3u32) {
+                    0 => rng.gen_range(0..50_000),
+                    1 => rng.gen_range(0..5_000_000),
+                    _ => rng.gen_range(0..3_000_000_000),
+                };
+                q.push(now + dt, seq);
+                seq += 1;
+            }
+            now += rng.gen_range(0..200_000);
+            while q.pop_until(now).is_some() {}
+        }
+        q.drain();
+        assert_eq!(q.pops as u64, seq);
+
+        // Input 5: one event more than a wheel span ahead while a chain of
+        // near events (re-armed every step, some landing seconds past the
+        // far one) keeps slots occupied and walks `now` past it — the far
+        // event must leave the overflow before the cursor reaches it.
+        let mut q = Oracle::new();
+        let far = (WHEEL_SPAN << TICK_SHIFT) + 1_000_000_007;
+        q.push(far, 0);
+        let mut seq = 1u64;
+        let mut now: SimTime = 0;
+        while now < far + 5_000_000_000 {
+            for _ in 0..rng.gen_range(1..3u32) {
+                let dt = if rng.gen_bool(0.05) {
+                    rng.gen_range(0..3_000_000_000)
+                } else {
+                    rng.gen_range(0..100_000_000)
+                };
+                q.push(now + dt, seq);
+                seq += 1;
+            }
+            now += rng.gen_range(0..60_000_000);
+            while q.pop_until(now).is_some() {}
+        }
+        q.drain();
+        assert_eq!(q.pops as u64, seq);
+    }
+
+    /// Popping up to a horizon leaves the cursor at the horizon even when
+    /// the next event is far away, so a later push for an earlier time
+    /// lands in a wheel slot, not in the `due` heap.
+    #[test]
+    fn pop_until_stops_the_cursor_at_the_horizon() {
+        let mut q = Wheel::new();
+        q.push(e(5_000_000_000, 0));
+        assert!(q.pop_until(1_000_000).is_none());
+        assert_eq!(q.cur_tick, tick_of(1_000_000) + 1);
+        q.push(e(2_000_000, 1));
+        assert!(q.due.is_empty(), "the near event went to a slot");
+        assert!(q.pop_until(1_999_999).is_none());
+        assert_eq!(q.pop_until(2_000_000).map(|x| x.seq), Some(1));
+        assert_eq!(q.pop().map(|x| x.seq), Some(0));
     }
 
     #[test]

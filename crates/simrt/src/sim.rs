@@ -18,10 +18,12 @@
 //! interning is arena-index based (no `Rc`), a booted [`Sim`] is `Send` —
 //! asserted at compile time below.
 //!
-//! Mutable runtime state is partitioned into per-host [`HostLane`]s over an
-//! immutable [`Shared`] core, and every stochastic draw comes from a
-//! deterministic per-entity RNG stream (see [`derive_seed`]), so an entity's
-//! randomness depends only on its own event order (see `DESIGN.md` §6).
+//! Processes, services, clients and backends live in flat tables on [`Sim`],
+//! indexed by the same global ids the interpreter uses; only the CPU
+//! scheduler, the frame table and the event-key counter are per host
+//! ([`HostRt`]). Every stochastic draw comes from a deterministic per-entity
+//! RNG stream (see [`derive_seed`]), so an entity's randomness depends only
+//! on its own event order (see `DESIGN.md` §6).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -32,9 +34,9 @@ use rand::{Rng, SeedableRng};
 use blueprint_trace::{SpanId, TraceCollector, TraceId};
 use blueprint_workflow::{Behavior, CacheOp, DbOp, KeyExpr, Step};
 
-use crate::evq::{self, EvKey, Wheel};
+use crate::evq::{self, Wheel};
 use crate::host::{JobId, PsHost, NO_PROC};
-use crate::metrics::{BackendStats, Metrics, SimCounters};
+use crate::metrics::{BackendStats, Metrics};
 use crate::spec::{
     AutoscalerSpec, BackendRtKind, Change, ClientSpec, ConsistencyMode, DepBinding, Fault,
     FaultPlan, LbPolicy, ReconfigPlan, ShedSpec, SystemSpec, TransportSpec,
@@ -204,7 +206,7 @@ const CTX_SHIFT: u32 = 48;
 /// Low-bit mask for the per-context push counter.
 const SEQ_MASK: u64 = (1 << CTX_SHIFT) - 1;
 /// Context id of driver/control pushes; sorts after every host context at
-/// equal times, so control events never preempt same-time lane events.
+/// equal times, so control events never preempt same-time host events.
 const CTRL_CTX: u64 = 0xFFFF;
 /// Host ids must stay below [`CTRL_CTX`].
 const MAX_HOSTS: usize = 0xFFFE;
@@ -214,8 +216,8 @@ const MAX_HOSTS: usize = 0xFFFE;
 // ---------------------------------------------------------------------------
 
 /// Generational frame handle. Frame tables are per-host, so the handle
-/// carries the owning host: the executor resolves the frame (and keys the
-/// events it dispatches) without a global table.
+/// carries the owning host: dispatch resolves the frame (and keys the events
+/// it pushes) without a global table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 struct FrameId {
     host: u32,
@@ -1272,7 +1274,7 @@ struct StoreMember {
     map: U64Map<u64>,
     /// Owning process (the store's own process unless a failover spec
     /// placed this member elsewhere). Same host as the primary's process by
-    /// validation, so every member stays on one simulation lane.
+    /// validation, so every member's events key under one host context.
     proc: u32,
     /// Applied write count (election tie-break).
     applied: u64,
@@ -1366,14 +1368,12 @@ enum JobCont {
 }
 
 // ---------------------------------------------------------------------------
-// The simulator: shared core, per-host lanes, the executor.
+// The simulator: topology, per-host runtime, entity tables.
 // ---------------------------------------------------------------------------
 
-/// State the executor only reads while it dispatches lane events. Everything
-/// here is either immutable after boot (programs, names, location tables)
-/// or mutated exclusively by the control plane *between* lane-dispatch
-/// segments (`proc_down`, `proc_gen`, `link_faults`) — control events run
-/// with `&mut Sim` while no executor is live.
+/// The cluster's topology and cluster-wide state: compiled programs, names,
+/// the entity → process → host maps, and the fault and rotation state that
+/// control events write and dispatch reads.
 struct Shared {
     /// All compiled behavior programs (see [`ProgArena`]).
     progs: ProgArena,
@@ -1385,23 +1385,16 @@ struct Shared {
     gc_specs: Vec<Option<crate::spec::GcSpec>>,
     svc_names: Vec<NameId>,
 
-    // Entity → (home host, index within that host's lane) location tables,
-    // indexed by dense global id. Global ids remain the currency of the
-    // interpreter (programs, messages, events); lanes are a storage layout.
-    svc_loc: Vec<(u32, u32)>,
-    proc_loc: Vec<(u32, u32)>,
-    client_loc: Vec<(u32, u32)>,
-    backend_loc: Vec<(u32, u32)>,
     /// Service → owning process (global ids).
     svc_proc: Vec<u32>,
-    /// Backend → owning process (global ids).
+    /// Backend → serving process (global ids; moves on store failover).
     backend_proc: Vec<u32>,
     /// Client → owning service (global ids).
     client_owner: Vec<u32>,
     /// Process → host.
     proc_host: Vec<u32>,
 
-    // Fault state: written by the control plane only.
+    // Fault state: written by control events only.
     /// Whether each process is currently crashed.
     proc_down: Vec<bool>,
     /// Crash generation per process; guards stale `ProcRestart` events.
@@ -1410,7 +1403,7 @@ struct Shared {
     /// (src process, dst process). Lookup-only, so map order never matters.
     link_faults: HashMap<(usize, usize), LinkFault>,
 
-    // Reconfiguration state: written by the control plane only, and read
+    // Reconfiguration state: written by control events only, and read
     // on hot paths only behind `reconfig_on` — a run with an
     // empty plan never branches past the single bool.
     /// Whether any reconfiguration is (or ever was) in effect.
@@ -1425,104 +1418,73 @@ struct Shared {
     canary_route: Vec<Option<CanaryRoute>>,
 }
 
-/// All mutable runtime state homed on one host: its CPU scheduler, the
-/// processes/services/clients/backends that live there, its frame table, and
-/// its share of the event-sequence counter.
-struct HostLane {
-    ps: PsHost<JobCont>,
-    /// Reused buffer for the continuations a `HostCheck` collects.
-    due: Vec<JobCont>,
-    /// Bumped on every scheduler perturbation; guards stale `HostCheck`s.
-    host_gen: u64,
-    procs: Vec<ProcRt>,
-    services: Vec<SvcRt>,
-    clients: Vec<ClientRt>,
-    backends: Vec<BackendRt>,
-
-    frames: Vec<Option<Frame>>,
-    frame_gens: Vec<u32>,
-    free_frames: Vec<u32>,
-    /// Live frames homed here (summed across lanes for admission).
-    live: usize,
-    /// Recycled interpreter stacks of completed frames.
-    stack_pool: Vec<Vec<ExecCtx>>,
-
-    /// Push counter for events generated while dispatching this host
-    /// (the low 48 bits of their `(time, seq)` keys).
-    ev_seq: u64,
-
-    /// Completions of entry frames homed here (the workload host, in
-    /// practice). Drained in host order.
-    completions: Vec<Completion>,
+/// One host's frame table: generational slots recycled through a free list.
+/// A process stop sweeps it in slot order, and that order decides the `seq`
+/// of the failure responses the stop pushes — which is why frames stay in
+/// per-host tables rather than one global one.
+#[derive(Default)]
+struct FrameTable {
+    slots: Vec<Option<Frame>>,
+    gens: Vec<u32>,
+    free: Vec<u32>,
 }
 
-impl HostLane {
-    /// Installs a frame into a recycled or fresh slot. `host` is this lane's
-    /// own host id (lanes do not know their position).
-    fn insert_frame(&mut self, host: u32, frame: Frame) -> FrameId {
-        self.live += 1;
-        if let Some(idx) = self.free_frames.pop() {
-            let gen = self.frame_gens[idx as usize];
-            self.frames[idx as usize] = Some(Frame { gen, ..frame });
+impl FrameTable {
+    /// Installs a frame into a recycled or fresh slot. `host` is the id of
+    /// the host that owns this table.
+    fn insert(&mut self, host: u32, frame: Frame) -> FrameId {
+        if let Some(idx) = self.free.pop() {
+            let gen = self.gens[idx as usize];
+            self.slots[idx as usize] = Some(Frame { gen, ..frame });
             FrameId { host, idx, gen }
         } else {
             // Cannot overflow for entry frames (`max_frames` is capped at
             // u32::MAX in `Sim::new`), but internal sub-frames are not
             // admission-counted, so convert checked rather than truncate.
-            let idx = u32::try_from(self.frames.len())
+            let idx = u32::try_from(self.slots.len())
                 .expect("frame table exceeds u32 index space (see MAX_FRAMES_CAP)");
-            self.frames.push(Some(frame));
-            self.frame_gens.push(0);
+            self.slots.push(Some(frame));
+            self.gens.push(0);
             FrameId { host, idx, gen: 0 }
         }
     }
 
-    fn frame_mut(&mut self, id: FrameId) -> Option<&mut Frame> {
-        match self.frames.get_mut(id.idx as usize) {
+    fn get_mut(&mut self, id: FrameId) -> Option<&mut Frame> {
+        match self.slots.get_mut(id.idx as usize) {
             Some(Some(f)) if f.gen == id.gen => Some(f),
             _ => None,
         }
     }
 
-    /// Removes a frame, recycling its slot and interpreter stack.
-    fn take_frame(&mut self, id: FrameId) -> Option<Frame> {
-        let slot = self.frames.get_mut(id.idx as usize)?;
-        if slot.as_ref().map(|f| f.gen == id.gen).unwrap_or(false) {
-            let mut frame = slot.take().expect("generation checked");
-            self.frame_gens[id.idx as usize] = id.gen.wrapping_add(1);
-            self.free_frames.push(id.idx);
-            self.live -= 1;
-            let mut stack = std::mem::take(&mut frame.stack);
-            stack.clear();
-            self.stack_pool.push(stack);
-            Some(frame)
-        } else {
-            None
-        }
+    /// Removes a frame and frees its slot.
+    fn remove(&mut self, id: FrameId) -> Option<Frame> {
+        let frame = self
+            .slots
+            .get_mut(id.idx as usize)?
+            .take_if(|f| f.gen == id.gen)?;
+        self.gens[id.idx as usize] = id.gen.wrapping_add(1);
+        self.free.push(id.idx);
+        Some(frame)
     }
 }
 
-/// The lane-event executor: a view over the shared core that borrows every
-/// lane, the lane-event wheel, the run's counters and its trace collector
-/// from [`Sim`] for one dispatch segment (up to the run horizon or the next
-/// control event, whichever comes first).
-struct Exec<'a> {
-    sh: &'a Shared,
-    /// Every host's lane, indexed by host id.
-    lanes: &'a mut [HostLane],
-    /// The lane-event queue.
-    events: &'a mut Wheel<Ev>,
-    now: SimTime,
-    /// Host whose event is currently being dispatched (the context id for
-    /// key packing).
-    cur_host: u32,
-    counters: &'a mut SimCounters,
-    traces: &'a mut TraceCollector,
+/// Per-host runtime: the CPU scheduler, the frame table, and the host's
+/// share of the event-sequence counter.
+struct HostRt {
+    ps: PsHost<JobCont>,
+    /// Reused buffer for the continuations a `HostCheck` collects.
+    due: Vec<JobCont>,
+    /// Bumped on every scheduler perturbation; guards stale `HostCheck`s.
+    host_gen: u64,
+    /// Push counter for events generated while dispatching this host's
+    /// events (the low 48 bits of their `(time, seq)` keys).
+    ev_seq: u64,
+    frames: FrameTable,
 }
 
-/// Home host of a lane event — the host whose context keys the events its
-/// dispatch pushes. `None` for control-plane events, which go to the
-/// control queue and run with full `&mut Sim` access.
+/// Home host of an event — the host whose context keys the events its
+/// dispatch pushes. `None` for control events (faults, restarts, chaos,
+/// failover, reconfiguration), which dispatch under [`CTRL_CTX`].
 ///
 /// Frame ids carry their home host, so this never needs to resolve
 /// (possibly dead) frames.
@@ -1546,13 +1508,9 @@ fn ev_home_host(sh: &Shared, ev: &Ev) -> Option<usize> {
         Ev::ReplicaApply { backend, .. } => {
             Some(sh.proc_host[sh.backend_proc[*backend] as usize] as usize)
         }
-        // Control plane: fault application mutates cluster-wide state
-        // (`proc_down`, `link_faults`, multi-host crash sweeps), so these
-        // run in the ctrl slot between lane-dispatch segments.
-        // Reconfiguration events do the same for `svc_active`/
-        // `svc_draining`/`canary_route` and client rewiring. Store failover
-        // joins them: an election re-points the store's serving process
-        // (`backend_proc`), which the executor reads.
+        // Control events mutate cluster-wide state (`proc_down`,
+        // `link_faults`, multi-host crash sweeps, rotation state, client
+        // rewiring, a store's serving process), so no single host owns them.
         Ev::FaultFire { .. }
         | Ev::ProcRestart { .. }
         | Ev::ChaosFire
@@ -1569,17 +1527,28 @@ fn ev_home_host(sh: &Shared, ev: &Ev) -> Option<usize> {
 pub struct Sim {
     cfg: SimConfig,
     now: SimTime,
-    /// Push counter for driver/control events (the [`CTRL_CTX`] context).
+    /// Context of the event being dispatched: its home host, or
+    /// [`CTRL_CTX`] for control events and driver calls. Keys every push.
+    ctx: u64,
+    /// Push counter of the [`CTRL_CTX`] context.
     ctrl_seq: u64,
-    /// Lane events (everything [`ev_home_host`] homes on a host).
+    /// Every pending event, popped in `(time, seq)` order.
     events: Wheel<Ev>,
-    /// Control-plane events, dispatched with `&mut Sim` in `(time, seq)`
-    /// order among the lane events.
-    ctrl: Wheel<Ev>,
 
     sh: Shared,
-    /// Per-host mutable runtime, indexed by host id.
-    lanes: Vec<HostLane>,
+    /// Per-host runtime, indexed by host id.
+    hosts: Vec<HostRt>,
+    // Entity tables, indexed by global id.
+    procs: Vec<ProcRt>,
+    services: Vec<SvcRt>,
+    clients: Vec<ClientRt>,
+    backends: Vec<BackendRt>,
+    /// Live frames across every host (admission control).
+    live: usize,
+    /// Recycled interpreter stacks of completed frames.
+    stack_pool: Vec<Vec<ExecCtx>>,
+    /// Entry-request completions not yet drained.
+    completions: Vec<Completion>,
 
     host_names: Vec<String>,
     proc_names: Vec<String>,
@@ -1677,7 +1646,17 @@ impl Sim {
 
         let host_names: Vec<String> = spec.hosts.iter().map(|h| h.name.clone()).collect();
         let proc_names: Vec<String> = spec.processes.iter().map(|p| p.name.clone()).collect();
-        let hosts: Vec<PsHost<JobCont>> = spec.hosts.iter().map(|h| PsHost::new(h.cores)).collect();
+        let hosts: Vec<HostRt> = spec
+            .hosts
+            .iter()
+            .map(|h| HostRt {
+                ps: PsHost::new(h.cores),
+                due: Vec::new(),
+                host_gen: 0,
+                ev_seq: 0,
+                frames: FrameTable::default(),
+            })
+            .collect();
         let procs: Vec<ProcRt> = spec
             .processes
             .iter()
@@ -1821,58 +1800,6 @@ impl Sim {
             })
             .collect();
 
-        // Location tables + lane distribution, in global-id order per kind
-        // (local indices are therefore deterministic).
-        let proc_host: Vec<u32> = spec.processes.iter().map(|p| p.host as u32).collect();
-        let svc_proc: Vec<u32> = spec.services.iter().map(|s| s.process as u32).collect();
-        let backend_proc: Vec<u32> = spec.backends.iter().map(|b| b.process as u32).collect();
-        let client_owner: Vec<u32> = clients.iter().map(|c| c.owner as u32).collect();
-
-        let mut lanes: Vec<HostLane> = hosts
-            .into_iter()
-            .map(|ps| HostLane {
-                ps,
-                due: Vec::new(),
-                host_gen: 0,
-                procs: Vec::new(),
-                services: Vec::new(),
-                clients: Vec::new(),
-                backends: Vec::new(),
-                frames: Vec::new(),
-                frame_gens: Vec::new(),
-                free_frames: Vec::new(),
-                live: 0,
-                stack_pool: Vec::new(),
-                ev_seq: 0,
-                completions: Vec::new(),
-            })
-            .collect();
-        let mut proc_loc = Vec::with_capacity(procs.len());
-        for p in procs {
-            let h = p.host;
-            proc_loc.push((h as u32, lanes[h].procs.len() as u32));
-            lanes[h].procs.push(p);
-        }
-        let mut svc_loc = Vec::with_capacity(services.len());
-        for (si, s) in services.into_iter().enumerate() {
-            let h = proc_host[svc_proc[si] as usize] as usize;
-            svc_loc.push((h as u32, lanes[h].services.len() as u32));
-            lanes[h].services.push(s);
-        }
-        let mut client_loc = Vec::with_capacity(clients.len());
-        for (ci, c) in clients.into_iter().enumerate() {
-            let owner = client_owner[ci] as usize;
-            let h = proc_host[svc_proc[owner] as usize] as usize;
-            client_loc.push((h as u32, lanes[h].clients.len() as u32));
-            lanes[h].clients.push(c);
-        }
-        let mut backend_loc = Vec::with_capacity(backends.len());
-        for (bi, b) in backends.into_iter().enumerate() {
-            let h = proc_host[backend_proc[bi] as usize] as usize;
-            backend_loc.push((h as u32, lanes[h].backends.len() as u32));
-            lanes[h].backends.push(b);
-        }
-
         let n_procs = proc_names.len();
         let n_svcs = spec.services.len();
         let sh = Shared {
@@ -1882,14 +1809,10 @@ impl Sim {
             record_traces: cfg.record_traces,
             gc_specs,
             svc_names,
-            svc_loc,
-            proc_loc,
-            client_loc,
-            backend_loc,
-            svc_proc,
-            backend_proc,
-            client_owner,
-            proc_host,
+            svc_proc: spec.services.iter().map(|s| s.process as u32).collect(),
+            backend_proc: spec.backends.iter().map(|b| b.process as u32).collect(),
+            client_owner: clients.iter().map(|c| c.owner as u32).collect(),
+            proc_host: spec.processes.iter().map(|p| p.host as u32).collect(),
             proc_down: vec![false; n_procs],
             proc_gen: vec![0; n_procs],
             link_faults: HashMap::new(),
@@ -1901,11 +1824,18 @@ impl Sim {
         let mut sim = Sim {
             cfg,
             now: 0,
+            ctx: CTRL_CTX,
             ctrl_seq: 0,
             events: Wheel::new(),
-            ctrl: Wheel::new(),
             sh,
-            lanes,
+            hosts,
+            procs,
+            services,
+            clients,
+            backends,
+            live: 0,
+            stack_pool: Vec::new(),
+            completions: Vec::new(),
             host_names,
             proc_names,
             entries,
@@ -2099,14 +2029,14 @@ impl Sim {
         self.now
     }
 
-    /// Number of events currently queued (lane and control events).
+    /// Number of events currently queued.
     pub fn pending_events(&self) -> usize {
-        self.events.len() + self.ctrl.len()
+        self.events.len()
     }
 
     /// Whether the event queue is completely drained.
     pub fn is_idle(&self) -> bool {
-        self.events.is_empty() && self.ctrl.is_empty()
+        self.events.is_empty()
     }
 
     /// Application/variant name.
@@ -2116,7 +2046,7 @@ impl Sim {
 
     /// Number of live frames (in-flight work across the cluster).
     pub fn inflight(&self) -> usize {
-        self.lanes.iter().map(|l| l.live).sum()
+        self.live
     }
 
     /// Number of event-loop shards. Always 1: a run dispatches on one
@@ -2132,82 +2062,43 @@ impl Sim {
             .svc_names
             .iter()
             .position(|n| self.sh.names.get(*n) == name)?;
-        Some(self.svc_ref(idx).served)
+        Some(self.services[idx].served)
     }
 
     /// Current heap bytes of a process (GC experiments).
     pub fn process_heap(&self, proc_name: &str) -> Option<u64> {
         let idx = self.proc_names.iter().position(|n| n == proc_name)?;
-        Some(self.proc_ref(idx).heap)
+        Some(self.procs[idx].heap)
     }
 
-    // -- Global-id entity accessors (driver/control paths) -------------------
-
-    fn proc_ref(&self, p: usize) -> &ProcRt {
-        let (h, l) = self.sh.proc_loc[p];
-        &self.lanes[h as usize].procs[l as usize]
-    }
-
-    fn proc_rt_mut(&mut self, p: usize) -> &mut ProcRt {
-        let (h, l) = self.sh.proc_loc[p];
-        &mut self.lanes[h as usize].procs[l as usize]
-    }
-
-    fn svc_ref(&self, s: usize) -> &SvcRt {
-        let (h, l) = self.sh.svc_loc[s];
-        &self.lanes[h as usize].services[l as usize]
-    }
-
-    fn svc_rt_mut(&mut self, s: usize) -> &mut SvcRt {
-        let (h, l) = self.sh.svc_loc[s];
-        &mut self.lanes[h as usize].services[l as usize]
-    }
-
-    fn client_rt_mut(&mut self, c: usize) -> &mut ClientRt {
-        let (h, l) = self.sh.client_loc[c];
-        &mut self.lanes[h as usize].clients[l as usize]
-    }
-
-    fn backend_ref(&self, b: usize) -> &BackendRt {
-        let (h, l) = self.sh.backend_loc[b];
-        &self.lanes[h as usize].backends[l as usize]
-    }
-
-    fn backend_rt_mut(&mut self, b: usize) -> &mut BackendRt {
-        let (h, l) = self.sh.backend_loc[b];
-        &mut self.lanes[h as usize].backends[l as usize]
-    }
-
-    /// Pushes an event from the driver/control plane. Keys use the
-    /// [`CTRL_CTX`] context, which sorts after every host context at equal
-    /// times. Lane events go to the lane wheel, control events to the
-    /// control wheel.
+    /// Pushes an event keyed by the current context (`ctx`): the
+    /// high key bits carry the context id, the low bits that context's
+    /// private push counter.
     fn push_ev(&mut self, time: SimTime, ev: Ev) {
-        debug_assert!(self.ctrl_seq < SEQ_MASK);
-        let seq = (CTRL_CTX << CTX_SHIFT) | self.ctrl_seq;
-        self.ctrl_seq += 1;
-        let entry = evq::Entry {
+        let ctx = self.ctx;
+        let counter = if ctx == CTRL_CTX {
+            &mut self.ctrl_seq
+        } else {
+            &mut self.hosts[ctx as usize].ev_seq
+        };
+        debug_assert!(*counter < SEQ_MASK);
+        let seq = (ctx << CTX_SHIFT) | *counter;
+        *counter += 1;
+        self.events.push(evq::Entry {
             time: time.max(self.now),
             seq,
             item: ev,
-        };
-        match ev_home_host(&self.sh, &entry.item) {
-            Some(_) => self.events.push(entry),
-            None => self.ctrl.push(entry),
-        }
+        });
     }
 
     // -- Public driver API ---------------------------------------------------
 
     /// Submits a request to an entry point. Returns its root sequence number
-    /// (which is also the version any writes it performs will carry).
+    /// (which is also the version any writes it performs will carry). An
+    /// unknown entry or method is rejected before anything is counted.
     pub fn submit(&mut self, entry: &str, method: &str, entity: u64) -> Result<u64> {
-        let e = *self
-            .entries
-            .get(entry)
-            .ok_or_else(|| SimError::Unknown(format!("entry {entry}")))?;
-        let method_id = self.entry_rts[e as usize].methods.get(method).copied();
-        self.submit_resolved(e, method_id, method, entity)
+        let h = self.entry_handle(entry, method)?;
+        self.submit_handle(h, entity)
     }
 
     /// Resolves an entry point once so hot submission loops can use
@@ -2232,7 +2123,7 @@ impl Sim {
         let valid = self
             .entry_rts
             .get(h.entry as usize)
-            .map(|er| (h.method as usize) < self.svc_ref(er.svc).methods.len())
+            .map(|er| (h.method as usize) < self.services[er.svc].methods.len())
             .unwrap_or(false);
         if !valid {
             return Err(SimError::Unknown(format!(
@@ -2240,42 +2131,24 @@ impl Sim {
                 h.entry, h.method
             )));
         }
-        self.submit_resolved(h.entry, Some(h.method), "", entity)
+        self.submit_resolved(h.entry, h.method, entity)
     }
 
-    /// Shared submission path. `method_id` is `None` when the method name did
-    /// not resolve — the error is deferred past the shed check to preserve
-    /// submission accounting (matching the string API's historic order).
-    fn submit_resolved(
-        &mut self,
-        entry: u32,
-        method_id: Option<u32>,
-        method: &str,
-        entity: u64,
-    ) -> Result<u64> {
+    /// Shared submission path for a resolved `(entry, method)` pair.
+    fn submit_resolved(&mut self, entry: u32, method: u32, entity: u64) -> Result<u64> {
         let svc = self.entry_rts[entry as usize].svc;
         let root_seq = self.next_root;
         self.next_root += 1;
         self.metrics.counters.submitted += 1;
+        let entry = self.entry_rts[entry as usize].name;
+        let method_name = self.services[svc].method_names[method as usize];
 
-        if self.inflight() >= self.cfg.max_frames {
+        if self.live >= self.cfg.max_frames {
             self.metrics.counters.admission_rejections += 1;
             self.metrics.counters.completed_err += 1;
-            let method_name = match method_id {
-                Some(m) => self
-                    .sh
-                    .names
-                    .get(self.svc_ref(svc).method_names[m as usize])
-                    .to_string(),
-                None => method.to_string(),
-            };
-            let completion = Completion {
-                entry: self
-                    .sh
-                    .names
-                    .get(self.entry_rts[entry as usize].name)
-                    .to_string(),
-                method: method_name,
+            self.completions.push(Completion {
+                entry: self.sh.names.get(entry).to_string(),
+                method: self.sh.names.get(method_name).to_string(),
                 entity,
                 root_seq,
                 submitted_ns: self.now,
@@ -2283,157 +2156,64 @@ impl Sim {
                 ok: false,
                 observed_version: 0,
                 failure: Some("shed"),
-            };
-            let (h, _) = self.sh.svc_loc[svc];
-            self.lanes[h as usize].completions.push(completion);
+            });
             return Ok(root_seq);
         }
 
-        let Some(m) = method_id else {
-            let entry_name = self.sh.names.get(self.entry_rts[entry as usize].name);
-            return Err(SimError::Unknown(format!("method {entry_name}.{method}")));
-        };
-        let prog = self.svc_ref(svc).methods[m as usize];
         let kind = FrameKind::Entry {
-            entry: self.entry_rts[entry as usize].name,
-            method: self.svc_ref(svc).method_names[m as usize],
+            entry,
+            method: method_name,
             submitted_ns: self.now,
         };
-        // Entry shims never enable tracing, so this allocation skips the
-        // span logic entirely (asserted below).
-        debug_assert!(!self.svc_ref(svc).traced);
-        let now = self.now;
-        let fid = {
-            let (h, _) = self.sh.svc_loc[svc];
-            let lane = &mut self.lanes[h as usize];
-            let mut stack = lane
-                .stack_pool
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(2));
-            stack.push(ExecCtx {
-                prog,
-                pc: 0,
-                repeat_left: 0,
-            });
-            let frame = Frame {
-                gen: 0,
-                service: svc,
-                stack,
-                entity,
-                root_seq,
-                kind,
-                call: None,
-                next_call_seq: 0,
-                pending_children: 0,
-                child_failed: false,
-                failed: false,
-                last_err: None,
-                observed_version: 0,
-                did_read: false,
-                span: None,
-                span_owned: false,
-                counted_admission: false,
-                deadline_ns: None,
-                admitted_ns: now,
-            };
-            lane.insert_frame(h, frame)
-        };
+        // Entry shims never enable tracing, so the frame gets no span.
+        debug_assert!(!self.services[svc].traced);
+        let prog = self.services[svc].methods[method as usize];
+        let fid = self.alloc_frame(svc, entity, root_seq, kind, prog, None);
         self.push_ev(self.now, Ev::Resume { frame: fid });
         Ok(root_seq)
     }
 
-    /// Runs the event loop until virtual time `t`.
-    ///
-    /// One sequential loop: the executor drains lane events up to the next
-    /// control event, which then runs with `&mut Sim`, so control events
-    /// interleave with lane events in global `(time, seq)` order.
+    /// Runs the event loop until virtual time `t` (inclusive): pops every
+    /// event due by then in `(time, seq)` order and dispatches it under its
+    /// home host's context (or [`CTRL_CTX`] for control events).
     pub fn run_until(&mut self, t: SimTime) {
-        loop {
-            let cmin = self.ctrl.peek_key();
-            let mut exec = Exec {
-                sh: &self.sh,
-                lanes: &mut self.lanes,
-                events: &mut self.events,
-                now: self.now,
-                cur_host: 0,
-                counters: &mut self.metrics.counters,
-                traces: &mut self.traces,
-            };
-            exec.run(t, cmin);
-            self.now = exec.now;
-            match cmin {
-                Some((ct, _)) if ct <= t => {
-                    let e = self.ctrl.pop().expect("peeked control event");
-                    self.now = e.time;
-                    self.dispatch_ctrl(e.item);
-                }
-                _ => break,
-            }
+        while let Some(e) = self.events.pop_until(t) {
+            self.now = e.time;
+            self.ctx = ev_home_host(&self.sh, &e.item).map_or(CTRL_CTX, |h| h as u64);
+            self.dispatch(e.item);
         }
+        // Driver calls between slices push under the control context.
+        self.ctx = CTRL_CTX;
         self.now = self.now.max(t);
         self.sync_backend_metrics();
     }
 
-    /// Dispatches a control-plane event. Runs with `&mut Sim` between
-    /// lane-dispatch segments, so it may touch cluster-wide state that the
-    /// executor only reads.
-    fn dispatch_ctrl(&mut self, ev: Ev) {
-        match ev {
-            Ev::FaultFire { fault } => self.apply_fault(fault),
-            Ev::ProcRestart { proc, gen } => {
-                if self.sh.proc_gen[proc] == gen && self.sh.proc_down[proc] {
-                    self.sh.proc_down[proc] = false;
-                    // A restarted store member (including a deposed primary)
-                    // resyncs from the current primary before serving again.
-                    self.resync_store_members(proc);
-                }
-            }
-            Ev::StoreFailover { backend, gen } => self.on_store_failover(backend, gen),
-            Ev::ChaosFire => self.on_chaos_fire(),
-            Ev::ReconfigFire { idx } => self.on_reconfig_fire(idx),
-            Ev::DrainDone { token } => self.on_drain_done(token),
-            Ev::RollAdvance { rolling } => self.on_roll_advance(rolling),
-            Ev::AutoscaleTick { scaler } => self.on_autoscale_tick(scaler),
-            Ev::CanaryEval { canary } => self.on_canary_eval(canary),
-            other => unreachable!("lane event {other:?} on the control queue"),
-        }
-    }
-
     /// Mirrors dense per-backend stats into the name-keyed metrics map.
     /// Entries appear only for backends that have seen at least one op,
-    /// matching the old on-demand-creation semantics. The map is a
-    /// `BTreeMap` keyed by name, so lane iteration order is invisible. Only
-    /// backends whose stats changed since the last sync are copied; every
-    /// stats mutation sets `stats_dirty`, and the sync clears it.
+    /// matching the old on-demand-creation semantics. Only backends whose
+    /// stats changed since the last sync are copied; every stats mutation
+    /// sets `stats_dirty`, and the sync clears it.
     fn sync_backend_metrics(&mut self) {
-        for lane in &mut self.lanes {
-            for b in &mut lane.backends {
-                if !b.stats_dirty {
-                    continue;
-                }
-                b.stats_dirty = false;
-                let name = self.sh.names.get(b.name);
-                if let Some(slot) = self.metrics.backends.get_mut(name) {
-                    slot.clone_from(&b.stats);
-                } else {
-                    self.metrics
-                        .backends
-                        .insert(name.to_string(), b.stats.clone());
-                }
+        for b in &mut self.backends {
+            if !b.stats_dirty {
+                continue;
+            }
+            b.stats_dirty = false;
+            let name = self.sh.names.get(b.name);
+            if let Some(slot) = self.metrics.backends.get_mut(name) {
+                slot.clone_from(&b.stats);
+            } else {
+                self.metrics
+                    .backends
+                    .insert(name.to_string(), b.stats.clone());
             }
         }
     }
 
-    /// Takes the completions recorded since the last drain, concatenating
-    /// per-lane buffers in host order (partition-invariant: entry frames
-    /// all home on the workload host).
+    /// Takes the completions recorded since the last drain, in completion
+    /// order.
     pub fn drain_completions(&mut self) -> Vec<Completion> {
-        let total: usize = self.lanes.iter().map(|l| l.completions.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        for lane in &mut self.lanes {
-            out.append(&mut lane.completions);
-        }
-        out
+        std::mem::take(&mut self.completions)
     }
 
     /// Injects CPU contention on a host for a duration (the FIRM anomaly
@@ -2449,8 +2229,8 @@ impl Sim {
                 "CPU hog of {cores} cores on host {host}: must be finite and non-negative"
             )));
         }
-        self.lanes[h].ps.adjust_hog(self.now, cores);
-        self.touch_host_sim(h);
+        self.hosts[h].ps.adjust_hog(self.now, cores);
+        self.touch_host(h);
         self.push_ev(self.now + duration, Ev::HogEnd { host: h, cores });
         Ok(())
     }
@@ -2553,18 +2333,18 @@ impl Sim {
     /// Flushes a cache backend (the Type-4 metastability trigger).
     pub fn cache_flush(&mut self, backend: &str) -> Result<()> {
         let b = self.backend_idx(backend)?;
-        self.backend_rt_mut(b).cache.flush();
+        self.backends[b].cache.flush();
         Ok(())
     }
 
     /// Pre-fills a cache with keys `0..n` at the given version.
     pub fn cache_fill(&mut self, backend: &str, n: u64, version: u64) -> Result<()> {
         let b = self.backend_idx(backend)?;
-        let capacity = match self.backend_ref(b).kind {
+        let capacity = match self.backends[b].kind {
             BackendRtKind::Cache { capacity_items, .. } => capacity_items,
             _ => return Err(SimError::Unknown(format!("{backend} is not a cache"))),
         };
-        let BackendRt { cache, rng, .. } = self.backend_rt_mut(b);
+        let BackendRt { cache, rng, .. } = &mut self.backends[b];
         for k in 0..n.min(capacity) {
             cache.put(k, version, capacity, rng);
         }
@@ -2574,14 +2354,13 @@ impl Sim {
     /// Number of resident keys in a cache.
     pub fn cache_len(&self, backend: &str) -> Result<usize> {
         let b = self.backend_idx(backend)?;
-        Ok(self.backend_ref(b).cache.len())
+        Ok(self.backends[b].cache.len())
     }
 
     /// Pre-fills a store (every member) with keys `0..n`.
     pub fn store_fill(&mut self, backend: &str, n: u64, version: u64) -> Result<()> {
         let b = self.backend_idx(backend)?;
-        let store = &mut self.backend_rt_mut(b).store;
-        for m in &mut store.members {
+        for m in &mut self.backends[b].store.members {
             for k in 0..n {
                 m.map.insert(k, version);
             }
@@ -2594,14 +2373,14 @@ impl Sim {
     /// The current primary's version for a key (0 if absent).
     pub fn store_primary_version(&self, backend: &str, key: u64) -> Result<u64> {
         let b = self.backend_idx(backend)?;
-        Ok(self.backend_ref(b).store.primary_version(key))
+        Ok(self.backends[b].store.primary_version(key))
     }
 
     /// The non-primary members' versions for a key, in member order (empty
     /// when unreplicated).
     pub fn store_replica_versions(&self, backend: &str, key: u64) -> Result<Vec<u64>> {
         let b = self.backend_idx(backend)?;
-        let store = &self.backend_ref(b).store;
+        let store = &self.backends[b].store;
         Ok(store
             .peer_indices()
             .map(|i| store.members[i].map.get(&key).copied().unwrap_or(0))
@@ -2617,25 +2396,14 @@ impl Sim {
     /// A store's election generation (0 until the first failover).
     pub fn store_generation(&self, backend: &str) -> Result<u64> {
         let b = self.backend_idx(backend)?;
-        Ok(self.backend_ref(b).store.gen)
+        Ok(self.backends[b].store.gen)
     }
 
     fn backend_idx(&self, name: &str) -> Result<usize> {
-        (0..self.sh.backend_loc.len())
-            .find(|&i| self.sh.names.get(self.backend_ref(i).name) == name)
+        self.backends
+            .iter()
+            .position(|b| self.sh.names.get(b.name) == name)
             .ok_or_else(|| SimError::Unknown(format!("backend {name}")))
-    }
-
-    /// Re-arms a host's `HostCheck` after a driver/control-plane scheduler
-    /// perturbation (the executor-side equivalent lives in `Exec`).
-    fn touch_host_sim(&mut self, host: usize) {
-        let now = self.now;
-        let lane = &mut self.lanes[host];
-        lane.host_gen += 1;
-        let gen = lane.host_gen;
-        if let Some(t) = lane.ps.next_completion(now) {
-            self.push_ev(t, Ev::HostCheck { host, gen });
-        }
     }
 }
 

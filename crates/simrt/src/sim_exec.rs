@@ -1,113 +1,12 @@
-// Execution half of the simulator: event dispatch and the behavior
-// interpreter, as methods on the lane-event executor `Exec`. Included by
-// `sim.rs` (same module) to keep file sizes reviewable while sharing all
-// private types.
+// Execution half of the simulator: event dispatch, the behavior
+// interpreter and the control plane (faults, store failover, runtime
+// reconfiguration), all as methods on `Sim`. Included by `sim.rs` (same
+// module) to keep file sizes reviewable while sharing all private types.
 
-impl<'a> Exec<'a> {
+impl Sim {
     // ------------------------------------------------------------------
-    // Executor core: queue drain, event push, lane/entity access.
+    // Frame lifecycle (tables live on the frame's home host).
     // ------------------------------------------------------------------
-
-    /// Drains the lane wheel in `(time, seq)` order until the horizon
-    /// `until` (inclusive) or the first event at or beyond `bound`
-    /// (exclusive — the next pending control event).
-    fn run(&mut self, until: SimTime, bound: Option<EvKey>) {
-        while let Some(key) = self.events.peek_key() {
-            if key.0 > until || bound.is_some_and(|b| key >= b) {
-                return;
-            }
-            let e = self.events.pop().expect("peeked event exists");
-            self.now = e.time;
-            self.cur_host = ev_home_host(self.sh, &e.item).expect("lane event has a home host")
-                as u32;
-            self.dispatch(e.item);
-        }
-    }
-
-    /// Pushes a lane event, keyed by the current dispatch context: the high
-    /// key bits carry `cur_host`, the low bits that lane's private push
-    /// counter.
-    fn push_ev(&mut self, time: SimTime, ev: Ev) {
-        debug_assert!(
-            ev_home_host(self.sh, &ev).is_some(),
-            "the executor only pushes lane events"
-        );
-        let now = self.now;
-        let cur = self.cur_host;
-        let seq = {
-            let lane = self.lane(cur as usize);
-            debug_assert!(lane.ev_seq < SEQ_MASK);
-            let s = ((cur as u64) << CTX_SHIFT) | lane.ev_seq;
-            lane.ev_seq += 1;
-            s
-        };
-        self.events.push(evq::Entry {
-            time: time.max(now),
-            seq,
-            item: ev,
-        });
-    }
-
-    fn lane(&mut self, host: usize) -> &mut HostLane {
-        &mut self.lanes[host]
-    }
-
-    fn lane_ref(&self, host: usize) -> &HostLane {
-        &self.lanes[host]
-    }
-
-    // Entity accessors: global id → lane-local slot via the location tables.
-
-    fn proc_ref(&self, p: usize) -> &ProcRt {
-        let (h, l) = self.sh.proc_loc[p];
-        &self.lane_ref(h as usize).procs[l as usize]
-    }
-
-    fn proc_mut(&mut self, p: usize) -> &mut ProcRt {
-        let (h, l) = self.sh.proc_loc[p];
-        &mut self.lane(h as usize).procs[l as usize]
-    }
-
-    fn svc_ref(&self, s: usize) -> &SvcRt {
-        let (h, l) = self.sh.svc_loc[s];
-        &self.lane_ref(h as usize).services[l as usize]
-    }
-
-    fn svc_mut(&mut self, s: usize) -> &mut SvcRt {
-        let (h, l) = self.sh.svc_loc[s];
-        &mut self.lane(h as usize).services[l as usize]
-    }
-
-    /// Client by id, tolerating the [`UNBOUND_CLIENT`] sentinel (which flows
-    /// into response/bookkeeping paths for calls that failed to bind).
-    fn client_opt_mut(&mut self, client: u32) -> Option<&mut ClientRt> {
-        let (h, l) = *self.sh.client_loc.get(client as usize)?;
-        Some(&mut self.lane(h as usize).clients[l as usize])
-    }
-
-    fn client_mut(&mut self, client: u32) -> &mut ClientRt {
-        self.client_opt_mut(client).expect("client id valid")
-    }
-
-    fn backend_ref(&self, b: usize) -> &BackendRt {
-        let (h, l) = self.sh.backend_loc[b];
-        &self.lane_ref(h as usize).backends[l as usize]
-    }
-
-    fn backend_mut(&mut self, b: usize) -> &mut BackendRt {
-        let (h, l) = self.sh.backend_loc[b];
-        &mut self.lane(h as usize).backends[l as usize]
-    }
-
-    // Frame lifecycle (tables live on the frame's home lane).
-
-    fn frame(&mut self, id: FrameId) -> Option<&mut Frame> {
-        self.lane(id.host as usize).frame_mut(id)
-    }
-
-    fn take_frame(&mut self, id: FrameId) -> Option<Frame> {
-        self.lane(id.host as usize).take_frame(id)
-    }
 
     fn alloc_frame(
         &mut self,
@@ -118,12 +17,10 @@ impl<'a> Exec<'a> {
         prog: ProgId,
         parent_span: Option<(TraceId, SpanId)>,
     ) -> FrameId {
-        let sh = self.sh;
         let is_subtask = matches!(kind, FrameKind::SubTask { .. });
-        let (host, _) = sh.svc_loc[service];
+        let host = self.sh.proc_host[self.sh.svc_proc[service] as usize];
         let now = self.now;
         let mut stack = self
-            .lane(host as usize)
             .stack_pool
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(2));
@@ -132,7 +29,8 @@ impl<'a> Exec<'a> {
             pc: 0,
             repeat_left: 0,
         });
-        let (span, span_owned) = if !is_subtask && sh.record_traces && self.svc_ref(service).traced
+        let sh = &self.sh;
+        let (span, span_owned) = if !is_subtask && sh.record_traces && self.services[service].traced
         {
             let op = match &kind {
                 FrameKind::Entry { method, .. } => *method,
@@ -145,8 +43,8 @@ impl<'a> Exec<'a> {
                 sh.names.get(op),
                 now,
             );
-            self.counters.spans += 1;
-            if let Some(ob) = self.svc_ref(service).overhead_prog {
+            self.metrics.counters.spans += 1;
+            if let Some(ob) = self.services[service].overhead_prog {
                 stack.push(ExecCtx {
                     prog: ob,
                     pc: 0,
@@ -175,11 +73,23 @@ impl<'a> Exec<'a> {
             did_read: false,
             span,
             span_owned,
-            counted_admission: false,
+            // Served RPCs hold one of the service's admission slots.
+            counted_admission: matches!(kind, FrameKind::Rpc { .. }),
             deadline_ns: None,
             admitted_ns: now,
         };
-        self.lane(host as usize).insert_frame(host, frame)
+        self.live += 1;
+        self.hosts[host as usize].frames.insert(host, frame)
+    }
+
+    /// Removes a frame, recycling its interpreter stack.
+    fn release_frame(&mut self, id: FrameId) -> Option<Frame> {
+        let mut frame = self.hosts[id.host as usize].frames.remove(id)?;
+        self.live -= 1;
+        let mut stack = std::mem::take(&mut frame.stack);
+        stack.clear();
+        self.stack_pool.push(stack);
+        Some(frame)
     }
 
     // ------------------------------------------------------------------
@@ -193,21 +103,21 @@ impl<'a> Exec<'a> {
                 // Collect continuations first, then run them: every removal
                 // precedes any `run_cont` (which may add fresh jobs but can
                 // never cancel a due one on this path), so this matches
-                // remove-as-you-go order exactly. The lane's buffer is
+                // remove-as-you-go order exactly. The host's buffer is
                 // borrowed out for the loop and handed back empty.
                 let mut due = {
-                    let lane = self.lane(host);
-                    if lane.host_gen != gen {
+                    let h = &mut self.hosts[host];
+                    if h.host_gen != gen {
                         return;
                     }
-                    let mut due = std::mem::take(&mut lane.due);
-                    lane.ps.collect_due(now, &mut due);
+                    let mut due = std::mem::take(&mut h.due);
+                    h.ps.collect_due(now, &mut due);
                     due
                 };
                 for cont in due.drain(..) {
                     self.run_cont(cont);
                 }
-                self.lane(host).due = due;
+                self.hosts[host].due = due;
                 self.touch_host(host);
             }
             Ev::Resume { frame } => self.step_frame(frame),
@@ -219,74 +129,80 @@ impl<'a> Exec<'a> {
             }
             Ev::HogEnd { host, cores } => {
                 let now = self.now;
-                self.lane(host).ps.adjust_hog(now, -cores);
+                self.hosts[host].ps.adjust_hog(now, -cores);
                 self.touch_host(host);
             }
             Ev::ConnFreed { client } => {
-                if let Some(c) = self.client_opt_mut(client) {
+                if let Some(c) = self.clients.get_mut(client as usize) {
                     c.conns_in_use = c.conns_in_use.saturating_sub(1);
                 }
                 self.wake_waiters(client);
             }
             Ev::ReplicaApply { backend, member, key, version, gen } => {
-                let sh = self.sh;
-                let (cur_gen, armed, serving_proc, member_proc) = {
-                    let store = &self.backend_mut(backend).store;
-                    (
-                        store.gen,
-                        store.armed,
-                        sh.backend_proc[backend] as usize,
-                        store.members.get(member).map(|m| m.proc as usize),
-                    )
-                };
-                let Some(member_proc) = member_proc else { return };
-                // In-flight replication from a deposed primary dies with it.
-                if cur_gen != gen {
+                self.on_replica_apply(backend, member, key, version, gen)
+            }
+            Ev::FaultFire { fault } => self.apply_fault(fault),
+            Ev::ProcRestart { proc, gen } => {
+                if self.sh.proc_gen[proc] == gen && self.sh.proc_down[proc] {
+                    self.sh.proc_down[proc] = false;
+                    // A restarted store member (including a deposed primary)
+                    // resyncs from the current primary before serving again.
+                    self.resync_store_members(proc);
+                }
+            }
+            Ev::StoreFailover { backend, gen } => self.on_store_failover(backend, gen),
+            Ev::ChaosFire => self.on_chaos_fire(),
+            Ev::ReconfigFire { idx } => self.start_change(idx),
+            Ev::DrainDone { token } => self.on_drain_done(token),
+            Ev::RollAdvance { rolling } => self.on_roll_advance(rolling),
+            Ev::AutoscaleTick { scaler } => self.on_autoscale_tick(scaler),
+            Ev::CanaryEval { canary } => self.on_canary_eval(canary),
+        }
+    }
+
+    /// Applies one asynchronous replication write to a store member.
+    fn on_replica_apply(
+        &mut self,
+        backend: usize,
+        member: usize,
+        key: u64,
+        version: u64,
+        gen: u64,
+    ) {
+        let serving_proc = self.sh.backend_proc[backend] as usize;
+        let store = &self.backends[backend].store;
+        let Some(member_proc) = store.members.get(member).map(|m| m.proc as usize) else {
+            return;
+        };
+        // In-flight replication from a deposed primary dies with it.
+        if store.gen != gen {
+            return;
+        }
+        if store.armed {
+            // The member's process is down: the apply is lost; the
+            // restart resync will catch the member up instead.
+            if self.sh.proc_down[member_proc] {
+                return;
+            }
+            // Replication link fully cut: defer the apply to the
+            // partition's heal time (replica catch-up). Degraded
+            // (lossy but not cut) links deliver as usual.
+            if let Some(lf) = self.sh.link_faults.get(&(serving_proc, member_proc)) {
+                if lf.loss >= 1.0 && self.now < lf.until {
+                    let until = lf.until;
+                    self.push_ev(until, Ev::ReplicaApply { backend, member, key, version, gen });
                     return;
                 }
-                if armed {
-                    // The member's process is down: the apply is lost; the
-                    // restart resync will catch the member up instead.
-                    if sh.proc_down[member_proc] {
-                        return;
-                    }
-                    // Replication link fully cut: defer the apply to the
-                    // partition's heal time (replica catch-up). Degraded
-                    // (lossy but not cut) links deliver as usual.
-                    if let Some(lf) = sh.link_faults.get(&(serving_proc, member_proc)) {
-                        if lf.loss >= 1.0 && self.now < lf.until {
-                            let until = lf.until;
-                            self.push_ev(
-                                until,
-                                Ev::ReplicaApply { backend, member, key, version, gen },
-                            );
-                            return;
-                        }
-                    }
-                }
-                let store = &mut self.backend_mut(backend).store;
-                if let Some(m) = store.members.get_mut(member) {
-                    let slot = m.map.entry(key).or_insert(0);
-                    if version > *slot {
-                        *slot = version;
-                    }
-                    m.applied += 1;
-                    m.watermark = m.watermark.max(version);
-                }
             }
-            // Control events never reach the lane wheel (`ev_home_host`
-            // routes them to the control queue).
-            Ev::FaultFire { .. }
-            | Ev::ProcRestart { .. }
-            | Ev::ChaosFire
-            | Ev::ReconfigFire { .. }
-            | Ev::DrainDone { .. }
-            | Ev::RollAdvance { .. }
-            | Ev::AutoscaleTick { .. }
-            | Ev::CanaryEval { .. }
-            | Ev::StoreFailover { .. } => {
-                unreachable!("control event on the lane queue")
+        }
+        let store = &mut self.backends[backend].store;
+        if let Some(m) = store.members.get_mut(member) {
+            let slot = m.map.entry(key).or_insert(0);
+            if version > *slot {
+                *slot = version;
             }
+            m.applied += 1;
+            m.watermark = m.watermark.max(version);
         }
     }
 
@@ -325,15 +241,15 @@ impl<'a> Exec<'a> {
                     .base_heap_bytes;
                 let now = self.now;
                 let (host, started) = {
-                    let p = self.proc_mut(proc);
+                    let p = &mut self.procs[proc];
                     let started = p.gc_started_ns;
                     p.heap = base;
                     p.in_gc = false;
                     p.gc_job = None;
                     (p.host, started)
                 };
-                self.counters.gc_pause_ns += now.saturating_sub(started);
-                self.lane(host).ps.unfreeze_proc(now, proc);
+                self.metrics.counters.gc_pause_ns += now.saturating_sub(started);
+                self.hosts[host].ps.unfreeze_proc(now, proc);
                 self.touch_host(host);
             }
         }
@@ -347,9 +263,9 @@ impl<'a> Exec<'a> {
     fn touch_host(&mut self, host: usize) {
         let now = self.now;
         let (gen, next) = {
-            let lane = self.lane(host);
-            lane.host_gen += 1;
-            (lane.host_gen, lane.ps.next_completion(now))
+            let h = &mut self.hosts[host];
+            h.host_gen += 1;
+            (h.host_gen, h.ps.next_completion(now))
         };
         if let Some(t) = next {
             self.push_ev(t, Ev::HostCheck { host, gen });
@@ -359,10 +275,10 @@ impl<'a> Exec<'a> {
     /// Adds a CPU job on `host` tagged with `proc_tag` (frozen if that
     /// process is mid-GC). Returns the job id so callers can track it.
     fn add_job_on(&mut self, host: usize, proc_tag: usize, work_ns: f64, cont: JobCont) -> JobId {
-        let frozen = proc_tag != NO_PROC && self.proc_ref(proc_tag).in_gc;
+        let frozen = proc_tag != NO_PROC && self.procs[proc_tag].in_gc;
         let now = self.now;
         let job = {
-            let ps = &mut self.lane(host).ps;
+            let ps = &mut self.hosts[host].ps;
             if frozen {
                 ps.add_frozen(now, work_ns, proc_tag, cont)
             } else {
@@ -381,11 +297,10 @@ impl<'a> Exec<'a> {
 
     /// Records a heap allocation, potentially triggering a GC pause.
     fn heap_alloc(&mut self, proc: usize, bytes: u64) {
-        let sh = self.sh;
-        let Some(gc) = sh.gc_specs[proc].as_ref() else { return };
+        let Some(gc) = self.sh.gc_specs[proc].as_ref() else { return };
         let now = self.now;
         let (trigger, host, heap_mib) = {
-            let p = self.proc_mut(proc);
+            let p = &mut self.procs[proc];
             p.heap += bytes;
             let threshold = gc.base_heap_bytes as f64 * (1.0 + gc.gogc_percent / 100.0);
             let trigger = !p.in_gc && p.heap as f64 >= threshold;
@@ -396,11 +311,11 @@ impl<'a> Exec<'a> {
             (trigger, p.host, (p.heap >> 20).max(1))
         };
         if trigger {
-            self.counters.gc_pauses += 1;
-            self.lane(host).ps.freeze_proc(now, proc);
+            self.metrics.counters.gc_pauses += 1;
+            self.hosts[host].ps.freeze_proc(now, proc);
             let pause_work = (gc.pause_cpu_ns_per_mib * heap_mib) as f64;
             let job = self.add_job_on(host, NO_PROC, pause_work, JobCont::GcEnd { proc });
-            self.proc_mut(proc).gc_job = Some(job);
+            self.procs[proc].gc_job = Some(job);
         }
     }
 
@@ -412,20 +327,17 @@ impl<'a> Exec<'a> {
     fn step_frame(&mut self, fid: FrameId) {
         loop {
             // Resolve the next step under a short borrow. The program arena
-            // lives in `Shared` (a plain `&` alongside `&mut self`), so it
+            // and the frame table are disjoint fields of `Sim`, so the arena
             // can be read while the frame is borrowed mutably.
             enum Next {
                 Blocked,
                 Done(bool),
-                Step(ProgId, usize),
+                Step { prog: ProgId, pc: usize, proc: usize, entity: u64, root: u64 },
             }
-            let sh = self.sh;
             let next = {
-                let progs = &sh.progs;
-                let lane = self.lane(fid.host as usize);
-                let frame = match lane.frames.get_mut(fid.idx as usize) {
-                    Some(Some(f)) if f.gen == fid.gen => f,
-                    _ => return,
+                let progs = &self.sh.progs;
+                let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) else {
+                    return;
                 };
                 if frame.pending_children > 0 {
                     // Parallel join still outstanding.
@@ -445,30 +357,33 @@ impl<'a> Exec<'a> {
                     match frame.stack.last_mut() {
                         None => Next::Done(!frame.failed),
                         Some(ctx) => {
-                            let p = ctx.prog;
-                            let pc = ctx.pc;
+                            let (prog, pc) = (ctx.prog, ctx.pc);
                             ctx.pc += 1;
-                            Next::Step(p, pc)
+                            Next::Step {
+                                prog,
+                                pc,
+                                proc: self.sh.svc_proc[frame.service] as usize,
+                                entity: frame.entity,
+                                root: frame.root_seq,
+                            }
                         }
                     }
                 }
             };
-            let (prog, pc) = match next {
+            let (prog, pc, proc, entity, root) = match next {
                 Next::Blocked => return,
                 Next::Done(ok) => {
                     self.complete_frame(fid, ok);
                     return;
                 }
-                Next::Step(p, pc) => (p, pc),
+                Next::Step { prog, pc, proc, entity, root } => (prog, pc, proc, entity, root),
             };
 
             // Steps are `Copy`: read the current one out of the arena so no
             // borrow is held across the dispatch below.
-            let step = sh.progs.get(prog).steps[pc];
+            let step = self.sh.progs.get(prog).steps[pc];
             match step {
                 CStep::Compute { cpu_ns, alloc_bytes } => {
-                    let svc = self.frame(fid).expect("frame alive").service;
-                    let proc = sh.svc_proc[svc] as usize;
                     self.heap_alloc(proc, alloc_bytes);
                     self.add_proc_job(proc, cpu_ns as f64, JobCont::FrameStep(fid));
                     return;
@@ -478,14 +393,13 @@ impl<'a> Exec<'a> {
                     return;
                 }
                 CStep::Cache { client, dest, op, key } => {
-                    let (entity, root, svc) = self.frame_entity_root(fid);
-                    let proc = sh.svc_proc[svc] as usize;
                     // A cache fill after a read stores the version that was
                     // read (even "absent", version 0); a pure write path
                     // stamps its own write version. This keeps version
                     // propagation faithful for the consistency experiments.
                     let root = {
-                        let f = self.frame(fid).expect("frame alive");
+                        let f = self.hosts[fid.host as usize].frames.get_mut(fid);
+                        let f = f.expect("frame alive");
                         if f.did_read {
                             f.observed_version
                         } else {
@@ -514,8 +428,6 @@ impl<'a> Exec<'a> {
                     return;
                 }
                 CStep::CacheGetOrFetch { client, dest, key, on_miss } => {
-                    let (entity, _, svc) = self.frame_entity_root(fid);
-                    let proc = sh.svc_proc[svc] as usize;
                     let k = self.resolve_key(key, entity, proc);
                     self.begin_call(
                         fid,
@@ -527,8 +439,6 @@ impl<'a> Exec<'a> {
                     return;
                 }
                 CStep::Db { client, dest, op, key } => {
-                    let (entity, root, svc) = self.frame_entity_root(fid);
-                    let proc = sh.svc_proc[svc] as usize;
                     let k = self.resolve_key(key, entity, proc);
                     let bop = match op {
                         DbOp::Read => BackendOp::StoreRead { key: k },
@@ -543,12 +453,13 @@ impl<'a> Exec<'a> {
                     return;
                 }
                 CStep::Parallel(branches) => {
-                    let live: Vec<ProgId> = sh
+                    let live: Vec<ProgId> = self
+                        .sh
                         .progs
                         .list(branches)
                         .iter()
                         .copied()
-                        .filter(|b| !sh.progs.get(*b).steps.is_empty())
+                        .filter(|b| !self.sh.progs.get(*b).steps.is_empty())
                         .collect();
                     if live.is_empty() {
                         continue;
@@ -557,16 +468,11 @@ impl<'a> Exec<'a> {
                     // would corrupt the join counter.
                     let n_live =
                         u32::try_from(live.len()).expect("parallel fan-out exceeds u32 children");
-                    let (service, entity, root, span, deadline) = {
-                        let frame = self.frame(fid).expect("frame alive");
+                    let (service, span, deadline) = {
+                        let frame = self.hosts[fid.host as usize].frames.get_mut(fid);
+                        let frame = frame.expect("frame alive");
                         frame.pending_children = n_live;
-                        (
-                            frame.service,
-                            frame.entity,
-                            frame.root_seq,
-                            frame.span,
-                            frame.deadline_ns,
-                        )
+                        (frame.service, frame.span, frame.deadline_ns)
                     };
                     for b in live {
                         let child = self.alloc_frame(
@@ -578,32 +484,31 @@ impl<'a> Exec<'a> {
                             span,
                         );
                         // Parallel branches run under the parent's deadline.
-                        self.frame(child).expect("fresh frame").deadline_ns = deadline;
+                        let frame = self.hosts[child.host as usize].frames.get_mut(child);
+                        frame.expect("fresh frame").deadline_ns = deadline;
                         self.push_ev(self.now, Ev::Resume { frame: child });
                     }
                     return;
                 }
                 CStep::Branch { prob, then, otherwise } => {
-                    let svc = self.frame(fid).expect("frame alive").service;
-                    let proc = sh.svc_proc[svc] as usize;
-                    let cond = self.proc_mut(proc).rng.gen::<f64>() < prob;
+                    let cond = self.procs[proc].rng.gen::<f64>() < prob;
                     let chosen = if cond { then } else { otherwise };
-                    if !sh.progs.get(chosen).steps.is_empty() {
+                    if !self.sh.progs.get(chosen).steps.is_empty() {
                         let ctx = ExecCtx { prog: chosen, pc: 0, repeat_left: 0 };
-                        self.frame(fid).expect("frame alive").stack.push(ctx);
+                        let frame = self.hosts[fid.host as usize].frames.get_mut(fid);
+                        frame.expect("frame alive").stack.push(ctx);
                     }
                 }
                 CStep::Repeat { times, body } => {
-                    if times > 0 && !sh.progs.get(body).steps.is_empty() {
+                    if times > 0 && !self.sh.progs.get(body).steps.is_empty() {
                         let ctx = ExecCtx { prog: body, pc: 0, repeat_left: times - 1 };
-                        self.frame(fid).expect("frame alive").stack.push(ctx);
+                        let frame = self.hosts[fid.host as usize].frames.get_mut(fid);
+                        frame.expect("frame alive").stack.push(ctx);
                     }
                 }
                 CStep::Fail { prob } => {
-                    let svc = self.frame(fid).expect("frame alive").service;
-                    let proc = sh.svc_proc[svc] as usize;
-                    if self.proc_mut(proc).rng.gen::<f64>() < prob {
-                        if let Some(frame) = self.frame(fid) {
+                    if self.procs[proc].rng.gen::<f64>() < prob {
+                        if let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) {
                             frame.last_err = Some(CallErr::Fault);
                         }
                         self.fail_frame(fid);
@@ -614,11 +519,6 @@ impl<'a> Exec<'a> {
         }
     }
 
-    fn frame_entity_root(&mut self, fid: FrameId) -> (u64, u64, usize) {
-        let frame = self.frame(fid).expect("frame alive");
-        (frame.entity, frame.root_seq, frame.service)
-    }
-
     /// Resolves a key expression; random keys draw from the stream of the
     /// process evaluating the step.
     fn resolve_key(&mut self, expr: KeyExpr, entity: u64, proc: usize) -> u64 {
@@ -626,7 +526,7 @@ impl<'a> Exec<'a> {
             KeyExpr::Entity => entity,
             KeyExpr::EntityMod(m) => entity % m.max(1),
             KeyExpr::Const(k) => k,
-            KeyExpr::Random(m) => self.proc_mut(proc).rng.gen_range(0..m.max(1)),
+            KeyExpr::Random(m) => self.procs[proc].rng.gen_range(0..m.max(1)),
         }
     }
 
@@ -644,7 +544,7 @@ impl<'a> Exec<'a> {
         on_miss: Option<ProgId>,
     ) {
         let seq = {
-            let Some(frame) = self.frame(fid) else { return };
+            let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) else { return };
             let seq = frame.next_call_seq;
             frame.next_call_seq += 1;
             frame.call = Some(OutstandingCall {
@@ -669,7 +569,7 @@ impl<'a> Exec<'a> {
     fn begin_attempt(&mut self, fid: FrameId, seq: u32) {
         // Gather everything under short borrows.
         let (svc, entity, root_seq, span, attempt, client_id, backend_op, dest, frame_deadline) = {
-            let Some(frame) = self.frame(fid) else { return };
+            let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) else { return };
             let Some(call) = &frame.call else { return };
             if call.seq != seq || call.concluded {
                 return;
@@ -704,7 +604,7 @@ impl<'a> Exec<'a> {
         // be the sentinel, so from here on the client resolves.
         let first_attempt = attempt == 0;
         let (timeout_ns, transport, client_overhead_ns, deadline_spec) = {
-            let client = self.client_mut(client_id);
+            let client = &mut self.clients[client_id as usize];
             if first_attempt {
                 // Retry budget: each first attempt deposits `ratio` tokens,
                 // so retries system-wide stay below `ratio` of real traffic.
@@ -721,7 +621,7 @@ impl<'a> Exec<'a> {
             )
         };
         if first_attempt {
-            self.counters.client_calls += 1;
+            self.metrics.counters.client_calls += 1;
         }
 
         // Deadline propagation: compute the deadline this attempt carries.
@@ -739,7 +639,7 @@ impl<'a> Exec<'a> {
         let expired = frame_deadline.map(|d| self.now >= d).unwrap_or(false)
             || attempt_deadline.map(|d| d <= self.now).unwrap_or(false);
         if expired {
-            self.counters.deadline_exceeded += 1;
+            self.metrics.counters.deadline_exceeded += 1;
             self.push_ev(
                 self.now,
                 Ev::DeliverResponse {
@@ -754,7 +654,7 @@ impl<'a> Exec<'a> {
 
         // Circuit breaker.
         if !self.breaker_allow(client_id) {
-            self.counters.breaker_rejections += 1;
+            self.metrics.counters.breaker_rejections += 1;
             self.push_ev(
                 self.now,
                 Ev::DeliverResponse {
@@ -791,7 +691,8 @@ impl<'a> Exec<'a> {
                 let idx = if self.sh.reconfig_on {
                     self.pick_replica_live(client_id, policy, targets, root_seq)
                 } else {
-                    self.pick_replica_plain(client_id, policy, targets)
+                    let n = self.sh.progs.targets(targets).len();
+                    Self::pick_replica_plain(&mut self.clients[client_id as usize], policy, n)
                 };
                 let (tsvc, method) = self.sh.progs.targets(targets)[idx];
                 (CallTarget::Service { svc: tsvc, method }, idx)
@@ -813,11 +714,11 @@ impl<'a> Exec<'a> {
                 return;
             }
         };
-        let client = self.client_mut(client_id);
+        let client = &mut self.clients[client_id as usize];
         if let Some(slot) = client.outstanding.get_mut(chosen) {
             *slot += 1;
         }
-        if let Some(frame) = self.frame(fid) {
+        if let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) {
             if let Some(c) = &mut frame.call {
                 c.chosen = Some(chosen);
                 c.attempt_deadline = attempt_deadline;
@@ -865,7 +766,7 @@ impl<'a> Exec<'a> {
             }
             TransportSpec::Thrift { pool, .. } => {
                 let got_conn = {
-                    let client = self.client_mut(client_id);
+                    let client = &mut self.clients[client_id as usize];
                     if client.conns_in_use < *pool {
                         client.conns_in_use += 1;
                         true
@@ -875,13 +776,13 @@ impl<'a> Exec<'a> {
                     }
                 };
                 if got_conn {
-                    if let Some(frame) = self.frame(fid) {
+                    if let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) {
                         if let Some(c) = &mut frame.call {
                             c.holds_conn = true;
                         }
                     }
                     self.send_request_with_serialize(svc, msg, total_client_work, net_ns);
-                } else if let Some(frame) = self.frame(fid) {
+                } else if let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) {
                     if let Some(c) = &mut frame.call {
                         c.queued_msg = Some(msg);
                     }
@@ -904,20 +805,19 @@ impl<'a> Exec<'a> {
         work_ns: u64,
         mut net_ns: u64,
     ) {
-        let sh = self.sh;
-        let proc = sh.svc_proc[client_svc] as usize;
-        if !sh.link_faults.is_empty() {
+        let proc = self.sh.svc_proc[client_svc] as usize;
+        if !self.sh.link_faults.is_empty() {
             let dst = match msg.target {
-                CallTarget::Service { svc, .. } => sh.svc_proc[svc] as usize,
-                CallTarget::Backend { backend, .. } => sh.backend_proc[backend] as usize,
+                CallTarget::Service { svc, .. } => self.sh.svc_proc[svc] as usize,
+                CallTarget::Backend { backend, .. } => self.sh.backend_proc[backend] as usize,
             };
-            if let Some(lf) = sh.link_faults.get(&(proc, dst)).copied() {
+            if let Some(lf) = self.sh.link_faults.get(&(proc, dst)).copied() {
                 if self.now < lf.until {
                     // Loss coin: the sender's process stream.
                     let lost = lf.loss >= 1.0
-                        || (lf.loss > 0.0 && self.proc_mut(proc).rng.gen::<f64>() < lf.loss);
+                        || (lf.loss > 0.0 && self.procs[proc].rng.gen::<f64>() < lf.loss);
                     if lost {
-                        self.counters.link_unreachable += 1;
+                        self.metrics.counters.link_unreachable += 1;
                         let t = self.now + msg.reply.net_ns;
                         self.push_ev(
                             t,
@@ -945,7 +845,7 @@ impl<'a> Exec<'a> {
     fn wake_waiters(&mut self, client_id: u32) {
         loop {
             let (fid, seq, attempt) = {
-                let Some(client) = self.client_opt_mut(client_id) else { return };
+                let Some(client) = self.clients.get_mut(client_id as usize) else { return };
                 let TransportSpec::Thrift { pool, .. } = client.spec.transport else { return };
                 if client.conns_in_use >= pool {
                     return;
@@ -955,7 +855,8 @@ impl<'a> Exec<'a> {
             };
             // Validate the waiter is still the current attempt.
             let msg = {
-                let Some(frame) = self.frame(fid) else { continue };
+                let frame = self.hosts[fid.host as usize].frames.get_mut(fid);
+                let Some(frame) = frame else { continue };
                 let Some(call) = &mut frame.call else { continue };
                 if call.seq != seq || call.attempt != attempt || call.concluded {
                     continue;
@@ -964,7 +865,7 @@ impl<'a> Exec<'a> {
                 call.queued_msg.take()
             };
             let Some(msg) = msg else { continue };
-            let client = self.client_mut(client_id);
+            let client = &mut self.clients[client_id as usize];
             client.conns_in_use += 1;
             let spec_overhead = client.spec.client_overhead_ns;
             let (ser, net) = match client.spec.transport {
@@ -976,21 +877,18 @@ impl<'a> Exec<'a> {
         }
     }
 
-    /// Historical replica pick: the exact sequence used when no reconfig
-    /// plan is active.
-    fn pick_replica_plain(&mut self, client_id: u32, policy: LbPolicy, targets: TargetsId) -> usize {
-        let n_targets = self.sh.progs.targets(targets).len();
+    /// Historical replica pick over `n` targets: the exact sequence used
+    /// when no reconfig plan is active.
+    fn pick_replica_plain(client: &mut ClientRt, policy: LbPolicy, n: usize) -> usize {
         match policy {
             LbPolicy::RoundRobin => {
-                let client = self.client_mut(client_id);
-                let i = client.rr % n_targets;
+                let i = client.rr % n;
                 client.rr = client.rr.wrapping_add(1);
                 i
             }
             // Random balancing draws from the client's own stream.
-            LbPolicy::Random => self.client_mut(client_id).rng.gen_range(0..n_targets),
-            LbPolicy::LeastOutstanding => self
-                .client_mut(client_id)
+            LbPolicy::Random => client.rng.gen_range(0..n),
+            LbPolicy::LeastOutstanding => client
                 .outstanding
                 .iter()
                 .enumerate()
@@ -1014,7 +912,8 @@ impl<'a> Exec<'a> {
         targets: TargetsId,
         root_seq: u64,
     ) -> usize {
-        let sh = self.sh;
+        let sh = &self.sh;
+        let client = &mut self.clients[client_id as usize];
         let list = sh.progs.targets(targets);
         let n = list.len();
         let mut canary_pos = None;
@@ -1034,11 +933,10 @@ impl<'a> Exec<'a> {
         };
         let eligible = (0..n).filter(|&i| ok(i)).count();
         if eligible == 0 {
-            return self.pick_replica_plain(client_id, policy, targets);
+            return Self::pick_replica_plain(client, policy, n);
         }
         match policy {
             LbPolicy::RoundRobin => {
-                let client = self.client_mut(client_id);
                 let start = client.rr % n;
                 client.rr = client.rr.wrapping_add(1);
                 (0..n)
@@ -1047,20 +945,17 @@ impl<'a> Exec<'a> {
                     .expect("eligible > 0")
             }
             LbPolicy::Random => {
-                let j = self.client_mut(client_id).rng.gen_range(0..eligible);
+                let j = client.rng.gen_range(0..eligible);
                 (0..n).filter(|&i| ok(i)).nth(j).expect("eligible > 0")
             }
-            LbPolicy::LeastOutstanding => {
-                let client = self.client_mut(client_id);
-                client
-                    .outstanding
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| ok(*i))
-                    .min_by_key(|(_, n)| **n)
-                    .map(|(i, _)| i)
-                    .expect("eligible > 0")
-            }
+            LbPolicy::LeastOutstanding => client
+                .outstanding
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| ok(*i))
+                .min_by_key(|(_, n)| **n)
+                .map(|(i, _)| i)
+                .expect("eligible > 0"),
         }
     }
 
@@ -1069,11 +964,10 @@ impl<'a> Exec<'a> {
     // ------------------------------------------------------------------
 
     fn on_deliver_request(&mut self, req: RequestMsg) {
-        let sh = self.sh;
         match req.target {
             CallTarget::Service { svc, method } => {
-                let proc = sh.svc_proc[svc] as usize;
-                if sh.proc_down[proc] {
+                let proc = self.sh.svc_proc[svc] as usize;
+                if self.sh.proc_down[proc] {
                     let t = self.now + req.reply.net_ns;
                     self.push_ev(
                         t,
@@ -1089,8 +983,8 @@ impl<'a> Exec<'a> {
                 // A draining or out-of-rotation replica stops admitting new
                 // work: callers see the stable `drain` class and fail over.
                 // In-flight frames (admitted before the drain) still finish.
-                if sh.reconfig_on && (!sh.svc_active[svc] || sh.svc_draining[svc]) {
-                    self.counters.drain_rejections += 1;
+                if self.sh.reconfig_on && (!self.sh.svc_active[svc] || self.sh.svc_draining[svc]) {
+                    self.metrics.counters.drain_rejections += 1;
                     let t = self.now + req.reply.net_ns;
                     self.push_ev(
                         t,
@@ -1107,7 +1001,7 @@ impl<'a> Exec<'a> {
                 // arrival: reject before admission so no server capacity is
                 // spent on a reply nobody is waiting for.
                 if req.deadline_ns.map(|d| self.now >= d).unwrap_or(false) {
-                    self.counters.deadline_exceeded += 1;
+                    self.metrics.counters.deadline_exceeded += 1;
                     let t = self.now + req.reply.net_ns;
                     self.push_ev(
                         t,
@@ -1125,13 +1019,13 @@ impl<'a> Exec<'a> {
                 // The RNG (the serving process's stream) is drawn only while
                 // the shed probability is positive, so an idle controller
                 // costs nothing.
-                let shed_p = match &self.svc_ref(svc).shed {
+                let shed_p = match &self.services[svc].shed {
                     Some(ctl) if ctl.p > 0.0 => Some(ctl.p),
                     _ => None,
                 };
                 if let Some(p) = shed_p {
-                    if self.proc_mut(proc).rng.gen::<f64>() < p {
-                        self.counters.shed_rejections += 1;
+                    if self.procs[proc].rng.gen::<f64>() < p {
+                        self.metrics.counters.shed_rejections += 1;
                         let t = self.now + req.reply.net_ns;
                         self.push_ev(
                             t,
@@ -1146,11 +1040,11 @@ impl<'a> Exec<'a> {
                     }
                 }
                 let (at_capacity, prog) = {
-                    let s = self.svc_ref(svc);
+                    let s = &self.services[svc];
                     (s.active >= s.max_concurrent, s.methods.get(method as usize).copied())
                 };
                 if at_capacity {
-                    self.counters.admission_rejections += 1;
+                    self.metrics.counters.admission_rejections += 1;
                     let t = self.now + req.reply.net_ns;
                     self.push_ev(
                         t,
@@ -1177,7 +1071,7 @@ impl<'a> Exec<'a> {
                     return;
                 };
                 {
-                    let s = self.svc_mut(svc);
+                    let s = &mut self.services[svc];
                     s.active += 1;
                     s.served += 1;
                 }
@@ -1194,19 +1088,18 @@ impl<'a> Exec<'a> {
                     prog,
                     req.parent_span,
                 );
-                let frame = self.frame(fid).expect("fresh frame");
-                frame.counted_admission = true;
-                frame.deadline_ns = req.deadline_ns;
+                let frame = self.hosts[fid.host as usize].frames.get_mut(fid);
+                frame.expect("fresh frame").deadline_ns = req.deadline_ns;
                 self.step_frame(fid);
             }
             CallTarget::Backend { backend, op } => {
-                let proc = sh.backend_proc[backend] as usize;
-                let err = if sh.proc_down[proc] {
+                let proc = self.sh.backend_proc[backend] as usize;
+                let err = if self.sh.proc_down[proc] {
                     Some(CallErr::Crash)
                 } else {
-                    let b = self.backend_ref(backend);
+                    let b = &self.backends[backend];
                     if self.now < b.brownout_until && b.brownout_unavailable {
-                        self.counters.brownout_rejections += 1;
+                        self.metrics.counters.brownout_rejections += 1;
                         Some(CallErr::Brownout)
                     } else {
                         None
@@ -1226,7 +1119,7 @@ impl<'a> Exec<'a> {
                     return;
                 }
                 let (cpu, latency) = self.backend_cost(backend, &op);
-                let host = sh.proc_host[proc] as usize;
+                let host = self.sh.proc_host[proc] as usize;
                 self.add_job_on(host, proc, cpu, JobCont::BackendExec { req, latency_ns: latency });
             }
         }
@@ -1235,7 +1128,7 @@ impl<'a> Exec<'a> {
     /// CPU work and fixed latency of a backend op. A browned-out backend
     /// (slow-factor variant) has both inflated by `brownout_slow`.
     fn backend_cost(&self, backend: usize, op: &BackendOp) -> (f64, u64) {
-        let b = self.backend_ref(backend);
+        let b = &self.backends[backend];
         let (cpu, lat) = match &b.kind {
             BackendRtKind::Cache { op_latency_ns, cpu_per_op_ns, cpu_per_item_ns, .. } => {
                 let items = match op {
@@ -1296,10 +1189,10 @@ impl<'a> Exec<'a> {
             return (CallOutcome::failure(CallErr::Fault), 0);
         };
         let b = *backend;
-        self.backend_mut(b).stats_dirty = true;
+        self.backends[b].stats_dirty = true;
         match op {
             BackendOp::CacheGet { key } => {
-                let backend_rt = self.backend_mut(b);
+                let backend_rt = &mut self.backends[b];
                 let hit = backend_rt.cache.get(*key);
                 let stats = &mut backend_rt.stats;
                 stats.reads += 1;
@@ -1316,7 +1209,7 @@ impl<'a> Exec<'a> {
                 (outcome, 0)
             }
             BackendOp::CachePut { key, version } => {
-                let backend_rt = self.backend_mut(b);
+                let backend_rt = &mut self.backends[b];
                 let capacity = match backend_rt.kind {
                     BackendRtKind::Cache { capacity_items, .. } => capacity_items,
                     _ => u64::MAX,
@@ -1329,14 +1222,14 @@ impl<'a> Exec<'a> {
                 (CallOutcome::success(0), 0)
             }
             BackendOp::CacheDelete { key } => {
-                let backend_rt = self.backend_mut(b);
+                let backend_rt = &mut self.backends[b];
                 backend_rt.cache.delete(*key);
                 backend_rt.stats.writes += 1;
                 (CallOutcome::success(0), 0)
             }
             BackendOp::CacheMulti { key, write, version, .. } => {
                 if *write {
-                    let backend_rt = self.backend_mut(b);
+                    let backend_rt = &mut self.backends[b];
                     let capacity = match backend_rt.kind {
                         BackendRtKind::Cache { capacity_items, .. } => capacity_items,
                         _ => u64::MAX,
@@ -1346,7 +1239,7 @@ impl<'a> Exec<'a> {
                     stats.writes += 1;
                     (CallOutcome::success(0), 0)
                 } else {
-                    let backend_rt = self.backend_mut(b);
+                    let backend_rt = &mut self.backends[b];
                     let v = backend_rt.cache.get(*key);
                     let stats = &mut backend_rt.stats;
                     stats.reads += 1;
@@ -1371,12 +1264,12 @@ impl<'a> Exec<'a> {
                 self.store_write(b, *key, *version, req.entity)
             }
             BackendOp::StoreScan { .. } => {
-                self.backend_mut(b).stats.reads += 1;
+                self.backends[b].stats.reads += 1;
                 (CallOutcome::success(0), 0)
             }
             BackendOp::QueuePush => {
                 let (capacity, len) = {
-                    let backend_rt = self.backend_ref(b);
+                    let backend_rt = &self.backends[b];
                     let capacity = match backend_rt.kind {
                         BackendRtKind::Queue { capacity, .. } => capacity,
                         _ => u64::MAX,
@@ -1384,18 +1277,18 @@ impl<'a> Exec<'a> {
                     (capacity, backend_rt.queue.len() as u64)
                 };
                 if len >= capacity {
-                    self.counters.queue_drops += 1;
+                    self.metrics.counters.queue_drops += 1;
                     (CallOutcome::failure(CallErr::QueueFull), 0)
                 } else {
                     let entity = req.entity;
-                    let backend_rt = self.backend_mut(b);
+                    let backend_rt = &mut self.backends[b];
                     backend_rt.queue.push_back(entity);
                     backend_rt.stats.writes += 1;
                     (CallOutcome::success(0), 0)
                 }
             }
             BackendOp::QueuePop => {
-                let backend_rt = self.backend_mut(b);
+                let backend_rt = &mut self.backends[b];
                 backend_rt.queue.pop_front();
                 backend_rt.stats.reads += 1;
                 (CallOutcome::success(0), 0)
@@ -1405,9 +1298,8 @@ impl<'a> Exec<'a> {
 
     /// A store read under the store's consistency mode.
     fn store_read(&mut self, b: usize, key: u64, entity: u64) -> (CallOutcome, u64) {
-        let sh = self.sh;
-        let serving_proc = sh.backend_proc[b] as usize;
-        let (mode, read_latency_ns) = match self.backend_ref(b).kind {
+        let serving_proc = self.sh.backend_proc[b] as usize;
+        let (mode, read_latency_ns) = match self.backends[b].kind {
             BackendRtKind::Store { consistency, read_latency_ns, .. } => {
                 (consistency, read_latency_ns)
             }
@@ -1415,7 +1307,7 @@ impl<'a> Exec<'a> {
         };
         // Pull the member layout out first (immutable), then mutate.
         let (armed, peers): (bool, Vec<(usize, usize)>) = {
-            let store = &self.backend_ref(b).store;
+            let store = &self.backends[b].store;
             (
                 store.armed,
                 store.peer_indices().map(|i| (i, store.members[i].proc as usize)).collect(),
@@ -1424,7 +1316,7 @@ impl<'a> Exec<'a> {
         let serves = |me: &Self, proc: usize| !armed || me.store_member_serves(serving_proc, proc);
         match mode {
             ConsistencyMode::Primary => {
-                let backend_rt = self.backend_mut(b);
+                let backend_rt = &mut self.backends[b];
                 let version = backend_rt.store.primary_version(key);
                 backend_rt.stats.reads += 1;
                 (CallOutcome::success(version), 0)
@@ -1439,7 +1331,7 @@ impl<'a> Exec<'a> {
                 } else {
                     let n = peers.len();
                     let start = {
-                        let store = &mut self.backend_mut(b).store;
+                        let store = &mut self.backends[b].store;
                         let s = store.rr % n;
                         store.rr = store.rr.wrapping_add(1);
                         s
@@ -1450,7 +1342,7 @@ impl<'a> Exec<'a> {
                 };
                 let mut redirect = false;
                 let (version, from_replica) = {
-                    let store = &self.backend_ref(b).store;
+                    let store = &self.backends[b].store;
                     match chosen {
                         Some((i, _)) => {
                             let mut v =
@@ -1474,8 +1366,8 @@ impl<'a> Exec<'a> {
                         None => (store.primary_version(key), false),
                     }
                 };
-                let primary_version = self.backend_ref(b).store.primary_version(key);
-                let backend_rt = self.backend_mut(b);
+                let primary_version = self.backends[b].store.primary_version(key);
+                let backend_rt = &mut self.backends[b];
                 backend_rt.stats.reads += 1;
                 if redirect {
                     backend_rt.stats.session_redirects += 1;
@@ -1499,7 +1391,7 @@ impl<'a> Exec<'a> {
                 // freshest version any of them holds. Fan-out is parallel,
                 // so no extra latency; too few members fails the read.
                 let mut consulted = 1u32; // the primary always serves here
-                let mut version = self.backend_ref(b).store.primary_version(key);
+                let mut version = self.backends[b].store.primary_version(key);
                 for &(i, proc) in &peers {
                     if consulted >= r {
                         break;
@@ -1508,16 +1400,16 @@ impl<'a> Exec<'a> {
                         continue;
                     }
                     let v = {
-                        let store = &self.backend_ref(b).store;
+                        let store = &self.backends[b].store;
                         store.members[i].map.get(&key).copied().unwrap_or(0)
                     };
                     version = version.max(v);
                     consulted += 1;
                 }
-                let backend_rt = self.backend_mut(b);
+                let backend_rt = &mut self.backends[b];
                 backend_rt.stats.reads += 1;
                 if consulted < r {
-                    self.counters.quorum_rejections += 1;
+                    self.metrics.counters.quorum_rejections += 1;
                     return (CallOutcome::failure(CallErr::Quorum), 0);
                 }
                 (CallOutcome::success(version), 0)
@@ -1531,16 +1423,15 @@ impl<'a> Exec<'a> {
     /// `w - 1` synchronous quorum members, whose slowest lag is returned as
     /// the acknowledgement surcharge.
     fn store_write(&mut self, b: usize, key: u64, version: u64, entity: u64) -> (CallOutcome, u64) {
-        let sh = self.sh;
-        let serving_proc = sh.backend_proc[b] as usize;
-        let (mode, lag_range) = match self.backend_ref(b).kind {
+        let serving_proc = self.sh.backend_proc[b] as usize;
+        let (mode, lag_range) = match self.backends[b].kind {
             BackendRtKind::Store { consistency, replication_lag_ns, .. } => {
                 (consistency, replication_lag_ns)
             }
             _ => (ConsistencyMode::ReadReplica, (0, 0)),
         };
         let (armed, gen, peers): (bool, u64, Vec<(usize, usize)>) = {
-            let store = &self.backend_ref(b).store;
+            let store = &self.backends[b].store;
             (
                 store.armed,
                 store.gen,
@@ -1559,13 +1450,13 @@ impl<'a> Exec<'a> {
         if sync_needed > 0 {
             let reachable = peers.iter().filter(|&&(_, proc)| serves(self, proc)).count();
             if reachable < sync_needed {
-                self.counters.quorum_rejections += 1;
+                self.metrics.counters.quorum_rejections += 1;
                 return (CallOutcome::failure(CallErr::Quorum), 0);
             }
         }
         // Apply on the current primary.
         {
-            let store = &mut self.backend_mut(b).store;
+            let store = &mut self.backends[b].store;
             let p = store.primary;
             let m = &mut store.members[p];
             let slot = m.map.entry(key).or_insert(0);
@@ -1588,14 +1479,14 @@ impl<'a> Exec<'a> {
         for (i, proc) in peers {
             // Per-member lag draws come from the backend's stream.
             let lag = if lag_range.1 > lag_range.0 {
-                self.backend_mut(b).rng.gen_range(lag_range.0..=lag_range.1)
+                self.backends[b].rng.gen_range(lag_range.0..=lag_range.1)
             } else {
                 lag_range.0
             };
             if synced < sync_needed && serves(self, proc) {
                 // Synchronous quorum member: applied before the ack, which
                 // therefore waits out the slowest such member's lag.
-                let store = &mut self.backend_mut(b).store;
+                let store = &mut self.backends[b].store;
                 let m = &mut store.members[i];
                 let slot = m.map.entry(key).or_insert(0);
                 if version > *slot {
@@ -1612,7 +1503,7 @@ impl<'a> Exec<'a> {
                 );
             }
         }
-        self.backend_mut(b).stats.writes += 1;
+        self.backends[b].stats.writes += 1;
         (CallOutcome::success(0), extra_ns)
     }
 
@@ -1623,7 +1514,7 @@ impl<'a> Exec<'a> {
     fn on_deliver_response(&mut self, fid: FrameId, seq: u32, attempt: u32, outcome: CallOutcome) {
         // Validate freshness.
         let (client_id, chosen, holds_conn, on_miss) = {
-            let Some(frame) = self.frame(fid) else { return };
+            let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) else { return };
             let Some(call) = &mut frame.call else { return };
             if call.seq != seq || call.attempt != attempt || call.concluded {
                 return;
@@ -1640,7 +1531,7 @@ impl<'a> Exec<'a> {
         if outcome.err != Some(CallErr::BreakerOpen) && outcome.err != Some(CallErr::Deadline) {
             self.breaker_record(client_id, outcome.ok);
         }
-        if let Some(client) = self.client_opt_mut(client_id) {
+        if let Some(client) = self.clients.get_mut(client_id as usize) {
             if let Some(ch) = chosen {
                 if let Some(slot) = client.outstanding.get_mut(ch) {
                     *slot = slot.saturating_sub(1);
@@ -1657,7 +1548,7 @@ impl<'a> Exec<'a> {
         if outcome.ok {
             let push_miss = outcome.cache_hit == Some(false);
             {
-                let frame = self.frame(fid).expect("frame alive");
+                let frame = self.hosts[fid.host as usize].frames.get_mut(fid).expect("frame alive");
                 let was_read = {
                     let call = frame.call.as_ref();
                     matches!(
@@ -1690,7 +1581,7 @@ impl<'a> Exec<'a> {
     fn on_timeout(&mut self, fid: FrameId, seq: u32, attempt: u32) {
         let now = self.now;
         let (client_id, chosen, holds_conn, deadline_hit) = {
-            let Some(frame) = self.frame(fid) else { return };
+            let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) else { return };
             let Some(call) = &mut frame.call else { return };
             if call.seq != seq || call.attempt != attempt || call.concluded {
                 return;
@@ -1705,13 +1596,13 @@ impl<'a> Exec<'a> {
             (call.client, call.chosen.take(), holds, hit)
         };
         if deadline_hit {
-            self.counters.deadline_exceeded += 1;
+            self.metrics.counters.deadline_exceeded += 1;
         } else {
-            self.counters.timeouts += 1;
+            self.metrics.counters.timeouts += 1;
             self.breaker_record(client_id, false);
         }
         let reconnect_at = {
-            match self.client_opt_mut(client_id) {
+            match self.clients.get_mut(client_id as usize) {
                 Some(client) => {
                     if let Some(ch) = chosen {
                         if let Some(slot) = client.outstanding.get_mut(ch) {
@@ -1742,7 +1633,7 @@ impl<'a> Exec<'a> {
     }
 
     fn retry_or_fail(&mut self, fid: FrameId, seq: u32, attempt: u32, client_id: u32, err: CallErr) {
-        let (retries, backoff, exp) = match self.client_opt_mut(client_id) {
+        let (retries, backoff, exp) = match self.clients.get_mut(client_id as usize) {
             Some(c) => (c.spec.retries, c.spec.backoff_ns, c.spec.backoff_exp.clone()),
             None => (0, 0, None),
         };
@@ -1754,7 +1645,7 @@ impl<'a> Exec<'a> {
             // RNG draw) and must never reach the breaker's probe admission
             // in `begin_attempt`. Ordering: budget → breaker → backoff.
             let mut denied = false;
-            if let Some(c) = self.client_opt_mut(client_id) {
+            if let Some(c) = self.clients.get_mut(client_id as usize) {
                 if c.spec.retry_budget.is_some() {
                     if c.budget_tokens < 1.0 {
                         denied = true;
@@ -1764,15 +1655,15 @@ impl<'a> Exec<'a> {
                 }
             }
             if denied {
-                self.counters.budget_denied += 1;
-                if let Some(frame) = self.frame(fid) {
+                self.metrics.counters.budget_denied += 1;
+                if let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) {
                     frame.last_err = Some(err);
                 }
                 self.fail_frame(fid);
                 return;
             }
-            self.counters.retries += 1;
-            if let Some(frame) = self.frame(fid) {
+            self.metrics.counters.retries += 1;
+            if let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) {
                 if let Some(call) = &mut frame.call {
                     call.attempt = attempt + 1;
                     call.concluded = false;
@@ -1791,7 +1682,8 @@ impl<'a> Exec<'a> {
                         // own stream: shave up to `jitter` fraction off the
                         // computed delay.
                         let u = self
-                            .client_opt_mut(client_id)
+                            .clients
+                            .get_mut(client_id as usize)
                             .map(|c| c.rng.gen::<f64>())
                             .unwrap_or(0.0);
                         d *= 1.0 - e.jitter * u;
@@ -1801,7 +1693,7 @@ impl<'a> Exec<'a> {
             };
             self.push_ev(self.now + delay, Ev::RetryFire { frame: fid, seq });
         } else {
-            if let Some(frame) = self.frame(fid) {
+            if let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) {
                 frame.last_err = Some(err);
             }
             self.fail_frame(fid);
@@ -1810,7 +1702,7 @@ impl<'a> Exec<'a> {
 
     fn on_retry_fire(&mut self, fid: FrameId, seq: u32) {
         let ok = {
-            let Some(frame) = self.frame(fid) else { return };
+            let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) else { return };
             match &frame.call {
                 Some(call) => call.seq == seq && !call.concluded,
                 None => false,
@@ -1827,7 +1719,7 @@ impl<'a> Exec<'a> {
 
     fn breaker_allow(&mut self, client_id: u32) -> bool {
         let now = self.now;
-        let Some(client) = self.client_opt_mut(client_id) else { return true };
+        let Some(client) = self.clients.get_mut(client_id as usize) else { return true };
         let Some(spec) = &client.spec.breaker else { return true };
         let probes = spec.half_open_probes.max(1);
         match client.breaker {
@@ -1857,7 +1749,7 @@ impl<'a> Exec<'a> {
         let now = self.now;
         let mut opened = false;
         {
-            let Some(client) = self.client_opt_mut(client_id) else { return };
+            let Some(client) = self.clients.get_mut(client_id as usize) else { return };
             let Some(spec) = &client.spec.breaker else { return };
             let (window, failure_threshold, open_ns, half_open_probes) =
                 (spec.window, spec.failure_threshold, spec.open_ns, spec.half_open_probes);
@@ -1903,7 +1795,7 @@ impl<'a> Exec<'a> {
             }
         }
         if opened {
-            self.counters.breaker_opens += 1;
+            self.metrics.counters.breaker_opens += 1;
         }
     }
 
@@ -1912,17 +1804,16 @@ impl<'a> Exec<'a> {
     // ------------------------------------------------------------------
 
     fn fail_frame(&mut self, fid: FrameId) {
-        if let Some(frame) = self.frame(fid) {
+        if let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) {
             frame.failed = true;
         }
         self.complete_frame(fid, false);
     }
 
     fn complete_frame(&mut self, fid: FrameId, ok: bool) {
-        let sh = self.sh;
         // Take the frame out (its slot and stack are recycled), then route
         // the result without cloning the kind.
-        let Some(frame) = self.take_frame(fid) else { return };
+        let Some(frame) = self.release_frame(fid) else { return };
         let Frame {
             service,
             kind,
@@ -1939,7 +1830,7 @@ impl<'a> Exec<'a> {
 
         if counted {
             let now = self.now;
-            let s = self.svc_mut(service);
+            let s = &mut self.services[service];
             s.active = s.active.saturating_sub(1);
             // Per-service outcome tallies (canary vs baseline comparison).
             if ok {
@@ -1964,13 +1855,13 @@ impl<'a> Exec<'a> {
         match kind {
             FrameKind::Entry { entry, method, submitted_ns } => {
                 if ok {
-                    self.counters.completed_ok += 1;
+                    self.metrics.counters.completed_ok += 1;
                 } else {
-                    self.counters.completed_err += 1;
+                    self.metrics.counters.completed_err += 1;
                 }
                 let completion = Completion {
-                    entry: sh.names.get(entry).to_string(),
-                    method: sh.names.get(method).to_string(),
+                    entry: self.sh.names.get(entry).to_string(),
+                    method: self.sh.names.get(method).to_string(),
                     entity,
                     root_seq,
                     submitted_ns,
@@ -1979,7 +1870,7 @@ impl<'a> Exec<'a> {
                     observed_version: observed,
                     failure: if ok { None } else { Some(last_err.unwrap_or(CallErr::Downstream).label()) },
                 };
-                self.lane(fid.host as usize).completions.push(completion);
+                self.completions.push(completion);
             }
             FrameKind::Rpc { caller, seq, attempt, reply } => {
                 let outcome = if ok {
@@ -1990,7 +1881,7 @@ impl<'a> Exec<'a> {
                     CallOutcome::failure(last_err.unwrap_or(CallErr::Downstream))
                 };
                 if reply.serialize_ns > 0 {
-                    let proc = sh.svc_proc[service] as usize;
+                    let proc = self.sh.svc_proc[service] as usize;
                     self.add_proc_job(
                         proc,
                         reply.serialize_ns as f64,
@@ -2012,7 +1903,8 @@ impl<'a> Exec<'a> {
             }
             FrameKind::SubTask { parent } => {
                 let resume = {
-                    let Some(p) = self.frame(parent) else { return };
+                    let p = self.hosts[parent.host as usize].frames.get_mut(parent);
+                    let Some(p) = p else { return };
                     p.observed_version = p.observed_version.max(observed);
                     if !ok {
                         p.child_failed = true;
@@ -2024,8 +1916,9 @@ impl<'a> Exec<'a> {
                     p.pending_children == 0
                 };
                 if resume {
-                    let failed = self
-                        .frame(parent)
+                    let failed = self.hosts[parent.host as usize]
+                        .frames
+                        .get_mut(parent)
                         .map(|p| p.child_failed)
                         .unwrap_or(false);
                     if failed {
@@ -2037,16 +1930,13 @@ impl<'a> Exec<'a> {
             }
         }
     }
-}
 
-// ----------------------------------------------------------------------
-// Control plane: fault injection and chaos. These run with `&mut Sim`
-// between lane-dispatch segments, so they may freely mutate cluster-wide
-// state (`proc_down`, `link_faults`, `proc_gen`) that the executor only
-// reads.
-// ----------------------------------------------------------------------
+    // ------------------------------------------------------------------
+    // Control plane: fault injection and chaos. Control events and driver
+    // calls write the cluster-wide fault state (`proc_down`, `link_faults`,
+    // `proc_gen`) that host-context dispatch only reads.
+    // ------------------------------------------------------------------
 
-impl Sim {
     /// Executes a resolved fault at the current time.
     fn apply_fault(&mut self, rf: RFault) {
         self.metrics.counters.faults_injected += 1;
@@ -2079,7 +1969,7 @@ impl Sim {
             }
             RFault::Brownout { backend, dur, slow, unavailable } => {
                 let until = self.now + dur;
-                let b = self.backend_rt_mut(backend);
+                let b = &mut self.backends[backend];
                 b.brownout_until = b.brownout_until.max(until);
                 b.brownout_slow = slow;
                 b.brownout_unavailable = unavailable;
@@ -2112,20 +2002,20 @@ impl Sim {
 
         // An in-progress GC pause dies with the process; the heap restarts at
         // its base size (or empty without a GC spec).
-        if let Some(job) = self.proc_rt_mut(proc).gc_job.take() {
+        if let Some(job) = self.procs[proc].gc_job.take() {
             let now = self.now;
-            self.lanes[host].ps.cancel(now, job);
+            self.hosts[host].ps.cancel(now, job);
         }
         {
             let base = self.sh.gc_specs[proc].as_ref().map(|g| g.base_heap_bytes).unwrap_or(0);
-            let p = self.proc_rt_mut(proc);
+            let p = &mut self.procs[proc];
             p.heap = base;
             p.in_gc = false;
         }
 
         // Cancel every CPU job of the process; in-flight work that would have
         // produced a response fails fast so callers are never left hanging.
-        let victims = self.lanes[host].ps.cancel_proc(self.now, proc);
+        let victims = self.hosts[host].ps.cancel_proc(self.now, proc);
         for cont in victims {
             match cont {
                 // The frame dies in the sweep below; nothing to route.
@@ -2157,15 +2047,15 @@ impl Sim {
             }
         }
 
-        // Kill every frame resident on the process. Frames always live on
-        // the lane of their service's host, so only that lane is swept;
-        // slot order within it is deterministic. The table is bounded by
+        // Kill every frame resident on the process. Frames always live in
+        // the table of their service's host, so only that table is swept,
+        // in slot order. The table is bounded by
         // u32 frame ids (MAX_FRAMES_CAP), so the conversion is checked,
         // not truncating.
-        let n_frames = u32::try_from(self.lanes[host].frames.len())
+        let n_frames = u32::try_from(self.hosts[host].frames.slots.len())
             .expect("frame table exceeds u32 index space");
         for idx in 0..n_frames {
-            let fid = match &self.lanes[host].frames[idx as usize] {
+            let fid = match &self.hosts[host].frames.slots[idx as usize] {
                 Some(f) if self.sh.svc_proc[f.service] as usize == proc => {
                     FrameId { host: host as u32, idx, gen: f.gen }
                 }
@@ -2181,7 +2071,7 @@ impl Sim {
             if self.sh.svc_proc[owner] as usize != proc {
                 continue;
             }
-            let c = self.client_rt_mut(ci);
+            let c = &mut self.clients[ci];
             c.window.clear();
             c.window_failures = 0;
             c.breaker = BreakerState::Closed;
@@ -2200,7 +2090,7 @@ impl Sim {
             if self.sh.svc_proc[s] as usize != proc {
                 continue;
             }
-            if let Some(ctl) = &mut self.svc_rt_mut(s).shed {
+            if let Some(ctl) = &mut self.services[s].shed {
                 ctl.reset();
             }
         }
@@ -2210,14 +2100,14 @@ impl Sim {
             if self.sh.backend_proc[b] as usize != proc {
                 continue;
             }
-            let rt = self.backend_rt_mut(b);
+            let rt = &mut self.backends[b];
             rt.cache.flush();
             rt.queue.clear();
         }
 
         let gen = self.sh.proc_gen[proc];
         self.push_ev(self.now + restart_ns, Ev::ProcRestart { proc, gen });
-        self.touch_host_sim(host);
+        self.touch_host(host);
         // The stopped process may have been serving an armed store.
         self.schedule_store_failovers();
     }
@@ -2225,10 +2115,10 @@ impl Sim {
     /// Removes one frame killed by a process stop (crash or drain-deadline),
     /// routing the failure to whoever was waiting on it.
     fn kill_frame_for_stop(&mut self, fid: FrameId, cause: CallErr) {
-        let Some(frame) = self.lanes[fid.host as usize].take_frame(fid) else { return };
+        let Some(frame) = self.release_frame(fid) else { return };
         self.metrics.counters.crashed_frames += 1;
         if frame.counted_admission {
-            let s = self.svc_rt_mut(frame.service);
+            let s = &mut self.services[frame.service];
             s.active = s.active.saturating_sub(1);
             s.done_err += 1;
         }
@@ -2253,7 +2143,7 @@ impl Sim {
                     observed_version: frame.observed_version,
                     failure: Some(cause.label()),
                 };
-                self.lanes[fid.host as usize].completions.push(completion);
+                self.completions.push(completion);
             }
             FrameKind::Rpc { caller, seq, attempt, reply } => {
                 // No server-side serialization: the reply never forms; the
@@ -2305,7 +2195,7 @@ impl Sim {
         if self.sh.proc_down[serving_proc] {
             return true;
         }
-        let store = &self.backend_ref(b).store;
+        let store = &self.backends[b].store;
         let mut any_peer = false;
         for i in store.peer_indices() {
             let peer_proc = store.members[i].proc as usize;
@@ -2333,7 +2223,7 @@ impl Sim {
     fn schedule_store_failovers(&mut self) {
         for b in 0..self.sh.backend_proc.len() {
             let (armed, pending, gen, delay) = {
-                let store = &self.backend_ref(b).store;
+                let store = &self.backends[b].store;
                 (
                     store.armed,
                     store.election_pending,
@@ -2344,7 +2234,7 @@ impl Sim {
             if !armed || pending || !self.store_failover_triggered(b) {
                 continue;
             }
-            self.backend_rt_mut(b).store.election_pending = true;
+            self.backends[b].store.election_pending = true;
             let t = self.now + delay;
             self.push_ev(t, Ev::StoreFailover { backend: b, gen });
         }
@@ -2358,20 +2248,20 @@ impl Sim {
     /// primary's state when its process restarts (`resync_store_members`).
     fn on_store_failover(&mut self, b: usize, gen: u64) {
         {
-            let store = &self.backend_ref(b).store;
+            let store = &self.backends[b].store;
             // A stale generation means another election already ran (or the
             // store was re-armed); this one is void.
             if !store.armed || store.gen != gen {
                 return;
             }
         }
-        self.backend_rt_mut(b).store.election_pending = false;
+        self.backends[b].store.election_pending = false;
         // The primary recovered during the detection + election window.
         if !self.store_failover_triggered(b) {
             return;
         }
         let winner = {
-            let store = &self.backend_ref(b).store;
+            let store = &self.backends[b].store;
             let mut best: Option<(u64, u64, std::cmp::Reverse<usize>, usize)> = None;
             for i in store.peer_indices() {
                 let m = &store.members[i];
@@ -2391,7 +2281,7 @@ impl Sim {
             return;
         };
         let lost = {
-            let store = &self.backend_ref(b).store;
+            let store = &self.backends[b].store;
             let old = &store.members[store.primary];
             let new = &store.members[winner];
             // Order-independent: count keys where the deposed primary is
@@ -2402,7 +2292,7 @@ impl Sim {
                 .count() as u64
         };
         let new_proc = {
-            let rt = self.backend_rt_mut(b);
+            let rt = &mut self.backends[b];
             rt.store.primary = winner;
             rt.store.gen += 1;
             rt.stats.failovers += 1;
@@ -2422,7 +2312,7 @@ impl Sim {
     fn resync_store_members(&mut self, proc: usize) {
         for b in 0..self.sh.backend_proc.len() {
             let touched = {
-                let store = &self.backend_ref(b).store;
+                let store = &self.backends[b].store;
                 store.armed
                     && store
                         .peer_indices()
@@ -2431,7 +2321,7 @@ impl Sim {
             if !touched {
                 continue;
             }
-            let store = &mut self.backend_rt_mut(b).store;
+            let store = &mut self.backends[b].store;
             let primary = store.primary;
             let (src, applied, watermark) = {
                 let p = &store.members[primary];
@@ -2448,16 +2338,14 @@ impl Sim {
             }
         }
     }
-}
 
-// ----------------------------------------------------------------------
-// Control plane: runtime reconfiguration. Like fault injection, these
-// handlers run with `&mut Sim` in the ctrl-event slot, so rotation state
-// (`svc_active`, `svc_draining`, `canary_route`) never changes in the
-// middle of a lane-event dispatch.
-// ----------------------------------------------------------------------
+    // ------------------------------------------------------------------
+    // Control plane: runtime reconfiguration. Like fault injection, these
+    // handlers run as control events or driver calls, so rotation state
+    // (`svc_active`, `svc_draining`, `canary_route`) only changes at a
+    // control event's place in the `(time, seq)` order.
+    // ------------------------------------------------------------------
 
-impl Sim {
     /// Applies one runtime change immediately, as a driver action
     /// (`workload::Action::Reconfig`). The change is validated against the
     /// live topology — unknown services get nearest-match suggestions, and
@@ -2482,10 +2370,6 @@ impl Sim {
             self.reconfig = Some(Box::new(ReconfigRt::new(self.cfg.seed)));
         }
         self.sh.reconfig_on = true;
-    }
-
-    fn on_reconfig_fire(&mut self, idx: usize) {
-        self.start_change(idx);
     }
 
     /// Starts a resolved change at the current time.
@@ -2648,7 +2532,7 @@ impl Sim {
             if self.sh.client_owner[ci] as usize != svc {
                 continue;
             }
-            let c = self.client_rt_mut(ci);
+            let c = &mut self.clients[ci];
             c.window.clear();
             c.window_failures = 0;
             c.breaker = BreakerState::Closed;
@@ -2660,7 +2544,7 @@ impl Sim {
             }
             c.budget_tokens = 0.0;
         }
-        if let Some(ctl) = &mut self.svc_rt_mut(svc).shed {
+        if let Some(ctl) = &mut self.services[svc].shed {
             ctl.reset();
         }
     }
@@ -2692,7 +2576,7 @@ impl Sim {
                     continue;
                 }
                 in_rotation += 1;
-                let r = self.svc_ref(svc);
+                let r = &self.services[svc];
                 busy += r.active as u64;
                 cap += r.max_concurrent as u64;
             }
@@ -2775,7 +2659,7 @@ impl Sim {
             if self.sh.client_owner[ci] as usize != canary {
                 continue;
             }
-            let c = self.client_rt_mut(ci);
+            let c = &mut self.clients[ci];
             saved.push((ci, c.spec.clone()));
             if let Some(t) = timeout_ns {
                 c.spec.timeout_ns = Some(t);
@@ -2785,12 +2669,12 @@ impl Sim {
             }
         }
         let can0 = {
-            let s = self.svc_ref(canary);
+            let s = &self.services[canary];
             (s.done_ok, s.done_err)
         };
         let mut base0 = (0u64, 0u64);
         for &b in &baseline {
-            let s = self.svc_ref(b);
+            let s = &self.services[b];
             base0.0 += s.done_ok;
             base0.1 += s.done_err;
         }
@@ -2837,13 +2721,13 @@ impl Sim {
             )
         };
         let (c_ok, c_err) = {
-            let s = self.svc_ref(svc);
+            let s = &self.services[svc];
             (s.done_ok - can0.0, s.done_err - can0.1)
         };
         let mut b_ok = 0u64;
         let mut b_err = 0u64;
         for &b in &baseline {
-            let s = self.svc_ref(b);
+            let s = &self.services[b];
             b_ok += s.done_ok;
             b_err += s.done_err;
         }
@@ -2868,7 +2752,7 @@ impl Sim {
                 if !baseline.contains(&owner) {
                     continue;
                 }
-                let c = self.client_rt_mut(ci);
+                let c = &mut self.clients[ci];
                 if let Some(t) = timeout_ns {
                     c.spec.timeout_ns = Some(t);
                 }
@@ -2879,7 +2763,7 @@ impl Sim {
         } else {
             self.metrics.counters.canary_rollbacks += 1;
             for (ci, spec) in saved {
-                self.client_rt_mut(ci).spec = spec;
+                self.clients[ci].spec = spec;
             }
         }
         self.reconfig = Some(rt);

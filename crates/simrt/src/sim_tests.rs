@@ -128,6 +128,10 @@ fn unknown_entry_and_method_error() {
     let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
     assert!(sim.submit("nope", "M", 1).is_err());
     assert!(sim.submit("front", "Nope", 1).is_err());
+    // A rejected call is not a submission: nothing counted, no root
+    // sequence number (write version) consumed.
+    assert_eq!(sim.metrics.counters.submitted, 0);
+    assert_eq!(sim.submit("front", "M", 1), Ok(1));
 }
 
 #[test]
@@ -694,6 +698,10 @@ fn max_frames_guard_sheds_load() {
     for i in 0..5 {
         sim.submit("front", "M", i).unwrap();
     }
+    // Shedding does not mask an unknown method: it is an error, not a
+    // `"shed"` completion, and it is not counted as a submission.
+    assert!(sim.submit("front", "Nope", 9).is_err());
+    assert_eq!(sim.metrics.counters.submitted, 5);
     sim.run_until(secs(30));
     let done = sim.drain_completions();
     assert_eq!(done.len(), 5);
@@ -754,7 +762,7 @@ fn hog_slows_processing() {
 }
 
 fn host0_hog(sim: &Sim) -> f64 {
-    sim.lanes[0].ps.hog_cores()
+    sim.hosts[0].ps.hog_cores()
 }
 
 #[test]
@@ -836,6 +844,95 @@ fn crash_fails_in_flight_work_and_restarts() {
     sim.run_until(secs(1));
     let c = sim.drain_completions().pop().expect("served after restart");
     assert!(c.ok, "process restarted");
+}
+
+/// Pins the `(time, seq)` order between host and control events. A crash
+/// scheduled at exactly the instant the back end's `HostCheck` finishes its
+/// compute step runs after that check — `CTRL_CTX` sorts after every host
+/// context at equal times — so the request has already completed and the
+/// crash finds nothing in flight. One nanosecond earlier, the crash kills
+/// the request. Either way, a control event at exactly the `run_until`
+/// horizon runs inside that call.
+#[test]
+fn equal_time_control_event_runs_after_host_events() {
+    let run = |crash_at: SimTime| {
+        let spec = two_tier(
+            Behavior::build().compute(ms(10), 0).done(),
+            ClientSpec::local(),
+        );
+        let cfg = SimConfig {
+            faults: FaultPlan::none().at(
+                crash_at,
+                Fault::ProcessCrash {
+                    process: "p_back".into(),
+                    restart_delay_ns: ms(1),
+                },
+            ),
+            ..Default::default()
+        };
+        let mut sim = Sim::new(&spec, cfg).unwrap();
+        sim.submit("front", "M", 1).unwrap();
+        sim.run_until(crash_at);
+        assert_eq!(
+            sim.metrics.counters.process_crashes, 1,
+            "the crash at the horizon ran inside run_until"
+        );
+        sim.run_until(secs(1));
+        let mut done = sim.drain_completions();
+        assert_eq!(done.len(), 1);
+        let c = done.pop().unwrap();
+        (c, sim.metrics.counters.crashed_frames)
+    };
+
+    let (c, crashed) = run(ms(10));
+    assert!(c.ok, "the host event at the crash instant ran first");
+    assert_eq!(c.finished_ns, ms(10));
+    assert_eq!(crashed, 0, "nothing was left in flight to kill");
+
+    let (c, crashed) = run(ms(10) - 1);
+    assert_eq!(c.failure, Some("crash"));
+    assert_eq!(crashed, 1);
+}
+
+/// A crash scheduled past the event wheel's span (about 68.7 s) fires on
+/// time under steady load, while host events keep wheel slots occupied.
+#[test]
+fn far_fault_fires_on_time_under_steady_load() {
+    let spec = two_tier(
+        Behavior::build().compute(ms(25), 0).done(),
+        ClientSpec::local(),
+    );
+    let crash_at = secs(70);
+    let cfg = SimConfig {
+        faults: FaultPlan::none().at(
+            crash_at,
+            Fault::ProcessCrash {
+                process: "p_back".into(),
+                restart_delay_ns: ms(1),
+            },
+        ),
+        ..Default::default()
+    };
+    let mut sim = Sim::new(&spec, cfg).unwrap();
+    let mut t = 0;
+    while t < crash_at {
+        sim.submit("front", "M", t).unwrap();
+        t += ms(10);
+        sim.run_until(t - 1);
+        assert_eq!(sim.now(), t - 1);
+    }
+    assert_eq!(sim.metrics.counters.process_crashes, 0);
+    assert!(sim.inflight() > 0, "requests in flight at the crash");
+    sim.run_until(crash_at);
+    assert_eq!(sim.now(), crash_at);
+    assert_eq!(
+        sim.metrics.counters.process_crashes, 1,
+        "the crash fired at its scheduled time"
+    );
+    assert!(sim.metrics.counters.crashed_frames > 0);
+    let done = sim.drain_completions();
+    assert!(done.iter().all(|c| c.finished_ns <= crash_at));
+    assert!(done.iter().any(|c| c.failure == Some("crash")));
 }
 
 #[test]
@@ -1649,7 +1746,7 @@ fn tied_event_storm_is_deterministic() {
 /// equal to the dense stats for every backend an op has touched, none for
 /// untouched ones, and no backend left marked dirty by the sync.
 fn assert_backend_metrics_mirror_dense(sim: &Sim) {
-    for b in sim.lanes.iter().flat_map(|l| &l.backends) {
+    for b in &sim.backends {
         let name = sim.sh.names.get(b.name);
         assert!(!b.stats_dirty, "{name} still dirty after run_until");
         match sim.metrics.backends.get(name) {

@@ -468,13 +468,12 @@ impl ConsistencyMode {
 /// Absent (`None`), replicas are plain lag-modeled state inside the
 /// store's own process and the store is unavailable while that process is
 /// down — the historical behavior. Present, each replica lives in its own
-/// peer process on the *same host* (the store's state stays on its home
-/// host's simulation lane),
-/// and when the primary's process crashes or is partitioned from every
-/// peer, the most-caught-up reachable replica promotes after
-/// `detection_ns + election_ns`. Writes the old primary acknowledged but
-/// never replicated are rolled back — *lost* — exactly as in async-
-/// replicated production stores.
+/// peer process on the *same host* (the store's events stay keyed under
+/// its home host's context), and when the primary's process crashes or is
+/// partitioned from every peer, the most-caught-up reachable replica
+/// promotes after `detection_ns + election_ns`. Writes the old primary
+/// acknowledged but never replicated are rolled back — *lost* — exactly as
+/// in async-replicated production stores.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FailoverSpec {
     /// One process index per replica (same host as the store's process).
@@ -1054,11 +1053,11 @@ impl SystemSpec {
                                 b.name, self.processes[p].name
                             )));
                         }
-                        // Same-host is a layout constraint, not a
-                        // convenience: the store's state lives on one
-                        // simulation lane, and promotion re-points the
-                        // serving process without migrating state to
-                        // another host's lane.
+                        // Same-host is an ordering constraint, not a
+                        // convenience: the store's events key under one
+                        // host's context, and promotion re-points the
+                        // serving process without moving them to another
+                        // host's context.
                         if self.processes[p].host != home {
                             return Err(SimError::BadSpec(format!(
                                 "store {} failover replica process {} is on host \

@@ -115,7 +115,13 @@ pub fn run_experiment_collecting(
     sim: &mut Sim,
     spec: ExperimentSpec,
 ) -> Result<(Recorder, Vec<blueprint_simrt::Completion>), SimError> {
-    let mut completions = Vec::new();
+    // The completion buffer is reserved once, for the expected arrivals plus
+    // a sixteenth (six standard deviations of a 10k-arrival Poisson run).
+    // Grown by doubling instead, it is copied several times, and where each
+    // copy lands in the heap changes the process's peak memory from one
+    // seed to the next.
+    let expected = spec.generator.expected_arrivals();
+    let mut completions = Vec::with_capacity((expected * 17.0 / 16.0) as usize);
     let mut recorder = Recorder::new(spec.interval_ns);
     let mut actions = spec.actions;
     actions.sort_by_key(|(t, _)| *t);
@@ -249,6 +255,23 @@ mod tests {
         assert!(series.iter().all(|s| s.errors == 0));
         // Lightly loaded: latency equals service time.
         assert_eq!(series[0].p50_ns, 100_000);
+    }
+
+    #[test]
+    fn completion_buffer_is_reserved_once() {
+        let mut sim = Sim::new(&spec(), SimConfig::default()).unwrap();
+        let gen = OpenLoopGen::new(
+            vec![Phase::new(4, 400.0)],
+            ApiMix::single("front", "M"),
+            10,
+            4,
+        );
+        let (_, completions) =
+            run_experiment_collecting(&mut sim, ExperimentSpec::new(gen)).unwrap();
+        // 1600 expected arrivals, 1700 reserved: a buffer grown by doubling
+        // would have ended at 2048.
+        assert!((1500..=1700).contains(&completions.len()));
+        assert_eq!(completions.capacity(), 1700);
     }
 
     #[test]

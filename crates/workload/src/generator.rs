@@ -137,6 +137,16 @@ impl OpenLoopGen {
         self.phases.iter().map(|p| p.duration_ns).sum()
     }
 
+    /// Expected number of arrivals: rate × duration summed over the phases
+    /// (the count, up to rounding of the spacing, under deterministic
+    /// spacing; the mean under Poisson).
+    pub fn expected_arrivals(&self) -> f64 {
+        self.phases
+            .iter()
+            .map(|p| p.rps * p.duration_ns as f64 / 1e9)
+            .sum()
+    }
+
     fn interarrival_ns(&mut self, rps: f64) -> SimTime {
         let mean = 1e9 / rps;
         if self.poisson {
@@ -207,6 +217,20 @@ mod tests {
         );
         let n = gen.count();
         assert!((8_000..=12_000).contains(&n), "n={n}");
+    }
+
+    #[test]
+    fn expected_arrivals_sums_rate_times_duration() {
+        let phases = vec![
+            Phase::new(2, 1000.0),
+            Phase {
+                duration_ns: 500_000_000,
+                rps: 200.0,
+            },
+        ];
+        let gen = OpenLoopGen::new(phases, ApiMix::single("f", "M"), 10, 3);
+        assert_eq!(gen.expected_arrivals(), 2100.0);
+        assert_eq!(gen.clone().deterministic().count(), 2100);
     }
 
     #[test]
