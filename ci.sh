@@ -1,11 +1,10 @@
 #!/usr/bin/env sh
-# Repo CI gate: build, test, lint, format, and a quick simulator bench smoke.
+# Repo CI gate: build, test, lint, format, bench smokes, and the exhibit gate.
 # Run from the repo root. Fails fast on the first broken step.
 set -eu
 
 # Every deterministic report a step below writes is compared byte for byte
-# with its committed copy, saved here first. The wall-clock par_sweep
-# timings are not gated and land here too, so a green run leaves the tree
+# with its committed copy, saved here first, so a green run leaves the tree
 # clean.
 committed=$(mktemp -d)
 trap 'rm -rf "$committed"' EXIT
@@ -22,7 +21,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
-echo "==> bench smoke (sim_engine, quick test mode)"
+echo "==> bench smoke (sim_engine: processor-sharing host, quick test mode)"
 # Criterion's --test mode runs each bench once to confirm it executes,
 # without the full sampling run.
 cargo bench -p blueprint-bench --bench sim_engine -- --test
@@ -40,12 +39,6 @@ echo "==> parallel-engine determinism (BLUEPRINT_THREADS=1 vs =4)"
 BLUEPRINT_THREADS=1 cargo test --release --test parallel_determinism -q
 BLUEPRINT_THREADS=4 cargo test --release --test parallel_determinism -q
 
-echo "==> parallel-engine wall-clock smoke (fig7 grid, 1 vs 4 threads)"
-# --test mode times the quick grid at 1 and 4 worker threads only; the full
-# 1/2/4/8 sweep is recorded in results/par_speedup.txt.
-cargo bench -p blueprint-bench --bench par_sweep -- --test \
-    | tee "$committed/par_sweep.txt"
-
 echo "==> lint gate (every app's default wiring must be deny-clean)"
 # Runs the static-analysis passes over the five benchmark apps and writes
 # per-app counts to results/ci_lint.txt; exits nonzero on any deny-severity
@@ -54,8 +47,13 @@ cp results/ci_lint.txt "$committed/"
 cargo run --release -p blueprint-bench --bin lint_gate
 cmp "$committed/ci_lint.txt" results/ci_lint.txt
 
-# The matrix and cross-validation smokes. Each binary panics when one of its
-# invariants breaks:
+# The exhibit gate: every table, figure and matrix binary writes its own
+# results/ report, which must be byte-identical to the committed copy at
+# BLUEPRINT_THREADS=1 and =4 (the variable only sets cross-run workers). A
+# ci_* report comes from a CI-sized --smoke run; any other report is the
+# full-length exhibit, for the exhibits whose full run takes under a second
+# (Tabs. 1-5, Figs. 8 and 9). The matrix and cross-validation binaries also
+# panic when one of their invariants breaks:
 # - ablation_faults: conservation, or the breaker arm failing to suppress
 #   retry amplification;
 # - ablation_overload: conservation, or a retry-budget arm breaking its
@@ -69,22 +67,43 @@ cmp "$committed/ci_lint.txt" results/ci_lint.txt
 #   dynamic fault-matrix outcomes;
 # - capacity_validation: the analytic BP013-BP015 capacity bracket missing
 #   an app's simulated saturation knee.
-# Under --smoke each writes its committed results/ci_*.txt report, which
-# must be byte-identical whatever the cross-run worker count.
-for smoke in \
+for gate in \
+    table1_loc:table1_loc.txt \
+    table2_backends:table2_backends.txt \
+    table3_instantiations:table3_instantiations.txt \
+    table4_plugins:table4_plugins.txt \
+    table5_gentime:table5_gentime.txt \
+    fig5_rpc_exploration:ci_fig5.txt \
+    "fig6_metastability:ci_fig6_type1.txt ci_fig6_type2.txt ci_fig6_type3.txt ci_fig6_type4.txt" \
+    fig7_vulnerability:ci_fig7.txt \
+    fig8_inconsistency:fig8.txt \
+    fig9_sifter:fig9.txt \
+    fig10_circuit_breaker:ci_fig10.txt \
+    fig11_realism:ci_fig11.txt \
+    fig12_cache_interface:ci_fig12.txt \
+    ablation_resilience:ci_resilience.txt \
     ablation_faults:ci_fault_matrix.txt \
     ablation_overload:ci_overload.txt \
     ablation_reconfig:ci_reconfig.txt \
     ablation_consistency:ci_consistency.txt \
     lint_validation:ci_lint_validation.txt \
     capacity_validation:ci_capacity.txt; do
-    bin=${smoke%%:*}
-    report=${smoke#*:}
-    cp "results/$report" "$committed/"
+    bin=${gate%%:*}
+    reports=${gate#*:}
+    case $reports in
+        ci_*) size=--smoke ;;
+        *) size= ;;
+    esac
+    for report in $reports; do
+        cp "results/$report" "$committed/"
+    done
     for threads in 1 4; do
-        echo "==> $bin smoke (BLUEPRINT_THREADS=$threads)"
-        BLUEPRINT_THREADS=$threads cargo run --release -p blueprint-bench --bin "$bin" -- --smoke
-        cmp "$committed/$report" "results/$report"
+        echo "==> $bin ${size:-full} (BLUEPRINT_THREADS=$threads)"
+        BLUEPRINT_THREADS=$threads cargo run --release -q -p blueprint-bench --bin "$bin" \
+            -- $size >/dev/null
+        for report in $reports; do
+            cmp "$committed/$report" "results/$report"
+        done
     done
 done
 

@@ -27,8 +27,9 @@
 //! mode, which writes `results/ci_consistency.txt`).
 
 use blueprint_apps::{social_network as sn, WiringOpts};
-use blueprint_bench::matrix::{assert_conserved, cell, Run};
+use blueprint_bench::matrix::{assert_conserved, cell};
 use blueprint_bench::report;
+use blueprint_bench::Run;
 use blueprint_core::Blueprint;
 use blueprint_simrt::time::{ms, secs, SimTime};
 use blueprint_simrt::{Change, Fault, ReconfigPlan, SystemSpec};
@@ -175,7 +176,7 @@ fn row(c: &CellReport) -> Vec<String> {
 
 fn main() {
     let run = Run::from_args();
-    let duration_s = if run.smoke { 4 } else { 8 };
+    let duration_s = run.pick(4, 8);
     let cfg = ResilienceConfig {
         rps: 300.0,
         duration_s,

@@ -13,14 +13,14 @@
 //! * **retry amplification** — the retry-only arm shows the wire-level
 //!   amplification hazard; the breaker arms suppress it.
 //!
-//! Output goes to stdout and `results/fault_matrix.txt`. `--quick` shortens
-//! the runs; `--smoke` limits the matrix to 2 cells and writes
-//! `results/ci_fault_matrix.txt` (the CI smoke, which compares
-//! `BLUEPRINT_THREADS=1` vs `=4` byte-for-byte).
+//! Output goes to stdout and `results/fault_matrix.txt`. `--smoke` limits
+//! the matrix to 2 cells and writes `results/ci_fault_matrix.txt` (the CI
+//! smoke, which compares `BLUEPRINT_THREADS=1` vs `=4` byte-for-byte).
 
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
-use blueprint_bench::matrix::{assert_conserved, mid_run_fault, Run};
+use blueprint_bench::matrix::{assert_conserved, mid_run_fault};
 use blueprint_bench::report;
+use blueprint_bench::Run;
 use blueprint_core::Blueprint;
 use blueprint_simrt::time::secs;
 use blueprint_simrt::{Fault, SystemSpec};
@@ -167,7 +167,7 @@ fn row(c: &CellReport) -> Vec<String> {
 
 fn main() {
     let run = Run::from_args();
-    let duration_s = if run.smoke { 8 } else { run.mode.secs(20) };
+    let duration_s = run.pick(8, 20);
     let cfg = ResilienceConfig {
         rps: 1_500.0,
         duration_s,
@@ -176,8 +176,8 @@ fn main() {
         rto_ns: secs(3),
         ..Default::default()
     };
-    let variants = variants(run.smoke);
-    let scenarios = scenarios(run.smoke, duration_s);
+    let variants = variants(run == Run::Smoke);
+    let scenarios = scenarios(run == Run::Smoke, duration_s);
     let cells = run_matrix(
         &variants,
         &scenarios,

@@ -24,8 +24,9 @@
 //! determinism compare).
 
 use blueprint_bench::figures::fig6::{meta_cases, smoke_case, MetaCase};
-use blueprint_bench::matrix::{assert_conserved, Run};
+use blueprint_bench::matrix::assert_conserved;
 use blueprint_bench::report;
+use blueprint_bench::Run;
 use blueprint_core::Blueprint;
 use blueprint_simrt::SystemSpec;
 use blueprint_wiring::{mutate, Arg, WiringSpec};
@@ -127,7 +128,7 @@ fn row(case: &MetaCase, c: &CellReport) -> Vec<String> {
 
 fn main() {
     let run = Run::from_args();
-    let cases = if run.smoke {
+    let cases = if run == Run::Smoke {
         vec![smoke_case()]
     } else {
         meta_cases()
@@ -135,7 +136,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for case in &cases {
-        let variants = arms(case, run.smoke);
+        let variants = arms(case, run == Run::Smoke);
         let scenarios = vec![case.scenario.clone()];
         let cells = run_matrix(
             &variants,
@@ -163,7 +164,7 @@ fn main() {
             }
         }
 
-        if !run.smoke {
+        if run == Run::Full {
             // The headline: unmitigated stays degraded after the trigger
             // clears; at least one protected arm returns to steady state.
             let unmitigated = cells
@@ -193,7 +194,7 @@ fn main() {
     let out = report::table(
         &format!(
             "Overload-protection ablation — Fig. 6 metastability types × mitigation arms{}",
-            if run.smoke { " (smoke)" } else { "" }
+            run.pick(" (smoke)", "")
         ),
         &[
             "type",

@@ -29,8 +29,9 @@
 //! byte-identical across `BLUEPRINT_THREADS` settings (ci.sh compares
 //! `=1` vs `=4` in `--smoke` mode, which writes `results/ci_reconfig.txt`).
 
-use blueprint_bench::matrix::{assert_conserved, cell, Run};
+use blueprint_bench::matrix::{assert_conserved, cell};
 use blueprint_bench::report;
+use blueprint_bench::Run;
 use blueprint_simrt::time::{ms, secs, SimTime};
 use blueprint_simrt::{
     AutoscalerSpec, Change, ClientSpec, DepBinding, EntrySpec, HostSpec, LbPolicy, ProcessSpec,
@@ -134,8 +135,8 @@ struct Timeline {
 }
 
 impl Timeline {
-    fn new(smoke: bool) -> Timeline {
-        let (steady_s, flash_s) = if smoke { (3, 2) } else { (6, 3) };
+    fn new(run: Run) -> Timeline {
+        let (steady_s, flash_s) = run.pick((3, 2), (6, 3));
         Timeline {
             steady_s,
             flash_s,
@@ -245,7 +246,7 @@ fn row(c: &CellReport) -> Vec<String> {
 
 fn main() {
     let run = Run::from_args();
-    let t = Timeline::new(run.smoke);
+    let t = Timeline::new(run);
     let cfg = ResilienceConfig {
         duration_s: 2 * t.steady_s + t.flash_s,
         entities: 10_000,

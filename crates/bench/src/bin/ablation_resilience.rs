@@ -9,7 +9,7 @@
 //! or admission control sheds the excess cheaply.
 
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
-use blueprint_bench::{report, Mode};
+use blueprint_bench::{report, Run};
 use blueprint_core::Blueprint;
 use blueprint_simrt::SimError;
 use blueprint_wiring::{mutate, Arg};
@@ -17,7 +17,7 @@ use blueprint_workload::generator::{OpenLoopGen, Phase};
 use blueprint_workload::parallel::{par_run, Threads};
 use blueprint_workload::{run_experiment, ExperimentSpec};
 
-fn run_cell(retries: u32, backoff_ms: i64, mode: Mode) -> (f64, u64) {
+fn run_cell(retries: u32, backoff_ms: i64, run: Run) -> (f64, u64) {
     let opts = WiringOpts {
         cluster: (8, 2.0),
         ..WiringOpts::default()
@@ -37,29 +37,34 @@ fn run_cell(retries: u32, backoff_ms: i64, mode: Mode) -> (f64, u64) {
         .compile(&hr::workflow(), &wiring)
         .unwrap();
     let mut sim = app.simulation(71).unwrap();
+    let (before, spike, after) = run.pick((2, 2, 3), (30, 20, 60));
     let phases = vec![
-        Phase::new(mode.secs(30), 2_500.0),
-        Phase::new(mode.secs(20), 13_000.0),
-        Phase::new(mode.secs(60), 2_500.0),
+        Phase::new(before, 2_500.0),
+        Phase::new(spike, 13_000.0),
+        Phase::new(after, 2_500.0),
     ];
     let gen = OpenLoopGen::new(phases, hr::paper_mix(), hr::ENTITIES, 71);
     let rec = run_experiment(&mut sim, ExperimentSpec::new(gen)).unwrap();
-    let total = mode.secs(30) + mode.secs(20) + mode.secs(60);
+    // The judged window is the last `spike` seconds.
+    let total = before + spike + after;
     let tail = rec.window(
-        blueprint_simrt::time::secs(total - mode.secs(20)),
+        blueprint_simrt::time::secs(total - spike),
         blueprint_simrt::time::secs(total),
     );
     (tail.error_rate(), sim.metrics.counters.retries)
 }
 
 fn main() {
-    let mode = Mode::from_args();
+    let run = Run::from_args();
     // Each ablation arm compiles its own variant and runs its own seeded
-    // simulation — independent jobs, run as one parallel batch.
-    let arms = [(0u32, 0i64), (3, 0), (3, 100), (10, 0), (10, 10), (10, 200)];
+    // simulation — independent jobs, run as one parallel batch. The smoke
+    // keeps the no-retry arm and the most aggressive retry arm.
+    let all = [(0u32, 0i64), (3, 0), (3, 100), (10, 0), (10, 10), (10, 200)];
+    let smoke = [all[0], all[3]];
+    let arms = run.pick(&smoke[..], &all[..]);
     let rows = par_run(arms.len(), Threads::from_env(), |i| {
         let (retries, backoff_ms) = arms[i];
-        let (err, total_retries) = run_cell(retries, backoff_ms, mode);
+        let (err, total_retries) = run_cell(retries, backoff_ms, run);
         Ok::<_, SimError>(vec![
             retries.to_string(),
             backoff_ms.to_string(),
@@ -73,18 +78,16 @@ fn main() {
         ])
     })
     .expect("ablation arms run");
-    print!(
-        "{}",
-        report::table(
-            "Ablation — retry policy vs Type-1 metastability (post-spike window)",
-            &[
-                "retries",
-                "backoff ms",
-                "final err",
-                "outcome",
-                "total retries"
-            ],
-            &rows,
-        )
+    let out = report::table(
+        "Ablation — retry policy vs Type-1 metastability (post-spike window)",
+        &[
+            "retries",
+            "backoff ms",
+            "final err",
+            "outcome",
+            "total retries",
+        ],
+        &rows,
     );
+    run.emit(&out, "ablation_resilience.txt", "ci_resilience.txt");
 }

@@ -35,15 +35,14 @@
 //!
 //! Output goes to stdout and `results/capacity_validation.txt`; the file is
 //! timestamp-free and byte-identical across `BLUEPRINT_THREADS` settings
-//! (the CI smoke compares `=1` vs `=4`). `--quick` shortens the runs;
-//! `--smoke` shortens them further for CI and writes
-//! `results/ci_capacity.txt`.
+//! (the CI smoke compares `=1` vs `=4`). `--smoke` shortens the runs for
+//! CI and writes `results/ci_capacity.txt`.
 
 use std::fmt::Write as _;
 
 use blueprint_apps::{hotel_reservation, sock_shop, train_ticket, WiringOpts};
-use blueprint_bench::matrix::Run;
 use blueprint_bench::report;
+use blueprint_bench::Run;
 use blueprint_core::Blueprint;
 use blueprint_lint::model::{Mode as ModelMode, Model};
 use blueprint_lint::{context::LintContext, Diagnostic, LintConfig, Linter, Severity};
@@ -317,7 +316,7 @@ fn run_arm(
 
 fn main() {
     let run = Run::from_args();
-    let duration_s = if run.smoke { 4 } else { run.mode.secs(12) };
+    let duration_s = run.pick(4, 12);
 
     // CPU-reduced cluster, tracing off — same convention as fig6/fig7.
     let opts = WiringOpts {
@@ -447,7 +446,7 @@ fn main() {
             &case.wiring,
             &p,
             duration_s,
-            run.smoke,
+            run == Run::Smoke,
         );
 
         // ---- Known model limit: stop-the-world GC convoys. --------------
@@ -528,7 +527,7 @@ fn main() {
             &fixed_wiring,
             &fixed_p,
             duration_s,
-            run.smoke,
+            run == Run::Smoke,
         );
         let _ = writeln!(
             out,

@@ -1,6 +1,6 @@
 //! Fig. 10 harness: circuit breaker vs Type-1 metastability.
-use blueprint_bench::{figures::fig10, Mode};
+use blueprint_bench::{figures::fig10, Run};
 fn main() {
-    let cmp = fig10::run(Mode::from_args());
-    print!("{}", fig10::print(&cmp));
+    let run = Run::from_args();
+    run.emit(&fig10::print(&fig10::run(run)), "fig10.txt", "ci_fig10.txt");
 }

@@ -1,9 +1,6 @@
 //! Fig. 11 harness: Blueprint vs original-implementation profiles.
-use blueprint_bench::{figures::fig11, Mode};
+use blueprint_bench::{figures::fig11, Run};
 fn main() {
-    let cmps = fig11::run(Mode::from_args());
-    print!("{}", fig11::print(&cmps));
-    for c in &cmps {
-        println!("mean p50 gap {}: {:.2}x", c.app, fig11::mean_gap(c));
-    }
+    let run = Run::from_args();
+    run.emit(&fig11::print(&fig11::run(run)), "fig11.txt", "ci_fig11.txt");
 }

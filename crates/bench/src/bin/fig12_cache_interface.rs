@@ -1,6 +1,6 @@
 //! Fig. 12 harness: generic vs extended cache interface.
-use blueprint_bench::{figures::fig12, Mode};
+use blueprint_bench::{figures::fig12, Run};
 fn main() {
-    let cmp = fig12::run(Mode::from_args());
-    print!("{}", fig12::print(&cmp));
+    let run = Run::from_args();
+    run.emit(&fig12::print(&fig12::run(run)), "fig12.txt", "ci_fig12.txt");
 }

@@ -1,12 +1,6 @@
 //! Fig. 5 harness: RPC framework / client pool / monolith exploration.
-use blueprint_bench::{figures::fig5, Mode};
+use blueprint_bench::{figures::fig5, Run};
 fn main() {
-    let sweeps = fig5::run(Mode::from_args());
-    print!("{}", fig5::print(&sweeps));
-    for app in ["HotelReservation", "SocialNetwork"] {
-        println!(
-            "shape check ({app}): monolith <= grpc <= thrift at mid load: {}",
-            fig5::shape_holds(&sweeps, app)
-        );
-    }
+    let run = Run::from_args();
+    run.emit(&fig5::print(&fig5::run(run)), "fig5.txt", "ci_fig5.txt");
 }

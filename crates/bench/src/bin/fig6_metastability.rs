@@ -1,24 +1,10 @@
 //! Fig. 6 harness: the four metastability failure types. Pass `type1`..
-//! `type4` to run one, or nothing for all.
-use blueprint_bench::{figures::fig6, Mode};
+//! `type4` to run some, or none for all; each type writes its own report.
+use blueprint_bench::{figures::fig6, Run};
 fn main() {
-    let mode = Mode::from_args();
-    let which: Vec<String> = std::env::args()
-        .skip(1)
-        .filter(|a| a != "--quick")
-        .collect();
-    let all = which.is_empty();
-    let wants = |t: &str| all || which.iter().any(|w| w == t);
-    if wants("type1") {
-        print!("{}", fig6::print(&fig6::type1(mode)));
-    }
-    if wants("type2") {
-        print!("{}", fig6::print(&fig6::type2(mode)));
-    }
-    if wants("type3") {
-        print!("{}", fig6::print(&fig6::type3(mode)));
-    }
-    if wants("type4") {
-        print!("{}", fig6::print(&fig6::type4(mode)));
+    let (run, picked) = Run::from_args_with(&fig6::TYPES);
+    for (t, r) in fig6::run(run, &picked) {
+        let (full, smoke) = (format!("fig6_{t}.txt"), format!("ci_fig6_{t}.txt"));
+        run.emit(&fig6::print(&r), &full, &smoke);
     }
 }

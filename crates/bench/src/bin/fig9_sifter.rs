@@ -1,10 +1,6 @@
 //! Fig. 9 harness: Sifter reproduction over Blueprint SocialNetwork traces.
-use blueprint_bench::{figures::fig9, Mode};
+//! The full run takes well under a second, so `--smoke` runs it too.
+use blueprint_bench::{figures::fig9, Run};
 fn main() {
-    let samples = fig9::run(Mode::from_args());
-    print!("{}", fig9::print(&samples));
-    println!(
-        "anomalies spike above normals: {}",
-        fig9::spikes_at_anomalies(&samples)
-    );
+    Run::from_args().emit(&fig9::print(&fig9::run()), "fig9.txt", "fig9.txt");
 }

@@ -52,15 +52,15 @@
 //!
 //! Output goes to stdout and `results/lint_validation.txt`; the file is
 //! timestamp-free and byte-identical across `BLUEPRINT_THREADS` settings
-//! (the CI smoke compares `=1` vs `=4`). `--quick` shortens the runs;
-//! `--smoke` shortens them further for CI and writes
-//! `results/ci_lint_validation.txt`.
+//! (the CI smoke compares `=1` vs `=4`). `--smoke` shortens the runs for
+//! CI and writes `results/ci_lint_validation.txt`.
 
 use std::fmt::Write as _;
 
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
-use blueprint_bench::matrix::{assert_conserved, cell, mid_run_fault, Run};
+use blueprint_bench::matrix::{assert_conserved, cell, mid_run_fault};
 use blueprint_bench::report;
+use blueprint_bench::Run;
 use blueprint_core::Blueprint;
 use blueprint_lint::{Diagnostic, LintConfig, Linter};
 use blueprint_simrt::time::secs;
@@ -300,7 +300,7 @@ fn static_lines(out: &mut String, rule: &str, name: &str, found: &[&Diagnostic])
 
 fn main() {
     let run = Run::from_args();
-    let duration_s = if run.smoke { 8 } else { run.mode.secs(20) };
+    let duration_s = run.pick(8, 20);
     let cfg = ResilienceConfig {
         rps: 1_500.0,
         duration_s,

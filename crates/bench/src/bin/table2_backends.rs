@@ -1,4 +1,6 @@
-//! Tab. 2 harness: backend interface LoC.
+//! Tab. 2 harness: backend interface LoC. It has no separate smoke size.
+use blueprint_bench::{tables, Run};
 fn main() {
-    print!("{}", blueprint_bench::tables::table2());
+    let name = "table2_backends.txt";
+    Run::from_args().emit(&tables::table2(), name, name);
 }

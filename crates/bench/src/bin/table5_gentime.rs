@@ -1,11 +1,12 @@
-//! Tab. 5 harness: generation time per system (use --quick for a smaller
-//! Alibaba topology).
-use blueprint_bench::Mode;
+//! Tab. 5 harness: service instances per generated system, next to the
+//! paper's generation time. It has no separate smoke size.
+use blueprint_bench::{tables, Run};
 fn main() {
-    let scale = if Mode::from_args().quick() {
-        300
-    } else {
-        blueprint_apps::alibaba::PAPER_SCALE
-    };
-    print!("{}", blueprint_bench::tables::table5(scale));
+    let run = Run::from_args();
+    let name = "table5_gentime.txt";
+    run.emit(
+        &tables::table5(blueprint_apps::alibaba::PAPER_SCALE),
+        name,
+        name,
+    );
 }

@@ -9,13 +9,15 @@
 //! staying metastable.
 
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
+use blueprint_simrt::SimError;
 use blueprint_wiring::{mutate, Arg};
 use blueprint_workload::generator::{OpenLoopGen, Phase};
+use blueprint_workload::parallel::{par_run, Threads};
 use blueprint_workload::recorder::IntervalStats;
 use blueprint_workload::{run_experiment, ExperimentSpec};
 
 use crate::figures::fig6;
-use crate::{report, Mode};
+use crate::{report, Run};
 
 /// Comparison of the two variants.
 #[derive(Debug)]
@@ -29,7 +31,7 @@ pub struct BreakerComparison {
 }
 
 /// Runs both variants.
-pub fn run(mode: Mode) -> BreakerComparison {
+pub fn run(size: Run) -> BreakerComparison {
     let opts = WiringOpts {
         cluster: (8, 2.0),
         ..WiringOpts::default()
@@ -56,36 +58,37 @@ pub fn run(mode: Mode) -> BreakerComparison {
     mutate::add_modifier_to_all_services(&mut cb_wiring, "breaker").expect("mutation");
     let diff = blueprint_wiring::diff::spec_diff(&base_wiring, &cb_wiring);
 
+    let (before, during, after) = size.pick((2, 2, 2), (60, 30, 90));
     let phases = vec![
-        Phase::new(mode.secs(60), 2_500.0),
-        Phase::new(mode.secs(30), 13_000.0),
-        Phase::new(mode.secs(90), 2_500.0),
+        Phase::new(before, 2_500.0),
+        Phase::new(during, 13_000.0),
+        Phase::new(after, 2_500.0),
     ];
-    let run_variant = |wiring: &blueprint_wiring::WiringSpec, label: &str| -> fig6::MetaResult {
+    // Both variants run as one parallel batch.
+    let variants = [
+        (&base_wiring, "Type 1, no circuit breaker"),
+        (&cb_wiring, "Type 1, circuit breaker enabled"),
+    ];
+    let mut results = par_run(variants.len(), Threads::from_env(), |i| {
+        let (wiring, label) = variants[i];
         let app = super::compile(&hr::workflow(), wiring);
         let mut sim = super::boot(&app, 101);
         let gen = OpenLoopGen::new(phases.clone(), hr::paper_mix(), hr::ENTITIES, 101);
-        let rec = run_experiment(&mut sim, ExperimentSpec::new(gen)).expect("experiment runs");
-        fig6::MetaResult {
-            label: label.to_string(),
-            series: rec.series(),
-            miss_rate: Vec::new(),
-            retries: sim.metrics.counters.retries,
-            timeouts: sim.metrics.counters.timeouts,
-            gc_pauses: sim.metrics.counters.gc_pauses,
-        }
-    };
+        let rec = run_experiment(&mut sim, ExperimentSpec::new(gen))?;
+        Ok::<_, SimError>(fig6::MetaResult::new(label, &rec, &sim, size))
+    })
+    .expect("variants run")
+    .into_iter();
     BreakerComparison {
-        without: run_variant(&base_wiring, "Type 1, no circuit breaker"),
-        with_breaker: run_variant(&cb_wiring, "Type 1, circuit breaker enabled"),
+        without: results.next().expect("no-breaker run"),
+        with_breaker: results.next().expect("breaker run"),
         wiring_lines_changed: diff.changed(),
     }
 }
 
 /// Goodput over the final `window_s` seconds of a series.
-pub fn final_goodput(series: &[IntervalStats], window_s: usize) -> f64 {
-    let n = series.len();
-    let from = n.saturating_sub(window_s);
+pub fn final_goodput(series: &[IntervalStats], window_s: u64) -> f64 {
+    let from = series.len().saturating_sub(window_s as usize);
     let ok: usize = series[from..].iter().map(|s| s.ok).sum();
     ok as f64 / window_s.max(1) as f64
 }
@@ -96,20 +99,21 @@ pub fn print(c: &BreakerComparison) -> String {
     out.push_str(&fig6::print(&c.without));
     out.push('\n');
     out.push_str(&fig6::print(&c.with_breaker));
+    let (without, with) = (&c.without, &c.with_breaker);
     out.push_str(&report::table(
         "Fig. 10 — summary",
         &["variant", "final err rate", "final goodput rps", "wiring Δ"],
         &[
             vec![
                 "no breaker".into(),
-                report::f3(c.without.final_error_rate(30)),
-                format!("{:.0}", final_goodput(&c.without.series, 30)),
+                report::f3(without.final_error_rate(without.tail_s)),
+                format!("{:.0}", final_goodput(&without.series, without.tail_s)),
                 "-".into(),
             ],
             vec![
                 "breaker".into(),
-                report::f3(c.with_breaker.final_error_rate(30)),
-                format!("{:.0}", final_goodput(&c.with_breaker.series, 30)),
+                report::f3(with.final_error_rate(with.tail_s)),
+                format!("{:.0}", final_goodput(&with.series, with.tail_s)),
                 format!("{} lines", c.wiring_lines_changed),
             ],
         ],

@@ -15,7 +15,7 @@ use blueprint_simrt::{SystemSpec, TransportSpec};
 use blueprint_workload::parallel::Threads;
 use blueprint_workload::sweep::{latency_throughput_many, SweepPoint, SweepSpec};
 
-use crate::{report, Mode};
+use crate::{report, Run};
 
 /// One app's comparison.
 #[derive(Debug)]
@@ -81,28 +81,26 @@ pub fn native_profile(sys: &SystemSpec) -> SystemSpec {
 }
 
 /// Runs both comparisons.
-pub fn run(mode: Mode) -> Vec<Comparison> {
-    let duration = mode.secs(15);
+pub fn run(size: Run) -> Vec<Comparison> {
+    let duration = size.pick(2, 15);
     let opts = WiringOpts::default();
 
     // HotelReservation: original is Go too → same profile both sides, the
     // original merely without Blueprint's tracing wrapper overhead.
-    let hr_rates: Vec<f64> = if mode.quick() {
-        vec![4_000.0, 16_000.0, 24_000.0]
-    } else {
+    let hr_rates = size.pick(
+        vec![2_000.0, 14_000.0],
         vec![
             2_000.0, 6_000.0, 10_000.0, 14_000.0, 18_000.0, 22_000.0, 26_000.0,
-        ]
-    };
+        ],
+    );
     let hr_bp = super::compile(&hr::workflow(), &hr::wiring(&opts));
     let hr_orig = super::compile(&hr::workflow(), &hr::wiring(&opts.without_tracing()));
 
     // SocialNetwork: original is C++/nginx with specialized Redis ops.
-    let sn_rates: Vec<f64> = if mode.quick() {
-        vec![1_000.0, 4_000.0, 6_000.0]
-    } else {
-        vec![1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0, 6_000.0]
-    };
+    let sn_rates = size.pick(
+        vec![1_000.0, 4_000.0],
+        vec![1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0, 6_000.0],
+    );
     let sn_bp = super::compile(&sn::workflow(), &sn::wiring(&opts));
     let sn_native = super::compile(
         &sn::workflow_with(true),
@@ -156,7 +154,7 @@ pub fn run(mode: Mode) -> Vec<Comparison> {
     ]
 }
 
-/// Renders both comparisons.
+/// Renders both comparisons, then each app's mean p50 gap.
 pub fn print(cmps: &[Comparison]) -> String {
     let mut out = String::new();
     for c in cmps {
@@ -182,6 +180,9 @@ pub fn print(cmps: &[Comparison]) -> String {
             &rows,
         ));
         out.push('\n');
+    }
+    for c in cmps {
+        out.push_str(&format!("mean p50 gap {}: {:.2}x\n", c.app, mean_gap(c)));
     }
     out
 }

@@ -9,7 +9,7 @@ use blueprint_workload::generator::ApiMix;
 use blueprint_workload::parallel::Threads;
 use blueprint_workload::sweep::{latency_throughput_many, SweepPoint, SweepSpec};
 
-use crate::{report, Mode};
+use crate::{report, Run};
 
 /// The experiment's data: one sweep per interface.
 #[derive(Debug)]
@@ -21,15 +21,14 @@ pub struct CacheComparison {
 }
 
 /// Runs the 100% ReadHomeTimeline sweep for both interface variants.
-pub fn run(mode: Mode) -> CacheComparison {
-    let duration = mode.secs(15);
-    let rates: Vec<f64> = if mode.quick() {
-        vec![5_000.0, 7_000.0, 9_000.0]
-    } else {
+pub fn run(size: Run) -> CacheComparison {
+    let duration = size.pick(2, 15);
+    let rates = size.pick(
+        vec![5_000.0, 9_000.0],
         vec![
             2_000.0, 4_000.0, 5_000.0, 6_000.0, 7_000.0, 8_000.0, 9_000.0, 10_000.0,
-        ]
-    };
+        ],
+    );
     let mix = ApiMix::single("gateway", "ReadHomeTimeline");
     // The cost study runs on the CPU-reduced cluster so the per-operation
     // client driver cost is the binding resource, as in the paper's testbed.

@@ -12,8 +12,7 @@ use blueprint_workload::generator::ApiMix;
 use blueprint_workload::parallel::{par_run, Threads};
 use blueprint_workload::sweep::{latency_throughput_many, SweepPoint, SweepSpec};
 
-use crate::report;
-use crate::Mode;
+use crate::{report, Run};
 
 /// One variant's sweep.
 #[derive(Debug)]
@@ -58,10 +57,9 @@ fn explore(
     mix: &ApiMix,
     rates: &[f64],
     entities: u64,
-    mode: Mode,
+    duration_s: u64,
     threads: Threads,
 ) -> Vec<VariantSweep> {
-    let duration = mode.secs(15);
     let variants = variants();
     let apps = par_run(variants.len(), threads, |i| {
         Ok::<_, SimError>(super::compile(workflow, &wiring_of(&variants[i].1)))
@@ -73,7 +71,7 @@ fn explore(
             system: app.system(),
             mix,
             rates_rps: rates,
-            duration_s: duration,
+            duration_s,
             entities,
             seed: 1,
         })
@@ -90,20 +88,19 @@ fn explore(
 }
 
 /// Runs both applications' explorations.
-pub fn run(mode: Mode) -> Vec<VariantSweep> {
+pub fn run(size: Run) -> Vec<VariantSweep> {
     let threads = Threads::from_env();
-    let hr_rates: Vec<f64> = if mode.quick() {
-        vec![2_000.0, 10_000.0, 20_000.0]
-    } else {
+    let duration_s = size.pick(2, 15);
+    let hr_rates = size.pick(
+        vec![2_000.0, 6_000.0],
         vec![
             2_000.0, 6_000.0, 10_000.0, 14_000.0, 18_000.0, 22_000.0, 26_000.0,
-        ]
-    };
-    let sn_rates: Vec<f64> = if mode.quick() {
-        vec![1_000.0, 4_000.0, 7_000.0]
-    } else {
-        vec![1_000.0, 2_000.0, 4_000.0, 6_000.0, 8_000.0, 10_000.0]
-    };
+        ],
+    );
+    let sn_rates = size.pick(
+        vec![1_000.0, 3_000.0],
+        vec![1_000.0, 2_000.0, 4_000.0, 6_000.0, 8_000.0, 10_000.0],
+    );
     let mut out = explore(
         "HotelReservation",
         &hr::workflow(),
@@ -111,7 +108,7 @@ pub fn run(mode: Mode) -> Vec<VariantSweep> {
         &hr::paper_mix(),
         &hr_rates,
         hr::ENTITIES,
-        mode,
+        duration_s,
         threads,
     );
     out.extend(explore(
@@ -121,13 +118,14 @@ pub fn run(mode: Mode) -> Vec<VariantSweep> {
         &sn::paper_mix(),
         &sn_rates,
         sn::ENTITIES,
-        mode,
+        duration_s,
         threads,
     ));
     out
 }
 
-/// Renders the exploration as tables, one per variant.
+/// Renders the exploration as tables, one per variant, then the shape check
+/// of each app.
 pub fn print(sweeps: &[VariantSweep]) -> String {
     let mut out = String::new();
     for s in sweeps {
@@ -158,6 +156,12 @@ pub fn print(sweeps: &[VariantSweep]) -> String {
             &rows,
         ));
         out.push('\n');
+    }
+    for app in ["HotelReservation", "SocialNetwork"] {
+        out.push_str(&format!(
+            "shape check ({app}): monolith <= grpc <= thrift at mid load: {}\n",
+            shape_holds(sweeps, app)
+        ));
     }
     out
 }

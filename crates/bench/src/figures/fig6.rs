@@ -22,14 +22,16 @@ use std::sync::{Arc, Mutex};
 
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
 use blueprint_simrt::time::secs;
+use blueprint_simrt::{Sim, SimError};
 use blueprint_wiring::WiringSpec;
 use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::generator::{ApiMix, OpenLoopGen, Phase};
-use blueprint_workload::recorder::IntervalStats;
+use blueprint_workload::parallel::{par_run, Threads};
+use blueprint_workload::recorder::{IntervalStats, Recorder};
 use blueprint_workload::resilience::{ResilienceConfig, Scenario, Trigger};
 use blueprint_workload::{run_experiment, Action, ExperimentSpec};
 
-use crate::{report, Mode};
+use crate::{report, Run};
 
 /// The cluster used by the metastability studies.
 const META_CLUSTER: (i64, f64) = (8, 2.0);
@@ -49,9 +51,25 @@ pub struct MetaResult {
     pub timeouts: u64,
     /// GC pauses observed.
     pub gc_pauses: u64,
+    /// Length of the final window the summary judges (s).
+    pub tail_s: u64,
 }
 
 impl MetaResult {
+    /// Packages a finished run: its series and the simulator's counters. The
+    /// summary judges the final 30 s of a full run, 2 s of a smoke run.
+    pub fn new(label: &str, rec: &Recorder, sim: &Sim, size: Run) -> MetaResult {
+        MetaResult {
+            label: label.to_string(),
+            series: rec.series(),
+            miss_rate: Vec::new(),
+            retries: sim.metrics.counters.retries,
+            timeouts: sim.metrics.counters.timeouts,
+            gc_pauses: sim.metrics.counters.gc_pauses,
+            tail_s: size.pick(2, 30),
+        }
+    }
+
     /// Error rate over the final `window_s` seconds of the run.
     pub fn final_error_rate(&self, window_s: u64) -> f64 {
         let n = self.series.len();
@@ -93,38 +111,49 @@ fn opts_with(timeout_ms: i64, retries: u32) -> WiringOpts {
     }
 }
 
+/// The four types by name, in figure order.
+pub const TYPES: [&str; 4] = ["type1", "type2", "type3", "type4"];
+
+/// Runs the named types (all four when `names` is empty) as one parallel
+/// batch and returns each result with its name, in figure order.
+pub fn run(size: Run, names: &[String]) -> Vec<(&'static str, MetaResult)> {
+    let runs: [fn(Run) -> MetaResult; 4] = [type1, type2, type3, type4];
+    let chosen: Vec<usize> = (0..TYPES.len())
+        .filter(|&i| names.is_empty() || names.iter().any(|n| n == TYPES[i]))
+        .collect();
+    par_run(chosen.len(), Threads::from_env(), |j| {
+        Ok::<_, SimError>((TYPES[chosen[j]], runs[chosen[j]](size)))
+    })
+    .expect("metastability runs")
+}
+
 /// Type 1: load spike trigger, workload amplification.
-pub fn type1(mode: Mode) -> MetaResult {
+pub fn type1(size: Run) -> MetaResult {
     let app = super::compile(&hr::workflow(), &hr::wiring(&opts_with(500, 10)));
     let mut sim = super::boot(&app, 61);
     let (base, spike) = (2_500.0, 13_000.0);
+    let (before, during, after) = size.pick((2, 2, 2), (60, 30, 90));
     let phases = vec![
-        Phase::new(mode.secs(60), base),
-        Phase::new(mode.secs(30), spike),
-        Phase::new(mode.secs(90), base),
+        Phase::new(before, base),
+        Phase::new(during, spike),
+        Phase::new(after, base),
     ];
     let gen = OpenLoopGen::new(phases, hr::paper_mix(), hr::ENTITIES, 61);
     let rec = run_experiment(&mut sim, ExperimentSpec::new(gen)).expect("experiment runs");
-    MetaResult {
-        label: "Type 1 (load spike → retry storm)".into(),
-        series: rec.series(),
-        miss_rate: Vec::new(),
-        retries: sim.metrics.counters.retries,
-        timeouts: sim.metrics.counters.timeouts,
-        gc_pauses: sim.metrics.counters.gc_pauses,
-    }
+    let label = "Type 1 (load spike → retry storm)";
+    MetaResult::new(label, &rec, &sim, size)
 }
 
 /// Type 2: load spike trigger, capacity degradation amplification (GOGC=75 +
 /// CPU contention on the ReservationService's machine).
-pub fn type2(mode: Mode) -> MetaResult {
+pub fn type2(size: Run) -> MetaResult {
     let app = super::compile(
         &hr::workflow(),
         &hr::wiring_with(&opts_with(500, 10), Some(75)),
     );
     let host = super::host_of_service(&app, "reservation");
     let mut sim = super::boot(&app, 62);
-    let total = mode.secs(150);
+    let (total, hog_at, hog_s) = size.pick((5, 2, 2), (150, 60, 30));
     let gen = OpenLoopGen::new(
         vec![Phase::new(total, 4_000.0)],
         hr::paper_mix(),
@@ -132,31 +161,25 @@ pub fn type2(mode: Mode) -> MetaResult {
         62,
     );
     let exp = ExperimentSpec::new(gen).at(
-        secs(mode.secs(60)),
+        secs(hog_at),
         Action::CpuHog {
             host,
             cores: 1.7,
-            duration_ns: secs(mode.secs(30)),
+            duration_ns: secs(hog_s),
         },
     );
     let rec = run_experiment(&mut sim, exp).expect("experiment runs");
-    MetaResult {
-        label: "Type 2 (GC amplification under contention)".into(),
-        series: rec.series(),
-        miss_rate: Vec::new(),
-        retries: sim.metrics.counters.retries,
-        timeouts: sim.metrics.counters.timeouts,
-        gc_pauses: sim.metrics.counters.gc_pauses,
-    }
+    let label = "Type 2 (GC amplification under contention)";
+    MetaResult::new(label, &rec, &sim, size)
 }
 
 /// Type 3: capacity-decreasing trigger, workload amplification (1 s
 /// timeouts; 30 s of CPU contention).
-pub fn type3(mode: Mode) -> MetaResult {
+pub fn type3(size: Run) -> MetaResult {
     let app = super::compile(&hr::workflow(), &hr::wiring(&opts_with(1_000, 10)));
     let host = super::host_of_service(&app, "frontend");
     let mut sim = super::boot(&app, 63);
-    let total = mode.secs(120);
+    let (total, hog_at, hog_s) = size.pick((5, 2, 2), (120, 60, 30));
     let gen = OpenLoopGen::new(
         vec![Phase::new(total, 5_500.0)],
         hr::paper_mix(),
@@ -164,26 +187,20 @@ pub fn type3(mode: Mode) -> MetaResult {
         63,
     );
     let exp = ExperimentSpec::new(gen).at(
-        secs(mode.secs(60)),
+        secs(hog_at),
         Action::CpuHog {
             host,
             cores: 1.7,
-            duration_ns: secs(mode.secs(30)),
+            duration_ns: secs(hog_s),
         },
     );
     let rec = run_experiment(&mut sim, exp).expect("experiment runs");
-    MetaResult {
-        label: "Type 3 (capacity trigger → retry storm)".into(),
-        series: rec.series(),
-        miss_rate: Vec::new(),
-        retries: sim.metrics.counters.retries,
-        timeouts: sim.metrics.counters.timeouts,
-        gc_pauses: sim.metrics.counters.gc_pauses,
-    }
+    let label = "Type 3 (capacity trigger → retry storm)";
+    MetaResult::new(label, &rec, &sim, size)
 }
 
 /// Type 4: cache-flush trigger on SocialNetwork's user timeline.
-pub fn type4(mode: Mode) -> MetaResult {
+pub fn type4(size: Run) -> MetaResult {
     let opts = WiringOpts {
         cluster: META_CLUSTER,
         ..WiringOpts::default()
@@ -201,7 +218,7 @@ pub fn type4(mode: Mode) -> MetaResult {
     sim.cache_fill("ut_cache", TIMELINES, 1)
         .expect("cache fill");
 
-    let total = mode.secs(120);
+    let (total, flush_at) = size.pick((5, 2), (120, 60));
     let gen = OpenLoopGen::new(
         vec![Phase::new(total, 1_800.0)],
         ApiMix::single("gateway", "ReadUserTimeline"),
@@ -209,12 +226,12 @@ pub fn type4(mode: Mode) -> MetaResult {
         64,
     );
     // Sample cumulative hit/miss counters each second for the miss-rate
-    // series, and flush the cache at the 60 s mark. (`Arc<Mutex<..>>` rather
-    // than `Rc<RefCell<..>>` so the custom actions satisfy `Action`'s `Send`
-    // bound; the experiment itself still runs on one thread.)
+    // series, and flush the cache at the trigger mark. (`Arc<Mutex<..>>`
+    // rather than `Rc<RefCell<..>>` so the custom actions satisfy `Action`'s
+    // `Send` bound; the experiment itself still runs on one thread.)
     let samples: Arc<Mutex<Vec<(f64, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut exp = ExperimentSpec::new(gen).at(
-        secs(mode.secs(60)),
+        secs(flush_at),
         Action::CacheFlush {
             backend: "ut_cache".into(),
         },
@@ -249,21 +266,17 @@ pub fn type4(mode: Mode) -> MetaResult {
         };
         miss_rate.push((*t, rate));
     }
+    let label = "Type 4 (cache flush → DB overload)";
     MetaResult {
-        label: "Type 4 (cache flush → DB overload)".into(),
-        series: rec.series(),
         miss_rate,
-        retries: sim.metrics.counters.retries,
-        timeouts: sim.metrics.counters.timeouts,
-        gc_pauses: sim.metrics.counters.gc_pauses,
+        ..MetaResult::new(label, &rec, &sim, size)
     }
 }
 
 /// One metastability exhibit repackaged for the verified resilience matrix:
 /// the unmitigated wiring, workload, and trigger window from which the
 /// `ablation_overload` harness derives its mitigation arms. The durations
-/// are scaled down from the figure runs (the quick-mode fig6 runs already
-/// exhibit all four failure types) with a longer post-trigger tail so
+/// are scaled down from the figure runs, with a longer post-trigger tail so
 /// recovery time is measurable.
 pub struct MetaCase {
     /// Case label.
@@ -455,11 +468,12 @@ pub fn print(r: &MetaResult) -> String {
         out.push_str(&report::series("cache miss rate", &["miss rate"], &rows));
     }
     out.push_str(&format!(
-        "summary: retries={} timeouts={} gc_pauses={} final-30s error rate={:.3}\n",
+        "summary: retries={} timeouts={} gc_pauses={} final-{}s error rate={:.3}\n",
         r.retries,
         r.timeouts,
         r.gc_pauses,
-        r.final_error_rate(30),
+        r.tail_s,
+        r.final_error_rate(r.tail_s),
     ));
     out
 }

@@ -12,7 +12,7 @@ use blueprint_simrt::SimError;
 use blueprint_workload::parallel::{par_run, Threads};
 use blueprint_workload::sweep::{trigger_recovery, CellOutcome, TriggerSpec};
 
-use crate::{report, Mode};
+use crate::{report, Run};
 
 /// One grid cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,34 +29,29 @@ pub struct Cell {
     pub final_error_rate: f64,
 }
 
-/// Runs the vulnerability grid with the environment-configured thread count.
-pub fn run(mode: Mode) -> Vec<Cell> {
-    run_with(mode, Threads::from_env())
-}
-
-/// Runs the vulnerability grid on an explicit number of worker threads.
+/// Runs the vulnerability grid.
 ///
 /// Every cell is an independent seeded run, so the grid is one flat
 /// `par_run` batch: each worker builds its own `Sim` from the per-retry
 /// compiled system. Cell order (and every byte of every cell) is identical
 /// to the historical sequential retries → rates → durations loop.
-pub fn run_with(mode: Mode, threads: Threads) -> Vec<Cell> {
-    let (rates, durations, retries): (Vec<f64>, Vec<u64>, Vec<u32>) = if mode.quick() {
-        (vec![1_000.0, 4_000.0], vec![2, 10], vec![2, 10])
-    } else {
+pub fn run(size: Run) -> Vec<Cell> {
+    let threads = Threads::from_env();
+    let (rates, durations, retries) = size.pick(
+        (vec![1_000.0, 4_000.0], vec![2], vec![2, 10]),
         (
             vec![1_000.0, 2_500.0, 4_000.0, 5_500.0],
             vec![2, 5, 10, 20],
             vec![2, 6, 10],
-        )
-    };
+        ),
+    );
     let opts = WiringOpts {
         cluster: (8, 2.0),
         ..WiringOpts::default()
             .without_tracing()
             .with_timeout_retries(1_000, 0)
     };
-    let total = mode.secs(90);
+    let total = size.pick(6, 90);
     // One compiled variant per retry setting, compiled in parallel
     // (`CompiledApp` is `Send`; workers then share them by reference).
     let apps = par_run(retries.len(), threads, |i| {
@@ -108,7 +103,8 @@ pub fn run_with(mode: Mode, threads: Threads) -> Vec<Cell> {
     .expect("cell runs")
 }
 
-/// Renders the grid, one block per retry setting.
+/// Renders the grid, one block per retry setting, then the monotonicity
+/// check.
 pub fn print(cells: &[Cell]) -> String {
     let mut out = String::new();
     let mut retries: Vec<u32> = cells.iter().map(|c| c.retries).collect();
@@ -137,6 +133,10 @@ pub fn print(cells: &[Cell]) -> String {
         ));
         out.push('\n');
     }
+    out.push_str(&format!(
+        "monotone in request rate: {}\n",
+        monotone_in_rate(cells)
+    ));
     out
 }
 
@@ -167,11 +167,11 @@ mod tests {
     use super::*;
 
     /// Grid cells are produced on worker threads and collected by index;
-    /// they must be plain `Send + Sync` data. (Byte-identity of the full
-    /// grid at 1 vs 4 threads is asserted in release profile by the
-    /// `par_sweep` bench, which CI runs in `--test` mode, and by
-    /// `tests/parallel_determinism.rs` — a dev-profile duplicate here would
-    /// cost ~10 minutes of `cargo test` for no extra coverage.)
+    /// they must be plain `Send + Sync` data. (Byte-identity of the grid at
+    /// 1 vs 4 threads is checked in release profile by the `ci.sh` smoke
+    /// of `fig7_vulnerability` and by `tests/parallel_determinism.rs` — a
+    /// dev-profile duplicate here would cost minutes of `cargo test` for no
+    /// extra coverage.)
     const fn assert_send_sync<T: Send + Sync>() {}
     const _: () = assert_send_sync::<Cell>();
 }

@@ -16,7 +16,7 @@ use blueprint_simrt::{Completion, Sim, SimError};
 use blueprint_workload::oracle::{classify, OracleSpec};
 use blueprint_workload::parallel::{par_run, Threads};
 
-use crate::{report, Mode};
+use crate::report;
 
 /// One data point.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,16 +75,12 @@ fn measure(app: &CompiledApp, wait_ms: u64, pairs: u64, seed: u64) -> f64 {
 /// Runs the experiment over waits 0..=1000 ms in 100 ms steps (paper setup).
 /// Each wait point runs its compose/read pairs in a fresh worker-local `Sim`
 /// per variant, so the wait sweep is one parallel batch.
-pub fn run(mode: Mode) -> Vec<Point> {
-    let pairs = if mode.quick() { 20 } else { 80 };
+pub fn run() -> Vec<Point> {
+    let pairs = 80;
     let opts = WiringOpts::default().without_tracing();
     let replicated = super::compile(&sn::workflow(), &sn::wiring_inconsistency(&opts, 50, 700));
     let baseline = super::compile(&sn::workflow(), &sn::wiring(&opts));
-    let waits: Vec<u64> = if mode.quick() {
-        vec![0, 200, 400, 800]
-    } else {
-        (0..=10).map(|i| i * 100).collect()
-    };
+    let waits: Vec<u64> = (0..=10).map(|i| i * 100).collect();
     par_run(waits.len(), Threads::from_env(), |i| {
         let w = waits[i];
         Ok::<_, SimError>(Point {
@@ -128,6 +124,6 @@ mod tests {
     #[test]
     fn oracle_reproduces_committed_staleness_fractions() {
         let committed = include_str!("../../../../results/fig8.txt");
-        assert_eq!(print(&run(Mode::Full)), committed);
+        assert_eq!(print(&run()), committed);
     }
 }

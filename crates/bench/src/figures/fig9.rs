@@ -11,8 +11,6 @@ use blueprint_apps::{social_network as sn, TracerChoice, WiringOpts};
 use blueprint_simrt::time::{ms, secs};
 use blueprint_trace::{Sifter, SifterConfig};
 
-use crate::Mode;
-
 /// Per-request Sifter decision.
 #[derive(Debug, Clone)]
 pub struct RequestSample {
@@ -32,8 +30,8 @@ pub fn anomaly_indices(total: usize) -> Vec<usize> {
 }
 
 /// Runs the experiment: returns per-request Sifter decisions in order.
-pub fn run(mode: Mode) -> Vec<RequestSample> {
-    let total = if mode.quick() { 300 } else { 1_000 };
+pub fn run() -> Vec<RequestSample> {
+    let total = 1_000;
     let anomalies = anomaly_indices(total);
 
     let opts = WiringOpts {
@@ -110,7 +108,8 @@ pub fn run(mode: Mode) -> Vec<RequestSample> {
     out
 }
 
-/// Renders a sparse view: every 25th request plus all anomalies.
+/// Renders a sparse view (every 25th request plus all anomalies), then the
+/// summary and the spike check.
 pub fn print(samples: &[RequestSample]) -> String {
     let mut out =
         String::from("== Fig. 9 — Sifter sampling probability over ComposePost requests ==\n");
@@ -130,6 +129,10 @@ pub fn print(samples: &[RequestSample]) -> String {
         }
     }
     out.push_str(&summary(samples));
+    out.push_str(&format!(
+        "anomalies spike above normals: {}\n",
+        spikes_at_anomalies(samples)
+    ));
     out
 }
 

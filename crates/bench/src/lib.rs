@@ -7,7 +7,7 @@
 //! | Tab. 2 (backend interfaces)   | `table2_backends`       | [`tables::table2`] |
 //! | Tab. 3 (instantiations)       | `table3_instantiations` | [`tables::table3`] |
 //! | Tab. 4 (plugins)              | `table4_plugins`        | [`tables::table4`] |
-//! | Tab. 5 (generation time)      | `table5_gentime`        | [`tables::table5`] |
+//! | Tab. 5 (instances per system) | `table5_gentime`        | [`tables::table5`] |
 //! | Fig. 5 (RPC/pool/monolith)    | `fig5_rpc_exploration`  | [`figures::fig5`] |
 //! | Fig. 6 (metastability 1–4)    | `fig6_metastability`    | [`figures::fig6`] |
 //! | Fig. 7 (vulnerability grid)   | `fig7_vulnerability`    | [`figures::fig7`] |
@@ -21,7 +21,11 @@
 //! (`ablation_{faults,overload,reconfig,consistency}`, `lint_validation`,
 //! `capacity_validation`) share the [`matrix`] skeleton.
 //!
-//! Each binary accepts `--quick` for a reduced-duration run. Absolute
+//! Every binary but `lint_gate` takes one optional flag, parsed by [`Run`]:
+//! nothing runs the full-length exhibit and writes `results/<name>.txt`;
+//! `--smoke` runs a CI-sized version and writes `results/ci_*.txt`, which
+//! `ci.sh` compares byte for byte. Exhibits whose full run takes about a
+//! second (Tabs. 1–5, Figs. 8 and 9) have no separate smoke size. Absolute
 //! numbers come from the simulation substrate, so they are not the paper's
 //! testbed numbers; the *shapes* (who wins, crossovers, metastable
 //! hysteresis) are the reproduction targets. `EXPERIMENTS.md` records both.
@@ -37,36 +41,72 @@ pub mod matrix;
 pub mod report;
 pub mod tables;
 
-/// Run mode for the harness binaries.
+/// The run size of a harness binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Full experiment durations.
+pub enum Run {
+    /// `--smoke`: the CI-sized run, whose report is a committed
+    /// `results/ci_*.txt` that CI compares byte for byte.
+    Smoke,
+    /// No flag: the full-length run behind a committed paper exhibit.
     Full,
-    /// Reduced durations for smoke runs and CI.
-    Quick,
 }
 
-impl Mode {
-    /// Parses from process args: `--quick` selects [`Mode::Quick`].
-    pub fn from_args() -> Mode {
-        if std::env::args().any(|a| a == "--quick") {
-            Mode::Quick
-        } else {
-            Mode::Full
+impl Run {
+    /// Parses a binary's arguments (program name excluded). Besides
+    /// `--smoke`, only the selector `words` are accepted; the ones given are
+    /// returned in order. Anything else is an error naming the argument.
+    pub fn parse<'a>(args: &[&'a str], words: &[&str]) -> Result<(Run, Vec<&'a str>), String> {
+        let mut run = Run::Full;
+        let mut picked = Vec::new();
+        for &a in args {
+            if a == "--smoke" {
+                run = Run::Smoke;
+            } else if words.contains(&a) {
+                picked.push(a);
+            } else {
+                return Err(format!("unknown argument `{a}`"));
+            }
+        }
+        Ok((run, picked))
+    }
+
+    /// [`Run::parse`] over the process arguments with no selector words;
+    /// exits with status 2 and a usage line on anything but `--smoke`.
+    pub fn from_args() -> Run {
+        Run::from_args_with(&[]).0
+    }
+
+    /// [`Run::parse`] over the process arguments; exits with status 2 and a
+    /// usage line on an argument that is neither `--smoke` nor in `words`.
+    pub fn from_args_with(words: &[&str]) -> (Run, Vec<String>) {
+        let args: Vec<String> = std::env::args().collect();
+        let rest: Vec<&str> = args.iter().skip(1).map(String::as_str).collect();
+        match Run::parse(&rest, words) {
+            Ok((run, picked)) => (run, picked.into_iter().map(String::from).collect()),
+            Err(e) => {
+                let words: String = words.iter().map(|w| format!(" [{w}]")).collect();
+                eprintln!("{e}\nusage: {} [--smoke]{words}", args[0]);
+                std::process::exit(2);
+            }
         }
     }
 
-    /// Whether this is a quick run.
-    pub fn quick(self) -> bool {
-        self == Mode::Quick
-    }
-
-    /// Scales a duration (seconds) down in quick mode.
-    pub fn secs(self, full: u64) -> u64 {
+    /// `smoke` under `--smoke`, else `full`.
+    pub fn pick<T>(self, smoke: T, full: T) -> T {
         match self {
-            Mode::Full => full,
-            Mode::Quick => (full / 3).max(2),
+            Run::Smoke => smoke,
+            Run::Full => full,
         }
+    }
+
+    /// Prints the report and writes it to `results/<full>`, or under
+    /// `--smoke` to `results/<smoke>`, leaving the other report alone.
+    /// Exhibits gated at full length pass the same name twice.
+    pub fn emit(self, out: &str, full: &str, smoke: &str) {
+        print!("{out}");
+        std::fs::create_dir_all("results").expect("results dir");
+        let path = format!("results/{}", self.pick(smoke, full));
+        std::fs::write(&path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
     }
 }
 
@@ -75,11 +115,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_scaling() {
-        assert_eq!(Mode::Full.secs(60), 60);
-        assert_eq!(Mode::Quick.secs(60), 20);
-        assert_eq!(Mode::Quick.secs(3), 2);
-        assert!(Mode::Quick.quick());
-        assert!(!Mode::Full.quick());
+    fn parse_accepts_only_smoke_and_selector_words() {
+        assert_eq!(Run::parse(&[], &[]), Ok((Run::Full, vec![])));
+        assert_eq!(Run::parse(&["--smoke"], &[]), Ok((Run::Smoke, vec![])));
+        let types = ["type1", "type2"];
+        assert_eq!(
+            Run::parse(&["type2", "--smoke"], &types),
+            Ok((Run::Smoke, vec!["type2"]))
+        );
+        assert!(Run::parse(&["--smok"], &[]).is_err());
+        assert!(Run::parse(&["--fast"], &[]).is_err());
+        assert!(Run::parse(&["type1"], &[]).is_err());
+        assert!(Run::parse(&["type3"], &types).is_err());
+    }
+
+    #[test]
+    fn pick_follows_the_run_size() {
+        assert_eq!(Run::Smoke.pick(1, 2), 1);
+        assert_eq!(Run::Full.pick(1, 2), 2);
     }
 }

@@ -148,10 +148,13 @@ impl ArtifactTree {
 }
 
 /// Counts non-blank, non-comment lines of Rust-ish source (used by the
-/// Tab. 2–4 plugin LoC accounting over this repo's own sources).
+/// Tab. 1–4 LoC accounting over this repo's own sources). Counting stops at
+/// the first `#[cfg(test)]` line: a file's test module is not part of the
+/// implementation it measures.
 pub fn source_loc(src: &str) -> usize {
     src.lines()
         .map(str::trim)
+        .take_while(|l| *l != "#[cfg(test)]")
         .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with("#!"))
         .count()
 }
@@ -208,6 +211,9 @@ mod tests {
     fn source_loc_skips_comments() {
         let src = "// comment\nfn f() {}\n\n  // another\nlet x = 1;\n";
         assert_eq!(source_loc(src), 2);
+        // The test module and everything after it is not counted.
+        let with_tests = format!("{src}#[cfg(test)]\nmod tests {{\n    fn t() {{}}\n}}\n");
+        assert_eq!(source_loc(&with_tests), 2);
     }
 
     #[test]
