@@ -21,6 +21,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
+# Catches doc links left dangling when an item is renamed or deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> bench smoke (sim_engine: processor-sharing host, quick test mode)"
 # Criterion's --test mode runs each bench once to confirm it executes,
 # without the full sampling run.

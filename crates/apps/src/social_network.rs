@@ -1010,8 +1010,9 @@ pub fn wiring_direct_timeline(
 
 /// Arms primary failover on the compiled system's `ut_db` store: appends one
 /// process per replica on the store's own host (the same-host rule the spec
-/// validator enforces) and attaches a [`FailoverSpec`] naming them, so a
-/// crash or partition of the primary's process promotes the most-caught-up
+/// validator enforces) and attaches a
+/// [`FailoverSpec`](blueprint_simrt::FailoverSpec) naming them, so a crash
+/// or partition of the primary's process promotes the most-caught-up
 /// replica after `detection_ns + election_ns`.
 ///
 /// This is deliberately a *post-compile* mutation — failover topology is a

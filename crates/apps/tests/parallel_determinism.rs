@@ -13,11 +13,9 @@ use blueprint_apps::{social_network as sn, WiringOpts};
 use blueprint_core::Blueprint;
 use blueprint_simrt::time::{ms, secs, SimTime};
 use blueprint_simrt::{Change, Completion, Fault, ReconfigPlan, Sim, SimConfig, SystemSpec};
-use blueprint_workload::resilience::{
-    run_matrix, ConsistencyProbe, ResilienceConfig, Scenario, Trigger,
-};
+use blueprint_workload::resilience::{run_matrix, ConsistencyProbe, ResilienceConfig, Scenario};
 use blueprint_workload::{
-    par_run, ApiMix, ExperimentSpec, OpenLoopGen, OracleSpec, Phase, Threads,
+    par_run, Action, ApiMix, ExperimentSpec, OpenLoopGen, OracleSpec, Phase, Threads,
 };
 
 const ENTITIES: u64 = 100;
@@ -52,18 +50,18 @@ fn combined(system: &SystemSpec) -> Scenario {
     let actions = vec![
         (
             secs(1),
-            Trigger::Fault(Fault::Partition {
+            Fault::Partition {
                 a: primary.clone(),
                 b: "ut_db_replica_0".to_string(),
                 duration_ns: secs(1),
-            }),
+            },
         ),
         (
             secs(2),
-            Trigger::Fault(Fault::ProcessCrash {
+            Fault::ProcessCrash {
                 process: primary,
                 restart_delay_ns: secs(10),
-            }),
+            },
         ),
     ];
     let plan = ReconfigPlan::none()
@@ -118,8 +116,8 @@ fn run_full(
     sim.store_fill("ut_db", ENTITIES, 1)?;
     let gen = OpenLoopGen::new(vec![Phase::new(DURATION_S, 250.0)], mix(), ENTITIES, seed);
     let mut exp = ExperimentSpec::new(gen).drain(secs(2));
-    for (t, trigger) in &scenario.actions {
-        exp = exp.at(*t, trigger.to_action());
+    for (t, fault) in &scenario.actions {
+        exp = exp.at(*t, Action::Fault(fault.clone()));
     }
     let (_, mut completions) = blueprint_workload::run_experiment_collecting(&mut sim, exp)?;
     // Settle so in-flight replication and the election have finished.

@@ -36,7 +36,7 @@ use blueprint_simrt::{Change, Fault, ReconfigPlan, SystemSpec};
 use blueprint_workload::generator::ApiMix;
 use blueprint_workload::parallel::Threads;
 use blueprint_workload::resilience::{
-    run_matrix, CellReport, ConsistencyAudit, ConsistencyProbe, ResilienceConfig, Scenario, Trigger,
+    run_matrix, CellReport, ConsistencyAudit, ConsistencyProbe, ResilienceConfig, Scenario,
 };
 use blueprint_workload::OracleSpec;
 
@@ -94,10 +94,10 @@ fn scenarios(system: &SystemSpec, duration_s: u64) -> Vec<Scenario> {
             name: "primary crash".to_string(),
             actions: vec![(
                 secs(duration_s) - ms(200),
-                Trigger::Fault(Fault::ProcessCrash {
+                Fault::ProcessCrash {
                     process: primary.clone(),
                     restart_delay_ns: secs(10),
-                }),
+                },
             )],
             ..Scenario::baseline()
         },
@@ -107,11 +107,11 @@ fn scenarios(system: &SystemSpec, duration_s: u64) -> Vec<Scenario> {
             name: "replica partition".to_string(),
             actions: vec![(
                 secs(1),
-                Trigger::Fault(Fault::Partition {
+                Fault::Partition {
                     a: primary,
                     b: "ut_db_replica_0".to_string(),
                     duration_ns: secs(2),
-                }),
+                },
             )],
             ..Scenario::baseline()
         },

@@ -22,13 +22,13 @@ use std::sync::{Arc, Mutex};
 
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
 use blueprint_simrt::time::secs;
-use blueprint_simrt::{Sim, SimError};
+use blueprint_simrt::{Fault, Sim, SimError};
 use blueprint_wiring::WiringSpec;
 use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::generator::{ApiMix, OpenLoopGen, Phase};
 use blueprint_workload::parallel::{par_run, Threads};
 use blueprint_workload::recorder::{IntervalStats, Recorder};
-use blueprint_workload::resilience::{ResilienceConfig, Scenario, Trigger};
+use blueprint_workload::resilience::{ResilienceConfig, Scenario};
 use blueprint_workload::{run_experiment, Action, ExperimentSpec};
 
 use crate::{report, Run};
@@ -162,11 +162,11 @@ pub fn type2(size: Run) -> MetaResult {
     );
     let exp = ExperimentSpec::new(gen).at(
         secs(hog_at),
-        Action::CpuHog {
+        Action::Fault(Fault::CpuHog {
             host,
             cores: 1.7,
             duration_ns: secs(hog_s),
-        },
+        }),
     );
     let rec = run_experiment(&mut sim, exp).expect("experiment runs");
     let label = "Type 2 (GC amplification under contention)";
@@ -188,11 +188,11 @@ pub fn type3(size: Run) -> MetaResult {
     );
     let exp = ExperimentSpec::new(gen).at(
         secs(hog_at),
-        Action::CpuHog {
+        Action::Fault(Fault::CpuHog {
             host,
             cores: 1.7,
             duration_ns: secs(hog_s),
-        },
+        }),
     );
     let rec = run_experiment(&mut sim, exp).expect("experiment runs");
     let label = "Type 3 (capacity trigger → retry storm)";
@@ -232,9 +232,9 @@ pub fn type4(size: Run) -> MetaResult {
     let samples: Arc<Mutex<Vec<(f64, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
     let mut exp = ExperimentSpec::new(gen).at(
         secs(flush_at),
-        Action::CacheFlush {
+        Action::Fault(Fault::CacheFlush {
             backend: "ut_cache".into(),
-        },
+        }),
     );
     for t in 1..=total {
         let s = samples.clone();
@@ -351,7 +351,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
             name: "cpu hog reservation 10s".into(),
             actions: vec![(
                 secs(20),
-                Trigger::CpuHog {
+                Fault::CpuHog {
                     host: host2,
                     cores: 1.7,
                     duration_ns: secs(10),
@@ -384,7 +384,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
             name: "cpu hog frontend 10s".into(),
             actions: vec![(
                 secs(20),
-                Trigger::CpuHog {
+                Fault::CpuHog {
                     host: host3,
                     cores: 1.7,
                     duration_ns: secs(10),
@@ -423,7 +423,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
             name: "flush ut_cache".into(),
             actions: vec![(
                 secs(20),
-                Trigger::CacheFlush {
+                Fault::CacheFlush {
                     backend: "ut_cache".into(),
                 },
             )],

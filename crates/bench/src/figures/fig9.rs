@@ -9,6 +9,7 @@
 
 use blueprint_apps::{social_network as sn, TracerChoice, WiringOpts};
 use blueprint_simrt::time::{ms, secs};
+use blueprint_simrt::Fault;
 use blueprint_trace::{Sifter, SifterConfig};
 
 /// Per-request Sifter decision.
@@ -67,7 +68,12 @@ pub fn run() -> Vec<RequestSample> {
         let anomalous = anomalies.contains(&i);
         if anomalous {
             for h in &hosts {
-                sim.inject_cpu_hog(h, 7.95, ms(400)).expect("hog");
+                sim.inject_fault(&Fault::CpuHog {
+                    host: h.clone(),
+                    cores: 7.95,
+                    duration_ns: ms(400),
+                })
+                .expect("hog");
             }
         }
         let root = sim

@@ -5,7 +5,7 @@
 
 use blueprint_simrt::time::secs;
 use blueprint_simrt::Fault;
-use blueprint_workload::resilience::{CellReport, Scenario, Trigger};
+use blueprint_workload::resilience::{CellReport, Scenario};
 
 /// Panics unless every cell terminated each submitted request exactly once.
 pub fn assert_conserved(cells: &[CellReport]) {
@@ -32,7 +32,7 @@ pub fn mid_run_fault(name: &str, duration_s: u64, fault: Fault) -> Scenario {
     let mid = secs(duration_s * 2 / 5);
     Scenario {
         name: name.to_string(),
-        actions: vec![(mid, Trigger::Fault(fault))],
+        actions: vec![(mid, fault)],
         window: (mid, mid + secs(2)),
         ..Scenario::baseline()
     }

@@ -46,8 +46,9 @@ impl LintPass for RestartHazard {
             if !t.drainless {
                 continue; // Drained steps rotate the replica out first.
             }
-            // Unknown names are the simulator validation layer's job
-            // (`apply_change` rejects them with suggestions).
+            // Unknown names are the simulator's job: its one change
+            // resolver rejects them, with suggestions, for boot plans and
+            // `apply_change` alike.
             let Some(node) = ctx.ir.by_name(&t.service) else {
                 continue;
             };

@@ -96,10 +96,12 @@ pub fn prop_us_to_ns(ir: &IrGraph, node: NodeId, key: &str, default_ns: u64) -> 
 }
 
 /// Lowers the `consistency` / `quorum_w` / `quorum_r` wiring kwargs of a
-/// store instance to a [`ConsistencyMode`]. Accepted `consistency` values
-/// are the mode labels (`"primary"`, `"read_replica"`, `"quorum"`,
-/// `"session"`); anything else — including the kwarg's absence — lowers to
-/// the historical `ReadReplica` (the lints, not the lowering, flag hazards).
+/// store instance to a
+/// [`ConsistencyMode`](blueprint_simrt::ConsistencyMode). Accepted
+/// `consistency` values are the mode labels (`"primary"`, `"read_replica"`,
+/// `"quorum"`, `"session"`); anything else — including the kwarg's absence
+/// — lowers to the historical `ReadReplica` (the lints, not the lowering,
+/// flag hazards).
 pub fn store_consistency(ir: &IrGraph, node: NodeId) -> blueprint_simrt::ConsistencyMode {
     use blueprint_simrt::ConsistencyMode;
     let Ok(n) = ir.node(node) else {

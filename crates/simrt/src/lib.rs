@@ -60,9 +60,11 @@ pub use time::{ms, secs, us, SimTime};
 /// Errors raised when instantiating or driving a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The system spec referenced an out-of-range index or unknown name.
+    /// The system spec, a plan or a driver action has an out-of-range
+    /// index or parameter.
     BadSpec(String),
-    /// A driver call referenced an unknown entity (service, backend, host).
+    /// A plan, a driver call or an accessor named an unknown entity (host,
+    /// process, service, backend, entry).
     Unknown(String),
 }
 

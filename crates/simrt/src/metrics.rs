@@ -31,7 +31,8 @@ pub struct SimCounters {
     pub spans: u64,
     /// Messages dropped by full queues.
     pub queue_drops: u64,
-    /// Faults injected (scheduled, chaos-drawn, or driver-injected).
+    /// Faults injected (scheduled, chaos-drawn, or driver-injected),
+    /// CPU hogs and cache flushes included.
     pub faults_injected: u64,
     /// Process crashes executed (host-down counts one per resident process).
     pub process_crashes: u64,

@@ -8,11 +8,11 @@
 //! the behavior programs of the workflow spec — so the simulator never
 //! recurses through the service call graph on the machine stack.
 //!
-//! At boot the workflow `Behavior` programs are compiled into [`CProg`]s:
+//! At boot the workflow `Behavior` programs are compiled into `CProg`s:
 //! every dependency name is resolved to a dense `u32` client id, every target
 //! method to a dense per-service method index, and nested bodies (branches,
-//! loops, parallel blocks, cache-miss continuations) become [`ProgId`]
-//! handles into a [`ProgArena`] (names live in a [`StrArena`]). The per-event
+//! loops, parallel blocks, cache-miss continuations) become `ProgId`
+//! handles into a `ProgArena` (names live in a `StrArena`). The per-event
 //! hot path therefore never hashes a string, never clones behavior text, and
 //! reuses frame slots and interpreter stacks through free lists. Because all
 //! interning is arena-index based (no `Rc`), a booted [`Sim`] is `Send` —
@@ -21,7 +21,7 @@
 //! Processes, services, clients and backends live in flat tables on [`Sim`],
 //! indexed by the same global ids the interpreter uses; only the CPU
 //! scheduler, the frame table and the event-key counter are per host
-//! ([`HostRt`]). Every stochastic draw comes from a deterministic per-entity
+//! (`HostRt`). Every stochastic draw comes from a deterministic per-entity
 //! RNG stream (see [`derive_seed`]), so an entity's randomness depends only
 //! on its own event order (see `DESIGN.md` §6).
 
@@ -925,6 +925,14 @@ enum RFault {
         slow: f64,
         unavailable: bool,
     },
+    CpuHog {
+        host: usize,
+        cores: f64,
+        dur: SimTime,
+    },
+    CacheFlush {
+        backend: usize,
+    },
 }
 
 /// Active degradation of one directed process pair. Entries persist after
@@ -1593,18 +1601,13 @@ impl Sim {
                 cfg.max_frames, MAX_FRAMES_CAP
             )));
         }
-        if !cfg.faults.is_empty() {
-            // Validated against the user's spec, so plans can never target
-            // the hidden workload host/process appended below.
-            spec.validate_fault_plan(&cfg.faults)?;
-        }
-        if !cfg.reconfig.is_empty() {
-            spec.validate_reconfig_plan(&cfg.reconfig)?;
-        }
         let mut spec = spec.clone();
 
         // Append the hidden workload host/process/services that drive entry
-        // points (the paper's separate workload-generator machine).
+        // points (the paper's separate workload-generator machine). They go
+        // after the user's entities, which stay a prefix of every table;
+        // name lookups (`Sim::names`) see only that prefix, so no plan,
+        // driver action or accessor can reach the hidden ones.
         let wl_host = spec.hosts.len();
         spec.hosts.push(crate::spec::HostSpec {
             name: "__workload_host".into(),
@@ -1856,6 +1859,8 @@ impl Sim {
 
     /// Resolves and schedules the configured fault plan. A no-op for empty
     /// plans: no events pushed, no RNG state created or drawn from.
+    /// Resolving is the plan's validation: a fault the driver path would
+    /// reject fails `Sim::new` the same way.
     fn schedule_fault_plan(&mut self) -> Result<()> {
         if self.cfg.faults.is_empty() {
             return Ok(());
@@ -1866,6 +1871,12 @@ impl Sim {
             self.push_ev(*t, Ev::FaultFire { fault });
         }
         if let Some(chaos) = &plan.chaos {
+            if chaos.menu.is_empty() {
+                return Err(SimError::BadSpec("chaos menu is empty".into()));
+            }
+            if chaos.mean_gap_ns == 0 {
+                return Err(SimError::BadSpec("chaos mean_gap_ns must be > 0".into()));
+            }
             let menu: Vec<RFault> = chaos
                 .menu
                 .iter()
@@ -1900,6 +1911,7 @@ impl Sim {
         }
         for (si, a) in plan.autoscalers.iter().enumerate() {
             let group = self.resolve_group(&a.service)?;
+            check_autoscaler(a, group.len())?;
             rt.scalers.push(ScalerRt {
                 spec: a.clone(),
                 group,
@@ -1926,35 +1938,222 @@ impl Sim {
         Ok(())
     }
 
-    /// Resolves a service-group base name against the running cluster
-    /// (excluding the hidden workload shims), with a nearest-match hint on
-    /// unknown names.
+    // -- Name resolution -----------------------------------------------------
+    //
+    // The one path from names to dense indices. Boot plans, the chaos menu,
+    // `inject_fault`, `apply_change` and the by-name accessors all resolve
+    // here, so they accept and reject the same names and parameters.
+
+    /// The user's entity names of one kind, in index order. `Sim::new`
+    /// appends one workload host, one workload process and one shim
+    /// service per entry after them, so slicing those off leaves exactly
+    /// the entities a spec declared.
+    fn names(&self, kind: NameKind) -> Box<dyn Iterator<Item = &str> + '_> {
+        match kind {
+            NameKind::Host => {
+                let user = &self.host_names[..self.host_names.len() - 1];
+                Box::new(user.iter().map(String::as_str))
+            }
+            NameKind::Process => {
+                let user = &self.proc_names[..self.proc_names.len() - 1];
+                Box::new(user.iter().map(String::as_str))
+            }
+            NameKind::Service => {
+                let user = &self.sh.svc_names[..self.sh.svc_names.len() - self.entry_rts.len()];
+                Box::new(user.iter().map(|&n| self.sh.names.get(n)))
+            }
+            NameKind::Backend => Box::new(self.backends.iter().map(|b| self.sh.names.get(b.name))),
+        }
+    }
+
+    /// Index of the user entity of `kind` called `name`.
+    fn lookup(&self, kind: NameKind, name: &str) -> Result<usize> {
+        self.names(kind)
+            .position(|n| n == name)
+            .ok_or_else(|| self.unknown(kind, name))
+    }
+
+    /// The error for an unknown name: always [`SimError::Unknown`], with a
+    /// nearest-match hint when some name of the same kind is close.
+    fn unknown(&self, kind: NameKind, name: &str) -> SimError {
+        let hint = crate::spec::suggest(name, self.names(kind));
+        SimError::Unknown(format!("{} {name}{hint}", kind.label()))
+    }
+
+    /// Resolves a service-group base name to the sorted indices of its
+    /// members: the instance named `base` plus every `base_rN` clone the
+    /// `Replicate` transform stamped out.
     fn resolve_group(&self, base: &str) -> Result<Vec<usize>> {
         let prefix = format!("{base}_r");
-        let mut group: Vec<usize> = (0..self.sh.svc_names.len())
-            .filter(|&i| {
-                let name = self.sh.names.get(self.sh.svc_names[i]);
-                name == base
-                    || (name.starts_with(&prefix)
-                        && name.len() > prefix.len()
-                        && name[prefix.len()..].chars().all(|c| c.is_ascii_digit()))
+        let group: Vec<usize> = self
+            .names(NameKind::Service)
+            .enumerate()
+            .filter(|(_, name)| {
+                *name == base
+                    || name
+                        .strip_prefix(&prefix)
+                        .is_some_and(|n| !n.is_empty() && n.chars().all(|c| c.is_ascii_digit()))
             })
+            .map(|(i, _)| i)
             .collect();
-        group.sort_unstable();
         if group.is_empty() {
-            let names: Vec<&str> = (0..self.sh.svc_names.len())
-                .map(|i| self.sh.names.get(self.sh.svc_names[i]))
-                .filter(|n| !n.starts_with("__workload_"))
-                .collect();
-            let hint = crate::spec::suggest(base, names.into_iter());
-            return Err(SimError::Unknown(format!("service {base}{hint}")));
+            return Err(self.unknown(NameKind::Service, base));
         }
         Ok(group)
     }
 
-    /// Resolves a named change to dense indices, rejecting unknown names
-    /// and out-of-range parameters (mirrors
-    /// [`SystemSpec::validate_change`] for the driver path).
+    /// Processes resident on a host, in index order.
+    fn residents(&self, host: usize) -> Vec<usize> {
+        (0..self.sh.proc_host.len())
+            .filter(|&p| self.sh.proc_host[p] as usize == host)
+            .collect()
+    }
+
+    /// Rejects a step that stops every process in `stopped` while a
+    /// replicated store keeps all of its members among them: the store has
+    /// replicas, but no peer able to promote survives the step (no failover
+    /// spec, replica processes that coincide with the primary's, or a host
+    /// going down with all of them). Such a plan advertises replication it
+    /// cannot deliver, so it fails instead of silently measuring nothing.
+    fn check_store_stranded(&self, stopped: &[usize], what: &str) -> Result<()> {
+        for (bi, b) in self.backends.iter().enumerate() {
+            let members = &b.store.members;
+            if members.len() > 1 && members.iter().all(|m| stopped.contains(&(m.proc as usize))) {
+                return Err(SimError::BadSpec(format!(
+                    "{what} stops process {}, but store {} keeps its {} \
+                     replica(s) in stopped processes too: no reachable peer \
+                     to promote. Give the store a failover spec with replica \
+                     processes, or drop the replicas",
+                    self.proc_names[self.sh.backend_proc[bi] as usize],
+                    self.sh.names.get(b.name),
+                    members.len() - 1
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Resolves a named fault to dense indices: the one check every fault
+    /// passes, from a boot plan, the chaos menu or [`Sim::inject_fault`].
+    /// Rejects unknown names, out-of-range parameters, and a crash or host
+    /// outage that would strand a replicated store.
+    fn resolve_fault(&self, f: &Fault) -> Result<RFault> {
+        let link = |a: &str, b: &str, what: &str| -> Result<(usize, usize)> {
+            let pair = (
+                self.lookup(NameKind::Process, a)?,
+                self.lookup(NameKind::Process, b)?,
+            );
+            if pair.0 == pair.1 {
+                return Err(SimError::BadSpec(format!("{what} of {a} with itself")));
+            }
+            Ok(pair)
+        };
+        Ok(match f {
+            Fault::ProcessCrash {
+                process,
+                restart_delay_ns,
+            } => {
+                let proc = self.lookup(NameKind::Process, process)?;
+                self.check_store_stranded(&[proc], "process-crash fault")?;
+                RFault::Crash {
+                    proc,
+                    restart_ns: *restart_delay_ns,
+                }
+            }
+            Fault::HostDown { host, down_ns } => {
+                let host = self.lookup(NameKind::Host, host)?;
+                self.check_store_stranded(&self.residents(host), "host-down fault")?;
+                RFault::HostDown {
+                    host,
+                    down_ns: *down_ns,
+                }
+            }
+            Fault::Partition { a, b, duration_ns } => {
+                let (a, b) = link(a, b, "partition")?;
+                RFault::Link {
+                    a,
+                    b,
+                    dur: *duration_ns,
+                    extra_ns: 0,
+                    loss: 1.0,
+                }
+            }
+            Fault::LinkDegrade {
+                a,
+                b,
+                duration_ns,
+                extra_latency_ns,
+                loss,
+            } => {
+                let (a, b) = link(a, b, "link degrade")?;
+                if !loss.is_finite() || !(0.0..=1.0).contains(loss) {
+                    return Err(SimError::BadSpec(format!("link loss {loss} not in [0, 1]")));
+                }
+                RFault::Link {
+                    a,
+                    b,
+                    dur: *duration_ns,
+                    extra_ns: *extra_latency_ns,
+                    loss: *loss,
+                }
+            }
+            Fault::Brownout {
+                backend,
+                duration_ns,
+                slow_factor,
+                unavailable,
+            } => {
+                let backend = self.lookup(NameKind::Backend, backend)?;
+                // A factor in (0, 1) would silently *speed up* the backend
+                // (and NaN/negative would truncate latencies to 0 ns in
+                // `backend_cost`), so anything below the identity factor is
+                // rejected rather than ignored.
+                if !slow_factor.is_finite() || *slow_factor < 1.0 {
+                    return Err(SimError::BadSpec(format!(
+                        "brownout slow_factor {slow_factor} must be finite and >= 1 \
+                         (1 = no slowdown)"
+                    )));
+                }
+                RFault::Brownout {
+                    backend,
+                    dur: *duration_ns,
+                    slow: *slow_factor,
+                    unavailable: *unavailable,
+                }
+            }
+            Fault::CpuHog {
+                host,
+                cores,
+                duration_ns,
+            } => {
+                let h = self.lookup(NameKind::Host, host)?;
+                if !cores.is_finite() || *cores < 0.0 {
+                    return Err(SimError::BadSpec(format!(
+                        "CPU hog of {cores} cores on host {host}: must be finite and non-negative"
+                    )));
+                }
+                RFault::CpuHog {
+                    host: h,
+                    cores: *cores,
+                    dur: *duration_ns,
+                }
+            }
+            Fault::CacheFlush { backend } => {
+                let b = self.lookup(NameKind::Backend, backend)?;
+                if !matches!(self.backends[b].kind, BackendRtKind::Cache { .. }) {
+                    return Err(SimError::BadSpec(format!(
+                        "cache flush of {backend}, which is not a cache"
+                    )));
+                }
+                RFault::CacheFlush { backend: b }
+            }
+        })
+    }
+
+    /// Resolves a named change to dense indices: the one check every
+    /// change passes, from a boot plan or [`Sim::apply_change`]. Rejects
+    /// unknown service groups, out-of-range parameters, and a rolling
+    /// restart whose steps would strand a replicated store.
     fn resolve_change(&self, c: &Change) -> Result<RChange> {
         let group = self.resolve_group(c.service())?;
         match c {
@@ -1963,12 +2162,19 @@ impl Sim {
                 restart_ns,
                 drainless,
                 ..
-            } => Ok(RChange::Rolling {
-                group,
-                drain_ns: *drain_ns,
-                restart_ns: *restart_ns,
-                drainless: *drainless,
-            }),
+            } => {
+                // Each step stops one member's process.
+                for &svc in &group {
+                    let proc = self.sh.svc_proc[svc] as usize;
+                    self.check_store_stranded(&[proc], "rolling restart")?;
+                }
+                Ok(RChange::Rolling {
+                    group,
+                    drain_ns: *drain_ns,
+                    restart_ns: *restart_ns,
+                    drainless: *drainless,
+                })
+            }
             Change::Scale {
                 service,
                 replicas,
@@ -2057,17 +2263,13 @@ impl Sim {
 
     /// Number of requests (frames) a service instance has served so far.
     pub fn service_served(&self, name: &str) -> Option<u64> {
-        let idx = self
-            .sh
-            .svc_names
-            .iter()
-            .position(|n| self.sh.names.get(*n) == name)?;
+        let idx = self.lookup(NameKind::Service, name).ok()?;
         Some(self.services[idx].served)
     }
 
     /// Current heap bytes of a process (GC experiments).
     pub fn process_heap(&self, proc_name: &str) -> Option<u64> {
-        let idx = self.proc_names.iter().position(|n| n == proc_name)?;
+        let idx = self.lookup(NameKind::Process, proc_name).ok()?;
         Some(self.procs[idx].heap)
     }
 
@@ -2175,7 +2377,7 @@ impl Sim {
 
     /// Runs the event loop until virtual time `t` (inclusive): pops every
     /// event due by then in `(time, seq)` order and dispatches it under its
-    /// home host's context (or [`CTRL_CTX`] for control events).
+    /// home host's context (or `CTRL_CTX` for control events).
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(e) = self.events.pop_until(t) {
             self.now = e.time;
@@ -2216,130 +2418,18 @@ impl Sim {
         std::mem::take(&mut self.completions)
     }
 
-    /// Injects CPU contention on a host for a duration (the FIRM anomaly
-    /// injector substitute).
-    pub fn inject_cpu_hog(&mut self, host: &str, cores: f64, duration: SimTime) -> Result<()> {
-        let h = self
-            .host_names
-            .iter()
-            .position(|n| n == host)
-            .ok_or_else(|| SimError::Unknown(format!("host {host}")))?;
-        if !cores.is_finite() || cores < 0.0 {
-            return Err(SimError::BadSpec(format!(
-                "CPU hog of {cores} cores on host {host}: must be finite and non-negative"
-            )));
-        }
-        self.hosts[h].ps.adjust_hog(self.now, cores);
-        self.touch_host(h);
-        self.push_ev(self.now + duration, Ev::HogEnd { host: h, cores });
-        Ok(())
-    }
-
     /// Injects a fault right now (the driver's `Action::Fault` path).
     /// Scheduled plans go through [`SimConfig`] instead; both routes share
-    /// the same execution.
+    /// the same resolver and the same execution.
     pub fn inject_fault(&mut self, fault: &Fault) -> Result<()> {
         let rf = self.resolve_fault(fault)?;
         self.apply_fault(rf);
         Ok(())
     }
 
-    /// Resolves a named fault to dense indices, rejecting unknown names and
-    /// out-of-range parameters.
-    fn resolve_fault(&self, f: &Fault) -> Result<RFault> {
-        let proc_idx = |name: &str| {
-            self.proc_names
-                .iter()
-                .position(|n| n == name)
-                .ok_or_else(|| SimError::Unknown(format!("process {name}")))
-        };
-        match f {
-            Fault::ProcessCrash {
-                process,
-                restart_delay_ns,
-            } => Ok(RFault::Crash {
-                proc: proc_idx(process)?,
-                restart_ns: *restart_delay_ns,
-            }),
-            Fault::HostDown { host, down_ns } => Ok(RFault::HostDown {
-                host: self
-                    .host_names
-                    .iter()
-                    .position(|n| n == host)
-                    .ok_or_else(|| SimError::Unknown(format!("host {host}")))?,
-                down_ns: *down_ns,
-            }),
-            Fault::Partition { a, b, duration_ns } => {
-                if a == b {
-                    return Err(SimError::BadSpec(format!("partition of {a} with itself")));
-                }
-                Ok(RFault::Link {
-                    a: proc_idx(a)?,
-                    b: proc_idx(b)?,
-                    dur: *duration_ns,
-                    extra_ns: 0,
-                    loss: 1.0,
-                })
-            }
-            Fault::LinkDegrade {
-                a,
-                b,
-                duration_ns,
-                extra_latency_ns,
-                loss,
-            } => {
-                if a == b {
-                    return Err(SimError::BadSpec(format!(
-                        "link degrade of {a} with itself"
-                    )));
-                }
-                if !loss.is_finite() || !(0.0..=1.0).contains(loss) {
-                    return Err(SimError::BadSpec(format!("link loss {loss} not in [0, 1]")));
-                }
-                Ok(RFault::Link {
-                    a: proc_idx(a)?,
-                    b: proc_idx(b)?,
-                    dur: *duration_ns,
-                    extra_ns: *extra_latency_ns,
-                    loss: *loss,
-                })
-            }
-            Fault::Brownout {
-                backend,
-                duration_ns,
-                slow_factor,
-                unavailable,
-            } => {
-                // A factor in (0, 1) would silently *speed up* the backend
-                // (and NaN/negative would truncate latencies to 0 ns in
-                // `backend_cost`), so anything below the identity factor is
-                // rejected rather than ignored.
-                if !slow_factor.is_finite() || *slow_factor < 1.0 {
-                    return Err(SimError::BadSpec(format!(
-                        "brownout slow_factor {slow_factor} must be finite and >= 1 \
-                         (1 = no slowdown)"
-                    )));
-                }
-                Ok(RFault::Brownout {
-                    backend: self.backend_idx(backend)?,
-                    dur: *duration_ns,
-                    slow: *slow_factor,
-                    unavailable: *unavailable,
-                })
-            }
-        }
-    }
-
-    /// Flushes a cache backend (the Type-4 metastability trigger).
-    pub fn cache_flush(&mut self, backend: &str) -> Result<()> {
-        let b = self.backend_idx(backend)?;
-        self.backends[b].cache.flush();
-        Ok(())
-    }
-
     /// Pre-fills a cache with keys `0..n` at the given version.
     pub fn cache_fill(&mut self, backend: &str, n: u64, version: u64) -> Result<()> {
-        let b = self.backend_idx(backend)?;
+        let b = self.lookup(NameKind::Backend, backend)?;
         let capacity = match self.backends[b].kind {
             BackendRtKind::Cache { capacity_items, .. } => capacity_items,
             _ => return Err(SimError::Unknown(format!("{backend} is not a cache"))),
@@ -2353,13 +2443,13 @@ impl Sim {
 
     /// Number of resident keys in a cache.
     pub fn cache_len(&self, backend: &str) -> Result<usize> {
-        let b = self.backend_idx(backend)?;
+        let b = self.lookup(NameKind::Backend, backend)?;
         Ok(self.backends[b].cache.len())
     }
 
     /// Pre-fills a store (every member) with keys `0..n`.
     pub fn store_fill(&mut self, backend: &str, n: u64, version: u64) -> Result<()> {
-        let b = self.backend_idx(backend)?;
+        let b = self.lookup(NameKind::Backend, backend)?;
         for m in &mut self.backends[b].store.members {
             for k in 0..n {
                 m.map.insert(k, version);
@@ -2372,14 +2462,14 @@ impl Sim {
 
     /// The current primary's version for a key (0 if absent).
     pub fn store_primary_version(&self, backend: &str, key: u64) -> Result<u64> {
-        let b = self.backend_idx(backend)?;
+        let b = self.lookup(NameKind::Backend, backend)?;
         Ok(self.backends[b].store.primary_version(key))
     }
 
     /// The non-primary members' versions for a key, in member order (empty
     /// when unreplicated).
     pub fn store_replica_versions(&self, backend: &str, key: u64) -> Result<Vec<u64>> {
-        let b = self.backend_idx(backend)?;
+        let b = self.lookup(NameKind::Backend, backend)?;
         let store = &self.backends[b].store;
         Ok(store
             .peer_indices()
@@ -2389,22 +2479,73 @@ impl Sim {
 
     /// Name of the process currently serving a store (moves on failover).
     pub fn store_serving_process(&self, backend: &str) -> Result<String> {
-        let b = self.backend_idx(backend)?;
+        let b = self.lookup(NameKind::Backend, backend)?;
         Ok(self.proc_names[self.sh.backend_proc[b] as usize].clone())
     }
 
     /// A store's election generation (0 until the first failover).
     pub fn store_generation(&self, backend: &str) -> Result<u64> {
-        let b = self.backend_idx(backend)?;
+        let b = self.lookup(NameKind::Backend, backend)?;
         Ok(self.backends[b].store.gen)
     }
+}
 
-    fn backend_idx(&self, name: &str) -> Result<usize> {
-        self.backends
-            .iter()
-            .position(|b| self.sh.names.get(b.name) == name)
-            .ok_or_else(|| SimError::Unknown(format!("backend {name}")))
+/// The kinds of entity a plan, a driver action or an accessor names.
+#[derive(Debug, Clone, Copy)]
+enum NameKind {
+    Host,
+    Process,
+    Service,
+    Backend,
+}
+
+impl NameKind {
+    fn label(self) -> &'static str {
+        match self {
+            NameKind::Host => "host",
+            NameKind::Process => "process",
+            NameKind::Service => "service",
+            NameKind::Backend => "backend",
+        }
     }
+}
+
+/// Checks an autoscaler's bounds and parameters against its group's boot
+/// size.
+fn check_autoscaler(a: &AutoscalerSpec, boot: usize) -> Result<()> {
+    let problem = if a.min_replicas == 0 {
+        "min_replicas must be >= 1 (a service cannot scale below 1 replica)".to_string()
+    } else if a.min_replicas > a.max_replicas {
+        format!(
+            "min_replicas {} > max_replicas {}",
+            a.min_replicas, a.max_replicas
+        )
+    } else if a.max_replicas > boot {
+        format!(
+            "max_replicas {} exceeds the {boot} boot replicas",
+            a.max_replicas
+        )
+    } else if !a.low_util.is_finite()
+        || !a.high_util.is_finite()
+        || a.low_util < 0.0
+        || a.high_util > 1.0
+        || a.low_util >= a.high_util
+    {
+        format!(
+            "watermarks ({}, {}) must satisfy 0 <= low < high <= 1",
+            a.low_util, a.high_util
+        )
+    } else if a.ewma_alpha.is_nan() || a.ewma_alpha <= 0.0 || a.ewma_alpha > 1.0 {
+        format!("ewma_alpha {} not in (0, 1]", a.ewma_alpha)
+    } else if a.interval_ns == 0 {
+        "interval_ns must be > 0".to_string()
+    } else {
+        return Ok(());
+    };
+    Err(SimError::BadSpec(format!(
+        "autoscaler for {} {problem}",
+        a.service
+    )))
 }
 
 /// Exponentially distributed gap with the given mean, at least 1 ns.

@@ -1153,9 +1153,9 @@ impl Sim {
             }
             BackendRtKind::Queue { op_latency_ns, .. } => (2_000.0, *op_latency_ns),
         };
-        // `SystemSpec::validate` and `resolve_fault` reject non-finite or
-        // sub-1 slow factors, so the scaling below cannot produce 0 ns from
-        // a NaN/negative multiplier.
+        // `resolve_fault`, the one path a brownout enters by, rejects
+        // non-finite or sub-1 slow factors, so the scaling below cannot
+        // produce 0 ns from a NaN/negative multiplier.
         debug_assert!(
             b.brownout_slow.is_finite() && b.brownout_slow >= 1.0,
             "brownout_slow must be finite and >= 1"
@@ -1943,10 +1943,7 @@ impl Sim {
         match rf {
             RFault::Crash { proc, restart_ns } => self.crash_process(proc, restart_ns),
             RFault::HostDown { host, down_ns } => {
-                let residents: Vec<usize> = (0..self.sh.proc_host.len())
-                    .filter(|p| self.sh.proc_host[*p] as usize == host)
-                    .collect();
-                for proc in residents {
+                for proc in self.residents(host) {
                     self.crash_process(proc, down_ns);
                 }
             }
@@ -1974,6 +1971,13 @@ impl Sim {
                 b.brownout_slow = slow;
                 b.brownout_unavailable = unavailable;
             }
+            RFault::CpuHog { host, cores, dur } => {
+                let now = self.now;
+                self.hosts[host].ps.adjust_hog(now, cores);
+                self.touch_host(host);
+                self.push_ev(now + dur, Ev::HogEnd { host, cores });
+            }
+            RFault::CacheFlush { backend } => self.backends[backend].cache.flush(),
         }
     }
 
@@ -2347,10 +2351,10 @@ impl Sim {
     // ------------------------------------------------------------------
 
     /// Applies one runtime change immediately, as a driver action
-    /// (`workload::Action::Reconfig`). The change is validated against the
-    /// live topology — unknown services get nearest-match suggestions, and
-    /// scaling below 1 replica is rejected — then starts at the current
-    /// virtual time.
+    /// (`workload::Action::Reconfig`). The change goes through the same
+    /// resolver as a boot plan's — unknown services get nearest-match
+    /// suggestions, bad parameters and stranding restarts are rejected —
+    /// then starts at the current virtual time.
     pub fn apply_change(&mut self, change: &Change) -> Result<()> {
         let rc = self.resolve_change(change)?;
         self.ensure_reconfig();

@@ -492,7 +492,10 @@ fn cache_flush_forces_misses() {
     sim.submit("front", "Read", 7).unwrap();
     sim.run_until(secs(1));
     assert_eq!(sim.cache_len("cache").unwrap(), 1);
-    sim.cache_flush("cache").unwrap();
+    sim.inject_fault(&Fault::CacheFlush {
+        backend: "cache".into(),
+    })
+    .unwrap();
     assert_eq!(sim.cache_len("cache").unwrap(), 0);
     sim.submit("front", "Read", 7).unwrap();
     sim.run_until(secs(2));
@@ -747,18 +750,32 @@ fn extended_cache_multi_op_is_single_round_trip() {
 #[test]
 fn hog_slows_processing() {
     let spec = single_service(Behavior::build().compute(ms(1), 0).done());
-    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
-    sim.inject_cpu_hog("h0", 3.5, secs(1)).unwrap();
-    sim.submit("front", "M", 1).unwrap();
-    sim.run_until(secs(5));
-    let c = sim.drain_completions().pop().unwrap();
-    // 0.5 effective cores → 2 ms.
-    assert_eq!(c.latency_ns(), ms(2));
-    // After the hog ends, latency recovers.
-    sim.submit("front", "M", 2).unwrap();
-    sim.run_until(secs(10));
-    let c = sim.drain_completions().pop().unwrap();
-    assert_eq!(c.latency_ns(), ms(1));
+    // The same hog, injected by the driver or scheduled in a boot plan.
+    let mut driven = Sim::new(&spec, SimConfig::default()).unwrap();
+    driven.inject_fault(&hog(3.5, secs(1))).unwrap();
+    let plan = FaultPlan::none().at(0, hog(3.5, secs(1)));
+    let planned = boot_with(&spec, plan, ReconfigPlan::none()).unwrap();
+    for mut sim in [driven, planned] {
+        sim.submit("front", "M", 1).unwrap();
+        sim.run_until(secs(5));
+        let c = sim.drain_completions().pop().unwrap();
+        // 0.5 effective cores → 2 ms.
+        assert_eq!(c.latency_ns(), ms(2));
+        // After the hog ends, latency recovers.
+        sim.submit("front", "M", 2).unwrap();
+        sim.run_until(secs(10));
+        let c = sim.drain_completions().pop().unwrap();
+        assert_eq!(c.latency_ns(), ms(1));
+    }
+}
+
+/// A CPU hog on host `h0`.
+fn hog(cores: f64, duration_ns: SimTime) -> Fault {
+    Fault::CpuHog {
+        host: "h0".into(),
+        cores,
+        duration_ns,
+    }
 }
 
 fn host0_hog(sim: &Sim) -> f64 {
@@ -770,15 +787,15 @@ fn cpu_hogs_end_exactly() {
     let spec = single_service(Behavior::build().compute(ms(1), 0).done());
     let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
     // Below one milli-core: must still end.
-    sim.inject_cpu_hog("h0", 0.0004, ms(10)).unwrap();
+    sim.inject_fault(&hog(0.0004, ms(10))).unwrap();
     assert_eq!(host0_hog(&sim), 0.0004);
     sim.run_until(ms(20));
     assert_eq!(host0_hog(&sim).to_bits(), 0.0f64.to_bits());
     // Overlapping hogs with more than three decimals: the first one's end
     // removes all of it, not a milli-core-rounded amount.
-    sim.inject_cpu_hog("h0", 1.2345, ms(10)).unwrap();
+    sim.inject_fault(&hog(1.2345, ms(10))).unwrap();
     sim.run_until(ms(25));
-    sim.inject_cpu_hog("h0", 1.0, ms(10)).unwrap();
+    sim.inject_fault(&hog(1.0, ms(10))).unwrap();
     sim.run_until(ms(32));
     assert!((host0_hog(&sim) - 1.0).abs() < 1e-12, "{}", host0_hog(&sim));
     sim.run_until(ms(40));
@@ -789,10 +806,10 @@ fn cpu_hogs_end_exactly() {
 fn cpu_hog_rejects_negative_and_non_finite_cores() {
     let spec = single_service(Behavior::build().compute(ms(1), 0).done());
     let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
-    sim.inject_cpu_hog("h0", 1.5, ms(10)).unwrap();
+    sim.inject_fault(&hog(1.5, ms(10))).unwrap();
     for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
         assert!(matches!(
-            sim.inject_cpu_hog("h0", bad, ms(1)),
+            sim.inject_fault(&hog(bad, ms(1))),
             Err(SimError::BadSpec(_))
         ));
     }
@@ -1856,7 +1873,7 @@ fn derive_seed_collision_free_and_well_mixed() {
 // ----------------------------------------------------------------------
 
 /// front --LB--> {back, back_r1, back_r2}, each replica in its own process
-/// (the Replicate-transform naming convention, so `service_group` resolves
+/// (the Replicate-transform naming convention, so `resolve_group` resolves
 /// the base name to the whole group).
 fn replicated_app(policy: LbPolicy, client: ClientSpec, work: SimTime) -> SystemSpec {
     let mut spec = SystemSpec {
@@ -2716,4 +2733,542 @@ fn quorum_without_reachable_members_rejects() {
         0,
         "write not applied"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Disturbance resolution: boot plans and driver actions share one resolver.
+// ---------------------------------------------------------------------------
+
+use crate::spec::AutoscalerSpec;
+
+/// Boots `spec` with the given plans; resolving them is their validation.
+fn boot_with(spec: &SystemSpec, faults: FaultPlan, reconfig: ReconfigPlan) -> Result<Sim> {
+    Sim::new(
+        spec,
+        SimConfig {
+            faults,
+            reconfig,
+            ..Default::default()
+        },
+    )
+}
+
+/// One disturbance, as a boot plan or a driver action carries it.
+#[derive(Debug, Clone)]
+enum Disturbance {
+    Fault(Fault),
+    Change(Change),
+}
+
+/// Runs `d` through both paths — scheduled in a boot plan, and injected
+/// into a booted sim — asserts they agree on accept/reject and on the
+/// error itself, and returns that shared outcome.
+fn both_paths(spec: &SystemSpec, d: &Disturbance) -> Result<()> {
+    let (faults, reconfig) = match d {
+        Disturbance::Fault(f) => (FaultPlan::none().at(ms(1), f.clone()), ReconfigPlan::none()),
+        Disturbance::Change(c) => (FaultPlan::none(), ReconfigPlan::none().at(ms(1), c.clone())),
+    };
+    let boot = boot_with(spec, faults, reconfig).map(drop);
+    let mut sim = Sim::new(spec, SimConfig::default()).unwrap();
+    let driver = match d {
+        Disturbance::Fault(f) => sim.inject_fault(f),
+        Disturbance::Change(c) => sim.apply_change(c),
+    };
+    assert_eq!(boot, driver, "plan and driver paths disagree on {d:?}");
+    boot
+}
+
+fn fault(f: Fault) -> Disturbance {
+    Disturbance::Fault(f)
+}
+
+fn crash(process: &str) -> Fault {
+    Fault::ProcessCrash {
+        process: process.into(),
+        restart_delay_ns: ms(1),
+    }
+}
+
+fn host_down(host: &str) -> Fault {
+    Fault::HostDown {
+        host: host.into(),
+        down_ns: ms(1),
+    }
+}
+
+/// `cache_db_spec` with the store moved into `front`'s own process `p0`
+/// and given two replicas but no failover spec: stopping `p0` strands it.
+fn stranding_spec() -> SystemSpec {
+    let mut spec = cache_db_spec();
+    spec.backends[1].process = 0;
+    if let BackendRtKind::Store { replicas, .. } = &mut spec.backends[1].kind {
+        *replicas = 2;
+    }
+    spec
+}
+
+#[test]
+fn plan_and_driver_paths_accept_and_reject_the_same_disturbances() {
+    enum Want {
+        Ok,
+        BadSpec(&'static str),
+        Unknown(&'static str),
+    }
+    let spec = stranding_spec();
+    let table = [
+        (
+            fault(crash("p0")),
+            Want::BadSpec("no reachable peer to promote"),
+        ),
+        (fault(crash("p_cache")), Want::Ok),
+        (
+            fault(host_down("__workload_host")),
+            Want::Unknown("host __workload_host"),
+        ),
+        (
+            fault(crash("__workload_proc")),
+            Want::Unknown("process __workload_proc"),
+        ),
+        (
+            fault(Fault::CpuHog {
+                host: "__workload_host".into(),
+                cores: 1.0,
+                duration_ns: ms(1),
+            }),
+            Want::Unknown("host __workload_host"),
+        ),
+        (
+            fault(Fault::CpuHog {
+                host: "h0".into(),
+                cores: 1.0,
+                duration_ns: ms(1),
+            }),
+            Want::Ok,
+        ),
+        (
+            fault(Fault::CacheFlush {
+                backend: "cache".into(),
+            }),
+            Want::Ok,
+        ),
+        (
+            fault(Fault::CacheFlush {
+                backend: "db".into(),
+            }),
+            Want::BadSpec("not a cache"),
+        ),
+        (
+            Disturbance::Change(Change::RollingRestart {
+                service: "front".into(),
+                drain_ns: ms(1),
+                restart_ns: ms(1),
+                drainless: false,
+            }),
+            Want::BadSpec("no reachable peer to promote"),
+        ),
+        (
+            fault(crash("p9")),
+            Want::Unknown("process p9; did you mean `p0`?"),
+        ),
+    ];
+    for (d, want) in &table {
+        let got = both_paths(&spec, d);
+        match (want, &got) {
+            (Want::Ok, Ok(())) => {}
+            (Want::BadSpec(m), Err(SimError::BadSpec(e)))
+            | (Want::Unknown(m), Err(SimError::Unknown(e)))
+                if e.contains(m) => {}
+            _ => panic!("{d:?}: got {got:?}"),
+        }
+    }
+}
+
+#[test]
+fn host_down_that_strands_a_replicated_store_is_rejected() {
+    // The store's primary `p_db` and both failover replicas share host
+    // `hdb` (failover replicas must share the primary's host).
+    let spec = failover_db_spec(ConsistencyMode::ReadReplica);
+    let err = both_paths(&spec, &fault(host_down("hdb"))).unwrap_err();
+    assert!(
+        matches!(err, SimError::BadSpec(ref m) if m.contains("host-down fault")
+            && m.contains("no reachable peer to promote")),
+        "{err}"
+    );
+    // Crashing only the primary leaves both replicas to promote, and the
+    // other host holds no store member.
+    both_paths(&spec, &fault(crash("p_db"))).unwrap();
+    both_paths(&spec, &fault(host_down("h0"))).unwrap();
+    // Without replicas nothing can strand: the store restarts with its host.
+    both_paths(&cache_db_spec(), &fault(host_down("hdb"))).unwrap();
+}
+
+#[test]
+fn by_name_accessors_see_only_user_entities() {
+    let mut sim = Sim::new(&cache_db_spec(), SimConfig::default()).unwrap();
+    assert!(sim.process_heap("p0").is_some());
+    assert!(sim.service_served("front").is_some());
+    assert_eq!(sim.process_heap("__workload_proc"), None);
+    assert_eq!(sim.service_served("__workload_front"), None);
+    assert_eq!(
+        sim.cache_len("cachee"),
+        Err(SimError::Unknown(
+            "backend cachee; did you mean `cache`?".into()
+        ))
+    );
+    assert!(sim.store_fill("db", 3, 1).is_ok());
+    assert_eq!(sim.store_primary_version("db", 2), Ok(1));
+    assert_eq!(sim.store_generation("db"), Ok(0));
+    assert_eq!(sim.store_serving_process("db").as_deref(), Ok("p_db"));
+}
+
+#[test]
+fn fault_plan_unknown_references_caught() {
+    let spec = single_service(Behavior::build().compute(ms(1), 0).done());
+    both_paths(&spec, &fault(crash("p0"))).unwrap();
+    let err = both_paths(&spec, &fault(crash("ghost"))).unwrap_err();
+    assert_eq!(err, SimError::Unknown("process ghost".into()));
+    let err = both_paths(&spec, &fault(host_down("hX"))).unwrap_err();
+    assert!(err.to_string().contains("host hX"), "{err}");
+    let brownout = fault(Fault::Brownout {
+        backend: "nope".into(),
+        duration_ns: 1,
+        slow_factor: 2.0,
+        unavailable: false,
+    });
+    let err = both_paths(&spec, &brownout).unwrap_err();
+    assert!(err.to_string().contains("backend nope"), "{err}");
+}
+
+#[test]
+fn near_miss_names_get_suggestions() {
+    let mut spec = single_service(Behavior::build().compute(ms(1), 0).done());
+    spec.processes.push(ProcessSpec {
+        name: "frontend_proc".into(),
+        host: 0,
+        gc: None,
+    });
+    let err = both_paths(&spec, &fault(crash("frontend_prc"))).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains("process frontend_prc; did you mean `frontend_proc`?"),
+        "{err}"
+    );
+    // A wildly different name earns no suggestion.
+    let err = both_paths(&spec, &fault(crash("completely_unrelated"))).unwrap_err();
+    assert!(!err.to_string().contains("did you mean"), "{err}");
+}
+
+#[test]
+fn fault_plan_bad_parameters_caught() {
+    let mut spec = cache_db_spec();
+    let pair = |a: &str, b: &str| {
+        fault(Fault::Partition {
+            a: a.into(),
+            b: b.into(),
+            duration_ns: 1,
+        })
+    };
+    // A partition needs two distinct sides.
+    assert!(both_paths(&spec, &pair("p0", "p0")).is_err());
+    both_paths(&spec, &pair("p0", "p_db")).unwrap();
+    // Loss probability must be a probability.
+    for loss in [-0.1, 1.5, f64::NAN] {
+        let degrade = fault(Fault::LinkDegrade {
+            a: "p0".into(),
+            b: "p_db".into(),
+            duration_ns: 1,
+            extra_latency_ns: 0,
+            loss,
+        });
+        assert!(both_paths(&spec, &degrade).is_err(), "loss {loss}");
+    }
+    // Slow factor must be finite and at least 1 (a sub-1 factor would
+    // speed the backend up; NaN/negative would round to 0 ns latency).
+    let brownout = |slow_factor: f64, unavailable: bool| {
+        fault(Fault::Brownout {
+            backend: "db".into(),
+            duration_ns: 1,
+            slow_factor,
+            unavailable,
+        })
+    };
+    for sf in [0.0, 0.5, -2.0, f64::INFINITY, f64::NAN] {
+        assert!(
+            both_paths(&spec, &brownout(sf, false)).is_err(),
+            "slow_factor {sf} should be rejected"
+        );
+    }
+    // Exactly 1 (no slowdown) is the degenerate-but-legal boundary.
+    both_paths(&spec, &brownout(1.0, true)).unwrap();
+
+    // Chaos needs a non-empty menu and a positive gap, and its menu goes
+    // through the same resolver.
+    let chaos = ChaosSpec {
+        seed: 1,
+        mean_gap_ns: 100,
+        start_ns: 0,
+        end_ns: 1,
+        menu: vec![crash("p0")],
+    };
+    let boot_chaos = |spec: &SystemSpec, chaos: ChaosSpec| {
+        boot_with(
+            spec,
+            FaultPlan::none().with_chaos(chaos),
+            ReconfigPlan::none(),
+        )
+        .map(drop)
+    };
+    boot_chaos(&spec, chaos.clone()).unwrap();
+    let err = boot_chaos(
+        &spec,
+        ChaosSpec {
+            menu: vec![],
+            ..chaos.clone()
+        },
+    )
+    .unwrap_err();
+    assert!(err.to_string().contains("chaos menu is empty"), "{err}");
+    let err = boot_chaos(
+        &spec,
+        ChaosSpec {
+            mean_gap_ns: 0,
+            ..chaos.clone()
+        },
+    )
+    .unwrap_err();
+    assert!(err.to_string().contains("mean_gap_ns"), "{err}");
+    spec.backends[1].process = 0;
+    if let BackendRtKind::Store { replicas, .. } = &mut spec.backends[1].kind {
+        *replicas = 1;
+    }
+    let err = boot_chaos(&spec, chaos).unwrap_err();
+    assert!(err.to_string().contains("no reachable peer"), "{err}");
+}
+
+/// `single_service` plus a three-replica `api` group in `p0` (the names
+/// the `Replicate` transform produces: base, base_r1, base_r2).
+fn api_group_spec() -> SystemSpec {
+    let mut spec = single_service(Behavior::build().compute(ms(1), 0).done());
+    for name in ["api", "api_r1", "api_r2"] {
+        let mut svc = ServiceSpec::new(name, 0);
+        svc.methods
+            .insert("M".into(), Behavior::build().compute(1000, 0).done());
+        spec.services.push(svc);
+    }
+    spec
+}
+
+#[test]
+fn service_group_resolves_replicate_naming() {
+    let mut spec = api_group_spec();
+    // `api_rX` with a non-numeric or empty suffix is not a group member.
+    spec.services.push(ServiceSpec::new("api_retry", 0));
+    spec.services.push(ServiceSpec::new("api_r", 0));
+    let sim = Sim::new(&spec, SimConfig::default()).unwrap();
+    assert_eq!(sim.resolve_group("api"), Ok(vec![1, 2, 3]));
+    assert_eq!(sim.resolve_group("front"), Ok(vec![0]));
+    assert_eq!(
+        sim.resolve_group("ghost"),
+        Err(SimError::Unknown("service ghost".into()))
+    );
+    // The entry shim `__workload_front` is no group of anyone's.
+    assert!(sim.resolve_group("__workload_front").is_err());
+}
+
+fn scale(service: &str, replicas: usize) -> Disturbance {
+    Disturbance::Change(Change::Scale {
+        service: service.into(),
+        replicas,
+        drain_ns: 0,
+    })
+}
+
+#[test]
+fn reconfig_unknown_service_gets_suggestion() {
+    let spec = api_group_spec();
+    let err = both_paths(&spec, &scale("apj", 2)).unwrap_err();
+    assert_eq!(
+        err,
+        SimError::Unknown("service apj; did you mean `api`?".into())
+    );
+    let scaler = AutoscalerSpec {
+        service: "api_rr1".into(),
+        min_replicas: 1,
+        max_replicas: 2,
+        high_util: 0.8,
+        low_util: 0.2,
+        ewma_alpha: 0.3,
+        interval_ns: 100,
+        cooldown_ns: 0,
+        start_ns: 0,
+        end_ns: 1,
+        drain_ns: 0,
+    };
+    let err = boot_with(
+        &spec,
+        FaultPlan::none(),
+        ReconfigPlan::none().with_autoscaler(scaler),
+    )
+    .map(drop)
+    .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::Unknown("service api_rr1; did you mean `api_r1`?".into())
+    );
+}
+
+#[test]
+fn reconfig_scale_bounds_rejected_per_value() {
+    let spec = api_group_spec();
+    let err = both_paths(&spec, &scale("api", 0)).unwrap_err();
+    assert!(err.to_string().contains("below 1 replica"), "{err}");
+    let err = both_paths(&spec, &scale("api", 4)).unwrap_err();
+    assert!(err.to_string().contains("only 3 exist at boot"), "{err}");
+    // The legal boundary values pass.
+    for replicas in [1, 3] {
+        both_paths(&spec, &scale("api", replicas)).unwrap();
+    }
+}
+
+#[test]
+fn reconfig_canary_parameters_rejected_per_value() {
+    let spec = api_group_spec();
+    let canary = |service: &str, fraction: f64, evaluate_ns: SimTime| {
+        Disturbance::Change(Change::Canary {
+            service: service.into(),
+            fraction,
+            evaluate_ns,
+            timeout_ns: None,
+            retries: None,
+        })
+    };
+    for fraction in [0.0, 1.0, -0.2, 1.5, f64::NAN, f64::INFINITY] {
+        assert!(
+            both_paths(&spec, &canary("api", fraction, 100)).is_err(),
+            "fraction {fraction} should be rejected"
+        );
+    }
+    assert!(both_paths(&spec, &canary("api", 0.25, 0)).is_err());
+    both_paths(&spec, &canary("api", 0.25, 100)).unwrap();
+    // A singleton group has no baseline to compare against.
+    let err = both_paths(&spec, &canary("front", 0.25, 100)).unwrap_err();
+    assert!(err.to_string().contains(">= 2 replicas"), "{err}");
+}
+
+#[test]
+fn reconfig_autoscaler_parameters_rejected_per_value() {
+    let spec = api_group_spec();
+    let base = AutoscalerSpec {
+        service: "api".into(),
+        min_replicas: 1,
+        max_replicas: 3,
+        high_util: 0.8,
+        low_util: 0.2,
+        ewma_alpha: 0.3,
+        interval_ns: 100,
+        cooldown_ns: 200,
+        start_ns: 0,
+        end_ns: 1000,
+        drain_ns: 50,
+    };
+    let check = |a: AutoscalerSpec| {
+        boot_with(
+            &spec,
+            FaultPlan::none(),
+            ReconfigPlan::none().with_autoscaler(a),
+        )
+        .map(drop)
+    };
+    check(base.clone()).unwrap();
+    assert!(check(AutoscalerSpec {
+        min_replicas: 0,
+        ..base.clone()
+    })
+    .is_err());
+    assert!(check(AutoscalerSpec {
+        min_replicas: 3,
+        max_replicas: 2,
+        ..base.clone()
+    })
+    .is_err());
+    assert!(check(AutoscalerSpec {
+        max_replicas: 4,
+        ..base.clone()
+    })
+    .is_err());
+    for (low, high) in [
+        (0.8, 0.2),
+        (0.5, 0.5),
+        (-0.1, 0.5),
+        (0.2, 1.5),
+        (f64::NAN, 0.5),
+    ] {
+        assert!(
+            check(AutoscalerSpec {
+                low_util: low,
+                high_util: high,
+                ..base.clone()
+            })
+            .is_err(),
+            "watermarks ({low}, {high}) should be rejected"
+        );
+    }
+    for ewma_alpha in [0.0, -0.2, 1.5, f64::NAN] {
+        assert!(check(AutoscalerSpec {
+            ewma_alpha,
+            ..base.clone()
+        })
+        .is_err());
+    }
+    assert!(check(AutoscalerSpec {
+        interval_ns: 0,
+        ..base
+    })
+    .is_err());
+}
+
+#[test]
+fn crash_plan_targeting_stranded_replicated_store_rejected() {
+    // `single_service` plus a second process on the same host and a store
+    // in `p0` with the given replicas and failover.
+    let store_spec = |replicas: u32, failover: Option<FailoverSpec>| {
+        let mut spec = single_service(Behavior::build().compute(ms(1), 0).done());
+        spec.processes.push(ProcessSpec {
+            name: "p1".into(),
+            host: 0,
+            gc: None,
+        });
+        spec.backends.push(BackendSpec {
+            name: "db".into(),
+            process: 0,
+            kind: BackendRtKind::Store {
+                read_latency_ns: 1_000,
+                write_latency_ns: 1_000,
+                cpu_per_op_ns: 100,
+                cpu_per_item_ns: 0,
+                replicas,
+                replication_lag_ns: (0, 0),
+                consistency: ConsistencyMode::ReadReplica,
+                failover,
+            },
+        });
+        spec
+    };
+    // Replicas but no failover peers: the crash strands them.
+    let err = both_paths(&store_spec(2, None), &fault(crash("p0"))).unwrap_err();
+    assert!(
+        matches!(err, SimError::BadSpec(ref m) if m.contains("no reachable peer to promote")),
+        "{err}"
+    );
+    // A promotable peer in another process makes the same plan valid.
+    let failover = FailoverSpec {
+        replica_processes: vec![1],
+        detection_ns: 1_000,
+        election_ns: 1_000,
+    };
+    both_paths(&store_spec(1, Some(failover)), &fault(crash("p0"))).unwrap();
+    // Crashing a process without the store is always fine.
+    both_paths(&store_spec(2, None), &fault(crash("p1"))).unwrap();
+    // An unreplicated store never strands (durable, restarts with it).
+    both_paths(&store_spec(0, None), &fault(crash("p0"))).unwrap();
 }

@@ -552,13 +552,18 @@ pub struct EntrySpec {
     pub client: ClientSpec,
 }
 
-/// A single injectable failure, named against the spec (resolved to dense
-/// indices at boot).
+/// A single injectable disturbance, named against the spec. A boot plan's
+/// faults resolve to dense indices in [`crate::sim::Sim::new`], a driver's
+/// in [`crate::sim::Sim::inject_fault`]; both go through the same resolver,
+/// so both accept and reject the same faults.
 ///
-/// All faults are transient: crashes restart, partitions heal, brownouts
-/// end. In-flight work affected by a fault fails *fast* with a classified
-/// error — nothing hangs — which is what keeps the request-conservation
-/// invariant checkable (every submitted request terminates exactly once).
+/// Every fault is transient: crashes restart, partitions heal, brownouts
+/// and CPU hogs end, and a cache flush is instant. Work that a crash,
+/// partition or brownout hits fails *fast* with a classified error —
+/// nothing hangs — which is what keeps the request-conservation invariant
+/// checkable (every submitted request terminates exactly once). A CPU hog
+/// only contends for cores and a flush only empties a cache, so neither
+/// fails any request by itself.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Fault {
     /// Kill a process; every in-flight request inside it fails with
@@ -613,6 +618,22 @@ pub enum Fault {
         /// Reject requests outright instead of slowing them.
         unavailable: bool,
     },
+    /// CPU contention on a host for `duration_ns`: a contender takes
+    /// `cores` cores from the processor-sharing scheduler (the FIRM anomaly
+    /// injector substitute; the metastability Types 2 and 3 trigger).
+    CpuHog {
+        /// Host name.
+        host: String,
+        /// Cores the contender consumes (finite, non-negative).
+        cores: f64,
+        /// Contention duration, ns.
+        duration_ns: SimTime,
+    },
+    /// Empty a cache backend at once (the metastability Type 4 trigger).
+    CacheFlush {
+        /// Backend name (must be a cache).
+        backend: String,
+    },
 }
 
 impl Fault {
@@ -624,6 +645,8 @@ impl Fault {
             Fault::Partition { .. } => "partition",
             Fault::LinkDegrade { .. } => "link_degrade",
             Fault::Brownout { .. } => "brownout",
+            Fault::CpuHog { .. } => "cpu_hog",
+            Fault::CacheFlush { .. } => "cache_flush",
         }
     }
 }
@@ -680,10 +703,11 @@ impl FaultPlan {
     }
 }
 
-/// One live runtime change, named against the spec (resolved to dense
-/// indices at boot). Changes address a *service group*: the base instance
-/// name plus the `_rN` clones the `Replicate` transform stamps out (so
-/// `"api"` covers `api`, `api_r1`, `api_r2`, …).
+/// One live runtime change, named against the spec and resolved to dense
+/// indices by the same resolver as [`Fault`] (at boot for a plan, at call
+/// time for [`crate::sim::Sim::apply_change`]). Changes address a *service
+/// group*: the base instance name plus the `_rN` clones the `Replicate`
+/// transform stamps out (so `"api"` covers `api`, `api_r1`, `api_r2`, …).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Change {
     /// Rolling deploy over a service group: drain one replica at a time
@@ -1095,283 +1119,6 @@ impl SystemSpec {
         Ok(())
     }
 
-    /// Validates every reference and parameter of a fault plan against this
-    /// spec (called at boot when the plan is non-empty, so a bad plan fails
-    /// loudly instead of silently injecting nothing).
-    pub fn validate_fault_plan(&self, plan: &FaultPlan) -> Result<()> {
-        for (_, f) in &plan.scheduled {
-            self.validate_fault(f)?;
-        }
-        if let Some(chaos) = &plan.chaos {
-            if chaos.menu.is_empty() {
-                return Err(SimError::BadSpec("chaos menu is empty".into()));
-            }
-            if chaos.mean_gap_ns == 0 {
-                return Err(SimError::BadSpec("chaos mean_gap_ns must be > 0".into()));
-            }
-            for f in &chaos.menu {
-                self.validate_fault(f)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates one fault's references and parameters.
-    pub fn validate_fault(&self, f: &Fault) -> Result<()> {
-        let need_proc = |name: &str| -> Result<()> {
-            if self.process_index(name).is_none() {
-                let hint = suggest(name, self.processes.iter().map(|p| p.name.as_str()));
-                return Err(SimError::BadSpec(format!(
-                    "fault names unknown process {name}{hint}"
-                )));
-            }
-            Ok(())
-        };
-        match f {
-            Fault::ProcessCrash { process, .. } => {
-                need_proc(process)?;
-                let proc = self
-                    .processes
-                    .iter()
-                    .position(|p| &p.name == process)
-                    .expect("checked by need_proc");
-                self.check_store_stranded(proc, "process-crash fault")
-            }
-            Fault::HostDown { host, .. } => {
-                if self.host_index(host).is_none() {
-                    let hint = suggest(host, self.hosts.iter().map(|h| h.name.as_str()));
-                    return Err(SimError::BadSpec(format!(
-                        "fault names unknown host {host}{hint}"
-                    )));
-                }
-                Ok(())
-            }
-            Fault::Partition { a, b, .. } => {
-                need_proc(a)?;
-                need_proc(b)?;
-                if a == b {
-                    return Err(SimError::BadSpec(format!("partition of {a} with itself")));
-                }
-                Ok(())
-            }
-            Fault::LinkDegrade { a, b, loss, .. } => {
-                need_proc(a)?;
-                need_proc(b)?;
-                if a == b {
-                    return Err(SimError::BadSpec(format!(
-                        "link degrade of {a} with itself"
-                    )));
-                }
-                if !loss.is_finite() || !(0.0..=1.0).contains(loss) {
-                    return Err(SimError::BadSpec(format!("link loss {loss} not in [0, 1]")));
-                }
-                Ok(())
-            }
-            Fault::Brownout {
-                backend,
-                slow_factor,
-                ..
-            } => {
-                if self.backend_index(backend).is_none() {
-                    let hint = suggest(backend, self.backends.iter().map(|b| b.name.as_str()));
-                    return Err(SimError::BadSpec(format!(
-                        "fault names unknown backend {backend}{hint}"
-                    )));
-                }
-                // A factor below 1 would *speed up* a browned-out backend —
-                // and a NaN/negative one silently rounds to a 0 ns latency
-                // in the cost model — so anything sub-1 is rejected.
-                if !slow_factor.is_finite() || *slow_factor < 1.0 {
-                    return Err(SimError::BadSpec(format!(
-                        "brownout slow_factor {slow_factor} must be finite and >= 1 (1 = no slowdown)"
-                    )));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Validates every reference and parameter of a reconfig plan against
-    /// this spec (called at boot when the plan is non-empty, so a bad plan
-    /// fails loudly instead of silently changing nothing).
-    pub fn validate_reconfig_plan(&self, plan: &ReconfigPlan) -> Result<()> {
-        for (_, c) in &plan.scheduled {
-            self.validate_change(c)?;
-        }
-        for a in &plan.autoscalers {
-            let group = self.service_group(&a.service);
-            if group.is_empty() {
-                let hint = suggest(&a.service, self.services.iter().map(|s| s.name.as_str()));
-                return Err(SimError::BadSpec(format!(
-                    "autoscaler names unknown service {}{hint}",
-                    a.service
-                )));
-            }
-            if a.min_replicas == 0 {
-                return Err(SimError::BadSpec(format!(
-                    "autoscaler for {} min_replicas must be >= 1 (a service cannot scale below 1 replica)",
-                    a.service
-                )));
-            }
-            if a.min_replicas > a.max_replicas {
-                return Err(SimError::BadSpec(format!(
-                    "autoscaler for {} min_replicas {} > max_replicas {}",
-                    a.service, a.min_replicas, a.max_replicas
-                )));
-            }
-            if a.max_replicas > group.len() {
-                return Err(SimError::BadSpec(format!(
-                    "autoscaler for {} max_replicas {} exceeds the {} boot replicas",
-                    a.service,
-                    a.max_replicas,
-                    group.len()
-                )));
-            }
-            if !a.low_util.is_finite()
-                || !a.high_util.is_finite()
-                || a.low_util < 0.0
-                || a.high_util > 1.0
-                || a.low_util >= a.high_util
-            {
-                return Err(SimError::BadSpec(format!(
-                    "autoscaler for {} watermarks ({}, {}) must satisfy 0 <= low < high <= 1",
-                    a.service, a.low_util, a.high_util
-                )));
-            }
-            if !a.ewma_alpha.is_finite() || a.ewma_alpha <= 0.0 || a.ewma_alpha > 1.0 {
-                return Err(SimError::BadSpec(format!(
-                    "autoscaler for {} ewma_alpha {} not in (0, 1]",
-                    a.service, a.ewma_alpha
-                )));
-            }
-            if a.interval_ns == 0 {
-                return Err(SimError::BadSpec(format!(
-                    "autoscaler for {} interval_ns must be > 0",
-                    a.service
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates one change's references and parameters.
-    pub fn validate_change(&self, c: &Change) -> Result<()> {
-        let group = self.service_group(c.service());
-        if group.is_empty() {
-            let hint = suggest(c.service(), self.services.iter().map(|s| s.name.as_str()));
-            return Err(SimError::BadSpec(format!(
-                "reconfig change names unknown service {}{hint}",
-                c.service()
-            )));
-        }
-        match c {
-            Change::RollingRestart { .. } => {
-                // A rolling step stops each member's process in turn; a
-                // replicated store stranded inside one of them would lose
-                // every promotable peer mid-roll.
-                for &svc in &group {
-                    self.check_store_stranded(self.services[svc].process, "rolling restart")?;
-                }
-                Ok(())
-            }
-            Change::Scale {
-                service, replicas, ..
-            } => {
-                if *replicas == 0 {
-                    return Err(SimError::BadSpec(format!(
-                        "cannot scale {service} below 1 replica"
-                    )));
-                }
-                if *replicas > group.len() {
-                    return Err(SimError::BadSpec(format!(
-                        "cannot scale {service} to {replicas} replicas: only {} exist at boot",
-                        group.len()
-                    )));
-                }
-                Ok(())
-            }
-            Change::Canary {
-                service,
-                fraction,
-                evaluate_ns,
-                ..
-            } => {
-                if group.len() < 2 {
-                    return Err(SimError::BadSpec(format!(
-                        "canary for {service} needs >= 2 replicas (one canary, one baseline)"
-                    )));
-                }
-                if !fraction.is_finite() || !(0.0..1.0).contains(fraction) || *fraction <= 0.0 {
-                    return Err(SimError::BadSpec(format!(
-                        "canary fraction {fraction} not in (0, 1)"
-                    )));
-                }
-                if *evaluate_ns == 0 {
-                    return Err(SimError::BadSpec(format!(
-                        "canary for {service} evaluate_ns must be > 0"
-                    )));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Rejects a plan step that stops `proc` while a replicated store would
-    /// be stranded by it: the store has replicas, but every peer able to
-    /// promote lives inside the stopped process itself (no failover spec,
-    /// or one whose replica processes all coincide with the primary's).
-    /// Such a plan advertises replication it cannot deliver — the replicas
-    /// die with the primary — so it fails at validation instead of
-    /// silently measuring nothing.
-    fn check_store_stranded(&self, proc: usize, what: &str) -> Result<()> {
-        for b in &self.backends {
-            let BackendRtKind::Store {
-                replicas, failover, ..
-            } = &b.kind
-            else {
-                continue;
-            };
-            if *replicas == 0 || b.process != proc {
-                continue;
-            }
-            let promotable = failover
-                .as_ref()
-                .is_some_and(|fo| fo.replica_processes.iter().any(|&p| p != proc));
-            if !promotable {
-                return Err(SimError::BadSpec(format!(
-                    "{what} stops process {}, but store {} keeps its {} \
-                     replica(s) in that same process: no reachable peer to \
-                     promote. Give the store a failover spec with replica \
-                     processes, or drop the replicas",
-                    self.processes[proc].name, b.name, replicas
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Resolves a service-group base name to the sorted dense indices of
-    /// its members: the instance named `base` plus every `base_rN` clone
-    /// the `Replicate` transform stamped out. Empty when `base` names
-    /// nothing.
-    pub fn service_group(&self, base: &str) -> Vec<usize> {
-        let prefix = format!("{base}_r");
-        let mut out: Vec<usize> = self
-            .services
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| {
-                s.name == base
-                    || (s.name.starts_with(&prefix)
-                        && s.name[prefix.len()..].chars().all(|c| c.is_ascii_digit())
-                        && s.name.len() > prefix.len())
-            })
-            .map(|(i, _)| i)
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Finds a service index by name.
     pub fn service_index(&self, name: &str) -> Option<usize> {
         self.services.iter().position(|s| s.name == name)
@@ -1688,70 +1435,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_unknown_references_caught() {
-        let s = tiny();
-        let crash = |p: &str| Fault::ProcessCrash {
-            process: p.into(),
-            restart_delay_ns: 1,
-        };
-        assert!(s
-            .validate_fault_plan(&FaultPlan::default().at(1, crash("p0")))
-            .is_ok());
-        let err = s
-            .validate_fault_plan(&FaultPlan::default().at(1, crash("ghost")))
-            .unwrap_err();
-        assert!(err.to_string().contains("unknown process ghost"), "{err}");
-
-        let err = s
-            .validate_fault(&Fault::HostDown {
-                host: "hX".into(),
-                down_ns: 1,
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("unknown host hX"), "{err}");
-
-        let err = s
-            .validate_fault(&Fault::Brownout {
-                backend: "nope".into(),
-                duration_ns: 1,
-                slow_factor: 2.0,
-                unavailable: false,
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("unknown backend nope"), "{err}");
-    }
-
-    #[test]
-    fn near_miss_names_get_suggestions() {
-        let mut s = tiny();
-        s.processes.push(ProcessSpec {
-            name: "frontend_proc".into(),
-            host: 0,
-            gc: None,
-        });
-        let err = s
-            .validate_fault(&Fault::ProcessCrash {
-                process: "frontend_prc".into(),
-                restart_delay_ns: 1,
-            })
-            .unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("unknown process frontend_prc; did you mean `frontend_proc`?"),
-            "{err}"
-        );
-
-        // A wildly different name earns no suggestion.
-        let err = s
-            .validate_fault(&Fault::ProcessCrash {
-                process: "completely_unrelated".into(),
-                restart_delay_ns: 1,
-            })
-            .unwrap_err();
-        assert!(!err.to_string().contains("did you mean"), "{err}");
-    }
-
-    #[test]
     fn dangling_entry_reports_range_and_suggestion() {
         let mut s = tiny();
         let entry = s.entries.remove("a").unwrap();
@@ -1784,97 +1467,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_bad_parameters_caught() {
-        let mut s = tiny();
-        s.processes.push(ProcessSpec {
-            name: "p1".into(),
-            host: 0,
-            gc: None,
-        });
-        s.backends.push(BackendSpec {
-            name: "kv".into(),
-            process: 0,
-            kind: BackendRtKind::Queue {
-                capacity: 1,
-                op_latency_ns: 1,
-            },
-        });
-        // A partition needs two distinct sides.
-        assert!(s
-            .validate_fault(&Fault::Partition {
-                a: "p0".into(),
-                b: "p0".into(),
-                duration_ns: 1,
-            })
-            .is_err());
-        assert!(s
-            .validate_fault(&Fault::Partition {
-                a: "p0".into(),
-                b: "p1".into(),
-                duration_ns: 1,
-            })
-            .is_ok());
-        // Loss probability must be a probability.
-        for loss in [-0.1, 1.5, f64::NAN] {
-            assert!(s
-                .validate_fault(&Fault::LinkDegrade {
-                    a: "p0".into(),
-                    b: "p1".into(),
-                    duration_ns: 1,
-                    extra_latency_ns: 0,
-                    loss,
-                })
-                .is_err());
-        }
-        // Slow factor must be finite and at least 1 (a sub-1 factor would
-        // speed the backend up; NaN/negative would round to 0 ns latency).
-        for sf in [0.0, 0.5, -2.0, f64::INFINITY, f64::NAN] {
-            assert!(
-                s.validate_fault(&Fault::Brownout {
-                    backend: "kv".into(),
-                    duration_ns: 1,
-                    slow_factor: sf,
-                    unavailable: false,
-                })
-                .is_err(),
-                "slow_factor {sf} should be rejected"
-            );
-        }
-        // Exactly 1 (no slowdown) is the degenerate-but-legal boundary.
-        assert!(s
-            .validate_fault(&Fault::Brownout {
-                backend: "kv".into(),
-                duration_ns: 1,
-                slow_factor: 1.0,
-                unavailable: true,
-            })
-            .is_ok());
-        // Chaos needs a non-empty menu and a positive gap.
-        let chaos = ChaosSpec {
-            seed: 1,
-            mean_gap_ns: 0,
-            start_ns: 0,
-            end_ns: 1,
-            menu: vec![],
-        };
-        assert!(s
-            .validate_fault_plan(&FaultPlan::default().with_chaos(ChaosSpec {
-                mean_gap_ns: 100,
-                ..chaos.clone()
-            }))
-            .is_err());
-        assert!(s
-            .validate_fault_plan(&FaultPlan::default().with_chaos(ChaosSpec {
-                menu: vec![Fault::ProcessCrash {
-                    process: "p0".into(),
-                    restart_delay_ns: 1,
-                }],
-                ..chaos
-            }))
-            .is_err());
-    }
-
-    #[test]
     fn fault_plan_builders() {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
@@ -1897,32 +1489,6 @@ mod tests {
         assert_eq!(s.service_index("zz"), None);
         assert_eq!(s.host_index("h0"), Some(0));
         assert_eq!(s.backend_index("none"), None);
-    }
-
-    /// tiny() plus a three-replica "api" group (the names the `Replicate`
-    /// transform produces: base, base_r1, base_r2).
-    fn replicated() -> SystemSpec {
-        let mut s = tiny();
-        for name in ["api", "api_r1", "api_r2"] {
-            let mut svc = ServiceSpec::new(name, 0);
-            svc.methods
-                .insert("M".into(), Behavior::build().compute(1000, 0).done());
-            s.services.push(svc);
-        }
-        s
-    }
-
-    #[test]
-    fn service_group_resolves_replicate_naming() {
-        let s = replicated();
-        assert_eq!(s.service_group("api"), vec![1, 2, 3]);
-        assert_eq!(s.service_group("a"), vec![0]);
-        assert_eq!(s.service_group("ghost"), Vec::<usize>::new());
-        // `api_rX` with a non-numeric suffix is not a group member.
-        let mut s = s;
-        s.services.push(ServiceSpec::new("api_retry", 0));
-        s.services.push(ServiceSpec::new("api_r", 0));
-        assert_eq!(s.service_group("api"), vec![1, 2, 3]);
     }
 
     #[test]
@@ -1956,173 +1522,6 @@ mod tests {
                 drain_ns: 50,
             })
             .is_empty());
-    }
-
-    #[test]
-    fn reconfig_unknown_service_gets_suggestion() {
-        let s = replicated();
-        let err = s
-            .validate_change(&Change::Scale {
-                service: "apj".into(),
-                replicas: 2,
-                drain_ns: 0,
-            })
-            .unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("unknown service apj; did you mean `api`?"),
-            "{err}"
-        );
-        let err = s
-            .validate_reconfig_plan(&ReconfigPlan::default().with_autoscaler(AutoscalerSpec {
-                service: "api_rr1".into(),
-                min_replicas: 1,
-                max_replicas: 2,
-                high_util: 0.8,
-                low_util: 0.2,
-                ewma_alpha: 0.3,
-                interval_ns: 100,
-                cooldown_ns: 0,
-                start_ns: 0,
-                end_ns: 1,
-                drain_ns: 0,
-            }))
-            .unwrap_err();
-        assert!(
-            err.to_string()
-                .contains("unknown service api_rr1; did you mean `api_r1`?"),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn reconfig_scale_bounds_rejected_per_value() {
-        let s = replicated();
-        // Below 1 replica: the error names the constraint.
-        let err = s
-            .validate_change(&Change::Scale {
-                service: "api".into(),
-                replicas: 0,
-                drain_ns: 0,
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("below 1 replica"), "{err}");
-        // Beyond boot capacity.
-        let err = s
-            .validate_change(&Change::Scale {
-                service: "api".into(),
-                replicas: 4,
-                drain_ns: 0,
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("only 3 exist at boot"), "{err}");
-        // The legal boundary values pass.
-        for replicas in [1, 3] {
-            s.validate_change(&Change::Scale {
-                service: "api".into(),
-                replicas,
-                drain_ns: 0,
-            })
-            .unwrap();
-        }
-    }
-
-    #[test]
-    fn reconfig_canary_parameters_rejected_per_value() {
-        let s = replicated();
-        let canary = |fraction: f64, evaluate_ns: SimTime| Change::Canary {
-            service: "api".into(),
-            fraction,
-            evaluate_ns,
-            timeout_ns: None,
-            retries: None,
-        };
-        for fraction in [0.0, 1.0, -0.2, 1.5, f64::NAN, f64::INFINITY] {
-            assert!(
-                s.validate_change(&canary(fraction, 100)).is_err(),
-                "fraction {fraction} should be rejected"
-            );
-        }
-        assert!(s.validate_change(&canary(0.25, 0)).is_err());
-        s.validate_change(&canary(0.25, 100)).unwrap();
-        // A singleton group has no baseline to compare against.
-        let err = s
-            .validate_change(&Change::Canary {
-                service: "a".into(),
-                fraction: 0.25,
-                evaluate_ns: 100,
-                timeout_ns: None,
-                retries: None,
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains(">= 2 replicas"), "{err}");
-    }
-
-    #[test]
-    fn reconfig_autoscaler_parameters_rejected_per_value() {
-        let s = replicated();
-        let base = AutoscalerSpec {
-            service: "api".into(),
-            min_replicas: 1,
-            max_replicas: 3,
-            high_util: 0.8,
-            low_util: 0.2,
-            ewma_alpha: 0.3,
-            interval_ns: 100,
-            cooldown_ns: 200,
-            start_ns: 0,
-            end_ns: 1000,
-            drain_ns: 50,
-        };
-        let check = |a: AutoscalerSpec| {
-            s.validate_reconfig_plan(&ReconfigPlan::default().with_autoscaler(a))
-        };
-        check(base.clone()).unwrap();
-        assert!(check(AutoscalerSpec {
-            min_replicas: 0,
-            ..base.clone()
-        })
-        .is_err());
-        assert!(check(AutoscalerSpec {
-            min_replicas: 3,
-            max_replicas: 2,
-            ..base.clone()
-        })
-        .is_err());
-        assert!(check(AutoscalerSpec {
-            max_replicas: 4,
-            ..base.clone()
-        })
-        .is_err());
-        for (low, high) in [
-            (0.8, 0.2),
-            (0.5, 0.5),
-            (-0.1, 0.5),
-            (0.2, 1.5),
-            (f64::NAN, 0.5),
-        ] {
-            assert!(
-                check(AutoscalerSpec {
-                    low_util: low,
-                    high_util: high,
-                    ..base.clone()
-                })
-                .is_err(),
-                "watermarks ({low}, {high}) should be rejected"
-            );
-        }
-        for ewma_alpha in [0.0, -0.2, 1.5, f64::NAN] {
-            assert!(check(AutoscalerSpec {
-                ewma_alpha,
-                ..base.clone()
-            })
-            .is_err());
-        }
-        assert!(check(AutoscalerSpec {
-            interval_ns: 0,
-            ..base
-        })
-        .is_err());
     }
 
     #[test]
@@ -2267,45 +1666,6 @@ mod tests {
         store_spec(1, (0, 0), ConsistencyMode::ReadReplica, Some(fo(vec![1])))
             .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn crash_plan_targeting_stranded_replicated_store_rejected() {
-        let crash = |spec: &SystemSpec| {
-            spec.validate_fault(&Fault::ProcessCrash {
-                process: "p0".into(),
-                restart_delay_ns: 1_000,
-            })
-        };
-        // Replicas but no failover peers: the crash strands them.
-        let spec = store_spec(2, (0, 0), ConsistencyMode::ReadReplica, None);
-        let err = crash(&spec).unwrap_err();
-        assert!(
-            matches!(err, SimError::BadSpec(ref m) if m.contains("no reachable peer to promote")),
-            "{err}"
-        );
-        // A promotable peer in another process makes the same plan valid.
-        let spec = store_spec(
-            1,
-            (0, 0),
-            ConsistencyMode::ReadReplica,
-            Some(FailoverSpec {
-                replica_processes: vec![1],
-                detection_ns: 1_000,
-                election_ns: 1_000,
-            }),
-        );
-        crash(&spec).unwrap();
-        // Crashing a process without the store is always fine.
-        let spec = store_spec(2, (0, 0), ConsistencyMode::ReadReplica, None);
-        spec.validate_fault(&Fault::ProcessCrash {
-            process: "p1".into(),
-            restart_delay_ns: 1_000,
-        })
-        .unwrap();
-        // An unreplicated store never strands (durable, restarts with it).
-        let spec = store_spec(0, (0, 0), ConsistencyMode::ReadReplica, None);
-        crash(&spec).unwrap();
     }
 
     #[test]

@@ -10,21 +10,8 @@ use crate::recorder::Recorder;
 
 /// A scheduled experiment action (the anomaly-injector substitute).
 pub enum Action {
-    /// Inject CPU contention on a host for a duration.
-    CpuHog {
-        /// Host name.
-        host: String,
-        /// Cores consumed by the contender.
-        cores: f64,
-        /// Contention duration, ns.
-        duration_ns: SimTime,
-    },
-    /// Flush a cache backend.
-    CacheFlush {
-        /// Backend name.
-        backend: String,
-    },
-    /// Inject a fault (crash, host down, partition, brownout) immediately.
+    /// Inject a fault (crash, host down, partition, brownout, CPU hog,
+    /// cache flush) immediately.
     Fault(blueprint_simrt::Fault),
     /// Apply a runtime change (rolling restart, scale, canary) immediately.
     Reconfig(blueprint_simrt::Change),
@@ -37,20 +24,6 @@ pub enum Action {
 impl std::fmt::Debug for Action {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Action::CpuHog {
-                host,
-                cores,
-                duration_ns,
-            } => f
-                .debug_struct("CpuHog")
-                .field("host", host)
-                .field("cores", cores)
-                .field("duration_ns", duration_ns)
-                .finish(),
-            Action::CacheFlush { backend } => f
-                .debug_struct("CacheFlush")
-                .field("backend", backend)
-                .finish(),
             Action::Fault(fault) => f.debug_tuple("Fault").field(fault).finish(),
             Action::Reconfig(change) => f.debug_tuple("Reconfig").field(change).finish(),
             Action::Custom(_) => f.write_str("Custom(..)"),
@@ -109,8 +82,9 @@ pub fn run_experiment(sim: &mut Sim, spec: ExperimentSpec) -> Result<Recorder, S
     run_experiment_collecting(sim, spec).map(|(rec, _)| rec)
 }
 
-/// Like [`run_experiment`], but also returns every raw [`Completion`] in
-/// completion order — the input the consistency oracle classifies.
+/// Like [`run_experiment`], but also returns every raw
+/// [`Completion`](blueprint_simrt::Completion) in completion order — the
+/// input the consistency oracle classifies.
 pub fn run_experiment_collecting(
     sim: &mut Sim,
     spec: ExperimentSpec,
@@ -176,12 +150,6 @@ pub fn run_experiment_collecting(
 
 fn apply(sim: &mut Sim, action: Action) -> Result<(), SimError> {
     match action {
-        Action::CpuHog {
-            host,
-            cores,
-            duration_ns,
-        } => sim.inject_cpu_hog(&host, cores, duration_ns),
-        Action::CacheFlush { backend } => sim.cache_flush(&backend),
         Action::Fault(fault) => sim.inject_fault(&fault),
         Action::Reconfig(change) => sim.apply_change(&change),
         Action::Custom(mut f) => {
@@ -206,7 +174,7 @@ mod tests {
         assert_send::<OpenLoopGen>();
     };
     use blueprint_simrt::{
-        ClientSpec, EntrySpec, HostSpec, ProcessSpec, ServiceSpec, SimConfig, SystemSpec,
+        ClientSpec, EntrySpec, Fault, HostSpec, ProcessSpec, ServiceSpec, SimConfig, SystemSpec,
     };
     use blueprint_workflow::Behavior;
 
@@ -286,11 +254,11 @@ mod tests {
         .deterministic();
         let exp = ExperimentSpec::new(gen).at(
             1_000_000_000,
-            Action::CpuHog {
+            Action::Fault(Fault::CpuHog {
                 host: "h0".into(),
                 cores: 1.9,
                 duration_ns: 1_000_000_000,
-            },
+            }),
         );
         let rec = run_experiment(&mut sim, exp).unwrap();
         let series = rec.series();
@@ -312,7 +280,12 @@ mod tests {
         let exp = ExperimentSpec::new(gen).at(
             500_000_000,
             Action::Custom(Box::new(|sim: &mut Sim| {
-                sim.inject_cpu_hog("h0", 0.5, 1000).unwrap();
+                sim.inject_fault(&Fault::CpuHog {
+                    host: "h0".into(),
+                    cores: 0.5,
+                    duration_ns: 1000,
+                })
+                .unwrap();
             })),
         );
         run_experiment(&mut sim, exp).unwrap();

@@ -45,5 +45,5 @@ pub use parallel::{par_run, Threads};
 pub use recorder::{ConservationReport, IntervalStats, Recorder};
 pub use resilience::{
     assess, run_cell, run_matrix, Assessment, CellReport, ConsistencyAudit, ConsistencyProbe,
-    ResilienceConfig, Scenario, Trigger,
+    ResilienceConfig, Scenario,
 };

@@ -1,8 +1,9 @@
 //! Resilience verification: variants × disturbance matrices with invariant
 //! checks (the robustness half of the fault-injection engine).
 //!
-//! A [`Scenario`] is one disturbance: scheduled [`Trigger`]s (faults, CPU
-//! contention, cache flushes), a [`ReconfigPlan`] (rolling restarts,
+//! A [`Scenario`] is one disturbance: scheduled [`Fault`]s (crashes,
+//! partitions, brownouts, CPU contention, cache flushes), a
+//! [`ReconfigPlan`] (rolling restarts,
 //! scaling, canaries, an autoscaler), and the window in which they act.
 //! [`run_cell`] drives one system variant through one scenario and verifies
 //! three invariants on the recorded series:
@@ -31,50 +32,6 @@ use crate::oracle::{classify_with_audit, converged_versions, AnomalyCounts, Orac
 use crate::parallel::{par_run, Threads};
 use crate::recorder::{ConservationReport, IntervalStats};
 
-/// A clonable scheduled disturbance — the subset of [`Action`] that a
-/// scenario can carry across worker threads (Custom actions hold `FnMut`
-/// state and cannot participate in a shared matrix).
-#[derive(Debug, Clone)]
-pub enum Trigger {
-    /// Inject a fault (crash, host down, partition, brownout).
-    Fault(Fault),
-    /// CPU contention on a host for a duration (metastability Types 2/3).
-    CpuHog {
-        /// Host name.
-        host: String,
-        /// Cores consumed by the contender.
-        cores: f64,
-        /// Contention duration, ns.
-        duration_ns: SimTime,
-    },
-    /// Flush a cache backend (metastability Type 4).
-    CacheFlush {
-        /// Backend name.
-        backend: String,
-    },
-}
-
-impl Trigger {
-    /// The driver action that executes this trigger.
-    pub fn to_action(&self) -> Action {
-        match self {
-            Trigger::Fault(f) => Action::Fault(f.clone()),
-            Trigger::CpuHog {
-                host,
-                cores,
-                duration_ns,
-            } => Action::CpuHog {
-                host: host.clone(),
-                cores: *cores,
-                duration_ns: *duration_ns,
-            },
-            Trigger::CacheFlush { backend } => Action::CacheFlush {
-                backend: backend.clone(),
-            },
-        }
-    }
-}
-
 /// A named disturbance scenario. Build one from [`Scenario::baseline`] with
 /// struct-update syntax, setting whichever of `actions`, `plan` and
 /// `window` the scenario needs.
@@ -82,9 +39,9 @@ impl Trigger {
 pub struct Scenario {
     /// Scenario label (appears in matrix rows).
     pub name: String,
-    /// Triggers executed through the experiment driver at the given virtual
-    /// times; same-time triggers run in list order.
-    pub actions: Vec<(SimTime, Trigger)>,
+    /// Faults injected through the experiment driver at the given virtual
+    /// times; same-time faults run in list order.
+    pub actions: Vec<(SimTime, Fault)>,
     /// Runtime-change plan riding in [`SimConfig`], so rolling steps,
     /// autoscaler ticks and canary evaluations run in the simulator's
     /// ctrl-event slot.
@@ -339,7 +296,7 @@ pub struct CellReport {
 
 /// Runs one variant through one scenario and verifies the invariants.
 ///
-/// The scenario's triggers run through the experiment driver's action
+/// The scenario's faults run through the experiment driver's action
 /// schedule and its plan rides in [`SimConfig`], so the run is an ordinary
 /// deterministic experiment: same seed + same scenario ⇒ identical report.
 /// With `cfg.probe` set, the traffic is followed by a settle period (whose
@@ -379,8 +336,8 @@ pub fn run_cell(
     let mut exp = ExperimentSpec::new(gen)
         .interval(cfg.interval_ns)
         .drain(cfg.drain_ns);
-    for (t, trigger) in &scenario.actions {
-        exp = exp.at(*t, trigger.to_action());
+    for (t, fault) in &scenario.actions {
+        exp = exp.at(*t, Action::Fault(fault.clone()));
     }
     let (mut rec, mut completions) = run_experiment_collecting(&mut sim, exp)?;
     let consistency = match &cfg.probe {
@@ -550,10 +507,10 @@ mod tests {
             name: "backend crash".into(),
             actions: vec![(
                 secs(4),
-                Trigger::Fault(Fault::ProcessCrash {
+                Fault::ProcessCrash {
                     process: "p_back".into(),
                     restart_delay_ns: secs(2),
-                }),
+                },
             )],
             window: (secs(4), secs(6)),
             ..Scenario::baseline()
@@ -712,9 +669,8 @@ mod tests {
         assert_eq!(a.unavailable_ns, 0);
     }
 
-    /// Triggers lower into driver actions: a CPU hog scheduled through a
-    /// scenario must degrade the run exactly like the hand-built fig6
-    /// harness would.
+    /// A CPU-hog fault scheduled through a scenario must degrade the run
+    /// exactly like the hand-built fig6 harness would.
     #[test]
     fn trigger_scenario_runs_through_cell() {
         let spec = two_tier(ClientSpec::local());
@@ -722,7 +678,7 @@ mod tests {
             name: "cpu hog".into(),
             actions: vec![(
                 secs(4),
-                Trigger::CpuHog {
+                Fault::CpuHog {
                     host: "h1".into(),
                     cores: 3.9,
                     duration_ns: secs(2),
@@ -948,10 +904,10 @@ mod tests {
             name: "primary crash".into(),
             actions: vec![(
                 secs(7) + ms(800),
-                Trigger::Fault(Fault::ProcessCrash {
+                Fault::ProcessCrash {
                     process: "p_db".into(),
                     restart_delay_ns: secs(3),
-                }),
+                },
             )],
             ..Scenario::baseline()
         }
@@ -1097,8 +1053,8 @@ mod tests {
         assert!(seq.iter().all(|c| c.consistency.is_some()));
     }
 
-    /// One scenario carries a fault, a CPU-hog trigger and a rolling-restart
-    /// plan at once, and a probed cell reports availability and consistency
+    /// One scenario carries a crash, a CPU hog and a rolling-restart plan
+    /// at once, and a probed cell reports availability and consistency
     /// from the same run.
     #[test]
     fn one_scenario_combines_fault_trigger_plan_and_probe() {
@@ -1107,7 +1063,7 @@ mod tests {
             actions: vec![
                 (
                     secs(2),
-                    Trigger::CpuHog {
+                    Fault::CpuHog {
                         host: "h1".into(),
                         cores: 3.9,
                         duration_ns: secs(1),
@@ -1115,10 +1071,10 @@ mod tests {
                 ),
                 (
                     secs(4),
-                    Trigger::Fault(Fault::ProcessCrash {
+                    Fault::ProcessCrash {
                         process: "p_db".into(),
                         restart_delay_ns: secs(3),
-                    }),
+                    },
                 ),
             ],
             plan: ReconfigPlan::none().at(

@@ -8,9 +8,9 @@
 //! loop (`BLUEPRINT_THREADS=1` forces the legacy path).
 
 use blueprint_simrt::time::{secs, SimTime};
-use blueprint_simrt::{Sim, SimConfig, SimError, SystemSpec};
+use blueprint_simrt::{Fault, Sim, SimConfig, SimError, SystemSpec};
 
-use crate::driver::{run_experiment, ExperimentSpec};
+use crate::driver::{run_experiment, Action, ExperimentSpec};
 use crate::generator::{ApiMix, OpenLoopGen, Phase};
 use crate::parallel::{par_run, Threads};
 
@@ -242,11 +242,11 @@ pub fn trigger_recovery(
     );
     let exp = ExperimentSpec::new(gen).at(
         secs(spec.trigger_at_s),
-        crate::driver::Action::CpuHog {
+        Action::Fault(Fault::CpuHog {
             host: spec.trigger_host.clone(),
             cores: spec.trigger_cores,
             duration_ns: secs(spec.trigger_dur_s),
-        },
+        }),
     );
     let rec = run_experiment(&mut sim, exp)?;
     let from: SimTime = secs(spec.total_s - spec.observe_s);

@@ -8,7 +8,7 @@
 use blueprint::apps::{social_network as sn, TracerChoice, WiringOpts};
 use blueprint::core::Blueprint;
 use blueprint::simrt::time::{ms, secs};
-use blueprint::simrt::SimConfig;
+use blueprint::simrt::{Fault, SimConfig};
 use blueprint::trace::{Sifter, SifterConfig};
 
 fn main() {
@@ -36,8 +36,14 @@ fn main() {
     for i in 0..total {
         let anomalous = anomalies.contains(&i);
         if anomalous {
-            sim.inject_cpu_hog("machine_0", 7.9, ms(400)).unwrap();
-            sim.inject_cpu_hog("machine_1", 7.9, ms(400)).unwrap();
+            for host in ["machine_0", "machine_1"] {
+                sim.inject_fault(&Fault::CpuHog {
+                    host: host.into(),
+                    cores: 7.9,
+                    duration_ns: ms(400),
+                })
+                .unwrap();
+            }
         }
         let root = sim
             .submit("gateway", "ComposePost", 5_000 + i as u64)
