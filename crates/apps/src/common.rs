@@ -159,14 +159,15 @@ pub fn standard_scaffolding(w: &mut WiringSpec, opts: &WiringOpts) -> WiringResu
     Ok(mods)
 }
 
-/// After all services are declared, groups every service instance into one
-/// process when the options ask for a monolith (the §6.1 monolith variants).
+/// After all services are declared, groups every service instance (and any
+/// load balancer in front of them) into one process when the options ask for
+/// a monolith (the §6.1 monolith variants).
 pub fn finish_monolith(w: &mut WiringSpec, opts: &WiringOpts) -> WiringResult<()> {
     if opts.containerized {
         return Ok(());
     }
-    let services = blueprint_wiring::mutate::service_names(w);
-    let refs: Vec<&str> = services.iter().map(String::as_str).collect();
+    let members = blueprint_wiring::mutate::monolith_members(w);
+    let refs: Vec<&str> = members.iter().map(String::as_str).collect();
     w.process("monolith", &refs)?;
     Ok(())
 }

@@ -252,11 +252,8 @@ pub fn workflow() -> WorkflowSpec {
     wf
 }
 
-/// The wiring spec. `gogc_reservation` optionally pins the
-/// ReservationService into an explicit process with the given GOGC value —
-/// the paper's Type-2 metastability setup ("we set the environment variable
-/// GOGC to 75", §6.2.1).
-pub fn wiring_with(opts: &WiringOpts, gogc_reservation: Option<i64>) -> WiringSpec {
+/// The standard wiring spec.
+pub fn wiring(opts: &WiringOpts) -> WiringSpec {
     let mut w = WiringSpec::new("dsb_hotel_reservation");
     let mods = standard_scaffolding(&mut w, opts).expect("scaffolding");
     let mods: Vec<&str> = mods.iter().map(String::as_str).collect();
@@ -318,24 +315,30 @@ pub fn wiring_with(opts: &WiringOpts, gogc_reservation: Option<i64>) -> WiringSp
     )
     .expect("wiring");
 
-    if let Some(gogc) = gogc_reservation {
-        if opts.containerized {
-            w.define_kw(
-                "reservation_proc",
-                "Process",
-                vec![Arg::r("reservation")],
-                vec![("gogc", Arg::Int(gogc))],
-            )
-            .expect("wiring");
-        }
-    }
     finish_monolith(&mut w, opts).expect("monolith grouping");
     w
 }
 
-/// The standard wiring spec.
-pub fn wiring(opts: &WiringOpts) -> WiringSpec {
-    wiring_with(opts, None)
+/// The ReservationService's GOGC in the paper's Type-2 metastability setup
+/// ("we set the environment variable GOGC to 75", §6.2.1).
+const TYPE2_GOGC: i64 = 75;
+
+/// The §6.2.1 Type-2 metastability variant: [`wiring`] plus one declaration
+/// that pins the ReservationService into its own process with GOGC 75.
+///
+/// Panics on monolith options: their one process already holds every
+/// service, so the GOGC setting would have nowhere to go.
+pub fn wiring_type2(opts: &WiringOpts) -> WiringSpec {
+    assert!(opts.containerized, "type2 needs containerized options");
+    let mut w = wiring(opts);
+    w.define_kw(
+        "reservation_proc",
+        "Process",
+        vec![Arg::r("reservation")],
+        vec![("gogc", Arg::Int(TYPE2_GOGC))],
+    )
+    .expect("wiring");
+    w
 }
 
 /// The paper's §6.4 mixed workload: 60% hotels (search), 38%
@@ -407,7 +410,7 @@ mod tests {
     #[test]
     fn gogc_variant_lowers_custom_gc() {
         let wf = workflow();
-        let w = wiring_with(&WiringOpts::default(), Some(75));
+        let w = wiring_type2(&WiringOpts::default());
         let app = Blueprint::new().compile(&wf, &w).unwrap();
         let res = app
             .system()
@@ -431,6 +434,12 @@ mod tests {
                 .gogc_percent,
             100.0
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "type2 needs containerized options")]
+    fn gogc_variant_rejects_monolith_options() {
+        wiring_type2(&WiringOpts::default().monolith());
     }
 
     #[test]

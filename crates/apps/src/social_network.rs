@@ -8,21 +8,24 @@
 //!
 //! Variants used by the evaluation:
 //!
-//! * [`wiring`] — the standard variant (dimensions from [`WiringOpts`]);
+//! * [`wiring`] — the standard variant (dimensions from [`WiringOpts`]).
+//!   Every other wiring below is a mutation of this one spec, not a copy;
+//! * [`wiring_type4`] — the §6.2.1 Type-4 metastability variant: a slow
+//!   user-timeline database carrying the timeout/retry policies itself;
 //! * [`wiring_inconsistency`] — the §6.2.2 cross-system-inconsistency
 //!   variant: replicated user-timeline database + two `UserTimelineService`
-//!   instances with per-replica caches behind a load balancer (a 5-line
-//!   wiring change from the base spec);
-//! * [`wiring_consistency`] — the same topology with an explicit consistency
-//!   mode (`primary` / `read_replica` / `quorum` / `session`) on the
-//!   replicated database, and [`arm_ut_db_failover`] to attach primary
+//!   instances with per-replica caches behind a load balancer;
+//! * [`wiring_direct_timeline`] — the same topology without the caches and
+//!   with an explicit consistency mode (`primary` / `read_replica` /
+//!   `quorum` / `session`) on the replicated database, for
+//!   [`workflow_direct_timeline`]; [`arm_ut_db_failover`] attaches primary
 //!   failover to the compiled system;
 //! * [`workflow_with`]`(extended_cache = true)` — the §6.6 variant whose
 //!   `ReadPosts` uses the specialized Redis range operation instead of N
 //!   generic `Get`s (Fig. 12).
 
 use blueprint_ir::types::{MethodSig, Param, TypeRef};
-use blueprint_wiring::{Arg, WiringSpec};
+use blueprint_wiring::{mutate, Arg, InstanceDecl, WiringSpec};
 use blueprint_workflow::{
     Behavior, CacheOp, KeyExpr, ServiceBuilder, ServiceInterface, WorkflowSpec,
 };
@@ -464,392 +467,171 @@ pub fn workflow_with(extended_cache: bool) -> WorkflowSpec {
     wf
 }
 
-/// Declares the application's backends on a wiring spec (shared by the base
-/// and inconsistency variants).
-fn declare_backends(w: &mut WiringSpec) {
-    w.define("url_db", "MongoDB", vec![]).expect("wiring");
-    w.define("user_db", "MongoDB", vec![]).expect("wiring");
-    w.define("media_db", "MongoDB", vec![]).expect("wiring");
-    w.define("post_db", "MongoDB", vec![]).expect("wiring");
-    w.define("sg_db", "MongoDB", vec![]).expect("wiring");
-    w.define_kw(
-        "user_cache",
-        "Memcached",
-        vec![],
-        vec![("capacity", Arg::Int(200_000))],
-    )
-    .expect("wiring");
-    w.define_kw(
-        "post_cache",
-        "Redis",
-        vec![],
-        vec![("capacity", Arg::Int(500_000))],
-    )
-    .expect("wiring");
-    w.define_kw(
-        "sg_cache",
-        "Redis",
-        vec![],
-        vec![("capacity", Arg::Int(200_000))],
-    )
-    .expect("wiring");
-    w.define_kw(
-        "ht_cache",
-        "Redis",
-        vec![],
-        vec![("capacity", Arg::Int(200_000))],
-    )
-    .expect("wiring");
+/// The standard wiring before monolith grouping; every variant below is an
+/// edit of this one spec.
+fn base(opts: &WiringOpts) -> WiringSpec {
+    let mut w = WiringSpec::new("dsb_social_network");
+    let mods = standard_scaffolding(&mut w, opts).expect("scaffolding");
+    let mods: Vec<&str> = mods.iter().map(String::as_str).collect();
+    for (name, callee, capacity) in [
+        ("url_db", "MongoDB", None),
+        ("user_db", "MongoDB", None),
+        ("media_db", "MongoDB", None),
+        ("post_db", "MongoDB", None),
+        ("sg_db", "MongoDB", None),
+        ("user_cache", "Memcached", Some(200_000)),
+        ("post_cache", "Redis", Some(500_000)),
+        ("sg_cache", "Redis", Some(200_000)),
+        ("ht_cache", "Redis", Some(200_000)),
+        ("ut_db", "MongoDB", None),
+        ("ut_cache", "Redis", Some(200_000)),
+    ] {
+        let kwargs = capacity.map(|c| ("capacity", Arg::Int(c)));
+        w.define_kw(name, callee, vec![], kwargs.into_iter().collect())
+            .expect("wiring");
+    }
+    let services: [(&str, &str, &[&str]); 12] = [
+        ("unique_id", "UniqueIdServiceImpl", &[]),
+        ("url_shorten", "UrlShortenServiceImpl", &["url_db"]),
+        (
+            "user_mention",
+            "UserMentionServiceImpl",
+            &["user_cache", "user_db"],
+        ),
+        ("media", "MediaServiceImpl", &["media_db"]),
+        ("user", "UserServiceImpl", &["user_cache", "user_db"]),
+        (
+            "social_graph",
+            "SocialGraphServiceImpl",
+            &["sg_cache", "sg_db"],
+        ),
+        ("text", "TextServiceImpl", &["url_shorten", "user_mention"]),
+        (
+            "post_storage",
+            "PostStorageServiceImpl",
+            &["post_cache", "post_db"],
+        ),
+        (
+            "user_timeline",
+            "UserTimelineServiceImpl",
+            &["ut_cache", "ut_db", "post_storage"],
+        ),
+        (
+            "home_timeline",
+            "HomeTimelineServiceImpl",
+            &["ht_cache", "post_storage", "social_graph"],
+        ),
+        (
+            "compose_post",
+            "ComposePostServiceImpl",
+            &[
+                "text",
+                "unique_id",
+                "media",
+                "user",
+                "post_storage",
+                "user_timeline",
+                "home_timeline",
+            ],
+        ),
+        (
+            "gateway",
+            "GatewayServiceImpl",
+            &["compose_post", "home_timeline", "user_timeline"],
+        ),
+    ];
+    for (name, callee, deps) in services {
+        w.service(name, callee, deps, &mods).expect("wiring");
+    }
+    w
 }
 
 /// The standard wiring spec.
 pub fn wiring(opts: &WiringOpts) -> WiringSpec {
-    let mut w = WiringSpec::new("dsb_social_network");
-    let mods = standard_scaffolding(&mut w, opts).expect("scaffolding");
-    let mods: Vec<&str> = mods.iter().map(String::as_str).collect();
-    declare_backends(&mut w);
-    w.define_kw("ut_db", "MongoDB", vec![], vec![])
-        .expect("wiring");
-    w.define_kw(
-        "ut_cache",
-        "Redis",
-        vec![],
-        vec![("capacity", Arg::Int(200_000))],
-    )
-    .expect("wiring");
-
-    w.service("unique_id", "UniqueIdServiceImpl", &[], &mods)
-        .expect("wiring");
-    w.service("url_shorten", "UrlShortenServiceImpl", &["url_db"], &mods)
-        .expect("wiring");
-    w.service(
-        "user_mention",
-        "UserMentionServiceImpl",
-        &["user_cache", "user_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service("media", "MediaServiceImpl", &["media_db"], &mods)
-        .expect("wiring");
-    w.service("user", "UserServiceImpl", &["user_cache", "user_db"], &mods)
-        .expect("wiring");
-    w.service(
-        "social_graph",
-        "SocialGraphServiceImpl",
-        &["sg_cache", "sg_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "text",
-        "TextServiceImpl",
-        &["url_shorten", "user_mention"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "post_storage",
-        "PostStorageServiceImpl",
-        &["post_cache", "post_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "user_timeline",
-        "UserTimelineServiceImpl",
-        &["ut_cache", "ut_db", "post_storage"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "home_timeline",
-        "HomeTimelineServiceImpl",
-        &["ht_cache", "post_storage", "social_graph"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "compose_post",
-        "ComposePostServiceImpl",
-        &[
-            "text",
-            "unique_id",
-            "media",
-            "user",
-            "post_storage",
-            "user_timeline",
-            "home_timeline",
-        ],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "gateway",
-        "GatewayServiceImpl",
-        &["compose_post", "home_timeline", "user_timeline"],
-        &mods,
-    )
-    .expect("wiring");
+    let mut w = base(opts);
     finish_monolith(&mut w, opts).expect("monolith grouping");
     w
 }
 
-/// The §6.2.1 Type-4 metastability variant: identical to [`wiring`] except
-/// the user-timeline database is capacity-constrained (`db_cpu_us` of CPU
-/// per operation) and carries the timeout/retry scaffolding itself — so when
-/// a cache flush floods it, DB calls time out, the cache-fill step never
-/// runs, and the cache cannot repopulate (the fast-path/slow-path hysteresis
-/// of §B.1 "Capacity Degradation Trigger ... Amplification").
+/// The §6.2.1 Type-4 metastability variant: [`wiring`] with a
+/// capacity-constrained user-timeline database (`db_cpu_us` of CPU per
+/// operation) that carries the timeout/retry scaffolding itself — so when a
+/// cache flush floods it, DB calls time out, the cache-fill step never runs,
+/// and the cache cannot repopulate (the fast-path/slow-path hysteresis of
+/// §B.1 "Capacity Degradation Trigger ... Amplification").
 ///
-/// Requires `opts.timeout_ms`/`opts.retries` to be set (they define the
-/// `timeout_all`/`retry_all` scaffolding instances this variant attaches to
-/// the database).
+/// Panics unless `opts.timeout_ms`/`opts.retries` are set: they declare the
+/// `timeout_all`/`retry_all` instances this variant attaches to the database.
 pub fn wiring_type4(opts: &WiringOpts, db_cpu_us: i64) -> WiringSpec {
-    assert!(
-        opts.timeout_ms.is_some() && opts.retries > 0,
-        "type4 needs timeouts + retries"
-    );
-    let mut w = WiringSpec::new("dsb_social_network_type4");
-    let mods = standard_scaffolding(&mut w, opts).expect("scaffolding");
-    let mods: Vec<&str> = mods.iter().map(String::as_str).collect();
-    declare_backends(&mut w);
-    // The mutation: a slow, policy-carrying timeline database.
-    w.define_kw_mods(
-        "ut_db",
-        "MongoDB",
-        vec![],
-        vec![("cpu_per_op_us", Arg::Float(db_cpu_us as f64))],
-        &["timeout_all", "retry_all"],
-    )
-    .expect("wiring");
-    w.define_kw(
-        "ut_cache",
-        "Redis",
-        vec![],
-        vec![("capacity", Arg::Int(200_000))],
-    )
-    .expect("wiring");
-
-    w.service("unique_id", "UniqueIdServiceImpl", &[], &mods)
-        .expect("wiring");
-    w.service("url_shorten", "UrlShortenServiceImpl", &["url_db"], &mods)
-        .expect("wiring");
-    w.service(
-        "user_mention",
-        "UserMentionServiceImpl",
-        &["user_cache", "user_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service("media", "MediaServiceImpl", &["media_db"], &mods)
-        .expect("wiring");
-    w.service("user", "UserServiceImpl", &["user_cache", "user_db"], &mods)
-        .expect("wiring");
-    w.service(
-        "social_graph",
-        "SocialGraphServiceImpl",
-        &["sg_cache", "sg_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "text",
-        "TextServiceImpl",
-        &["url_shorten", "user_mention"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "post_storage",
-        "PostStorageServiceImpl",
-        &["post_cache", "post_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "user_timeline",
-        "UserTimelineServiceImpl",
-        &["ut_cache", "ut_db", "post_storage"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "home_timeline",
-        "HomeTimelineServiceImpl",
-        &["ht_cache", "post_storage", "social_graph"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "compose_post",
-        "ComposePostServiceImpl",
-        &[
-            "text",
-            "unique_id",
-            "media",
-            "user",
-            "post_storage",
-            "user_timeline",
-            "home_timeline",
-        ],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "gateway",
-        "GatewayServiceImpl",
-        &["compose_post", "home_timeline", "user_timeline"],
-        &mods,
-    )
-    .expect("wiring");
+    let mut w = base(opts);
+    w.app_name = "dsb_social_network_type4".into();
+    let cpu = Arg::Float(db_cpu_us as f64);
+    mutate::set_kwarg(&mut w, "ut_db", "cpu_per_op_us", cpu).expect("ut_db");
+    for policy in ["timeout_all", "retry_all"] {
+        mutate::add_server_modifier(&mut w, "ut_db", policy)
+            .expect("type4 needs timeouts + retries");
+    }
     finish_monolith(&mut w, opts).expect("monolith grouping");
     w
+}
+
+/// Replicates the user-timeline tier in place: `ut_db` gains two read
+/// replicas with `lag` ms of asynchronous replication lag, and
+/// `user_timeline` becomes two `UserTimelineService` instances behind a
+/// random `LoadBalancer` of the same name. With `cached`, each instance gets
+/// its own copy of `ut_cache`; without, both read `ut_db` directly.
+fn replicate_user_timeline(w: &mut WiringSpec, lag: (i64, i64), cached: bool) {
+    for (key, v) in [
+        ("replicas", 2),
+        ("lag_min_ms", lag.0),
+        ("lag_max_ms", lag.1),
+    ] {
+        mutate::set_kwarg(w, "ut_db", key, Arg::Int(v)).expect("ut_db");
+    }
+    let splice = |w: &mut WiringSpec, name: &str, with: Vec<InstanceDecl>| {
+        let at = w.decls.iter().position(|d| d.name == name).expect(name);
+        w.decls.splice(at..=at, with);
+    };
+    let cache = w.decl("ut_cache").expect("ut_cache").clone();
+    let caches = ["ut_cache_a", "ut_cache_b"].map(|name| InstanceDecl {
+        name: name.into(),
+        ..cache.clone()
+    });
+    splice(w, "ut_cache", if cached { caches.into() } else { vec![] });
+    let svc = w.decl("user_timeline").expect("user_timeline").clone();
+    let replica = |x: &str| InstanceDecl {
+        name: format!("user_timeline_{x}"),
+        args: if cached {
+            vec![
+                Arg::r(&format!("ut_cache_{x}")),
+                Arg::r("ut_db"),
+                Arg::r("post_storage"),
+            ]
+        } else {
+            vec![Arg::r("ut_db")]
+        },
+        ..svc.clone()
+    };
+    let lb = InstanceDecl {
+        name: "user_timeline".into(),
+        callee: "LoadBalancer".into(),
+        args: vec![Arg::r("user_timeline_a"), Arg::r("user_timeline_b")],
+        kwargs: [("policy".into(), Arg::Str("random".into()))].into(),
+        server_modifiers: vec![],
+    };
+    splice(w, "user_timeline", vec![replica("a"), replica("b"), lb]);
 }
 
 /// The §6.2.2 cross-system-inconsistency variant: the user-timeline database
-/// gains read replicas with asynchronous replication lag, and the
+/// gains two read replicas with asynchronous replication lag, and the
 /// `UserTimelineService` is replicated with per-replica caches behind a load
-/// balancer. The diff against [`wiring`] touches a handful of lines, like
-/// the paper's 4-LoC mutation.
+/// balancer. Set the store's consistency mode on the result with
+/// [`mutate::set_store_consistency`]; `"read_replica"` is the default.
 pub fn wiring_inconsistency(opts: &WiringOpts, lag_min_ms: i64, lag_max_ms: i64) -> WiringSpec {
-    let mut w = WiringSpec::new("dsb_social_network_replicated");
-    let mods = standard_scaffolding(&mut w, opts).expect("scaffolding");
-    let mods: Vec<&str> = mods.iter().map(String::as_str).collect();
-    declare_backends(&mut w);
-    // Replicated timeline database + per-replica caches (the mutation).
-    w.define_kw(
-        "ut_db",
-        "MongoDB",
-        vec![],
-        vec![
-            ("replicas", Arg::Int(2)),
-            ("lag_min_ms", Arg::Int(lag_min_ms)),
-            ("lag_max_ms", Arg::Int(lag_max_ms)),
-        ],
-    )
-    .expect("wiring");
-    w.define_kw(
-        "ut_cache_a",
-        "Redis",
-        vec![],
-        vec![("capacity", Arg::Int(200_000))],
-    )
-    .expect("wiring");
-    w.define_kw(
-        "ut_cache_b",
-        "Redis",
-        vec![],
-        vec![("capacity", Arg::Int(200_000))],
-    )
-    .expect("wiring");
-
-    w.service("unique_id", "UniqueIdServiceImpl", &[], &mods)
-        .expect("wiring");
-    w.service("url_shorten", "UrlShortenServiceImpl", &["url_db"], &mods)
-        .expect("wiring");
-    w.service(
-        "user_mention",
-        "UserMentionServiceImpl",
-        &["user_cache", "user_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service("media", "MediaServiceImpl", &["media_db"], &mods)
-        .expect("wiring");
-    w.service("user", "UserServiceImpl", &["user_cache", "user_db"], &mods)
-        .expect("wiring");
-    w.service(
-        "social_graph",
-        "SocialGraphServiceImpl",
-        &["sg_cache", "sg_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "text",
-        "TextServiceImpl",
-        &["url_shorten", "user_mention"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "post_storage",
-        "PostStorageServiceImpl",
-        &["post_cache", "post_db"],
-        &mods,
-    )
-    .expect("wiring");
-    // Two user-timeline replicas with their own caches, behind an LB.
-    w.service(
-        "user_timeline_a",
-        "UserTimelineServiceImpl",
-        &["ut_cache_a", "ut_db", "post_storage"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "user_timeline_b",
-        "UserTimelineServiceImpl",
-        &["ut_cache_b", "ut_db", "post_storage"],
-        &mods,
-    )
-    .expect("wiring");
-    w.define_kw(
-        "user_timeline",
-        "LoadBalancer",
-        vec![Arg::r("user_timeline_a"), Arg::r("user_timeline_b")],
-        vec![("policy", Arg::Str("random".into()))],
-    )
-    .expect("wiring");
-    w.service(
-        "home_timeline",
-        "HomeTimelineServiceImpl",
-        &["ht_cache", "post_storage", "social_graph"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "compose_post",
-        "ComposePostServiceImpl",
-        &[
-            "text",
-            "unique_id",
-            "media",
-            "user",
-            "post_storage",
-            "user_timeline",
-            "home_timeline",
-        ],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "gateway",
-        "GatewayServiceImpl",
-        &["compose_post", "home_timeline", "user_timeline"],
-        &mods,
-    )
-    .expect("wiring");
+    let mut w = base(opts);
+    w.app_name = "dsb_social_network_replicated".into();
+    replicate_user_timeline(&mut w, (lag_min_ms, lag_max_ms), true);
     finish_monolith(&mut w, opts).expect("monolith grouping");
-    w
-}
-
-/// [`wiring_inconsistency`] with an explicit consistency mode on the
-/// replicated user-timeline database — the paper's "change one wiring line,
-/// recompile, re-measure" loop applied to data consistency. `mode` is one of
-/// `"primary"`, `"read_replica"`, `"quorum"` (with `quorum = Some((w, r))`),
-/// or `"session"`; `"read_replica"` reproduces [`wiring_inconsistency`]
-/// exactly (it is the historical default, spelled out).
-pub fn wiring_consistency(
-    opts: &WiringOpts,
-    lag_min_ms: i64,
-    lag_max_ms: i64,
-    mode: &str,
-    quorum: Option<(i64, i64)>,
-) -> WiringSpec {
-    let mut w = wiring_inconsistency(opts, lag_min_ms, lag_max_ms);
-    blueprint_wiring::mutate::set_store_consistency(&mut w, "ut_db", mode, quorum)
-        .expect("ut_db consistency mode");
     w
 }
 
@@ -886,11 +668,11 @@ pub fn workflow_direct_timeline() -> WorkflowSpec {
     wf
 }
 
-/// Wiring for [`workflow_direct_timeline`]: the replicated-`ut_db` topology
-/// of [`wiring_inconsistency`] (two `UserTimelineService` instances behind a
-/// load balancer) minus the per-replica caches, with an explicit consistency
-/// mode on the store. The consistency-matrix bench compiles its three arms
-/// from this.
+/// Wiring for [`workflow_direct_timeline`]: the replicated user-timeline
+/// tier of [`wiring_inconsistency`] without the per-replica caches, with
+/// consistency `mode` on the store (one of `"primary"`, `"read_replica"`,
+/// `"quorum"` with optional `(w, r)`, or `"session"`). The
+/// consistency-matrix bench compiles its arms from this.
 pub fn wiring_direct_timeline(
     opts: &WiringOpts,
     lag_min_ms: i64,
@@ -898,113 +680,11 @@ pub fn wiring_direct_timeline(
     mode: &str,
     quorum: Option<(i64, i64)>,
 ) -> WiringSpec {
-    let mut w = WiringSpec::new("dsb_social_network_consistency");
-    let mods = standard_scaffolding(&mut w, opts).expect("scaffolding");
-    let mods: Vec<&str> = mods.iter().map(String::as_str).collect();
-    declare_backends(&mut w);
-    w.define_kw(
-        "ut_db",
-        "MongoDB",
-        vec![],
-        vec![
-            ("replicas", Arg::Int(2)),
-            ("lag_min_ms", Arg::Int(lag_min_ms)),
-            ("lag_max_ms", Arg::Int(lag_max_ms)),
-        ],
-    )
-    .expect("wiring");
-
-    w.service("unique_id", "UniqueIdServiceImpl", &[], &mods)
-        .expect("wiring");
-    w.service("url_shorten", "UrlShortenServiceImpl", &["url_db"], &mods)
-        .expect("wiring");
-    w.service(
-        "user_mention",
-        "UserMentionServiceImpl",
-        &["user_cache", "user_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service("media", "MediaServiceImpl", &["media_db"], &mods)
-        .expect("wiring");
-    w.service("user", "UserServiceImpl", &["user_cache", "user_db"], &mods)
-        .expect("wiring");
-    w.service(
-        "social_graph",
-        "SocialGraphServiceImpl",
-        &["sg_cache", "sg_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "text",
-        "TextServiceImpl",
-        &["url_shorten", "user_mention"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "post_storage",
-        "PostStorageServiceImpl",
-        &["post_cache", "post_db"],
-        &mods,
-    )
-    .expect("wiring");
-    // Two cache-less user-timeline replicas behind an LB: every read is a
-    // store read.
-    w.service(
-        "user_timeline_a",
-        "UserTimelineServiceImpl",
-        &["ut_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "user_timeline_b",
-        "UserTimelineServiceImpl",
-        &["ut_db"],
-        &mods,
-    )
-    .expect("wiring");
-    w.define_kw(
-        "user_timeline",
-        "LoadBalancer",
-        vec![Arg::r("user_timeline_a"), Arg::r("user_timeline_b")],
-        vec![("policy", Arg::Str("random".into()))],
-    )
-    .expect("wiring");
-    w.service(
-        "home_timeline",
-        "HomeTimelineServiceImpl",
-        &["ht_cache", "post_storage", "social_graph"],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "compose_post",
-        "ComposePostServiceImpl",
-        &[
-            "text",
-            "unique_id",
-            "media",
-            "user",
-            "post_storage",
-            "user_timeline",
-            "home_timeline",
-        ],
-        &mods,
-    )
-    .expect("wiring");
-    w.service(
-        "gateway",
-        "GatewayServiceImpl",
-        &["compose_post", "home_timeline", "user_timeline"],
-        &mods,
-    )
-    .expect("wiring");
+    let mut w = base(opts);
+    w.app_name = "dsb_social_network_consistency".into();
+    replicate_user_timeline(&mut w, (lag_min_ms, lag_max_ms), false);
     finish_monolith(&mut w, opts).expect("monolith grouping");
-    blueprint_wiring::mutate::set_store_consistency(&mut w, "ut_db", mode, quorum)
-        .expect("ut_db consistency mode");
+    mutate::set_store_consistency(&mut w, "ut_db", mode, quorum).expect("ut_db consistency mode");
     w
 }
 
@@ -1099,16 +779,31 @@ mod tests {
         assert!(done.iter().all(|c| c.ok), "{done:?}");
     }
 
+    /// The base wiring and both replicated variants (whose `user_timeline`
+    /// load balancer must join the monolith's one process) compile to one
+    /// host and serve.
     #[test]
     fn monolith_variant_compiles_and_runs() {
-        let wf = workflow();
-        let w = wiring(&WiringOpts::default().monolith().without_tracing());
-        let app = Blueprint::new().compile(&wf, &w).unwrap();
-        assert_eq!(app.system().hosts.len(), 1);
-        let mut sim = app.simulation(5).unwrap();
-        sim.submit("gateway", "ReadHomeTimeline", 1).unwrap();
-        sim.run_until(secs(5));
-        assert!(sim.drain_completions()[0].ok);
+        let opts = WiringOpts::default().monolith().without_tracing();
+        for (wf, w) in [
+            (workflow(), wiring(&opts)),
+            (workflow(), wiring_inconsistency(&opts, 50, 700)),
+            (
+                workflow_direct_timeline(),
+                wiring_direct_timeline(&opts, 50, 700, "session", None),
+            ),
+        ] {
+            let app = Blueprint::new().compile(&wf, &w).unwrap();
+            assert_eq!(app.system().hosts.len(), 1, "{}", w.app_name);
+            let mut sim = app.simulation(5).unwrap();
+            for m in ["ReadHomeTimeline", "ReadUserTimeline", "ComposePost"] {
+                sim.submit("gateway", m, 1).unwrap();
+            }
+            sim.run_until(secs(5));
+            let done = sim.drain_completions();
+            assert_eq!(done.len(), 3, "{}", w.app_name);
+            assert!(done.iter().all(|c| c.ok), "{}: {done:?}", w.app_name);
+        }
     }
 
     #[test]
@@ -1168,21 +863,18 @@ mod tests {
         assert_eq!(paper_mix().len(), 3);
     }
 
-    /// `read_replica` is the historical default spelled out: the consistency
-    /// variant must compile to the exact same system spec.
+    /// `read_replica` is the historical default spelled out: setting it on
+    /// the inconsistency variant must compile to the exact same system spec.
     #[test]
     fn consistency_wiring_read_replica_matches_inconsistency_variant() {
         let wf = workflow();
         let opts = WiringOpts::default();
+        let mut named = wiring_inconsistency(&opts, 50, 700);
+        mutate::set_store_consistency(&mut named, "ut_db", "read_replica", None).unwrap();
         let base = Blueprint::new()
             .compile(&wf, &wiring_inconsistency(&opts, 50, 700))
             .unwrap();
-        let named = Blueprint::new()
-            .compile(
-                &wf,
-                &wiring_consistency(&opts, 50, 700, "read_replica", None),
-            )
-            .unwrap();
+        let named = Blueprint::new().compile(&wf, &named).unwrap();
         assert_eq!(base.system(), named.system());
     }
 
@@ -1192,10 +884,9 @@ mod tests {
     fn armed_ut_db_failover_promotes_on_primary_crash() {
         use blueprint_simrt::time::ms;
         let wf = workflow();
-        let opts = WiringOpts::default();
-        let app = Blueprint::new()
-            .compile(&wf, &wiring_consistency(&opts, 50, 700, "session", None))
-            .unwrap();
+        let mut w = wiring_inconsistency(&WiringOpts::default(), 50, 700);
+        mutate::attach_session_consistency(&mut w, "ut_db").unwrap();
+        let app = Blueprint::new().compile(&wf, &w).unwrap();
         let mut system = app.system().clone();
         let before = system.processes.len();
         arm_ut_db_failover(&mut system, ms(20), ms(20)).unwrap();

@@ -147,10 +147,7 @@ pub fn type1(size: Run) -> MetaResult {
 /// Type 2: load spike trigger, capacity degradation amplification (GOGC=75 +
 /// CPU contention on the ReservationService's machine).
 pub fn type2(size: Run) -> MetaResult {
-    let app = super::compile(
-        &hr::workflow(),
-        &hr::wiring_with(&opts_with(500, 10), Some(75)),
-    );
+    let app = super::compile(&hr::workflow(), &hr::wiring_type2(&opts_with(500, 10)));
     let host = super::host_of_service(&app, "reservation");
     let mut sim = super::boot(&app, 62);
     let (total, hog_at, hog_s) = size.pick((5, 2, 2), (150, 60, 30));
@@ -330,7 +327,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
     });
 
     // Type 2: CPU contention on the GOGC=75 ReservationService machine.
-    let wiring2 = hr::wiring_with(&opts_with(500, 10), Some(75));
+    let wiring2 = hr::wiring_type2(&opts_with(500, 10));
     let host2 = super::host_of_service(&super::compile(&hr::workflow(), &wiring2), "reservation");
     cases.push(MetaCase {
         name: "type2 gc contention",

@@ -175,29 +175,6 @@ impl WiringSpec {
         })
     }
 
-    /// Convenience: declare an instance with keyword arguments and server
-    /// modifiers (used e.g. for backends that carry timeout/retry
-    /// scaffolding, as in the Type-4 metastability variant).
-    pub fn define_kw_mods(
-        &mut self,
-        name: &str,
-        callee: &str,
-        args: Vec<Arg>,
-        kwargs: Vec<(&str, Arg)>,
-        server_modifiers: &[&str],
-    ) -> Result<()> {
-        self.add(InstanceDecl {
-            name: name.into(),
-            callee: callee.into(),
-            args,
-            kwargs: kwargs
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            server_modifiers: server_modifiers.iter().map(|m| m.to_string()).collect(),
-        })
-    }
-
     /// Convenience: declare a service instance with server modifiers, the
     /// `X = Impl(deps).WithServer(mods)` pattern of Fig. 3.
     pub fn service(

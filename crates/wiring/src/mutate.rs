@@ -192,7 +192,10 @@ pub fn remove_modifier_from_all_services(spec: &mut WiringSpec, modifier: &str) 
 
 /// Adds p-Replication to an instance: declares `"{instance}_replicas" =
 /// Replicate(count=n)` right before the instance and attaches it as a server
-/// modifier. This is the §6.2.2 cross-system-inconsistency mutation.
+/// modifier: the compiler expands it into `count` copies of the instance
+/// behind a round-robin load balancer. (The §6.2.2 cross-system-inconsistency
+/// variant does not use this: it splits the user-timeline service into
+/// explicitly declared replicas with their own caches.)
 pub fn replicate(spec: &mut WiringSpec, instance: &str, count: i64) -> Result<String> {
     let pos = spec
         .decls
@@ -265,20 +268,21 @@ pub fn attach_session_consistency(spec: &mut WiringSpec, instance: &str) -> Resu
     set_store_consistency(spec, instance, "session", None)
 }
 
-/// The service-instance names of a spec, by the repo-wide convention that
-/// workflow service callees end in `Impl` (as in the paper's Fig. 3).
-pub fn service_names(spec: &WiringSpec) -> Vec<String> {
+/// The instances a monolith groups into its one process: every service (by
+/// the repo-wide convention that workflow service callees end in `Impl`, as
+/// in the paper's Fig. 3) and every `LoadBalancer` in front of services.
+pub fn monolith_members(spec: &WiringSpec) -> Vec<String> {
     spec.decls
         .iter()
-        .filter(|d| d.callee.ends_with("Impl"))
+        .filter(|d| d.callee.ends_with("Impl") || d.callee == "LoadBalancer")
         .map(|d| d.name.clone())
         .collect()
 }
 
 /// Converts the spec to a monolith variant (paper §6.1 "monolithic
 /// versions"): strips RPC server and deployer modifiers from all services and
-/// groups every service instance into a single `Process`, so calls compile to
-/// plain function calls.
+/// groups every [`monolith_members`] instance into a single `Process`, so
+/// calls compile to plain function calls.
 ///
 /// `infra_callees` lists modifier callees to strip (RPC servers, deployers).
 pub fn monolithify(spec: &mut WiringSpec, infra_callees: &[&str]) -> Result<()> {
@@ -292,8 +296,8 @@ pub fn monolithify(spec: &mut WiringSpec, infra_callees: &[&str]) -> Result<()> 
         remove_modifier_from_all_services(spec, m);
         remove_instance(spec, m)?;
     }
-    let services = service_names(spec);
-    let refs: Vec<&str> = services.iter().map(String::as_str).collect();
+    let members = monolith_members(spec);
+    let refs: Vec<&str> = members.iter().map(String::as_str).collect();
     spec.process("monolith", &refs)?;
     Ok(())
 }
@@ -474,9 +478,11 @@ mod tests {
     }
 
     #[test]
-    fn service_names_by_convention() {
-        let w = base();
-        assert_eq!(service_names(&w), vec!["a".to_string(), "b".to_string()]);
+    fn monolith_members_by_convention() {
+        let mut w = base();
+        w.define("lb", "LoadBalancer", vec![Arg::r("a"), Arg::r("b")])
+            .unwrap();
+        assert_eq!(monolith_members(&w), ["a", "b", "lb"]);
     }
 
     #[test]

@@ -174,3 +174,36 @@ fn monolithify_mutation_compiles_and_runs() {
     sim.run_until(secs(5));
     assert!(sim.drain_completions()[0].ok);
 }
+
+/// Every exhibit variant is a small edit of its app's standard wiring
+/// (`changed` counts removed plus added rendered lines). Each SocialNetwork
+/// variant renames the app, which is 2 of its changed lines. The
+/// inconsistency variant changes 11 lines rather than the paper's 4 LoC
+/// because, besides the rename, it splits the user-timeline service into
+/// explicitly declared replicas with their own caches behind a load
+/// balancer, instead of attaching one `Replicate` modifier.
+#[test]
+fn each_variant_is_a_small_mutation_of_its_base() {
+    let opts = WiringOpts::default().with_timeout_retries(1_000, 10);
+    let sn_base = sn::wiring(&opts);
+    let direct = sn::wiring_direct_timeline(&opts, 100, 400, "quorum", None);
+    for (name, base, variant, changed) in [
+        ("type4", &sn_base, sn::wiring_type4(&opts, 1_500), 4),
+        (
+            "inconsistency",
+            &sn_base,
+            sn::wiring_inconsistency(&opts, 50, 700),
+            11,
+        ),
+        ("direct-timeline", &sn_base, direct, 9),
+        (
+            "hotel type2",
+            &hr::wiring(&opts),
+            hr::wiring_type2(&opts),
+            1,
+        ),
+    ] {
+        let d = spec_diff(base, &variant);
+        assert_eq!(d.changed(), changed, "{name}: {d:?}");
+    }
+}
