@@ -35,6 +35,9 @@ echo "==> bench smoke (event_queue: heap vs timing wheel)"
 # queue implementations still run under the hold-model workload.
 cargo bench -p blueprint-bench --bench event_queue -- --test
 
+echo "==> bench smoke (gen_time: Tab. 5 compiles up to the paper's 2,882 instances)"
+cargo bench -p blueprint-bench --bench gen_time -- --test
+
 echo "==> parallel-engine determinism (BLUEPRINT_THREADS=1 vs =4)"
 # BLUEPRINT_THREADS sets only the number of cross-run par_run workers (each
 # simulation runs on one sequential event loop). The same experiment suite

@@ -447,20 +447,25 @@ impl ProgArena {
 /// Interned names (service, method, entry, backend). Names are only looked
 /// up on cold paths (completion records, user-facing lookups, traces), but
 /// they must not be `Rc<str>` or the simulator stops being `Send`.
+///
+/// `Sim::new` interns every service, method, entry and backend name, which
+/// is thousands of distinct names at Tab. 5 scale, so interning goes through
+/// a name → id map beside the id-ordered list. Ids are dense and in
+/// first-seen order.
 #[derive(Debug, Default)]
 pub(crate) struct StrArena {
     names: Vec<Box<str>>,
+    ids: BTreeMap<Box<str>, NameId>,
 }
 
 impl StrArena {
     pub(crate) fn intern(&mut self, s: &str) -> NameId {
-        // Linear scan: interning happens only at boot over a few dozen
-        // distinct names; dedup keeps repeated method names cheap.
-        if let Some(i) = self.names.iter().position(|n| &**n == s) {
-            return NameId(i as u32);
+        if let Some(&id) = self.ids.get(s) {
+            return id;
         }
         let id = NameId(u32::try_from(self.names.len()).expect("name arena exceeds u32 ids"));
         self.names.push(s.into());
+        self.ids.insert(s.into(), id);
         id
     }
 

@@ -3272,3 +3272,18 @@ fn crash_plan_targeting_stranded_replicated_store_rejected() {
     // An unreplicated store never strands (durable, restarts with it).
     both_paths(&store_spec(0, None), &fault(crash("p0"))).unwrap();
 }
+
+#[test]
+fn str_arena_ids_are_dense_in_first_seen_order() {
+    let mut arena = StrArena::default();
+    let names = ["rpc", "Frontend", "Call", "Search", "Call", "rpc", "Geo"];
+    let ids: Vec<NameId> = names.iter().map(|n| arena.intern(n)).collect();
+    assert_eq!(
+        ids,
+        [0, 1, 2, 3, 2, 0, 4].map(NameId),
+        "a repeated name keeps its first id; new names take the next"
+    );
+    for (n, id) in names.iter().zip(&ids) {
+        assert_eq!(arena.get(*id), *n);
+    }
+}

@@ -126,19 +126,28 @@ impl WiringSpec {
         }
     }
 
-    /// Adds a declaration, checking name uniqueness and define-before-use.
+    /// Adds a declaration, checking name uniqueness and define-before-use in
+    /// one pass over the earlier declarations. A duplicate name is reported
+    /// ahead of an undefined reference, and of several undefined references
+    /// the first in [`InstanceDecl::referenced`] order. There is no name
+    /// index to consult: `decls` is public and the mutation helpers edit it
+    /// in place.
     pub fn add(&mut self, decl: InstanceDecl) -> Result<()> {
-        if self.decl(&decl.name).is_some() {
-            return Err(WiringError::DuplicateName(decl.name));
-        }
-        let known: BTreeSet<&str> = self.decls.iter().map(|d| d.name.as_str()).collect();
-        for r in decl.referenced() {
-            if !known.contains(r) {
-                return Err(WiringError::UndefinedRef {
-                    instance: decl.name.clone(),
-                    referenced: r.to_string(),
-                });
+        let refs = decl.referenced();
+        let mut defined = vec![false; refs.len()];
+        for d in &self.decls {
+            if d.name == decl.name {
+                return Err(WiringError::DuplicateName(decl.name));
             }
+            for (r, found) in refs.iter().zip(&mut defined) {
+                *found |= d.name == *r;
+            }
+        }
+        if let Some(i) = defined.iter().position(|found| !found) {
+            return Err(WiringError::UndefinedRef {
+                instance: decl.name.clone(),
+                referenced: refs[i].to_string(),
+            });
         }
         self.decls.push(decl);
         Ok(())
@@ -310,6 +319,50 @@ mod tests {
         let mut w = WiringSpec::new("t");
         let err = w.service("s", "Impl", &["missing_db"], &[]).unwrap_err();
         assert!(matches!(err, WiringError::UndefinedRef { .. }));
+    }
+
+    #[test]
+    fn duplicate_name_reported_before_undefined_ref() {
+        let mut w = fig3_spec();
+        let err = w.service("us", "Impl", &["missing_db"], &[]).unwrap_err();
+        assert_eq!(err, WiringError::DuplicateName("us".into()));
+    }
+
+    #[test]
+    fn first_undefined_ref_in_reference_order_reported() {
+        let mut w = fig3_spec();
+        // `referenced()` lists positional args, then kwargs, then server
+        // modifiers; the first missing one of those is the one named.
+        let err = w
+            .add(InstanceDecl {
+                name: "s".into(),
+                callee: "Impl".into(),
+                args: vec![Arg::r("post_db"), Arg::r("missing_b")],
+                kwargs: [("db".to_string(), Arg::r("user_db"))].into(),
+                server_modifiers: vec!["missing_a".into()],
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            WiringError::UndefinedRef {
+                instance: "s".into(),
+                referenced: "missing_b".into(),
+            }
+        );
+        assert_eq!(w.loc(), 11, "a rejected declaration is not added");
+    }
+
+    #[test]
+    fn self_reference_is_undefined() {
+        let mut w = fig3_spec();
+        let err = w.service("s", "Impl", &["user_db", "s"], &[]).unwrap_err();
+        assert_eq!(
+            err,
+            WiringError::UndefinedRef {
+                instance: "s".into(),
+                referenced: "s".into(),
+            }
+        );
     }
 
     #[test]

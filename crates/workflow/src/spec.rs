@@ -59,11 +59,18 @@ impl WorkflowSpec {
     /// * every `Call` step targets a method that exists on the dependency's
     ///   interface.
     pub fn validate(&self) -> Result<()> {
+        // Each interface's first implementation in name order: what
+        // `impls_of(iface).first()` returns, built in one pass so validation
+        // stays linear in the service count.
+        let mut first_impl: BTreeMap<&str, &ServiceImpl> = BTreeMap::new();
+        for svc in self.services.values() {
+            first_impl.entry(&svc.interface.name).or_insert(svc);
+        }
         for svc in self.services.values() {
             svc.validate()?;
             for dep in &svc.deps {
                 if let DepKind::Service(iface) = &dep.kind {
-                    if self.impls_of(iface).is_empty() {
+                    if !first_impl.contains_key(iface.as_str()) {
                         return Err(WorkflowError::Invalid(format!(
                             "{}: dependency `{}` needs interface {iface}, \
                              which no service in the spec implements",
@@ -76,7 +83,7 @@ impl WorkflowSpec {
                 for (dep, called) in behavior.calls() {
                     let Some(decl) = svc.dep(dep) else { continue };
                     if let DepKind::Service(iface) = &decl.kind {
-                        let Some(target) = self.impls_of(iface).first().copied() else {
+                        let Some(target) = first_impl.get(iface.as_str()) else {
                             continue;
                         };
                         if !target.interface.has_method(called) {
@@ -195,6 +202,57 @@ mod tests {
         spec.add_service(front).unwrap();
         let err = spec.validate().unwrap_err();
         assert!(err.to_string().contains("no method Logout"), "{err}");
+    }
+
+    /// A frontend `name` depending on interface `iface` and calling
+    /// `method` on it.
+    fn caller(name: &str, iface: &str, method: &str) -> ServiceImpl {
+        ServiceBuilder::new(
+            name,
+            ServiceInterface::new(
+                format!("{name}Iface"),
+                vec![MethodSig::new("Handle", vec![], TypeRef::Unit)],
+            ),
+        )
+        .dep_service("dep", iface)
+        .method("Handle", Behavior::build().call("dep", method).done())
+        .done()
+        .unwrap()
+    }
+
+    #[test]
+    fn call_checked_against_first_impl_by_name() {
+        // Two implementations of `UserService`: the first by name lacks
+        // `Logout`, so the call is rejected even though the second has it.
+        let mut spec = WorkflowSpec::new("app");
+        spec.add_service(leaf("BUsers", "UserService", "Logout"))
+            .unwrap();
+        spec.add_service(leaf("AUsers", "UserService", "Login"))
+            .unwrap();
+        spec.add_service(caller("Front", "UserService", "Logout"))
+            .unwrap();
+        assert_eq!(
+            spec.validate().unwrap_err(),
+            WorkflowError::Invalid(
+                "Front.Handle: calls dep.Logout, but interface UserService has no method Logout"
+                    .into()
+            )
+        );
+    }
+
+    #[test]
+    fn unimplemented_interface_reported_for_first_service_by_name() {
+        let mut spec = WorkflowSpec::new("app");
+        spec.add_service(caller("Zeta", "MissingZ", "M")).unwrap();
+        spec.add_service(caller("Alpha", "MissingA", "M")).unwrap();
+        assert_eq!(
+            spec.validate().unwrap_err(),
+            WorkflowError::Invalid(
+                "Alpha: dependency `dep` needs interface MissingA, \
+                 which no service in the spec implements"
+                    .into()
+            )
+        );
     }
 
     #[test]

@@ -2,6 +2,9 @@
 //! actions (the configure–build–deploy → run → measure loop of the paper's
 //! evaluation).
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
+
 use blueprint_simrt::time::SimTime;
 use blueprint_simrt::{EntryHandle, Sim, SimError};
 
@@ -102,9 +105,10 @@ pub fn run_experiment_collecting(
     let mut actions = actions.into_iter().peekable();
     let end = spec.generator.duration_ns();
 
-    // Entry points are few; resolve each (entry, method) pair once and
-    // submit through handles so the per-arrival path does no name lookups.
-    let mut handles: Vec<(String, String, EntryHandle)> = Vec::new();
+    // Resolve each (entry, method) pair once and submit through handles, so
+    // the per-arrival path does no name lookups in the simulator. A topology
+    // can expose over a thousand entries, so the handles are kept sorted.
+    let mut handles: BTreeMap<(String, String), EntryHandle> = BTreeMap::new();
 
     for arrival in spec.generator {
         // Execute actions due before this arrival.
@@ -118,15 +122,14 @@ pub fn run_experiment_collecting(
             apply(sim, action)?;
         }
         sim.run_until(arrival.at_ns);
-        let handle = match handles
-            .iter()
-            .find(|(e, m, _)| *e == arrival.entry && *m == arrival.method)
-        {
-            Some((_, _, h)) => *h,
-            None => {
-                let h = sim.entry_handle(&arrival.entry, &arrival.method)?;
-                handles.push((arrival.entry.clone(), arrival.method.clone(), h));
-                h
+        // The arrival's own strings become the key, so a lookup allocates
+        // nothing.
+        let handle = match handles.entry((arrival.entry, arrival.method)) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(slot) => {
+                let (entry, method) = slot.key();
+                let h = sim.entry_handle(entry, method)?;
+                *slot.insert(h)
             }
         };
         sim.submit_handle(handle, arrival.entity)?;
