@@ -9,8 +9,12 @@ set -eu
 committed=$(mktemp -d)
 trap 'rm -rf "$committed"' EXIT
 
-echo "==> cargo build --workspace --release"
-cargo build --workspace --release
+echo "==> cargo build --workspace --release --locked"
+# --locked here and on the benchmark smoke freezes the crate graph: a change
+# that adds or drops a crate or a dependency edge fails instead of silently
+# rewriting a committed Cargo.lock (the benchmark's own lock lists every
+# workspace crate and its edges).
+cargo build --workspace --release --locked
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
@@ -115,11 +119,11 @@ for gate in \
 done
 
 echo "==> completion-stream identity check"
-# With no fault plan and no reconfig plan the completion stream must be
-# bit-identical to the per-entity-RNG seed: pin the historical checksum, not
-# just a self-match. This is also the empty-ReconfigPlan zero-cost gate —
-# reconfiguration support must schedule no events and draw no RNG when the
-# plan is empty, or this pin moves.
+# With no fault plan and no reconfig plan the completion stream, run through
+# the experiment driver, must be bit-identical to the per-entity-RNG seed:
+# pin the historical checksum, not just a self-match. This is also the
+# empty-ReconfigPlan gate — reconfiguration state must push no events and
+# draw no RNG when the plan is empty, or this pin moves.
 # (The pin moved once, 73897de1072914b2 -> 1bc85aa9969bffcf, when RNG draws
 # moved from one global stream to derive_seed-keyed per-entity streams.)
 cp results/ci_stream_checksum.txt "$committed/"
@@ -135,7 +139,7 @@ echo "==> benchmark smoke (one round, four pinned completion streams)"
 # failover, rolling restart) meet host events at equal times, so it pins the
 # (time, seq) order between them.
 bench="$committed/benchmark.txt"
-if ! cargo run --release --offline --manifest-path examples/benchmark/Cargo.toml \
+if ! cargo run --release --offline --locked --manifest-path examples/benchmark/Cargo.toml \
     -- --rounds 1 >"$bench" 2>&1; then
     cat "$bench"
     exit 1

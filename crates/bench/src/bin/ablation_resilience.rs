@@ -9,15 +9,17 @@
 //! or admission control sheds the excess cheaply.
 
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
+use blueprint_bench::figures::{compile, figure_cfg, window_error_rate};
 use blueprint_bench::{report, Run};
-use blueprint_core::Blueprint;
+use blueprint_simrt::time::secs;
 use blueprint_simrt::SimError;
 use blueprint_wiring::{mutate, Arg};
-use blueprint_workload::generator::{OpenLoopGen, Phase};
+use blueprint_workload::generator::Phase;
 use blueprint_workload::parallel::{par_run, Threads};
-use blueprint_workload::{run_experiment, ExperimentSpec};
+use blueprint_workload::resilience::{run_cell, ResilienceConfig, Scenario};
 
-fn run_cell(retries: u32, backoff_ms: i64, run: Run) -> (f64, u64) {
+/// Runs one arm; returns the post-spike error rate and the total retries.
+fn run_arm(retries: u32, backoff_ms: i64, run: Run) -> (f64, u64) {
     let opts = WiringOpts {
         cluster: (8, 2.0),
         ..WiringOpts::default()
@@ -32,26 +34,28 @@ fn run_cell(retries: u32, backoff_ms: i64, run: Run) -> (f64, u64) {
         mutate::set_kwarg(&mut wiring, "retry_all", "backoff_ms", Arg::Int(backoff_ms))
             .expect("backoff kwarg");
     }
-    let app = Blueprint::new()
-        .without_artifacts()
-        .compile(&hr::workflow(), &wiring)
-        .unwrap();
-    let mut sim = app.simulation(71).unwrap();
+    let app = compile(&hr::workflow(), &wiring);
     let (before, spike, after) = run.pick((2, 2, 3), (30, 20, 60));
-    let phases = vec![
-        Phase::new(before, 2_500.0),
-        Phase::new(spike, 13_000.0),
-        Phase::new(after, 2_500.0),
-    ];
-    let gen = OpenLoopGen::new(phases, hr::paper_mix(), hr::ENTITIES, 71);
-    let rec = run_experiment(&mut sim, ExperimentSpec::new(gen)).unwrap();
+    let cfg = ResilienceConfig {
+        phases: vec![
+            Phase::new(before, 2_500.0),
+            Phase::new(spike, 13_000.0),
+            Phase::new(after, 2_500.0),
+        ],
+        ..figure_cfg(71, hr::ENTITIES)
+    };
+    let report = run_cell(
+        app.system(),
+        &hr::paper_mix(),
+        "",
+        &Scenario::baseline(),
+        &cfg,
+    )
+    .unwrap();
     // The judged window is the last `spike` seconds.
     let total = before + spike + after;
-    let tail = rec.window(
-        blueprint_simrt::time::secs(total - spike),
-        blueprint_simrt::time::secs(total),
-    );
-    (tail.error_rate(), sim.metrics.counters.retries)
+    let err = window_error_rate(&report.series, secs(total - spike), secs(total));
+    (err.unwrap_or(0.0), report.retries)
 }
 
 fn main() {
@@ -64,7 +68,7 @@ fn main() {
     let arms = run.pick(&smoke[..], &all[..]);
     let rows = par_run(arms.len(), Threads::from_env(), |i| {
         let (retries, backoff_ms) = arms[i];
-        let (err, total_retries) = run_cell(retries, backoff_ms, run);
+        let (err, total_retries) = run_arm(retries, backoff_ms, run);
         Ok::<_, SimError>(vec![
             retries.to_string(),
             backoff_ms.to_string(),

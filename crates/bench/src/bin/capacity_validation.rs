@@ -5,7 +5,7 @@
 //! the lint capacity model — the *pessimistic* knee (full demand:
 //! serialization, GC, driver marshalling; under-predicts capacity) and the
 //! *optimistic* knee (base demand only; over-predicts capacity) — then
-//! sweeps offered load over the bracket with [`latency_throughput_with`]
+//! sweeps offered load over the bracket with [`latency_throughput`]
 //! (`par_run` under the hood) and asserts:
 //!
 //! * below the pessimistic knee the simulator keeps up (goodput tracks
@@ -51,7 +51,7 @@ use blueprint_wiring::{mutate, WiringSpec};
 use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::generator::ApiMix;
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::sweep::{latency_throughput_with, SweepPoint};
+use blueprint_workload::sweep::{latency_throughput, SweepPoint, SweepSpec};
 
 /// One application under test.
 struct Case {
@@ -218,16 +218,17 @@ fn sweep(
     duration_s: u64,
     entities: u64,
 ) -> Vec<SweepPoint> {
-    latency_throughput_with(
+    let spec = SweepSpec {
         system,
         mix,
-        rates,
+        rates_rps: rates,
         duration_s,
         entities,
-        97,
-        Threads::from_env(),
-    )
-    .expect("sweep runs")
+        seed: 97,
+    };
+    latency_throughput(&[spec], Threads::from_env())
+        .expect("sweep runs")
+        .remove(0)
 }
 
 fn sweep_rows(points: &[SweepPoint]) -> Vec<Vec<String>> {

@@ -11,10 +11,10 @@
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
 use blueprint_simrt::SimError;
 use blueprint_wiring::{mutate, Arg};
-use blueprint_workload::generator::{OpenLoopGen, Phase};
+use blueprint_workload::generator::Phase;
 use blueprint_workload::parallel::{par_run, Threads};
 use blueprint_workload::recorder::IntervalStats;
-use blueprint_workload::{run_experiment, ExperimentSpec};
+use blueprint_workload::resilience::{run_cell, ResilienceConfig, Scenario};
 
 use crate::figures::fig6;
 use crate::{report, Run};
@@ -59,11 +59,14 @@ pub fn run(size: Run) -> BreakerComparison {
     let diff = blueprint_wiring::diff::spec_diff(&base_wiring, &cb_wiring);
 
     let (before, during, after) = size.pick((2, 2, 2), (60, 30, 90));
-    let phases = vec![
-        Phase::new(before, 2_500.0),
-        Phase::new(during, 13_000.0),
-        Phase::new(after, 2_500.0),
-    ];
+    let cfg = ResilienceConfig {
+        phases: vec![
+            Phase::new(before, 2_500.0),
+            Phase::new(during, 13_000.0),
+            Phase::new(after, 2_500.0),
+        ],
+        ..super::figure_cfg(101, hr::ENTITIES)
+    };
     // Both variants run as one parallel batch.
     let variants = [
         (&base_wiring, "Type 1, no circuit breaker"),
@@ -72,10 +75,14 @@ pub fn run(size: Run) -> BreakerComparison {
     let mut results = par_run(variants.len(), Threads::from_env(), |i| {
         let (wiring, label) = variants[i];
         let app = super::compile(&hr::workflow(), wiring);
-        let mut sim = super::boot(&app, 101);
-        let gen = OpenLoopGen::new(phases.clone(), hr::paper_mix(), hr::ENTITIES, 101);
-        let rec = run_experiment(&mut sim, ExperimentSpec::new(gen))?;
-        Ok::<_, SimError>(fig6::MetaResult::new(label, &rec, &sim, size))
+        let report = run_cell(
+            app.system(),
+            &hr::paper_mix(),
+            label,
+            &Scenario::baseline(),
+            &cfg,
+        )?;
+        Ok::<_, SimError>(fig6::MetaResult::new(label, report, size))
     })
     .expect("variants run")
     .into_iter();

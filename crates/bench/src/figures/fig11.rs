@@ -13,7 +13,7 @@
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
 use blueprint_simrt::{SystemSpec, TransportSpec};
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::sweep::{latency_throughput_many, SweepPoint, SweepSpec};
+use blueprint_workload::sweep::{latency_throughput, SweepPoint, SweepSpec};
 
 use crate::{report, Run};
 
@@ -128,7 +128,7 @@ pub fn run(size: Run) -> Vec<Comparison> {
             seed: 2,
         }
     }
-    let mut grouped = latency_throughput_many(
+    let mut grouped = latency_throughput(
         &[
             spec(hr_bp.system(), &hr_mix, &hr_rates, hr::ENTITIES, duration),
             spec(hr_orig.system(), &hr_mix, &hr_rates, hr::ENTITIES, duration),

@@ -7,7 +7,7 @@
 use blueprint_apps::{social_network as sn, WiringOpts};
 use blueprint_workload::generator::ApiMix;
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::sweep::{latency_throughput_many, SweepPoint, SweepSpec};
+use blueprint_workload::sweep::{latency_throughput, SweepPoint, SweepSpec};
 
 use crate::{report, Run};
 
@@ -47,7 +47,7 @@ pub fn run(size: Run) -> CacheComparison {
         entities: sn::ENTITIES,
         seed: 3,
     };
-    let mut grouped = latency_throughput_many(
+    let mut grouped = latency_throughput(
         &[spec(generic_app.system()), spec(extended_app.system())],
         Threads::from_env(),
     )

@@ -10,7 +10,7 @@ use blueprint_apps::{hotel_reservation as hr, social_network as sn, RpcChoice, W
 use blueprint_simrt::SimError;
 use blueprint_workload::generator::ApiMix;
 use blueprint_workload::parallel::{par_run, Threads};
-use blueprint_workload::sweep::{latency_throughput_many, SweepPoint, SweepSpec};
+use blueprint_workload::sweep::{latency_throughput, SweepPoint, SweepSpec};
 
 use crate::{report, Run};
 
@@ -76,7 +76,7 @@ fn explore(
             seed: 1,
         })
         .collect();
-    let grouped = latency_throughput_many(&specs, threads).expect("sweep runs");
+    let grouped = latency_throughput(&specs, threads).expect("sweep runs");
     variants
         .into_iter()
         .zip(grouped)

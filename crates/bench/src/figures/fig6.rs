@@ -21,14 +21,15 @@
 use std::sync::{Arc, Mutex};
 
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
+use blueprint_core::CompiledApp;
 use blueprint_simrt::time::secs;
-use blueprint_simrt::{Fault, Sim, SimError};
+use blueprint_simrt::{Fault, SimError};
 use blueprint_wiring::WiringSpec;
 use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::generator::{ApiMix, OpenLoopGen, Phase};
 use blueprint_workload::parallel::{par_run, Threads};
-use blueprint_workload::recorder::{IntervalStats, Recorder};
-use blueprint_workload::resilience::{ResilienceConfig, Scenario};
+use blueprint_workload::recorder::IntervalStats;
+use blueprint_workload::resilience::{run_cell, CellReport, ResilienceConfig, Scenario};
 use blueprint_workload::{run_experiment, Action, ExperimentSpec};
 
 use crate::{report, Run};
@@ -56,16 +57,16 @@ pub struct MetaResult {
 }
 
 impl MetaResult {
-    /// Packages a finished run: its series and the simulator's counters. The
-    /// summary judges the final 30 s of a full run, 2 s of a smoke run.
-    pub fn new(label: &str, rec: &Recorder, sim: &Sim, size: Run) -> MetaResult {
+    /// Packages a finished run: its series and counters. The summary judges
+    /// the final 30 s of a full run, 2 s of a smoke run.
+    pub fn new(label: &str, report: CellReport, size: Run) -> MetaResult {
         MetaResult {
             label: label.to_string(),
-            series: rec.series(),
+            series: report.series,
             miss_rate: Vec::new(),
-            retries: sim.metrics.counters.retries,
-            timeouts: sim.metrics.counters.timeouts,
-            gc_pauses: sim.metrics.counters.gc_pauses,
+            retries: report.retries,
+            timeouts: report.timeouts,
+            gc_pauses: report.gc_pauses,
             tail_s: size.pick(2, 30),
         }
     }
@@ -79,23 +80,6 @@ impl MetaResult {
             .fold((0usize, 0usize), |(e, t), s| (e + s.errors, t + s.count));
         if total == 0 {
             1.0
-        } else {
-            errs as f64 / total as f64
-        }
-    }
-
-    /// Error rate over `[from_s, to_s)`.
-    pub fn window_error_rate(&self, from_s: u64, to_s: u64) -> f64 {
-        let (errs, total) = self
-            .series
-            .iter()
-            .filter(|s| {
-                let t = s.start_ns / 1_000_000_000;
-                t >= from_s && t < to_s
-            })
-            .fold((0usize, 0usize), |(e, t), s| (e + s.errors, t + s.count));
-        if total == 0 {
-            0.0
         } else {
             errs as f64 / total as f64
         }
@@ -127,21 +111,35 @@ pub fn run(size: Run, names: &[String]) -> Vec<(&'static str, MetaResult)> {
     .expect("metastability runs")
 }
 
+/// Runs one HotelReservation type through [`run_cell`].
+fn run_hotel(
+    app: &CompiledApp,
+    label: &str,
+    scenario: &Scenario,
+    cfg: &ResilienceConfig,
+    size: Run,
+) -> MetaResult {
+    let report =
+        run_cell(app.system(), &hr::paper_mix(), label, scenario, cfg).expect("experiment runs");
+    MetaResult::new(label, report, size)
+}
+
 /// Type 1: load spike trigger, workload amplification.
 pub fn type1(size: Run) -> MetaResult {
-    let app = super::compile(&hr::workflow(), &hr::wiring(&opts_with(500, 10)));
-    let mut sim = super::boot(&app, 61);
     let (base, spike) = (2_500.0, 13_000.0);
     let (before, during, after) = size.pick((2, 2, 2), (60, 30, 90));
-    let phases = vec![
-        Phase::new(before, base),
-        Phase::new(during, spike),
-        Phase::new(after, base),
-    ];
-    let gen = OpenLoopGen::new(phases, hr::paper_mix(), hr::ENTITIES, 61);
-    let rec = run_experiment(&mut sim, ExperimentSpec::new(gen)).expect("experiment runs");
+    let cfg = ResilienceConfig {
+        phases: vec![
+            Phase::new(before, base),
+            Phase::new(during, spike),
+            Phase::new(after, base),
+        ],
+        ..super::figure_cfg(61, hr::ENTITIES)
+    };
+    // The spike phase is the trigger: there is nothing to inject.
+    let app = super::compile(&hr::workflow(), &hr::wiring(&opts_with(500, 10)));
     let label = "Type 1 (load spike → retry storm)";
-    MetaResult::new(label, &rec, &sim, size)
+    run_hotel(&app, label, &Scenario::baseline(), &cfg, size)
 }
 
 /// Type 2: load spike trigger, capacity degradation amplification (GOGC=75 +
@@ -149,25 +147,15 @@ pub fn type1(size: Run) -> MetaResult {
 pub fn type2(size: Run) -> MetaResult {
     let app = super::compile(&hr::workflow(), &hr::wiring_type2(&opts_with(500, 10)));
     let host = super::host_of_service(&app, "reservation");
-    let mut sim = super::boot(&app, 62);
     let (total, hog_at, hog_s) = size.pick((5, 2, 2), (150, 60, 30));
-    let gen = OpenLoopGen::new(
-        vec![Phase::new(total, 4_000.0)],
-        hr::paper_mix(),
-        hr::ENTITIES,
-        62,
-    );
-    let exp = ExperimentSpec::new(gen).at(
-        secs(hog_at),
-        Action::Fault(Fault::CpuHog {
-            host,
-            cores: 1.7,
-            duration_ns: secs(hog_s),
-        }),
-    );
-    let rec = run_experiment(&mut sim, exp).expect("experiment runs");
+    let cfg = ResilienceConfig {
+        rps: 4_000.0,
+        duration_s: total,
+        ..super::figure_cfg(62, hr::ENTITIES)
+    };
+    let scenario = super::cpu_hog("cpu hog reservation", host, 1.7, hog_at, hog_s);
     let label = "Type 2 (GC amplification under contention)";
-    MetaResult::new(label, &rec, &sim, size)
+    run_hotel(&app, label, &scenario, &cfg, size)
 }
 
 /// Type 3: capacity-decreasing trigger, workload amplification (1 s
@@ -175,28 +163,23 @@ pub fn type2(size: Run) -> MetaResult {
 pub fn type3(size: Run) -> MetaResult {
     let app = super::compile(&hr::workflow(), &hr::wiring(&opts_with(1_000, 10)));
     let host = super::host_of_service(&app, "frontend");
-    let mut sim = super::boot(&app, 63);
     let (total, hog_at, hog_s) = size.pick((5, 2, 2), (120, 60, 30));
-    let gen = OpenLoopGen::new(
-        vec![Phase::new(total, 5_500.0)],
-        hr::paper_mix(),
-        hr::ENTITIES,
-        63,
-    );
-    let exp = ExperimentSpec::new(gen).at(
-        secs(hog_at),
-        Action::Fault(Fault::CpuHog {
-            host,
-            cores: 1.7,
-            duration_ns: secs(hog_s),
-        }),
-    );
-    let rec = run_experiment(&mut sim, exp).expect("experiment runs");
+    let cfg = ResilienceConfig {
+        rps: 5_500.0,
+        duration_s: total,
+        ..super::figure_cfg(63, hr::ENTITIES)
+    };
+    let scenario = super::cpu_hog("cpu hog frontend", host, 1.7, hog_at, hog_s);
     let label = "Type 3 (capacity trigger → retry storm)";
-    MetaResult::new(label, &rec, &sim, size)
+    run_hotel(&app, label, &scenario, &cfg, size)
 }
 
 /// Type 4: cache-flush trigger on SocialNetwork's user timeline.
+///
+/// This type stays on the bare experiment driver: its per-second cache
+/// sampler is an `Action::Custom` closure, which a [`Scenario`] (faults and
+/// plans only) cannot carry. Deterministic per-interval telemetry in the
+/// simulator would let it run through [`run_cell`] too.
 pub fn type4(size: Run) -> MetaResult {
     let opts = WiringOpts {
         cluster: META_CLUSTER,
@@ -263,10 +246,15 @@ pub fn type4(size: Run) -> MetaResult {
         };
         miss_rate.push((*t, rate));
     }
-    let label = "Type 4 (cache flush → DB overload)";
+    let c = &sim.metrics.counters;
     MetaResult {
+        label: "Type 4 (cache flush → DB overload)".to_string(),
+        series: rec.series(),
         miss_rate,
-        ..MetaResult::new(label, &rec, &sim, size)
+        retries: c.retries,
+        timeouts: c.timeouts,
+        gc_pauses: c.gc_pauses,
+        tail_s: size.pick(2, 30),
     }
 }
 
@@ -344,19 +332,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
             rto_ns: secs(5),
             ..ResilienceConfig::default()
         },
-        scenario: Scenario {
-            name: "cpu hog reservation 10s".into(),
-            actions: vec![(
-                secs(20),
-                Fault::CpuHog {
-                    host: host2,
-                    cores: 1.7,
-                    duration_ns: secs(10),
-                },
-            )],
-            window: (secs(20), secs(30)),
-            ..Scenario::baseline()
-        },
+        scenario: super::cpu_hog("cpu hog reservation 10s", host2, 1.7, 20, 10),
     });
 
     // Type 3: CPU contention on the frontend with 1 s timeouts.
@@ -377,19 +353,7 @@ pub fn meta_cases() -> Vec<MetaCase> {
             rto_ns: secs(5),
             ..ResilienceConfig::default()
         },
-        scenario: Scenario {
-            name: "cpu hog frontend 10s".into(),
-            actions: vec![(
-                secs(20),
-                Fault::CpuHog {
-                    host: host3,
-                    cores: 1.7,
-                    duration_ns: secs(10),
-                },
-            )],
-            window: (secs(20), secs(30)),
-            ..Scenario::baseline()
-        },
+        scenario: super::cpu_hog("cpu hog frontend 10s", host3, 1.7, 20, 10),
     });
 
     // Type 4: user-timeline cache flush over a capacity-constrained DB.

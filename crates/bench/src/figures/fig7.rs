@@ -8,11 +8,16 @@
 //! trigger duration.
 
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
+use blueprint_simrt::time::{secs, SimTime};
 use blueprint_simrt::SimError;
 use blueprint_workload::parallel::{par_run, Threads};
-use blueprint_workload::sweep::{trigger_recovery, CellOutcome, TriggerSpec};
+use blueprint_workload::recorder::IntervalStats;
+use blueprint_workload::resilience::{run_cell, ResilienceConfig};
 
 use crate::{report, Run};
+
+/// A cell recovered if its judged error rate is at most this.
+pub const RECOVER_ERROR_RATE: f64 = 0.2;
 
 /// One grid cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,10 +28,22 @@ pub struct Cell {
     pub trigger_s: u64,
     /// Max retries.
     pub retries: u32,
-    /// Classified outcome.
-    pub outcome: CellOutcome,
+    /// Whether the system stayed in a metastable failure state instead of
+    /// recovering after the trigger.
+    pub metastable: bool,
     /// Final-window error rate.
     pub final_error_rate: f64,
+}
+
+/// Classifies a cell from its recorded series: recovered iff the error rate
+/// over the bins starting in `[from_ns, to_ns)` is at most
+/// [`RECOVER_ERROR_RATE`] and at least one request completed there.
+/// Returns `(metastable, error rate)`; the rate is 0 when nothing completed.
+pub fn classify(series: &[IntervalStats], from_ns: SimTime, to_ns: SimTime) -> (bool, f64) {
+    match super::window_error_rate(series, from_ns, to_ns) {
+        Some(err) => (err > RECOVER_ERROR_RATE, err),
+        None => (true, 0.0),
+    }
 }
 
 /// Runs the vulnerability grid.
@@ -76,28 +93,38 @@ pub fn run(size: Run) -> Vec<Cell> {
     par_run(jobs.len(), threads, |j| {
         let (ai, rps, dur) = jobs[j];
         let (r, app, host) = &apps[ai];
-        let result = trigger_recovery(
+        let cfg = ResilienceConfig {
+            rps,
+            duration_s: total,
+            ..super::figure_cfg(7, 10_000)
+        };
+        let hog = super::cpu_hog(
+            "cpu hog frontend",
+            host.clone(),
+            1.7,
+            total / 3,
+            dur.min(total / 3),
+        );
+        let report = run_cell(
             app.system(),
             &hr::paper_mix(),
-            &TriggerSpec {
-                rps,
-                total_s: total,
-                entities: 10_000,
-                trigger_host: host.clone(),
-                trigger_cores: 1.7,
-                trigger_at_s: total / 3,
-                trigger_dur_s: dur.min(total / 3),
-                observe_s: total / 6,
-                recover_error_threshold: 0.2,
-                seed: 7,
-            },
+            &format!("retries={r}"),
+            &hog,
+            &cfg,
         )?;
+        // Judge the last sixth of the arrival window plus the drain, so
+        // backlog completions count instead of silently disappearing.
+        let (metastable, final_error_rate) = classify(
+            &report.series,
+            secs(total - total / 6),
+            secs(total) + cfg.drain_ns,
+        );
         Ok::<_, SimError>(Cell {
             rps,
             trigger_s: dur,
             retries: *r,
-            outcome: result.outcome,
-            final_error_rate: result.final_error_rate,
+            metastable,
+            final_error_rate,
         })
     })
     .expect("cell runs")
@@ -118,9 +145,10 @@ pub fn print(cells: &[Cell]) -> String {
                 vec![
                     format!("{:.0}", c.rps),
                     c.trigger_s.to_string(),
-                    match c.outcome {
-                        CellOutcome::Recovered => "recovered".into(),
-                        CellOutcome::Metastable => "METASTABLE".into(),
+                    if c.metastable {
+                        "METASTABLE".into()
+                    } else {
+                        "recovered".into()
                     },
                     report::f3(c.final_error_rate),
                 ]
@@ -146,14 +174,11 @@ pub fn monotone_in_rate(cells: &[Cell]) -> bool {
     // If a (duration, retries) cell is metastable at some rate, every higher
     // rate with the same (duration, retries) must be metastable too.
     for a in cells {
-        if a.outcome == CellOutcome::Metastable {
+        if a.metastable {
             continue;
         }
         for b in cells {
-            if b.trigger_s == a.trigger_s
-                && b.retries == a.retries
-                && b.rps < a.rps
-                && b.outcome == CellOutcome::Metastable
+            if b.trigger_s == a.trigger_s && b.retries == a.retries && b.rps < a.rps && b.metastable
             {
                 return false;
             }
@@ -174,4 +199,37 @@ mod tests {
     /// extra coverage.)
     const fn assert_send_sync<T: Send + Sync>() {}
     const _: () = assert_send_sync::<Cell>();
+
+    fn bin(t: u64, ok: usize, errors: usize) -> IntervalStats {
+        IntervalStats {
+            start_ns: secs(t),
+            count: ok + errors,
+            ok,
+            errors,
+            mean_ns: 0.0,
+            p50_ns: 0,
+            p99_ns: 0,
+            timeouts: 0,
+        }
+    }
+
+    /// The judged window is `[from, to)` by bin start, its error rate is
+    /// the ratio of the summed counts, and an empty window is metastable.
+    #[test]
+    fn classify_judges_the_tail_window() {
+        // Degraded until 8 s, then healthy; bins 8..10 are judged.
+        let series: Vec<IntervalStats> = (0..12)
+            .map(|t| if t < 8 { bin(t, 10, 90) } else { bin(t, 9, 1) })
+            .collect();
+        assert_eq!(classify(&series, secs(8), secs(10)), (false, 0.1));
+        // One degraded bin inside the window: 91 errors of 110 completions.
+        let (metastable, err) = classify(&series, secs(7), secs(9));
+        assert!(metastable);
+        assert_eq!(err, 91.0 / 110.0);
+        // Exactly at the threshold still recovers.
+        let edge = [bin(0, 4, 1)];
+        assert_eq!(classify(&edge, 0, secs(1)), (false, RECOVER_ERROR_RATE));
+        // Nothing completed in the window: metastable, rate 0.
+        assert_eq!(classify(&series, secs(20), secs(25)), (true, 0.0));
+    }
 }

@@ -12,10 +12,12 @@ pub mod fig8;
 pub mod fig9;
 
 use blueprint_core::{Blueprint, CompiledApp};
-use blueprint_simrt::{Sim, SimConfig};
+use blueprint_simrt::time::{secs, SimTime};
+use blueprint_simrt::{Fault, Sim, SimConfig};
 use blueprint_wiring::WiringSpec;
 use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::recorder::IntervalStats;
+use blueprint_workload::resilience::{ResilienceConfig, Scenario};
 
 /// Compiles an app for simulation only.
 pub fn compile(workflow: &WorkflowSpec, wiring: &WiringSpec) -> CompiledApp {
@@ -32,6 +34,54 @@ pub fn boot(app: &CompiledApp, seed: u64) -> Sim {
         ..Default::default()
     })
     .expect("simulation boots")
+}
+
+/// The workload configuration of a figure run: the experiment driver's
+/// one-second bins and five-second drain, with the given seed and entity
+/// space. Callers set the load (`rps` and `duration_s`, or `phases`).
+pub fn figure_cfg(seed: u64, entities: u64) -> ResilienceConfig {
+    ResilienceConfig {
+        seed,
+        entities,
+        interval_ns: secs(1),
+        drain_ns: secs(5),
+        ..ResilienceConfig::default()
+    }
+}
+
+/// `cores` of CPU contention on `host` from `at_s` for `dur_s` seconds —
+/// the FIRM-style anomaly injector's trigger — as a named scenario whose
+/// window is the contention.
+pub fn cpu_hog(name: &str, host: String, cores: f64, at_s: u64, dur_s: u64) -> Scenario {
+    Scenario {
+        name: name.to_string(),
+        actions: vec![(
+            secs(at_s),
+            Fault::CpuHog {
+                host,
+                cores,
+                duration_ns: secs(dur_s),
+            },
+        )],
+        window: (secs(at_s), secs(at_s + dur_s)),
+        ..Scenario::baseline()
+    }
+}
+
+/// Error rate over the bins of `series` that start in `[from_ns, to_ns)`,
+/// or `None` when those bins hold no completion. The integer counts are
+/// summed first, so the value is exactly the one a recorder window over
+/// the same span gives.
+pub fn window_error_rate(
+    series: &[IntervalStats],
+    from_ns: SimTime,
+    to_ns: SimTime,
+) -> Option<f64> {
+    let (errors, count) = series
+        .iter()
+        .filter(|s| s.start_ns >= from_ns && s.start_ns < to_ns)
+        .fold((0usize, 0usize), |(e, n), s| (e + s.errors, n + s.count));
+    (count > 0).then(|| errors as f64 / count as f64)
 }
 
 /// Converts an interval series into `(t_secs, [mean_ms, p99_ms, error_rate,

@@ -150,14 +150,6 @@ impl IrGraph {
         self.nodes.iter().filter(|n| !n.dead).count()
     }
 
-    /// Live nodes with the given role.
-    pub fn nodes_with_role(&self, role: NodeRole) -> Vec<NodeId> {
-        self.nodes()
-            .filter(|(_, n)| n.role == role)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Live nodes whose kind starts with `prefix` (kinds are dotted paths,
     /// e.g. `backend.cache.memcached` matches prefix `backend.cache`).
     pub fn nodes_with_kind_prefix(&self, prefix: &str) -> Vec<NodeId> {

@@ -237,22 +237,21 @@ enum CallTarget {
 /// A backend operation descriptor (keys already resolved).
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum BackendOp {
+    /// Cache read; `items` > 0 for a multi-item range read (extended
+    /// interface), which only changes its CPU cost.
     CacheGet {
         key: u64,
+        items: u32,
     },
+    /// Cache write; `items` > 0 for a multi-item push (extended interface),
+    /// which only changes its CPU cost.
     CachePut {
         key: u64,
+        items: u32,
         version: u64,
     },
     CacheDelete {
         key: u64,
-    },
-    /// Multi-item cache op (extended interface); `write` selects push vs get.
-    CacheMulti {
-        key: u64,
-        items: u32,
-        write: bool,
-        version: u64,
     },
     StoreRead {
         key: u64,
@@ -1061,9 +1060,9 @@ struct CanaryRoute {
     threshold: u64,
 }
 
-/// All reconfiguration runtime state. Boxed inside [`Sim`] and `None`
-/// until a plan is scheduled or [`Sim::apply_change`] is first called — an
-/// empty plan allocates nothing and draws nothing.
+/// All reconfiguration runtime state. Built at boot; its RNG is seeded by
+/// [`derive_seed`] rather than drawn from any stream, so building it
+/// perturbs nothing, and an empty plan pushes no events and draws nothing.
 struct ReconfigRt {
     /// Plan-level RNG stream ([`DOMAIN_AUTOSCALER`], entity 0): canary
     /// salts and promote-tolerance draws.
@@ -1416,11 +1415,9 @@ struct Shared {
     /// (src process, dst process). Lookup-only, so map order never matters.
     link_faults: HashMap<(usize, usize), LinkFault>,
 
-    // Reconfiguration state: written by control events only, and read
-    // on hot paths only behind `reconfig_on` — a run with an
-    // empty plan never branches past the single bool.
-    /// Whether any reconfiguration is (or ever was) in effect.
-    reconfig_on: bool,
+    // Reconfiguration state: written by control events only. With no
+    // plan every replica is active and none drains or is a canary, so the
+    // hot-path checks pass through without touching any RNG.
     /// Service in the load-balancer rotation (scale state). All true at
     /// boot; scaled-in replicas turn false.
     svc_active: Vec<bool>,
@@ -1572,9 +1569,9 @@ pub struct Sim {
     /// Chaos process, when configured (its RNG stream is separate from the
     /// per-entity streams, as before).
     chaos: Option<ChaosRt>,
-    /// Reconfiguration runtime; `None` until a plan is scheduled or
-    /// [`Sim::apply_change`] is first called.
-    reconfig: Option<Box<ReconfigRt>>,
+    /// Reconfiguration runtime: resolved changes, rolling deploys, drains,
+    /// autoscalers and canaries (all empty without a plan).
+    reconfig: ReconfigRt,
 
     /// Aggregate metrics of the run.
     pub metrics: Metrics,
@@ -1824,11 +1821,11 @@ impl Sim {
             proc_down: vec![false; n_procs],
             proc_gen: vec![0; n_procs],
             link_faults: HashMap::new(),
-            reconfig_on: false,
             svc_active: vec![true; n_svcs],
             svc_draining: vec![false; n_svcs],
             canary_route: vec![None; n_svcs],
         };
+        let reconfig = ReconfigRt::new(cfg.seed);
         let mut sim = Sim {
             cfg,
             now: 0,
@@ -1852,7 +1849,7 @@ impl Sim {
             // for "absent".
             next_root: 1,
             chaos: None,
-            reconfig: None,
+            reconfig,
             metrics: Metrics::default(),
             traces: TraceCollector::new(),
             spec_name: spec.name.clone(),
@@ -1903,21 +1900,20 @@ impl Sim {
     }
 
     /// Resolves and schedules the configured reconfiguration plan. A no-op
-    /// for empty plans: no events pushed, no RNG state created or drawn
-    /// from, `reconfig_on` stays false (hot paths never branch past it).
+    /// for empty plans: no events pushed, no RNG drawn from.
     fn schedule_reconfig_plan(&mut self) -> Result<()> {
         if self.cfg.reconfig.is_empty() {
             return Ok(());
         }
         let plan = self.cfg.reconfig.clone();
-        let mut rt = Box::new(ReconfigRt::new(self.cfg.seed));
         for (_, c) in &plan.scheduled {
-            rt.changes.push(self.resolve_change(c)?);
+            let rc = self.resolve_change(c)?;
+            self.reconfig.changes.push(rc);
         }
         for (si, a) in plan.autoscalers.iter().enumerate() {
             let group = self.resolve_group(&a.service)?;
             check_autoscaler(a, group.len())?;
-            rt.scalers.push(ScalerRt {
+            self.reconfig.scalers.push(ScalerRt {
                 spec: a.clone(),
                 group,
                 ewma: 0.0,
@@ -1930,8 +1926,6 @@ impl Sim {
                 )),
             });
         }
-        self.reconfig = Some(rt);
-        self.sh.reconfig_on = true;
         for (i, (t, _)) in plan.scheduled.iter().enumerate() {
             self.push_ev(*t, Ev::ReconfigFire { idx: i });
         }
@@ -2243,11 +2237,6 @@ impl Sim {
     /// Number of events currently queued.
     pub fn pending_events(&self) -> usize {
         self.events.len()
-    }
-
-    /// Whether the event queue is completely drained.
-    pub fn is_idle(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Application/variant name.

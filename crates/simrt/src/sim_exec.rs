@@ -408,21 +408,13 @@ impl Sim {
                     };
                     let k = self.resolve_key(key, entity, proc);
                     let bop = match op {
-                        CacheOp::Get => BackendOp::CacheGet { key: k },
-                        CacheOp::Put => BackendOp::CachePut { key: k, version: root },
+                        CacheOp::Get => BackendOp::CacheGet { key: k, items: 0 },
+                        CacheOp::Put => BackendOp::CachePut { key: k, items: 0, version: root },
                         CacheOp::Delete => BackendOp::CacheDelete { key: k },
-                        CacheOp::GetRange { items } => BackendOp::CacheMulti {
-                            key: k,
-                            items,
-                            write: false,
-                            version: 0,
-                        },
-                        CacheOp::PushFront { items } => BackendOp::CacheMulti {
-                            key: k,
-                            items,
-                            write: true,
-                            version: root,
-                        },
+                        CacheOp::GetRange { items } => BackendOp::CacheGet { key: k, items },
+                        CacheOp::PushFront { items } => {
+                            BackendOp::CachePut { key: k, items, version: root }
+                        }
                     };
                     self.begin_call(fid, client, dest, Some(bop), None);
                     return;
@@ -433,7 +425,7 @@ impl Sim {
                         fid,
                         client,
                         dest,
-                        Some(BackendOp::CacheGet { key: k }),
+                        Some(BackendOp::CacheGet { key: k, items: 0 }),
                         Some(on_miss),
                     );
                     return;
@@ -685,15 +677,7 @@ impl Sim {
                 (CallTarget::Service { svc: target, method }, 0usize)
             }
             (CallDest::Replicated { policy, targets }, None) => {
-                // The reconfig-aware pick (canary coin + draining/inactive
-                // filtering) is gated on `reconfig_on`, so runs without a
-                // plan keep the exact historical pick sequence.
-                let idx = if self.sh.reconfig_on {
-                    self.pick_replica_live(client_id, policy, targets, root_seq)
-                } else {
-                    let n = self.sh.progs.targets(targets).len();
-                    Self::pick_replica_plain(&mut self.clients[client_id as usize], policy, n)
-                };
+                let idx = self.pick_replica(client_id, policy, targets, root_seq);
                 let (tsvc, method) = self.sh.progs.targets(targets)[idx];
                 (CallTarget::Service { svc: tsvc, method }, idx)
             }
@@ -877,35 +861,16 @@ impl Sim {
         }
     }
 
-    /// Historical replica pick over `n` targets: the exact sequence used
-    /// when no reconfig plan is active.
-    fn pick_replica_plain(client: &mut ClientRt, policy: LbPolicy, n: usize) -> usize {
-        match policy {
-            LbPolicy::RoundRobin => {
-                let i = client.rr % n;
-                client.rr = client.rr.wrapping_add(1);
-                i
-            }
-            // Random balancing draws from the client's own stream.
-            LbPolicy::Random => client.rng.gen_range(0..n),
-            LbPolicy::LeastOutstanding => client
-                .outstanding
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, n)| **n)
-                .map(|(i, _)| i)
-                .unwrap_or(0),
-        }
-    }
-
-    /// Reconfig-aware replica pick. A canary target gets its deterministic
-    /// per-root traffic share first (`mix64(salt ^ root_seq) < threshold` —
-    /// no RNG draw, and sticky across retries of the same root request);
-    /// the remaining traffic balances over replicas that are active and not
-    /// draining, with the canary excluded from the baseline share. If
-    /// nothing is eligible (mid-deploy edge) the pick falls back to the
-    /// full list rather than stalling the call.
-    fn pick_replica_live(
+    /// Replica pick. A canary target gets its deterministic per-root traffic
+    /// share first (`mix64(salt ^ root_seq) < threshold` — no RNG draw, and
+    /// sticky across retries of the same root request); the remaining
+    /// traffic balances over replicas that are active and not draining,
+    /// with the canary excluded from the baseline share. If nothing is
+    /// eligible (mid-deploy edge) every target is, rather than stalling the
+    /// call. Without a plan every target is eligible, so round-robin takes
+    /// `rr % n`, random makes one `gen_range(0..n)` draw, and
+    /// least-outstanding takes the first minimum.
+    fn pick_replica(
         &mut self,
         client_id: u32,
         policy: LbPolicy,
@@ -927,14 +892,14 @@ impl Sim {
                 }
             }
         }
-        let ok = |i: usize| {
+        let in_rotation = |i: usize| {
             let svc = list[i].0;
             sh.svc_active[svc] && !sh.svc_draining[svc] && canary_pos != Some(i)
         };
-        let eligible = (0..n).filter(|&i| ok(i)).count();
-        if eligible == 0 {
-            return Self::pick_replica_plain(client, policy, n);
-        }
+        let rotating = (0..n).filter(|&i| in_rotation(i)).count();
+        let all = rotating == 0;
+        let eligible = if all { n } else { rotating };
+        let ok = |i: usize| all || in_rotation(i);
         match policy {
             LbPolicy::RoundRobin => {
                 let start = client.rr % n;
@@ -983,7 +948,7 @@ impl Sim {
                 // A draining or out-of-rotation replica stops admitting new
                 // work: callers see the stable `drain` class and fail over.
                 // In-flight frames (admitted before the drain) still finish.
-                if self.sh.reconfig_on && (!self.sh.svc_active[svc] || self.sh.svc_draining[svc]) {
+                if !self.sh.svc_active[svc] || self.sh.svc_draining[svc] {
                     self.metrics.counters.drain_rejections += 1;
                     let t = self.now + req.reply.net_ns;
                     self.push_ev(
@@ -1132,7 +1097,9 @@ impl Sim {
         let (cpu, lat) = match &b.kind {
             BackendRtKind::Cache { op_latency_ns, cpu_per_op_ns, cpu_per_item_ns, .. } => {
                 let items = match op {
-                    BackendOp::CacheMulti { items, .. } => *items as u64,
+                    BackendOp::CacheGet { items, .. } | BackendOp::CachePut { items, .. } => {
+                        *items as u64
+                    }
                     _ => 0,
                 };
                 ((*cpu_per_op_ns + items * *cpu_per_item_ns) as f64, *op_latency_ns)
@@ -1191,7 +1158,7 @@ impl Sim {
         let b = *backend;
         self.backends[b].stats_dirty = true;
         match op {
-            BackendOp::CacheGet { key } => {
+            BackendOp::CacheGet { key, .. } => {
                 let backend_rt = &mut self.backends[b];
                 let hit = backend_rt.cache.get(*key);
                 let stats = &mut backend_rt.stats;
@@ -1208,7 +1175,7 @@ impl Sim {
                 };
                 (outcome, 0)
             }
-            BackendOp::CachePut { key, version } => {
+            BackendOp::CachePut { key, version, .. } => {
                 let backend_rt = &mut self.backends[b];
                 let capacity = match backend_rt.kind {
                     BackendRtKind::Cache { capacity_items, .. } => capacity_items,
@@ -1226,38 +1193,6 @@ impl Sim {
                 backend_rt.cache.delete(*key);
                 backend_rt.stats.writes += 1;
                 (CallOutcome::success(0), 0)
-            }
-            BackendOp::CacheMulti { key, write, version, .. } => {
-                if *write {
-                    let backend_rt = &mut self.backends[b];
-                    let capacity = match backend_rt.kind {
-                        BackendRtKind::Cache { capacity_items, .. } => capacity_items,
-                        _ => u64::MAX,
-                    };
-                    let BackendRt { cache, rng, stats, .. } = backend_rt;
-                    cache.put(*key, *version, capacity, rng);
-                    stats.writes += 1;
-                    (CallOutcome::success(0), 0)
-                } else {
-                    let backend_rt = &mut self.backends[b];
-                    let v = backend_rt.cache.get(*key);
-                    let stats = &mut backend_rt.stats;
-                    stats.reads += 1;
-                    if v.is_some() {
-                        stats.hits += 1;
-                    } else {
-                        stats.misses += 1;
-                    }
-                    (
-                        CallOutcome {
-                            ok: true,
-                            err: None,
-                            version: v.unwrap_or(0),
-                            cache_hit: Some(v.is_some()),
-                        },
-                        0,
-                    )
-                }
             }
             BackendOp::StoreRead { key } => self.store_read(b, *key, req.entity),
             BackendOp::StoreWrite { key, version } => {
@@ -1553,9 +1488,7 @@ impl Sim {
                     let call = frame.call.as_ref();
                     matches!(
                         call.and_then(|c| c.backend_op),
-                        Some(BackendOp::CacheGet { .. })
-                            | Some(BackendOp::StoreRead { .. })
-                            | Some(BackendOp::CacheMulti { write: false, .. })
+                        Some(BackendOp::CacheGet { .. } | BackendOp::StoreRead { .. })
                     ) || matches!(
                         call.map(|c| &c.dest),
                         Some(CallDest::Svc { .. } | CallDest::Replicated { .. })
@@ -2357,39 +2290,20 @@ impl Sim {
     /// then starts at the current virtual time.
     pub fn apply_change(&mut self, change: &Change) -> Result<()> {
         let rc = self.resolve_change(change)?;
-        self.ensure_reconfig();
-        let idx = {
-            let rt = self.reconfig.as_mut().expect("just ensured");
-            rt.changes.push(rc);
-            rt.changes.len() - 1
-        };
-        self.start_change(idx);
+        self.reconfig.changes.push(rc);
+        self.start_change(self.reconfig.changes.len() - 1);
         Ok(())
-    }
-
-    /// Lazily creates the reconfig runtime (driver-applied changes on a sim
-    /// built with an empty plan) and arms the gated hot-path checks.
-    fn ensure_reconfig(&mut self) {
-        if self.reconfig.is_none() {
-            self.reconfig = Some(Box::new(ReconfigRt::new(self.cfg.seed)));
-        }
-        self.sh.reconfig_on = true;
     }
 
     /// Starts a resolved change at the current time.
     fn start_change(&mut self, idx: usize) {
         self.metrics.counters.reconfig_changes += 1;
-        let rc = {
-            let rt = self.reconfig.as_ref().expect("reconfig event without runtime");
-            rt.changes[idx].clone()
-        };
+        let rc = self.reconfig.changes[idx].clone();
         match rc {
             RChange::Rolling { group, drain_ns, restart_ns, drainless } => {
-                let ri = {
-                    let rt = self.reconfig.as_mut().expect("checked above");
-                    rt.rollings.push(RollingRt { group, drain_ns, restart_ns, drainless, next: 0 });
-                    rt.rollings.len() - 1
-                };
+                let rollings = &mut self.reconfig.rollings;
+                rollings.push(RollingRt { group, drain_ns, restart_ns, drainless, next: 0 });
+                let ri = rollings.len() - 1;
                 self.roll_step(ri);
             }
             RChange::Scale { group, replicas, drain_ns } => {
@@ -2405,8 +2319,7 @@ impl Sim {
     /// the deploy when the group is exhausted).
     fn roll_step(&mut self, ri: usize) {
         let (svc, drain_ns, restart_ns, drainless) = {
-            let rt = self.reconfig.as_ref().expect("rolling without runtime");
-            let roll = &rt.rollings[ri];
+            let roll = &self.reconfig.rollings[ri];
             match roll.group.get(roll.next) {
                 Some(&svc) => (svc, roll.drain_ns, roll.restart_ns, roll.drainless),
                 None => return, // deploy complete
@@ -2431,19 +2344,16 @@ impl Sim {
     /// their deadline until the window closes.
     fn begin_drain(&mut self, svc: usize, follow: DrainFollow, drain_ns: SimTime) {
         self.sh.svc_draining[svc] = true;
-        let token = {
-            let rt = self.reconfig.as_mut().expect("drain without runtime");
-            rt.drains.push(DrainRt { svc, follow, done: false });
-            rt.drains.len() - 1
-        };
+        let drains = &mut self.reconfig.drains;
+        drains.push(DrainRt { svc, follow, done: false });
+        let token = drains.len() - 1;
         let t = self.now + drain_ns;
         self.push_ev(t, Ev::DrainDone { token });
     }
 
     fn on_drain_done(&mut self, token: usize) {
         let (svc, follow) = {
-            let rt = self.reconfig.as_mut().expect("drain event without runtime");
-            let d = &mut rt.drains[token];
+            let d = &mut self.reconfig.drains[token];
             if d.done {
                 return;
             }
@@ -2455,7 +2365,7 @@ impl Sim {
                 // Stragglers that outlived the drain window fail with the
                 // stable `drain` class (conserved, never dropped); then the
                 // replica's process restarts with the new parameters.
-                let restart_ns = self.reconfig.as_ref().expect("checked").rollings[ri].restart_ns;
+                let restart_ns = self.reconfig.rollings[ri].restart_ns;
                 let proc = self.sh.svc_proc[svc] as usize;
                 self.stop_process(proc, restart_ns, CallErr::Drain);
                 // Pushed after the `ProcRestart` event at the same time, so
@@ -2472,8 +2382,7 @@ impl Sim {
     /// the roll rather than marching on blind).
     fn on_roll_advance(&mut self, rolling: usize) {
         let (svc, restart_ns) = {
-            let rt = self.reconfig.as_ref().expect("roll event without runtime");
-            let roll = &rt.rollings[rolling];
+            let roll = &self.reconfig.rollings[rolling];
             match roll.group.get(roll.next) {
                 Some(&svc) => (svc, roll.restart_ns),
                 None => return,
@@ -2486,7 +2395,7 @@ impl Sim {
             return;
         }
         self.sh.svc_draining[svc] = false;
-        self.reconfig.as_mut().expect("checked").rollings[rolling].next += 1;
+        self.reconfig.rollings[rolling].next += 1;
         self.roll_step(rolling);
     }
 
@@ -2565,11 +2474,9 @@ impl Sim {
     /// re-arm the next tick with bounded jitter from the scaler's private
     /// RNG stream.
     fn on_autoscale_tick(&mut self, scaler: usize) {
-        let Some(mut rt) = self.reconfig.take() else { return };
         let (action, next) = {
-            let s = &mut rt.scalers[scaler];
+            let s = &mut self.reconfig.scalers[scaler];
             if self.now >= s.spec.end_ns {
-                self.reconfig = Some(rt);
                 return;
             }
             let mut busy = 0u64;
@@ -2616,7 +2523,6 @@ impl Sim {
                 next,
             )
         };
-        self.reconfig = Some(rt);
         if let Some((group, n, drain_ns, up)) = action {
             if up {
                 self.metrics.counters.autoscale_ups += 1;
@@ -2652,10 +2558,7 @@ impl Sim {
         }
         let canary = *in_rotation.last().expect("len >= 2");
         let baseline: Vec<usize> = in_rotation[..in_rotation.len() - 1].to_vec();
-        let salt = {
-            let rt = self.reconfig.as_mut().expect("canary without runtime");
-            rt.rng.gen::<u64>()
-        };
+        let salt = self.reconfig.rng.gen::<u64>();
         let threshold = (fraction * u64::MAX as f64) as u64;
         self.sh.canary_route[canary] = Some(CanaryRoute { salt, threshold });
         let mut saved = Vec::new();
@@ -2683,8 +2586,8 @@ impl Sim {
             base0.1 += s.done_err;
         }
         let token = {
-            let rt = self.reconfig.as_mut().expect("checked");
-            rt.canaries.push(CanaryRt {
+            let canaries = &mut self.reconfig.canaries;
+            canaries.push(CanaryRt {
                 svc: canary,
                 baseline,
                 timeout_ns,
@@ -2694,7 +2597,7 @@ impl Sim {
                 base0,
                 done: false,
             });
-            rt.canaries.len() - 1
+            canaries.len() - 1
         };
         self.push_ev(self.now + evaluate_ns, Ev::CanaryEval { canary: token });
     }
@@ -2706,11 +2609,9 @@ impl Sim {
     /// rollback restores the canary's saved specs. Either way the traffic
     /// split ends.
     fn on_canary_eval(&mut self, canary: usize) {
-        let Some(mut rt) = self.reconfig.take() else { return };
         let (svc, baseline, timeout_ns, retries, saved, can0, base0) = {
-            let c = &mut rt.canaries[canary];
+            let c = &mut self.reconfig.canaries[canary];
             if c.done {
-                self.reconfig = Some(rt);
                 return;
             }
             c.done = true;
@@ -2745,7 +2646,7 @@ impl Sim {
                 err as f64 / total as f64
             }
         };
-        let eps = rt.rng.gen::<f64>() * 0.01;
+        let eps = self.reconfig.rng.gen::<f64>() * 0.01;
         let promote = rate(c_ok, c_err) <= rate(b_ok, b_err) + eps;
         self.sh.canary_route[svc] = None;
         if promote {
@@ -2770,6 +2671,5 @@ impl Sim {
                 self.clients[ci].spec = spec;
             }
         }
-        self.reconfig = Some(rt);
     }
 }

@@ -514,6 +514,32 @@ fn cache_fill_prepopulates() {
     assert_eq!(sim.metrics.backend("db").map(|b| b.reads).unwrap_or(0), 0);
 }
 
+/// A multi-item push counts its evictions like a single-key put: two pushes
+/// to distinct keys in a one-item cache evict exactly once.
+#[test]
+fn cache_push_front_counts_evictions() {
+    let mut spec = cache_db_spec();
+    if let BackendRtKind::Cache { capacity_items, .. } = &mut spec.backends[0].kind {
+        *capacity_items = 1;
+    }
+    spec.services[0].methods.insert(
+        "Push".into(),
+        Behavior::build()
+            .cache_op("c", CacheOp::PushFront { items: 4 }, KeyExpr::Entity)
+            .done(),
+    );
+    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
+    sim.submit("front", "Push", 1).unwrap();
+    sim.submit("front", "Push", 2).unwrap();
+    sim.run_until(secs(1));
+    let done = sim.drain_completions();
+    assert_eq!(done.len(), 2);
+    assert!(done.iter().all(|c| c.ok));
+    let cache = sim.metrics.backend("cache").unwrap();
+    assert_eq!(cache.writes, 2);
+    assert_eq!(cache.evictions, 1);
+}
+
 #[test]
 fn replicated_store_reads_can_be_stale() {
     let mut spec = cache_db_spec();

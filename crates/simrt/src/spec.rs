@@ -1124,11 +1124,6 @@ impl SystemSpec {
         self.services.iter().position(|s| s.name == name)
     }
 
-    /// Finds a process index by name.
-    pub fn process_index(&self, name: &str) -> Option<usize> {
-        self.processes.iter().position(|p| p.name == name)
-    }
-
     /// Finds a backend index by name.
     pub fn backend_index(&self, name: &str) -> Option<usize> {
         self.backends.iter().position(|b| b.name == name)

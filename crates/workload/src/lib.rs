@@ -8,7 +8,7 @@
 //!
 //! * [`generator`] — phased open-loop arrivals (Poisson or uniform) with an
 //!   API mix and an entity-id distribution;
-//! * [`quantile`] — exact and P² streaming quantile estimators;
+//! * [`quantile`] — exact nearest-rank quantiles;
 //! * [`recorder`] — per-interval latency/error/goodput time series (the data
 //!   behind every latency-over-time figure);
 //! * [`driver`] — runs a workload against a [`blueprint_simrt::Sim`],
@@ -18,13 +18,15 @@
 //!   independent seeded simulations across worker threads with index-ordered
 //!   collection, so parallel output is byte-identical to the sequential loop
 //!   (`BLUEPRINT_THREADS` configures the worker count);
-//! * [`sweep`] — latency–throughput sweeps (Figs. 5, 11, 12) and the
-//!   metastability vulnerability grid (Fig. 7), built on [`parallel`];
-//! * [`resilience`] — variants × disturbance matrices with invariant checks
-//!   (request conservation, bounded unavailability, retry amplification,
-//!   and an optional consistency audit): one [`Scenario`] type carries
-//!   faults, triggers and reconfiguration plans, built on [`driver`]
-//!   actions and [`parallel`];
+//! * [`sweep`] — latency–throughput sweeps (Figs. 5, 11, 12), built on
+//!   [`parallel`];
+//! * [`resilience`] — the one runner for disturbance experiments
+//!   ([`run_cell`]: boot, drive, disturb, record, judge) and variants ×
+//!   disturbance matrices with invariant checks (request conservation,
+//!   bounded unavailability, retry amplification, and an optional
+//!   consistency audit): one [`Scenario`] type carries faults and
+//!   reconfiguration plans, built on [`driver`] actions and [`parallel`];
+//!   the metastability figures (Figs. 6, 7, 10) run through it;
 //! * [`oracle`] — the deterministic consistency-anomaly checker: classifies
 //!   stale reads, lost writes, read-your-writes violations, and
 //!   non-monotonic reads from a completion log.

@@ -1,4 +1,4 @@
-//! Quantile estimation: exact (sorting) and streaming (P² algorithm).
+//! Exact nearest-rank quantiles.
 
 /// Exact quantile of a sample set (nearest-rank on a sorted copy).
 ///
@@ -28,139 +28,9 @@ fn nearest_rank_index(n: usize, q: f64) -> usize {
     rank.clamp(1, n) - 1
 }
 
-/// The P² streaming quantile estimator (Jain & Chlamtac, 1985).
-///
-/// Maintains five markers; O(1) memory and per-observation time. Used where
-/// sample retention would be too costly (long background recordings).
-#[derive(Debug, Clone)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based ranks).
-    pos: [f64; 5],
-    /// Desired positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    inc: [f64; 5],
-    count: usize,
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for quantile `q` in `(0, 1)`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            inc: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds an observation.
-    pub fn observe(&mut self, x: f64) {
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial
-                    .sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                for (i, v) in self.initial.iter().enumerate() {
-                    self.heights[i] = *v;
-                }
-            }
-            return;
-        }
-
-        // Find cell k containing x and adjust extreme markers.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            2
-        } else {
-            let mut k = 0;
-            for i in 0..4 {
-                if x >= self.heights[i] && x < self.heights[i + 1] {
-                    k = i;
-                    break;
-                }
-            }
-            k
-        };
-        for p in self.pos.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.inc[i];
-        }
-        // Adjust interior markers.
-        for i in 1..4 {
-            let d = self.desired[i] - self.pos[i];
-            if (d >= 1.0 && self.pos[i + 1] - self.pos[i] > 1.0)
-                || (d <= -1.0 && self.pos[i - 1] - self.pos[i] < -1.0)
-            {
-                let d = d.signum();
-                let parabolic = self.parabolic(i, d);
-                if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                    self.heights[i] = parabolic;
-                } else {
-                    self.heights[i] = self.linear(i, d);
-                }
-                self.pos[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let h = &self.heights;
-        let n = &self.pos;
-        h[i] + d / (n[i + 1] - n[i - 1])
-            * ((n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-                + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1]))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = (i as f64 + d) as usize;
-        self.heights[i] + d * (self.heights[j] - self.heights[i]) / (self.pos[j] - self.pos[i])
-    }
-
-    /// Current quantile estimate.
-    ///
-    /// Below five observations the P² markers are not yet initialized, so
-    /// the estimate falls back to the exact nearest-rank quantile of the
-    /// retained samples — identical to [`exact_quantile`] on the same data
-    /// (tested by `p2_small_sample_path_matches_exact_quantile`). From the
-    /// fifth observation on, the middle marker height is the estimate.
-    pub fn value(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.initial.len() < 5 {
-            let mut v = self.initial.clone();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            return Some(v[nearest_rank_index(v.len(), self.q)]);
-        }
-        Some(self.heights[2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn exact_quantile_basics() {
@@ -197,78 +67,5 @@ mod tests {
         // Out-of-range q clamps rather than panics.
         assert_eq!(exact_quantile(&v, -0.5), Some(1));
         assert_eq!(exact_quantile(&v, 1.5), Some(100));
-    }
-
-    #[test]
-    fn p2_small_sample_path_matches_exact_quantile() {
-        // Below five observations P² falls back to the exact computation;
-        // the two implementations must agree.
-        let samples = [9.0, 2.0, 7.0, 4.0];
-        for k in 1..=samples.len() {
-            for q in [0.25, 0.5, 0.75, 0.99] {
-                let mut p2 = P2Quantile::new(q);
-                for &x in &samples[..k] {
-                    p2.observe(x);
-                }
-                let ints: Vec<u64> = samples[..k].iter().map(|&x| x as u64).collect();
-                assert_eq!(
-                    p2.value().map(|v| v as u64),
-                    exact_quantile(&ints, q),
-                    "k={k} q={q}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn p2_matches_exact_on_uniform() {
-        let mut rng = SmallRng::seed_from_u64(3);
-        let mut p2 = P2Quantile::new(0.99);
-        let mut all = Vec::new();
-        for _ in 0..20_000 {
-            let x = rng.gen_range(0.0..1000.0);
-            p2.observe(x);
-            all.push(x as u64);
-        }
-        let est = p2.value().unwrap();
-        let exact = exact_quantile(&all, 0.99).unwrap() as f64;
-        assert!(
-            (est - exact).abs() / exact < 0.05,
-            "est={est} exact={exact}"
-        );
-        assert_eq!(p2.count(), 20_000);
-    }
-
-    #[test]
-    fn p2_matches_exact_on_skewed() {
-        // Exponential-ish tail.
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut p2 = P2Quantile::new(0.5);
-        let mut all = Vec::new();
-        for _ in 0..20_000 {
-            let u: f64 = rng.gen_range(0.0001f64..1.0);
-            let x = -u.ln() * 100.0;
-            p2.observe(x);
-            all.push(x as u64);
-        }
-        let est = p2.value().unwrap();
-        let exact = exact_quantile(&all, 0.5).unwrap() as f64;
-        assert!((est - exact).abs() < 10.0, "est={est} exact={exact}");
-    }
-
-    #[test]
-    fn p2_small_counts_are_exact() {
-        let mut p2 = P2Quantile::new(0.5);
-        assert_eq!(p2.value(), None);
-        for x in [5.0, 1.0, 3.0] {
-            p2.observe(x);
-        }
-        assert_eq!(p2.value(), Some(3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in")]
-    fn p2_rejects_bad_q() {
-        let _ = P2Quantile::new(1.5);
     }
 }

@@ -156,35 +156,14 @@ impl Recorder {
         }
     }
 
-    /// Records a batch.
-    pub fn record_all<'a>(&mut self, cs: impl IntoIterator<Item = &'a Completion>) {
-        for c in cs {
-            self.record(c);
-        }
-    }
-
     /// Produces the interval series.
     pub fn series(&self) -> Vec<IntervalStats> {
         self.bins
             .iter()
             .enumerate()
             .map(|(i, b)| {
-                let count = b.latencies.len();
-                let mean = if count == 0 {
-                    0.0
-                } else {
-                    b.latencies.iter().map(|l| *l as f64).sum::<f64>() / count as f64
-                };
-                IntervalStats {
-                    start_ns: i as SimTime * self.interval_ns,
-                    count,
-                    ok: b.ok,
-                    errors: b.errors,
-                    mean_ns: mean,
-                    p50_ns: exact_quantile(&b.latencies, 0.5).unwrap_or(0),
-                    p99_ns: exact_quantile(&b.latencies, 0.99).unwrap_or(0),
-                    timeouts: b.timeouts,
-                }
+                let start_ns = i as SimTime * self.interval_ns;
+                stats(start_ns, &b.latencies, b.ok, b.errors, b.timeouts)
             })
             .collect()
     }
@@ -204,22 +183,34 @@ impl Recorder {
                 timeouts += b.timeouts;
             }
         }
-        let count = lat.len();
-        let mean = if count == 0 {
-            0.0
-        } else {
-            lat.iter().map(|l| *l as f64).sum::<f64>() / count as f64
-        };
-        IntervalStats {
-            start_ns: from_ns,
-            count,
-            ok,
-            errors,
-            mean_ns: mean,
-            p50_ns: exact_quantile(&lat, 0.5).unwrap_or(0),
-            p99_ns: exact_quantile(&lat, 0.99).unwrap_or(0),
-            timeouts,
-        }
+        stats(from_ns, &lat, ok, errors, timeouts)
+    }
+}
+
+/// The statistics of one set of latencies, shared by a single bin and a
+/// window of bins so both add in the same order.
+fn stats(
+    start_ns: SimTime,
+    latencies: &[u64],
+    ok: usize,
+    errors: usize,
+    timeouts: usize,
+) -> IntervalStats {
+    let count = latencies.len();
+    let mean_ns = if count == 0 {
+        0.0
+    } else {
+        latencies.iter().map(|l| *l as f64).sum::<f64>() / count as f64
+    };
+    IntervalStats {
+        start_ns,
+        count,
+        ok,
+        errors,
+        mean_ns,
+        p50_ns: exact_quantile(latencies, 0.5).unwrap_or(0),
+        p99_ns: exact_quantile(latencies, 0.99).unwrap_or(0),
+        timeouts,
     }
 }
 

@@ -253,8 +253,14 @@ pub struct CellReport {
     /// Measured recovery time past the window end (`Some(0)` = never
     /// degraded, `None` = never recovered).
     pub recovery_ns: Option<SimTime>,
+    /// The recorded per-interval series (including any settle stragglers).
+    pub series: Vec<IntervalStats>,
     /// Total client-side retries issued during the run.
     pub retries: u64,
+    /// Client-side RPC timeouts fired (all levels).
+    pub timeouts: u64,
+    /// Stop-the-world GC pauses.
+    pub gc_pauses: u64,
     /// Retries per submitted request — the amplification hazard metric.
     pub retry_amplification: f64,
     /// Attempts a circuit breaker rejected locally (never sent).
@@ -370,7 +376,8 @@ pub fn run_cell(
     };
     let conservation = rec.conservation(submitted);
     let conserved = conservation.holds();
-    let verdict = assess(&rec.series(), scenario.window, cfg);
+    let series = rec.series();
+    let verdict = assess(&series, scenario.window, cfg);
 
     let m = &sim.metrics;
     let c = &m.counters;
@@ -386,7 +393,10 @@ pub fn run_cell(
         bounded: verdict.bounded,
         metastable: verdict.metastable,
         recovery_ns: verdict.recovery_ns,
+        series,
         retries,
+        timeouts: c.timeouts,
+        gc_pauses: c.gc_pauses,
         retry_amplification: if submitted == 0 {
             0.0
         } else {
@@ -696,6 +706,47 @@ mod tests {
         )
         .unwrap();
         assert!(r.conserved, "{}", r.conservation);
+    }
+
+    /// Light load rides out a short CPU hog: after the hog the run is
+    /// healthy again, and the last five seconds of arrivals plus the drain
+    /// (the window Fig. 7 classifies) hold completions and no errors.
+    #[test]
+    fn light_load_recovers_from_cpu_hog() {
+        let scenario = Scenario {
+            name: "cpu hog".into(),
+            actions: vec![(
+                secs(5),
+                Fault::CpuHog {
+                    host: "h1".into(),
+                    cores: 3.9,
+                    duration_ns: secs(2),
+                },
+            )],
+            window: (secs(5), secs(7)),
+            ..Scenario::baseline()
+        };
+        let cfg = ResilienceConfig {
+            rps: 100.0,
+            duration_s: 20,
+            seed: 1,
+            interval_ns: secs(1),
+            ..ResilienceConfig::default()
+        };
+        let r = run_cell(
+            &two_tier(ClientSpec::local()),
+            &ApiMix::single("front", "M"),
+            "none",
+            &scenario,
+            &cfg,
+        )
+        .unwrap();
+        assert!(r.conserved, "{}", r.conservation);
+        assert!(r.bounded && !r.metastable, "{r:?}");
+        let tail = r.series.iter().filter(|s| s.start_ns >= secs(15));
+        let (errors, count) = tail.fold((0, 0), |(e, n), s| (e + s.errors, n + s.count));
+        assert!(count > 0);
+        assert_eq!(errors, 0);
     }
 
     /// front --LB--> {back, back_r1}, each replica in its own process, so a

@@ -6,7 +6,8 @@
 
 use blueprint::apps::{hotel_reservation as hr, RpcChoice, WiringOpts};
 use blueprint::core::Blueprint;
-use blueprint::workload::sweep::latency_throughput;
+use blueprint::workload::parallel::Threads;
+use blueprint::workload::sweep::{latency_throughput, SweepSpec};
 
 fn main() {
     let variants = [
@@ -41,9 +42,16 @@ fn main() {
             .without_artifacts()
             .compile(&workflow, &wiring)
             .unwrap();
-        let pts =
-            latency_throughput(app.system(), &hr::paper_mix(), &rates, 5, hr::ENTITIES, 1).unwrap();
-        for p in pts {
+        let spec = SweepSpec {
+            system: app.system(),
+            mix: &hr::paper_mix(),
+            rates_rps: &rates,
+            duration_s: 5,
+            entities: hr::ENTITIES,
+            seed: 1,
+        };
+        let pts = latency_throughput(&[spec], Threads::from_env()).unwrap();
+        for p in &pts[0] {
             println!(
                 "{:<16} {:>10.0} {:>10.0} {:>9.2} {:>9.2}",
                 label, p.offered_rps, p.goodput_rps, p.p50_ms, p.p99_ms

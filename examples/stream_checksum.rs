@@ -1,11 +1,13 @@
 //! Prints an FNV-1a checksum of the HotelReservation completion stream for a
-//! fixed (seed, duration, rate). Used to verify engine refactors preserve
-//! byte-identical behavior across builds.
+//! fixed (seed, duration, rate), run through the experiment driver every
+//! experiment uses (5 s drain past the last arrival). Used to verify engine
+//! and driver refactors preserve byte-identical behavior across builds.
 
 use blueprint::apps::{hotel_reservation as hr, WiringOpts};
 use blueprint::core::Blueprint;
 use blueprint::simrt::SimConfig;
 use blueprint::workload::generator::{OpenLoopGen, Phase};
+use blueprint::workload::{run_experiment_collecting, ExperimentSpec};
 
 fn main() {
     let app = Blueprint::new()
@@ -24,28 +26,14 @@ fn main() {
         hr::ENTITIES,
         5,
     );
-    let end = gen.duration_ns();
+    let (_, completions) =
+        run_experiment_collecting(&mut sim, ExperimentSpec::new(gen)).expect("experiment runs");
     let mut h: u64 = 0xcbf29ce484222325;
-    let mut fnv = |bytes: &[u8]| {
-        for &b in bytes {
+    for c in &completions {
+        for b in format!("{c:?}").bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x100000001b3);
         }
-    };
-    let mut n = 0u64;
-    for arrival in gen {
-        sim.run_until(arrival.at_ns);
-        sim.submit(&arrival.entry, &arrival.method, arrival.entity)
-            .expect("submit");
-        for c in sim.drain_completions() {
-            fnv(format!("{c:?}").as_bytes());
-            n += 1;
-        }
     }
-    sim.run_until(end + 5_000_000_000);
-    for c in sim.drain_completions() {
-        fnv(format!("{c:?}").as_bytes());
-        n += 1;
-    }
-    println!("completions={n} checksum={h:016x}");
+    println!("completions={} checksum={h:016x}", completions.len());
 }

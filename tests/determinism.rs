@@ -7,10 +7,11 @@
 use blueprint::apps::{hotel_reservation as hr, WiringOpts};
 use blueprint::core::Blueprint;
 use blueprint::simrt::{Completion, SimConfig};
-use blueprint::workload::generator::OpenLoopGen;
-use blueprint::workload::generator::Phase;
+use blueprint::workload::generator::{OpenLoopGen, Phase};
+use blueprint::workload::{run_experiment_collecting, ExperimentSpec};
 
-/// Runs HotelReservation for `secs` seconds at `rps` with the given seed and
+/// Runs HotelReservation for `secs` seconds at `rps` with the given seed
+/// through the experiment driver (5 s drain past the last arrival) and
 /// returns the full completion stream in emission order.
 fn completion_stream(seed: u64, secs: u64, rps: f64) -> Vec<Completion> {
     let app = Blueprint::new()
@@ -29,18 +30,9 @@ fn completion_stream(seed: u64, secs: u64, rps: f64) -> Vec<Completion> {
         hr::ENTITIES,
         seed,
     );
-    let end = gen.duration_ns();
-    let mut out = Vec::new();
-    for arrival in gen {
-        sim.run_until(arrival.at_ns);
-        sim.submit(&arrival.entry, &arrival.method, arrival.entity)
-            .expect("submit");
-        out.append(&mut sim.drain_completions());
-    }
-    // Drain in-flight requests well past the last arrival.
-    sim.run_until(end + 5_000_000_000);
-    out.append(&mut sim.drain_completions());
-    out
+    run_experiment_collecting(&mut sim, ExperimentSpec::new(gen))
+        .expect("experiment runs")
+        .1
 }
 
 #[test]

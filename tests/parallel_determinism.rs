@@ -12,7 +12,8 @@ use blueprint::simrt::{
 };
 use blueprint::workload::generator::{OpenLoopGen, Phase};
 use blueprint::workload::parallel::Threads;
-use blueprint::workload::sweep::{latency_throughput_with, trigger_recovery, TriggerSpec};
+use blueprint::workload::resilience::{run_cell, ResilienceConfig, Scenario};
+use blueprint::workload::sweep::{latency_throughput, SweepSpec};
 use blueprint::workload::{run_experiment, ExperimentSpec};
 
 fn hotel() -> CompiledApp {
@@ -33,34 +34,25 @@ fn sweep_parallel_equals_sequential_across_seeds() {
     let mix = hr::paper_mix();
     let rates = [500.0, 1_500.0, 3_000.0];
     for seed in [11u64, 12] {
-        let seq = latency_throughput_with(
-            app.system(),
-            &mix,
-            &rates,
-            3,
-            hr::ENTITIES,
+        let spec = SweepSpec {
+            system: app.system(),
+            mix: &mix,
+            rates_rps: &rates,
+            duration_s: 3,
+            entities: hr::ENTITIES,
             seed,
-            Threads::sequential(),
-        )
-        .expect("sequential sweep");
-        let par = latency_throughput_with(
-            app.system(),
-            &mix,
-            &rates,
-            3,
-            hr::ENTITIES,
-            seed,
-            Threads::new(4),
-        )
-        .expect("parallel sweep");
-        assert!(!seq.is_empty());
+        };
+        let seq = latency_throughput(&[spec], Threads::sequential()).expect("sequential sweep");
+        let par = latency_throughput(&[spec], Threads::new(4)).expect("parallel sweep");
+        assert_eq!(seq[0].len(), rates.len());
         assert_eq!(seq, par, "sweep diverged at seed {seed}");
     }
 }
 
-/// A small trigger grid (2 rates × 2 durations) must classify identically —
-/// full `TriggerResult` equality, not just the outcome label — at 1 and 4
-/// worker threads, for every seed.
+/// A small CPU-contention trigger grid (2 rates × 2 durations) run through
+/// `run_cell` must produce identical reports — the whole `CellReport`,
+/// series and counters included, not just a verdict — at 1 and 4 worker
+/// threads, for every seed.
 #[test]
 fn trigger_grid_parallel_equals_sequential_across_seeds() {
     let app = hotel();
@@ -82,22 +74,27 @@ fn trigger_grid_parallel_equals_sequential_across_seeds() {
             .collect();
         blueprint::workload::par_run(jobs.len(), threads, |i| {
             let (rps, dur) = jobs[i];
-            trigger_recovery(
-                app.system(),
-                &mix,
-                &TriggerSpec {
-                    rps,
-                    total_s: 12,
-                    entities: 10_000,
-                    trigger_host: host.clone(),
-                    trigger_cores: 1.7,
-                    trigger_at_s: 4,
-                    trigger_dur_s: dur,
-                    observe_s: 3,
-                    recover_error_threshold: 0.2,
-                    seed,
-                },
-            )
+            let hog = Scenario {
+                name: format!("cpu hog {dur}s"),
+                actions: vec![(
+                    secs(4),
+                    Fault::CpuHog {
+                        host: host.clone(),
+                        cores: 1.7,
+                        duration_ns: secs(dur),
+                    },
+                )],
+                window: (secs(4), secs(4 + dur)),
+                ..Scenario::baseline()
+            };
+            let cfg = ResilienceConfig {
+                rps,
+                duration_s: 12,
+                seed,
+                interval_ns: secs(1),
+                ..ResilienceConfig::default()
+            };
+            run_cell(app.system(), &mix, "hotel", &hog, &cfg)
         })
         .expect("grid runs")
     };
@@ -105,6 +102,7 @@ fn trigger_grid_parallel_equals_sequential_across_seeds() {
         let seq = grid(Threads::sequential(), seed);
         let par = grid(Threads::new(4), seed);
         assert_eq!(seq, par, "trigger grid diverged at seed {seed}");
+        assert!(seq.iter().all(|r| r.conserved && !r.series.is_empty()));
     }
 }
 
