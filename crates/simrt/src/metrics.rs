@@ -80,6 +80,62 @@ pub struct SimCounters {
     /// Quorum reads/writes rejected for lack of reachable members.
     #[serde(default)]
     pub quorum_rejections: u64,
+    /// Events dispatched by the event loop, indexed by [`EvKind`]
+    /// (`dispatched[EvKind::Resume as usize]`).
+    #[serde(default)]
+    pub dispatched: [u64; EvKind::COUNT],
+}
+
+/// Kind of a dispatched simulator event: the index into
+/// [`SimCounters::dispatched`]. One per event variant, except that a CPU
+/// host check is split by whether it was still current when it fired (a
+/// stale one finds its host's generation moved on and does nothing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EvKind {
+    /// A host check that collected due CPU jobs.
+    HostCheckLive,
+    /// A host check superseded by a later scheduler change.
+    HostCheckStale,
+    /// A frame resumes its interpreter.
+    Resume,
+    /// A client-side call timeout.
+    Timeout,
+    /// A retry backoff expired.
+    RetryFire,
+    /// A request reaches its service or backend.
+    DeliverRequest,
+    /// A response reaches its caller.
+    DeliverResponse,
+    /// A CPU hog ends.
+    HogEnd,
+    /// A Thrift connection is released.
+    ConnFreed,
+    /// An asynchronous replication write reaches a store member.
+    ReplicaApply,
+    /// A store failover election.
+    StoreFailover,
+    /// A scheduled fault fires.
+    FaultFire,
+    /// A crashed process restarts.
+    ProcRestart,
+    /// The chaos process draws its next fault.
+    ChaosFire,
+    /// A scheduled reconfiguration change starts.
+    ReconfigFire,
+    /// A drain budget expires.
+    DrainDone,
+    /// A rolling deploy advances.
+    RollAdvance,
+    /// An autoscaler observation.
+    AutoscaleTick,
+    /// A canary evaluation.
+    CanaryEval,
+}
+
+impl EvKind {
+    /// Number of kinds (the length of [`SimCounters::dispatched`]);
+    /// `CanaryEval` must stay the last variant.
+    pub const COUNT: usize = EvKind::CanaryEval as usize + 1;
 }
 
 /// Per-backend statistics.

@@ -36,7 +36,7 @@ use blueprint_workflow::{Behavior, CacheOp, DbOp, KeyExpr, Step};
 
 use crate::evq::{self, Wheel};
 use crate::host::{JobId, PsHost, NO_PROC};
-use crate::metrics::{BackendStats, Metrics};
+use crate::metrics::{BackendStats, EvKind, Metrics};
 use crate::spec::{
     AutoscalerSpec, BackendRtKind, Change, ClientSpec, ConsistencyMode, DepBinding, Fault,
     FaultPlan, LbPolicy, ReconfigPlan, ShedSpec, SystemSpec, TransportSpec,
@@ -751,7 +751,7 @@ enum FrameKind {
 }
 
 /// An in-flight call issued by a frame.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct OutstandingCall {
     seq: u32,
     attempt: u32,
@@ -770,7 +770,7 @@ struct OutstandingCall {
     /// For cache get-or-fetch: what to run on a miss.
     on_miss: Option<ProgId>,
     /// Request waiting for a free Thrift connection.
-    queued_msg: Option<RequestMsg>,
+    queued_msg: Option<Box<RequestMsg>>,
     /// Absolute deadline this attempt propagated downstream (set when the
     /// client has a deadline policy); classifies its timeout as `Deadline`.
     attempt_deadline: Option<SimTime>,
@@ -831,7 +831,7 @@ enum Ev {
         seq: u32,
     },
     DeliverRequest {
-        req: RequestMsg,
+        req: Box<RequestMsg>,
     },
     DeliverResponse {
         frame: FrameId,
@@ -866,7 +866,7 @@ enum Ev {
     },
     /// A scheduled fault fires.
     FaultFire {
-        fault: RFault,
+        fault: Box<RFault>,
     },
     /// A crashed process comes back up (ignored if `gen` is stale).
     ProcRestart {
@@ -1364,7 +1364,7 @@ enum JobCont {
     /// Resume a frame's interpreter.
     FrameStep(FrameId),
     /// Client-side serialization finished; deliver after `net_ns`.
-    SendRequest(RequestMsg, u64),
+    SendRequest(Box<RequestMsg>, u64),
     /// Server-side serialization finished; deliver response after `net_ns`.
     SendResponse {
         frame: FrameId,
@@ -1374,7 +1374,10 @@ enum JobCont {
         net_ns: u64,
     },
     /// Backend CPU finished; apply the op and respond after `latency_ns`.
-    BackendExec { req: RequestMsg, latency_ns: u64 },
+    BackendExec {
+        req: Box<RequestMsg>,
+        latency_ns: u64,
+    },
     /// GC pause finished.
     GcEnd { proc: usize },
 }
@@ -1533,6 +1536,32 @@ fn ev_home_host(sh: &Shared, ev: &Ev) -> Option<usize> {
     }
 }
 
+/// Kind of an event about to be dispatched (see [`EvKind`]); a host check
+/// is stale when its host's generation has moved on since it was pushed.
+fn ev_kind(hosts: &[HostRt], ev: &Ev) -> EvKind {
+    match ev {
+        Ev::HostCheck { host, gen } if hosts[*host].host_gen != *gen => EvKind::HostCheckStale,
+        Ev::HostCheck { .. } => EvKind::HostCheckLive,
+        Ev::Resume { .. } => EvKind::Resume,
+        Ev::Timeout { .. } => EvKind::Timeout,
+        Ev::RetryFire { .. } => EvKind::RetryFire,
+        Ev::DeliverRequest { .. } => EvKind::DeliverRequest,
+        Ev::DeliverResponse { .. } => EvKind::DeliverResponse,
+        Ev::HogEnd { .. } => EvKind::HogEnd,
+        Ev::ConnFreed { .. } => EvKind::ConnFreed,
+        Ev::ReplicaApply { .. } => EvKind::ReplicaApply,
+        Ev::StoreFailover { .. } => EvKind::StoreFailover,
+        Ev::FaultFire { .. } => EvKind::FaultFire,
+        Ev::ProcRestart { .. } => EvKind::ProcRestart,
+        Ev::ChaosFire => EvKind::ChaosFire,
+        Ev::ReconfigFire { .. } => EvKind::ReconfigFire,
+        Ev::DrainDone { .. } => EvKind::DrainDone,
+        Ev::RollAdvance { .. } => EvKind::RollAdvance,
+        Ev::AutoscaleTick { .. } => EvKind::AutoscaleTick,
+        Ev::CanaryEval { .. } => EvKind::CanaryEval,
+    }
+}
+
 /// A running simulated deployment.
 pub struct Sim {
     cfg: SimConfig,
@@ -1587,6 +1616,18 @@ pub struct Sim {
 /// any other `!Send` field) fails the build here.
 const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<Sim>();
+
+/// Size pins of the per-event payloads. Every event is copied through a
+/// wheel slot, the due heap's sift steps and `dispatch`, and every job
+/// continuation and outstanding call rides in a frame or a CPU-job slot, so
+/// in-flight requests (and rare fault payloads) travel boxed. A field that
+/// re-inlines a large payload fails the build here.
+const _: () = {
+    assert!(size_of::<Ev>() <= 48);
+    assert!(size_of::<evq::Entry<Ev>>() <= 64);
+    assert!(size_of::<JobCont>() <= 48);
+    assert!(size_of::<OutstandingCall>() <= 104);
+};
 
 /// Frame slots are addressed by `u32` indices (`FrameId::idx`), so the frame
 /// table is hard-capped; [`Sim::new`] rejects a larger `max_frames` loudly
@@ -1870,7 +1911,12 @@ impl Sim {
         let plan = self.cfg.faults.clone();
         for (t, f) in &plan.scheduled {
             let fault = self.resolve_fault(f)?;
-            self.push_ev(*t, Ev::FaultFire { fault });
+            self.push_ev(
+                *t,
+                Ev::FaultFire {
+                    fault: Box::new(fault),
+                },
+            );
         }
         if let Some(chaos) = &plan.chaos {
             if chaos.menu.is_empty() {
@@ -2371,11 +2417,13 @@ impl Sim {
 
     /// Runs the event loop until virtual time `t` (inclusive): pops every
     /// event due by then in `(time, seq)` order and dispatches it under its
-    /// home host's context (or `CTRL_CTX` for control events).
+    /// home host's context (or `CTRL_CTX` for control events), counting it
+    /// by kind in `metrics.counters.dispatched`.
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(e) = self.events.pop_until(t) {
             self.now = e.time;
             self.ctx = ev_home_host(&self.sh, &e.item).map_or(CTRL_CTX, |h| h as u64);
+            self.metrics.counters.dispatched[ev_kind(&self.hosts, &e.item) as usize] += 1;
             self.dispatch(e.item);
         }
         // Driver calls between slices push under the control context.

@@ -141,7 +141,7 @@ impl Sim {
             Ev::ReplicaApply { backend, member, key, version, gen } => {
                 self.on_replica_apply(backend, member, key, version, gen)
             }
-            Ev::FaultFire { fault } => self.apply_fault(fault),
+            Ev::FaultFire { fault } => self.apply_fault(*fault),
             Ev::ProcRestart { proc, gen } => {
                 if self.sh.proc_gen[proc] == gen && self.sh.proc_down[proc] {
                     self.sh.proc_down[proc] = false;
@@ -728,7 +728,8 @@ impl Sim {
                 ReplyRoute { serialize_ns: *serialize_ns, net_ns: *net_ns },
             ),
         };
-        let msg = RequestMsg {
+        // Boxed once here and moved, never copied, until it is consumed.
+        let msg = Box::new(RequestMsg {
             caller: fid,
             seq,
             attempt,
@@ -738,7 +739,7 @@ impl Sim {
             reply,
             parent_span: span,
             deadline_ns: attempt_deadline,
-        };
+        });
         let total_client_work = client_ser + client_overhead_ns;
 
         match &transport {
@@ -785,7 +786,7 @@ impl Sim {
     fn send_request_with_serialize(
         &mut self,
         client_svc: usize,
-        msg: RequestMsg,
+        msg: Box<RequestMsg>,
         work_ns: u64,
         mut net_ns: u64,
     ) {
@@ -928,7 +929,7 @@ impl Sim {
     // Server side.
     // ------------------------------------------------------------------
 
-    fn on_deliver_request(&mut self, req: RequestMsg) {
+    fn on_deliver_request(&mut self, req: Box<RequestMsg>) {
         match req.target {
             CallTarget::Service { svc, method } => {
                 let proc = self.sh.svc_proc[svc] as usize;

@@ -889,6 +889,130 @@ fn crash_fails_in_flight_work_and_restarts() {
     assert!(c.ok, "process restarted");
 }
 
+/// A crash with a request in every place one can wait: queued behind a
+/// Thrift pool of one (the caller frame's `queued_msg`), in a client
+/// serialization job (`SendRequest`), on the wire (`DeliverRequest`) and in a
+/// backend CPU job (`BackendExec`). `front` calls `mid` directly over gRPC
+/// (`Direct`) and through the pool (`Pooled`); `mid` reads store `db`, served
+/// by its own process `p_mid`, over gRPC. One `Direct` and one `Pooled`
+/// arrival every 100 µs keep about five serializations, five deliveries and
+/// ten backend jobs in flight on `p_mid` when it crashes at 3 ms. Every
+/// request must still end exactly once, with `crash` as the only failure,
+/// and no frame may outlive the drain.
+#[test]
+fn crash_with_requests_in_every_holder_conserves() {
+    let grpc = ClientSpec::over(TransportSpec::Grpc {
+        serialize_ns: us(500),
+        net_ns: us(500),
+    });
+    let thrift = ClientSpec::over(TransportSpec::Thrift {
+        pool: 1,
+        serialize_ns: us(100),
+        net_ns: us(200),
+        reconnect_ns: 0,
+    });
+    let mut spec = two_tier(
+        Behavior::build().db_read("d", KeyExpr::Entity).done(),
+        grpc.clone(),
+    );
+    for h in &mut spec.hosts {
+        h.cores = 64.0;
+    }
+    spec.backends.push(BackendSpec {
+        name: "db".into(),
+        process: 1,
+        kind: BackendRtKind::Store {
+            read_latency_ns: ms(1),
+            write_latency_ns: ms(1),
+            cpu_per_op_ns: ms(1),
+            cpu_per_item_ns: 0,
+            replicas: 0,
+            replication_lag_ns: (0, 0),
+            consistency: Default::default(),
+            failover: None,
+        },
+    });
+    spec.services[1].deps.insert(
+        "d".into(),
+        DepBinding::Backend {
+            target: 0,
+            client: grpc,
+        },
+    );
+    let front = &mut spec.services[0];
+    let direct = front.methods.remove("M").expect("two_tier front method");
+    front.methods.insert("Direct".into(), direct);
+    front.methods.insert(
+        "Pooled".into(),
+        Behavior::build().call("pooled", "Work").done(),
+    );
+    front.deps.insert(
+        "pooled".into(),
+        DepBinding::Service {
+            target: 1,
+            client: thrift,
+        },
+    );
+    let cfg = SimConfig {
+        faults: FaultPlan::none().at(
+            ms(3),
+            Fault::ProcessCrash {
+                process: "p_back".into(),
+                restart_delay_ns: ms(2),
+            },
+        ),
+        ..Default::default()
+    };
+    let mut sim = Sim::new(&spec, cfg).unwrap();
+    let mut submitted = 0;
+    let mut holders_seen = false;
+    for i in 0..60u64 {
+        let t = i * us(100);
+        sim.run_until(t);
+        if t == ms(3) - us(100) {
+            // The last slice before the crash: a caller waits for the
+            // pooled connection, and `p_back`'s host runs both
+            // serializations and backend jobs.
+            let queued = sim.hosts[0]
+                .frames
+                .slots
+                .iter()
+                .flatten()
+                .filter(|f| f.call.as_ref().is_some_and(|c| c.queued_msg.is_some()))
+                .count();
+            assert!(queued > 0, "a caller is queued on the Thrift pool");
+            assert!(sim.hosts[1].ps.active_jobs() >= 10, "p_back is busy");
+            holders_seen = true;
+        }
+        sim.submit("front", "Direct", i).unwrap();
+        sim.submit("front", "Pooled", i).unwrap();
+        submitted += 2;
+    }
+    assert!(holders_seen);
+    sim.run_until(secs(5));
+    let done = sim.drain_completions();
+    let c = &sim.metrics.counters;
+    assert_eq!(c.process_crashes, 1);
+    assert!(c.crashed_frames > 0);
+    assert_eq!(done.len() as u64, submitted, "every request ended once");
+    assert_eq!(c.completed_ok + c.completed_err, submitted);
+    let mut roots: Vec<u64> = done.iter().map(|c| c.root_seq).collect();
+    roots.sort_unstable();
+    roots.dedup();
+    assert_eq!(roots.len() as u64, submitted, "no request ended twice");
+    assert_eq!(sim.inflight(), 0, "no frame outlives the drain");
+    let failed: Vec<_> = done.iter().filter(|c| !c.ok).collect();
+    assert!(!failed.is_empty(), "the crash failed in-flight work");
+    assert!(failed.iter().all(|c| c.failure == Some("crash")));
+    assert!(done
+        .iter()
+        .any(|c| c.ok && c.method == "Pooled" && c.submitted_ns < ms(3)));
+    assert!(
+        done.iter().any(|c| c.ok && c.submitted_ns > ms(5)),
+        "served after restart"
+    );
+}
+
 /// Pins the `(time, seq)` order between host and control events. A crash
 /// scheduled at exactly the instant the back end's `HostCheck` finishes its
 /// compute step runs after that check — `CTRL_CTX` sorts after every host

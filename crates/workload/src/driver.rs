@@ -6,7 +6,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use blueprint_simrt::time::SimTime;
-use blueprint_simrt::{EntryHandle, Sim, SimError};
+use blueprint_simrt::{Completion, EntryHandle, Sim, SimError};
 
 use crate::generator::OpenLoopGen;
 use crate::recorder::Recorder;
@@ -80,18 +80,20 @@ impl ExperimentSpec {
 ///
 /// Arrivals and scheduled actions are merged in time order; after the last
 /// arrival the simulation drains for `drain_ns` so in-flight requests finish
-/// (or time out) and are recorded.
+/// (or time out) and are recorded. Each completion is folded into the
+/// recorder as it is drained and then dropped, so memory stays flat however
+/// long the run.
 pub fn run_experiment(sim: &mut Sim, spec: ExperimentSpec) -> Result<Recorder, SimError> {
-    run_experiment_collecting(sim, spec).map(|(rec, _)| rec)
+    drive(sim, spec, None)
 }
 
 /// Like [`run_experiment`], but also returns every raw
-/// [`Completion`](blueprint_simrt::Completion) in completion order — the
-/// input the consistency oracle classifies.
+/// [`Completion`] in completion order — the input the consistency oracle
+/// classifies.
 pub fn run_experiment_collecting(
     sim: &mut Sim,
     spec: ExperimentSpec,
-) -> Result<(Recorder, Vec<blueprint_simrt::Completion>), SimError> {
+) -> Result<(Recorder, Vec<Completion>), SimError> {
     // The completion buffer is reserved once, for the expected arrivals plus
     // a sixteenth (six standard deviations of a 10k-arrival Poisson run).
     // Grown by doubling instead, it is copied several times, and where each
@@ -99,6 +101,17 @@ pub fn run_experiment_collecting(
     // seed to the next.
     let expected = spec.generator.expected_arrivals();
     let mut completions = Vec::with_capacity((expected * 17.0 / 16.0) as usize);
+    let recorder = drive(sim, spec, Some(&mut completions))?;
+    Ok((recorder, completions))
+}
+
+/// The driver loop behind both entry points: records every drained
+/// completion and, when `sink` is set, appends it there too.
+fn drive(
+    sim: &mut Sim,
+    spec: ExperimentSpec,
+    mut sink: Option<&mut Vec<Completion>>,
+) -> Result<Recorder, SimError> {
     let mut recorder = Recorder::new(spec.interval_ns);
     let mut actions = spec.actions;
     actions.sort_by_key(|(t, _)| *t);
@@ -133,10 +146,7 @@ pub fn run_experiment_collecting(
             }
         };
         sim.submit_handle(handle, arrival.entity)?;
-        for c in sim.drain_completions() {
-            recorder.record(&c);
-            completions.push(c);
-        }
+        drain(sim, &mut recorder, sink.as_deref_mut());
     }
     // Remaining actions, then drain.
     for (t, action) in actions {
@@ -144,11 +154,18 @@ pub fn run_experiment_collecting(
         apply(sim, action)?;
     }
     sim.run_until(end + spec.drain_ns);
+    drain(sim, &mut recorder, sink);
+    Ok(recorder)
+}
+
+/// Records the completions `sim` holds, moving them into `sink` if set.
+fn drain(sim: &mut Sim, recorder: &mut Recorder, mut sink: Option<&mut Vec<Completion>>) {
     for c in sim.drain_completions() {
         recorder.record(&c);
-        completions.push(c);
+        if let Some(sink) = sink.as_deref_mut() {
+            sink.push(c);
+        }
     }
-    Ok((recorder, completions))
 }
 
 fn apply(sim: &mut Sim, action: Action) -> Result<(), SimError> {
@@ -243,6 +260,33 @@ mod tests {
         // would have ended at 2048.
         assert!((1500..=1700).contains(&completions.len()));
         assert_eq!(completions.capacity(), 1700);
+    }
+
+    #[test]
+    fn recording_alone_matches_collecting() {
+        let run = |collect: bool| {
+            let mut sim = Sim::new(&spec(), SimConfig::default()).unwrap();
+            let gen = OpenLoopGen::new(
+                vec![Phase::new(3, 300.0)],
+                ApiMix::single("front", "M"),
+                10,
+                7,
+            );
+            let exp = ExperimentSpec::new(gen).interval(100_000_000);
+            if collect {
+                let (rec, completions) = run_experiment_collecting(&mut sim, exp).unwrap();
+                assert_eq!(
+                    rec.series().iter().map(|s| s.count).sum::<usize>(),
+                    completions.len()
+                );
+                rec.series()
+            } else {
+                run_experiment(&mut sim, exp).unwrap().series()
+            }
+        };
+        let series = run(false);
+        assert!(series.iter().map(|s| s.count).sum::<usize>() > 800);
+        assert_eq!(series, run(true));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use blueprint_simrt::time::SimTime;
 use blueprint_simrt::{Fault, ReconfigPlan, Sim, SimConfig, SimError, SystemSpec};
 
-use crate::driver::{run_experiment_collecting, Action, ExperimentSpec};
+use crate::driver::{run_experiment, run_experiment_collecting, Action, ExperimentSpec};
 use crate::generator::{ApiMix, OpenLoopGen, Phase};
 use crate::oracle::{classify_with_audit, converged_versions, AnomalyCounts, OracleSpec};
 use crate::parallel::{par_run, Threads};
@@ -345,10 +345,12 @@ pub fn run_cell(
     for (t, fault) in &scenario.actions {
         exp = exp.at(*t, Action::Fault(fault.clone()));
     }
-    let (mut rec, mut completions) = run_experiment_collecting(&mut sim, exp)?;
-    let consistency = match &cfg.probe {
-        None => None,
+    // Only the consistency audit reads the raw completion stream; without a
+    // probe each completion is recorded and dropped as it is drained.
+    let (rec, consistency) = match &cfg.probe {
+        None => (run_experiment(&mut sim, exp)?, None),
         Some(probe) => {
+            let (mut rec, mut completions) = run_experiment_collecting(&mut sim, exp)?;
             // Quiet period: let every surviving replica apply its in-flight
             // replication before the audit (stragglers past the driver's
             // drain are still recorded so conservation stays honest).
@@ -371,7 +373,7 @@ pub fn run_cell(
             let converged = converged_versions(&audit, &probe.oracle);
             completions.extend(audit);
             let anomalies = classify_with_audit(&completions, &probe.oracle, &converged);
-            Some(ConsistencyAudit { anomalies, audited })
+            (rec, Some(ConsistencyAudit { anomalies, audited }))
         }
     };
     let conservation = rec.conservation(submitted);
