@@ -131,6 +131,11 @@ cargo run --release --example stream_checksum | tee results/ci_stream_checksum.t
 grep -q "checksum=1bc85aa9969bffcf" results/ci_stream_checksum.txt
 cmp "$committed/ci_stream_checksum.txt" results/ci_stream_checksum.txt
 
+echo "==> benchmark unit tests"
+# examples/benchmark is its own package, outside the workspace, so the
+# workspace test step above does not reach its tests.
+cargo test --release --offline --locked --manifest-path examples/benchmark/Cargo.toml -q
+
 echo "==> benchmark smoke (one round, four pinned completion streams)"
 # One interleaved round of every workload in examples/benchmark (its own
 # package and target dir). The binary exits nonzero on any failed

@@ -12,10 +12,12 @@
 use blueprint_apps::{social_network as sn, WiringOpts};
 use blueprint_core::Blueprint;
 use blueprint_simrt::time::{ms, secs, SimTime};
-use blueprint_simrt::{Change, Completion, Fault, ReconfigPlan, Sim, SimConfig, SystemSpec};
+use blueprint_simrt::{
+    Change, Completion, Fault, FaultPlan, ReconfigPlan, Sim, SimConfig, SystemSpec,
+};
 use blueprint_workload::resilience::{run_matrix, ConsistencyProbe, ResilienceConfig, Scenario};
 use blueprint_workload::{
-    par_run, Action, ApiMix, ExperimentSpec, OpenLoopGen, OracleSpec, Phase, Threads,
+    par_run, ApiMix, ExperimentSpec, OpenLoopGen, OracleSpec, Phase, Threads,
 };
 
 const ENTITIES: u64 = 100;
@@ -47,24 +49,23 @@ fn primary_process(system: &SystemSpec) -> String {
 /// rolling restart — and both user-timeline replicas drained and restarted.
 fn combined(system: &SystemSpec) -> Scenario {
     let primary = primary_process(system);
-    let actions = vec![
-        (
+    let faults = FaultPlan::none()
+        .at(
             secs(1),
             Fault::Partition {
                 a: primary.clone(),
                 b: "ut_db_replica_0".to_string(),
                 duration_ns: secs(1),
             },
-        ),
-        (
+        )
+        .at(
             secs(2),
             Fault::ProcessCrash {
                 process: primary,
                 restart_delay_ns: secs(10),
             },
-        ),
-    ];
-    let plan = ReconfigPlan::none()
+        );
+    let reconfig = ReconfigPlan::none()
         .at(
             ms(1500),
             Change::RollingRestart {
@@ -85,8 +86,8 @@ fn combined(system: &SystemSpec) -> Scenario {
         );
     Scenario {
         name: "partition+crash+rolling".to_string(),
-        actions,
-        plan,
+        faults,
+        reconfig,
         ..Scenario::baseline()
     }
 }
@@ -109,16 +110,14 @@ fn run_full(
         system,
         SimConfig {
             seed,
-            reconfig: scenario.plan.clone(),
+            faults: scenario.faults.clone(),
+            reconfig: scenario.reconfig.clone(),
             ..Default::default()
         },
     )?;
     sim.store_fill("ut_db", ENTITIES, 1)?;
     let gen = OpenLoopGen::new(vec![Phase::new(DURATION_S, 250.0)], mix(), ENTITIES, seed);
-    let mut exp = ExperimentSpec::new(gen).drain(secs(2));
-    for (t, fault) in &scenario.actions {
-        exp = exp.at(*t, Action::Fault(fault.clone()));
-    }
+    let exp = ExperimentSpec::new(gen).drain(secs(2));
     let (_, mut completions) = blueprint_workload::run_experiment_collecting(&mut sim, exp)?;
     // Settle so in-flight replication and the election have finished.
     let settle: SimTime = sim.now() + secs(2);

@@ -32,7 +32,7 @@ use blueprint_bench::report;
 use blueprint_bench::Run;
 use blueprint_core::Blueprint;
 use blueprint_simrt::time::{ms, secs, SimTime};
-use blueprint_simrt::{Change, Fault, ReconfigPlan, SystemSpec};
+use blueprint_simrt::{Change, Fault, FaultPlan, ReconfigPlan, SystemSpec};
 use blueprint_workload::generator::ApiMix;
 use blueprint_workload::parallel::Threads;
 use blueprint_workload::resilience::{
@@ -92,34 +92,34 @@ fn scenarios(system: &SystemSpec, duration_s: u64) -> Vec<Scenario> {
         // go on the unguarded arm — they are lost, and the audit proves it.
         Scenario {
             name: "primary crash".to_string(),
-            actions: vec![(
+            faults: FaultPlan::none().at(
                 secs(duration_s) - ms(200),
                 Fault::ProcessCrash {
                     process: primary.clone(),
                     restart_delay_ns: secs(10),
                 },
-            )],
+            ),
             ..Scenario::baseline()
         },
         // Fully cut one replica's replication link mid-traffic; the store
         // must route reads around it and catch it up at heal time.
         Scenario {
             name: "replica partition".to_string(),
-            actions: vec![(
+            faults: FaultPlan::none().at(
                 secs(1),
                 Fault::Partition {
                     a: primary,
                     b: "ut_db_replica_0".to_string(),
                     duration_ns: secs(2),
                 },
-            )],
+            ),
             ..Scenario::baseline()
         },
         // The runtime-change machinery as a consistency disturbance:
         // drain-and-restart each user-timeline replica in turn.
         Scenario {
             name: "rolling restart".to_string(),
-            plan: ReconfigPlan::none()
+            reconfig: ReconfigPlan::none()
                 .at(
                     secs(1),
                     Change::RollingRestart {

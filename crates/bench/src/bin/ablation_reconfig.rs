@@ -164,7 +164,7 @@ fn rolling(t: &Timeline, drainless: bool) -> Scenario {
     };
     Scenario {
         name: name.to_string(),
-        plan: ReconfigPlan::none().at(
+        reconfig: ReconfigPlan::none().at(
             t.roll_at,
             Change::RollingRestart {
                 service: "api".into(),
@@ -191,7 +191,7 @@ fn fixed_replica(t: &Timeline) -> Scenario {
     // judged window is the flash crowd the lone replica then faces.
     Scenario {
         name: "fixed 1 replica".to_string(),
-        plan: ReconfigPlan::none().at(ms(100), scale_to_one()),
+        reconfig: ReconfigPlan::none().at(ms(100), scale_to_one()),
         window: (t.flash_start, t.flash_end),
         ..Scenario::baseline()
     }
@@ -200,7 +200,7 @@ fn fixed_replica(t: &Timeline) -> Scenario {
 fn autoscaled(t: &Timeline) -> Scenario {
     Scenario {
         name: "autoscaled".to_string(),
-        plan: ReconfigPlan::none()
+        reconfig: ReconfigPlan::none()
             .at(ms(100), scale_to_one())
             .with_autoscaler(AutoscalerSpec {
                 service: "api".into(),

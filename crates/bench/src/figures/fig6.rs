@@ -23,14 +23,14 @@ use std::sync::{Arc, Mutex};
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
 use blueprint_core::CompiledApp;
 use blueprint_simrt::time::secs;
-use blueprint_simrt::{Fault, SimError};
+use blueprint_simrt::{Fault, FaultPlan, SimConfig, SimError};
 use blueprint_wiring::WiringSpec;
 use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::generator::{ApiMix, OpenLoopGen, Phase};
 use blueprint_workload::parallel::{par_run, Threads};
 use blueprint_workload::recorder::IntervalStats;
 use blueprint_workload::resilience::{run_cell, CellReport, ResilienceConfig, Scenario};
-use blueprint_workload::{run_experiment, Action, ExperimentSpec};
+use blueprint_workload::{run_experiment, ExperimentSpec};
 
 use crate::{report, Run};
 
@@ -176,10 +176,11 @@ pub fn type3(size: Run) -> MetaResult {
 
 /// Type 4: cache-flush trigger on SocialNetwork's user timeline.
 ///
-/// This type stays on the bare experiment driver: its per-second cache
-/// sampler is an `Action::Custom` closure, which a [`Scenario`] (faults and
-/// plans only) cannot carry. Deterministic per-interval telemetry in the
-/// simulator would let it run through [`run_cell`] too.
+/// The flush is a boot-plan fault like every other trigger, but this type
+/// stays on the bare experiment driver: its per-second cache sampler is a
+/// driver observer, which a [`Scenario`] (plans only) cannot carry.
+/// Deterministic per-interval telemetry in the simulator would let it run
+/// through [`run_cell`] too.
 pub fn type4(size: Run) -> MetaResult {
     let opts = WiringOpts {
         cluster: META_CLUSTER,
@@ -188,7 +189,19 @@ pub fn type4(size: Run) -> MetaResult {
             .with_timeout_retries(1_000, 10)
     };
     let app = super::compile(&sn::workflow(), &sn::wiring_type4(&opts, 1_500));
-    let mut sim = super::boot(&app, 64);
+    let (total, flush_at) = size.pick((5, 2), (120, 60));
+    let mut sim = app
+        .simulation_with(SimConfig {
+            seed: 64,
+            faults: FaultPlan::none().at(
+                secs(flush_at),
+                Fault::CacheFlush {
+                    backend: "ut_cache".into(),
+                },
+            ),
+            ..Default::default()
+        })
+        .expect("simulation boots");
     // Phase 1 of the paper: fill the cache with all content of the
     // userTimelineDatabase. The timeline key space is much larger than the
     // request rate, so after a flush the cache cannot repopulate faster than
@@ -198,7 +211,6 @@ pub fn type4(size: Run) -> MetaResult {
     sim.cache_fill("ut_cache", TIMELINES, 1)
         .expect("cache fill");
 
-    let (total, flush_at) = size.pick((5, 2), (120, 60));
     let gen = OpenLoopGen::new(
         vec![Phase::new(total, 1_800.0)],
         ApiMix::single("gateway", "ReadUserTimeline"),
@@ -206,29 +218,21 @@ pub fn type4(size: Run) -> MetaResult {
         64,
     );
     // Sample cumulative hit/miss counters each second for the miss-rate
-    // series, and flush the cache at the trigger mark. (`Arc<Mutex<..>>`
-    // rather than `Rc<RefCell<..>>` so the custom actions satisfy `Action`'s
-    // `Send` bound; the experiment itself still runs on one thread.)
+    // series. (`Arc<Mutex<..>>` rather than `Rc<RefCell<..>>` so the
+    // observers satisfy `Action`'s `Send` bound; the experiment itself
+    // still runs on one thread.)
     let samples: Arc<Mutex<Vec<(f64, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut exp = ExperimentSpec::new(gen).at(
-        secs(flush_at),
-        Action::Fault(Fault::CacheFlush {
-            backend: "ut_cache".into(),
-        }),
-    );
+    let mut exp = ExperimentSpec::new(gen);
     for t in 1..=total {
         let s = samples.clone();
-        exp = exp.at(
-            secs(t),
-            Action::Custom(Box::new(move |sim| {
-                let (h, m) = sim
-                    .metrics
-                    .backend("ut_cache")
-                    .map(|b| (b.hits, b.misses))
-                    .unwrap_or((0, 0));
-                s.lock().expect("sampler lock").push((t as f64, h, m));
-            })),
-        );
+        exp = exp.at(secs(t), move |sim| {
+            let (h, m) = sim
+                .metrics
+                .backend("ut_cache")
+                .map(|b| (b.hits, b.misses))
+                .unwrap_or((0, 0));
+            s.lock().expect("sampler lock").push((t as f64, h, m));
+        });
     }
     let rec = run_experiment(&mut sim, exp).expect("experiment runs");
 
@@ -382,12 +386,12 @@ pub fn meta_cases() -> Vec<MetaCase> {
         },
         scenario: Scenario {
             name: "flush ut_cache".into(),
-            actions: vec![(
+            faults: FaultPlan::none().at(
                 secs(20),
                 Fault::CacheFlush {
                     backend: "ut_cache".into(),
                 },
-            )],
+            ),
             window: (secs(20), secs(22)),
             ..Scenario::baseline()
         },

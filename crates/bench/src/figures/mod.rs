@@ -13,7 +13,7 @@ pub mod fig9;
 
 use blueprint_core::{Blueprint, CompiledApp};
 use blueprint_simrt::time::{secs, SimTime};
-use blueprint_simrt::{Fault, Sim, SimConfig};
+use blueprint_simrt::{Fault, FaultPlan, Sim, SimConfig};
 use blueprint_wiring::WiringSpec;
 use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::recorder::IntervalStats;
@@ -55,14 +55,14 @@ pub fn figure_cfg(seed: u64, entities: u64) -> ResilienceConfig {
 pub fn cpu_hog(name: &str, host: String, cores: f64, at_s: u64, dur_s: u64) -> Scenario {
     Scenario {
         name: name.to_string(),
-        actions: vec![(
+        faults: FaultPlan::none().at(
             secs(at_s),
             Fault::CpuHog {
                 host,
                 cores,
                 duration_ns: secs(dur_s),
             },
-        )],
+        ),
         window: (secs(at_s), secs(at_s + dur_s)),
         ..Scenario::baseline()
     }

@@ -4,7 +4,7 @@
 //! resilience matrix, and the mid-run fault scenario.
 
 use blueprint_simrt::time::secs;
-use blueprint_simrt::Fault;
+use blueprint_simrt::{Fault, FaultPlan};
 use blueprint_workload::resilience::{CellReport, Scenario};
 
 /// Panics unless every cell terminated each submitted request exactly once.
@@ -32,7 +32,7 @@ pub fn mid_run_fault(name: &str, duration_s: u64, fault: Fault) -> Scenario {
     let mid = secs(duration_s * 2 / 5);
     Scenario {
         name: name.to_string(),
-        actions: vec![(mid, fault)],
+        faults: FaultPlan::none().at(mid, fault),
         window: (mid, mid + secs(2)),
         ..Scenario::baseline()
     }

@@ -47,8 +47,7 @@ impl LintPass for RestartHazard {
                 continue; // Drained steps rotate the replica out first.
             }
             // Unknown names are the simulator's job: its one change
-            // resolver rejects them, with suggestions, for boot plans and
-            // `apply_change` alike.
+            // resolver rejects them, with suggestions, when a plan boots.
             let Some(node) = ctx.ir.by_name(&t.service) else {
                 continue;
             };

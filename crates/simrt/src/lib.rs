@@ -60,7 +60,7 @@ pub use time::{ms, secs, us, SimTime};
 /// Errors raised when instantiating or driving a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The system spec, a plan or a driver action has an out-of-range
+    /// The system spec, a plan or an injected fault has an out-of-range
     /// index or parameter.
     BadSpec(String),
     /// A plan, a driver call or an accessor named an unknown entity (host,

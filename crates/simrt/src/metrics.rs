@@ -31,8 +31,8 @@ pub struct SimCounters {
     pub spans: u64,
     /// Messages dropped by full queues.
     pub queue_drops: u64,
-    /// Faults injected (scheduled, chaos-drawn, or driver-injected),
-    /// CPU hogs and cache flushes included.
+    /// Faults injected (scheduled, chaos-drawn, or injected at `now`
+    /// through `Sim::inject_fault`), CPU hogs and cache flushes included.
     pub faults_injected: u64,
     /// Process crashes executed (host-down counts one per resident process).
     pub process_crashes: u64,
@@ -186,11 +186,6 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Stats entry for a backend, creating it if missing.
-    pub fn backend_mut(&mut self, name: &str) -> &mut BackendStats {
-        self.backends.entry(name.to_string()).or_default()
-    }
-
     /// Stats for a backend, if recorded.
     pub fn backend(&self, name: &str) -> Option<&BackendStats> {
         self.backends.get(name)
@@ -211,9 +206,9 @@ mod tests {
     }
 
     #[test]
-    fn backend_entry_created_on_demand() {
+    fn backend_looks_up_by_name() {
         let mut m = Metrics::default();
-        m.backend_mut("c").hits += 1;
+        m.backends.entry("c".to_string()).or_default().hits += 1;
         assert_eq!(m.backend("c").unwrap().hits, 1);
         assert!(m.backend("zzz").is_none());
     }

@@ -962,8 +962,7 @@ struct ChaosRt {
 // ---------------------------------------------------------------------------
 
 /// A reconfiguration change with its service group resolved to dense
-/// indices (at boot for scheduled plans, at call time for
-/// [`Sim::apply_change`]).
+/// indices at boot.
 #[derive(Debug, Clone)]
 enum RChange {
     Rolling {
@@ -1650,7 +1649,7 @@ impl Sim {
         // points (the paper's separate workload-generator machine). They go
         // after the user's entities, which stay a prefix of every table;
         // name lookups (`Sim::names`) see only that prefix, so no plan,
-        // driver action or accessor can reach the hidden ones.
+        // injected fault or accessor can reach the hidden ones.
         let wl_host = spec.hosts.len();
         spec.hosts.push(crate::spec::HostSpec {
             name: "__workload_host".into(),
@@ -1986,8 +1985,8 @@ impl Sim {
     // -- Name resolution -----------------------------------------------------
     //
     // The one path from names to dense indices. Boot plans, the chaos menu,
-    // `inject_fault`, `apply_change` and the by-name accessors all resolve
-    // here, so they accept and reject the same names and parameters.
+    // `inject_fault` and the by-name accessors all resolve here, so they
+    // accept and reject the same names and parameters.
 
     /// The user's entity names of one kind, in index order. `Sim::new`
     /// appends one workload host, one workload process and one shim
@@ -2196,7 +2195,7 @@ impl Sim {
     }
 
     /// Resolves a named change to dense indices: the one check every
-    /// change passes, from a boot plan or [`Sim::apply_change`]. Rejects
+    /// change in a boot plan passes. Rejects
     /// unknown service groups, out-of-range parameters, and a rolling
     /// restart whose steps would strand a replicated store.
     fn resolve_change(&self, c: &Change) -> Result<RChange> {
@@ -2460,9 +2459,10 @@ impl Sim {
         std::mem::take(&mut self.completions)
     }
 
-    /// Injects a fault right now (the driver's `Action::Fault` path).
-    /// Scheduled plans go through [`SimConfig`] instead; both routes share
-    /// the same resolver and the same execution.
+    /// Injects a fault at the current virtual time, for closed-loop
+    /// experiments that decide mid-run what to break. A timed fault belongs
+    /// in [`SimConfig::faults`] instead; both share the same resolver and
+    /// the same execution.
     pub fn inject_fault(&mut self, fault: &Fault) -> Result<()> {
         let rf = self.resolve_fault(fault)?;
         self.apply_fault(rf);
@@ -2532,7 +2532,7 @@ impl Sim {
     }
 }
 
-/// The kinds of entity a plan, a driver action or an accessor names.
+/// The kinds of entity a plan, an injected fault or an accessor names.
 #[derive(Debug, Clone, Copy)]
 enum NameKind {
     Host,

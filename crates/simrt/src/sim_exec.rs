@@ -2279,22 +2279,10 @@ impl Sim {
 
     // ------------------------------------------------------------------
     // Control plane: runtime reconfiguration. Like fault injection, these
-    // handlers run as control events or driver calls, so rotation state
-    // (`svc_active`, `svc_draining`, `canary_route`) only changes at a
-    // control event's place in the `(time, seq)` order.
+    // handlers run as control events, so rotation state (`svc_active`,
+    // `svc_draining`, `canary_route`) only changes at a control event's
+    // place in the `(time, seq)` order.
     // ------------------------------------------------------------------
-
-    /// Applies one runtime change immediately, as a driver action
-    /// (`workload::Action::Reconfig`). The change goes through the same
-    /// resolver as a boot plan's — unknown services get nearest-match
-    /// suggestions, bad parameters and stranding restarts are rejected —
-    /// then starts at the current virtual time.
-    pub fn apply_change(&mut self, change: &Change) -> Result<()> {
-        let rc = self.resolve_change(change)?;
-        self.reconfig.changes.push(rc);
-        self.start_change(self.reconfig.changes.len() - 1);
-        Ok(())
-    }
 
     /// Starts a resolved change at the current time.
     fn start_change(&mut self, idx: usize) {

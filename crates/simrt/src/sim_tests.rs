@@ -776,7 +776,7 @@ fn extended_cache_multi_op_is_single_round_trip() {
 #[test]
 fn hog_slows_processing() {
     let spec = single_service(Behavior::build().compute(ms(1), 0).done());
-    // The same hog, injected by the driver or scheduled in a boot plan.
+    // The same hog, injected at the current time or scheduled in a boot plan.
     let mut driven = Sim::new(&spec, SimConfig::default()).unwrap();
     driven.inject_fault(&hog(3.5, secs(1))).unwrap();
     let plan = FaultPlan::none().at(0, hog(3.5, secs(1)));
@@ -2128,18 +2128,20 @@ fn rolling_drain_lets_in_flight_complete_and_classifies_rejections() {
         Behavior::build().compute(ms(10), 0).done(),
         ClientSpec::local(),
     );
-    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
-    sim.submit("front", "M", 1).unwrap();
-    sim.run_until(ms(1));
     // Drain starts at ms(1) with a ms(20) budget: the ms(10) in-flight
     // request fits inside the window.
-    sim.apply_change(&Change::RollingRestart {
-        service: "back".into(),
-        drain_ns: ms(20),
-        restart_ns: ms(2),
-        drainless: false,
-    })
-    .unwrap();
+    let plan = ReconfigPlan::none().at(
+        ms(1),
+        Change::RollingRestart {
+            service: "back".into(),
+            drain_ns: ms(20),
+            restart_ns: ms(2),
+            drainless: false,
+        },
+    );
+    let mut sim = boot_with(&spec, FaultPlan::none(), plan).unwrap();
+    sim.submit("front", "M", 1).unwrap();
+    sim.run_until(ms(1));
     // An arrival during the drain is rejected with the stable class.
     sim.submit("front", "M", 2).unwrap();
     sim.run_until(ms(5));
@@ -2171,16 +2173,17 @@ fn drain_deadline_fails_stragglers_with_drain_class() {
         Behavior::build().compute(ms(50), 0).done(),
         ClientSpec::local(),
     );
-    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
+    let plan = ReconfigPlan::none().at(
+        ms(1),
+        Change::RollingRestart {
+            service: "back".into(),
+            drain_ns: ms(5),
+            restart_ns: ms(1),
+            drainless: false,
+        },
+    );
+    let mut sim = boot_with(&spec, FaultPlan::none(), plan).unwrap();
     sim.submit("front", "M", 1).unwrap();
-    sim.run_until(ms(1));
-    sim.apply_change(&Change::RollingRestart {
-        service: "back".into(),
-        drain_ns: ms(5),
-        restart_ns: ms(1),
-        drainless: false,
-    })
-    .unwrap();
     sim.run_until(ms(10));
     let c = sim.drain_completions().pop().expect("straggler terminated");
     assert!(!c.ok);
@@ -2510,32 +2513,6 @@ fn canary_with_equivalent_wiring_promotes() {
         "canary actually took traffic"
     );
     assert!(sim.drain_completions().iter().all(|c| c.ok));
-}
-
-/// Unknown targets and sub-1 scaling are rejected by the live path too,
-/// with nearest-match suggestions (same contract as plan validation).
-#[test]
-fn apply_change_rejects_bad_targets_with_suggestions() {
-    let spec = replicated_app(LbPolicy::RoundRobin, ClientSpec::local(), us(10));
-    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
-    let err = sim
-        .apply_change(&Change::RollingRestart {
-            service: "bak".into(),
-            drain_ns: ms(1),
-            restart_ns: ms(1),
-            drainless: false,
-        })
-        .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("did you mean `back`?"), "got: {msg}");
-    let err = sim
-        .apply_change(&Change::Scale {
-            service: "back".into(),
-            replicas: 0,
-            drain_ns: 0,
-        })
-        .unwrap_err();
-    assert!(err.to_string().contains("below 1 replica"), "got: {err}");
 }
 
 /// An armed-but-idle plan (its only change fires after the horizon) must
@@ -2886,7 +2863,7 @@ fn quorum_without_reachable_members_rejects() {
 }
 
 // ---------------------------------------------------------------------------
-// Disturbance resolution: boot plans and driver actions share one resolver.
+// Disturbance resolution: boot plans and `inject_fault` share one resolver.
 // ---------------------------------------------------------------------------
 
 use crate::spec::AutoscalerSpec;
@@ -2903,29 +2880,34 @@ fn boot_with(spec: &SystemSpec, faults: FaultPlan, reconfig: ReconfigPlan) -> Re
     )
 }
 
-/// One disturbance, as a boot plan or a driver action carries it.
+/// One disturbance, as a boot plan carries it.
 #[derive(Debug, Clone)]
 enum Disturbance {
     Fault(Fault),
     Change(Change),
 }
 
-/// Runs `d` through both paths — scheduled in a boot plan, and injected
-/// into a booted sim — asserts they agree on accept/reject and on the
-/// error itself, and returns that shared outcome.
+/// Boots `d` in a plan and returns the outcome. A fault also has a second
+/// path, injected into a booted sim: the two must agree on accept/reject
+/// and on the error itself.
 fn both_paths(spec: &SystemSpec, d: &Disturbance) -> Result<()> {
-    let (faults, reconfig) = match d {
-        Disturbance::Fault(f) => (FaultPlan::none().at(ms(1), f.clone()), ReconfigPlan::none()),
-        Disturbance::Change(c) => (FaultPlan::none(), ReconfigPlan::none().at(ms(1), c.clone())),
-    };
-    let boot = boot_with(spec, faults, reconfig).map(drop);
-    let mut sim = Sim::new(spec, SimConfig::default()).unwrap();
-    let driver = match d {
-        Disturbance::Fault(f) => sim.inject_fault(f),
-        Disturbance::Change(c) => sim.apply_change(c),
-    };
-    assert_eq!(boot, driver, "plan and driver paths disagree on {d:?}");
-    boot
+    match d {
+        Disturbance::Fault(f) => {
+            let plan = FaultPlan::none().at(ms(1), f.clone());
+            let boot = boot_with(spec, plan, ReconfigPlan::none()).map(drop);
+            let mut sim = Sim::new(spec, SimConfig::default()).unwrap();
+            assert_eq!(
+                boot,
+                sim.inject_fault(f),
+                "plan and injection disagree on {d:?}"
+            );
+            boot
+        }
+        Disturbance::Change(c) => {
+            let plan = ReconfigPlan::none().at(ms(1), c.clone());
+            boot_with(spec, FaultPlan::none(), plan).map(drop)
+        }
+    }
 }
 
 fn fault(f: Fault) -> Disturbance {
@@ -3236,11 +3218,18 @@ fn scale(service: &str, replicas: usize) -> Disturbance {
 #[test]
 fn reconfig_unknown_service_gets_suggestion() {
     let spec = api_group_spec();
-    let err = both_paths(&spec, &scale("apj", 2)).unwrap_err();
-    assert_eq!(
-        err,
-        SimError::Unknown("service apj; did you mean `api`?".into())
-    );
+    let rolling = Disturbance::Change(Change::RollingRestart {
+        service: "apj".into(),
+        drain_ns: ms(1),
+        restart_ns: ms(1),
+        drainless: false,
+    });
+    for d in [scale("apj", 2), rolling] {
+        assert_eq!(
+            both_paths(&spec, &d).unwrap_err(),
+            SimError::Unknown("service apj; did you mean `api`?".into())
+        );
+    }
     let scaler = AutoscalerSpec {
         service: "api_rr1".into(),
         min_replicas: 1,

@@ -553,9 +553,9 @@ pub struct EntrySpec {
 }
 
 /// A single injectable disturbance, named against the spec. A boot plan's
-/// faults resolve to dense indices in [`crate::sim::Sim::new`], a driver's
-/// in [`crate::sim::Sim::inject_fault`]; both go through the same resolver,
-/// so both accept and reject the same faults.
+/// faults resolve to dense indices in [`crate::sim::Sim::new`], a fault
+/// injected at the current time in [`crate::sim::Sim::inject_fault`]; both
+/// go through the same resolver, so both accept and reject the same faults.
 ///
 /// Every fault is transient: crashes restart, partitions heal, brownouts
 /// and CPU hogs end, and a cache flush is instant. Work that a crash,
@@ -703,9 +703,9 @@ impl FaultPlan {
     }
 }
 
-/// One live runtime change, named against the spec and resolved to dense
-/// indices by the same resolver as [`Fault`] (at boot for a plan, at call
-/// time for [`crate::sim::Sim::apply_change`]). Changes address a *service
+/// One live runtime change, named against the spec and scheduled in a
+/// [`ReconfigPlan`]; [`crate::sim::Sim::new`] resolves it to dense indices
+/// with the same kind of resolver as a [`Fault`]. Changes address a *service
 /// group*: the base instance name plus the `_rN` clones the `Replicate`
 /// transform stamps out (so `"api"` covers `api`, `api_r1`, `api_r2`, …).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -873,7 +873,7 @@ pub struct SystemSpec {
 impl SystemSpec {
     /// Validates all cross-references.
     pub fn validate(&self) -> Result<()> {
-        // Names address faults, driver actions, and metrics; duplicates
+        // Names address faults, changes, and metrics; duplicates
         // would make those ambiguous.
         if let Some(dup) = first_duplicate(self.hosts.iter().map(|h| h.name.as_str())) {
             return Err(SimError::BadSpec(format!("duplicate host name {dup}")));

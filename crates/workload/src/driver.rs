@@ -1,6 +1,9 @@
-//! Experiment driver: runs a workload against a simulation with scheduled
-//! actions (the configure–build–deploy → run → measure loop of the paper's
-//! evaluation).
+//! Experiment driver: runs a workload against a simulation (the
+//! configure–build–deploy → run → measure loop of the paper's evaluation).
+//!
+//! Every timed disturbance is data in the run's [`blueprint_simrt::SimConfig`]
+//! (its `faults` and `reconfig` plans); the driver only submits arrivals and
+//! calls read-only observers.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -11,34 +14,19 @@ use blueprint_simrt::{Completion, EntryHandle, Sim, SimError};
 use crate::generator::OpenLoopGen;
 use crate::recorder::Recorder;
 
-/// A scheduled experiment action (the anomaly-injector substitute).
-pub enum Action {
-    /// Inject a fault (crash, host down, partition, brownout, CPU hog,
-    /// cache flush) immediately.
-    Fault(blueprint_simrt::Fault),
-    /// Apply a runtime change (rolling restart, scale, canary) immediately.
-    Reconfig(blueprint_simrt::Change),
-    /// Arbitrary driver action. `Send` so a whole [`ExperimentSpec`] can be
-    /// built on (or moved to) a parallel-engine worker thread; the closure
-    /// still runs single-threaded against the worker-local `Sim`.
-    Custom(Box<dyn FnMut(&mut Sim) + Send>),
-}
+/// A read-only observer, called once at its scheduled virtual time (after
+/// every event at or before that time, before an arrival at the same time).
+/// It sees the simulator through `&Sim`, so it can sample state but never
+/// disturb the run. `Send` so a whole [`ExperimentSpec`] can be built on
+/// (or moved to) a parallel-engine worker thread.
+pub type Action = Box<dyn FnMut(&Sim) + Send>;
 
-impl std::fmt::Debug for Action {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Action::Fault(fault) => f.debug_tuple("Fault").field(fault).finish(),
-            Action::Reconfig(change) => f.debug_tuple("Reconfig").field(change).finish(),
-            Action::Custom(_) => f.write_str("Custom(..)"),
-        }
-    }
-}
-
-/// A full experiment: workload + scheduled actions + measurement config.
+/// A full experiment: workload + scheduled observers + measurement config.
 pub struct ExperimentSpec {
     /// The arrival process.
     pub generator: OpenLoopGen,
-    /// `(virtual time, action)` pairs; executed in time order.
+    /// `(virtual time, observer)` pairs; called in time order, same-time
+    /// observers in list order.
     pub actions: Vec<(SimTime, Action)>,
     /// Recorder interval width.
     pub interval_ns: SimTime,
@@ -57,9 +45,9 @@ impl ExperimentSpec {
         }
     }
 
-    /// Schedules an action.
-    pub fn at(mut self, t_ns: SimTime, action: Action) -> Self {
-        self.actions.push((t_ns, action));
+    /// Schedules an observer at virtual time `t_ns`.
+    pub fn at(mut self, t_ns: SimTime, observer: impl FnMut(&Sim) + Send + 'static) -> Self {
+        self.actions.push((t_ns, Box::new(observer)));
         self
     }
 
@@ -78,7 +66,7 @@ impl ExperimentSpec {
 
 /// Runs an experiment to completion, returning the recorder.
 ///
-/// Arrivals and scheduled actions are merged in time order; after the last
+/// Arrivals and scheduled observers are merged in time order; after the last
 /// arrival the simulation drains for `drain_ns` so in-flight requests finish
 /// (or time out) and are recorded. Each completion is folded into the
 /// recorder as it is drained and then dropped, so memory stays flat however
@@ -124,15 +112,10 @@ fn drive(
     let mut handles: BTreeMap<(String, String), EntryHandle> = BTreeMap::new();
 
     for arrival in spec.generator {
-        // Execute actions due before this arrival.
-        while actions
-            .peek()
-            .map(|(t, _)| *t <= arrival.at_ns)
-            .unwrap_or(false)
-        {
-            let (t, action) = actions.next().expect("peeked");
+        // Call the observers due at or before this arrival.
+        while let Some((t, mut observe)) = actions.next_if(|(t, _)| *t <= arrival.at_ns) {
             sim.run_until(t);
-            apply(sim, action)?;
+            observe(sim);
         }
         sim.run_until(arrival.at_ns);
         // The arrival's own strings become the key, so a lookup allocates
@@ -148,10 +131,10 @@ fn drive(
         sim.submit_handle(handle, arrival.entity)?;
         drain(sim, &mut recorder, sink.as_deref_mut());
     }
-    // Remaining actions, then drain.
-    for (t, action) in actions {
+    // Remaining observers, then drain.
+    for (t, mut observe) in actions {
         sim.run_until(t);
-        apply(sim, action)?;
+        observe(sim);
     }
     sim.run_until(end + spec.drain_ns);
     drain(sim, &mut recorder, sink);
@@ -164,17 +147,6 @@ fn drain(sim: &mut Sim, recorder: &mut Recorder, mut sink: Option<&mut Vec<Compl
         recorder.record(&c);
         if let Some(sink) = sink.as_deref_mut() {
             sink.push(c);
-        }
-    }
-}
-
-fn apply(sim: &mut Sim, action: Action) -> Result<(), SimError> {
-    match action {
-        Action::Fault(fault) => sim.inject_fault(&fault),
-        Action::Reconfig(change) => sim.apply_change(&change),
-        Action::Custom(mut f) => {
-            f(sim);
-            Ok(())
         }
     }
 }
@@ -193,8 +165,11 @@ mod tests {
         assert_send::<ExperimentSpec>();
         assert_send::<OpenLoopGen>();
     };
+    use std::sync::{Arc, Mutex};
+
     use blueprint_simrt::{
-        ClientSpec, EntrySpec, Fault, HostSpec, ProcessSpec, ServiceSpec, SimConfig, SystemSpec,
+        ClientSpec, EntrySpec, Fault, FaultPlan, HostSpec, ProcessSpec, ServiceSpec, SimConfig,
+        SystemSpec,
     };
     use blueprint_workflow::Behavior;
 
@@ -290,8 +265,19 @@ mod tests {
     }
 
     #[test]
-    fn actions_execute_in_time_order() {
-        let mut sim = Sim::new(&spec(), SimConfig::default()).unwrap();
+    fn boot_plan_fault_shows_in_the_series() {
+        let cfg = SimConfig {
+            faults: FaultPlan::none().at(
+                1_000_000_000,
+                Fault::CpuHog {
+                    host: "h0".into(),
+                    cores: 1.9,
+                    duration_ns: 1_000_000_000,
+                },
+            ),
+            ..Default::default()
+        };
+        let mut sim = Sim::new(&spec(), cfg).unwrap();
         let gen = OpenLoopGen::new(
             vec![Phase::new(3, 200.0)],
             ApiMix::single("front", "M"),
@@ -299,15 +285,7 @@ mod tests {
             2,
         )
         .deterministic();
-        let exp = ExperimentSpec::new(gen).at(
-            1_000_000_000,
-            Action::Fault(Fault::CpuHog {
-                host: "h0".into(),
-                cores: 1.9,
-                duration_ns: 1_000_000_000,
-            }),
-        );
-        let rec = run_experiment(&mut sim, exp).unwrap();
+        let rec = run_experiment(&mut sim, ExperimentSpec::new(gen)).unwrap();
         let series = rec.series();
         // Second 0: fast; second 1: hog slows things by ~20x.
         assert!(series[1].mean_ns > series[0].mean_ns * 5.0);
@@ -315,26 +293,64 @@ mod tests {
         assert!(series[2].mean_ns < series[1].mean_ns);
     }
 
+    /// Observers run in time order at their own virtual time, before an
+    /// arrival at the same time, and leave the run exactly as it would
+    /// have been without them.
     #[test]
-    fn custom_actions_run() {
-        let mut sim = Sim::new(&spec(), SimConfig::default()).unwrap();
-        let gen = OpenLoopGen::new(
-            vec![Phase::new(1, 50.0)],
-            ApiMix::single("front", "M"),
-            10,
-            3,
-        );
-        let exp = ExperimentSpec::new(gen).at(
-            500_000_000,
-            Action::Custom(Box::new(|sim: &mut Sim| {
-                sim.inject_fault(&Fault::CpuHog {
-                    host: "h0".into(),
-                    cores: 0.5,
-                    duration_ns: 1000,
-                })
-                .unwrap();
-            })),
-        );
-        run_experiment(&mut sim, exp).unwrap();
+    fn observers_see_their_time_and_leave_the_run_untouched() {
+        // Deterministic 100 rps: arrivals at 0, 10 ms, 20 ms, ...
+        let gen = || {
+            OpenLoopGen::new(
+                vec![Phase::new(1, 100.0)],
+                ApiMix::single("front", "M"),
+                10,
+                3,
+            )
+            .deterministic()
+        };
+        // (scheduled t, now, submitted, completed, pending events)
+        type Seen = Vec<(SimTime, SimTime, u64, u64, usize)>;
+        let seen: Arc<Mutex<Seen>> = Arc::default();
+        let observer = |t: SimTime| {
+            let seen = seen.clone();
+            move |sim: &Sim| {
+                let c = &sim.metrics.counters;
+                seen.lock().unwrap().push((
+                    t,
+                    sim.now(),
+                    c.submitted,
+                    c.completed_ok + c.completed_err,
+                    sim.pending_events(),
+                ))
+            }
+        };
+        let ms = 1_000_000;
+        let mut exp = ExperimentSpec::new(gen());
+        // Out of order, two at an arrival's time, one between arrivals.
+        for t in [500 * ms, 255 * ms, 250 * ms, 250 * ms] {
+            exp = exp.at(t, observer(t));
+        }
+        let mut observed = Sim::new(&spec(), SimConfig::default()).unwrap();
+        let observed_series = run_experiment(&mut observed, exp).unwrap().series();
+
+        let seen = seen.lock().unwrap().clone();
+        let times: Vec<SimTime> = seen.iter().map(|s| s.0).collect();
+        assert_eq!(times, [250 * ms, 250 * ms, 255 * ms, 500 * ms]);
+        assert!(seen.iter().all(|s| s.1 == s.0), "{seen:?}");
+        // The arrivals at 0..=240 ms are in (and done, 100 us each); the
+        // one at 250 ms comes after the observers at 250 ms.
+        assert_eq!((seen[0].2, seen[0].3), (25, 25));
+        assert_eq!((seen[2].2, seen[2].3), (26, 26));
+        assert_eq!((seen[3].2, seen[3].3), (50, 50));
+        // The second observer at 250 ms sees what the first saw: the first
+        // added no event and no completion.
+        assert_eq!(seen[0], seen[1]);
+
+        let mut plain = Sim::new(&spec(), SimConfig::default()).unwrap();
+        let plain_series = run_experiment(&mut plain, ExperimentSpec::new(gen()))
+            .unwrap()
+            .series();
+        assert_eq!(observed_series, plain_series);
+        assert_eq!(observed.metrics, plain.metrics);
     }
 }

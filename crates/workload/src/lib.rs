@@ -11,9 +11,10 @@
 //! * [`quantile`] — exact nearest-rank quantiles;
 //! * [`recorder`] — per-interval latency/error/goodput time series (the data
 //!   behind every latency-over-time figure);
-//! * [`driver`] — runs a workload against a [`blueprint_simrt::Sim`],
-//!   executing scheduled actions (CPU contention, cache flushes — the FIRM
-//!   anomaly injector substitute) at the right virtual times;
+//! * [`driver`] — runs a workload against a [`blueprint_simrt::Sim`]:
+//!   submits the arrivals, calls read-only observers at their virtual
+//!   times, and records the series (timed disturbances are plans in the
+//!   sim's `SimConfig`, the FIRM anomaly injector substitute);
 //! * [`parallel`] — the deterministic parallel experiment engine: runs
 //!   independent seeded simulations across worker threads with index-ordered
 //!   collection, so parallel output is byte-identical to the sequential loop
@@ -25,7 +26,7 @@
 //!   disturbance matrices with invariant checks (request conservation,
 //!   bounded unavailability, retry amplification, and an optional
 //!   consistency audit): one [`Scenario`] type carries faults and
-//!   reconfiguration plans, built on [`driver`] actions and [`parallel`];
+//!   reconfiguration plans, built on [`driver`] and [`parallel`];
 //!   the metastability figures (Figs. 6, 7, 10) run through it;
 //! * [`oracle`] — the deterministic consistency-anomaly checker: classifies
 //!   stale reads, lost writes, read-your-writes violations, and

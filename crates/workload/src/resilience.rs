@@ -1,12 +1,12 @@
 //! Resilience verification: variants × disturbance matrices with invariant
 //! checks (the robustness half of the fault-injection engine).
 //!
-//! A [`Scenario`] is one disturbance: scheduled [`Fault`]s (crashes,
-//! partitions, brownouts, CPU contention, cache flushes), a
-//! [`ReconfigPlan`] (rolling restarts,
+//! A [`Scenario`] is one disturbance schedule, in the two plans a
+//! [`SimConfig`] carries: a [`FaultPlan`] (crashes, partitions, brownouts,
+//! CPU contention, cache flushes), a [`ReconfigPlan`] (rolling restarts,
 //! scaling, canaries, an autoscaler), and the window in which they act.
-//! [`run_cell`] drives one system variant through one scenario and verifies
-//! three invariants on the recorded series:
+//! [`run_cell`] boots one system variant with the scenario's plans, drives
+//! the workload, and verifies three invariants on the recorded series:
 //!
 //! * **request conservation** — every submitted request terminates exactly
 //!   once (the simulator fails affected work *fast* with a classified
@@ -24,28 +24,27 @@
 //! run, so the matrix is byte-identical at any `BLUEPRINT_THREADS`.
 
 use blueprint_simrt::time::SimTime;
-use blueprint_simrt::{Fault, ReconfigPlan, Sim, SimConfig, SimError, SystemSpec};
+use blueprint_simrt::{FaultPlan, ReconfigPlan, Sim, SimConfig, SimError, SystemSpec};
 
-use crate::driver::{run_experiment, run_experiment_collecting, Action, ExperimentSpec};
+use crate::driver::{run_experiment, run_experiment_collecting, ExperimentSpec};
 use crate::generator::{ApiMix, OpenLoopGen, Phase};
 use crate::oracle::{classify_with_audit, converged_versions, AnomalyCounts, OracleSpec};
 use crate::parallel::{par_run, Threads};
 use crate::recorder::{ConservationReport, IntervalStats};
 
 /// A named disturbance scenario. Build one from [`Scenario::baseline`] with
-/// struct-update syntax, setting whichever of `actions`, `plan` and
+/// struct-update syntax, setting whichever of `faults`, `reconfig` and
 /// `window` the scenario needs.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// Scenario label (appears in matrix rows).
     pub name: String,
-    /// Faults injected through the experiment driver at the given virtual
-    /// times; same-time faults run in list order.
-    pub actions: Vec<(SimTime, Fault)>,
-    /// Runtime-change plan riding in [`SimConfig`], so rolling steps,
-    /// autoscaler ticks and canary evaluations run in the simulator's
-    /// ctrl-event slot.
-    pub plan: ReconfigPlan,
+    /// Faults, copied into [`SimConfig::faults`]: each fires as a control
+    /// event at its virtual time, same-time faults in list order.
+    pub faults: FaultPlan,
+    /// Runtime changes, copied into [`SimConfig::reconfig`]: rolling steps,
+    /// autoscaler ticks and canary evaluations run as control events too.
+    pub reconfig: ReconfigPlan,
     /// `(start, end)`: when the disturbance starts acting and when its
     /// effect ends (restart completed, partition healed, deploy settled).
     /// Unavailability outside `[start, end + rto]` fails the `bounded`
@@ -59,8 +58,8 @@ impl Scenario {
     pub fn baseline() -> Self {
         Scenario {
             name: "none".to_string(),
-            actions: Vec::new(),
-            plan: ReconfigPlan::none(),
+            faults: FaultPlan::none(),
+            reconfig: ReconfigPlan::none(),
             window: (0, 0),
         }
     }
@@ -302,8 +301,7 @@ pub struct CellReport {
 
 /// Runs one variant through one scenario and verifies the invariants.
 ///
-/// The scenario's faults run through the experiment driver's action
-/// schedule and its plan rides in [`SimConfig`], so the run is an ordinary
+/// The scenario's plans ride in [`SimConfig`], so the run is an ordinary
 /// deterministic experiment: same seed + same scenario ⇒ identical report.
 /// With `cfg.probe` set, the traffic is followed by a settle period (whose
 /// stragglers still count toward conservation), one audit read per entity,
@@ -320,7 +318,8 @@ pub fn run_cell(
         system,
         SimConfig {
             seed: cfg.seed,
-            reconfig: scenario.plan.clone(),
+            faults: scenario.faults.clone(),
+            reconfig: scenario.reconfig.clone(),
             ..Default::default()
         },
     )?;
@@ -339,12 +338,9 @@ pub fn run_cell(
     // The generator is a pure function of its seed, so an identical clone
     // yields the exact submission count the driver will make.
     let submitted = gen.clone().count() as u64;
-    let mut exp = ExperimentSpec::new(gen)
+    let exp = ExperimentSpec::new(gen)
         .interval(cfg.interval_ns)
         .drain(cfg.drain_ns);
-    for (t, fault) in &scenario.actions {
-        exp = exp.at(*t, Action::Fault(fault.clone()));
-    }
     // Only the consistency audit reads the raw completion stream; without a
     // probe each completion is recorded and dropped as it is drained.
     let (rec, consistency) = match &cfg.probe {
@@ -454,7 +450,8 @@ mod tests {
     use super::*;
     use blueprint_simrt::time::{ms, secs};
     use blueprint_simrt::{
-        Change, ClientSpec, DepBinding, EntrySpec, HostSpec, LbPolicy, ProcessSpec, ServiceSpec,
+        Change, ClientSpec, DepBinding, EntrySpec, Fault, HostSpec, LbPolicy, ProcessSpec,
+        ServiceSpec,
     };
     use blueprint_workflow::Behavior;
 
@@ -517,13 +514,13 @@ mod tests {
     fn crash_scenario() -> Scenario {
         Scenario {
             name: "backend crash".into(),
-            actions: vec![(
+            faults: FaultPlan::none().at(
                 secs(4),
                 Fault::ProcessCrash {
                     process: "p_back".into(),
                     restart_delay_ns: secs(2),
                 },
-            )],
+            ),
             window: (secs(4), secs(6)),
             ..Scenario::baseline()
         }
@@ -688,14 +685,14 @@ mod tests {
         let spec = two_tier(ClientSpec::local());
         let scenario = Scenario {
             name: "cpu hog".into(),
-            actions: vec![(
+            faults: FaultPlan::none().at(
                 secs(4),
                 Fault::CpuHog {
                     host: "h1".into(),
                     cores: 3.9,
                     duration_ns: secs(2),
                 },
-            )],
+            ),
             window: (secs(4), secs(6)),
             ..Scenario::baseline()
         };
@@ -717,14 +714,14 @@ mod tests {
     fn light_load_recovers_from_cpu_hog() {
         let scenario = Scenario {
             name: "cpu hog".into(),
-            actions: vec![(
+            faults: FaultPlan::none().at(
                 secs(5),
                 Fault::CpuHog {
                     host: "h1".into(),
                     cores: 3.9,
                     duration_ns: secs(2),
                 },
-            )],
+            ),
             window: (secs(5), secs(7)),
             ..Scenario::baseline()
         };
@@ -812,7 +809,7 @@ mod tests {
     fn rolling(name: &str, drainless: bool) -> Scenario {
         Scenario {
             name: name.into(),
-            plan: ReconfigPlan::none().at(
+            reconfig: ReconfigPlan::none().at(
                 secs(2),
                 Change::RollingRestart {
                     service: "back".into(),
@@ -955,13 +952,13 @@ mod tests {
     fn late_crash() -> Scenario {
         Scenario {
             name: "primary crash".into(),
-            actions: vec![(
+            faults: FaultPlan::none().at(
                 secs(7) + ms(800),
                 Fault::ProcessCrash {
                     process: "p_db".into(),
                     restart_delay_ns: secs(3),
                 },
-            )],
+            ),
             ..Scenario::baseline()
         }
     }
@@ -1113,24 +1110,23 @@ mod tests {
     fn one_scenario_combines_fault_trigger_plan_and_probe() {
         let scenario = Scenario {
             name: "hog+crash+rolling".into(),
-            actions: vec![
-                (
+            faults: FaultPlan::none()
+                .at(
                     secs(2),
                     Fault::CpuHog {
                         host: "h1".into(),
                         cores: 3.9,
                         duration_ns: secs(1),
                     },
-                ),
-                (
+                )
+                .at(
                     secs(4),
                     Fault::ProcessCrash {
                         process: "p_db".into(),
                         restart_delay_ns: secs(3),
                     },
                 ),
-            ],
-            plan: ReconfigPlan::none().at(
+            reconfig: ReconfigPlan::none().at(
                 secs(5),
                 Change::RollingRestart {
                     service: "svc".into(),

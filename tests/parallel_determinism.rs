@@ -76,14 +76,14 @@ fn trigger_grid_parallel_equals_sequential_across_seeds() {
             let (rps, dur) = jobs[i];
             let hog = Scenario {
                 name: format!("cpu hog {dur}s"),
-                actions: vec![(
+                faults: FaultPlan::none().at(
                     secs(4),
                     Fault::CpuHog {
                         host: host.clone(),
                         cores: 1.7,
                         duration_ns: secs(dur),
                     },
-                )],
+                ),
                 window: (secs(4), secs(4 + dur)),
                 ..Scenario::baseline()
             };
