@@ -39,7 +39,7 @@ echo "==> bench smoke (event_queue: heap vs timing wheel)"
 # queue implementations still run under the hold-model workload.
 cargo bench -p blueprint-bench --bench event_queue -- --test
 
-echo "==> bench smoke (gen_time: Tab. 5 compiles up to the paper's 2,882 instances)"
+echo "==> bench smoke (gen_time: Tab. 5 compiles up to four times the paper's 2,882 instances)"
 cargo bench -p blueprint-bench --bench gen_time -- --test
 
 echo "==> parallel-engine determinism (BLUEPRINT_THREADS=1 vs =4)"

@@ -589,8 +589,7 @@ fn replicate_user_timeline(w: &mut WiringSpec, lag: (i64, i64), cached: bool) {
         mutate::set_kwarg(w, "ut_db", key, Arg::Int(v)).expect("ut_db");
     }
     let splice = |w: &mut WiringSpec, name: &str, with: Vec<InstanceDecl>| {
-        let at = w.decls.iter().position(|d| d.name == name).expect(name);
-        w.decls.splice(at..=at, with);
+        w.replace(name, with).expect(name);
     };
     let cache = w.decl("ut_cache").expect("ut_cache").clone();
     let caches = ["ut_cache_a", "ut_cache_b"].map(|name| InstanceDecl {

@@ -1,7 +1,8 @@
 //! Criterion benchmark of Blueprint's generation time (the Tab. 5 metric):
 //! full compiles (specs → IR → artifacts + simulation spec) of each ported
 //! application and of the synthetic Alibaba topology at several scales, up
-//! to the paper's own 2,882 instances.
+//! to four times the paper's own 2,882 instances (the last two scales check
+//! that the compile stays linear past paper scale).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -40,7 +41,14 @@ fn bench_apps(c: &mut Criterion) {
 fn bench_alibaba_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("gen_time_alibaba");
     group.sample_size(10);
-    for scale in [100usize, 400, 1_000, alibaba::PAPER_SCALE] {
+    for scale in [
+        100usize,
+        400,
+        1_000,
+        alibaba::PAPER_SCALE,
+        2 * alibaba::PAPER_SCALE,
+        4 * alibaba::PAPER_SCALE,
+    ] {
         let (wf, w) = alibaba::topology(scale, 42);
         group.bench_with_input(BenchmarkId::from_parameter(scale), &scale, |b, _| {
             b.iter(|| Blueprint::new().compile(&wf, &w).expect("compiles"))

@@ -15,7 +15,7 @@ use crate::{CompileError, Result};
 /// to, which is why Fig. 4 shows a ZipkinModifier node per service instance.
 pub fn build_ir(registry: &Registry, ctx: &BuildCtx<'_>) -> Result<IrGraph> {
     let mut ir = IrGraph::new(&ctx.wiring.app_name);
-    for decl in &ctx.wiring.decls {
+    for decl in ctx.wiring.decls() {
         let Some(plugin) = registry.for_callee(&decl.callee, ctx) else {
             return Err(CompileError::UnknownCallee {
                 instance: decl.name.clone(),

@@ -224,20 +224,40 @@ impl IrGraph {
         out
     }
 
+    /// The live ancestors of `id`, nearest first. Like [`Self::ancestors`]
+    /// the walk stops at the first dead ancestor, which it leaves out.
+    fn live_ancestors(&self, id: NodeId) -> impl Iterator<Item = (NodeId, &Node)> + '_ {
+        let mut cursor = self.node(id).ok().and_then(|n| n.parent);
+        std::iter::from_fn(move || {
+            let cur = cursor?;
+            let n = self.node(cur).ok()?;
+            cursor = n.parent;
+            Some((cur, n))
+        })
+    }
+
     /// The enclosing namespace of exactly granularity `g`, if any.
     pub fn enclosing(&self, id: NodeId, g: Granularity) -> Option<NodeId> {
-        self.ancestors(id)
-            .into_iter()
-            .find(|a| self.node(*a).map(|n| n.granularity == g).unwrap_or(false))
+        self.live_ancestors(id)
+            .find(|(_, n)| n.granularity == g)
+            .map(|(a, _)| a)
+    }
+
+    /// The nearest live ancestor of each granularity, indexed by
+    /// `Granularity as usize`: one walk instead of one per granularity.
+    fn enclosing_all(&self, id: NodeId) -> [Option<NodeId>; Granularity::ALL.len()] {
+        let mut out = [None; Granularity::ALL.len()];
+        for (a, n) in self.live_ancestors(id) {
+            out[n.granularity as usize].get_or_insert(a);
+        }
+        out
     }
 
     /// The nearest enclosing generator node, if any.
     pub fn enclosing_generator(&self, id: NodeId) -> Option<NodeId> {
-        self.ancestors(id).into_iter().find(|a| {
-            self.node(*a)
-                .map(|n| n.role == NodeRole::Generator)
-                .unwrap_or(false)
-        })
+        self.live_ancestors(id)
+            .find(|(_, n)| n.role == NodeRole::Generator)
+            .map(|(a, _)| a)
     }
 
     /// The coarsest namespace boundary separating `a` and `b`.
@@ -248,20 +268,15 @@ impl IrGraph {
         if a == b {
             return None;
         }
-        let mut crossed = None;
-        for g in [
-            Granularity::Process,
-            Granularity::Container,
-            Granularity::Machine,
+        let (ea, eb) = (self.enclosing_all(a), self.enclosing_all(b));
+        [
             Granularity::Region,
-        ] {
-            let ea = self.enclosing(a, g);
-            let eb = self.enclosing(b, g);
-            if ea != eb {
-                crossed = Some(g);
-            }
-        }
-        crossed
+            Granularity::Machine,
+            Granularity::Container,
+            Granularity::Process,
+        ]
+        .into_iter()
+        .find(|&g| ea[g as usize] != eb[g as usize])
     }
 
     /// The visibility an edge from `a` to `b` must have to be addressable.

@@ -32,7 +32,7 @@
 use std::collections::BTreeMap;
 
 use blueprint_ir::{EdgeKind, IrGraph, NodeId};
-use blueprint_workflow::{Behavior, CacheOp, DbOp, Step, WorkflowSpec};
+use blueprint_workflow::{Behavior, CacheOp, DbOp, ServiceImpl, Step};
 
 use crate::context::{kind, kind_matches, LintContext};
 
@@ -122,13 +122,35 @@ struct CallCost {
     client_overhead_ns: f64,
 }
 
+/// One resolved call target, with the pure per-pair lookups the walks read
+/// on every visit computed once when the model is built.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    node: NodeId,
+    /// `call_cost(caller, node)` for the service that binds this target.
+    cost: CallCost,
+    /// `LintContext::attempts_into(node)`.
+    attempts: f64,
+}
+
 /// Resolved dependency target set.
 #[derive(Debug, Clone)]
 enum DepTargets {
     /// Service replicas a call fans over (singleton when unreplicated).
-    Services(Vec<NodeId>),
+    Services(Vec<Target>),
     /// A runtime backend.
-    Backend(NodeId),
+    Backend(Target),
+}
+
+/// One modelled service node: its behavior programs, its resolved
+/// dependency bindings and its tracer span cost, looked up once.
+struct Service<'a> {
+    node: NodeId,
+    imp: &'a ServiceImpl,
+    /// dep name → targets.
+    deps: BTreeMap<&'a str, DepTargets>,
+    /// Tracer server-side CPU per traced method execution.
+    trace_ns: f64,
 }
 
 /// The capacity model: placement, resolved dependency bindings, and
@@ -136,14 +158,11 @@ enum DepTargets {
 /// demand and sojourn repeatedly.
 pub struct Model<'a> {
     ctx: &'a LintContext<'a>,
-    wf: &'a WorkflowSpec,
     /// Machines, node-id ascending (the lowering's host order).
     pub machines: Vec<Machine>,
     host_of: BTreeMap<NodeId, usize>,
-    /// dep bindings per service node: dep name → targets.
-    deps: BTreeMap<NodeId, BTreeMap<String, DepTargets>>,
-    /// service node → behavior-program implementation name.
-    impl_of: BTreeMap<NodeId, String>,
+    /// Every service node with a known implementation.
+    services: BTreeMap<NodeId, Service<'a>>,
     /// service node → replica-group base name.
     group_of: BTreeMap<NodeId, String>,
 }
@@ -182,8 +201,7 @@ impl<'a> Model<'a> {
             .collect();
 
         let mut host_of = BTreeMap::new();
-        let mut deps = BTreeMap::new();
-        let mut impl_of = BTreeMap::new();
+        let mut services = BTreeMap::new();
         let mut names: BTreeMap<String, NodeId> = BTreeMap::new();
 
         let mut svc_nodes = ir.nodes_with_kind_prefix(kind::SERVICE);
@@ -194,7 +212,6 @@ impl<'a> Model<'a> {
                 continue; // unknown impl: the lowering errors, nothing to model
             };
             names.insert(n.name.clone(), s);
-            impl_of.insert(s, imp.name.clone());
             host_of.insert(s, host_ix(ir, s, &machine_ix));
             let mut bound = BTreeMap::new();
             for dep in &imp.deps {
@@ -205,19 +222,34 @@ impl<'a> Model<'a> {
                     continue;
                 };
                 let actual = resolve_actual_target(ir, s, declared);
+                let target = |node| Target {
+                    node,
+                    cost: call_cost(ir, Some(s), node),
+                    attempts: ctx.attempts_into(node),
+                };
                 let targets = match ir.node(actual) {
                     Ok(t) if kind_matches(&t.kind, kind::LOAD_BALANCER) => {
                         let mut replicas = ir.callees(actual);
                         replicas.sort_unstable();
-                        DepTargets::Services(replicas)
+                        DepTargets::Services(replicas.into_iter().map(target).collect())
                     }
-                    Ok(t) if t.kind.starts_with("workflow") => DepTargets::Services(vec![actual]),
-                    Ok(t) if t.kind.starts_with("backend") => DepTargets::Backend(actual),
+                    Ok(t) if t.kind.starts_with("workflow") => {
+                        DepTargets::Services(vec![target(actual)])
+                    }
+                    Ok(t) if t.kind.starts_with("backend") => DepTargets::Backend(target(actual)),
                     _ => continue,
                 };
-                bound.insert(dep.name.clone(), targets);
+                bound.insert(dep.name.as_str(), targets);
             }
-            deps.insert(s, bound);
+            services.insert(
+                s,
+                Service {
+                    node: s,
+                    imp,
+                    deps: bound,
+                    trace_ns: trace_overhead_ns(ir, s),
+                },
+            );
         }
         for b in ir.nodes_with_kind_prefix("backend") {
             host_of.insert(b, host_ix(ir, b, &machine_ix));
@@ -239,11 +271,9 @@ impl<'a> Model<'a> {
 
         Some(Model {
             ctx,
-            wf,
             machines,
             host_of,
-            deps,
-            impl_of,
+            services,
             group_of,
         })
     }
@@ -283,10 +313,10 @@ impl<'a> Model<'a> {
         let mut rows: Vec<(NodeId, String, f64)> = Vec::new();
         if configured.is_empty() {
             for &e in &entries {
-                let Some(imp) = self.impl_of.get(&e).and_then(|i| self.wf.service(i)) else {
+                let Some(svc) = self.services.get(&e) else {
                     continue;
                 };
-                for m in imp.behaviors.keys() {
+                for m in svc.imp.behaviors.keys() {
                     rows.push((e, m.clone(), 1.0));
                 }
             }
@@ -320,7 +350,7 @@ impl<'a> Model<'a> {
             // `__workload_*` shim on its own (effectively unconstrained)
             // host, so request serialization and client overheads land
             // off-cluster; the entry pays exactly one reply serialization.
-            let cost = self.call_cost(None, entry);
+            let cost = call_cost(self.ctx.ir, None, entry);
             acc.add_service(entry, cost.serialize_ns);
         }
         let mut stack = Vec::new();
@@ -398,95 +428,11 @@ impl<'a> Model<'a> {
 
     // ---- internals -------------------------------------------------------
 
-    fn behavior_of(&self, node: NodeId, method: &str) -> Option<&Behavior> {
-        self.impl_of
-            .get(&node)
-            .and_then(|i| self.wf.service(i))
-            .and_then(|imp| imp.behaviors.get(method))
-    }
-
-    /// Tracer server-side CPU per traced method execution on `node`.
-    fn trace_overhead_ns(&self, node: NodeId) -> f64 {
-        let Ok(n) = self.ctx.ir.node(node) else {
-            return 0.0;
-        };
-        let mut total = 0.0;
-        for &m in n.modifiers() {
-            let Ok(mn) = self.ctx.ir.node(m) else {
-                continue;
-            };
-            if kind_matches(&mn.kind, kind::TRACER) {
-                let default = if mn.kind.starts_with("mod.tracer.xtrace") {
-                    25.0
-                } else {
-                    15.0
-                };
-                total += mn.props.float_or("overhead_us", default) * 1000.0;
-            }
-        }
-        total
-    }
-
-    /// Client-side cost of a call into `callee`, mirroring
-    /// `assemble_client`: transport costs apply only across a process
-    /// boundary (`caller = None` is the external workload, never
-    /// co-located); tracer span client overheads apply always.
-    fn call_cost(&self, caller: Option<NodeId>, callee: NodeId) -> CallCost {
-        let ir = self.ctx.ir;
-        let Ok(n) = ir.node(callee) else {
-            return CallCost::default();
-        };
-        let mut cost = CallCost::default();
-        let same_process = caller
-            .map(|c| ir.boundary_between(c, callee).is_none())
-            .unwrap_or(false);
-        if !same_process {
-            for &m in n.modifiers() {
-                let Ok(mn) = ir.node(m) else { continue };
-                let defaults = if kind_matches(&mn.kind, kind::HTTP) {
-                    Some((25.0, 60.0))
-                } else if mn.kind.starts_with("mod.rpc.thrift") {
-                    Some((15.0, 50.0))
-                } else if kind_matches(&mn.kind, kind::RPC) {
-                    Some((12.0, 50.0))
-                } else {
-                    None
-                };
-                if let Some((ser_us, net_us)) = defaults {
-                    cost.serialize_ns = mn.props.float_or("serialize_us", ser_us) * 1000.0;
-                    cost.net_ns = mn.props.float_or("net_us", net_us) * 1000.0;
-                    break;
-                }
-            }
-        }
-        for &m in n.modifiers() {
-            let Ok(mn) = ir.node(m) else { continue };
-            if kind_matches(&mn.kind, kind::TRACER) {
-                let (default, per_ns) = if mn.kind.starts_with("mod.tracer.xtrace") {
-                    (25.0, 600.0)
-                } else {
-                    (15.0, 500.0)
-                };
-                cost.client_overhead_ns += mn.props.float_or("overhead_us", default) * per_ns;
-            }
-        }
-        // Backend drivers contribute protocol marshalling on the caller.
-        // Defaults mirror each plugin's `apply_client`.
-        if n.kind.starts_with("backend") {
-            let default_us = if n.kind.starts_with("backend.cache") {
-                12.0
-            } else if n.kind.starts_with("backend.nosql") {
-                20.0
-            } else if n.kind.starts_with("backend.reldb") {
-                25.0
-            } else if n.kind.starts_with("backend.queue") {
-                15.0
-            } else {
-                0.0
-            };
-            cost.client_overhead_ns += n.props.float_or("client_op_us", default_us) * 1000.0;
-        }
-        cost
+    /// The modelled service `node` and its behavior for `method`.
+    fn behavior_of(&self, node: NodeId, method: &str) -> Option<(&Service<'a>, &'a Behavior)> {
+        let svc = self.services.get(&node)?;
+        let imp: &'a ServiceImpl = svc.imp;
+        Some((svc, imp.behaviors.get(method)?))
     }
 
     /// Backend-side CPU of one op (ns), mirroring the simulator's
@@ -520,48 +466,49 @@ impl<'a> Model<'a> {
         us * 1000.0
     }
 
-    fn dep_targets(&self, node: NodeId, dep: &str) -> Option<&DepTargets> {
-        self.deps.get(&node).and_then(|m| m.get(dep))
-    }
-
     /// Accumulates the demand of executing `method` on `node` `ratio`
     /// times per request.
-    fn walk_method(
+    fn walk_method<'s>(
         &self,
         node: NodeId,
-        method: &str,
+        method: &'s str,
         ratio: f64,
         mode: Mode,
         acc: &mut Demand,
-        stack: &mut Vec<(NodeId, String)>,
-    ) {
-        let key = (node, method.to_string());
+        stack: &mut Vec<(NodeId, &'s str)>,
+    ) where
+        'a: 's,
+    {
+        let key = (node, method);
         if stack.contains(&key) || ratio <= 0.0 {
             return; // recursion guard: drop cyclic call chains
         }
-        let Some(behavior) = self.behavior_of(node, method) else {
+        let Some((svc, behavior)) = self.behavior_of(node, method) else {
             return;
         };
         if mode == Mode::Pessimistic {
-            let trace = self.trace_overhead_ns(node);
+            let trace = svc.trace_ns;
             if trace > 0.0 {
                 acc.add_service(node, ratio * (trace + TRACE_ALLOC_BYTES * GC_NS_PER_BYTE));
             }
         }
         stack.push(key);
-        self.walk_behavior(node, behavior, ratio, mode, acc, stack);
+        self.walk_behavior(svc, behavior, ratio, mode, acc, stack);
         stack.pop();
     }
 
-    fn walk_behavior(
+    fn walk_behavior<'s>(
         &self,
-        node: NodeId,
-        behavior: &Behavior,
+        svc: &Service<'a>,
+        behavior: &'s Behavior,
         ratio: f64,
         mode: Mode,
         acc: &mut Demand,
-        stack: &mut Vec<(NodeId, String)>,
-    ) {
+        stack: &mut Vec<(NodeId, &'s str)>,
+    ) where
+        'a: 's,
+    {
+        let node = svc.node;
         let pess = mode == Mode::Pessimistic;
         for step in &behavior.steps {
             match step {
@@ -576,25 +523,21 @@ impl<'a> Model<'a> {
                     acc.add_service(node, ratio * ns);
                 }
                 Step::Call { dep, method } => {
-                    let Some(DepTargets::Services(targets)) = self.dep_targets(node, dep) else {
+                    let Some(DepTargets::Services(targets)) = svc.deps.get(dep.as_str()) else {
                         continue;
                     };
                     let share = ratio / targets.len() as f64;
-                    for &t in targets {
-                        let wire = if pess {
-                            share * self.ctx.attempts_into(t)
-                        } else {
-                            share
-                        };
+                    for t in targets {
+                        let wire = if pess { share * t.attempts } else { share };
                         if pess {
-                            let cost = self.call_cost(Some(node), t);
+                            let cost = t.cost;
                             acc.add_service(
                                 node,
                                 wire * (cost.serialize_ns + cost.client_overhead_ns),
                             );
-                            acc.add_service(t, wire * cost.serialize_ns); // reply
+                            acc.add_service(t.node, wire * cost.serialize_ns); // reply
                         }
-                        self.walk_method(t, method, wire, mode, acc, stack);
+                        self.walk_method(t.node, method, wire, mode, acc, stack);
                     }
                 }
                 Step::Cache { dep, op, .. } => {
@@ -602,13 +545,13 @@ impl<'a> Model<'a> {
                         CacheOp::GetRange { items } | CacheOp::PushFront { items } => *items as f64,
                         _ => 0.0,
                     };
-                    self.backend_demand(node, dep, ratio, items, pess, acc);
+                    self.backend_demand(svc, dep, ratio, items, pess, acc);
                 }
                 Step::CacheGetOrFetch { cache, on_miss, .. } => {
-                    self.backend_demand(node, cache, ratio, 0.0, pess, acc);
+                    self.backend_demand(svc, cache, ratio, 0.0, pess, acc);
                     if pess {
                         let miss = self.ctx.config.cache_miss_rate.clamp(0.0, 1.0);
-                        self.walk_behavior(node, on_miss, ratio * miss, mode, acc, stack);
+                        self.walk_behavior(svc, on_miss, ratio * miss, mode, acc, stack);
                     }
                 }
                 Step::Db { dep, op, .. } => {
@@ -616,14 +559,14 @@ impl<'a> Model<'a> {
                         DbOp::Scan { items } => *items as f64,
                         _ => 0.0,
                     };
-                    self.backend_demand(node, dep, ratio, items, pess, acc);
+                    self.backend_demand(svc, dep, ratio, items, pess, acc);
                 }
                 Step::QueuePush { dep } | Step::QueuePop { dep } => {
-                    self.backend_demand(node, dep, ratio, 0.0, pess, acc);
+                    self.backend_demand(svc, dep, ratio, 0.0, pess, acc);
                 }
                 Step::Parallel(branches) => {
                     for b in branches {
-                        self.walk_behavior(node, b, ratio, mode, acc, stack);
+                        self.walk_behavior(svc, b, ratio, mode, acc, stack);
                     }
                 }
                 Step::Branch {
@@ -632,11 +575,11 @@ impl<'a> Model<'a> {
                     otherwise,
                 } => {
                     let p = prob.clamp(0.0, 1.0);
-                    self.walk_behavior(node, then, ratio * p, mode, acc, stack);
-                    self.walk_behavior(node, otherwise, ratio * (1.0 - p), mode, acc, stack);
+                    self.walk_behavior(svc, then, ratio * p, mode, acc, stack);
+                    self.walk_behavior(svc, otherwise, ratio * (1.0 - p), mode, acc, stack);
                 }
                 Step::Repeat { times, body } => {
-                    self.walk_behavior(node, body, ratio * *times as f64, mode, acc, stack);
+                    self.walk_behavior(svc, body, ratio * *times as f64, mode, acc, stack);
                 }
                 Step::Fail { .. } => {} // model limit: aborts are not discounted
             }
@@ -645,58 +588,68 @@ impl<'a> Model<'a> {
 
     fn backend_demand(
         &self,
-        node: NodeId,
+        svc: &Service<'a>,
         dep: &str,
         ratio: f64,
         items: f64,
         pess: bool,
         acc: &mut Demand,
     ) {
-        let Some(DepTargets::Backend(b)) = self.dep_targets(node, dep) else {
+        let Some(DepTargets::Backend(b)) = svc.deps.get(dep) else {
             return;
         };
-        acc.add_backend(*b, ratio * self.backend_cpu_ns(*b, items));
+        acc.add_backend(b.node, ratio * self.backend_cpu_ns(b.node, items));
         if pess {
-            let cost = self.call_cost(Some(node), *b);
-            acc.add_service(node, ratio * (cost.serialize_ns + cost.client_overhead_ns));
+            let cost = b.cost;
+            acc.add_service(
+                svc.node,
+                ratio * (cost.serialize_ns + cost.client_overhead_ns),
+            );
         }
     }
 
     /// Expected latency of one execution of `method` on `node` (ns).
-    fn method_sojourn(
+    fn method_sojourn<'s>(
         &self,
         node: NodeId,
-        method: &str,
+        method: &'s str,
         mode: Mode,
         inflation: &[f64],
-        stack: &mut Vec<(NodeId, String)>,
-    ) -> f64 {
-        let key = (node, method.to_string());
+        stack: &mut Vec<(NodeId, &'s str)>,
+    ) -> f64
+    where
+        'a: 's,
+    {
+        let key = (node, method);
         if stack.contains(&key) {
             return 0.0;
         }
-        let Some(behavior) = self.behavior_of(node, method) else {
+        let Some((svc, behavior)) = self.behavior_of(node, method) else {
             return 0.0;
         };
         let infl = |h: usize| inflation.get(h).copied().unwrap_or(1.0);
         let mut total = 0.0;
         if mode == Mode::Pessimistic {
-            total += self.trace_overhead_ns(node) * infl(self.host_of(node));
+            total += svc.trace_ns * infl(self.host_of(node));
         }
         stack.push(key);
-        total += self.behavior_sojourn(node, behavior, mode, inflation, stack);
+        total += self.behavior_sojourn(svc, behavior, mode, inflation, stack);
         stack.pop();
         total
     }
 
-    fn behavior_sojourn(
+    fn behavior_sojourn<'s>(
         &self,
-        node: NodeId,
-        behavior: &Behavior,
+        svc: &Service<'a>,
+        behavior: &'s Behavior,
         mode: Mode,
         inflation: &[f64],
-        stack: &mut Vec<(NodeId, String)>,
-    ) -> f64 {
+        stack: &mut Vec<(NodeId, &'s str)>,
+    ) -> f64
+    where
+        'a: 's,
+    {
+        let node = svc.node;
         let pess = mode == Mode::Pessimistic;
         let infl = |h: usize| inflation.get(h).copied().unwrap_or(1.0);
         let here = infl(self.host_of(node));
@@ -705,20 +658,20 @@ impl<'a> Model<'a> {
             total += match step {
                 Step::Compute { cpu_ns, .. } => *cpu_ns as f64 * here,
                 Step::Call { dep, method } => {
-                    let Some(DepTargets::Services(targets)) = self.dep_targets(node, dep) else {
+                    let Some(DepTargets::Services(targets)) = svc.deps.get(dep.as_str()) else {
                         continue;
                     };
                     // Expected RTT over the replica set.
                     let mut sum = 0.0;
-                    for &t in targets {
-                        let cost = self.call_cost(Some(node), t);
+                    for t in targets {
+                        let cost = t.cost;
                         let mut rtt = 2.0 * cost.net_ns
                             + cost.serialize_ns * here
-                            + cost.serialize_ns * infl(self.host_of(t));
+                            + cost.serialize_ns * infl(self.host_of(t.node));
                         if pess {
                             rtt += cost.client_overhead_ns * here;
                         }
-                        sum += rtt + self.method_sojourn(t, method, mode, inflation, stack);
+                        sum += rtt + self.method_sojourn(t.node, method, mode, inflation, stack);
                     }
                     sum / targets.len() as f64
                 }
@@ -731,13 +684,13 @@ impl<'a> Model<'a> {
                         op,
                         CacheOp::Put | CacheOp::Delete | CacheOp::PushFront { .. }
                     );
-                    self.backend_sojourn(node, dep, items, write, pess, inflation)
+                    self.backend_sojourn(svc, dep, items, write, pess, inflation)
                 }
                 Step::CacheGetOrFetch { cache, on_miss, .. } => {
-                    let mut ns = self.backend_sojourn(node, cache, 0.0, false, pess, inflation);
+                    let mut ns = self.backend_sojourn(svc, cache, 0.0, false, pess, inflation);
                     if pess {
                         let miss = self.ctx.config.cache_miss_rate.clamp(0.0, 1.0);
-                        ns += miss * self.behavior_sojourn(node, on_miss, mode, inflation, stack);
+                        ns += miss * self.behavior_sojourn(svc, on_miss, mode, inflation, stack);
                     }
                     ns
                 }
@@ -747,7 +700,7 @@ impl<'a> Model<'a> {
                         _ => 0.0,
                     };
                     self.backend_sojourn(
-                        node,
+                        svc,
                         dep,
                         items,
                         matches!(op, DbOp::Write),
@@ -756,11 +709,11 @@ impl<'a> Model<'a> {
                     )
                 }
                 Step::QueuePush { dep } | Step::QueuePop { dep } => {
-                    self.backend_sojourn(node, dep, 0.0, false, pess, inflation)
+                    self.backend_sojourn(svc, dep, 0.0, false, pess, inflation)
                 }
                 Step::Parallel(branches) => branches
                     .iter()
-                    .map(|b| self.behavior_sojourn(node, b, mode, inflation, stack))
+                    .map(|b| self.behavior_sojourn(svc, b, mode, inflation, stack))
                     .fold(0.0, f64::max),
                 Step::Branch {
                     prob,
@@ -768,11 +721,11 @@ impl<'a> Model<'a> {
                     otherwise,
                 } => {
                     let p = prob.clamp(0.0, 1.0);
-                    p * self.behavior_sojourn(node, then, mode, inflation, stack)
-                        + (1.0 - p) * self.behavior_sojourn(node, otherwise, mode, inflation, stack)
+                    p * self.behavior_sojourn(svc, then, mode, inflation, stack)
+                        + (1.0 - p) * self.behavior_sojourn(svc, otherwise, mode, inflation, stack)
                 }
                 Step::Repeat { times, body } => {
-                    *times as f64 * self.behavior_sojourn(node, body, mode, inflation, stack)
+                    *times as f64 * self.behavior_sojourn(svc, body, mode, inflation, stack)
                 }
                 Step::Fail { .. } => 0.0,
             };
@@ -782,25 +735,107 @@ impl<'a> Model<'a> {
 
     fn backend_sojourn(
         &self,
-        node: NodeId,
+        svc: &Service<'a>,
         dep: &str,
         items: f64,
         write: bool,
         pess: bool,
         inflation: &[f64],
     ) -> f64 {
-        let Some(DepTargets::Backend(b)) = self.dep_targets(node, dep) else {
+        let Some(DepTargets::Backend(b)) = svc.deps.get(dep) else {
             return 0.0;
         };
         let infl = |h: usize| inflation.get(h).copied().unwrap_or(1.0);
-        let mut ns = self.backend_latency_ns(*b, write)
-            + self.backend_cpu_ns(*b, items) * infl(self.host_of(*b));
+        let mut ns = self.backend_latency_ns(b.node, write)
+            + self.backend_cpu_ns(b.node, items) * infl(self.host_of(b.node));
         if pess {
-            let cost = self.call_cost(Some(node), *b);
-            ns += cost.client_overhead_ns * infl(self.host_of(node));
+            ns += b.cost.client_overhead_ns * infl(self.host_of(svc.node));
         }
         ns
     }
+}
+
+/// Tracer server-side CPU per traced method execution on `node`.
+fn trace_overhead_ns(ir: &IrGraph, node: NodeId) -> f64 {
+    let Ok(n) = ir.node(node) else {
+        return 0.0;
+    };
+    let mut total = 0.0;
+    for &m in n.modifiers() {
+        let Ok(mn) = ir.node(m) else {
+            continue;
+        };
+        if kind_matches(&mn.kind, kind::TRACER) {
+            let default = if mn.kind.starts_with("mod.tracer.xtrace") {
+                25.0
+            } else {
+                15.0
+            };
+            total += mn.props.float_or("overhead_us", default) * 1000.0;
+        }
+    }
+    total
+}
+
+/// Client-side cost of a call into `callee`, mirroring
+/// `assemble_client`: transport costs apply only across a process
+/// boundary (`caller = None` is the external workload, never
+/// co-located); tracer span client overheads apply always.
+fn call_cost(ir: &IrGraph, caller: Option<NodeId>, callee: NodeId) -> CallCost {
+    let Ok(n) = ir.node(callee) else {
+        return CallCost::default();
+    };
+    let mut cost = CallCost::default();
+    let same_process = caller
+        .map(|c| ir.boundary_between(c, callee).is_none())
+        .unwrap_or(false);
+    if !same_process {
+        for &m in n.modifiers() {
+            let Ok(mn) = ir.node(m) else { continue };
+            let defaults = if kind_matches(&mn.kind, kind::HTTP) {
+                Some((25.0, 60.0))
+            } else if mn.kind.starts_with("mod.rpc.thrift") {
+                Some((15.0, 50.0))
+            } else if kind_matches(&mn.kind, kind::RPC) {
+                Some((12.0, 50.0))
+            } else {
+                None
+            };
+            if let Some((ser_us, net_us)) = defaults {
+                cost.serialize_ns = mn.props.float_or("serialize_us", ser_us) * 1000.0;
+                cost.net_ns = mn.props.float_or("net_us", net_us) * 1000.0;
+                break;
+            }
+        }
+    }
+    for &m in n.modifiers() {
+        let Ok(mn) = ir.node(m) else { continue };
+        if kind_matches(&mn.kind, kind::TRACER) {
+            let (default, per_ns) = if mn.kind.starts_with("mod.tracer.xtrace") {
+                (25.0, 600.0)
+            } else {
+                (15.0, 500.0)
+            };
+            cost.client_overhead_ns += mn.props.float_or("overhead_us", default) * per_ns;
+        }
+    }
+    // Backend drivers contribute protocol marshalling on the caller.
+    // Defaults mirror each plugin's `apply_client`.
+    if n.kind.starts_with("backend") {
+        let default_us = if n.kind.starts_with("backend.cache") {
+            12.0
+        } else if n.kind.starts_with("backend.nosql") {
+            20.0
+        } else if n.kind.starts_with("backend.reldb") {
+            25.0
+        } else if n.kind.starts_with("backend.queue") {
+            15.0
+        } else {
+            0.0
+        };
+        cost.client_overhead_ns += n.props.float_or("client_op_us", default_us) * 1000.0;
+    }
+    cost
 }
 
 /// The lowering's dependency re-routing rule: a declared target reached
@@ -840,7 +875,7 @@ mod tests {
     use blueprint_ir::types::{MethodSig, TypeRef};
     use blueprint_ir::{Granularity, Node, NodeRole};
     use blueprint_wiring::WiringSpec;
-    use blueprint_workflow::{KeyExpr, ServiceBuilder, ServiceInterface};
+    use blueprint_workflow::{KeyExpr, ServiceBuilder, ServiceInterface, WorkflowSpec};
 
     /// frontend → worker → db; one machine holds the frontend, a second
     /// holds the worker + db.

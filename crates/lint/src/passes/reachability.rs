@@ -84,7 +84,7 @@ impl LintPass for Reachability {
         // BP007: declared-but-unapplied modifier templates.
         let applied: BTreeSet<&str> = ctx
             .wiring
-            .decls
+            .decls()
             .iter()
             .flat_map(|d| d.server_modifiers.iter().map(String::as_str))
             .collect();

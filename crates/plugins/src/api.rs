@@ -101,6 +101,8 @@ pub trait Plugin {
     ) -> PluginResult<NodeId>;
 
     /// IR node-kind prefixes this plugin owns for generation/lowering.
+    /// [`Registry::register`](crate::Registry::register) calls this once and
+    /// indexes the result, so it must not change after registration.
     fn owns_kinds(&self) -> Vec<&'static str> {
         Vec::new()
     }

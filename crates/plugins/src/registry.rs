@@ -1,5 +1,7 @@
 //! The plugin registry: the set of compiler extensions enabled for a build.
 
+use std::collections::HashMap;
+
 use crate::api::{BuildCtx, Plugin};
 use crate::backends::{MemcachedPlugin, MongoDbPlugin, MySqlPlugin, RabbitMqPlugin, RedisPlugin};
 use crate::deployers::{AnsiblePlugin, DockerPlugin, KubernetesPlugin};
@@ -19,6 +21,8 @@ use crate::workflow_svc::WorkflowServicePlugin;
 /// run in registry order.
 pub struct Registry {
     plugins: Vec<Box<dyn Plugin>>,
+    /// Owned kind → index of the first plugin registered as owning it.
+    kinds: HashMap<&'static str, usize>,
 }
 
 impl Registry {
@@ -26,6 +30,7 @@ impl Registry {
     pub fn empty() -> Self {
         Registry {
             plugins: Vec::new(),
+            kinds: HashMap::new(),
         }
     }
 
@@ -75,6 +80,9 @@ impl Registry {
 
     /// Registers an additional plugin.
     pub fn register(&mut self, plugin: impl Plugin + 'static) {
+        for owned in plugin.owns_kinds() {
+            self.kinds.entry(owned).or_insert(self.plugins.len());
+        }
         self.plugins.push(Box::new(plugin));
     }
 
@@ -98,19 +106,15 @@ impl Registry {
         self.iter().find(|p| p.matches(callee, ctx))
     }
 
-    /// Finds the plugin owning an IR node kind (longest kind-prefix match).
+    /// Finds the plugin owning an IR node kind: the longest owned kind that
+    /// is `kind` itself or a prefix of it ending before a `.`; of plugins
+    /// owning the same kind, the first registered.
     pub fn for_kind(&self, kind: &str) -> Option<&dyn Plugin> {
-        let mut best: Option<(&dyn Plugin, usize)> = None;
-        for p in self.iter() {
-            for owned in p.owns_kinds() {
-                let is_match = kind == owned
-                    || (kind.starts_with(owned) && kind[owned.len()..].starts_with('.'));
-                if is_match && best.map(|(_, l)| owned.len() > l).unwrap_or(true) {
-                    best = Some((p, owned.len()));
-                }
-            }
-        }
-        best.map(|(p, _)| p)
+        let dots = kind.bytes().enumerate().filter(|&(_, b)| b == b'.');
+        std::iter::once(kind)
+            .chain(dots.map(|(i, _)| &kind[..i]).rev())
+            .find_map(|k| self.kinds.get(k))
+            .map(|&i| self.plugins[i].as_ref())
     }
 
     /// Finds a plugin by name.
@@ -201,6 +205,74 @@ mod tests {
             "namespaces"
         );
         assert!(r.for_kind("unknown.kind").is_none());
+    }
+
+    /// A plugin that owns the given kinds and nothing else.
+    struct Owner(&'static str, Vec<&'static str>);
+
+    impl Plugin for Owner {
+        fn name(&self) -> &'static str {
+            self.0
+        }
+        fn build_node(
+            &self,
+            decl: &blueprint_wiring::InstanceDecl,
+            ir: &mut blueprint_ir::IrGraph,
+            _ctx: &BuildCtx<'_>,
+        ) -> crate::PluginResult<blueprint_ir::NodeId> {
+            Ok(ir.add_component(&decl.name, "x", blueprint_ir::Granularity::Instance)?)
+        }
+        fn owns_kinds(&self) -> Vec<&'static str> {
+            self.1.clone()
+        }
+    }
+
+    fn owners(plugins: &[(&'static str, &[&'static str])]) -> Registry {
+        let mut r = Registry::empty();
+        for (name, kinds) in plugins {
+            r.register(Owner(name, kinds.to_vec()));
+        }
+        r
+    }
+
+    fn owner_of<'r>(r: &'r Registry, kind: &str) -> Option<&'r str> {
+        r.for_kind(kind).map(|p| p.name())
+    }
+
+    #[test]
+    fn kind_exact_match_beats_shorter_prefixes() {
+        let r = owners(&[("short", &["backend"]), ("exact", &["backend.cache"])]);
+        assert_eq!(owner_of(&r, "backend.cache"), Some("exact"));
+        assert_eq!(owner_of(&r, "backend.cache.memcached"), Some("exact"));
+        assert_eq!(owner_of(&r, "backend.nosql"), Some("short"));
+        assert_eq!(owner_of(&r, "backend"), Some("short"));
+    }
+
+    #[test]
+    fn kind_prefix_must_end_at_a_dot() {
+        let r = owners(&[("cache", &["backend.cache"])]);
+        assert_eq!(owner_of(&r, "backend.cachex"), None);
+        assert_eq!(owner_of(&r, "backend.cachex.y"), None);
+        assert_eq!(owner_of(&r, "backend"), None);
+        assert_eq!(owner_of(&r, "backend.cache.x.y"), Some("cache"));
+    }
+
+    #[test]
+    fn kind_owned_twice_goes_to_the_first_registered() {
+        let r = owners(&[
+            ("first", &["mod.rpc"]),
+            ("second", &["mod.rpc", "mod.rpc.grpc"]),
+        ]);
+        assert_eq!(owner_of(&r, "mod.rpc.thrift"), Some("first"));
+        assert_eq!(owner_of(&r, "mod.rpc.grpc.server"), Some("second"));
+    }
+
+    #[test]
+    fn empty_registry_owns_no_kind() {
+        let r = Registry::empty();
+        for kind in ["", ".", "backend", "backend.cache.memcached"] {
+            assert!(r.for_kind(kind).is_none(), "{kind}");
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Wiring spec AST and programmatic builder.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use serde::{Deserialize, Serialize};
 
@@ -109,12 +111,60 @@ impl InstanceDecl {
 ///
 /// Order matters: references must be declared before use, mirroring the
 /// straight-line style of the paper's wiring files.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// The spec keeps a name → position index beside the declarations, so
+/// [`add`](Self::add) and [`decl`](Self::decl) cost one hash lookup per name
+/// whatever the spec's size. The declarations are private: every edit goes
+/// through a method that keeps the index in sync, and the index always
+/// names the first declaration of each name, as a scan in order would find
+/// it.
+#[derive(Clone, Default, PartialEq)]
 pub struct WiringSpec {
     /// Application name.
     pub app_name: String,
-    /// Declarations, in order.
-    pub decls: Vec<InstanceDecl>,
+    decls: Vec<InstanceDecl>,
+    index: HashMap<String, usize>,
+}
+
+impl fmt::Debug for WiringSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The index is derived from `decls`; leaving it out keeps the
+        // output deterministic.
+        f.debug_struct("WiringSpec")
+            .field("app_name", &self.app_name)
+            .field("decls", &self.decls)
+            .finish()
+    }
+}
+
+/// Mutable access to one declaration, from [`WiringSpec::decl_mut`]. If the
+/// edit renames the declaration, the name index is re-keyed when the guard
+/// drops.
+pub struct DeclMut<'a> {
+    spec: &'a mut WiringSpec,
+    at: usize,
+}
+
+impl Deref for DeclMut<'_> {
+    type Target = InstanceDecl;
+
+    fn deref(&self) -> &InstanceDecl {
+        &self.spec.decls[self.at]
+    }
+}
+
+impl DerefMut for DeclMut<'_> {
+    fn deref_mut(&mut self) -> &mut InstanceDecl {
+        &mut self.spec.decls[self.at]
+    }
+}
+
+impl Drop for DeclMut<'_> {
+    fn drop(&mut self) {
+        if !self.spec.indexed_at(self.at) {
+            self.spec.reindex();
+        }
+    }
 }
 
 impl WiringSpec {
@@ -122,33 +172,34 @@ impl WiringSpec {
     pub fn new(app_name: impl Into<String>) -> Self {
         WiringSpec {
             app_name: app_name.into(),
-            decls: Vec::new(),
+            ..WiringSpec::default()
         }
     }
 
-    /// Adds a declaration, checking name uniqueness and define-before-use in
-    /// one pass over the earlier declarations. A duplicate name is reported
-    /// ahead of an undefined reference, and of several undefined references
-    /// the first in [`InstanceDecl::referenced`] order. There is no name
-    /// index to consult: `decls` is public and the mutation helpers edit it
-    /// in place.
+    /// Declarations, in order.
+    pub fn decls(&self) -> &[InstanceDecl] {
+        &self.decls
+    }
+
+    /// Adds a declaration, checking name uniqueness and define-before-use
+    /// against the name index. A duplicate name is reported ahead of an
+    /// undefined reference, and of several undefined references the first in
+    /// [`InstanceDecl::referenced`] order.
     pub fn add(&mut self, decl: InstanceDecl) -> Result<()> {
-        let refs = decl.referenced();
-        let mut defined = vec![false; refs.len()];
-        for d in &self.decls {
-            if d.name == decl.name {
-                return Err(WiringError::DuplicateName(decl.name));
-            }
-            for (r, found) in refs.iter().zip(&mut defined) {
-                *found |= d.name == *r;
-            }
+        if self.index.contains_key(&decl.name) {
+            return Err(WiringError::DuplicateName(decl.name));
         }
-        if let Some(i) = defined.iter().position(|found| !found) {
+        if let Some(r) = decl
+            .referenced()
+            .into_iter()
+            .find(|r| !self.index.contains_key(*r))
+        {
             return Err(WiringError::UndefinedRef {
                 instance: decl.name.clone(),
-                referenced: refs[i].to_string(),
+                referenced: r.to_string(),
             });
         }
+        self.index.insert(decl.name.clone(), self.decls.len());
         self.decls.push(decl);
         Ok(())
     }
@@ -218,17 +269,87 @@ impl WiringSpec {
 
     /// Looks a declaration up by name.
     pub fn decl(&self, name: &str) -> Option<&InstanceDecl> {
-        self.decls.iter().find(|d| d.name == name)
+        self.index.get(name).map(|&at| &self.decls[at])
     }
 
-    /// Looks a declaration up mutably by name.
-    pub fn decl_mut(&mut self, name: &str) -> Option<&mut InstanceDecl> {
-        self.decls.iter_mut().find(|d| d.name == name)
+    /// Looks a declaration up mutably by name. Edits are not checked; call
+    /// [`validate`](Self::validate) after edits that may break
+    /// define-before-use.
+    pub fn decl_mut(&mut self, name: &str) -> Option<DeclMut<'_>> {
+        let at = *self.index.get(name)?;
+        Some(DeclMut { spec: self, at })
     }
 
-    /// All declarations using a given callee.
-    pub fn decls_with_callee(&self, callee: &str) -> Vec<&InstanceDecl> {
-        self.decls.iter().filter(|d| d.callee == callee).collect()
+    /// Applies `edit` to every declaration in order.
+    pub fn edit_all(&mut self, mut edit: impl FnMut(&mut InstanceDecl)) {
+        self.decls.iter_mut().for_each(&mut edit);
+        if !(0..self.decls.len()).all(|at| self.indexed_at(at)) {
+            self.reindex();
+        }
+    }
+
+    /// Removes every declaration named `name`. Returns whether one was
+    /// removed; references to it elsewhere are left as they are.
+    pub fn remove(&mut self, name: &str) -> bool {
+        let before = self.decls.len();
+        self.decls.retain(|d| d.name != name);
+        let removed = self.decls.len() != before;
+        if removed {
+            self.reindex();
+        }
+        removed
+    }
+
+    /// Inserts `decl` right before the declaration named `at`. Uniqueness
+    /// and define-before-use are not checked.
+    pub fn insert_before(&mut self, at: &str, decl: InstanceDecl) -> Result<()> {
+        let pos = self.position(at)?;
+        self.decls.insert(pos, decl);
+        self.reindex();
+        Ok(())
+    }
+
+    /// Replaces the declaration named `at` by `with`, in place. Uniqueness
+    /// and define-before-use are not checked.
+    pub fn replace(&mut self, at: &str, with: Vec<InstanceDecl>) -> Result<()> {
+        let pos = self.position(at)?;
+        self.decls.splice(pos..=pos, with);
+        self.reindex();
+        Ok(())
+    }
+
+    /// Takes every declaration out, leaving the spec empty; [`Self::set_decls`]
+    /// puts a reordered list back.
+    pub(crate) fn take_decls(&mut self) -> Vec<InstanceDecl> {
+        self.index.clear();
+        std::mem::take(&mut self.decls)
+    }
+
+    /// Replaces every declaration and rebuilds the index.
+    pub(crate) fn set_decls(&mut self, decls: Vec<InstanceDecl>) {
+        self.decls = decls;
+        self.reindex();
+    }
+
+    /// The position of the declaration named `at`.
+    fn position(&self, at: &str) -> Result<usize> {
+        self.index
+            .get(at)
+            .copied()
+            .ok_or_else(|| WiringError::UnknownInstance(at.to_string()))
+    }
+
+    /// Whether the index maps the name of the declaration at `at` to `at`.
+    fn indexed_at(&self, at: usize) -> bool {
+        self.index.get(self.decls[at].name.as_str()) == Some(&at)
+    }
+
+    /// Rebuilds the index from the declarations, first occurrence winning.
+    fn reindex(&mut self) {
+        self.index.clear();
+        for (at, d) in self.decls.iter().enumerate() {
+            self.index.entry(d.name.clone()).or_insert(at);
+        }
     }
 
     /// Validates the whole spec (uniqueness + define-before-use), useful after
@@ -298,7 +419,10 @@ mod tests {
         let w = fig3_spec();
         w.validate().unwrap();
         assert_eq!(w.loc(), 11);
-        assert_eq!(w.decls_with_callee("MongoDB").len(), 2);
+        assert_eq!(
+            w.decls().iter().filter(|d| d.callee == "MongoDB").count(),
+            2
+        );
         let cs = w.decl("cs").unwrap();
         assert_eq!(
             cs.server_modifiers,
@@ -382,6 +506,33 @@ mod tests {
         assert_eq!(Arg::Bool(true).as_int(), None);
         let l = Arg::List(vec![Arg::r("a"), Arg::List(vec![Arg::r("b")]), Arg::Int(1)]);
         assert_eq!(l.refs(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn rename_through_decl_mut_rekeys_the_index() {
+        let mut w = fig3_spec();
+        w.decl_mut("us").unwrap().name = "users".into();
+        assert!(w.decl("us").is_none());
+        assert_eq!(w.decl("users").unwrap().callee, "UserServiceImpl");
+        w.define("us", "Docker", vec![]).unwrap();
+        assert_eq!(w.decl("us").unwrap().callee, "Docker");
+        // A rename onto an existing name leaves the earlier declaration
+        // first, as a scan in order finds it.
+        w.decl_mut("cs").unwrap().name = "post_db".into();
+        assert_eq!(w.decl("post_db").unwrap().callee, "MongoDB");
+        assert!(w.decl("cs").is_none());
+        assert_eq!(
+            w.validate().unwrap_err(),
+            WiringError::DuplicateName("post_db".into())
+        );
+    }
+
+    #[test]
+    fn debug_output_omits_the_index() {
+        let w = fig3_spec();
+        let text = format!("{w:?}");
+        assert!(text.starts_with("WiringSpec { app_name: \"dsb_sn_excerpt\", decls: ["));
+        assert!(!text.contains("index"));
     }
 
     #[test]

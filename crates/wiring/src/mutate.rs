@@ -5,6 +5,8 @@
 //! in-place edit of a [`WiringSpec`], so experiments can measure how few
 //! lines change between variants via [`crate::diff::spec_diff`].
 
+use std::collections::HashSet;
+
 use crate::ast::{Arg, InstanceDecl, WiringSpec};
 use crate::{Result, WiringError};
 
@@ -12,7 +14,7 @@ use crate::{Result, WiringError};
 /// `Memcached` → `Redis`). This is the paper's canonical 1-LoC instantiation
 /// swap.
 pub fn swap_callee(spec: &mut WiringSpec, instance: &str, new_callee: &str) -> Result<()> {
-    let d = spec
+    let mut d = spec
         .decl_mut(instance)
         .ok_or_else(|| WiringError::UnknownInstance(instance.to_string()))?;
     d.callee = new_callee.to_string();
@@ -22,7 +24,7 @@ pub fn swap_callee(spec: &mut WiringSpec, instance: &str, new_callee: &str) -> R
 /// Sets (or replaces) a keyword argument on an instance (e.g. the Thrift
 /// `clientpool` size swept in Fig. 5).
 pub fn set_kwarg(spec: &mut WiringSpec, instance: &str, key: &str, value: Arg) -> Result<()> {
-    let d = spec
+    let mut d = spec
         .decl_mut(instance)
         .ok_or_else(|| WiringError::UnknownInstance(instance.to_string()))?;
     d.kwargs.insert(key.to_string(), value);
@@ -33,11 +35,10 @@ pub fn set_kwarg(spec: &mut WiringSpec, instance: &str, key: &str, value: Arg) -
 /// and server-modifier lists). Used to disable scaffolding, e.g. removing the
 /// tracer + tracer modifier (the "disable tracing" mutation, §6.1).
 pub fn remove_instance(spec: &mut WiringSpec, instance: &str) -> Result<()> {
-    if spec.decl(instance).is_none() {
+    if !spec.remove(instance) {
         return Err(WiringError::UnknownInstance(instance.to_string()));
     }
-    spec.decls.retain(|d| d.name != instance);
-    for d in &mut spec.decls {
+    spec.edit_all(|d| {
         d.args.retain(|a| a.as_ref_name() != Some(instance));
         for a in &mut d.args {
             scrub_list(a, instance);
@@ -47,7 +48,7 @@ pub fn remove_instance(spec: &mut WiringSpec, instance: &str) -> Result<()> {
             scrub_list(v, instance);
         }
         d.server_modifiers.retain(|m| m != instance);
-    }
+    });
     Ok(())
 }
 
@@ -65,35 +66,45 @@ fn scrub_list(a: &mut Arg, instance: &str) {
 /// edits that may have introduced forward references (e.g. attaching a
 /// freshly declared modifier to an earlier service).
 pub fn reorder(spec: &mut WiringSpec) -> Result<()> {
-    let decls = std::mem::take(&mut spec.decls);
-    let mut emitted: Vec<InstanceDecl> = Vec::with_capacity(decls.len());
-    let mut pending: Vec<InstanceDecl> = decls;
-    while !pending.is_empty() {
-        let before = pending.len();
-        let mut i = 0;
-        while i < pending.len() {
-            let ready = pending[i]
-                .referenced()
-                .iter()
-                .all(|r| emitted.iter().any(|d| d.name == *r));
-            if ready {
-                emitted.push(pending.remove(i));
-            } else {
-                i += 1;
+    let decls = spec.take_decls();
+    // Each pass emits, in order, every pending declaration whose references
+    // are all emitted, until a pass emits nothing.
+    let mut order: Vec<usize> = Vec::with_capacity(decls.len());
+    let mut cyclic = None;
+    {
+        let mut emitted: HashSet<&str> = HashSet::with_capacity(decls.len());
+        let mut pending: Vec<usize> = (0..decls.len()).collect();
+        while !pending.is_empty() {
+            let before = pending.len();
+            pending.retain(|&i| {
+                let ready = decls[i].referenced().iter().all(|r| emitted.contains(r));
+                if ready {
+                    emitted.insert(&decls[i].name);
+                    order.push(i);
+                }
+                !ready
+            });
+            if pending.len() == before {
+                cyclic = Some(decls[pending[0]].name.clone());
+                order.extend(pending);
+                break;
             }
         }
-        if pending.len() == before {
-            let cyclic = pending[0].name.clone();
-            spec.decls = emitted;
-            spec.decls.extend(pending);
-            return Err(WiringError::UndefinedRef {
-                instance: cyclic.clone(),
-                referenced: format!("<cyclic or missing dependency of {cyclic}>"),
-            });
-        }
     }
-    spec.decls = emitted;
-    Ok(())
+    let mut slots: Vec<Option<InstanceDecl>> = decls.into_iter().map(Some).collect();
+    spec.set_decls(
+        order
+            .into_iter()
+            .map(|i| slots[i].take().expect("each position once"))
+            .collect(),
+    );
+    match cyclic {
+        Some(cyclic) => Err(WiringError::UndefinedRef {
+            instance: cyclic.clone(),
+            referenced: format!("<cyclic or missing dependency of {cyclic}>"),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Appends a modifier to the server-modifier chain of `instance`
@@ -106,12 +117,13 @@ pub fn add_server_modifier(spec: &mut WiringSpec, instance: &str, modifier: &str
             referenced: modifier.to_string(),
         });
     }
-    let d = spec
+    let mut d = spec
         .decl_mut(instance)
         .ok_or_else(|| WiringError::UnknownInstance(instance.to_string()))?;
     if !d.server_modifiers.iter().any(|m| m == modifier) {
         d.server_modifiers.push(modifier.to_string());
     }
+    drop(d);
     reorder(spec)
 }
 
@@ -123,13 +135,13 @@ pub fn add_modifier_to_all_services(spec: &mut WiringSpec, modifier: &str) -> Re
         return Err(WiringError::UnknownInstance(modifier.to_string()));
     }
     let targets: Vec<String> = spec
-        .decls
+        .decls()
         .iter()
         .filter(|d| !d.server_modifiers.is_empty() && d.name != modifier)
         .map(|d| d.name.clone())
         .collect();
     for t in targets {
-        let d = spec.decl_mut(&t).expect("target exists");
+        let mut d = spec.decl_mut(&t).expect("target exists");
         if !d.server_modifiers.iter().any(|m| m == modifier) {
             d.server_modifiers.push(modifier.to_string());
         }
@@ -185,9 +197,7 @@ pub fn attach_overload_protection(
 /// Removes a modifier from every server-modifier chain (but keeps its
 /// declaration; combine with [`remove_instance`] to fully disable it).
 pub fn remove_modifier_from_all_services(spec: &mut WiringSpec, modifier: &str) {
-    for d in &mut spec.decls {
-        d.server_modifiers.retain(|m| m != modifier);
-    }
+    spec.edit_all(|d| d.server_modifiers.retain(|m| m != modifier));
 }
 
 /// Adds p-Replication to an instance: declares `"{instance}_replicas" =
@@ -197,11 +207,9 @@ pub fn remove_modifier_from_all_services(spec: &mut WiringSpec, modifier: &str) 
 /// variant does not use this: it splits the user-timeline service into
 /// explicitly declared replicas with their own caches.)
 pub fn replicate(spec: &mut WiringSpec, instance: &str, count: i64) -> Result<String> {
-    let pos = spec
-        .decls
-        .iter()
-        .position(|d| d.name == instance)
-        .ok_or_else(|| WiringError::UnknownInstance(instance.to_string()))?;
+    if spec.decl(instance).is_none() {
+        return Err(WiringError::UnknownInstance(instance.to_string()));
+    }
     let mod_name = format!("{instance}_replicas");
     if spec.decl(&mod_name).is_some() {
         return Err(WiringError::DuplicateName(mod_name));
@@ -215,7 +223,7 @@ pub fn replicate(spec: &mut WiringSpec, instance: &str, count: i64) -> Result<St
             .collect(),
         server_modifiers: vec![],
     };
-    spec.decls.insert(pos, decl);
+    spec.insert_before(instance, decl)?;
     spec.decl_mut(instance)
         .expect("instance present")
         .server_modifiers
@@ -245,7 +253,7 @@ pub fn set_store_consistency(
             "quorum parameters given for consistency mode `{mode}`"
         )));
     }
-    let d = spec
+    let mut d = spec
         .decl_mut(instance)
         .ok_or_else(|| WiringError::UnknownInstance(instance.to_string()))?;
     d.kwargs
@@ -272,7 +280,7 @@ pub fn attach_session_consistency(spec: &mut WiringSpec, instance: &str) -> Resu
 /// the repo-wide convention that workflow service callees end in `Impl`, as
 /// in the paper's Fig. 3) and every `LoadBalancer` in front of services.
 pub fn monolith_members(spec: &WiringSpec) -> Vec<String> {
-    spec.decls
+    spec.decls()
         .iter()
         .filter(|d| d.callee.ends_with("Impl") || d.callee == "LoadBalancer")
         .map(|d| d.name.clone())
@@ -287,7 +295,7 @@ pub fn monolith_members(spec: &WiringSpec) -> Vec<String> {
 /// `infra_callees` lists modifier callees to strip (RPC servers, deployers).
 pub fn monolithify(spec: &mut WiringSpec, infra_callees: &[&str]) -> Result<()> {
     let infra: Vec<String> = spec
-        .decls
+        .decls()
         .iter()
         .filter(|d| infra_callees.contains(&d.callee.as_str()))
         .map(|d| d.name.clone())

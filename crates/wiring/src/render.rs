@@ -13,7 +13,7 @@ use crate::ast::{Arg, InstanceDecl, WiringSpec};
 pub fn render(spec: &WiringSpec) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "app {}", spec.app_name);
-    for d in &spec.decls {
+    for d in spec.decls() {
         let _ = writeln!(out, "{}", render_decl(d));
     }
     out
