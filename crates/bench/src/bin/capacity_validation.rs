@@ -104,7 +104,7 @@ fn predict(workflow: &WorkflowSpec, wiring: &WiringSpec, cfg: &LintConfig) -> Pr
         .without_simulation()
         .compile(workflow, wiring)
         .expect("wiring compiles");
-    let ctx = LintContext::with_workflow(app.ir(), wiring, cfg, Some(workflow));
+    let ctx = LintContext::new(app.ir(), wiring, cfg, Some(workflow));
     let model = Model::build(&ctx).expect("workflow present");
     let mix = model.mix();
     assert!(!mix.is_empty(), "traffic mix resolves against entries");

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use blueprint_ir::deploy::{self, DepTarget, Placement};
 use blueprint_ir::{IrGraph, NodeId};
 use blueprint_plugins::api::{ProcessLowering, ServiceLowering};
 use blueprint_plugins::{BuildCtx, PluginError, Registry};
@@ -28,34 +29,15 @@ pub fn lower(registry: &Registry, ir: &IrGraph, ctx: &BuildCtx<'_>) -> Result<Sy
     };
 
     // ---- Hosts -----------------------------------------------------------
-    let mut machines: Vec<NodeId> = ir.nodes_with_kind_prefix("namespace.machine");
-    machines.sort();
-    let mut host_ix: HashMap<NodeId, usize> = HashMap::new();
-    for m in &machines {
-        let n = ir.node(*m)?;
-        host_ix.insert(*m, spec.hosts.len());
-        spec.hosts.push(HostSpec {
-            name: n.name.clone(),
-            cores: n.props.float_or("cores", 8.0),
-        });
-    }
-    if spec.hosts.is_empty() {
-        spec.hosts.push(HostSpec {
-            name: "machine_0".into(),
-            cores: 8.0,
-        });
-    }
-    let machine_of = |node: NodeId| -> usize {
-        ir.ancestors(node)
-            .into_iter()
-            .find(|a| {
-                ir.node(*a)
-                    .map(|n| n.kind == "namespace.machine")
-                    .unwrap_or(false)
-            })
-            .and_then(|m| host_ix.get(&m).copied())
-            .unwrap_or(0)
-    };
+    let placement = Placement::new(ir);
+    spec.hosts = placement
+        .hosts
+        .iter()
+        .map(|h| HostSpec {
+            name: h.name.clone(),
+            cores: h.cores,
+        })
+        .collect();
 
     // ---- Processes -------------------------------------------------------
     let mut procs: Vec<NodeId> = ir.nodes_with_kind_prefix("namespace.process");
@@ -77,7 +59,7 @@ pub fn lower(registry: &Registry, ir: &IrGraph, ctx: &BuildCtx<'_>) -> Result<Sy
         proc_ix.insert(*p, spec.processes.len());
         spec.processes.push(ProcessSpec {
             name: n.name.clone(),
-            host: machine_of(*p),
+            host: placement.host_of(*p),
             gc: lowering.gc,
         });
     }
@@ -104,7 +86,7 @@ pub fn lower(registry: &Registry, ir: &IrGraph, ctx: &BuildCtx<'_>) -> Result<Sy
         let process = spec.processes.len();
         spec.processes.push(ProcessSpec {
             name: format!("proc_{}", n.name),
-            host: machine_of(*b),
+            host: placement.host_of(*b),
             gc: None,
         });
         backend_ix.insert(*b, spec.backends.len());
@@ -116,7 +98,7 @@ pub fn lower(registry: &Registry, ir: &IrGraph, ctx: &BuildCtx<'_>) -> Result<Sy
     }
 
     // ---- Services ---------------------------------------------------------
-    let mut svc_nodes: Vec<NodeId> = ir.nodes_with_kind_prefix("workflow");
+    let mut svc_nodes: Vec<NodeId> = ir.nodes_with_kind_prefix(deploy::SERVICE_KIND);
     svc_nodes.sort();
     let mut svc_ix: HashMap<NodeId, usize> = HashMap::new();
     for s in &svc_nodes {
@@ -158,22 +140,15 @@ pub fn lower(registry: &Registry, ir: &IrGraph, ctx: &BuildCtx<'_>) -> Result<Sy
         let imp = ctx.workflow.service(&impl_name).expect("validated above");
         let my_ix = svc_ix[s];
         for dep in &imp.deps {
-            let Some(target_name) = n.props.str(&format!("dep.{}", dep.name)) else {
-                continue; // Unbound in wiring: workflow plugin already errored.
+            // Unbound in wiring: the workflow plugin already errored.
+            let Some(target) = deploy::dep_target(ir, *s, &dep.name)? else {
+                continue;
             };
-            let Some(declared) = ir.by_name(target_name) else {
-                return Err(PluginError::Internal(format!(
-                    "dep {} of {} points at vanished instance {target_name}",
-                    dep.name, n.name
-                ))
-                .into());
-            };
-            let actual = resolve_actual_target(ir, *s, declared);
             let binding = make_binding(
                 registry,
                 ir,
                 *s,
-                actual,
+                target,
                 dep.kind.clone(),
                 &svc_ix,
                 &backend_ix,
@@ -183,52 +158,19 @@ pub fn lower(registry: &Registry, ir: &IrGraph, ctx: &BuildCtx<'_>) -> Result<Sy
     }
 
     // ---- Entry points ------------------------------------------------------
-    for s in &svc_nodes {
-        let inbound_invocations = ir
-            .in_edges(*s)
-            .iter()
-            .filter(|e| {
-                ir.edge(**e)
-                    .map(|e| e.kind == blueprint_ir::EdgeKind::Invocation)
-                    .unwrap_or(false)
-            })
-            .count();
-        if inbound_invocations == 0 {
-            let n = ir.node(*s)?;
-            let client = assemble_client(registry, ir, None, *s);
-            spec.entries.insert(
-                n.name.clone(),
-                EntrySpec {
-                    service: svc_ix[s],
-                    client,
-                },
-            );
-        }
+    for s in deploy::entry_services(ir) {
+        let client = assemble_client(registry, ir, None, s);
+        spec.entries.insert(
+            ir.node(s)?.name.clone(),
+            EntrySpec {
+                service: svc_ix[&s],
+                client,
+            },
+        );
     }
 
     spec.validate()?;
     Ok(spec)
-}
-
-/// Finds the node a caller actually invokes for a declared dependency: the
-/// declared target itself, or the load balancer fronting it after a
-/// replication transform re-routed the edge.
-fn resolve_actual_target(ir: &IrGraph, caller: NodeId, declared: NodeId) -> NodeId {
-    for e in ir.out_edges(caller) {
-        let Ok(edge) = ir.edge(e) else { continue };
-        if edge.kind != blueprint_ir::EdgeKind::Invocation {
-            continue;
-        }
-        if edge.to == declared {
-            return declared;
-        }
-        if let Ok(t) = ir.node(edge.to) {
-            if t.kind == "component.loadbalancer" && ir.callees(edge.to).contains(&declared) {
-                return edge.to;
-            }
-        }
-    }
-    declared
 }
 
 /// Builds the [`DepBinding`] for one dependency.
@@ -236,16 +178,15 @@ fn make_binding(
     registry: &Registry,
     ir: &IrGraph,
     caller: NodeId,
-    target: NodeId,
+    target: DepTarget,
     dep_kind: DepKind,
     svc_ix: &HashMap<NodeId, usize>,
     backend_ix: &HashMap<NodeId, usize>,
 ) -> Result<DepBinding> {
-    let t = ir.node(target)?;
-    match (&dep_kind, t.kind.as_str()) {
-        (DepKind::Service(_), "component.loadbalancer") => {
-            let mut replicas = ir.callees(target);
-            replicas.sort();
+    let (DepTarget::Direct(node) | DepTarget::Balanced { lb: node, .. }) = target;
+    let t = ir.node(node)?;
+    match (&dep_kind, target) {
+        (DepKind::Service(_), DepTarget::Balanced { replicas, .. }) => {
             let targets: Vec<usize> = replicas
                 .iter()
                 .filter_map(|r| svc_ix.get(r).copied())
@@ -257,8 +198,7 @@ fn make_binding(
                 ))
                 .into());
             }
-            let policy = ir
-                .node(target)?
+            let policy = t
                 .props
                 .str("policy")
                 .and_then(parse_policy)
@@ -271,27 +211,27 @@ fn make_binding(
                 client,
             })
         }
-        (DepKind::Service(_), k) if k.starts_with("workflow.") => {
-            let Some(&ix) = svc_ix.get(&target) else {
+        (DepKind::Service(_), DepTarget::Direct(_)) if t.kind.starts_with("workflow.") => {
+            let Some(&ix) = svc_ix.get(&node) else {
                 return Err(PluginError::Internal(format!("unlowered service {}", t.name)).into());
             };
             Ok(DepBinding::Service {
                 target: ix,
-                client: assemble_client(registry, ir, Some(caller), target),
+                client: assemble_client(registry, ir, Some(caller), node),
             })
         }
-        (DepKind::Backend(_), k) if k.starts_with("backend.") => {
-            let Some(&ix) = backend_ix.get(&target) else {
+        (DepKind::Backend(_), DepTarget::Direct(_)) if t.kind.starts_with("backend.") => {
+            let Some(&ix) = backend_ix.get(&node) else {
                 return Err(PluginError::Internal(format!("unlowered backend {}", t.name)).into());
             };
             Ok(DepBinding::Backend {
                 target: ix,
-                client: assemble_client(registry, ir, Some(caller), target),
+                client: assemble_client(registry, ir, Some(caller), node),
             })
         }
-        (dk, k) => Err(PluginError::Internal(format!(
-            "dependency kind mismatch: workflow declares {dk:?} but `{}` is {k}",
-            t.name
+        (dk, _) => Err(PluginError::Internal(format!(
+            "dependency kind mismatch: workflow declares {dk:?} but `{}` is {}",
+            t.name, t.kind
         ))
         .into()),
     }

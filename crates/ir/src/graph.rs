@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::edge::{Edge, EdgeId, EdgeKind};
-use crate::node::{Granularity, Node, NodeId, NodeRole};
+use crate::node::{kind_matches, Granularity, Node, NodeId, NodeRole};
 use crate::types::MethodSig;
 use crate::visibility::Visibility;
 use crate::{IrError, Result};
@@ -154,10 +154,7 @@ impl IrGraph {
     /// e.g. `backend.cache.memcached` matches prefix `backend.cache`).
     pub fn nodes_with_kind_prefix(&self, prefix: &str) -> Vec<NodeId> {
         self.nodes()
-            .filter(|(_, n)| {
-                n.kind == prefix
-                    || n.kind.starts_with(prefix) && n.kind[prefix.len()..].starts_with('.')
-            })
+            .filter(|(_, n)| kind_matches(&n.kind, prefix))
             .map(|(i, _)| i)
             .collect()
     }
@@ -331,11 +328,7 @@ impl IrGraph {
             .map(|n| {
                 n.modifiers.iter().any(|m| {
                     self.node(*m)
-                        .map(|mn| {
-                            mn.kind == kind_prefix
-                                || (mn.kind.starts_with(kind_prefix)
-                                    && mn.kind[kind_prefix.len()..].starts_with('.'))
-                        })
+                        .map(|mn| kind_matches(&mn.kind, kind_prefix))
                         .unwrap_or(false)
                 })
             })

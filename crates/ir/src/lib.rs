@@ -28,6 +28,7 @@
 //! new node *kinds* (string-tagged, with typed property bags) without this crate
 //! changing. That mirrors the extensibility story of the paper.
 
+pub mod deploy;
 pub mod dot;
 pub mod edge;
 pub mod graph;
@@ -42,7 +43,7 @@ pub mod visibility;
 pub use dot::{to_dot, to_dot_with_findings, DotFinding};
 pub use edge::{Edge, EdgeId, EdgeKind};
 pub use graph::IrGraph;
-pub use node::{Granularity, Node, NodeId, NodeRole};
+pub use node::{kind_matches, Granularity, Node, NodeId, NodeRole};
 pub use props::{PropValue, Props};
 pub use types::{MethodSig, Param, TypeRef};
 pub use visibility::Visibility;

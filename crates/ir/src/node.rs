@@ -107,6 +107,12 @@ impl Granularity {
     }
 }
 
+/// Dotted-path kind prefix match: `mod.retry` matches `mod.retry` and
+/// `mod.retry.exponential`, not `mod.retryish`.
+pub fn kind_matches(kind: &str, prefix: &str) -> bool {
+    kind == prefix || (kind.starts_with(prefix) && kind[prefix.len()..].starts_with('.'))
+}
+
 /// A node of the IR graph.
 ///
 /// Nodes carry a plugin-defined `kind` tag (e.g. `"workflow.service"`,
@@ -191,6 +197,13 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kind_prefix_semantics() {
+        assert!(kind_matches("mod.retry", "mod.retry"));
+        assert!(kind_matches("mod.retry.exp", "mod.retry"));
+        assert!(!kind_matches("mod.retryish", "mod.retry"));
+    }
 
     #[test]
     fn granularity_order_is_total_and_strict() {

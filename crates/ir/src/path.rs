@@ -2,31 +2,13 @@
 //!
 //! Several consumers need the transitive call structure of an application:
 //! the compiler gathers client-code dependencies along invocation paths
-//! (§4.3.2 "Resolving Dependencies"), the statistics module reports topology
-//! depth, and the workload drivers enumerate entry points.
+//! (§4.3.2 "Resolving Dependencies") and the statistics module reports
+//! topology depth. Entry points are a deployment rule, in [`crate::deploy`].
 
 use std::collections::{BTreeSet, VecDeque};
 
-use crate::edge::EdgeKind;
 use crate::graph::IrGraph;
-use crate::node::{NodeId, NodeRole};
-
-/// Component nodes with no incoming invocation edges — the application's entry
-/// points (gateways / frontends).
-pub fn entry_points(g: &IrGraph) -> Vec<NodeId> {
-    g.nodes()
-        .filter(|(id, n)| {
-            n.role == NodeRole::Component
-                && n.kind.starts_with("workflow.")
-                && g.in_edges(*id).iter().all(|e| {
-                    g.edge(*e)
-                        .map(|e| e.kind != EdgeKind::Invocation)
-                        .unwrap_or(true)
-                })
-        })
-        .map(|(id, _)| id)
-        .collect()
-}
+use crate::node::NodeId;
 
 /// All components transitively reachable from `start` over invocation edges,
 /// including `start` itself, in BFS order.
@@ -143,7 +125,7 @@ mod tests {
     #[test]
     fn entry_points_are_roots() {
         let (g, ids) = chain(4);
-        assert_eq!(entry_points(&g), vec![ids[0]]);
+        assert_eq!(crate::deploy::entry_services(&g), vec![ids[0]]);
     }
 
     #[test]
@@ -180,7 +162,7 @@ mod tests {
         g.add_invocation(b, d, sig()).unwrap();
         g.add_invocation(c, d, sig()).unwrap();
         assert_eq!(max_call_depth(&g, a), 2);
-        assert_eq!(entry_points(&g), vec![a]);
+        assert_eq!(crate::deploy::entry_services(&g), vec![a]);
         assert_eq!(reachable(&g, a).len(), 4);
         assert!(invocation_cycles(&g).is_empty());
     }

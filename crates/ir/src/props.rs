@@ -62,36 +62,53 @@ impl From<String> for PropValue {
 
 /// An ordered map of property names to values.
 ///
-/// Ordering (BTreeMap) keeps serialized artifacts and DOT dumps deterministic,
-/// which the generation-time benchmarks and golden tests rely on.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Props(BTreeMap<String, PropValue>);
+/// Key order keeps serialized artifacts and DOT dumps deterministic, which
+/// the generation-time benchmarks and golden tests rely on. A bag holds a
+/// handful of entries, so it is a key-sorted `Vec` (one small allocation
+/// per node) rather than a `BTreeMap`, whose first insert allocates a node
+/// sized for eleven.
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct Props(Vec<(String, PropValue)>);
+
+impl std::fmt::Debug for Props {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 impl Props {
     /// Creates an empty property bag.
     pub fn new() -> Self {
-        Props(BTreeMap::new())
+        Props(Vec::new())
+    }
+
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.as_str().cmp(key))
     }
 
     /// Inserts or replaces a property.
     pub fn set(&mut self, key: impl Into<String>, value: impl Into<PropValue>) -> &mut Self {
-        self.0.insert(key.into(), value.into());
+        let key = key.into();
+        match self.find(&key) {
+            Ok(i) => self.0[i].1 = value.into(),
+            Err(i) => self.0.insert(i, (key, value.into())),
+        }
         self
     }
 
     /// Returns the raw value for `key`, if present.
     pub fn get(&self, key: &str) -> Option<&PropValue> {
-        self.0.get(key)
+        self.find(key).ok().map(|i| &self.0[i].1)
     }
 
     /// Removes a property, returning its previous value.
     pub fn remove(&mut self, key: &str) -> Option<PropValue> {
-        self.0.remove(key)
+        self.find(key).ok().map(|i| self.0.remove(i).1)
     }
 
     /// Whether `key` is present.
     pub fn contains(&self, key: &str) -> bool {
-        self.0.contains_key(key)
+        self.find(key).is_ok()
     }
 
     /// Number of properties.
@@ -106,7 +123,7 @@ impl Props {
 
     /// Typed accessor: integer property.
     pub fn int(&self, key: &str) -> Option<i64> {
-        match self.0.get(key) {
+        match self.get(key) {
             Some(PropValue::Int(v)) => Some(*v),
             _ => None,
         }
@@ -119,7 +136,7 @@ impl Props {
 
     /// Typed accessor: float property (integers coerce).
     pub fn float(&self, key: &str) -> Option<f64> {
-        match self.0.get(key) {
+        match self.get(key) {
             Some(PropValue::Float(v)) => Some(*v),
             Some(PropValue::Int(v)) => Some(*v as f64),
             _ => None,
@@ -133,7 +150,7 @@ impl Props {
 
     /// Typed accessor: boolean property.
     pub fn bool(&self, key: &str) -> Option<bool> {
-        match self.0.get(key) {
+        match self.get(key) {
             Some(PropValue::Bool(v)) => Some(*v),
             _ => None,
         }
@@ -146,7 +163,7 @@ impl Props {
 
     /// Typed accessor: string property.
     pub fn str(&self, key: &str) -> Option<&str> {
-        match self.0.get(key) {
+        match self.get(key) {
             Some(PropValue::Str(v)) => Some(v.as_str()),
             _ => None,
         }
@@ -154,7 +171,7 @@ impl Props {
 
     /// Typed accessor: list of strings (non-string elements are skipped).
     pub fn str_list(&self, key: &str) -> Vec<&str> {
-        match self.0.get(key) {
+        match self.get(key) {
             Some(PropValue::List(items)) => items
                 .iter()
                 .filter_map(|v| match v {
@@ -174,7 +191,9 @@ impl Props {
 
 impl FromIterator<(String, PropValue)> for Props {
     fn from_iter<T: IntoIterator<Item = (String, PropValue)>>(iter: T) -> Self {
-        Props(iter.into_iter().collect())
+        // Later duplicates win, as with a map.
+        let map: BTreeMap<String, PropValue> = iter.into_iter().collect();
+        Props(map.into_iter().collect())
     }
 }
 
@@ -235,6 +254,24 @@ mod tests {
         p.set("z", 1i64).set("a", 2i64).set("m", 3i64);
         let keys: Vec<&str> = p.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "m", "z"]);
+    }
+
+    #[test]
+    fn set_replaces_and_debug_prints_a_map() {
+        let mut p = Props::new();
+        p.set("b", 1i64).set("a", "x").set("b", 2i64);
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.int("b"), Some(2));
+        assert_eq!(format!("{p:?}"), r#"{"a": Str("x"), "b": Int(2)}"#);
+        let q: Props = [
+            ("b".to_string(), PropValue::Int(1)),
+            ("a".to_string(), PropValue::Bool(true)),
+            ("b".to_string(), PropValue::Int(2)),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(q.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec!["a", "b"]);
+        assert_eq!(q.int("b"), Some(2), "later duplicates win");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::edge::EdgeKind;
 use crate::graph::IrGraph;
 use crate::node::NodeRole;
-use crate::path;
+use crate::{deploy, path};
 
 /// Summary statistics of an IR graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -65,7 +65,7 @@ pub fn stats(g: &IrGraph) -> GraphStats {
         .edges()
         .filter(|(_, e)| e.kind == EdgeKind::Invocation)
         .count();
-    let entries = path::entry_points(g);
+    let entries = deploy::entry_services(g);
     let max_call_depth = entries
         .iter()
         .map(|e| path::max_call_depth(g, *e))

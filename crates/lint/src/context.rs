@@ -1,6 +1,7 @@
 //! Shared analysis context and graph queries used by multiple passes.
 
-use blueprint_ir::{EdgeKind, IrGraph, NodeId};
+pub use blueprint_ir::kind_matches;
+use blueprint_ir::{deploy, EdgeKind, IrGraph, NodeId};
 use blueprint_wiring::WiringSpec;
 use blueprint_workflow::WorkflowSpec;
 
@@ -10,9 +11,9 @@ use crate::LintConfig;
 /// one-line fix here rather than a scavenger hunt through the passes.
 pub mod kind {
     /// Workflow service instances.
-    pub const SERVICE: &str = "workflow";
+    pub const SERVICE: &str = blueprint_ir::deploy::SERVICE_KIND;
     /// Load balancer components.
-    pub const LOAD_BALANCER: &str = "component.loadbalancer";
+    pub const LOAD_BALANCER: &str = blueprint_ir::deploy::LOAD_BALANCER_KIND;
     /// Retry modifiers.
     pub const RETRY: &str = "mod.retry";
     /// Timeout modifiers.
@@ -32,8 +33,6 @@ pub mod kind {
     pub const HTTP: &str = "mod.http";
     /// Tracer modifiers (per-span overhead props live here).
     pub const TRACER: &str = "mod.tracer";
-    /// Machine namespaces (the `cores` prop lives here).
-    pub const MACHINE: &str = "namespace.machine";
     /// Queue backends.
     pub const QUEUE: &str = "backend.queue";
     /// Cache backends.
@@ -59,20 +58,8 @@ pub struct LintContext<'a> {
 }
 
 impl<'a> LintContext<'a> {
-    /// Builds a context without behavior programs (capacity rules stay
-    /// silent).
-    pub fn new(ir: &'a IrGraph, wiring: &'a WiringSpec, config: &'a LintConfig) -> Self {
-        LintContext {
-            ir,
-            wiring,
-            config,
-            workflow: None,
-        }
-    }
-
-    /// Builds a context carrying the workflow's behavior programs, enabling
-    /// the analytic capacity model.
-    pub fn with_workflow(
+    /// Builds a context. Without a workflow the capacity rules stay silent.
+    pub fn new(
         ir: &'a IrGraph,
         wiring: &'a WiringSpec,
         config: &'a LintConfig,
@@ -91,20 +78,10 @@ impl<'a> LintContext<'a> {
         self.ir.nodes_with_kind_prefix(kind::SERVICE)
     }
 
-    /// Entry points: services no live invocation edge targets (the same
-    /// rule the simulation lowering uses to pick workload entries).
+    /// Entry points: the lowering's workload entries
+    /// ([`deploy::entry_services`]).
     pub fn entry_services(&self) -> Vec<NodeId> {
-        self.services()
-            .into_iter()
-            .filter(|&s| {
-                !self.ir.in_edges(s).iter().any(|&e| {
-                    self.ir
-                        .edge(e)
-                        .map(|e| e.kind == EdgeKind::Invocation)
-                        .unwrap_or(false)
-                })
-            })
-            .collect()
+        deploy::entry_services(self.ir)
     }
 
     /// Worst-case attempts per logical call *into* `node`: the product of
@@ -120,7 +97,7 @@ impl<'a> LintContext<'a> {
         for &m in n.modifiers() {
             let Ok(mn) = self.ir.node(m) else { continue };
             if kind_matches(&mn.kind, kind::RETRY) {
-                let max = mn.props.float_or("max", 3.0);
+                let max = mn.props.float_or("max", 0.0);
                 if max.is_finite() && max > 0.0 {
                     attempts *= 1.0 + max.round();
                 }
@@ -137,7 +114,7 @@ impl<'a> LintContext<'a> {
         for &m in n.modifiers() {
             let Ok(mn) = self.ir.node(m) else { continue };
             if kind_matches(&mn.kind, kind::TIMEOUT) {
-                let ms = mn.props.float_or("ms", 500.0);
+                let ms = mn.props.float_or("ms", 0.0);
                 if ms.is_finite() && ms > 0.0 {
                     best = Some(best.map_or(ms, |b: f64| b.min(ms)));
                 }
@@ -154,7 +131,7 @@ impl<'a> LintContext<'a> {
         for &m in n.modifiers() {
             let Ok(mn) = self.ir.node(m) else { continue };
             if kind_matches(&mn.kind, kind::DEADLINE) {
-                let ms = mn.props.float_or("ms", 1000.0);
+                let ms = mn.props.float_or("ms", 0.0);
                 if ms.is_finite() && ms > 0.0 {
                     best = Some(best.map_or(ms, |b: f64| b.min(ms)));
                 }
@@ -218,13 +195,6 @@ impl<'a> LintContext<'a> {
     }
 }
 
-/// Dotted-path prefix match, identical to the IR's kind matching rules:
-/// `mod.retry` matches `mod.retry` and `mod.retry.exponential`, not
-/// `mod.retryish`.
-pub fn kind_matches(kind: &str, prefix: &str) -> bool {
-    kind == prefix || (kind.starts_with(prefix) && kind[prefix.len()..].starts_with('.'))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,7 +236,7 @@ mod tests {
     fn attempts_timeouts_and_entries() {
         let (ir, w) = ctx_fixture();
         let cfg = LintConfig::default();
-        let ctx = LintContext::new(&ir, &w, &cfg);
+        let ctx = LintContext::new(&ir, &w, &cfg, None);
         let a = ir.by_name("a").unwrap();
         let b = ir.by_name("b").unwrap();
         assert_eq!(ctx.entry_services(), vec![a]);
@@ -276,12 +246,5 @@ mod tests {
         assert_eq!(ctx.timeout_into_ms(a), None);
         assert!(!ctx.breaker_on(b));
         assert_eq!(ctx.invocation_callees(a), vec![b]);
-    }
-
-    #[test]
-    fn kind_prefix_semantics() {
-        assert!(kind_matches("mod.retry", "mod.retry"));
-        assert!(kind_matches("mod.retry.exp", "mod.retry"));
-        assert!(!kind_matches("mod.retryish", "mod.retry"));
     }
 }

@@ -282,7 +282,7 @@ impl Linter {
         wiring: &blueprint_wiring::WiringSpec,
         workflow: Option<&blueprint_workflow::WorkflowSpec>,
     ) -> Vec<Diagnostic> {
-        let ctx = LintContext::with_workflow(ir, wiring, &self.config, workflow);
+        let ctx = LintContext::new(ir, wiring, &self.config, workflow);
         let mut out: Vec<Diagnostic> = Vec::new();
         for pass in &self.passes {
             out.extend(pass.run(&ctx));

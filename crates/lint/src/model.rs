@@ -4,9 +4,7 @@
 //! per-entry visit ratios come from walking the `Behavior` programs
 //! (`Branch` probabilities, `Parallel` fan-out, `Repeat` counts,
 //! `cache_get_or_fetch` miss paths), per-node demand from `Compute` steps
-//! and backend op service times, and placement from the same
-//! machine-ancestor rule the simulation lowering uses. Every quantity is
-//! computed twice:
+//! and backend op service times. Every quantity is computed twice:
 //!
 //! * **optimistic** — base demand only: compute CPU and backend op CPU on
 //!   the cache *hit* path, no serialization, no tracing, no GC, no
@@ -23,6 +21,19 @@
 //! `[pessimistic, optimistic]` — the bracket `capacity_validation`
 //! cross-checks against `par_run` sweeps.
 //!
+//! What the model reads from the IR is what the simulation lowering reads:
+//! hosts, placement, entry services and dependency targets come from
+//! [`blueprint_ir::deploy`], and every cost parameter is a prop the owning
+//! plugin's build recorded on its node — `serialize_us` / `net_us` on RPC
+//! and HTTP servers, `client_op_us` and the op costs on backends,
+//! `overhead_us` on tracers, `max` on retries, `ms` on timeouts and
+//! deadlines. A node without the prop contributes nothing. A few simulator
+//! constants are still mirrored here, because the lint cannot depend on the
+//! simulator crate without changing the benchmark's locked crate graph: the
+//! GC cost per allocated byte, the bytes a tracer allocates per span, the
+//! fixed CPU of a queue op, and the tracer client factors (half a span for
+//! OpenTelemetry, 0.6 for X-Trace).
+//!
 //! Known model limits (documented in DESIGN.md): `Fail { prob }` steps are
 //! treated as no-ops (demand after a probabilistic abort is not
 //! discounted), queueing delay uses a processor-sharing `1/(1-ρ)`
@@ -31,7 +42,8 @@
 
 use std::collections::BTreeMap;
 
-use blueprint_ir::{EdgeKind, IrGraph, NodeId};
+use blueprint_ir::deploy::{self, DepTarget, Host, Placement};
+use blueprint_ir::{IrGraph, NodeId};
 use blueprint_workflow::{Behavior, CacheOp, DbOp, ServiceImpl, Step};
 
 use crate::context::{kind, kind_matches, LintContext};
@@ -55,18 +67,6 @@ pub enum Mode {
     Optimistic,
     /// Full demand: upper-bounds cost, under-predicts capacity.
     Pessimistic,
-}
-
-/// One placement target (a `namespace.machine`, or the synthetic
-/// single-machine fallback the lowering uses when none exist).
-#[derive(Debug, Clone)]
-pub struct Machine {
-    /// The IR node, `None` for the synthetic fallback machine.
-    pub node: Option<NodeId>,
-    /// Display name.
-    pub name: String,
-    /// Core count (`cores` prop, default 8).
-    pub cores: f64,
 }
 
 /// Per-request demand, attributed to the IR node whose process burns the
@@ -158,8 +158,8 @@ struct Service<'a> {
 /// demand and sojourn repeatedly.
 pub struct Model<'a> {
     ctx: &'a LintContext<'a>,
-    /// Machines, node-id ascending (the lowering's host order).
-    pub machines: Vec<Machine>,
+    /// The deployment's hosts, in the lowering's order.
+    pub machines: Vec<Host>,
     host_of: BTreeMap<NodeId, usize>,
     /// Every service node with a known implementation.
     services: BTreeMap<NodeId, Service<'a>>,
@@ -174,32 +174,7 @@ impl<'a> Model<'a> {
         let wf = ctx.workflow?;
         let ir = ctx.ir;
 
-        let mut machine_nodes = ir.nodes_with_kind_prefix(kind::MACHINE);
-        machine_nodes.sort_unstable();
-        let mut machines: Vec<Machine> = machine_nodes
-            .iter()
-            .filter_map(|&m| {
-                let n = ir.node(m).ok()?;
-                Some(Machine {
-                    node: Some(m),
-                    name: n.name.clone(),
-                    cores: n.props.float_or("cores", 8.0),
-                })
-            })
-            .collect();
-        if machines.is_empty() {
-            machines.push(Machine {
-                node: None,
-                name: "machine_0".into(),
-                cores: 8.0,
-            });
-        }
-        let machine_ix: BTreeMap<NodeId, usize> = machine_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| (m, i))
-            .collect();
-
+        let placement = Placement::new(ir);
         let mut host_of = BTreeMap::new();
         let mut services = BTreeMap::new();
         let mut names: BTreeMap<String, NodeId> = BTreeMap::new();
@@ -212,32 +187,28 @@ impl<'a> Model<'a> {
                 continue; // unknown impl: the lowering errors, nothing to model
             };
             names.insert(n.name.clone(), s);
-            host_of.insert(s, host_ix(ir, s, &machine_ix));
+            host_of.insert(s, placement.host_of(s));
             let mut bound = BTreeMap::new();
             for dep in &imp.deps {
-                let Some(target_name) = n.props.str(&format!("dep.{}", dep.name)) else {
+                let Ok(Some(resolved)) = deploy::dep_target(ir, s, &dep.name) else {
                     continue;
                 };
-                let Some(declared) = ir.by_name(target_name) else {
-                    continue;
-                };
-                let actual = resolve_actual_target(ir, s, declared);
                 let target = |node| Target {
                     node,
                     cost: call_cost(ir, Some(s), node),
                     attempts: ctx.attempts_into(node),
                 };
-                let targets = match ir.node(actual) {
-                    Ok(t) if kind_matches(&t.kind, kind::LOAD_BALANCER) => {
-                        let mut replicas = ir.callees(actual);
-                        replicas.sort_unstable();
+                let targets = match resolved {
+                    DepTarget::Balanced { replicas, .. } => {
                         DepTargets::Services(replicas.into_iter().map(target).collect())
                     }
-                    Ok(t) if t.kind.starts_with("workflow") => {
-                        DepTargets::Services(vec![target(actual)])
-                    }
-                    Ok(t) if t.kind.starts_with("backend") => DepTargets::Backend(target(actual)),
-                    _ => continue,
+                    DepTarget::Direct(t) => match ir.node(t) {
+                        Ok(tn) if tn.kind.starts_with("workflow") => {
+                            DepTargets::Services(vec![target(t)])
+                        }
+                        Ok(tn) if tn.kind.starts_with("backend") => DepTargets::Backend(target(t)),
+                        _ => continue,
+                    },
                 };
                 bound.insert(dep.name.as_str(), targets);
             }
@@ -252,7 +223,7 @@ impl<'a> Model<'a> {
             );
         }
         for b in ir.nodes_with_kind_prefix("backend") {
-            host_of.insert(b, host_ix(ir, b, &machine_ix));
+            host_of.insert(b, placement.host_of(b));
         }
 
         // Replica groups: `<base>_r<N>` collapses onto `<base>` when the
@@ -271,7 +242,7 @@ impl<'a> Model<'a> {
 
         Some(Model {
             ctx,
-            machines,
+            machines: placement.hosts,
             host_of,
             services,
             group_of,
@@ -295,6 +266,16 @@ impl<'a> Model<'a> {
             .filter(|(_, g)| g.as_str() == base)
             .map(|(&n, _)| n)
             .collect()
+    }
+
+    /// The instances calls from service `node` through dependency `dep`
+    /// land on, node-id ascending (empty when unbound or unmodelled).
+    pub fn dep_targets(&self, node: NodeId, dep: &str) -> Vec<NodeId> {
+        match self.services.get(&node).and_then(|s| s.deps.get(dep)) {
+            Some(DepTargets::Services(ts)) => ts.iter().map(|t| t.node).collect(),
+            Some(DepTargets::Backend(t)) => vec![t.node],
+            None => Vec::new(),
+        }
     }
 
     /// The traffic mix as `(entry node, method, weight)` rows, weights
@@ -766,12 +747,7 @@ fn trace_overhead_ns(ir: &IrGraph, node: NodeId) -> f64 {
             continue;
         };
         if kind_matches(&mn.kind, kind::TRACER) {
-            let default = if mn.kind.starts_with("mod.tracer.xtrace") {
-                25.0
-            } else {
-                15.0
-            };
-            total += mn.props.float_or("overhead_us", default) * 1000.0;
+            total += mn.props.float_or("overhead_us", 0.0) * 1000.0;
         }
     }
     total
@@ -790,82 +766,33 @@ fn call_cost(ir: &IrGraph, caller: Option<NodeId>, callee: NodeId) -> CallCost {
         .map(|c| ir.boundary_between(c, callee).is_none())
         .unwrap_or(false);
     if !same_process {
-        for &m in n.modifiers() {
-            let Ok(mn) = ir.node(m) else { continue };
-            let defaults = if kind_matches(&mn.kind, kind::HTTP) {
-                Some((25.0, 60.0))
-            } else if mn.kind.starts_with("mod.rpc.thrift") {
-                Some((15.0, 50.0))
-            } else if kind_matches(&mn.kind, kind::RPC) {
-                Some((12.0, 50.0))
-            } else {
-                None
-            };
-            if let Some((ser_us, net_us)) = defaults {
-                cost.serialize_ns = mn.props.float_or("serialize_us", ser_us) * 1000.0;
-                cost.net_ns = mn.props.float_or("net_us", net_us) * 1000.0;
-                break;
-            }
+        if let Some(mn) = n
+            .modifiers()
+            .iter()
+            .filter_map(|&m| ir.node(m).ok())
+            .find(|mn| kind_matches(&mn.kind, kind::RPC) || kind_matches(&mn.kind, kind::HTTP))
+        {
+            cost.serialize_ns = mn.props.float_or("serialize_us", 0.0) * 1000.0;
+            cost.net_ns = mn.props.float_or("net_us", 0.0) * 1000.0;
         }
     }
     for &m in n.modifiers() {
         let Ok(mn) = ir.node(m) else { continue };
         if kind_matches(&mn.kind, kind::TRACER) {
-            let (default, per_ns) = if mn.kind.starts_with("mod.tracer.xtrace") {
-                (25.0, 600.0)
+            // The tracer plugins' `apply_client` factors (simulator mirror).
+            let per_ns = if mn.kind.starts_with("mod.tracer.xtrace") {
+                600.0
             } else {
-                (15.0, 500.0)
+                500.0
             };
-            cost.client_overhead_ns += mn.props.float_or("overhead_us", default) * per_ns;
+            cost.client_overhead_ns += mn.props.float_or("overhead_us", 0.0) * per_ns;
         }
     }
     // Backend drivers contribute protocol marshalling on the caller.
-    // Defaults mirror each plugin's `apply_client`.
     if n.kind.starts_with("backend") {
-        let default_us = if n.kind.starts_with("backend.cache") {
-            12.0
-        } else if n.kind.starts_with("backend.nosql") {
-            20.0
-        } else if n.kind.starts_with("backend.reldb") {
-            25.0
-        } else if n.kind.starts_with("backend.queue") {
-            15.0
-        } else {
-            0.0
-        };
-        cost.client_overhead_ns += n.props.float_or("client_op_us", default_us) * 1000.0;
+        cost.client_overhead_ns += n.props.float_or("client_op_us", 0.0) * 1000.0;
     }
     cost
-}
-
-/// The lowering's dependency re-routing rule: a declared target reached
-/// through a load balancer resolves to the balancer.
-fn resolve_actual_target(ir: &IrGraph, caller: NodeId, declared: NodeId) -> NodeId {
-    for e in ir.out_edges(caller) {
-        let Ok(edge) = ir.edge(e) else { continue };
-        if edge.kind != EdgeKind::Invocation {
-            continue;
-        }
-        if edge.to == declared {
-            return declared;
-        }
-        if let Ok(t) = ir.node(edge.to) {
-            if kind_matches(&t.kind, kind::LOAD_BALANCER) && ir.callees(edge.to).contains(&declared)
-            {
-                return edge.to;
-            }
-        }
-    }
-    declared
-}
-
-/// The lowering's placement rule: nearest `namespace.machine` ancestor,
-/// host 0 otherwise.
-fn host_ix(ir: &IrGraph, node: NodeId, machine_ix: &BTreeMap<NodeId, usize>) -> usize {
-    ir.ancestors(node)
-        .into_iter()
-        .find_map(|a| machine_ix.get(&a).copied())
-        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -980,7 +907,7 @@ mod tests {
     fn optimistic_demand_counts_compute_and_backend_cpu_with_visit_ratios() {
         let (ir, w, wf) = fixture();
         let cfg = LintConfig::default();
-        let ctx = LintContext::with_workflow(&ir, &w, &cfg, Some(&wf));
+        let ctx = LintContext::new(&ir, &w, &cfg, Some(&wf));
         let model = Model::build(&ctx).unwrap();
         let fe = ir.by_name("frontend").unwrap();
         let d = model.request_demand(fe, "Handle", Mode::Optimistic);
@@ -1003,7 +930,7 @@ mod tests {
     fn pessimistic_demand_strictly_exceeds_optimistic() {
         let (ir, w, wf) = fixture();
         let cfg = LintConfig::default();
-        let ctx = LintContext::with_workflow(&ir, &w, &cfg, Some(&wf));
+        let ctx = LintContext::new(&ir, &w, &cfg, Some(&wf));
         let model = Model::build(&ctx).unwrap();
         let fe = ir.by_name("frontend").unwrap();
         let base = model.request_demand(fe, "Handle", Mode::Optimistic);
@@ -1022,7 +949,7 @@ mod tests {
     fn sojourn_includes_backend_latency_and_branch_expectation() {
         let (ir, w, wf) = fixture();
         let cfg = LintConfig::default();
-        let ctx = LintContext::with_workflow(&ir, &w, &cfg, Some(&wf));
+        let ctx = LintContext::new(&ir, &w, &cfg, Some(&wf));
         let model = Model::build(&ctx).unwrap();
         let fe = ir.by_name("frontend").unwrap();
         let ones = vec![1.0; model.machines.len()];
@@ -1061,7 +988,7 @@ mod tests {
             .set("impl", "Worker")
             .set("dep.db", "db");
         let cfg = LintConfig::default();
-        let ctx = LintContext::with_workflow(&ir, &w, &cfg, Some(&wf));
+        let ctx = LintContext::new(&ir, &w, &cfg, Some(&wf));
         let model = Model::build(&ctx).unwrap();
         assert_eq!(model.group_of(wk), "worker");
         assert_eq!(model.group_of(r1), "worker");

@@ -20,6 +20,7 @@
 //!   `set_store_consistency(..., "quorum", (2, r))`: a w=2 write is on a
 //!   surviving member before it is acked.
 
+use blueprint_ir::deploy::{self, DepTarget};
 use blueprint_ir::NodeId;
 use blueprint_workflow::{Behavior, DbOp, Step};
 
@@ -155,11 +156,7 @@ fn read_after_write_path(ctx: &LintContext<'_>, store: NodeId) -> Option<bool> {
             let mut ops = Vec::new();
             db_ops(behavior, &mut ops);
             for (dep, is_write) in ops {
-                let bound = n
-                    .props
-                    .str(&format!("dep.{dep}"))
-                    .and_then(|t| ctx.ir.by_name(t));
-                if bound == Some(store) {
+                if deploy::dep_target(ctx.ir, s, &dep) == Ok(Some(DepTarget::Direct(store))) {
                     if is_write {
                         writes = true;
                     } else {

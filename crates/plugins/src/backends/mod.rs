@@ -95,6 +95,13 @@ pub fn prop_us_to_ns(ir: &IrGraph, node: NodeId, key: &str, default_ns: u64) -> 
         .unwrap_or(default_ns)
 }
 
+/// Charges the caller the client-driver cost per operation (protocol
+/// encoding and syscalls) that the backend's build recorded as
+/// `client_op_us`.
+pub fn driver_client_op(node: NodeId, ir: &IrGraph, client: &mut blueprint_simrt::ClientSpec) {
+    client.client_overhead_ns += prop_us_to_ns(ir, node, "client_op_us", 0);
+}
+
 /// Lowers the `consistency` / `quorum_w` / `quorum_r` wiring kwargs of a
 /// store instance to a
 /// [`ConsistencyMode`](blueprint_simrt::ConsistencyMode). Accepted

@@ -7,7 +7,7 @@ use blueprint_wiring::InstanceDecl;
 
 use crate::api::{BuildCtx, Plugin, PluginResult};
 use crate::artifact::ArtifactTree;
-use crate::backends::{backend_container_artifacts, backend_node, prop_us_to_ns};
+use crate::backends::{backend_container_artifacts, backend_node, driver_client_op, prop_us_to_ns};
 
 /// Kind tag of MySQL nodes.
 pub const KIND: &str = "backend.reldb.mysql";
@@ -42,6 +42,7 @@ impl Plugin for MySqlPlugin {
             ir,
             KIND,
             &[
+                ("client_op_us", PropValue::Float(25.0)),
                 ("read_latency_us", PropValue::Float(900.0)),
                 ("write_latency_us", PropValue::Float(1600.0)),
                 ("cpu_per_op_us", PropValue::Float(25.0)),
@@ -81,13 +82,7 @@ impl Plugin for MySqlPlugin {
     }
 
     fn apply_client(&self, node: NodeId, ir: &IrGraph, client: &mut blueprint_simrt::ClientSpec) {
-        // Client-driver cost per operation: protocol encoding + syscalls.
-        let us = ir
-            .node(node)
-            .ok()
-            .and_then(|n| n.props.float("client_op_us"))
-            .unwrap_or(25.0);
-        client.client_overhead_ns += (us * 1000.0) as u64;
+        driver_client_op(node, ir, client);
     }
 
     fn widen(&self, _node: NodeId, _ir: &IrGraph) -> Option<Visibility> {

@@ -33,7 +33,7 @@ impl Plugin for AnsiblePlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["machines", "cores"])
+        server_modifier(decl, ir, KIND, &["machines", "cores"], &[])
     }
 
     fn generate(

@@ -34,7 +34,7 @@ impl Plugin for DockerPlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["machines", "cores"])
+        server_modifier(decl, ir, KIND, &["machines", "cores"], &[])
     }
 
     fn generate(

@@ -33,7 +33,7 @@ impl Plugin for KubernetesPlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["machines", "cores", "replicas"])
+        server_modifier(decl, ir, KIND, &["machines", "cores", "replicas"], &[])
     }
 
     fn generate(

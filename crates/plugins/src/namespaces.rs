@@ -13,7 +13,7 @@ pub const PROCESS_KIND: &str = "namespace.process";
 /// Kind tag of container namespaces.
 pub const CONTAINER_KIND: &str = "namespace.container";
 /// Kind tag of machine namespaces (created by deployer passes).
-pub const MACHINE_KIND: &str = "namespace.machine";
+pub const MACHINE_KIND: &str = blueprint_ir::deploy::MACHINE_KIND;
 
 /// The `Process(...)`/`Container(...)` grouping plugin. Also generates the
 /// per-process `main.rs` that constructs clients, wrappers, and servers for

@@ -8,10 +8,13 @@ use blueprint_wiring::InstanceDecl;
 
 use crate::api::{BuildCtx, Plugin, PluginResult};
 use crate::artifact::{ArtifactKind, ArtifactTree};
-use crate::rpc::{exposed_methods, render_wrappers, server_modifier, target_name};
+use crate::rpc::{exposed_methods, render_wrappers, server_modifier, target_name, transport_ns};
 
 /// Kind tag of gRPC server modifiers.
 pub const KIND: &str = "mod.rpc.grpc.server";
+
+/// Per-call costs recorded on every node unless a kwarg overrides them.
+const DEFAULTS: &[(&str, f64)] = &[("serialize_us", 12.0), ("net_us", 50.0)];
 
 /// The `GRPCServer()` plugin.
 ///
@@ -38,7 +41,7 @@ impl Plugin for GrpcPlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["serialize_us", "net_us"])
+        server_modifier(decl, ir, KIND, &[], DEFAULTS)
     }
 
     fn generate(
@@ -98,10 +101,10 @@ impl Plugin for GrpcPlugin {
     }
 
     fn transport(&self, node: NodeId, ir: &IrGraph) -> Option<TransportSpec> {
-        let n = ir.node(node).ok()?;
+        let (serialize_ns, net_ns) = transport_ns(ir.node(node).ok()?);
         Some(TransportSpec::Grpc {
-            serialize_ns: (n.props.float_or("serialize_us", 12.0) * 1000.0) as u64,
-            net_ns: (n.props.float_or("net_us", 50.0) * 1000.0) as u64,
+            serialize_ns,
+            net_ns,
         })
     }
 

@@ -8,10 +8,13 @@ use blueprint_wiring::InstanceDecl;
 
 use crate::api::{BuildCtx, Plugin, PluginResult};
 use crate::artifact::{ArtifactKind, ArtifactTree};
-use crate::rpc::{exposed_methods, render_wrappers, server_modifier, target_name};
+use crate::rpc::{exposed_methods, render_wrappers, server_modifier, target_name, transport_ns};
 
 /// Kind tag of HTTP server modifiers.
 pub const KIND: &str = "mod.http.server";
+
+/// Per-call costs recorded on every node unless a kwarg overrides them.
+const DEFAULTS: &[(&str, f64)] = &[("serialize_us", 25.0), ("net_us", 60.0)];
 
 /// The `HTTPServer()` plugin.
 ///
@@ -38,7 +41,7 @@ impl Plugin for HttpPlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["serialize_us", "net_us"])
+        server_modifier(decl, ir, KIND, &[], DEFAULTS)
     }
 
     fn generate(
@@ -76,10 +79,10 @@ impl Plugin for HttpPlugin {
     }
 
     fn transport(&self, node: NodeId, ir: &IrGraph) -> Option<TransportSpec> {
-        let n = ir.node(node).ok()?;
+        let (serialize_ns, net_ns) = transport_ns(ir.node(node).ok()?);
         Some(TransportSpec::Http {
-            serialize_ns: (n.props.float_or("serialize_us", 25.0) * 1000.0) as u64,
-            net_ns: (n.props.float_or("net_us", 60.0) * 1000.0) as u64,
+            serialize_ns,
+            net_ns,
         })
     }
 

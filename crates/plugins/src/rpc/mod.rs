@@ -19,13 +19,16 @@ use blueprint_wiring::InstanceDecl;
 
 use crate::api::{PluginError, PluginResult};
 
-/// Builds a server-modifier node with optional numeric kwargs copied to
-/// props.
+/// Builds a modifier node. `defaults` are recorded on the node as props, so
+/// the lowering hooks and the lint read one value; a numeric kwarg named in
+/// `optional` or `defaults` then overrides its prop. Any other kwarg is an
+/// error.
 pub fn server_modifier(
     decl: &InstanceDecl,
     ir: &mut IrGraph,
     kind: &str,
-    numeric_kwargs: &[&str],
+    optional: &[&str],
+    defaults: &[(&str, f64)],
 ) -> PluginResult<NodeId> {
     let node = ir.add_node(Node::new(
         &decl.name,
@@ -33,20 +36,29 @@ pub fn server_modifier(
         NodeRole::Modifier,
         Granularity::Instance,
     ))?;
-    for key in numeric_kwargs {
-        if let Some(v) = decl.kwarg(key).and_then(|a| a.as_float()) {
-            ir.node_mut(node)?.props.set(*key, v);
-        }
+    let props = &mut ir.node_mut(node)?.props;
+    for &(key, v) in defaults {
+        props.set(key, v);
     }
     for (k, v) in &decl.kwargs {
-        if !numeric_kwargs.contains(&k.as_str()) {
+        if !optional.contains(&k.as_str()) && !defaults.iter().any(|(d, _)| d == k) {
             return Err(PluginError::BadDecl {
                 instance: decl.name.clone(),
                 message: format!("unknown kwarg `{k}` = {v:?}"),
             });
         }
+        if let Some(f) = v.as_float() {
+            props.set(k.as_str(), f);
+        }
     }
     Ok(node)
+}
+
+/// The per-call `(serialize, net)` costs, in ns, that a server modifier's
+/// build recorded as `serialize_us` / `net_us`.
+pub fn transport_ns(n: &Node) -> (u64, u64) {
+    let ns = |key| (n.props.float_or(key, 0.0) * 1000.0) as u64;
+    (ns("serialize_us"), ns("net_us"))
 }
 
 /// The inbound method signatures of the component a modifier is attached to
@@ -150,7 +162,8 @@ mod tests {
                 .collect(),
             server_modifiers: vec![],
         };
-        let err = server_modifier(&decl, &mut ir, "mod.rpc.grpc.server", &["net_us"]).unwrap_err();
+        let err =
+            server_modifier(&decl, &mut ir, "mod.rpc.grpc.server", &["net_us"], &[]).unwrap_err();
         assert!(err.to_string().contains("bogus"));
     }
 

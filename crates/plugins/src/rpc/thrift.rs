@@ -8,7 +8,7 @@ use blueprint_wiring::InstanceDecl;
 
 use crate::api::{BuildCtx, Plugin, PluginResult};
 use crate::artifact::{ArtifactKind, ArtifactTree};
-use crate::rpc::{exposed_methods, render_wrappers, server_modifier, target_name};
+use crate::rpc::{exposed_methods, render_wrappers, server_modifier, target_name, transport_ns};
 
 /// Kind tag of Thrift server modifiers.
 pub const KIND: &str = "mod.rpc.thrift.server";
@@ -43,7 +43,8 @@ impl Plugin for ThriftPlugin {
             decl,
             ir,
             KIND,
-            &["clientpool", "serialize_us", "net_us", "reconnect_us"],
+            &["clientpool", "reconnect_us"],
+            &[("serialize_us", 15.0), ("net_us", 50.0)],
         )
     }
 
@@ -94,10 +95,11 @@ impl Plugin for ThriftPlugin {
 
     fn transport(&self, node: NodeId, ir: &IrGraph) -> Option<TransportSpec> {
         let n = ir.node(node).ok()?;
+        let (serialize_ns, net_ns) = transport_ns(n);
         Some(TransportSpec::Thrift {
             pool: n.props.float_or("clientpool", 4.0) as u32,
-            serialize_ns: (n.props.float_or("serialize_us", 15.0) * 1000.0) as u64,
-            net_ns: (n.props.float_or("net_us", 50.0) * 1000.0) as u64,
+            serialize_ns,
+            net_ns,
             reconnect_ns: (n.props.float_or("reconnect_us", 200.0) * 1000.0) as u64,
         })
     }

@@ -46,6 +46,7 @@ impl Plugin for CircuitBreakerPlugin {
             ir,
             KIND,
             &["threshold", "window", "open_ms", "probes"],
+            &[],
         )
     }
 

@@ -37,7 +37,7 @@ impl Plugin for ClientPoolPlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["size"])
+        server_modifier(decl, ir, KIND, &["size"], &[])
     }
 
     fn apply_client(&self, node: NodeId, ir: &IrGraph, client: &mut ClientSpec) {
@@ -81,7 +81,12 @@ mod tests {
     #[test]
     fn resizes_thrift_pools() {
         let (ir, m) = build(16);
-        let mut client = ClientSpec::over(TransportSpec::thrift_default(4));
+        let mut client = ClientSpec::over(TransportSpec::Thrift {
+            pool: 4,
+            serialize_ns: 15_000,
+            net_ns: 50_000,
+            reconnect_ns: 200_000,
+        });
         ClientPoolPlugin.apply_client(m, &ir, &mut client);
         match client.transport {
             TransportSpec::Thrift { pool, .. } => assert_eq!(pool, 16),
@@ -92,7 +97,10 @@ mod tests {
     #[test]
     fn noop_for_grpc() {
         let (ir, m) = build(16);
-        let mut client = ClientSpec::over(TransportSpec::grpc_default());
+        let mut client = ClientSpec::over(TransportSpec::Grpc {
+            serialize_ns: 12_000,
+            net_ns: 50_000,
+        });
         let before = client.transport.clone();
         ClientPoolPlugin.apply_client(m, &ir, &mut client);
         assert_eq!(client.transport, before);

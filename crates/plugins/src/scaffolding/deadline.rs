@@ -47,12 +47,12 @@ impl Plugin for DeadlinePlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["ms", "margin_ms"])
+        server_modifier(decl, ir, KIND, &["margin_ms"], &[("ms", 1_000.0)])
     }
 
     fn apply_client(&self, node: NodeId, ir: &IrGraph, client: &mut ClientSpec) {
         if let Ok(n) = ir.node(node) {
-            let budget_ms = n.props.float_or("ms", 1_000.0);
+            let budget_ms = n.props.float_or("ms", 0.0);
             let budget_ns = if budget_ms.is_finite() && budget_ms > 0.0 {
                 Some((budget_ms * ms(1) as f64).round() as u64)
             } else {

@@ -46,7 +46,7 @@ impl Plugin for LoadShedPlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["target_ms", "gain", "max", "alpha"])
+        server_modifier(decl, ir, KIND, &["target_ms", "gain", "max", "alpha"], &[])
     }
 
     fn apply_service(&self, node: NodeId, ir: &IrGraph, svc: &mut ServiceLowering) {

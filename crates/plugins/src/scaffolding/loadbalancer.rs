@@ -11,7 +11,7 @@ use crate::api::{BuildCtx, Plugin, PluginError, PluginResult};
 use crate::artifact::{ArtifactKind, ArtifactTree};
 
 /// Kind tag of load balancer components.
-pub const KIND: &str = "component.loadbalancer";
+pub const KIND: &str = blueprint_ir::deploy::LOAD_BALANCER_KIND;
 
 /// The `LoadBalancer(...)` plugin.
 pub struct LoadBalancerPlugin;

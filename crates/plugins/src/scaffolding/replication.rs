@@ -42,7 +42,7 @@ impl Plugin for ReplicatePlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        let node = server_modifier(decl, ir, KIND, &["count"])?;
+        let node = server_modifier(decl, ir, KIND, &["count"], &[])?;
         let count = ir.node(node)?.props.float_or("count", 2.0);
         if count < 1.0 {
             return Err(PluginError::BadDecl {

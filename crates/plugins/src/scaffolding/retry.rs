@@ -52,7 +52,8 @@ impl Plugin for RetryPlugin {
             decl,
             ir,
             KIND,
-            &["max", "backoff_ms", "exp_base", "max_backoff_ms", "jitter"],
+            &["backoff_ms", "exp_base", "max_backoff_ms", "jitter"],
+            &[("max", 3.0)],
         )
     }
 
@@ -63,7 +64,7 @@ impl Plugin for RetryPlugin {
             // Round attempt counts to the nearest integer and reject
             // non-finite or negative values by falling back to the safe
             // floor (no retries / no backoff).
-            let max = n.props.float_or("max", 3.0);
+            let max = n.props.float_or("max", 0.0);
             client.retries = if max.is_finite() && max > 0.0 {
                 max.round().min(u32::MAX as f64) as u32
             } else {

@@ -45,7 +45,7 @@ impl Plugin for RetryBudgetPlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["ratio", "cap"])
+        server_modifier(decl, ir, KIND, &["ratio", "cap"], &[])
     }
 
     fn apply_client(&self, node: NodeId, ir: &IrGraph, client: &mut ClientSpec) {

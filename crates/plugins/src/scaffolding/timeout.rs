@@ -41,7 +41,7 @@ impl Plugin for TimeoutPlugin {
         ir: &mut IrGraph,
         _ctx: &BuildCtx<'_>,
     ) -> PluginResult<NodeId> {
-        server_modifier(decl, ir, KIND, &["ms"])
+        server_modifier(decl, ir, KIND, &[], &[("ms", 500.0)])
     }
 
     fn apply_client(&self, node: NodeId, ir: &IrGraph, client: &mut ClientSpec) {
@@ -50,7 +50,7 @@ impl Plugin for TimeoutPlugin {
             // into "every call times out instantly". Only apply finite,
             // positive deadlines (with sub-millisecond fractions preserved);
             // reject anything else and leave the client untouched.
-            let deadline_ms = n.props.float_or("ms", 500.0);
+            let deadline_ms = n.props.float_or("ms", 0.0);
             if deadline_ms.is_finite() && deadline_ms > 0.0 {
                 client.timeout_ns = Some((deadline_ms * ms(1) as f64).round() as u64);
             }

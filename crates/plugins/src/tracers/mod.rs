@@ -165,7 +165,7 @@ impl Plugin for TracerModifierPlugin {
 
     fn apply_service(&self, node: NodeId, ir: &IrGraph, svc: &mut ServiceLowering) {
         if let Ok(n) = ir.node(node) {
-            let overhead_ns = (n.props.float_or("overhead_us", 15.0) * 1000.0) as u64;
+            let overhead_ns = (n.props.float_or("overhead_us", 0.0) * 1000.0) as u64;
             svc.trace_overhead_ns = Some(overhead_ns);
         }
     }
@@ -173,7 +173,7 @@ impl Plugin for TracerModifierPlugin {
     fn apply_client(&self, node: NodeId, ir: &IrGraph, client: &mut ClientSpec) {
         if let Ok(n) = ir.node(node) {
             // Context injection/extraction costs roughly half a span.
-            client.client_overhead_ns += (n.props.float_or("overhead_us", 15.0) * 500.0) as u64;
+            client.client_overhead_ns += (n.props.float_or("overhead_us", 0.0) * 500.0) as u64;
         }
     }
 

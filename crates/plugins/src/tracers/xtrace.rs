@@ -101,14 +101,14 @@ impl Plugin for XTraceModifierPlugin {
 
     fn apply_service(&self, node: NodeId, ir: &IrGraph, svc: &mut ServiceLowering) {
         if let Ok(n) = ir.node(node) {
-            let overhead_ns = (n.props.float_or("overhead_us", 25.0) * 1000.0) as u64;
+            let overhead_ns = (n.props.float_or("overhead_us", 0.0) * 1000.0) as u64;
             svc.trace_overhead_ns = Some(overhead_ns);
         }
     }
 
     fn apply_client(&self, node: NodeId, ir: &IrGraph, client: &mut ClientSpec) {
         if let Ok(n) = ir.node(node) {
-            client.client_overhead_ns += (n.props.float_or("overhead_us", 25.0) * 600.0) as u64;
+            client.client_overhead_ns += (n.props.float_or("overhead_us", 0.0) * 600.0) as u64;
         }
     }
 

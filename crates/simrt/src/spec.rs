@@ -93,34 +93,6 @@ pub enum TransportSpec {
     },
 }
 
-impl TransportSpec {
-    /// Default gRPC parameters used by the plugins.
-    pub fn grpc_default() -> Self {
-        TransportSpec::Grpc {
-            serialize_ns: 12_000,
-            net_ns: 50_000,
-        }
-    }
-
-    /// Default Thrift parameters with the given pool size.
-    pub fn thrift_default(pool: u32) -> Self {
-        TransportSpec::Thrift {
-            pool,
-            serialize_ns: 15_000,
-            net_ns: 50_000,
-            reconnect_ns: 200_000,
-        }
-    }
-
-    /// Default HTTP parameters.
-    pub fn http_default() -> Self {
-        TransportSpec::Http {
-            serialize_ns: 25_000,
-            net_ns: 60_000,
-        }
-    }
-}
-
 /// Circuit breaker configuration (paper §6.3 "Prototyping New Solutions").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BreakerSpec {
@@ -1661,24 +1633,5 @@ mod tests {
         store_spec(1, (0, 0), ConsistencyMode::ReadReplica, Some(fo(vec![1])))
             .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn transport_defaults() {
-        assert!(matches!(
-            TransportSpec::grpc_default(),
-            TransportSpec::Grpc { .. }
-        ));
-        assert!(matches!(
-            TransportSpec::thrift_default(8),
-            TransportSpec::Thrift { pool: 8, .. }
-        ));
-        assert!(matches!(
-            TransportSpec::http_default(),
-            TransportSpec::Http { .. }
-        ));
-        let c = ClientSpec::over(TransportSpec::grpc_default());
-        assert_eq!(c.retries, 0);
-        assert!(c.timeout_ns.is_none());
     }
 }

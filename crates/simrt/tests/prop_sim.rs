@@ -141,8 +141,16 @@ fn build(s: &Scenario) -> SystemSpec {
         },
     );
     let transport = match s.thrift_pool {
-        Some(pool) => TransportSpec::thrift_default(pool),
-        None => TransportSpec::grpc_default(),
+        Some(pool) => TransportSpec::Thrift {
+            pool,
+            serialize_ns: 15_000,
+            net_ns: 50_000,
+            reconnect_ns: 200_000,
+        },
+        None => TransportSpec::Grpc {
+            serialize_ns: 12_000,
+            net_ns: 50_000,
+        },
     };
     let client = ClientSpec {
         transport,

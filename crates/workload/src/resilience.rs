@@ -110,10 +110,6 @@ pub struct ResilienceConfig {
     pub prefill_stores: Vec<(String, u64)>,
     /// Caches pre-filled before arrivals: `(backend, n_keys)` at version 1.
     pub prefill_caches: Vec<(String, u64)>,
-    /// Fraction of busy post-RTO intervals that must be unavailable for the
-    /// run to count as *metastable* (degraded state sustained after the
-    /// trigger cleared) rather than merely slow to recover.
-    pub sustain_fraction: f64,
     /// When set, every cell settles, audits and classifies consistency
     /// (see [`CellReport::consistency`]).
     pub probe: Option<ConsistencyProbe>,
@@ -133,7 +129,6 @@ impl Default for ResilienceConfig {
             phases: Vec::new(),
             prefill_stores: Vec::new(),
             prefill_caches: Vec::new(),
-            sustain_fraction: 0.5,
             probe: None,
         }
     }
@@ -151,7 +146,7 @@ pub struct Assessment {
     /// Whether all unavailability fell inside the window + RTO.
     pub bounded: bool,
     /// Whether the degraded state *sustained* after the trigger cleared:
-    /// at least `sustain_fraction` of the busy intervals past
+    /// at least [`SUSTAIN_FRACTION`] of the busy intervals past
     /// `window end + rto` stayed unavailable. This is the metastability
     /// signature — the trigger is gone but the system does not return to
     /// its steady state.
@@ -161,6 +156,11 @@ pub struct Assessment {
     /// recovered (metastable).
     pub recovery_ns: Option<SimTime>,
 }
+
+/// Fraction of busy post-RTO intervals that must be unavailable for a run
+/// to count as *metastable* (degraded state sustained after the trigger
+/// cleared) rather than merely slow to recover.
+pub const SUSTAIN_FRACTION: f64 = 0.5;
 
 /// Scans a recorded series against the `(start, end)` disturbance window
 /// and classifies the run's availability: bounded/unbounded, metastable or
@@ -201,7 +201,7 @@ pub fn assess(
         }
         _ => unreachable!("first and last unavailable interval set together"),
     };
-    let metastable = post_bad > 0 && (post_bad as f64) >= cfg.sustain_fraction * (post_busy as f64);
+    let metastable = post_bad > 0 && (post_bad as f64) >= SUSTAIN_FRACTION * (post_busy as f64);
     let recovery_ns = if metastable {
         None
     } else {
