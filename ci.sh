@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Repo CI gate: build, test, lint, format, bench smokes, and the exhibit gate.
+# Repo CI gate: build, test, lint, format, docs, the Tab. 5 set-up smoke, the
+# exhibit gate, and the benchmark smoke.
 # Run from the repo root. Fails fast on the first broken step.
 set -eu
 
@@ -29,18 +30,11 @@ echo "==> cargo doc --workspace --no-deps (rustdoc warnings denied)"
 # Catches doc links left dangling when an item is renamed or deleted.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-echo "==> bench smoke (sim_engine: processor-sharing host, quick test mode)"
-# Criterion's --test mode runs each bench once to confirm it executes,
-# without the full sampling run.
-cargo bench -p blueprint-bench --bench sim_engine -- --test
-
-echo "==> bench smoke (event_queue: heap vs timing wheel)"
-# Full numbers live in results/event_queue_bench.txt; this just proves both
-# queue implementations still run under the hold-model workload.
-cargo bench -p blueprint-bench --bench event_queue -- --test
-
-echo "==> bench smoke (gen_time: Tab. 5 compiles up to four times the paper's 2,882 instances)"
-cargo bench -p blueprint-bench --bench gen_time -- --test
+echo "==> Tab. 5 set-up scaling (one rep at 1,441 to 11,528 services)"
+# Compiles and boots the synthetic Alibaba topology at up to four times the
+# paper's 2,882 instances, timing each set-up phase; it fails if any phase
+# fails at any scale.
+cargo run --release --example setup_phases -- 1
 
 echo "==> parallel-engine determinism (BLUEPRINT_THREADS=1 vs =4)"
 # BLUEPRINT_THREADS sets only the number of cross-run par_run workers (each

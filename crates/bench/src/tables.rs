@@ -143,7 +143,7 @@ pub struct GenTimeRow {
 /// synthetic Alibaba topology at `alibaba_scale` services, and count the
 /// instances each generated system has. The rows hold no wall-clock time, so
 /// the table is deterministic; `examples/benchmark`'s host-normalised
-/// `compile_s` and the criterion `gen_time` bench measure generation time.
+/// `compile_s` and `examples/setup_phases.rs` measure generation time.
 ///
 /// The compiles are independent (each worker owns its `Blueprint` toolchain
 /// and spec inputs, all `Send`), so they run on the parallel engine.

@@ -257,3 +257,30 @@ fn lowering_and_lint_read_one_deployment() {
         check(name, &wf, &wiring);
     }
 }
+
+/// Two retry policies on one service would lower to the last one's attempts
+/// while the lint multiplied both, so the compiler rejects the stack and
+/// names the instance and both modifiers.
+#[test]
+fn stacked_client_modifiers_do_not_compile() {
+    let mut wiring = hr::wiring(&WiringOpts::default().with_timeout_retries(300, 2));
+    wiring
+        .define_kw("retry3", "Retry", vec![], vec![("max", Arg::Int(3))])
+        .unwrap();
+    mutate::add_modifier_to_all_services(&mut wiring, "retry3").unwrap();
+    let err = Blueprint::new()
+        .compile(&hr::workflow(), &wiring)
+        .unwrap_err()
+        .to_string();
+    let instance = err
+        .split('`')
+        .nth(1)
+        .unwrap_or_else(|| panic!("no instance named: {err}"));
+    assert_eq!(
+        err,
+        format!(
+            "bad modifier {instance}_retry3: instance `{instance}` already has \
+             `mod.retry` modifier `{instance}_retry_all`"
+        )
+    );
+}

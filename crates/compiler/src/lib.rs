@@ -119,10 +119,9 @@ pub struct CompileOptions {
     pub generate_artifacts: bool,
     /// Lower to the simulation target.
     pub lower_simulation: bool,
-    /// Run the resilience-hazard lints after validation (diagnostics land in
-    /// [`CompiledApp::diagnostics`]; they never fail the compile).
-    pub lint: bool,
     /// Configuration for the lint stage (severity overrides, thresholds).
+    /// The lints always run after validation; their diagnostics land in
+    /// [`CompiledApp::diagnostics`] and never fail the compile.
     pub lint_config: blueprint_lint::LintConfig,
 }
 
@@ -131,7 +130,6 @@ impl Default for CompileOptions {
         CompileOptions {
             generate_artifacts: true,
             lower_simulation: true,
-            lint: true,
             lint_config: blueprint_lint::LintConfig::default(),
         }
     }
@@ -146,7 +144,7 @@ pub struct CompiledApp {
     pub artifacts: ArtifactTree,
     /// The deployable simulation spec (empty when disabled).
     pub system: SystemSpec,
-    /// Static-analysis findings from the lint stage (empty when disabled).
+    /// Static-analysis findings from the lint stage.
     /// Advisory at compile time — a pathological-but-well-formed variant
     /// still compiles so the fault simulator can measure it.
     pub diagnostics: Vec<blueprint_lint::Diagnostic>,
@@ -198,11 +196,7 @@ impl Compiler {
         passes::assign_namespaces(&mut ir)?;
         passes::widen_visibility(&self.registry, &mut ir)?;
         passes::validate(&ir)?;
-        let diagnostics = if options.lint {
-            passes::lint(&ir, wiring, Some(workflow), &options.lint_config)
-        } else {
-            Vec::new()
-        };
+        let diagnostics = passes::lint(&ir, wiring, Some(workflow), &options.lint_config);
 
         // Step 2: IR → implementation.
         let artifacts = if options.generate_artifacts {

@@ -2,7 +2,7 @@
 //! placement, visibility widening, the final validity check, and the static
 //! analysis (lint) stage.
 
-use blueprint_ir::{Granularity, IrGraph, NodeRole, Visibility};
+use blueprint_ir::{kind_matches, Granularity, IrError, IrGraph, NodeRole, Visibility};
 use blueprint_lint::{Diagnostic, LintConfig, Linter};
 use blueprint_plugins::{BuildCtx, Registry};
 use blueprint_wiring::WiringSpec;
@@ -11,6 +11,19 @@ use crate::{CompileError, Result};
 
 /// Kind prefix of deployer modifiers (matches `blueprint_plugins::deployers`).
 const DEPLOYER_PREFIX: &str = "mod.deployer";
+
+/// Kind prefixes of the modifiers the lowering folds into a caller's client
+/// spec. Each one overwrites what an earlier one of its kind set, so an
+/// instance carries at most one of each kind.
+const CLIENT_MODIFIER_KINDS: [&str; 7] = [
+    "mod.retry",
+    "mod.timeout",
+    "mod.deadline",
+    "mod.breaker",
+    "mod.retrybudget",
+    "mod.clientpool",
+    "mod.tracer",
+];
 
 /// Runs every plugin's transform pass in registry order (§4.3.1: "Blueprint
 /// performs a pass on the IR graph to allow modifier nodes to add, delete, or
@@ -160,9 +173,34 @@ pub fn widen_visibility(registry: &Registry, ir: &mut IrGraph) -> Result<()> {
 }
 
 /// Structural + visibility validation; visibility failures carry the paper's
-/// "edge lacks the necessary visibility" diagnostics.
+/// "edge lacks the necessary visibility" diagnostics. An instance whose
+/// modifier chain stacks two client modifiers of one kind is rejected too,
+/// naming the instance and both modifiers, since the lowering would keep
+/// only the last of them.
 pub fn validate(ir: &IrGraph) -> Result<()> {
     blueprint_ir::validate::validate_structure(ir)?;
+    for (_, n) in ir.nodes() {
+        // Per kind, the first modifier of that kind on the chain.
+        let mut seen: [Option<&str>; CLIENT_MODIFIER_KINDS.len()] = Default::default();
+        for m in n.modifiers().iter().filter_map(|&m| ir.node(m).ok()) {
+            let Some(k) = CLIENT_MODIFIER_KINDS
+                .iter()
+                .position(|kind| kind_matches(&m.kind, kind))
+            else {
+                continue;
+            };
+            if let Some(first) = seen[k] {
+                return Err(CompileError::Ir(IrError::BadModifier {
+                    modifier: m.name.clone(),
+                    detail: format!(
+                        "instance `{}` already has `{}` modifier `{first}`",
+                        n.name, CLIENT_MODIFIER_KINDS[k]
+                    ),
+                }));
+            }
+            seen[k] = Some(&m.name);
+        }
+    }
     blueprint_ir::validate::check_visibility(ir).map_err(|report| {
         CompileError::Visibility(report.violations.iter().map(|e| e.to_string()).collect())
     })
@@ -324,5 +362,40 @@ mod tests {
         assign_namespaces(&mut ir).unwrap();
         widen_visibility(&registry, &mut ir).unwrap();
         validate(&ir).unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_two_client_modifiers_of_one_kind() {
+        let registry = Registry::core();
+        let attach = |ir: &mut IrGraph, svc: NodeId, name: &str, kind: &str| {
+            let m = ir
+                .add_node(Node::new(
+                    name,
+                    kind,
+                    NodeRole::Modifier,
+                    Granularity::Instance,
+                ))
+                .unwrap();
+            ir.attach_modifier(svc, m).unwrap();
+        };
+        for kind in CLIENT_MODIFIER_KINDS {
+            // One modifier of every kind is valid.
+            let mut ir = IrGraph::new("t");
+            let a = service(&mut ir, "a");
+            for k in CLIENT_MODIFIER_KINDS {
+                attach(&mut ir, a, &format!("one_{k}"), k);
+            }
+            assign_namespaces(&mut ir).unwrap();
+            widen_visibility(&registry, &mut ir).unwrap();
+            validate(&ir).unwrap();
+            // A second one of `kind` (here a sub-kind) is not.
+            attach(&mut ir, a, "second", &format!("{kind}.sub"));
+            assert_eq!(
+                validate(&ir).unwrap_err().to_string(),
+                format!(
+                    "bad modifier second: instance `a` already has `{kind}` modifier `one_{kind}`"
+                )
+            );
+        }
     }
 }

@@ -1,11 +1,16 @@
-//! Property-based tests of IR graph invariants.
+//! Property tests of IR graph invariants over seeded random construction
+//! scripts.
 
 use blueprint_ir::{
     path, stats,
     validate::{check_visibility, validate_structure},
     Granularity, IrGraph, MethodSig, Node, NodeId, NodeRole, TypeRef, Visibility,
 };
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// Random scripts per property; case `i` draws from `SmallRng::seed_from_u64(seed ^ i)`.
+const CASES: u64 = 128;
 
 /// A random-but-valid construction script for an IR graph.
 #[derive(Debug, Clone)]
@@ -18,19 +23,33 @@ enum Op {
     RemoveService(u8),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..16).prop_map(Op::AddService),
-        (0u8..8).prop_map(Op::AddProcess),
-        ((0u8..16), (0u8..8)).prop_map(|(svc, proc_)| Op::Place { svc, proc_ }),
-        ((0u8..16), (0u8..16), any::<bool>()).prop_map(|(from, to, widen)| Op::Invoke {
-            from,
-            to,
-            widen
-        }),
-        (0u8..16).prop_map(|svc| Op::Modify { svc }),
-        (0u8..16).prop_map(Op::RemoveService),
-    ]
+/// One random operation.
+fn op(rng: &mut SmallRng) -> Op {
+    match rng.gen_range(0..6) {
+        0 => Op::AddService(rng.gen_range(0..16)),
+        1 => Op::AddProcess(rng.gen_range(0..8)),
+        2 => Op::Place {
+            svc: rng.gen_range(0..16),
+            proc_: rng.gen_range(0..8),
+        },
+        3 => Op::Invoke {
+            from: rng.gen_range(0..16),
+            to: rng.gen_range(0..16),
+            widen: rng.gen(),
+        },
+        4 => Op::Modify {
+            svc: rng.gen_range(0..16),
+        },
+        _ => Op::RemoveService(rng.gen_range(0..16)),
+    }
+}
+
+/// The graph built from `case`'s script of 0-59 random operations under
+/// `seed`.
+fn graph(seed: u64, case: u64) -> IrGraph {
+    let mut rng = SmallRng::seed_from_u64(seed ^ case);
+    let ops: Vec<Op> = (0..rng.gen_range(0..60)).map(|_| op(&mut rng)).collect();
+    build(&ops)
 }
 
 /// Applies a script, ignoring operations that reference unknown nodes.
@@ -108,76 +127,75 @@ fn build(ops: &[Op]) -> IrGraph {
     g
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Any graph produced through the public API passes structural validation.
-    #[test]
-    fn structure_always_valid(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        let g = build(&ops);
-        validate_structure(&g).unwrap();
+/// Any graph produced through the public API passes structural validation.
+#[test]
+fn structure_always_valid() {
+    for case in 0..CASES {
+        let g = graph(0x1e01, case);
+        validate_structure(&g).unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
+}
 
-    /// Visibility check only flags edges whose endpoints are in different
-    /// processes without widening — and never flags widened edges.
-    #[test]
-    fn visibility_violations_are_exactly_the_unwidened_cross_process_edges(
-        ops in proptest::collection::vec(op_strategy(), 0..60)
-    ) {
-        let g = build(&ops);
+/// Visibility check only flags edges whose endpoints are in different
+/// processes without widening — and never flags widened edges.
+#[test]
+fn visibility_violations_are_exactly_the_unwidened_cross_process_edges() {
+    for case in 0..CASES {
+        let g = graph(0x1e02, case);
         let expected = g
             .edges()
-            .filter(|(_, e)| {
-                !e.visibility.satisfies(g.required_visibility(e.from, e.to))
-            })
+            .filter(|(_, e)| !e.visibility.satisfies(g.required_visibility(e.from, e.to)))
             .count();
-        match check_visibility(&g) {
-            Ok(()) => prop_assert_eq!(expected, 0),
-            Err(report) => prop_assert_eq!(report.violations.len(), expected),
-        }
+        let flagged = check_visibility(&g).map_or_else(|r| r.violations.len(), |()| 0);
+        assert_eq!(flagged, expected, "case {case}");
     }
+}
 
-    /// Stats counters are consistent with direct recounts.
-    #[test]
-    fn stats_consistent(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        let g = build(&ops);
+/// Stats counters are consistent with direct recounts.
+#[test]
+fn stats_consistent() {
+    for case in 0..CASES {
+        let g = graph(0x1e03, case);
         let st = stats::stats(&g);
-        prop_assert_eq!(st.nodes, g.node_count());
-        prop_assert_eq!(st.edges, g.edge_count());
-        prop_assert!(st.services + st.backends <= st.components);
-        prop_assert_eq!(
+        assert_eq!(st.nodes, g.node_count(), "case {case}");
+        assert_eq!(st.edges, g.edge_count(), "case {case}");
+        assert!(st.services + st.backends <= st.components, "case {case}");
+        assert_eq!(
             st.invocation_edges,
-            g.edges().filter(|(_, e)| e.kind == blueprint_ir::EdgeKind::Invocation).count()
+            g.edges()
+                .filter(|(_, e)| e.kind == blueprint_ir::EdgeKind::Invocation)
+                .count(),
+            "case {case}"
         );
     }
+}
 
-    /// Reachability never escapes the live node set and always includes the start.
-    #[test]
-    fn reachable_is_live_and_rooted(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        let g = build(&ops);
+/// Reachability never escapes the live node set and always includes the start.
+#[test]
+fn reachable_is_live_and_rooted() {
+    for case in 0..CASES {
+        let g = graph(0x1e04, case);
         for start in g.live_node_ids() {
             let r = path::reachable(&g, start);
-            prop_assert_eq!(r[0], start);
-            for n in r {
-                prop_assert!(g.node(n).is_ok());
-            }
+            assert_eq!(r[0], start, "case {case}");
+            assert!(r.iter().all(|&n| g.node(n).is_ok()), "case {case}");
         }
     }
+}
 
-    /// Removing every service leaves no dangling edges.
-    #[test]
-    fn mass_removal_leaves_no_edges(ops in proptest::collection::vec(op_strategy(), 0..60)) {
-        let mut g = build(&ops);
-        let svcs: Vec<NodeId> = g.nodes_with_kind_prefix("workflow.service");
-        for s in svcs {
+/// Removing every service leaves no dangling edges.
+#[test]
+fn mass_removal_leaves_no_edges() {
+    for case in 0..CASES {
+        let mut g = graph(0x1e05, case);
+        for s in g.nodes_with_kind_prefix("workflow.service") {
             g.remove_node(s).unwrap();
         }
-        prop_assert_eq!(
-            g.edges().filter(|(_, e)| {
-                g.node(e.from).is_err() || g.node(e.to).is_err()
-            }).count(),
-            0
-        );
-        validate_structure(&g).unwrap();
+        let dangling = g
+            .edges()
+            .filter(|(_, e)| g.node(e.from).is_err() || g.node(e.to).is_err())
+            .count();
+        assert_eq!(dangling, 0, "case {case}");
+        validate_structure(&g).unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
 }

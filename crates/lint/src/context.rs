@@ -84,60 +84,41 @@ impl<'a> LintContext<'a> {
         deploy::entry_services(self.ir)
     }
 
-    /// Worst-case attempts per logical call *into* `node`: the product of
-    /// `1 + retries` over the retry modifiers on its chain (callers fold the
-    /// callee's modifier chain into their client spec, so retry modifiers
-    /// on the callee govern the caller's attempt count). 1.0 when no retry
-    /// modifier is attached.
+    /// The positive, finite numeric prop `key` of the modifier of kind
+    /// `prefix` on `node`'s chain. The compiler rejects a chain with two
+    /// client-side modifiers of one kind, so there is at most one.
+    fn modifier_prop(&self, node: NodeId, prefix: &str, key: &str) -> Option<f64> {
+        let n = self.ir.node(node).ok()?;
+        let m = n
+            .modifiers()
+            .iter()
+            .filter_map(|&m| self.ir.node(m).ok())
+            .find(|m| kind_matches(&m.kind, prefix))?;
+        let v = m.props.float_or(key, 0.0);
+        (v.is_finite() && v > 0.0).then_some(v)
+    }
+
+    /// Worst-case attempts per logical call *into* `node`: `1 + max` of the
+    /// retry modifier on its chain (callers fold the callee's modifier
+    /// chain into their client spec, so a retry modifier on the callee
+    /// governs the caller's attempt count). 1.0 when no retry modifier is
+    /// attached.
     pub fn attempts_into(&self, node: NodeId) -> f64 {
-        let Ok(n) = self.ir.node(node) else {
-            return 1.0;
-        };
-        let mut attempts = 1.0;
-        for &m in n.modifiers() {
-            let Ok(mn) = self.ir.node(m) else { continue };
-            if kind_matches(&mn.kind, kind::RETRY) {
-                let max = mn.props.float_or("max", 0.0);
-                if max.is_finite() && max > 0.0 {
-                    attempts *= 1.0 + max.round();
-                }
-            }
-        }
-        attempts
+        1.0 + self
+            .modifier_prop(node, kind::RETRY, "max")
+            .map_or(0.0, f64::round)
     }
 
     /// The per-attempt deadline (ms) callers of `node` enforce, if a timeout
-    /// modifier sits on its chain (smallest wins when stacked).
+    /// modifier sits on its chain.
     pub fn timeout_into_ms(&self, node: NodeId) -> Option<f64> {
-        let n = self.ir.node(node).ok()?;
-        let mut best: Option<f64> = None;
-        for &m in n.modifiers() {
-            let Ok(mn) = self.ir.node(m) else { continue };
-            if kind_matches(&mn.kind, kind::TIMEOUT) {
-                let ms = mn.props.float_or("ms", 0.0);
-                if ms.is_finite() && ms > 0.0 {
-                    best = Some(best.map_or(ms, |b: f64| b.min(ms)));
-                }
-            }
-        }
-        best
+        self.modifier_prop(node, kind::TIMEOUT, "ms")
     }
 
     /// The propagated end-to-end deadline (ms) attached to `node`'s chain,
-    /// if a deadline modifier sits on it (smallest wins when stacked).
+    /// if a deadline modifier sits on it.
     pub fn deadline_into_ms(&self, node: NodeId) -> Option<f64> {
-        let n = self.ir.node(node).ok()?;
-        let mut best: Option<f64> = None;
-        for &m in n.modifiers() {
-            let Ok(mn) = self.ir.node(m) else { continue };
-            if kind_matches(&mn.kind, kind::DEADLINE) {
-                let ms = mn.props.float_or("ms", 0.0);
-                if ms.is_finite() && ms > 0.0 {
-                    best = Some(best.map_or(ms, |b: f64| b.min(ms)));
-                }
-            }
-        }
-        best
+        self.modifier_prop(node, kind::DEADLINE, "ms")
     }
 
     /// Whether a circuit breaker guards calls into `node`.

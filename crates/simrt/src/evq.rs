@@ -7,9 +7,9 @@
 //! near-term heap (`due`) that provides the final total order. Ties are
 //! resolved by `seq`, never by insertion order or bucket layout, so the pop
 //! order is exactly that of a `BinaryHeap<Reverse<Entry>>` over the same
-//! pushes — the unit tests below check the wheel against that heap, and
-//! `benches/event_queue.rs` times the two at 10k/100k/1M concurrent timers
-//! (see `results/event_queue_bench.txt`).
+//! pushes — the unit tests below check the wheel against that heap.
+//! `DESIGN.md` §6 records why the simulator keeps the wheel rather than a
+//! heap, measured end to end with `examples/benchmark`.
 //!
 //! The simulator keeps one wheel for every event: host events and
 //! cluster-wide control events (fault firings, chaos draws, process
@@ -265,7 +265,14 @@ impl<T> Wheel<T> {
     /// The cursor stops at `until`'s tick, so a run loop that pops up to a
     /// horizon never jumps the wheel ahead to a far event (a fault seconds
     /// away) and turns it into a plain heap for everything pushed before it.
+    /// An empty wheel moves its cursor straight to `until`'s tick (never
+    /// back), so the next push does not leave idle time for `advance` to
+    /// walk one rotation at a time.
     pub fn pop_until(&mut self, until: SimTime) -> Option<Entry<T>> {
+        if self.len == 0 {
+            self.cur_tick = self.cur_tick.max(tick_of(until));
+            return None;
+        }
         self.ensure_due(tick_of(until) + 1);
         if self.due.peek()?.0.time > until {
             return None;
@@ -522,6 +529,30 @@ mod tests {
         assert!(q.pop_until(1_999_999).is_none());
         assert_eq!(q.pop_until(2_000_000).map(|x| x.seq), Some(1));
         assert_eq!(q.pop().map(|x| x.seq), Some(0));
+    }
+
+    /// Popping an empty wheel moves the cursor to the horizon's tick, never
+    /// back, so an event pushed just after a long idle gap sits in a
+    /// level-0 slot instead of a level-2 slot that `advance` would reach
+    /// only after walking every empty rotation of the gap.
+    #[test]
+    fn pop_until_on_an_empty_wheel_moves_the_cursor_to_the_horizon() {
+        let mut q = Wheel::new();
+        q.push(e(10 * TICK, 0));
+        assert_eq!(q.pop_until(10 * TICK).map(|x| x.seq), Some(0));
+        assert_eq!(q.cur_tick, 11);
+        assert!(q.pop_until(100_000 * TICK).is_none());
+        assert_eq!(q.cur_tick, 100_000);
+        assert!(q.pop_until(50 * TICK).is_none());
+        assert_eq!(q.cur_tick, 100_000, "the cursor never moves back");
+        q.push(e(100_000 * TICK, 1));
+        q.push(e(100_003 * TICK, 2));
+        assert!(q.due.is_empty());
+        assert_eq!(q.level_count, [2, 0, 0, 0]);
+        assert_eq!(
+            drain(&mut q),
+            vec![(100_000 * TICK, 1), (100_003 * TICK, 2)]
+        );
     }
 
     #[test]

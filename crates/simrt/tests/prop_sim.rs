@@ -7,7 +7,12 @@ use blueprint_simrt::{
     ProcessSpec, ServiceSpec, Sim, SimConfig, SystemSpec, TransportSpec,
 };
 use blueprint_workflow::{Behavior, KeyExpr};
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// Random cases per property; case `i` draws from
+/// `SmallRng::seed_from_u64(seed ^ i)`.
+const CASES: u64 = 24;
 
 /// A randomized 2-tier system: front → back (+ cache + db), with optional
 /// policies.
@@ -26,33 +31,22 @@ struct Scenario {
     deadline: Option<(u64, u64)>,
 }
 
-fn scenario() -> impl Strategy<Value = Scenario> {
-    (
-        1u32..=8,
-        50u64..2_000,
-        prop_oneof![Just(None), (1u64..50).prop_map(Some)],
-        0u32..4,
-        prop_oneof![Just(None), (1u32..8).prop_map(Some)],
-        1u64..150,
-        100u64..5_000,
-        any::<u64>(),
-        prop_oneof![Just(None), (2u64..100, 0u64..5).prop_map(Some)],
-    )
-        .prop_map(
-            |(cores, back_cpu_us, timeout_ms, retries, thrift_pool, n, gap, seed, deadline)| {
-                Scenario {
-                    cores: cores as f64,
-                    back_cpu_us,
-                    timeout_ms,
-                    retries,
-                    thrift_pool,
-                    n_requests: n,
-                    gap_us: gap,
-                    seed,
-                    deadline,
-                }
-            },
-        )
+/// Case `case` of the scenarios drawn under `seed`.
+fn scenario(seed: u64, case: u64) -> Scenario {
+    let mut rng = SmallRng::seed_from_u64(seed ^ case);
+    Scenario {
+        cores: rng.gen_range(1u32..=8) as f64,
+        back_cpu_us: rng.gen_range(50..2_000),
+        timeout_ms: rng.gen::<bool>().then(|| rng.gen_range(1..50)),
+        retries: rng.gen_range(0..4),
+        thrift_pool: rng.gen::<bool>().then(|| rng.gen_range(1..8)),
+        n_requests: rng.gen_range(1..150),
+        gap_us: rng.gen_range(100..5_000),
+        seed: rng.gen(),
+        deadline: rng
+            .gen::<bool>()
+            .then(|| (rng.gen_range(2..100), rng.gen_range(0..5))),
+    }
 }
 
 fn build(s: &Scenario) -> SystemSpec {
@@ -213,113 +207,138 @@ fn run(
     (sim.drain_completions(), sim.metrics.clone())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every submitted request completes exactly once (ok or failed), and
-    /// the counters agree with the completion records.
-    #[test]
-    fn conservation(s in scenario()) {
+/// Every submitted request completes exactly once (ok or failed), and
+/// the counters agree with the completion records.
+#[test]
+fn conservation() {
+    for case in 0..CASES {
+        let s = scenario(0x5101, case);
         let (done, metrics) = run(&s);
-        prop_assert_eq!(done.len() as u64, s.n_requests);
+        let c = &metrics.counters;
+        assert_eq!(done.len() as u64, s.n_requests, "case {case}: {s:?}");
         let ok = done.iter().filter(|c| c.ok).count() as u64;
         let err = done.len() as u64 - ok;
-        prop_assert_eq!(metrics.counters.completed_ok, ok);
-        prop_assert_eq!(metrics.counters.completed_err, err);
-        prop_assert_eq!(metrics.counters.submitted, s.n_requests);
+        assert_eq!(c.completed_ok, ok, "case {case}: {s:?}");
+        assert_eq!(c.completed_err, err, "case {case}: {s:?}");
+        assert_eq!(c.submitted, s.n_requests, "case {case}: {s:?}");
         // Without timeouts there can be no timeout-caused failures, and
         // without a deadline nothing can expire either.
         if s.timeout_ms.is_none() {
-            prop_assert_eq!(metrics.counters.timeouts, 0);
+            assert_eq!(c.timeouts, 0, "case {case}: {s:?}");
             if s.deadline.is_none() {
-                prop_assert_eq!(ok, s.n_requests);
+                assert_eq!(ok, s.n_requests, "case {case}: {s:?}");
             }
         }
         if s.deadline.is_none() {
-            prop_assert_eq!(metrics.counters.deadline_exceeded, 0);
-            prop_assert!(done.iter().all(|c| c.failure != Some("deadline")));
+            assert_eq!(c.deadline_exceeded, 0, "case {case}: {s:?}");
+            assert!(
+                done.iter().all(|c| c.failure != Some("deadline")),
+                "case {case}: {s:?}"
+            );
         }
     }
+}
 
-    /// Same scenario, same seed → bit-identical results.
-    #[test]
-    fn determinism(s in scenario()) {
-        let a = run(&s);
-        let b = run(&s);
-        prop_assert_eq!(a.0, b.0);
-        prop_assert_eq!(a.1, b.1);
+/// Same scenario, same seed → bit-identical results.
+#[test]
+fn determinism() {
+    for case in 0..CASES {
+        let s = scenario(0x5102, case);
+        let (a, b) = (run(&s), run(&s));
+        assert_eq!(a.0, b.0, "case {case}: {s:?}");
+        assert_eq!(a.1, b.1, "case {case}: {s:?}");
     }
+}
 
-    /// Latency lower bound: no successful request can finish faster than the
-    /// back service's CPU time (its minimum service demand).
-    #[test]
-    fn latency_lower_bound(s in scenario()) {
+/// Latency lower bound: no successful request can finish faster than the
+/// back service's CPU time (its minimum service demand).
+#[test]
+fn latency_lower_bound() {
+    for case in 0..CASES {
+        let s = scenario(0x5103, case);
         let (done, _) = run(&s);
         for c in done.iter().filter(|c| c.ok) {
-            prop_assert!(
+            assert!(
                 c.latency_ns() >= s.back_cpu_us * 1_000,
-                "latency {} < service demand {}",
+                "case {case}: latency {} < service demand {}",
                 c.latency_ns(),
                 s.back_cpu_us * 1_000
             );
         }
     }
+}
 
-    /// Failed requests with timeouts never take longer than
-    /// attempts × (timeout + backoff) plus scheduling slack.
-    #[test]
-    fn timeout_upper_bound(s in scenario()) {
-        prop_assume!(s.timeout_ms.is_some());
+/// Failed requests with timeouts never take longer than
+/// attempts × (timeout + backoff) plus scheduling slack. Runs `CASES`
+/// scenarios that have a timeout.
+#[test]
+fn timeout_upper_bound() {
+    let cases = (0..)
+        .map(|case| (case, scenario(0x5104, case)))
+        .filter(|(_, s)| s.timeout_ms.is_some())
+        .take(CASES as usize);
+    for (case, s) in cases {
         let (done, _) = run(&s);
         let timeout = ms(s.timeout_ms.unwrap());
         let attempts = (s.retries + 1) as u64;
         let bound = attempts * (timeout + ms(1)) + ms(5);
-        for c in done.iter().filter(|c| !c.ok && c.failure == Some("timeout")) {
-            prop_assert!(
+        for c in done
+            .iter()
+            .filter(|c| !c.ok && c.failure == Some("timeout"))
+        {
+            assert!(
                 c.latency_ns() <= bound,
-                "failed request took {} > bound {}",
+                "case {case}: failed request took {} > bound {}",
                 c.latency_ns(),
                 bound
             );
         }
     }
+}
 
-    /// Deadline arithmetic is monotone: a child's propagated deadline never
-    /// exceeds the parent's remaining deadline minus the hop margin, never
-    /// exceeds `now + budget`, and exists iff there is something to
-    /// propagate.
-    #[test]
-    fn child_deadline_never_exceeds_parent_budget(
-        now in 0u64..secs(1_000),
-        parent_off in prop_oneof![Just(None), (0u64..secs(100)).prop_map(Some)],
-        budget in prop_oneof![Just(None), (0u64..secs(100)).prop_map(Some)],
-        margin in 0u64..secs(1),
-    ) {
-        let ds = DeadlineSpec { budget_ns: budget, hop_margin_ns: margin };
+/// Deadline arithmetic is monotone: a child's propagated deadline never
+/// exceeds the parent's remaining deadline minus the hop margin, never
+/// exceeds `now + budget`, and exists iff there is something to
+/// propagate.
+#[test]
+fn child_deadline_never_exceeds_parent_budget() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x5105 ^ case);
+        let now = rng.gen_range(0..secs(1_000));
+        let parent_off = rng.gen::<bool>().then(|| rng.gen_range(0..secs(100)));
+        let budget = rng.gen::<bool>().then(|| rng.gen_range(0..secs(100)));
+        let margin = rng.gen_range(0..secs(1));
+        let ds = DeadlineSpec {
+            budget_ns: budget,
+            hop_margin_ns: margin,
+        };
         let parent = parent_off.map(|o| now + o);
         let child = ds.child_deadline(now, parent);
         if let Some(p) = parent {
             let c = child.expect("inherited deadline always propagates");
-            prop_assert!(c <= p.saturating_sub(margin));
+            assert!(c <= p.saturating_sub(margin), "case {case}");
         }
         if let Some(b) = budget {
             let c = child.expect("fresh budget always stamps a deadline");
-            prop_assert!(c <= now + b);
+            assert!(c <= now + b, "case {case}");
         }
         if parent.is_none() && budget.is_none() {
-            prop_assert!(child.is_none());
+            assert!(child.is_none(), "case {case}");
         }
     }
+}
 
-    /// Cache stats are consistent: gets = hits + misses, and misses trigger
-    /// exactly that many db reads.
-    #[test]
-    fn cache_db_consistency(s in scenario()) {
+/// Cache stats are consistent: gets = hits + misses, and misses trigger
+/// exactly that many db reads.
+#[test]
+fn cache_db_consistency() {
+    for case in 0..CASES {
+        let s = scenario(0x5106, case);
         let (_, metrics) = run(&s);
         if let Some(cache) = metrics.backend("cache") {
-            prop_assert_eq!(cache.reads, cache.hits + cache.misses);
-            let db_reads = metrics.backend("db").map(|d| d.reads).unwrap_or(0);
-            prop_assert_eq!(db_reads, cache.misses);
+            assert_eq!(cache.reads, cache.hits + cache.misses, "case {case}");
+            let db_reads = metrics.backend("db").map_or(0, |d| d.reads);
+            assert_eq!(db_reads, cache.misses, "case {case}");
         }
     }
 }

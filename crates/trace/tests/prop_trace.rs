@@ -1,7 +1,12 @@
 //! Property tests of the trace model and the Sifter sampler.
 
 use blueprint_trace::{Sifter, SifterConfig, Span, SpanId, Trace, TraceCollector, TraceId};
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// Random cases per property; case `i` draws from
+/// `SmallRng::seed_from_u64(seed ^ i)`.
+const CASES: u64 = 128;
 
 /// Builds a random span tree with `n` spans (parents precede children).
 fn random_tree(n: usize, seed: u64) -> Trace {
@@ -35,42 +40,46 @@ fn random_tree(n: usize, seed: u64) -> Trace {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Token streams are balanced (every `+label` has a matching `-label`)
-    /// and visit every span exactly once when the tree is connected.
-    #[test]
-    fn token_stream_balanced(n in 1usize..40, seed in any::<u64>()) {
-        let t = random_tree(n, seed);
+/// Token streams are balanced (every `+label` has a matching `-label`)
+/// and visit every span exactly once when the tree is connected.
+#[test]
+fn token_stream_balanced() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x7201 ^ case);
+        let t = random_tree(rng.gen_range(1..40), rng.gen());
         let toks = t.token_stream();
-        prop_assert_eq!(toks.len(), 2 * t.len());
+        assert_eq!(toks.len(), 2 * t.len(), "case {case}");
         let mut depth: i64 = 0;
         for tok in &toks {
-            if tok.starts_with('+') {
-                depth += 1;
-            } else {
-                depth -= 1;
-            }
-            prop_assert!(depth >= 0);
+            depth += if tok.starts_with('+') { 1 } else { -1 };
+            assert!(depth >= 0, "case {case}");
         }
-        prop_assert_eq!(depth, 0);
+        assert_eq!(depth, 0, "case {case}");
     }
+}
 
-    /// Signature depth never exceeds the span count, and equal trees have
-    /// equal signatures.
-    #[test]
-    fn signature_is_structural(n in 1usize..40, seed in any::<u64>()) {
+/// Signature depth never exceeds the span count, and equal trees have
+/// equal signatures.
+#[test]
+fn signature_is_structural() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x7202 ^ case);
+        let (n, seed) = (rng.gen_range(1..40), rng.gen());
         let a = random_tree(n, seed);
         let b = random_tree(n, seed);
-        prop_assert_eq!(a.signature(), b.signature());
-        prop_assert!(a.depth() <= n);
-        prop_assert!(a.depth() >= 1);
+        assert_eq!(a.signature(), b.signature(), "case {case}");
+        assert!((1..=n).contains(&a.depth()), "case {case}");
     }
+}
 
-    /// The collector reassembles an interleaved batch of traces losslessly.
-    #[test]
-    fn collector_reassembles(sizes in proptest::collection::vec(1usize..8, 1..6)) {
+/// The collector reassembles an interleaved batch of traces losslessly.
+#[test]
+fn collector_reassembles() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x7203 ^ case);
+        let sizes: Vec<usize> = (0..rng.gen_range(1..6))
+            .map(|_| rng.gen_range(1..8))
+            .collect();
         let mut c = TraceCollector::new();
         let mut open: Vec<(TraceId, Vec<SpanId>)> = Vec::new();
         for (i, &n) in sizes.iter().enumerate() {
@@ -93,30 +102,36 @@ proptest! {
             }
         }
         let finished = c.drain_finished();
-        prop_assert_eq!(finished.len(), sizes.len());
+        assert_eq!(finished.len(), sizes.len(), "case {case}");
         for t in finished {
-            let expect = sizes[t.id.0 as usize];
-            prop_assert_eq!(t.len(), expect);
-            prop_assert!(t.root().is_some());
+            assert_eq!(t.len(), sizes[t.id.0 as usize], "case {case}");
+            assert!(t.root().is_some(), "case {case}");
         }
-        prop_assert_eq!(c.open_count(), 0);
+        assert_eq!(c.open_count(), 0, "case {case}");
     }
+}
 
-    /// Sifter probabilities are always valid and deterministic in the seed.
-    #[test]
-    fn sifter_probabilities_valid(seeds in proptest::collection::vec(any::<u64>(), 5..30)) {
+/// Sifter probabilities are always valid and deterministic in the seed.
+#[test]
+fn sifter_probabilities_valid() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0x7204 ^ case);
+        let seeds: Vec<u64> = (0..rng.gen_range(5..30)).map(|_| rng.gen()).collect();
         let run = || {
-            let mut s = Sifter::new(SifterConfig { seed: 5, ..Default::default() });
+            let mut s = Sifter::new(SifterConfig {
+                seed: 5,
+                ..Default::default()
+            });
             let mut ps = Vec::new();
             for &seed in &seeds {
                 let t = random_tree(1 + (seed % 20) as usize, seed);
                 let d = s.observe_trace(&t);
-                prop_assert!((0.0..=1.0).contains(&d.probability));
-                prop_assert!(d.loss.is_finite() && d.loss >= 0.0);
+                assert!((0.0..=1.0).contains(&d.probability), "case {case}");
+                assert!(d.loss.is_finite() && d.loss >= 0.0, "case {case}");
                 ps.push((d.loss, d.probability, d.sampled));
             }
-            Ok(ps)
+            ps
         };
-        prop_assert_eq!(run()?, run()?);
+        assert_eq!(run(), run(), "case {case}");
     }
 }

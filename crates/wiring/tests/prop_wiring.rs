@@ -3,68 +3,89 @@
 use blueprint_wiring::{
     ast::InstanceDecl, diff, mutate, parse, render, Arg, WiringError, WiringSpec,
 };
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
-fn ident() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,8}".prop_filter("reserved words", |s| {
-        s != "true" && s != "false" && s != "app"
-    })
+/// Random cases per property; case `i` draws from
+/// `SmallRng::seed_from_u64(seed ^ i)`.
+const CASES: u64 = 256;
+
+/// `len` characters drawn from `set`.
+fn chars(rng: &mut SmallRng, set: &str, len: usize) -> String {
+    let set = set.as_bytes();
+    (0..len)
+        .map(|_| set[rng.gen_range(0..set.len())] as char)
+        .collect()
 }
 
-fn callee() -> impl Strategy<Value = String> {
-    "[A-Z][A-Za-z0-9]{0,10}"
-}
+const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+const UPPER: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+const DIGITS: &str = "0123456789";
 
-fn literal() -> impl Strategy<Value = Arg> {
-    prop_oneof![
-        (-1000i64..1000).prop_map(Arg::Int),
-        (0u32..1000).prop_map(|v| Arg::Float(v as f64 / 8.0)),
-        any::<bool>().prop_map(Arg::Bool),
-        "[a-zA-Z0-9 _.:-]{0,12}".prop_map(Arg::Str),
-    ]
-}
-
-/// A spec generated by sequentially adding declarations that may reference
-/// earlier ones.
-fn spec_strategy() -> impl Strategy<Value = WiringSpec> {
-    let decl = (
-        callee(),
-        proptest::collection::vec(literal(), 0..3),
-        proptest::bool::ANY,
-    );
-    (ident(), proptest::collection::vec((ident(), decl), 1..12)).prop_map(|(app, raw)| {
-        let mut spec = WiringSpec::new(app);
-        for (i, (name, (callee, lits, with_mods))) in raw.into_iter().enumerate() {
-            let name = format!("{name}_{i}"); // Ensure uniqueness.
-            let prior: Vec<String> = spec.decls().iter().map(|d| d.name.clone()).collect();
-            let mut args: Vec<Arg> = lits;
-            // Reference up to two earlier declarations.
-            for p in prior.iter().take(2) {
-                args.push(Arg::Ref(p.clone()));
-            }
-            let server_modifiers = if with_mods && !prior.is_empty() {
-                vec![prior.last().unwrap().clone()]
-            } else {
-                Vec::new()
-            };
-            let kwargs = if i % 2 == 0 {
-                [("opt".to_string(), Arg::Int(i as i64))]
-                    .into_iter()
-                    .collect()
-            } else {
-                Default::default()
-            };
-            spec.add(InstanceDecl {
-                name,
-                callee,
-                args,
-                kwargs,
-                server_modifiers,
-            })
-            .unwrap();
+/// `[a-z][a-z0-9_]{0,8}`, minus the reserved words.
+fn ident(rng: &mut SmallRng) -> String {
+    loop {
+        let n = rng.gen_range(0..=8);
+        let s = chars(rng, LOWER, 1) + &chars(rng, &format!("{LOWER}{DIGITS}_"), n);
+        if !matches!(s.as_str(), "true" | "false" | "app") {
+            return s;
         }
-        spec
-    })
+    }
+}
+
+/// `[A-Z][A-Za-z0-9]{0,10}`.
+fn callee(rng: &mut SmallRng) -> String {
+    let n = rng.gen_range(0..=10);
+    chars(rng, UPPER, 1) + &chars(rng, &format!("{UPPER}{LOWER}{DIGITS}"), n)
+}
+
+fn literal(rng: &mut SmallRng) -> Arg {
+    match rng.gen_range(0..4) {
+        0 => Arg::Int(rng.gen_range(-1000..1000)),
+        1 => Arg::Float(rng.gen_range(0u32..1000) as f64 / 8.0),
+        2 => Arg::Bool(rng.gen()),
+        _ => {
+            let n = rng.gen_range(0..=12);
+            Arg::Str(chars(rng, &format!("{UPPER}{LOWER}{DIGITS} _.:-"), n))
+        }
+    }
+}
+
+/// A spec of 1-11 declarations added in sequence, each of which may
+/// reference earlier ones.
+fn random_spec(rng: &mut SmallRng) -> WiringSpec {
+    let mut spec = WiringSpec::new(ident(rng));
+    for i in 0..rng.gen_range(1..12) {
+        let name = format!("{}_{i}", ident(rng)); // Ensure uniqueness.
+        let callee = callee(rng);
+        let mut args: Vec<Arg> = (0..rng.gen_range(0..3)).map(|_| literal(rng)).collect();
+        let with_mods: bool = rng.gen();
+        let prior: Vec<String> = spec.decls().iter().map(|d| d.name.clone()).collect();
+        // Reference up to two earlier declarations.
+        for p in prior.iter().take(2) {
+            args.push(Arg::Ref(p.clone()));
+        }
+        let server_modifiers = match prior.last() {
+            Some(last) if with_mods => vec![last.clone()],
+            _ => Vec::new(),
+        };
+        let kwargs = if i % 2 == 0 {
+            [("opt".to_string(), Arg::Int(i as i64))]
+                .into_iter()
+                .collect()
+        } else {
+            Default::default()
+        };
+        spec.add(InstanceDecl {
+            name,
+            callee,
+            args,
+            kwargs,
+            server_modifiers,
+        })
+        .unwrap();
+    }
+    spec
 }
 
 /// Callees the edit sequences draw from: infrastructure the monolith
@@ -151,76 +172,93 @@ fn apply(spec: &mut WiringSpec, (op, a, b): (u8, usize, usize), next: &mut usize
 
 /// The name index agrees with a scan of `decls()`, rejects every existing
 /// name on re-add, and the spec still validates.
-fn check_index(spec: &mut WiringSpec, probes: &[String]) -> Result<(), TestCaseError> {
+fn check_index(spec: &mut WiringSpec, probes: &[String], case: u64) {
     for name in probes {
         let scanned = spec.decls().iter().find(|d| d.name == *name);
-        prop_assert_eq!(
+        assert_eq!(
             spec.decl(name).map(|d| d as *const InstanceDecl),
             scanned.map(|d| d as *const InstanceDecl),
-            "decl({}) disagrees with a scan",
-            name
+            "case {case}: decl({name}) disagrees with a scan"
         );
     }
     let names: Vec<String> = spec.decls().iter().map(|d| d.name.clone()).collect();
     for name in names {
         let err = spec.define(&name, "Docker", vec![]).unwrap_err();
-        prop_assert_eq!(err, WiringError::DuplicateName(name));
+        assert_eq!(err, WiringError::DuplicateName(name), "case {case}");
     }
-    prop_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
-    Ok(())
+    assert!(
+        spec.validate().is_ok(),
+        "case {case}: {:?}",
+        spec.validate()
+    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Every edit keeps the name index consistent with the declarations.
-    #[test]
-    fn name_index_survives_edit_sequences(
-        ops in proptest::collection::vec((0u8..15, 0usize..64, 0usize..64), 1..40),
-    ) {
+/// Every edit keeps the name index consistent with the declarations.
+#[test]
+fn name_index_survives_edit_sequences() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0xa301 ^ case);
         let mut spec = WiringSpec::new("edits");
         let mut next = 0;
         let mut probes: Vec<String> = vec!["missing".into(), "monolith".into()];
-        for op in ops {
+        for _ in 0..rng.gen_range(1..40) {
+            let op = (
+                rng.gen_range(0..15),
+                rng.gen_range(0..64),
+                rng.gen_range(0..64),
+            );
             apply(&mut spec, op, &mut next);
             probes.extend(spec.decls().iter().map(|d| d.name.clone()));
             probes.sort();
             probes.dedup();
-            check_index(&mut spec, &probes)?;
+            check_index(&mut spec, &probes, case);
         }
     }
+}
 
-    /// render → parse is the identity on spec values.
-    #[test]
-    fn parse_render_roundtrip(spec in spec_strategy()) {
+/// render → parse is the identity on spec values.
+#[test]
+fn parse_render_roundtrip() {
+    for case in 0..CASES {
+        let spec = random_spec(&mut SmallRng::seed_from_u64(0xa302 ^ case));
         let text = render::render(&spec);
-        let back = parse(&text).unwrap();
-        prop_assert_eq!(back, spec);
+        let back = parse(&text).unwrap_or_else(|e| panic!("case {case}: {e}\n{text}"));
+        assert_eq!(back, spec, "case {case}");
     }
+}
 
-    /// Diff of a spec with itself is empty; diff is symmetric in changed().
-    #[test]
-    fn diff_laws(a in spec_strategy(), b in spec_strategy()) {
-        let self_diff = diff::spec_diff(&a, &a);
-        prop_assert_eq!(self_diff.changed(), 0);
+/// Diff of a spec with itself is empty; diff is symmetric in changed().
+#[test]
+fn diff_laws() {
+    for case in 0..CASES {
+        let mut rng = SmallRng::seed_from_u64(0xa303 ^ case);
+        let (a, b) = (random_spec(&mut rng), random_spec(&mut rng));
+        assert_eq!(diff::spec_diff(&a, &a).changed(), 0, "case {case}");
         let ab = diff::spec_diff(&a, &b);
         let ba = diff::spec_diff(&b, &a);
-        prop_assert_eq!(ab.added, ba.removed);
-        prop_assert_eq!(ab.removed, ba.added);
-        prop_assert_eq!(ab.unchanged, ba.unchanged);
+        assert_eq!(ab.added, ba.removed, "case {case}");
+        assert_eq!(ab.removed, ba.added, "case {case}");
+        assert_eq!(ab.unchanged, ba.unchanged, "case {case}");
     }
+}
 
-    /// LoC equals declaration count and matches rendered non-header lines.
-    #[test]
-    fn loc_matches_rendered_lines(spec in spec_strategy()) {
+/// LoC equals declaration count and matches rendered non-header lines.
+#[test]
+fn loc_matches_rendered_lines() {
+    for case in 0..CASES {
+        let spec = random_spec(&mut SmallRng::seed_from_u64(0xa304 ^ case));
         let text = render::render(&spec);
         let lines = text.lines().filter(|l| !l.trim().is_empty()).count();
-        prop_assert_eq!(spec.loc() + 1, lines); // +1 for the `app` header.
+        assert_eq!(spec.loc() + 1, lines, "case {case}"); // +1 for the `app` header.
     }
+}
 
-    /// Validation passes on anything built through the API.
-    #[test]
-    fn built_specs_validate(spec in spec_strategy()) {
-        spec.validate().unwrap();
+/// Validation passes on anything built through the API.
+#[test]
+fn built_specs_validate() {
+    for case in 0..CASES {
+        let spec = random_spec(&mut SmallRng::seed_from_u64(0xa305 ^ case));
+        spec.validate()
+            .unwrap_or_else(|e| panic!("case {case}: {e}"));
     }
 }

@@ -2,88 +2,114 @@
 
 use blueprint_ir::types::{MethodSig, TypeRef};
 use blueprint_workflow::{
-    BackendKind, Behavior, KeyExpr, ServiceBuilder, ServiceInterface, Step, WorkflowSpec,
+    BackendKind, Behavior, KeyExpr, ServiceBuilder, ServiceInterface, Step, WorkflowError,
+    WorkflowSpec,
 };
-use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
-/// Generates random (possibly nested) behaviors over a fixed dep vocabulary.
-fn behavior(depth: u32) -> BoxedStrategy<Behavior> {
-    let leaf_step = prop_oneof![
-        (1_000u64..1_000_000, 0u64..65_536).prop_map(|(cpu_ns, alloc_bytes)| Step::Compute {
-            cpu_ns,
-            alloc_bytes
-        }),
-        Just(Step::Call {
+/// Random cases per property; case `i` draws from
+/// `SmallRng::seed_from_u64(seed ^ i)`.
+const CASES: usize = 128;
+
+fn leaf_step(rng: &mut SmallRng) -> Step {
+    match rng.gen_range(0..6) {
+        0 => Step::Compute {
+            cpu_ns: rng.gen_range(1_000..1_000_000),
+            alloc_bytes: rng.gen_range(0..65_536),
+        },
+        1 => Step::Call {
             dep: "svc".into(),
-            method: "M".into()
-        }),
-        Just(Step::Cache {
+            method: "M".into(),
+        },
+        2 => Step::Cache {
             dep: "cache".into(),
             op: blueprint_workflow::CacheOp::Get,
-            key: KeyExpr::Entity
-        }),
-        Just(Step::Db {
+            key: KeyExpr::Entity,
+        },
+        3 => Step::Db {
             dep: "db".into(),
             op: blueprint_workflow::DbOp::Write,
-            key: KeyExpr::Const(3)
-        }),
-        Just(Step::QueuePush { dep: "q".into() }),
-        (0.0f64..1.0).prop_map(|prob| Step::Fail { prob }),
-    ];
-    if depth == 0 {
-        proptest::collection::vec(leaf_step, 0..5)
-            .prop_map(|steps| Behavior { steps })
-            .boxed()
-    } else {
-        let inner = behavior(depth - 1);
-        let nested = prop_oneof![
-            leaf_step.clone(),
-            proptest::collection::vec(inner.clone(), 1..3).prop_map(Step::Parallel),
-            (0.0f64..1.0, inner.clone(), inner.clone()).prop_map(|(prob, then, otherwise)| {
-                Step::Branch {
-                    prob,
-                    then,
-                    otherwise,
-                }
-            }),
-            (1u32..4, inner.clone()).prop_map(|(times, body)| Step::Repeat { times, body }),
-            inner.clone().prop_map(|on_miss| Step::CacheGetOrFetch {
-                cache: "cache".into(),
-                key: KeyExpr::Entity,
-                on_miss
-            }),
-        ];
-        proptest::collection::vec(nested, 0..5)
-            .prop_map(|steps| Behavior { steps })
-            .boxed()
+            key: KeyExpr::Const(3),
+        },
+        4 => Step::QueuePush { dep: "q".into() },
+        _ => Step::Fail {
+            prob: rng.gen_range(0.0..1.0),
+        },
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// A random behavior of 0-4 steps over a fixed dep vocabulary, nesting
+/// sub-behaviors `depth` levels deep.
+fn behavior(rng: &mut SmallRng, depth: u32) -> Behavior {
+    let steps = (0..rng.gen_range(0..5))
+        .map(|_| match if depth == 0 { 0 } else { rng.gen_range(0..5) } {
+            0 => leaf_step(rng),
+            1 => Step::Parallel(
+                (0..rng.gen_range(1..3))
+                    .map(|_| behavior(rng, depth - 1))
+                    .collect(),
+            ),
+            2 => Step::Branch {
+                prob: rng.gen_range(0.0..1.0),
+                then: behavior(rng, depth - 1),
+                otherwise: behavior(rng, depth - 1),
+            },
+            3 => Step::Repeat {
+                times: rng.gen_range(1..4),
+                body: behavior(rng, depth - 1),
+            },
+            _ => Step::CacheGetOrFetch {
+                cache: "cache".into(),
+                key: KeyExpr::Entity,
+                on_miss: behavior(rng, depth - 1),
+            },
+        })
+        .collect();
+    Behavior { steps }
+}
 
-    /// `size` counts at least one per step and dominates `calls`/`dep_uses`.
-    #[test]
-    fn size_dominates_collections(b in behavior(2)) {
+/// The first `CASES` behaviors drawn under `seed` at nesting `depth` that
+/// satisfy `keep`, with their case numbers.
+fn behaviors(
+    seed: u64,
+    depth: u32,
+    keep: impl Fn(&Behavior) -> bool,
+) -> impl Iterator<Item = (u64, Behavior)> {
+    (0..)
+        .map(move |case| {
+            let b = behavior(&mut SmallRng::seed_from_u64(seed ^ case), depth);
+            (case, b)
+        })
+        .filter(move |(_, b)| keep(b))
+        .take(CASES)
+}
+
+/// `size` counts at least one per step and dominates `calls`/`dep_uses`.
+#[test]
+fn size_dominates_collections() {
+    for (case, b) in behaviors(0xb401, 2, |_| true) {
         let size = b.size();
-        prop_assert!(size >= b.steps.len());
-        prop_assert!(b.calls().len() <= size);
-        prop_assert!(b.dep_uses().len() <= size);
+        assert!(size >= b.steps.len(), "case {case}");
+        assert!(b.calls().len() <= size, "case {case}");
+        assert!(b.dep_uses().len() <= size, "case {case}");
     }
+}
 
-    /// Every dep a behavior uses belongs to the fixed vocabulary, and a
-    /// service declaring exactly that vocabulary always validates.
-    #[test]
-    fn declared_vocabulary_validates(b in behavior(2)) {
+/// Every dep a behavior uses belongs to the fixed vocabulary, and a
+/// service declaring exactly that vocabulary always validates.
+#[test]
+fn declared_vocabulary_validates() {
+    for (case, b) in behaviors(0xb402, 2, |_| true) {
         for (dep, family) in b.dep_uses() {
             let expected = match dep {
                 "svc" => "service",
                 "cache" => "cache",
                 "db" => "db",
                 "q" => "queue",
-                other => panic!("unexpected dep {other}"),
+                other => panic!("case {case}: unexpected dep {other}"),
             };
-            prop_assert_eq!(family, expected);
+            assert_eq!(family, expected, "case {case}");
         }
         let svc = ServiceBuilder::new(
             "SImpl",
@@ -95,14 +121,17 @@ proptest! {
         .dep_backend("q", BackendKind::Queue)
         .method("Run", b)
         .done();
-        prop_assert!(svc.is_ok(), "{:?}", svc.err());
+        assert!(svc.is_ok(), "case {case}: {:?}", svc.err());
     }
+}
 
-    /// Dropping a dependency declaration used by the behavior always fails
-    /// validation with the right error.
-    #[test]
-    fn missing_dep_always_caught(b in behavior(2)) {
-        prop_assume!(b.dep_uses().iter().any(|(d, _)| *d == "cache"));
+/// Dropping a dependency declaration used by the behavior always fails
+/// validation with the right error. Runs `CASES` behaviors that use the
+/// cache.
+#[test]
+fn missing_dep_always_caught() {
+    let uses_cache = |b: &Behavior| b.dep_uses().iter().any(|(d, _)| *d == "cache");
+    for (case, b) in behaviors(0xb403, 2, uses_cache) {
         let svc = ServiceBuilder::new(
             "SImpl",
             ServiceInterface::new("S", vec![MethodSig::new("Run", vec![], TypeRef::Unit)]),
@@ -112,17 +141,19 @@ proptest! {
         .dep_backend("q", BackendKind::Queue)
         .method("Run", b)
         .done();
-        let caught =
-            matches!(svc, Err(blueprint_workflow::WorkflowError::UnknownDep { .. }));
-        prop_assert!(caught);
+        assert!(
+            matches!(svc, Err(WorkflowError::UnknownDep { .. })),
+            "case {case}: {svc:?}"
+        );
     }
+}
 
-    /// Whole-spec validation accepts a two-service spec whose frontend runs
-    /// a random behavior against a matching leaf.
-    #[test]
-    fn spec_level_validation(b in behavior(1)) {
-        // Rewrite calls to target the leaf's real method name.
-        prop_assume!(b.calls().iter().all(|(_, m)| *m == "M"));
+/// Whole-spec validation accepts a two-service spec whose frontend runs
+/// a random behavior against a matching leaf.
+#[test]
+fn spec_level_validation() {
+    let calls_leaf = |b: &Behavior| b.calls().iter().all(|(_, m)| *m == "M");
+    for (case, b) in behaviors(0xb404, 1, calls_leaf) {
         let mut spec = WorkflowSpec::new("p");
         let leaf = ServiceBuilder::new(
             "TImpl",
@@ -144,6 +175,10 @@ proptest! {
         .done()
         .unwrap();
         spec.add_service(front).unwrap();
-        prop_assert!(spec.validate().is_ok());
+        assert!(
+            spec.validate().is_ok(),
+            "case {case}: {:?}",
+            spec.validate()
+        );
     }
 }
