@@ -2,7 +2,7 @@
 //! (`results/consistency_matrix.txt`).
 //!
 //! The replicated SocialNetwork (direct-timeline variant: reads and writes
-//! go straight to the 2-replica `ut_db`, 40–250 ms asynchronous replication
+//! go straight to the 2-replica `ut_db`, 100–400 ms asynchronous replication
 //! lag, primary failover armed) is compiled three times — one wiring line
 //! apart — and crossed with four disturbances:
 //!
@@ -26,8 +26,8 @@
 //! `BLUEPRINT_THREADS` settings (ci.sh compares `=1` vs `=4` in `--smoke`
 //! mode, which writes `results/ci_consistency.txt`).
 
-use blueprint_apps::{social_network as sn, WiringOpts};
-use blueprint_bench::matrix::{assert_conserved, cell};
+use blueprint_apps::social_network as sn;
+use blueprint_bench::matrix::{assert_conserved, cell, consistency_arms, CONSISTENCY_LAG_MS};
 use blueprint_bench::report;
 use blueprint_bench::Run;
 use blueprint_core::Blueprint;
@@ -40,9 +40,6 @@ use blueprint_workload::resilience::{
 };
 use blueprint_workload::OracleSpec;
 
-/// Replication lag bounds, ms (quorum writes pay up to the max as ack
-/// latency, so this also bounds the quorum arm's write surcharge).
-const LAG_MS: (i64, i64) = (100, 400);
 /// Entity-id space; every entity is audit-read after the settle period.
 const ENTITIES: u64 = 200;
 /// Failover detection + election delays. Deliberately shorter than the
@@ -53,24 +50,19 @@ const ENTITIES: u64 = 200;
 const DETECT_NS: SimTime = 50_000_000;
 const ELECT_NS: SimTime = 50_000_000;
 
-/// The three consistency arms, all sharing one topology and differing by
-/// the `ut_db` consistency mode (a one-line wiring mutation), failover
-/// armed on each compiled system.
+/// The three consistency arms ([`consistency_arms`]), compiled, with
+/// failover armed on each system.
 fn arms() -> Vec<(String, SystemSpec)> {
     let wf = sn::workflow_direct_timeline();
-    let opts = WiringOpts::default().without_tracing();
-    let mk = |label: &str, mode: &str, quorum: Option<(i64, i64)>| {
-        let w = sn::wiring_direct_timeline(&opts, LAG_MS.0, LAG_MS.1, mode, quorum);
-        let app = Blueprint::new().compile(&wf, &w).expect("arm compiles");
-        let mut system = app.system().clone();
-        sn::arm_ut_db_failover(&mut system, DETECT_NS, ELECT_NS).expect("failover arms");
-        (label.to_string(), system)
-    };
-    vec![
-        mk("read-replica", "read_replica", None),
-        mk("quorum-w2-r2", "quorum", Some((2, 2))),
-        mk("session", "session", None),
-    ]
+    consistency_arms()
+        .into_iter()
+        .map(|(label, w)| {
+            let app = Blueprint::new().compile(&wf, &w).expect("arm compiles");
+            let mut system = app.system().clone();
+            sn::arm_ut_db_failover(&mut system, DETECT_NS, ELECT_NS).expect("failover arms");
+            (label.to_string(), system)
+        })
+        .collect()
 }
 
 /// The name of the process serving `ut_db` at boot (the failover victim).
@@ -219,8 +211,8 @@ fn main() {
          ut_db replicas 2, lag {}–{} ms, failover {}+{} ms, seed {}\n\
          {} entities, {} rps for {} s (20% ComposePost / 80% \
          ReadUserTimeline), settle 2 s, audit = one read per entity\n\n",
-        LAG_MS.0,
-        LAG_MS.1,
+        CONSISTENCY_LAG_MS.0,
+        CONSISTENCY_LAG_MS.1,
         DETECT_NS / 1_000_000,
         ELECT_NS / 1_000_000,
         cfg.seed,

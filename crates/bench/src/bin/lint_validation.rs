@@ -37,18 +37,18 @@
 //!   unavailability) is asserted by `ablation_reconfig` itself (see
 //!   `results/reconfig_matrix.txt`).
 //! * **BP016 stale-read-hazard / BP017 failover-lost-write** — checked
-//!   statically against the replicated SocialNetwork store the consistency
-//!   matrix measures. The unguarded `wiring_inconsistency` variant (2 read
-//!   replicas, 50–700 ms async lag, read-after-write through `ut_db`) fires
-//!   BP016; `attach_session_consistency` — the rule's suggested one-line fix
-//!   — silences it. BP017 is plan-relative like BP012: a plan that kills
+//!   statically against the very wirings the consistency matrix runs
+//!   ([`consistency_arms`]: the direct-timeline SocialNetwork, 2 read
+//!   replicas of `ut_db`, 100–400 ms async lag, read-after-write through
+//!   `ut_db`). The unguarded `read-replica` arm fires BP016; the `session`
+//!   arm — the mode the rule's suggested `attach_session_consistency` fix
+//!   sets — is silent. BP017 is plan-relative like BP012: a plan that kills
 //!   `ut_db` fires on every arm acking writes at w=1 (including the
-//!   session arm — read-your-writes is not durability), and the quorum fix
-//!   `set_store_consistency(.., "quorum", (2, 2))` silences both rules at
-//!   once. The dynamic counterpart — the unguarded arm's stale reads and
-//!   crash-lost writes, and the guarded arms' empty anomaly columns — is
-//!   asserted by `ablation_consistency` (see
-//!   `results/consistency_matrix.txt`).
+//!   session arm — read-your-writes is not durability), and the
+//!   `quorum-w2-r2` arm is silent on both rules. The dynamic counterpart —
+//!   the unguarded arm's stale reads and crash-lost writes, and the guarded
+//!   arms' empty anomaly columns — is asserted by `ablation_consistency`
+//!   (see `results/consistency_matrix.txt`).
 //!
 //! Output goes to stdout and `results/lint_validation.txt`; the file is
 //! timestamp-free and byte-identical across `BLUEPRINT_THREADS` settings
@@ -58,7 +58,9 @@
 use std::fmt::Write as _;
 
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
-use blueprint_bench::matrix::{assert_conserved, cell, mid_run_fault};
+use blueprint_bench::matrix::{
+    assert_conserved, cell, consistency_arms, mid_run_fault, CONSISTENCY_LAG_MS,
+};
 use blueprint_bench::report;
 use blueprint_bench::Run;
 use blueprint_core::Blueprint;
@@ -249,7 +251,7 @@ fn bp012_findings(wiring: &WiringSpec, drainless: bool) -> Vec<Diagnostic> {
 /// the arms are linted manually like the BP012 ones; `kill_store` projects
 /// the consistency matrix's primary-crash scenario onto the plan.
 fn consistency_findings(wiring: &WiringSpec, kill_store: bool) -> Vec<Diagnostic> {
-    let wf = sn::workflow();
+    let wf = sn::workflow_direct_timeline();
     let app = Blueprint::new()
         .without_artifacts()
         .compile(&wf, wiring)
@@ -434,41 +436,42 @@ fn main() {
     }
 
     // BP016/BP017 against the consistency-matrix arms. The unguarded
-    // replicated store fires BP016; the session fix silences it but not
-    // BP017 (session mode still acks on the primary alone); the quorum fix
+    // replicated store fires BP016; the session arm (the wiring
+    // attach_session_consistency makes of it) silences it but not BP017
+    // (session mode still acks on the primary alone); the quorum arm
     // silences both. The anomaly columns these predict are asserted by
     // ablation_consistency.
-    let sn_opts = WiringOpts::default().without_tracing();
-    let exposed = sn::wiring_inconsistency(&sn_opts, 50, 700);
-    let mut session_fixed = exposed.clone();
-    mutate::attach_session_consistency(&mut session_fixed, "ut_db").expect("session fix");
-    let mut quorum_fixed = exposed.clone();
-    mutate::set_store_consistency(&mut quorum_fixed, "ut_db", "quorum", Some((2, 2)))
-        .expect("quorum fix");
+    let arms = consistency_arms();
+    let arm = |label: &str| {
+        let (_, w) = arms.iter().find(|(l, _)| *l == label).expect("arm");
+        w
+    };
+    let (exposed, quorum_fixed, session_fixed) =
+        (arm("read-replica"), arm("quorum-w2-r2"), arm("session"));
     let rule_of = |diags: &[Diagnostic], rule: &str| -> Vec<Diagnostic> {
         diags.iter().filter(|d| d.rule == rule).cloned().collect()
     };
-    let exposed_diags = consistency_findings(&exposed, true);
-    let session_diags = consistency_findings(&session_fixed, true);
-    let quorum_diags = consistency_findings(&quorum_fixed, true);
+    let exposed_diags = consistency_findings(exposed, true);
+    let session_diags = consistency_findings(session_fixed, true);
+    let quorum_diags = consistency_findings(quorum_fixed, true);
     let bp016_exposed = rule_of(&exposed_diags, "BP016");
     let bp017_exposed = rule_of(&exposed_diags, "BP017");
     let bp016_session = rule_of(&session_diags, "BP016");
     let bp017_session = rule_of(&session_diags, "BP017");
     let bp016_quorum = rule_of(&quorum_diags, "BP016");
     let bp017_quorum = rule_of(&quorum_diags, "BP017");
-    let bp017_planless = rule_of(&consistency_findings(&exposed, false), "BP017");
+    let bp017_planless = rule_of(&consistency_findings(exposed, false), "BP017");
     assert_eq!(bp016_exposed.len(), 1, "{bp016_exposed:?}");
     assert_eq!(bp016_exposed[0].nodes[0].name, "ut_db");
     assert_eq!(
         bp016_exposed[0].bound,
-        Some(700.0),
+        Some(CONSISTENCY_LAG_MS.1 as f64),
         "BP016 carries the max lag as its bound"
     );
     assert_eq!(bp017_exposed.len(), 1, "{bp017_exposed:?}");
     assert!(
         bp016_session.is_empty(),
-        "attach_session_consistency must silence BP016: {bp016_session:?}"
+        "the session arm must silence BP016: {bp016_session:?}"
     );
     assert_eq!(
         bp017_session.len(),
@@ -478,7 +481,7 @@ fn main() {
     for (rule, found) in [("BP016", &bp016_quorum), ("BP017", &bp017_quorum)] {
         assert!(
             found.is_empty(),
-            "the quorum fix must silence {rule}: {found:?}"
+            "the quorum arm must silence {rule}: {found:?}"
         );
     }
     assert!(
@@ -689,11 +692,12 @@ fn main() {
     let _ = writeln!(
         out,
         "  BP016/BP017 cover the consistency matrix: the unguarded replicated \
-         ut_db (50-700 ms lag) fires BP016, a plan killing it fires BP017 at \
+         ut_db ({}-{} ms lag) fires BP016, a plan killing it fires BP017 at \
          w=1; attach_session_consistency silences BP016 only (read-your-writes \
          is not durability) and the quorum fix silences both (dynamic bound \
          held in results/consistency_matrix.txt: the unguarded arm's stale \
          reads and crash-lost writes vanish on the guarded arms)",
+        CONSISTENCY_LAG_MS.0, CONSISTENCY_LAG_MS.1,
     );
     run.emit(&out, "lint_validation.txt", "ci_lint_validation.txt");
 }

@@ -160,14 +160,6 @@ impl Blueprint {
         self
     }
 
-    /// Replaces the lint configuration — severity overrides plus the
-    /// declared traffic (target rate, mix) and scaling ceilings that the
-    /// analytic capacity rules (BP013–BP015) check against.
-    pub fn with_lint_config(mut self, config: blueprint_lint::LintConfig) -> Self {
-        self.options.lint_config = config;
-        self
-    }
-
     /// Compiles an application variant.
     pub fn compile(&self, workflow: &WorkflowSpec, wiring: &WiringSpec) -> Result<CompiledApp> {
         Ok(CompiledApp {

@@ -240,20 +240,6 @@ impl Linter {
         }
     }
 
-    /// A linter with no passes (add them with [`Linter::with_pass`]).
-    pub fn empty(config: LintConfig) -> Self {
-        Linter {
-            passes: Vec::new(),
-            config,
-        }
-    }
-
-    /// Registers an additional pass.
-    pub fn with_pass(mut self, pass: Box<dyn LintPass>) -> Self {
-        self.passes.push(pass);
-        self
-    }
-
     /// The rules contributed by every registered pass.
     pub fn rules(&self) -> Vec<&'static Rule> {
         self.passes.iter().flat_map(|p| p.rules()).collect()

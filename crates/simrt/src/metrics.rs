@@ -1,6 +1,6 @@
-//! Simulation-wide counters and per-backend statistics.
-
-use std::collections::BTreeMap;
+//! Simulation-wide counters and per-backend statistics. The simulator
+//! writes both tables in place as events dispatch, so they are current
+//! whenever the caller holds the `Sim`.
 
 use serde::{Deserialize, Serialize};
 
@@ -176,19 +176,47 @@ impl BackendStats {
     }
 }
 
+/// Per-backend statistics in dense backend-id order: the one copy, written
+/// in place by every backend op and store failover. Every backend of the
+/// spec has an entry from boot, all zeros until its first op.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct BackendTable {
+    names: Vec<String>,
+    stats: Vec<BackendStats>,
+}
+
+impl BackendTable {
+    /// A zeroed table for backends named in id order.
+    pub(crate) fn new(names: Vec<String>) -> Self {
+        let stats = vec![BackendStats::default(); names.len()];
+        BackendTable { names, stats }
+    }
+
+    /// The stats of backend `id`, for the simulator to update.
+    pub(crate) fn stats_mut(&mut self, id: usize) -> &mut BackendStats {
+        &mut self.stats[id]
+    }
+
+    /// Every backend's stats, in backend-id order.
+    pub fn values(&self) -> impl Iterator<Item = &BackendStats> {
+        self.stats.iter()
+    }
+}
+
 /// All metrics of a run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Metrics {
     /// Global counters.
     pub counters: SimCounters,
-    /// Backend name → stats.
-    pub backends: BTreeMap<String, BackendStats>,
+    /// Per-backend stats, one entry per backend from boot.
+    pub backends: BackendTable,
 }
 
 impl Metrics {
-    /// Stats for a backend, if recorded.
+    /// Stats for a backend by name (`None` for a name the spec lacks).
     pub fn backend(&self, name: &str) -> Option<&BackendStats> {
-        self.backends.get(name)
+        let b = &self.backends;
+        b.names.iter().position(|n| n == name).map(|i| &b.stats[i])
     }
 }
 
@@ -207,9 +235,13 @@ mod tests {
 
     #[test]
     fn backend_looks_up_by_name() {
-        let mut m = Metrics::default();
-        m.backends.entry("c".to_string()).or_default().hits += 1;
+        let mut m = Metrics {
+            backends: BackendTable::new(vec!["a".into(), "c".into()]),
+            ..Metrics::default()
+        };
+        m.backends.stats_mut(1).hits += 1;
         assert_eq!(m.backend("c").unwrap().hits, 1);
+        assert_eq!(m.backend("a"), Some(&BackendStats::default()));
         assert!(m.backend("zzz").is_none());
     }
 }

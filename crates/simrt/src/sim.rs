@@ -36,7 +36,7 @@ use blueprint_workflow::{Behavior, CacheOp, DbOp, KeyExpr, Step};
 
 use crate::evq::{self, Wheel};
 use crate::host::{JobId, PsHost, NO_PROC};
-use crate::metrics::{BackendStats, EvKind, Metrics};
+use crate::metrics::{BackendTable, EvKind, Metrics};
 use crate::spec::{
     AutoscalerSpec, BackendRtKind, Change, ClientSpec, ConsistencyMode, DepBinding, Fault,
     FaultPlan, LbPolicy, ReconfigPlan, ShedSpec, SystemSpec, TransportSpec,
@@ -735,8 +735,7 @@ struct ExecCtx {
 enum FrameKind {
     /// Workload-submitted entry request.
     Entry {
-        entry: NameId,
-        method: NameId,
+        handle: EntryHandle,
         submitted_ns: SimTime,
     },
     /// Serving an RPC; the reply routes back to the caller's call attempt.
@@ -1204,6 +1203,9 @@ impl ShedCtl {
 struct SvcRt {
     methods: Vec<ProgId>,
     method_names: Vec<NameId>,
+    /// Dense ids of the clients this service owns (boot assigns client ids
+    /// service by service, so they are contiguous).
+    clients: std::ops::Range<usize>,
     active: u32,
     max_concurrent: u32,
     /// Requests served (frames created) by this service.
@@ -1335,18 +1337,14 @@ impl StoreRt {
     }
 }
 
-/// Backend runtime. Stats accumulate densely here and are mirrored into the
-/// name-keyed [`Metrics`] map at the end of each `run_until` slice.
+/// Backend runtime. Its stats live in [`Metrics::backends`] under the same
+/// dense id.
 struct BackendRt {
     name: NameId,
     kind: BackendRtKind,
     cache: CacheRt,
     store: StoreRt,
     queue: VecDeque<u64>,
-    stats: BackendStats,
-    /// Whether `stats` changed since the last mirror into `Metrics::backends`
-    /// (a backend no op has touched never appears in that map).
-    stats_dirty: bool,
     /// Brownout window end (0 = no brownout ever injected).
     brownout_until: SimTime,
     /// Service-time multiplier while `now < brownout_until`.
@@ -1403,8 +1401,6 @@ struct Shared {
     svc_proc: Vec<u32>,
     /// Backend → serving process (global ids; moves on store failover).
     backend_proc: Vec<u32>,
-    /// Client → owning service (global ids).
-    client_owner: Vec<u32>,
     /// Process → host.
     proc_host: Vec<u32>,
 
@@ -1500,7 +1496,7 @@ struct HostRt {
 ///
 /// Frame ids carry their home host, so this never needs to resolve
 /// (possibly dead) frames.
-fn ev_home_host(sh: &Shared, ev: &Ev) -> Option<usize> {
+fn ev_home_host(sh: &Shared, clients: &[ClientRt], ev: &Ev) -> Option<usize> {
     match ev {
         Ev::HostCheck { host, .. } | Ev::HogEnd { host, .. } => Some(*host),
         Ev::Resume { frame }
@@ -1514,7 +1510,7 @@ fn ev_home_host(sh: &Shared, ev: &Ev) -> Option<usize> {
             }
         }),
         Ev::ConnFreed { client } => {
-            let owner = sh.client_owner[*client as usize] as usize;
+            let owner = clients[*client as usize].owner;
             Some(sh.proc_host[sh.svc_proc[owner] as usize] as usize)
         }
         Ev::ReplicaApply { backend, .. } => {
@@ -1725,7 +1721,9 @@ impl Sim {
         let rpc_name = names.intern("rpc");
 
         let mut clients = Vec::new();
+        let mut client_ranges = Vec::with_capacity(spec.services.len());
         for (si, s) in spec.services.iter().enumerate() {
+            let first = clients.len();
             for binding in s.deps.values() {
                 let n_targets = match binding {
                     DepBinding::ReplicatedService { targets, .. } => targets.len(),
@@ -1746,11 +1744,12 @@ impl Sim {
                     rng: SmallRng::seed_from_u64(derive_seed(cfg.seed, DOMAIN_CLIENT, ci)),
                 });
             }
+            client_ranges.push(first..clients.len());
         }
 
         let mut services = Vec::new();
         let mut svc_names = Vec::new();
-        for (si, s) in spec.services.iter().enumerate() {
+        for ((si, s), clients) in spec.services.iter().enumerate().zip(client_ranges) {
             svc_names.push(names.intern(&s.name));
             let method_names: Vec<NameId> = s.methods.keys().map(|k| names.intern(k)).collect();
             let mut methods = Vec::with_capacity(s.methods.len());
@@ -1768,6 +1767,7 @@ impl Sim {
             services.push(SvcRt {
                 methods,
                 method_names,
+                clients,
                 active: 0,
                 max_concurrent: s.max_concurrent,
                 served: 0,
@@ -1835,8 +1835,6 @@ impl Sim {
                     cache: CacheRt::default(),
                     store,
                     queue: VecDeque::new(),
-                    stats: BackendStats::default(),
-                    stats_dirty: false,
                     brownout_until: 0,
                     brownout_slow: 1.0,
                     brownout_unavailable: false,
@@ -1856,7 +1854,6 @@ impl Sim {
             svc_names,
             svc_proc: spec.services.iter().map(|s| s.process as u32).collect(),
             backend_proc: spec.backends.iter().map(|b| b.process as u32).collect(),
-            client_owner: clients.iter().map(|c| c.owner as u32).collect(),
             proc_host: spec.processes.iter().map(|p| p.host as u32).collect(),
             proc_down: vec![false; n_procs],
             proc_gen: vec![0; n_procs],
@@ -1890,7 +1887,10 @@ impl Sim {
             next_root: 1,
             chaos: None,
             reconfig,
-            metrics: Metrics::default(),
+            metrics: Metrics {
+                counters: Default::default(),
+                backends: BackendTable::new(spec.backends.iter().map(|b| b.name.clone()).collect()),
+            },
             traces: TraceCollector::new(),
             spec_name: spec.name.clone(),
         };
@@ -2372,46 +2372,60 @@ impl Sim {
                 h.entry, h.method
             )));
         }
-        self.submit_resolved(h.entry, h.method, entity)
-    }
-
-    /// Shared submission path for a resolved `(entry, method)` pair.
-    fn submit_resolved(&mut self, entry: u32, method: u32, entity: u64) -> Result<u64> {
-        let svc = self.entry_rts[entry as usize].svc;
+        let svc = self.entry_rts[h.entry as usize].svc;
         let root_seq = self.next_root;
         self.next_root += 1;
         self.metrics.counters.submitted += 1;
-        let entry = self.entry_rts[entry as usize].name;
-        let method_name = self.services[svc].method_names[method as usize];
 
         if self.live >= self.cfg.max_frames {
             self.metrics.counters.admission_rejections += 1;
-            self.metrics.counters.completed_err += 1;
-            self.completions.push(Completion {
-                entry: self.sh.names.get(entry).to_string(),
-                method: self.sh.names.get(method_name).to_string(),
-                entity,
-                root_seq,
-                submitted_ns: self.now,
-                finished_ns: self.now,
-                ok: false,
-                observed_version: 0,
-                failure: Some("shed"),
-            });
+            self.finish_entry(h, self.now, entity, root_seq, 0, Some(CallErr::Shed));
             return Ok(root_seq);
         }
 
         let kind = FrameKind::Entry {
-            entry,
-            method: method_name,
+            handle: h,
             submitted_ns: self.now,
         };
         // Entry shims never enable tracing, so the frame gets no span.
         debug_assert!(!self.services[svc].traced);
-        let prog = self.services[svc].methods[method as usize];
+        let prog = self.services[svc].methods[h.method as usize];
         let fid = self.alloc_frame(svc, entity, root_seq, kind, prog, None);
         self.push_ev(self.now, Ev::Resume { frame: fid });
         Ok(root_seq)
+    }
+
+    /// The one exit of an entry request, whether its frame ended or
+    /// admission shed it: counts it by outcome and records its completion.
+    /// `failure` is `None` for a success.
+    fn finish_entry(
+        &mut self,
+        h: EntryHandle,
+        submitted_ns: SimTime,
+        entity: u64,
+        root_seq: u64,
+        observed_version: u64,
+        failure: Option<CallErr>,
+    ) {
+        let ok = failure.is_none();
+        if ok {
+            self.metrics.counters.completed_ok += 1;
+        } else {
+            self.metrics.counters.completed_err += 1;
+        }
+        let er = &self.entry_rts[h.entry as usize];
+        let method = self.services[er.svc].method_names[h.method as usize];
+        self.completions.push(Completion {
+            entry: self.sh.names.get(er.name).to_string(),
+            method: self.sh.names.get(method).to_string(),
+            entity,
+            root_seq,
+            submitted_ns,
+            finished_ns: self.now,
+            ok,
+            observed_version,
+            failure: failure.map(CallErr::label),
+        });
     }
 
     /// Runs the event loop until virtual time `t` (inclusive): pops every
@@ -2421,36 +2435,14 @@ impl Sim {
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(e) = self.events.pop_until(t) {
             self.now = e.time;
-            self.ctx = ev_home_host(&self.sh, &e.item).map_or(CTRL_CTX, |h| h as u64);
+            self.ctx =
+                ev_home_host(&self.sh, &self.clients, &e.item).map_or(CTRL_CTX, |h| h as u64);
             self.metrics.counters.dispatched[ev_kind(&self.hosts, &e.item) as usize] += 1;
             self.dispatch(e.item);
         }
         // Driver calls between slices push under the control context.
         self.ctx = CTRL_CTX;
         self.now = self.now.max(t);
-        self.sync_backend_metrics();
-    }
-
-    /// Mirrors dense per-backend stats into the name-keyed metrics map.
-    /// Entries appear only for backends that have seen at least one op,
-    /// matching the old on-demand-creation semantics. Only backends whose
-    /// stats changed since the last sync are copied; every stats mutation
-    /// sets `stats_dirty`, and the sync clears it.
-    fn sync_backend_metrics(&mut self) {
-        for b in &mut self.backends {
-            if !b.stats_dirty {
-                continue;
-            }
-            b.stats_dirty = false;
-            let name = self.sh.names.get(b.name);
-            if let Some(slot) = self.metrics.backends.get_mut(name) {
-                slot.clone_from(&b.stats);
-            } else {
-                self.metrics
-                    .backends
-                    .insert(name.to_string(), b.stats.clone());
-            }
-        }
     }
 
     /// Takes the completions recorded since the last drain, in completion

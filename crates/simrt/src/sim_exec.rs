@@ -33,7 +33,9 @@ impl Sim {
         let (span, span_owned) = if !is_subtask && sh.record_traces && self.services[service].traced
         {
             let op = match &kind {
-                FrameKind::Entry { method, .. } => *method,
+                FrameKind::Entry { handle, .. } => {
+                    self.services[service].method_names[handle.method as usize]
+                }
                 FrameKind::Rpc { .. } | FrameKind::SubTask { .. } => sh.rpc_name,
             };
             let sid = self.traces.start_span(
@@ -373,7 +375,7 @@ impl Sim {
             let (prog, pc, proc, entity, root) = match next {
                 Next::Blocked => return,
                 Next::Done(ok) => {
-                    self.complete_frame(fid, ok);
+                    self.complete_frame(fid, ok, None);
                     return;
                 }
                 Next::Step { prog, pc, proc, entity, root } => (prog, pc, proc, entity, root),
@@ -581,16 +583,7 @@ impl Sim {
 
         if matches!(dest, CallDest::Unbound) {
             // Unbound dependency at runtime: fault.
-            self.push_ev(
-                self.now,
-                Ev::DeliverResponse {
-                    frame: fid,
-                    seq,
-                    attempt,
-                    outcome: CallOutcome::failure(CallErr::Fault),
-                },
-            );
-            return;
+            return self.fail_reply(self.now, fid, seq, attempt, CallErr::Fault);
         }
         // The `Unbound` check above is the only path where `client_id` may
         // be the sentinel, so from here on the client resolves.
@@ -632,31 +625,13 @@ impl Sim {
             || attempt_deadline.map(|d| d <= self.now).unwrap_or(false);
         if expired {
             self.metrics.counters.deadline_exceeded += 1;
-            self.push_ev(
-                self.now,
-                Ev::DeliverResponse {
-                    frame: fid,
-                    seq,
-                    attempt,
-                    outcome: CallOutcome::failure(CallErr::Deadline),
-                },
-            );
-            return;
+            return self.fail_reply(self.now, fid, seq, attempt, CallErr::Deadline);
         }
 
         // Circuit breaker.
         if !self.breaker_allow(client_id) {
             self.metrics.counters.breaker_rejections += 1;
-            self.push_ev(
-                self.now,
-                Ev::DeliverResponse {
-                    frame: fid,
-                    seq,
-                    attempt,
-                    outcome: CallOutcome::failure(CallErr::BreakerOpen),
-                },
-            );
-            return;
+            return self.fail_reply(self.now, fid, seq, attempt, CallErr::BreakerOpen);
         }
 
         // Arm the timeout, clipped to the attempt deadline: the client
@@ -686,16 +661,7 @@ impl Sim {
             }
             _ => {
                 // Kind mismatch between the behavior step and the binding.
-                self.push_ev(
-                    self.now,
-                    Ev::DeliverResponse {
-                        frame: fid,
-                        seq,
-                        attempt,
-                        outcome: CallOutcome::failure(CallErr::Fault),
-                    },
-                );
-                return;
+                return self.fail_reply(self.now, fid, seq, attempt, CallErr::Fault);
             }
         };
         let client = &mut self.clients[client_id as usize];
@@ -804,16 +770,8 @@ impl Sim {
                     if lost {
                         self.metrics.counters.link_unreachable += 1;
                         let t = self.now + msg.reply.net_ns;
-                        self.push_ev(
-                            t,
-                            Ev::DeliverResponse {
-                                frame: msg.caller,
-                                seq: msg.seq,
-                                attempt: msg.attempt,
-                                outcome: CallOutcome::failure(CallErr::Unreachable),
-                            },
-                        );
-                        return;
+                        let (caller, seq, attempt) = (msg.caller, msg.seq, msg.attempt);
+                        return self.fail_reply(t, caller, seq, attempt, CallErr::Unreachable);
                     }
                     net_ns += lf.extra_ns;
                 }
@@ -930,165 +888,100 @@ impl Sim {
     // ------------------------------------------------------------------
 
     fn on_deliver_request(&mut self, req: Box<RequestMsg>) {
-        match req.target {
-            CallTarget::Service { svc, method } => {
-                let proc = self.sh.svc_proc[svc] as usize;
-                if self.sh.proc_down[proc] {
-                    let t = self.now + req.reply.net_ns;
-                    self.push_ev(
-                        t,
-                        Ev::DeliverResponse {
-                            frame: req.caller,
-                            seq: req.seq,
-                            attempt: req.attempt,
-                            outcome: CallOutcome::failure(CallErr::Crash),
-                        },
-                    );
-                    return;
-                }
-                // A draining or out-of-rotation replica stops admitting new
-                // work: callers see the stable `drain` class and fail over.
-                // In-flight frames (admitted before the drain) still finish.
-                if !self.sh.svc_active[svc] || self.sh.svc_draining[svc] {
-                    self.metrics.counters.drain_rejections += 1;
-                    let t = self.now + req.reply.net_ns;
-                    self.push_ev(
-                        t,
-                        Ev::DeliverResponse {
-                            frame: req.caller,
-                            seq: req.seq,
-                            attempt: req.attempt,
-                            outcome: CallOutcome::failure(CallErr::Drain),
-                        },
-                    );
-                    return;
-                }
-                // A request arriving past its propagated deadline is dead on
-                // arrival: reject before admission so no server capacity is
-                // spent on a reply nobody is waiting for.
-                if req.deadline_ns.map(|d| self.now >= d).unwrap_or(false) {
-                    self.metrics.counters.deadline_exceeded += 1;
-                    let t = self.now + req.reply.net_ns;
-                    self.push_ev(
-                        t,
-                        Ev::DeliverResponse {
-                            frame: req.caller,
-                            seq: req.seq,
-                            attempt: req.attempt,
-                            outcome: CallOutcome::failure(CallErr::Deadline),
-                        },
-                    );
-                    return;
-                }
-                // Adaptive admission: when the controller's sojourn-delay
-                // EWMA exceeds its target, a fraction of arrivals is shed.
-                // The RNG (the serving process's stream) is drawn only while
-                // the shed probability is positive, so an idle controller
-                // costs nothing.
-                let shed_p = match &self.services[svc].shed {
-                    Some(ctl) if ctl.p > 0.0 => Some(ctl.p),
-                    _ => None,
-                };
-                if let Some(p) = shed_p {
-                    if self.procs[proc].rng.gen::<f64>() < p {
-                        self.metrics.counters.shed_rejections += 1;
-                        let t = self.now + req.reply.net_ns;
-                        self.push_ev(
-                            t,
-                            Ev::DeliverResponse {
-                                frame: req.caller,
-                                seq: req.seq,
-                                attempt: req.attempt,
-                                outcome: CallOutcome::failure(CallErr::Shed),
-                            },
-                        );
-                        return;
-                    }
-                }
-                let (at_capacity, prog) = {
-                    let s = &self.services[svc];
-                    (s.active >= s.max_concurrent, s.methods.get(method as usize).copied())
-                };
-                if at_capacity {
-                    self.metrics.counters.admission_rejections += 1;
-                    let t = self.now + req.reply.net_ns;
-                    self.push_ev(
-                        t,
-                        Ev::DeliverResponse {
-                            frame: req.caller,
-                            seq: req.seq,
-                            attempt: req.attempt,
-                            outcome: CallOutcome::failure(CallErr::Overload),
-                        },
-                    );
-                    return;
-                }
-                let Some(prog) = prog else {
-                    let t = self.now + req.reply.net_ns;
-                    self.push_ev(
-                        t,
-                        Ev::DeliverResponse {
-                            frame: req.caller,
-                            seq: req.seq,
-                            attempt: req.attempt,
-                            outcome: CallOutcome::failure(CallErr::Fault),
-                        },
-                    );
-                    return;
-                };
-                {
+        let err = match req.target {
+            CallTarget::Service { svc, method } => match self.admit_rpc(svc, method, req.deadline_ns) {
+                Ok(prog) => {
                     let s = &mut self.services[svc];
                     s.active += 1;
                     s.served += 1;
-                }
-                let fid = self.alloc_frame(
-                    svc,
-                    req.entity,
-                    req.root_seq,
-                    FrameKind::Rpc {
+                    let kind = FrameKind::Rpc {
                         caller: req.caller,
                         seq: req.seq,
                         attempt: req.attempt,
                         reply: req.reply,
-                    },
-                    prog,
-                    req.parent_span,
-                );
-                let frame = self.hosts[fid.host as usize].frames.get_mut(fid);
-                frame.expect("fresh frame").deadline_ns = req.deadline_ns;
-                self.step_frame(fid);
-            }
+                    };
+                    let fid =
+                        self.alloc_frame(svc, req.entity, req.root_seq, kind, prog, req.parent_span);
+                    let frame = self.hosts[fid.host as usize].frames.get_mut(fid);
+                    frame.expect("fresh frame").deadline_ns = req.deadline_ns;
+                    return self.step_frame(fid);
+                }
+                Err(err) => err,
+            },
             CallTarget::Backend { backend, op } => {
                 let proc = self.sh.backend_proc[backend] as usize;
-                let err = if self.sh.proc_down[proc] {
-                    Some(CallErr::Crash)
+                let b = &self.backends[backend];
+                if self.sh.proc_down[proc] {
+                    CallErr::Crash
+                } else if self.now < b.brownout_until && b.brownout_unavailable {
+                    self.metrics.counters.brownout_rejections += 1;
+                    CallErr::Brownout
                 } else {
-                    let b = &self.backends[backend];
-                    if self.now < b.brownout_until && b.brownout_unavailable {
-                        self.metrics.counters.brownout_rejections += 1;
-                        Some(CallErr::Brownout)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(err) = err {
-                    let t = self.now + req.reply.net_ns;
-                    self.push_ev(
-                        t,
-                        Ev::DeliverResponse {
-                            frame: req.caller,
-                            seq: req.seq,
-                            attempt: req.attempt,
-                            outcome: CallOutcome::failure(err),
-                        },
-                    );
+                    let (cpu, latency) = self.backend_cost(backend, &op);
+                    let host = self.sh.proc_host[proc] as usize;
+                    let cont = JobCont::BackendExec { req, latency_ns: latency };
+                    self.add_job_on(host, proc, cpu, cont);
                     return;
                 }
-                let (cpu, latency) = self.backend_cost(backend, &op);
-                let host = self.sh.proc_host[proc] as usize;
-                self.add_job_on(host, proc, cpu, JobCont::BackendExec { req, latency_ns: latency });
+            }
+        };
+        let t = self.now + req.reply.net_ns;
+        self.fail_reply(t, req.caller, req.seq, req.attempt, err);
+    }
+
+    /// Admission of an RPC at its service: the program of the called method,
+    /// or the error of the first check that rejects it. The checks run in a
+    /// fixed order, and each counts its own rejection.
+    fn admit_rpc(
+        &mut self,
+        svc: usize,
+        method: u32,
+        deadline_ns: Option<SimTime>,
+    ) -> std::result::Result<ProgId, CallErr> {
+        let proc = self.sh.svc_proc[svc] as usize;
+        let counters = &mut self.metrics.counters;
+        if self.sh.proc_down[proc] {
+            return Err(CallErr::Crash);
+        }
+        // A draining or out-of-rotation replica stops admitting new
+        // work: callers see the stable `drain` class and fail over.
+        // In-flight frames (admitted before the drain) still finish.
+        if !self.sh.svc_active[svc] || self.sh.svc_draining[svc] {
+            counters.drain_rejections += 1;
+            return Err(CallErr::Drain);
+        }
+        // A request arriving past its propagated deadline is dead on
+        // arrival: reject before admission so no server capacity is
+        // spent on a reply nobody is waiting for.
+        if deadline_ns.is_some_and(|d| self.now >= d) {
+            counters.deadline_exceeded += 1;
+            return Err(CallErr::Deadline);
+        }
+        // Adaptive admission: when the controller's sojourn-delay
+        // EWMA exceeds its target, a fraction of arrivals is shed.
+        // The RNG (the serving process's stream) is drawn only while
+        // the shed probability is positive, so an idle controller
+        // costs nothing.
+        let s = &self.services[svc];
+        if let Some(ctl) = s.shed.as_ref().filter(|ctl| ctl.p > 0.0) {
+            if self.procs[proc].rng.gen::<f64>() < ctl.p {
+                counters.shed_rejections += 1;
+                return Err(CallErr::Shed);
             }
         }
+        if s.active >= s.max_concurrent {
+            counters.admission_rejections += 1;
+            return Err(CallErr::Overload);
+        }
+        s.methods.get(method as usize).copied().ok_or(CallErr::Fault)
+    }
+
+    /// The one way a failed call attempt is answered: a failure response
+    /// with `err` for attempt `attempt` of call `seq` of frame `frame`,
+    /// delivered at `t`.
+    fn fail_reply(&mut self, t: SimTime, frame: FrameId, seq: u32, attempt: u32, err: CallErr) {
+        let outcome = CallOutcome::failure(err);
+        self.push_ev(t, Ev::DeliverResponse { frame, seq, attempt, outcome });
     }
 
     /// CPU work and fixed latency of a backend op. A browned-out backend
@@ -1150,19 +1043,17 @@ impl Sim {
 
     /// Applies a backend op to its state, returning the outcome plus an
     /// extra-latency surcharge (quorum ack / session redirect; 0 in the
-    /// default modes). Stats go to the backend's dense counters (mirrored
-    /// into `metrics` per run slice).
+    /// default modes). Stats go straight into the backend's entry of
+    /// [`Metrics::backends`].
     fn apply_backend_op(&mut self, req: &RequestMsg) -> (CallOutcome, u64) {
         let CallTarget::Backend { backend, op } = &req.target else {
             return (CallOutcome::failure(CallErr::Fault), 0);
         };
         let b = *backend;
-        self.backends[b].stats_dirty = true;
+        let stats = self.metrics.backends.stats_mut(b);
         match op {
             BackendOp::CacheGet { key, .. } => {
-                let backend_rt = &mut self.backends[b];
-                let hit = backend_rt.cache.get(*key);
-                let stats = &mut backend_rt.stats;
+                let hit = self.backends[b].cache.get(*key);
                 stats.reads += 1;
                 let outcome = match hit {
                     Some(version) => {
@@ -1177,22 +1068,19 @@ impl Sim {
                 (outcome, 0)
             }
             BackendOp::CachePut { key, version, .. } => {
-                let backend_rt = &mut self.backends[b];
-                let capacity = match backend_rt.kind {
-                    BackendRtKind::Cache { capacity_items, .. } => capacity_items,
+                let BackendRt { kind, cache, rng, .. } = &mut self.backends[b];
+                let capacity = match kind {
+                    BackendRtKind::Cache { capacity_items, .. } => *capacity_items,
                     _ => u64::MAX,
                 };
                 // Eviction sampling draws from the backend's own stream.
-                let BackendRt { cache, rng, stats, .. } = backend_rt;
-                let evictions = cache.put(*key, *version, capacity, rng);
+                stats.evictions += cache.put(*key, *version, capacity, rng);
                 stats.writes += 1;
-                stats.evictions += evictions;
                 (CallOutcome::success(0), 0)
             }
             BackendOp::CacheDelete { key } => {
-                let backend_rt = &mut self.backends[b];
-                backend_rt.cache.delete(*key);
-                backend_rt.stats.writes += 1;
+                self.backends[b].cache.delete(*key);
+                stats.writes += 1;
                 (CallOutcome::success(0), 0)
             }
             BackendOp::StoreRead { key } => self.store_read(b, *key, req.entity),
@@ -1200,7 +1088,7 @@ impl Sim {
                 self.store_write(b, *key, *version, req.entity)
             }
             BackendOp::StoreScan { .. } => {
-                self.backends[b].stats.reads += 1;
+                stats.reads += 1;
                 (CallOutcome::success(0), 0)
             }
             BackendOp::QueuePush => {
@@ -1216,17 +1104,14 @@ impl Sim {
                     self.metrics.counters.queue_drops += 1;
                     (CallOutcome::failure(CallErr::QueueFull), 0)
                 } else {
-                    let entity = req.entity;
-                    let backend_rt = &mut self.backends[b];
-                    backend_rt.queue.push_back(entity);
-                    backend_rt.stats.writes += 1;
+                    self.backends[b].queue.push_back(req.entity);
+                    stats.writes += 1;
                     (CallOutcome::success(0), 0)
                 }
             }
             BackendOp::QueuePop => {
-                let backend_rt = &mut self.backends[b];
-                backend_rt.queue.pop_front();
-                backend_rt.stats.reads += 1;
+                self.backends[b].queue.pop_front();
+                stats.reads += 1;
                 (CallOutcome::success(0), 0)
             }
         }
@@ -1252,9 +1137,8 @@ impl Sim {
         let serves = |me: &Self, proc: usize| !armed || me.store_member_serves(serving_proc, proc);
         match mode {
             ConsistencyMode::Primary => {
-                let backend_rt = &mut self.backends[b];
-                let version = backend_rt.store.primary_version(key);
-                backend_rt.stats.reads += 1;
+                let version = self.backends[b].store.primary_version(key);
+                self.metrics.backends.stats_mut(b).reads += 1;
                 (CallOutcome::success(version), 0)
             }
             ConsistencyMode::ReadReplica | ConsistencyMode::Session => {
@@ -1302,18 +1186,18 @@ impl Sim {
                         None => (store.primary_version(key), false),
                     }
                 };
-                let primary_version = self.backends[b].store.primary_version(key);
-                let backend_rt = &mut self.backends[b];
-                backend_rt.stats.reads += 1;
+                let store = &mut self.backends[b].store;
+                let stats = self.metrics.backends.stats_mut(b);
+                stats.reads += 1;
                 if redirect {
-                    backend_rt.stats.session_redirects += 1;
+                    stats.session_redirects += 1;
                 }
-                if from_replica && version < primary_version {
-                    backend_rt.stats.stale_reads += 1;
+                if from_replica && version < store.primary_version(key) {
+                    stats.stale_reads += 1;
                 }
                 if matches!(mode, ConsistencyMode::Session) {
                     // Reads raise the floor too (monotonic reads).
-                    let floor = backend_rt.store.session_floor.entry(entity).or_insert(0);
+                    let floor = store.session_floor.entry(entity).or_insert(0);
                     *floor = (*floor).max(version);
                 }
                 (
@@ -1342,8 +1226,7 @@ impl Sim {
                     version = version.max(v);
                     consulted += 1;
                 }
-                let backend_rt = &mut self.backends[b];
-                backend_rt.stats.reads += 1;
+                self.metrics.backends.stats_mut(b).reads += 1;
                 if consulted < r {
                     self.metrics.counters.quorum_rejections += 1;
                     return (CallOutcome::failure(CallErr::Quorum), 0);
@@ -1439,7 +1322,7 @@ impl Sim {
                 );
             }
         }
-        self.backends[b].stats.writes += 1;
+        self.metrics.backends.stats_mut(b).writes += 1;
         (CallOutcome::success(0), extra_ns)
     }
 
@@ -1741,13 +1624,21 @@ impl Sim {
         if let Some(frame) = self.hosts[fid.host as usize].frames.get_mut(fid) {
             frame.failed = true;
         }
-        self.complete_frame(fid, false);
+        self.complete_frame(fid, false, None);
     }
 
-    fn complete_frame(&mut self, fid: FrameId, ok: bool) {
+    /// The one place a frame ends. `killed` is the cause when a process stop
+    /// (crash or drain deadline) kills the frame, and then `ok` is false: the
+    /// failure carries that cause, no reply is serialized and the service's
+    /// admission controller observes nothing. Otherwise a failure carries the
+    /// frame's last error.
+    fn complete_frame(&mut self, fid: FrameId, ok: bool, killed: Option<CallErr>) {
         // Take the frame out (its slot and stack are recycled), then route
         // the result without cloning the kind.
         let Some(frame) = self.release_frame(fid) else { return };
+        if killed.is_some() {
+            self.metrics.counters.crashed_frames += 1;
+        }
         let Frame {
             service,
             kind,
@@ -1775,7 +1666,7 @@ impl Sim {
             // Adaptive admission: each served request's sojourn delay feeds
             // the controller's EWMA (present only when a shed policy is
             // lowered onto the service).
-            if let Some(ctl) = &mut s.shed {
+            if let Some(ctl) = s.shed.as_mut().filter(|_| killed.is_none()) {
                 ctl.observe(now.saturating_sub(admitted_ns));
             }
         }
@@ -1786,35 +1677,22 @@ impl Sim {
             }
         }
 
+        // Propagate the root cause so callers (and ultimately the
+        // completion record) can classify the failure.
+        let err = killed.or(last_err).unwrap_or(CallErr::Downstream);
         match kind {
-            FrameKind::Entry { entry, method, submitted_ns } => {
-                if ok {
-                    self.metrics.counters.completed_ok += 1;
-                } else {
-                    self.metrics.counters.completed_err += 1;
-                }
-                let completion = Completion {
-                    entry: self.sh.names.get(entry).to_string(),
-                    method: self.sh.names.get(method).to_string(),
-                    entity,
-                    root_seq,
-                    submitted_ns,
-                    finished_ns: self.now,
-                    ok,
-                    observed_version: observed,
-                    failure: if ok { None } else { Some(last_err.unwrap_or(CallErr::Downstream).label()) },
-                };
-                self.completions.push(completion);
+            FrameKind::Entry { handle, submitted_ns } => {
+                let failure = (!ok).then_some(err);
+                self.finish_entry(handle, submitted_ns, entity, root_seq, observed, failure);
             }
             FrameKind::Rpc { caller, seq, attempt, reply } => {
-                let outcome = if ok {
-                    CallOutcome::success(observed)
-                } else {
-                    // Propagate the root cause so callers (and ultimately the
-                    // completion record) can classify the failure.
-                    CallOutcome::failure(last_err.unwrap_or(CallErr::Downstream))
-                };
-                if reply.serialize_ns > 0 {
+                let t = self.now + reply.net_ns;
+                if reply.serialize_ns > 0 && killed.is_none() {
+                    let outcome = if ok {
+                        CallOutcome::success(observed)
+                    } else {
+                        CallOutcome::failure(err)
+                    };
                     let proc = self.sh.svc_proc[service] as usize;
                     self.add_proc_job(
                         proc,
@@ -1827,14 +1705,16 @@ impl Sim {
                             net_ns: reply.net_ns,
                         },
                     );
+                } else if ok {
+                    let outcome = CallOutcome::success(observed);
+                    self.push_ev(t, Ev::DeliverResponse { frame: caller, seq, attempt, outcome });
                 } else {
-                    let t = self.now + reply.net_ns;
-                    self.push_ev(
-                        t,
-                        Ev::DeliverResponse { frame: caller, seq, attempt, outcome },
-                    );
+                    self.fail_reply(t, caller, seq, attempt, err);
                 }
             }
+            // A killed frame's parent runs in the same process and dies in
+            // the same sweep.
+            FrameKind::SubTask { .. } if killed.is_some() => {}
             FrameKind::SubTask { parent } => {
                 let resume = {
                     let p = self.hosts[parent.host as usize].frames.get_mut(parent);
@@ -1959,28 +1839,11 @@ impl Sim {
                 // The frame dies in the sweep below; nothing to route.
                 JobCont::FrameStep(_) | JobCont::SendRequest(..) | JobCont::GcEnd { .. } => {}
                 JobCont::SendResponse { frame, seq, attempt, net_ns, .. } => {
-                    let t = self.now + net_ns;
-                    self.push_ev(
-                        t,
-                        Ev::DeliverResponse {
-                            frame,
-                            seq,
-                            attempt,
-                            outcome: CallOutcome::failure(cause),
-                        },
-                    );
+                    self.fail_reply(self.now + net_ns, frame, seq, attempt, cause);
                 }
                 JobCont::BackendExec { req, .. } => {
                     let t = self.now + req.reply.net_ns;
-                    self.push_ev(
-                        t,
-                        Ev::DeliverResponse {
-                            frame: req.caller,
-                            seq: req.seq,
-                            attempt: req.attempt,
-                            outcome: CallOutcome::failure(cause),
-                        },
-                    );
+                    self.fail_reply(t, req.caller, req.seq, req.attempt, cause);
                 }
             }
         }
@@ -1999,37 +1862,14 @@ impl Sim {
                 }
                 _ => continue,
             };
-            self.kill_frame_for_stop(fid, cause);
+            self.complete_frame(fid, false, Some(cause));
         }
 
-        // Clients owned by the process's services restart cold: breaker
-        // closed, health window empty, no pooled connections, no waiters.
-        for ci in 0..self.sh.client_owner.len() {
-            let owner = self.sh.client_owner[ci] as usize;
-            if self.sh.svc_proc[owner] as usize != proc {
-                continue;
-            }
-            let c = &mut self.clients[ci];
-            c.window.clear();
-            c.window_failures = 0;
-            c.breaker = BreakerState::Closed;
-            c.conns_in_use = 0;
-            c.waiters.clear();
-            c.rr = 0;
-            for slot in c.outstanding.iter_mut() {
-                *slot = 0;
-            }
-            c.budget_tokens = 0.0;
-        }
-
-        // Admission controllers on the process restart cold too (the next
-        // observation re-seeds the EWMA rather than decaying up from zero).
+        // The process's services restart cold: their clients and admission
+        // controllers.
         for s in 0..self.sh.svc_proc.len() {
-            if self.sh.svc_proc[s] as usize != proc {
-                continue;
-            }
-            if let Some(ctl) = &mut self.services[s].shed {
-                ctl.reset();
+            if self.sh.svc_proc[s] as usize == proc {
+                self.restart_service_cold(s);
             }
         }
 
@@ -2048,58 +1888,6 @@ impl Sim {
         self.touch_host(host);
         // The stopped process may have been serving an armed store.
         self.schedule_store_failovers();
-    }
-
-    /// Removes one frame killed by a process stop (crash or drain-deadline),
-    /// routing the failure to whoever was waiting on it.
-    fn kill_frame_for_stop(&mut self, fid: FrameId, cause: CallErr) {
-        let Some(frame) = self.release_frame(fid) else { return };
-        self.metrics.counters.crashed_frames += 1;
-        if frame.counted_admission {
-            let s = &mut self.services[frame.service];
-            s.active = s.active.saturating_sub(1);
-            s.done_err += 1;
-        }
-        if frame.span_owned {
-            if let Some((tid, sid)) = frame.span {
-                self.traces.end_span(tid, sid, self.now, true);
-            }
-        }
-        match frame.kind {
-            FrameKind::Entry { entry, method, submitted_ns } => {
-                // Defensive: entry frames live on the workload shim, which a
-                // fault plan cannot target.
-                self.metrics.counters.completed_err += 1;
-                let completion = Completion {
-                    entry: self.sh.names.get(entry).to_string(),
-                    method: self.sh.names.get(method).to_string(),
-                    entity: frame.entity,
-                    root_seq: frame.root_seq,
-                    submitted_ns,
-                    finished_ns: self.now,
-                    ok: false,
-                    observed_version: frame.observed_version,
-                    failure: Some(cause.label()),
-                };
-                self.completions.push(completion);
-            }
-            FrameKind::Rpc { caller, seq, attempt, reply } => {
-                // No server-side serialization: the reply never forms; the
-                // caller learns of the failure after the network delay.
-                let t = self.now + reply.net_ns;
-                self.push_ev(
-                    t,
-                    Ev::DeliverResponse {
-                        frame: caller,
-                        seq,
-                        attempt,
-                        outcome: CallOutcome::failure(cause),
-                    },
-                );
-            }
-            // The parent runs in the same process and dies in the same sweep.
-            FrameKind::SubTask { .. } => {}
-        }
     }
 
     /// Draws and injects the next chaos fault, then re-arms the process.
@@ -2233,11 +2021,11 @@ impl Sim {
             let rt = &mut self.backends[b];
             rt.store.primary = winner;
             rt.store.gen += 1;
-            rt.stats.failovers += 1;
-            rt.stats.lost_writes += lost;
-            rt.stats_dirty = true;
             rt.store.members[winner].proc
         };
+        let stats = self.metrics.backends.stats_mut(b);
+        stats.failovers += 1;
+        stats.lost_writes += lost;
         self.sh.backend_proc[b] = new_proc;
         self.metrics.counters.store_failovers += 1;
     }
@@ -2423,30 +2211,33 @@ impl Sim {
         }
     }
 
-    /// Puts a parked replica back into rotation. Its outbound clients
-    /// restart cold (closed breaker, empty health window, no pooled
-    /// connections) and its admission controller re-primes on the first
-    /// sample, mirroring the post-crash reset.
+    /// Puts a parked replica back into rotation, restarted cold like the
+    /// services of a stopped process.
     fn activate_replica(&mut self, svc: usize) {
         self.sh.svc_active[svc] = true;
         self.sh.svc_draining[svc] = false;
-        for ci in 0..self.sh.client_owner.len() {
-            if self.sh.client_owner[ci] as usize != svc {
-                continue;
-            }
-            let c = &mut self.clients[ci];
+        self.restart_service_cold(svc);
+    }
+
+    /// Restarts a service's runtime state cold (its process stopped, or it
+    /// was put back into rotation). Each client it owns gets a closed
+    /// breaker, an empty health window, no pooled connections or waiters,
+    /// and its balancer and retry budget back at zero; its spec and RNG
+    /// stream are kept. The admission controller's next observation
+    /// re-seeds its EWMA rather than decaying up from zero.
+    fn restart_service_cold(&mut self, svc: usize) {
+        let s = &mut self.services[svc];
+        for c in &mut self.clients[s.clients.clone()] {
             c.window.clear();
             c.window_failures = 0;
             c.breaker = BreakerState::Closed;
             c.conns_in_use = 0;
             c.waiters.clear();
             c.rr = 0;
-            for slot in c.outstanding.iter_mut() {
-                *slot = 0;
-            }
+            c.outstanding.fill(0);
             c.budget_tokens = 0.0;
         }
-        if let Some(ctl) = &mut self.services[svc].shed {
+        if let Some(ctl) = &mut s.shed {
             ctl.reset();
         }
     }
@@ -2551,10 +2342,7 @@ impl Sim {
         let threshold = (fraction * u64::MAX as f64) as u64;
         self.sh.canary_route[canary] = Some(CanaryRoute { salt, threshold });
         let mut saved = Vec::new();
-        for ci in 0..self.sh.client_owner.len() {
-            if self.sh.client_owner[ci] as usize != canary {
-                continue;
-            }
+        for ci in self.services[canary].clients.clone() {
             let c = &mut self.clients[ci];
             saved.push((ci, c.spec.clone()));
             if let Some(t) = timeout_ns {
@@ -2641,17 +2429,14 @@ impl Sim {
         if promote {
             self.metrics.counters.canary_promotions += 1;
             // The mutated wiring becomes the group-wide wiring.
-            for ci in 0..self.sh.client_owner.len() {
-                let owner = self.sh.client_owner[ci] as usize;
-                if !baseline.contains(&owner) {
-                    continue;
-                }
-                let c = &mut self.clients[ci];
-                if let Some(t) = timeout_ns {
-                    c.spec.timeout_ns = Some(t);
-                }
-                if let Some(r) = retries {
-                    c.spec.retries = r;
+            for &b in &baseline {
+                for c in &mut self.clients[self.services[b].clients.clone()] {
+                    if let Some(t) = timeout_ns {
+                        c.spec.timeout_ns = Some(t);
+                    }
+                    if let Some(r) = retries {
+                        c.spec.retries = r;
+                    }
                 }
             }
         } else {

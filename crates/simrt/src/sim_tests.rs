@@ -736,6 +736,20 @@ fn max_frames_guard_sheds_load() {
     assert_eq!(done.len(), 5);
     assert!(done.iter().filter(|c| !c.ok).count() >= 3);
     assert!(sim.metrics.counters.admission_rejections >= 3);
+    assert_counters_reconcile(&sim, &done);
+}
+
+/// Asserts the outcome counters equal the drained completions by outcome:
+/// every request exit both counts and records.
+fn assert_counters_reconcile(sim: &Sim, done: &[Completion]) {
+    let ok = done.iter().filter(|c| c.ok).count() as u64;
+    let c = &sim.metrics.counters;
+    assert_eq!(c.completed_ok, ok, "completed_ok vs completions");
+    assert_eq!(
+        c.completed_err,
+        done.len() as u64 - ok,
+        "completed_err vs completions"
+    );
 }
 
 #[test]
@@ -995,7 +1009,7 @@ fn crash_with_requests_in_every_holder_conserves() {
     assert_eq!(c.process_crashes, 1);
     assert!(c.crashed_frames > 0);
     assert_eq!(done.len() as u64, submitted, "every request ended once");
-    assert_eq!(c.completed_ok + c.completed_err, submitted);
+    assert_counters_reconcile(&sim, &done);
     let mut roots: Vec<u64> = done.iter().map(|c| c.root_seq).collect();
     roots.sort_unstable();
     roots.dedup();
@@ -1909,52 +1923,16 @@ fn tied_event_storm_is_deterministic() {
     assert_eq!(storm(), storm());
 }
 
-/// Asserts `metrics.backends` mirrors the dense per-backend stats: an entry
-/// equal to the dense stats for every backend an op has touched, none for
-/// untouched ones, and no backend left marked dirty by the sync.
-fn assert_backend_metrics_mirror_dense(sim: &Sim) {
-    for b in &sim.backends {
-        let name = sim.sh.names.get(b.name);
-        assert!(!b.stats_dirty, "{name} still dirty after run_until");
-        match sim.metrics.backends.get(name) {
-            Some(m) => assert_eq!(m, &b.stats, "{name} mirror is stale"),
-            None => assert_eq!(b.stats, BackendStats::default(), "{name} never mirrored"),
-        }
-    }
-}
-
-/// `run_until` re-mirrors only backends whose stats changed since the last
-/// sync: an idle backend keeps its entry as it was, a backend touched again
-/// is mirrored again, and after every slice the map equals the dense stats.
+/// Every backend has its entry in `metrics.backends` from boot, all zeros
+/// until its first op.
 #[test]
-fn backend_metrics_sync_only_changed_backends() {
-    let spec = cache_db_spec();
-    let mut sim = Sim::new(&spec, SimConfig::default()).unwrap();
-
-    // Slice 1: a write touches both the store and the cache.
-    sim.submit("front", "Write", 1).unwrap();
-    sim.run_until(secs(1));
-    assert_backend_metrics_mirror_dense(&sim);
-    let db_after_write = sim.metrics.backends["db"].clone();
-    let cache_after_write = sim.metrics.backends["cache"].clone();
-    assert_eq!(db_after_write.writes, 1);
-
-    // Slice 2: a read of the cached key hits the cache and never reaches
-    // the store, so only the cache entry moves.
-    sim.submit("front", "Read", 1).unwrap();
-    sim.run_until(secs(2));
-    assert_backend_metrics_mirror_dense(&sim);
-    assert_eq!(sim.metrics.backends["db"], db_after_write);
-    assert_eq!(
-        sim.metrics.backends["cache"].reads,
-        cache_after_write.reads + 1
-    );
-
-    // Slice 3: no work at all; nothing moves.
-    let before = sim.metrics.backends.clone();
-    sim.run_until(secs(3));
-    assert_backend_metrics_mirror_dense(&sim);
-    assert_eq!(sim.metrics.backends, before);
+fn every_backend_has_zeroed_stats_from_boot() {
+    let sim = Sim::new(&cache_db_spec(), SimConfig::default()).unwrap();
+    let zero = crate::metrics::BackendStats::default();
+    let names: Vec<&str> = sim.names(NameKind::Backend).collect();
+    assert_eq!(names, ["cache", "db"]);
+    assert!(names.iter().all(|n| sim.metrics.backend(n) == Some(&zero)));
+    assert!(sim.metrics.backends.values().eq([&zero, &zero]));
 }
 
 // ---------------------------------------------------------------------------
@@ -2185,7 +2163,9 @@ fn drain_deadline_fails_stragglers_with_drain_class() {
     let mut sim = boot_with(&spec, FaultPlan::none(), plan).unwrap();
     sim.submit("front", "M", 1).unwrap();
     sim.run_until(ms(10));
-    let c = sim.drain_completions().pop().expect("straggler terminated");
+    let done = sim.drain_completions();
+    assert_counters_reconcile(&sim, &done);
+    let c = done.last().expect("straggler terminated");
     assert!(!c.ok);
     assert_eq!(
         c.failure,

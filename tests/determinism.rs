@@ -78,3 +78,28 @@ fn anchor_run_dispatch_counts_by_kind() {
     assert_eq!(*d, expect, "dispatches by kind");
     assert_eq!(d.iter().sum::<u64>(), 834_877);
 }
+
+#[test]
+fn anchor_run_backend_stats() {
+    // The same anchor run's per-backend op counts, as
+    // `(reads, writes, hits, misses, evictions)`. Every backend is listed:
+    // `metrics.backends` holds one entry per backend from boot.
+    let (sim, _) = run_hotel(5, 5, 2_000.0);
+    let expect: [(&str, [u64; 5]); 9] = [
+        ("geo_db", [6_174, 0, 0, 0, 0]),
+        ("profile_cache", [49_830, 11_989, 37_841, 11_989, 0]),
+        ("profile_db", [11_989, 0, 0, 0, 0]),
+        ("rate_cache", [6_174, 3_577, 2_597, 3_577, 0]),
+        ("rate_db", [3_577, 0, 0, 0, 0]),
+        ("rec_db", [3_792, 0, 0, 0, 0]),
+        ("res_cache", [6_174, 3_650, 2_622, 3_552, 0]),
+        ("res_db", [3_552, 98, 0, 0, 0]),
+        ("user_db", [196, 0, 0, 0, 0]),
+    ];
+    assert_eq!(sim.metrics.backends.values().count(), expect.len());
+    for (name, want) in expect {
+        let b = sim.metrics.backend(name).expect("backend present");
+        let got = [b.reads, b.writes, b.hits, b.misses, b.evictions];
+        assert_eq!(got, want, "{name}");
+    }
+}
