@@ -148,4 +148,25 @@ for digest in 1bc85aa9969bffcf 91c9633ec4be4750 9151f92df6589720 2c89fdc513530f4
     grep -q "digest $digest" "$bench" || { echo "digest $digest missing"; exit 1; }
 done
 
+echo "==> benchmark delta against the last BENCH_sim.json record (informational)"
+# Prints each workload's one-round host-normalised median next to the last
+# record's `change` median. One round is too noisy to gate on (quartile
+# spreads of several percent between rounds), so this step never fails.
+if command -v jq >/dev/null 2>&1; then
+    grep '^{"correct"' "$bench" | jq -r --slurpfile ledger BENCH_sim.json '
+        ($ledger[0].records[-1].end_to_end.workloads // {}) as $last
+        | .workloads[] | .name as $w
+        | ("sim_req_per_s", "req_host_us_p50") as $m
+        | .metrics[$m].median as $now
+        | ($last[$w][$m].change.median // null) as $ref
+        | "\($w) \($m): \($now * 100 | round / 100) \(.metrics[$m].unit)"
+          + if $ref then
+                ", last record \($ref) ("
+                + "\(($now - $ref) / $ref * 1000 | round / 10 | if . > 0 then "+\(.)" else "\(.)" end)%)"
+            else ", no recorded median" end
+    ' || echo "benchmark delta: could not read the report or BENCH_sim.json"
+else
+    echo "benchmark delta: jq not found, skipped"
+fi
+
 echo "CI OK"

@@ -4,10 +4,13 @@
 //! virtual nanoseconds, `seq` the unique push sequence number. [`Wheel`], a
 //! hierarchical timing wheel (Varghese & Lauck), provides that order: far
 //! events land in time-bucketed slots in O(1), cascading toward a small
-//! near-term heap (`due`) that provides the final total order. Ties are
-//! resolved by `seq`, never by insertion order or bucket layout, so the pop
-//! order is exactly that of a `BinaryHeap<Reverse<Entry>>` over the same
-//! pushes — the unit tests below check the wheel against that heap.
+//! near-term heap (`due`) that provides the final total order. One 64-bit
+//! occupancy bitmap per level lets the cursor jump to the next occupied
+//! slot with `trailing_zeros`, so it skips idle ticks and empty rotations
+//! in one step. Ties are resolved by `seq`, never by insertion order or
+//! bucket layout, so the pop order is exactly that of a
+//! `BinaryHeap<Reverse<Entry>>` over the same pushes — the unit tests below
+//! check the wheel against that heap.
 //! `DESIGN.md` §6 records why the simulator keeps the wheel rather than a
 //! heap, measured end to end with `examples/benchmark`.
 //!
@@ -88,13 +91,19 @@ fn tick_of(time: SimTime) -> u64 {
 /// wheel span — `advance` moves overflow events into the wheel before the
 /// cursor can reach them. `due`'s minimum is therefore always the global
 /// minimum.
+///
+/// Bit `i` of `occ[l]` is set exactly when `slots[l * SLOTS + i]` is
+/// non-empty, so `advance` finds the next occupied slot of a level with one
+/// `trailing_zeros` instead of walking ticks and rotations. An occupied
+/// slot of level `l >= 1` lies 1 to 64 slots past the cursor's, so the slot
+/// whose index equals the cursor's is the wrapped one, 64 slots ahead.
 #[derive(Debug)]
 pub struct Wheel<T> {
     due: BinaryHeap<Reverse<Entry<T>>>,
     /// `LEVELS × SLOTS` buckets (unordered within a bucket).
     slots: Vec<Vec<Entry<T>>>,
-    /// Occupancy per level, to skip empty regions in O(1).
-    level_count: [usize; LEVELS],
+    /// Occupancy bitmap per level, one bit per slot.
+    occ: [u64; LEVELS],
     cur_tick: u64,
     overflow: BinaryHeap<Reverse<Entry<T>>>,
     len: usize,
@@ -112,7 +121,7 @@ impl<T> Wheel<T> {
         Wheel {
             due: BinaryHeap::new(),
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            level_count: [0; LEVELS],
+            occ: [0; LEVELS],
             cur_tick: 0,
             overflow: BinaryHeap::new(),
             len: 0,
@@ -138,75 +147,83 @@ impl<T> Wheel<T> {
             if delta < 1u64 << (SLOT_SHIFT * (l as u64 + 1)) {
                 let idx = ((t >> (SLOT_SHIFT * l as u64)) & (SLOTS as u64 - 1)) as usize;
                 self.slots[l * SLOTS + idx].push(e);
-                self.level_count[l] += 1;
+                self.occ[l] |= 1 << idx;
                 return;
             }
         }
         self.overflow.push(Reverse(e));
     }
 
-    fn wheel_occupancy(&self) -> usize {
-        self.level_count.iter().sum::<usize>() + self.overflow.len()
-    }
-
-    /// Advances the cursor until at least one event cohort lands in `due`,
-    /// or until it reaches tick `stop` with no cohort before it. The cursor
-    /// never passes `stop`: events pushed later for earlier ticks then still
-    /// land in wheel slots rather than in the `due` heap.
+    /// Moves the cursor one step toward tick `stop`, never past it: drains
+    /// the next level-0 cohort of the current rotation into `due`, or jumps
+    /// to the next tick where a slot must cascade (or to `stop`, whichever
+    /// is first). Parking at `stop` keeps events pushed later for earlier
+    /// ticks in wheel slots rather than in the `due` heap.
     /// Precondition: the wheel (slots or overflow) is non-empty.
     fn advance(&mut self, stop: u64) {
-        while self.cur_tick < stop {
-            // One step moves the cursor less than a wheel span, so pulling
-            // the overflow in first keeps the cursor from passing its events.
-            self.refill();
-            if self.level_count[0] > 0 {
-                // Scan level 0 within the current rotation; the first
-                // non-empty slot holds the next cohort.
-                let rot_end = ((self.cur_tick >> SLOT_SHIFT) + 1) << SLOT_SHIFT;
-                for t in self.cur_tick..rot_end.min(stop) {
-                    let idx = (t & (SLOTS as u64 - 1)) as usize;
-                    if !self.slots[idx].is_empty() {
-                        let n = self.slots[idx].len();
-                        for e in self.slots[idx].drain(..) {
-                            self.due.push(Reverse(e));
-                        }
-                        self.level_count[0] -= n;
-                        self.cur_tick = t + 1;
-                        // The drain may leave the cursor exactly on a level
-                        // boundary; the cascade must still run or the next
-                        // advance would jump past the un-cascaded slot and
-                        // deliver its events a full rotation late.
-                        self.cascade();
-                        return;
-                    }
-                }
-                // Stopping short of the rotation end crosses no boundary, so
-                // there is nothing to cascade.
-                if rot_end > stop {
-                    self.cur_tick = stop;
-                    return;
-                }
-                self.cur_tick = rot_end;
-            } else if self.level_count[1..].iter().any(|c| *c > 0) {
-                // Nothing near-term: skip to the next rotation boundary.
-                let rot_end = ((self.cur_tick >> SLOT_SHIFT) + 1) << SLOT_SHIFT;
-                if rot_end > stop {
-                    self.cur_tick = stop;
-                    return;
-                }
-                self.cur_tick = rot_end;
+        // One step moves the cursor at most to the next occupied slot, less
+        // than a wheel span, so pulling the overflow in first keeps the
+        // cursor from passing its events.
+        self.refill();
+        let rot_start = self.cur_tick & !(SLOTS as u64 - 1);
+        let near = self.occ[0] & (u64::MAX << (self.cur_tick - rot_start));
+        if near != 0 {
+            // The lowest set bit at or after the cursor is the next cohort;
+            // it lies before the rotation end, so parking at `stop` short
+            // of it crosses no slot boundary.
+            let idx = near.trailing_zeros() as usize;
+            let t = rot_start + idx as u64;
+            if t >= stop {
+                self.cur_tick = stop;
+                return;
+            }
+            self.occ[0] &= !(1 << idx);
+            for e in self.slots[idx].drain(..) {
+                self.due.push(Reverse(e));
+            }
+            // The drain may leave the cursor exactly on a level boundary;
+            // the cascade must still run or the next advance would jump past
+            // the un-cascaded slot and deliver its events a rotation late.
+            self.cur_tick = t + 1;
+        } else {
+            // Level 0 holds only wrapped bits (next rotation), or nothing:
+            // then the next cascade is at the earliest occupied higher slot,
+            // or at the overflow's minimum when every slot is empty.
+            let next = if self.occ[0] != 0 {
+                rot_start + SLOTS as u64
             } else {
-                // Only the overflow holds events and every slot is empty, so
-                // the cursor may jump straight to its minimum (the next
-                // refill pulls it in) or to `stop`.
-                let Some(Reverse(head)) = self.overflow.peek() else {
-                    return; // Defensive: violated precondition.
-                };
-                self.cur_tick = tick_of(head.time).min(stop);
+                self.next_slot_start()
+            };
+            // Every occupied slot starts at or after `next`, so parking at an
+            // earlier `stop` enters only empty slots.
+            if next > stop {
+                self.cur_tick = stop;
+                return;
+            }
+            self.cur_tick = next;
+        }
+        self.cascade();
+    }
+
+    /// The earliest start tick of an occupied level-1..3 slot, or the
+    /// overflow's minimum tick if those levels are empty (`u64::MAX` if
+    /// that is empty too).
+    fn next_slot_start(&self) -> u64 {
+        let mut next = self
+            .overflow
+            .peek()
+            .map_or(u64::MAX, |Reverse(h)| tick_of(h.time));
+        for l in 1..LEVELS {
+            if self.occ[l] == 0 {
                 continue;
             }
-            self.cascade();
+            let shift = SLOT_SHIFT * l as u64;
+            let cur = self.cur_tick >> shift;
+            let c = (cur + 1) as u32 & (SLOTS as u32 - 1);
+            let ahead = u64::from(self.occ[l].rotate_right(c).trailing_zeros());
+            next = next.min((cur + 1 + ahead) << shift);
         }
+        next
     }
 
     /// Moves every overflow event within a wheel span of the cursor into
@@ -228,21 +245,16 @@ impl<T> Wheel<T> {
     fn cascade(&mut self) {
         let entered = self.cur_tick;
         for l in (1..LEVELS).rev() {
-            if self.level_count[l] == 0 {
-                continue;
-            }
             let width = 1u64 << (SLOT_SHIFT * l as u64);
             if entered & (width - 1) != 0 {
                 continue;
             }
             let idx = ((entered >> (SLOT_SHIFT * l as u64)) & (SLOTS as u64 - 1)) as usize;
-            let slot = l * SLOTS + idx;
-            if self.slots[slot].is_empty() {
+            if self.occ[l] & (1 << idx) == 0 {
                 continue;
             }
-            let moved = std::mem::take(&mut self.slots[slot]);
-            self.level_count[l] -= moved.len();
-            for e in moved {
+            self.occ[l] &= !(1 << idx);
+            for e in std::mem::take(&mut self.slots[l * SLOTS + idx]) {
                 self.insert_wheel(e);
             }
         }
@@ -251,7 +263,7 @@ impl<T> Wheel<T> {
     /// Fills `due` with the next cohort, looking no further than tick
     /// `stop` (exclusive).
     fn ensure_due(&mut self, stop: u64) {
-        while self.due.is_empty() && self.wheel_occupancy() > 0 && self.cur_tick < stop {
+        while self.due.is_empty() && self.len > 0 && self.cur_tick < stop {
             self.advance(stop);
         }
     }
@@ -320,7 +332,8 @@ mod tests {
 
     /// Feeds a wheel and the reference `BinaryHeap<Reverse<Entry>>` the same
     /// pushes and pops, asserting after every pop that both agree on the
-    /// popped key and the population.
+    /// popped key and the population, and after every push and pop that
+    /// each occupancy bit matches its slot.
     struct Oracle {
         heap: BinaryHeap<Reverse<Entry<u64>>>,
         wheel: Wheel<u64>,
@@ -339,6 +352,22 @@ mod tests {
         fn push(&mut self, time: SimTime, seq: u64) {
             self.heap.push(Reverse(e(time, seq)));
             self.wheel.push(e(time, seq));
+            self.check_occupancy();
+        }
+
+        /// Bit `i` of `occ[l]` is set if and only if slot `l * SLOTS + i`
+        /// is non-empty.
+        fn check_occupancy(&self) {
+            for (l, &bits) in self.wheel.occ.iter().enumerate() {
+                for i in 0..SLOTS {
+                    assert_eq!(
+                        bits >> i & 1 == 1,
+                        !self.wheel.slots[l * SLOTS + i].is_empty(),
+                        "occupancy bit {i} of level {l} at pop #{}",
+                        self.pops
+                    );
+                }
+            }
         }
 
         /// Pops from both, returning the popped time.
@@ -347,6 +376,7 @@ mod tests {
             let b = self.wheel.pop().map(|x| x.key());
             assert_eq!(a, b, "wheel diverged from the heap at pop #{}", self.pops);
             assert_eq!(self.wheel.len(), self.heap.len());
+            self.check_occupancy();
             self.pops += usize::from(a.is_some());
             a.map(|(t, _)| t)
         }
@@ -368,6 +398,7 @@ mod tests {
                 self.pops += 1;
             }
             assert_eq!(self.wheel.len(), self.heap.len());
+            self.check_occupancy();
             want.map(|(t, _)| t)
         }
 
@@ -513,6 +544,36 @@ mod tests {
         }
         q.drain();
         assert_eq!(q.pops as u64, seq);
+
+        // Input 6: per level `l` = 1..3, an event `64^(l+1) - 1` ticks ahead
+        // of a cursor unaligned at every level, with the lower levels empty.
+        // It lands in the level-`l` slot whose index equals the cursor's,
+        // the wrapped slot 64 slots ahead, so the cursor must jump to that
+        // slot's start: not to the current slot's, nor a rotation late. A
+        // tie with a higher seq, a later time in the same tick and an event
+        // one level-`l` slot earlier pin the heap order around it.
+        let cursor = 5 * 64 * 64 * 64 + 7 * 64 * 64 + 9 * 64 + 11;
+        for l in 1..LEVELS as u64 {
+            let mut q = Oracle::new();
+            assert!(q.pop_until(cursor * TICK).is_none());
+            assert_eq!(q.wheel.cur_tick, cursor);
+            let t = (cursor + (1 << (SLOT_SHIFT * (l + 1))) - 1) * TICK + 5;
+            let earlier = t - (TICK << (SLOT_SHIFT * l));
+            q.push(t, 2);
+            let idx = (cursor >> (SLOT_SHIFT * l)) & (SLOTS as u64 - 1);
+            assert_eq!(q.wheel.occ[l as usize], 1 << idx, "level {l}");
+            q.push(t, 3);
+            q.push(t + 1, 1);
+            q.push(earlier, 0);
+            assert!(q.pop_until(earlier - 1).is_none());
+            assert_eq!(q.pop(), Some(earlier));
+            assert!(q.pop_until(t - 1).is_none());
+            assert_eq!(q.pop_until(t), Some(t));
+            assert_eq!(q.pop_until(t), Some(t));
+            assert!(q.pop_until(t).is_none());
+            q.drain();
+            assert_eq!(q.pops, 4);
+        }
     }
 
     /// Popping up to a horizon leaves the cursor at the horizon even when
@@ -548,7 +609,7 @@ mod tests {
         q.push(e(100_000 * TICK, 1));
         q.push(e(100_003 * TICK, 2));
         assert!(q.due.is_empty());
-        assert_eq!(q.level_count, [2, 0, 0, 0]);
+        assert_eq!(q.occ, [1 << (100_000 % 64) | 1 << (100_003 % 64), 0, 0, 0]);
         assert_eq!(
             drain(&mut q),
             vec![(100_000 * TICK, 1), (100_003 * TICK, 2)]

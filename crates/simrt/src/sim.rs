@@ -2434,6 +2434,7 @@ impl Sim {
     /// by kind in `metrics.counters.dispatched`.
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(e) = self.events.pop_until(t) {
+            debug_assert!(e.time >= self.now, "virtual time went backwards");
             self.now = e.time;
             self.ctx =
                 ev_home_host(&self.sh, &self.clients, &e.item).map_or(CTRL_CTX, |h| h as u64);
