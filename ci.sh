@@ -72,7 +72,7 @@ cmp "$committed/ci_lint.txt" results/ci_lint.txt
 #   dynamic fault-matrix outcomes;
 # - capacity_validation: the analytic BP013-BP015 capacity bracket missing
 #   an app's simulated saturation knee.
-for gate in \
+set -- \
     table1_loc:table1_loc.txt \
     table2_backends:table2_backends.txt \
     table3_instantiations:table3_instantiations.txt \
@@ -92,7 +92,19 @@ for gate in \
     ablation_reconfig:ci_reconfig.txt \
     ablation_consistency:ci_consistency.txt \
     lint_validation:ci_lint_validation.txt \
-    capacity_validation:ci_capacity.txt; do
+    capacity_validation:ci_capacity.txt
+# Every exhibit binary (all of crates/bench/src/bin but the lint_gate tool)
+# must have an entry above, so a new binary cannot skip the gate.
+for src in crates/bench/src/bin/*.rs; do
+    bin=$(basename "$src" .rs)
+    [ "$bin" = lint_gate ] && continue
+    gated=no
+    for gate in "$@"; do
+        [ "${gate%%:*}" = "$bin" ] && gated=yes
+    done
+    [ "$gated" = yes ] || { echo "exhibit binary $bin is missing from the exhibit gate"; exit 1; }
+done
+for gate in "$@"; do
     bin=${gate%%:*}
     reports=${gate#*:}
     case $reports in

@@ -174,8 +174,8 @@ fn combined_plan_full_vector_identical_across_thread_counts() {
 }
 
 /// The consistency-matrix layer over the same combined plan: cell reports
-/// (conservation, anomaly classes, failovers, audits) are equal between
-/// sequential and 4-thread execution for both seeds.
+/// (conservation, anomaly classes, audits and every simulator counter) are
+/// equal between sequential and 4-thread execution for both seeds.
 #[test]
 fn combined_plan_cell_reports_identical_across_thread_counts() {
     let variants = vec![
@@ -185,8 +185,7 @@ fn combined_plan_cell_reports_identical_across_thread_counts() {
     let scenarios = vec![combined(&variants[0].1)];
     for seed in SEEDS {
         let cfg = ResilienceConfig {
-            rps: 250.0,
-            duration_s: DURATION_S,
+            phases: vec![Phase::new(DURATION_S, 250.0)],
             entities: ENTITIES,
             seed,
             prefill_stores: vec![("ut_db".to_string(), ENTITIES)],
@@ -205,14 +204,15 @@ fn combined_plan_cell_reports_identical_across_thread_counts() {
         assert_eq!(seq, par, "[seed {seed}] cell reports diverge");
         for c in &seq {
             assert!(
-                c.conserved,
+                c.conservation.holds(),
                 "[{} seed {seed}] conservation: {}",
-                c.variant, c.conservation
+                c.variant,
+                c.conservation
             );
             let audited = c.consistency.as_ref().map(|a| a.audited);
             assert_eq!(audited, Some(ENTITIES), "[{} seed {seed}] audit", c.variant);
             assert!(
-                c.failovers >= 1,
+                c.counters.store_failovers >= 1,
                 "[{} seed {seed}] the crash must fail over",
                 c.variant
             );

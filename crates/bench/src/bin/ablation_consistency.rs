@@ -27,13 +27,14 @@
 //! mode, which writes `results/ci_consistency.txt`).
 
 use blueprint_apps::social_network as sn;
-use blueprint_bench::matrix::{assert_conserved, cell, consistency_arms, CONSISTENCY_LAG_MS};
+use blueprint_bench::matrix::{
+    assert_conserved, cell, compile_arms, consistency_arms, CONSISTENCY_LAG_MS,
+};
 use blueprint_bench::report;
 use blueprint_bench::Run;
-use blueprint_core::Blueprint;
 use blueprint_simrt::time::{ms, secs, SimTime};
 use blueprint_simrt::{Change, Fault, FaultPlan, ReconfigPlan, SystemSpec};
-use blueprint_workload::generator::ApiMix;
+use blueprint_workload::generator::{ApiMix, Phase};
 use blueprint_workload::parallel::Threads;
 use blueprint_workload::resilience::{
     run_matrix, CellReport, ConsistencyAudit, ConsistencyProbe, ResilienceConfig, Scenario,
@@ -53,16 +54,11 @@ const ELECT_NS: SimTime = 50_000_000;
 /// The three consistency arms ([`consistency_arms`]), compiled, with
 /// failover armed on each system.
 fn arms() -> Vec<(String, SystemSpec)> {
-    let wf = sn::workflow_direct_timeline();
-    consistency_arms()
-        .into_iter()
-        .map(|(label, w)| {
-            let app = Blueprint::new().compile(&wf, &w).expect("arm compiles");
-            let mut system = app.system().clone();
-            sn::arm_ut_db_failover(&mut system, DETECT_NS, ELECT_NS).expect("failover arms");
-            (label.to_string(), system)
-        })
-        .collect()
+    let mut arms = compile_arms(&sn::workflow_direct_timeline(), consistency_arms());
+    for (_, system) in &mut arms {
+        sn::arm_ut_db_failover(system, DETECT_NS, ELECT_NS).expect("failover arms");
+    }
+    arms
 }
 
 /// The name of the process serving `ut_db` at boot (the failover victim).
@@ -149,18 +145,18 @@ fn row(c: &CellReport) -> Vec<String> {
         c.scenario.clone(),
         c.conservation.ok.to_string(),
         c.conservation.errors.to_string(),
-        if c.conserved {
+        if c.conservation.holds() {
             "yes".into()
         } else {
             "LOST".into()
         },
         a.audited.to_string(),
-        c.failovers.to_string(),
+        c.counters.store_failovers.to_string(),
         a.anomalies.stale_reads.to_string(),
         a.anomalies.lost_writes.to_string(),
         a.anomalies.ryw_violations.to_string(),
         a.anomalies.non_monotonic_reads.to_string(),
-        c.quorum_rejections.to_string(),
+        c.counters.quorum_rejections.to_string(),
         c.session_redirects.to_string(),
         c.runtime_lost_writes.to_string(),
     ]
@@ -168,10 +164,9 @@ fn row(c: &CellReport) -> Vec<String> {
 
 fn main() {
     let run = Run::from_args();
-    let duration_s = run.pick(4, 8);
+    let (rps, duration_s) = (300.0, run.pick(4, 8));
     let cfg = ResilienceConfig {
-        rps: 300.0,
-        duration_s,
+        phases: vec![Phase::new(duration_s, rps)],
         entities: ENTITIES,
         seed: 17,
         prefill_stores: vec![("ut_db".to_string(), ENTITIES)],
@@ -217,7 +212,7 @@ fn main() {
         ELECT_NS / 1_000_000,
         cfg.seed,
         ENTITIES,
-        cfg.rps,
+        rps,
         duration_s,
     ));
     out.push_str(&report::table(
@@ -280,8 +275,11 @@ fn main() {
         0,
         "no write is lost without a failover"
     );
-    assert_eq!(unguarded.failovers, 0);
-    assert!(crashed.failovers >= 1, "the crash must elect a new primary");
+    assert_eq!(unguarded.counters.store_failovers, 0);
+    assert!(
+        crashed.counters.store_failovers >= 1,
+        "the crash must elect a new primary"
+    );
     assert!(
         audit(crashed).anomalies.lost_writes >= 1,
         "the unguarded arm must lose at least one acked write, got {}",

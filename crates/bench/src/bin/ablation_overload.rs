@@ -24,78 +24,11 @@
 //! determinism compare).
 
 use blueprint_bench::figures::fig6::{meta_cases, smoke_case, MetaCase};
-use blueprint_bench::matrix::assert_conserved;
+use blueprint_bench::matrix::{assert_conserved, compile_arms, overload_arms, BUDGET_RATIO};
 use blueprint_bench::report;
 use blueprint_bench::Run;
-use blueprint_core::Blueprint;
-use blueprint_simrt::SystemSpec;
-use blueprint_wiring::{mutate, Arg, WiringSpec};
 use blueprint_workload::parallel::Threads;
 use blueprint_workload::resilience::{run_matrix, CellReport};
-
-/// Budget ratio used on the retry-budget arms (the bound asserted below).
-const BUDGET_RATIO: f64 = 0.2;
-
-fn compile(case: &MetaCase, wiring: &WiringSpec) -> SystemSpec {
-    Blueprint::new()
-        .without_artifacts()
-        .compile(&case.workflow, wiring)
-        .expect("overload variant compiles")
-        .system()
-        .clone()
-}
-
-/// The mitigation arms, each a wiring mutation away from the unmitigated
-/// case.
-fn arms(case: &MetaCase, smoke: bool) -> Vec<(String, SystemSpec)> {
-    let none = case.wiring.clone();
-
-    let mut budget = none.clone();
-    mutate::attach_policy_to_all_services(
-        &mut budget,
-        "budget_all",
-        "RetryBudget",
-        vec![("ratio", Arg::Float(BUDGET_RATIO))],
-    )
-    .expect("budget mutation");
-
-    if smoke {
-        return vec![
-            ("none".to_string(), compile(case, &none)),
-            ("retry-budget".to_string(), compile(case, &budget)),
-        ];
-    }
-
-    let mut deadline = none.clone();
-    mutate::attach_policy_to_all_services(
-        &mut deadline,
-        "deadline_all",
-        "Deadline",
-        vec![("ms", Arg::Int(1_000)), ("margin_ms", Arg::Int(2))],
-    )
-    .expect("deadline mutation");
-
-    let mut shed = none.clone();
-    mutate::attach_policy_to_all_services(
-        &mut shed,
-        "shed_all",
-        "LoadShed",
-        vec![("target_ms", Arg::Int(50))],
-    )
-    .expect("shed mutation");
-
-    let mut all = none.clone();
-    mutate::attach_overload_protection(&mut all, 1_000.0, BUDGET_RATIO, 50.0)
-        .expect("combined mutation");
-
-    vec![
-        ("none".to_string(), compile(case, &none)),
-        ("deadline".to_string(), compile(case, &deadline)),
-        ("retry-budget".to_string(), compile(case, &budget)),
-        ("shed".to_string(), compile(case, &shed)),
-        ("all".to_string(), compile(case, &all)),
-    ]
-}
 
 fn row(case: &MetaCase, c: &CellReport) -> Vec<String> {
     vec![
@@ -103,26 +36,26 @@ fn row(case: &MetaCase, c: &CellReport) -> Vec<String> {
         c.variant.clone(),
         c.conservation.ok.to_string(),
         c.conservation.errors.to_string(),
-        if c.conserved {
+        if c.conservation.holds() {
             "yes".into()
         } else {
             "LOST".into()
         },
-        if c.metastable {
+        if c.assessment.metastable {
             "YES".into()
         } else {
             "no".into()
         },
-        match c.recovery_ns {
+        match c.assessment.recovery_ns {
             None => "never".into(),
             Some(ns) => format!("{:.1}", ns as f64 / 1e9),
         },
-        report::f3(c.hop_amplification),
-        report::f3(c.wire_amplification),
-        c.retries.to_string(),
-        c.budget_denied.to_string(),
-        c.shed_rejections.to_string(),
-        c.deadline_exceeded.to_string(),
+        report::f3(c.hop_amplification()),
+        report::f3(c.wire_amplification()),
+        c.counters.retries.to_string(),
+        c.counters.budget_denied.to_string(),
+        c.counters.shed_rejections.to_string(),
+        c.counters.deadline_exceeded.to_string(),
     ]
 }
 
@@ -136,7 +69,13 @@ fn main() {
 
     let mut rows = Vec::new();
     for case in &cases {
-        let variants = arms(case, run == Run::Smoke);
+        // The smoke keeps the hazard and the arm that bounds it by
+        // construction.
+        let arms = overload_arms(&case.wiring)
+            .into_iter()
+            .filter(|(label, _)| run == Run::Full || ["none", "retry-budget"].contains(label))
+            .collect();
+        let variants = compile_arms(&case.workflow, arms);
         let scenarios = vec![case.scenario.clone()];
         let cells = run_matrix(
             &variants,
@@ -155,11 +94,11 @@ fn main() {
             // initial burst, hence the epsilon).
             if c.variant.contains("budget") || c.variant == "all" {
                 assert!(
-                    c.hop_amplification <= 1.0 + BUDGET_RATIO + 0.01,
+                    c.hop_amplification() <= 1.0 + BUDGET_RATIO + 0.01,
                     "retry budget failed to bound amplification in [{} × {}]: {:.3}",
                     case.name,
                     c.variant,
-                    c.hop_amplification
+                    c.hop_amplification()
                 );
             }
         }
@@ -172,13 +111,13 @@ fn main() {
                 .find(|c| c.variant == "none")
                 .expect("unmitigated arm present");
             assert!(
-                unmitigated.metastable,
+                unmitigated.assessment.metastable,
                 "{}: unmitigated arm recovered — not metastable (recovery {:?})",
-                case.name, unmitigated.recovery_ns
+                case.name, unmitigated.assessment.recovery_ns
             );
             let recovered: Vec<&str> = cells
                 .iter()
-                .filter(|c| c.variant != "none" && !c.metastable)
+                .filter(|c| c.variant != "none" && !c.assessment.metastable)
                 .map(|c| c.variant.as_str())
                 .collect();
             assert!(

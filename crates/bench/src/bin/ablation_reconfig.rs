@@ -221,26 +221,27 @@ fn autoscaled(t: &Timeline) -> Scenario {
 }
 
 fn row(c: &CellReport) -> Vec<String> {
+    let (a, n) = (&c.assessment, &c.counters);
     vec![
         c.variant.clone(),
         c.scenario.clone(),
         c.conservation.ok.to_string(),
         c.conservation.errors.to_string(),
-        if c.conserved {
+        if c.conservation.holds() {
             "yes".into()
         } else {
             "LOST".into()
         },
-        if c.bounded { "yes".into() } else { "NO".into() },
-        if c.metastable {
+        if a.bounded { "yes".into() } else { "NO".into() },
+        if a.metastable {
             "YES".into()
         } else {
             "no".into()
         },
-        report::f3(c.unavailable_ns as f64 / 1e9),
-        c.retries.to_string(),
-        c.drain_rejections.to_string(),
-        format!("{}/{}", c.autoscale_ups, c.autoscale_downs),
+        report::f3(a.unavailable_ns as f64 / 1e9),
+        n.retries.to_string(),
+        n.drain_rejections.to_string(),
+        format!("{}/{}", n.autoscale_ups, n.autoscale_downs),
     ]
 }
 
@@ -248,7 +249,6 @@ fn main() {
     let run = Run::from_args();
     let t = Timeline::new(run);
     let cfg = ResilienceConfig {
-        duration_s: 2 * t.steady_s + t.flash_s,
         entities: 10_000,
         seed: 73,
         rto_ns: secs(2),
@@ -286,7 +286,10 @@ fn main() {
     for v in ["none", "overload-protection"] {
         let b = cell(v, "none");
         assert_eq!(b.conservation.errors, 0, "[{v} × none] must be clean");
-        assert_eq!(b.unavailable_ns, 0, "[{v} × none] must never degrade");
+        assert_eq!(
+            b.assessment.unavailable_ns, 0,
+            "[{v} × none] must never degrade"
+        );
     }
 
     // Drained rolling deploys are invisible: the balancer rotates each
@@ -295,10 +298,13 @@ fn main() {
     for v in ["none", "overload-protection"] {
         let d = cell(v, "rolling drained");
         assert_eq!(
-            d.unavailable_ns, 0,
+            d.assessment.unavailable_ns, 0,
             "[{v} × rolling drained] unavailability outside drain bounds"
         );
-        assert!(d.bounded && !d.metastable, "[{v} × rolling drained]");
+        assert!(
+            d.assessment.bounded && !d.assessment.metastable,
+            "[{v} × rolling drained]"
+        );
         assert_eq!(
             d.conservation.errors, 0,
             "[{v} × rolling drained] drained deploys must be invisible"
@@ -316,11 +322,11 @@ fn main() {
         spike.conservation.errors
     );
     assert!(
-        spike.unavailable_ns > 0,
+        spike.assessment.unavailable_ns > 0,
         "the drainless spike must cross the unavailability threshold"
     );
     assert!(
-        spike.bounded,
+        spike.assessment.bounded,
         "the drainless spike still sits inside the deploy window"
     );
     // On the protected arm retries fail over to live siblings: the spike is
@@ -331,7 +337,10 @@ fn main() {
         "retries must mask the drainless spike end-to-end"
     );
     assert!(
-        masked.retries > cell("overload-protection", "rolling drained").retries,
+        masked.counters.retries
+            > cell("overload-protection", "rolling drained")
+                .counters
+                .retries,
         "the masked spike must show up as retry traffic"
     );
 
@@ -342,30 +351,30 @@ fn main() {
         let fixed = cell(v, "fixed 1 replica");
         let auto = cell(v, "autoscaled");
         assert!(
-            fixed.unavailable_ns >= secs(t.flash_s) / 2,
+            fixed.assessment.unavailable_ns >= secs(t.flash_s) / 2,
             "[{v}] one replica must drown in the flash crowd, got {} ns",
-            fixed.unavailable_ns
+            fixed.assessment.unavailable_ns
         );
         assert!(
-            auto.unavailable_ns * 3 <= fixed.unavailable_ns,
+            auto.assessment.unavailable_ns * 3 <= fixed.assessment.unavailable_ns,
             "[{v}] the autoscaler must cut the outage to its reaction time: \
              {} vs {} ns",
-            auto.unavailable_ns,
-            fixed.unavailable_ns
+            auto.assessment.unavailable_ns,
+            fixed.assessment.unavailable_ns
         );
         assert!(
-            auto.bounded && !auto.metastable,
+            auto.assessment.bounded && !auto.assessment.metastable,
             "[{v} × autoscaled] must recover within the flash window + RTO"
         );
         assert!(
-            auto.autoscale_ups >= 2 && auto.autoscale_downs >= 1,
+            auto.counters.autoscale_ups >= 2 && auto.counters.autoscale_downs >= 1,
             "[{v} × autoscaled] must scale out through the ramp and back \
              down after it: {}/{}",
-            auto.autoscale_ups,
-            auto.autoscale_downs
+            auto.counters.autoscale_ups,
+            auto.counters.autoscale_downs
         );
         assert_eq!(
-            fixed.autoscale_ups + fixed.autoscale_downs,
+            fixed.counters.autoscale_ups + fixed.counters.autoscale_downs,
             0,
             "[{v} × fixed 1 replica] has no autoscaler"
         );
@@ -406,13 +415,15 @@ fn main() {
          - autoscaler cuts the flash-crowd outage {} s -> {} s (unprotected \
            arm) with {} scale-outs / {} scale-ins\n",
         spike.conservation.errors,
-        report::f3(spike.unavailable_ns as f64 / 1e9),
-        cell("overload-protection", "rolling drained").retries,
-        masked.retries,
-        report::f3(cell("none", "fixed 1 replica").unavailable_ns as f64 / 1e9),
-        report::f3(cell("none", "autoscaled").unavailable_ns as f64 / 1e9),
-        cell("none", "autoscaled").autoscale_ups,
-        cell("none", "autoscaled").autoscale_downs,
+        report::f3(spike.assessment.unavailable_ns as f64 / 1e9),
+        cell("overload-protection", "rolling drained")
+            .counters
+            .retries,
+        masked.counters.retries,
+        report::f3(cell("none", "fixed 1 replica").assessment.unavailable_ns as f64 / 1e9),
+        report::f3(cell("none", "autoscaled").assessment.unavailable_ns as f64 / 1e9),
+        cell("none", "autoscaled").counters.autoscale_ups,
+        cell("none", "autoscaled").counters.autoscale_downs,
     ));
     run.emit(&out, "reconfig_matrix.txt", "ci_reconfig.txt");
 }

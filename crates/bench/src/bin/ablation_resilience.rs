@@ -55,7 +55,7 @@ fn run_arm(retries: u32, backoff_ms: i64, run: Run) -> (f64, u64) {
     // The judged window is the last `spike` seconds.
     let total = before + spike + after;
     let err = window_error_rate(&report.series, secs(total - spike), secs(total));
-    (err.unwrap_or(0.0), report.retries)
+    (err.unwrap_or(0.0), report.counters.retries)
 }
 
 fn main() {

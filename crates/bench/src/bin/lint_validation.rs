@@ -58,18 +58,19 @@
 use std::fmt::Write as _;
 
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
+use blueprint_bench::figures::{compile, fig6};
 use blueprint_bench::matrix::{
-    assert_conserved, cell, consistency_arms, mid_run_fault, CONSISTENCY_LAG_MS,
+    assert_conserved, cell, consistency_arms, fault_cfg, mid_run_fault, overload_arms, retry_storm,
+    search_crash, with_breaker, CONSISTENCY_LAG_MS, FAULT_RPS,
 };
 use blueprint_bench::report;
 use blueprint_bench::Run;
-use blueprint_core::Blueprint;
 use blueprint_lint::{Diagnostic, LintConfig, Linter};
 use blueprint_simrt::time::secs;
 use blueprint_simrt::{Fault, SystemSpec};
 use blueprint_wiring::{mutate, Arg, WiringSpec};
 use blueprint_workload::parallel::Threads;
-use blueprint_workload::resilience::{run_matrix, CellReport, ResilienceConfig};
+use blueprint_workload::resilience::{run_matrix, CellReport};
 
 /// One experiment arm: the static findings plus the deployable system.
 struct Arm {
@@ -79,11 +80,10 @@ struct Arm {
 }
 
 impl Arm {
+    /// Compiles a HotelReservation arm; hazard variants still compile,
+    /// since lint never fails the build.
     fn build(name: &'static str, wiring: &WiringSpec) -> Arm {
-        let app = Blueprint::new()
-            .without_artifacts()
-            .compile(&hr::workflow(), wiring)
-            .expect("hazard variants still compile — lint never fails the build");
+        let app = compile(&hr::workflow(), wiring);
         Arm {
             name,
             diags: app.diagnostics.clone(),
@@ -96,36 +96,13 @@ impl Arm {
     }
 }
 
-/// BP001 arms: the retry storm and its lint-suggested fix.
+/// BP001 arms: the fault matrix's retry storm and its breaker arm, the fix
+/// BP001 suggests.
 fn bp001_arms() -> (Arm, Arm) {
-    let base = WiringOpts::default().without_tracing();
-    let mut hazard = hr::wiring(&WiringOpts {
-        retries: 10,
-        ..base
-    });
-    mutate::set_kwarg(&mut hazard, "retry_all", "exp_base", Arg::Float(2.0)).expect("exp_base");
-    mutate::set_kwarg(&mut hazard, "retry_all", "max_backoff_ms", Arg::Int(50))
-        .expect("max_backoff_ms");
-
-    // The fix BP001 suggests: a circuit breaker on the chain (2-line
-    // mutation, attached to every service).
-    let mut fixed = hazard.clone();
-    mutate::attach_policy_to_all_services(
-        &mut fixed,
-        "breaker",
-        "CircuitBreaker",
-        vec![
-            ("threshold", Arg::Float(0.5)),
-            ("window", Arg::Int(50)),
-            ("open_ms", Arg::Int(500)),
-            ("probes", Arg::Int(3)),
-        ],
-    )
-    .expect("breaker mutation");
-
+    let hazard = retry_storm(WiringOpts::default().without_tracing());
     (
         Arm::build("retry-storm", &hazard),
-        Arm::build("retry-storm+breaker", &fixed),
+        Arm::build("retry-storm+breaker", &with_breaker(hazard)),
     )
 }
 
@@ -187,15 +164,14 @@ fn bp002_arms() -> (Arm, Arm) {
     )
 }
 
-/// BP010/BP011 arms, mirroring `ablation_overload`'s Type-1 mutations: the
+/// BP010/BP011 arms, over `ablation_overload`'s own Type-1 case: the
 /// unmitigated 10-retry wiring, a partial deadline rollout (entry only —
 /// the hazard BP010 exists to catch), the ablation's retry-budget arm, and
-/// its fully protected `attach_overload_protection` arm.
-fn overload_arms() -> (Arm, Arm, Arm, Arm) {
-    let opts = WiringOpts::default()
-        .without_tracing()
-        .with_timeout_retries(500, 10);
-    let unmitigated = hr::wiring(&opts);
+/// its fully protected `all` arm (`attach_overload_protection`).
+fn bp010_bp011_arms() -> (Arm, Arm, Arm, Arm) {
+    let unmitigated = fig6::meta_cases().swap_remove(0).wiring;
+    let arms = overload_arms(&unmitigated);
+    let arm = |label: &str| &arms.iter().find(|(l, _)| *l == label).expect("arm").1;
 
     let mut partial = unmitigated.clone();
     partial
@@ -209,24 +185,11 @@ fn overload_arms() -> (Arm, Arm, Arm, Arm) {
     mutate::add_server_modifier(&mut partial, "frontend", "deadline_fe")
         .expect("frontend deadline");
 
-    let mut budgeted = unmitigated.clone();
-    mutate::attach_policy_to_all_services(
-        &mut budgeted,
-        "budget_all",
-        "RetryBudget",
-        vec![("ratio", Arg::Float(0.2))],
-    )
-    .expect("budget mutation");
-
-    let mut protected = unmitigated.clone();
-    mutate::attach_overload_protection(&mut protected, 1_000.0, 0.2, 50.0)
-        .expect("combined mutation");
-
     (
         Arm::build("unmitigated-10-retries", &unmitigated),
         Arm::build("deadline-entry-only", &partial),
-        Arm::build("retry-budget", &budgeted),
-        Arm::build("overload-protected", &protected),
+        Arm::build("retry-budget", arm("retry-budget")),
+        Arm::build("overload-protected", arm("all")),
     )
 }
 
@@ -234,10 +197,7 @@ fn overload_arms() -> (Arm, Arm, Arm, Arm) {
 /// is compiled and then linted manually with the plan's targets. Returns the
 /// BP012 findings for the given wiring under a restart of `search`.
 fn bp012_findings(wiring: &WiringSpec, drainless: bool) -> Vec<Diagnostic> {
-    let app = Blueprint::new()
-        .without_artifacts()
-        .compile(&hr::workflow(), wiring)
-        .expect("BP012 arms still compile — lint never fails the build");
+    let app = compile(&hr::workflow(), wiring);
     Linter::new(LintConfig::default().with_restart_target("search", drainless))
         .run(app.ir(), wiring)
         .into_iter()
@@ -252,10 +212,7 @@ fn bp012_findings(wiring: &WiringSpec, drainless: bool) -> Vec<Diagnostic> {
 /// the consistency matrix's primary-crash scenario onto the plan.
 fn consistency_findings(wiring: &WiringSpec, kill_store: bool) -> Vec<Diagnostic> {
     let wf = sn::workflow_direct_timeline();
-    let app = Blueprint::new()
-        .without_artifacts()
-        .compile(&wf, wiring)
-        .expect("consistency arms still compile — lint never fails the build");
+    let app = compile(&wf, wiring);
     let mut cfg = LintConfig::default();
     if kill_store {
         cfg = cfg.with_restart_target("ut_db", true);
@@ -269,14 +226,14 @@ fn row(c: &CellReport) -> Vec<String> {
         c.scenario.clone(),
         c.conservation.ok.to_string(),
         c.conservation.errors.to_string(),
-        if c.conserved {
+        if c.conservation.holds() {
             "yes".into()
         } else {
             "LOST".into()
         },
-        c.retries.to_string(),
-        c.breaker_rejections.to_string(),
-        report::f3(c.wire_amplification),
+        c.counters.retries.to_string(),
+        c.counters.breaker_rejections.to_string(),
+        report::f3(c.wire_amplification()),
     ]
 }
 
@@ -303,14 +260,7 @@ fn static_lines(out: &mut String, rule: &str, name: &str, found: &[&Diagnostic])
 fn main() {
     let run = Run::from_args();
     let duration_s = run.pick(8, 20);
-    let cfg = ResilienceConfig {
-        rps: 1_500.0,
-        duration_s,
-        entities: hr::ENTITIES,
-        seed: 41,
-        rto_ns: secs(3),
-        ..Default::default()
-    };
+    let cfg = fault_cfg(duration_s);
 
     // ---- Static side: lint each arm. -----------------------------------
     let (storm, storm_fixed) = bp001_arms();
@@ -358,7 +308,7 @@ fn main() {
     // must be silent. BP010 must stay silent with no deadline anywhere,
     // flag every downstream hop under a partial (entry-only) rollout, and
     // go silent again once `attach_overload_protection` covers the chain.
-    let (unmitigated, partial, budgeted, protected) = overload_arms();
+    let (unmitigated, partial, budgeted, protected) = bp010_bp011_arms();
     let bp011_findings = unmitigated.findings("BP011");
     assert!(!bp011_findings.is_empty(), "{:?}", unmitigated.diags);
     for d in &bp011_findings {
@@ -398,19 +348,7 @@ fn main() {
         retries: 2,
         ..WiringOpts::default().without_tracing()
     });
-    let mut reconfig_breaker = reconfig_base.clone();
-    mutate::attach_policy_to_all_services(
-        &mut reconfig_breaker,
-        "breaker",
-        "CircuitBreaker",
-        vec![
-            ("threshold", Arg::Float(0.5)),
-            ("window", Arg::Int(50)),
-            ("open_ms", Arg::Int(500)),
-            ("probes", Arg::Int(3)),
-        ],
-    )
-    .expect("breaker mutation");
+    let reconfig_breaker = with_breaker(reconfig_base.clone());
     let mut reconfig_replicated = reconfig_base.clone();
     mutate::replicate(&mut reconfig_replicated, "search", 3).expect("replicate search");
     let bp012_exposed = bp012_findings(&reconfig_base, true);
@@ -490,11 +428,7 @@ fn main() {
     );
 
     // ---- Dynamic side: the fault matrix over the same arms. -------------
-    let crash = Fault::ProcessCrash {
-        process: "proc_search".into(),
-        restart_delay_ns: secs(2),
-    };
-    let crash = mid_run_fault("search crash 2s", duration_s, crash);
+    let crash = search_crash(duration_s);
     // ×1200 pushes rate_db's sub-millisecond ops past the 250 ms leaf
     // deadline — the regime the timeout tiering is supposed to survive.
     let brownout = Fault::Brownout {
@@ -535,15 +469,15 @@ fn main() {
     let storm_cell = cell(&bp001_cells, storm.name, &crash.name);
     let fixed_cell = cell(&bp001_cells, storm_fixed.name, &crash.name);
     assert!(
-        storm_cell.wire_amplification <= bp001_bound,
+        storm_cell.wire_amplification() <= bp001_bound,
         "measured amplification {} exceeds the static bound {bp001_bound}",
-        storm_cell.wire_amplification
+        storm_cell.wire_amplification()
     );
     assert!(
-        storm_cell.wire_amplification > fixed_cell.wire_amplification,
+        storm_cell.wire_amplification() > fixed_cell.wire_amplification(),
         "breaker fix failed to suppress amplification: storm {:.3} vs fixed {:.3}",
-        storm_cell.wire_amplification,
-        fixed_cell.wire_amplification
+        storm_cell.wire_amplification(),
+        fixed_cell.wire_amplification()
     );
 
     // BP002 bracket: the inverted arm loses at least as many requests under
@@ -564,10 +498,10 @@ fn main() {
     for (arm, c) in [(&inverted, inv_cell), (&graded, graded_cell)] {
         if let Some(b) = arm.findings("BP001").first().and_then(|d| d.bound) {
             assert!(
-                c.wire_amplification <= b,
+                c.wire_amplification() <= b,
                 "[{}] measured amplification {} exceeds the static bound {b}",
                 arm.name,
-                c.wire_amplification
+                c.wire_amplification()
             );
         }
     }
@@ -577,7 +511,7 @@ fn main() {
     let _ = writeln!(
         out,
         "Lint cross-validation — HotelReservation, {} rps, {}s, seed {}",
-        cfg.rps, cfg.duration_s, cfg.seed
+        FAULT_RPS, duration_s, cfg.seed
     );
     let _ = writeln!(out, "\nStatic predictions:");
     static_section(&mut out, "BP001", &storm);
@@ -659,10 +593,10 @@ fn main() {
         out,
         "  BP001 bracket holds: measured wire amplification {} <= static bound {} \
          and the breaker fix suppresses it ({} -> {})",
-        report::f3(storm_cell.wire_amplification),
+        report::f3(storm_cell.wire_amplification()),
         report::f3(bp001_bound),
-        report::f3(storm_cell.wire_amplification),
-        report::f3(fixed_cell.wire_amplification),
+        report::f3(storm_cell.wire_amplification()),
+        report::f3(fixed_cell.wire_amplification()),
     );
     let _ = writeln!(
         out,

@@ -82,7 +82,12 @@ pub fn run(size: Run) -> BreakerComparison {
             &Scenario::baseline(),
             &cfg,
         )?;
-        Ok::<_, SimError>(fig6::MetaResult::new(label, report, size))
+        Ok::<_, SimError>(fig6::MetaResult::new(
+            label,
+            report.series,
+            report.counters,
+            size,
+        ))
     })
     .expect("variants run")
     .into_iter();

@@ -21,7 +21,7 @@
 use std::sync::{Arc, Mutex};
 
 use blueprint_apps::{hotel_reservation as hr, social_network as sn, WiringOpts};
-use blueprint_core::CompiledApp;
+use blueprint_simrt::metrics::SimCounters;
 use blueprint_simrt::time::secs;
 use blueprint_simrt::{Fault, FaultPlan, SimConfig, SimError};
 use blueprint_wiring::WiringSpec;
@@ -29,7 +29,7 @@ use blueprint_workflow::WorkflowSpec;
 use blueprint_workload::generator::{ApiMix, OpenLoopGen, Phase};
 use blueprint_workload::parallel::{par_run, Threads};
 use blueprint_workload::recorder::IntervalStats;
-use blueprint_workload::resilience::{run_cell, CellReport, ResilienceConfig, Scenario};
+use blueprint_workload::resilience::{run_cell, ResilienceConfig, Scenario};
 use blueprint_workload::{run_experiment, ExperimentSpec};
 
 use crate::{report, Run};
@@ -46,12 +46,8 @@ pub struct MetaResult {
     pub series: Vec<IntervalStats>,
     /// Optional per-second cache miss rate (Type 4).
     pub miss_rate: Vec<(f64, f64)>,
-    /// Total retries issued.
-    pub retries: u64,
-    /// Total timeouts fired.
-    pub timeouts: u64,
-    /// GC pauses observed.
-    pub gc_pauses: u64,
+    /// The simulator's counters at the end of the run.
+    pub counters: SimCounters,
     /// Length of the final window the summary judges (s).
     pub tail_s: u64,
 }
@@ -59,14 +55,17 @@ pub struct MetaResult {
 impl MetaResult {
     /// Packages a finished run: its series and counters. The summary judges
     /// the final 30 s of a full run, 2 s of a smoke run.
-    pub fn new(label: &str, report: CellReport, size: Run) -> MetaResult {
+    pub fn new(
+        label: &str,
+        series: Vec<IntervalStats>,
+        counters: SimCounters,
+        size: Run,
+    ) -> MetaResult {
         MetaResult {
             label: label.to_string(),
-            series: report.series,
+            series,
             miss_rate: Vec::new(),
-            retries: report.retries,
-            timeouts: report.timeouts,
-            gc_pauses: report.gc_pauses,
+            counters,
             tail_s: size.pick(2, 30),
         }
     }
@@ -95,135 +94,274 @@ fn opts_with(timeout_ms: i64, retries: u32) -> WiringOpts {
     }
 }
 
+/// When a metastability run's trigger acts and how long the run lasts. The
+/// figure runs the types at their paper timing; the overload matrix runs
+/// them shorter, with a longer drain and RTO so recovery time is
+/// measurable.
+#[derive(Debug, Clone, Copy)]
+struct Timing {
+    /// When the trigger starts, s.
+    at_s: u64,
+    /// How long the trigger acts, s: the load spike (Type 1), the CPU
+    /// contention (Types 2 and 3), or the judged window after the
+    /// instantaneous cache flush (Type 4).
+    trigger_s: u64,
+    /// Arrival window, s.
+    total_s: u64,
+    /// Drain after the last arrival, s.
+    drain_s: u64,
+    /// Recovery-time objective past the trigger, s.
+    rto_s: u64,
+}
+
+impl Timing {
+    /// The figure's timing: the trigger at 60 s for 30 s in a `total_s` run
+    /// (2 s and 2 s in a `smoke_s` run under `--smoke`), the driver's 5 s
+    /// drain.
+    fn figure(size: Run, smoke_s: u64, total_s: u64) -> Timing {
+        let (at_s, trigger_s, total_s) = size.pick((2, 2, smoke_s), (60, 30, total_s));
+        Timing {
+            at_s,
+            trigger_s,
+            total_s,
+            drain_s: 5,
+            rto_s: 2,
+        }
+    }
+
+    /// The overload matrix's timing: the trigger at 20 s for `trigger_s` in
+    /// a `total_s` run, with a 5 s RTO.
+    fn matrix(trigger_s: u64, total_s: u64, drain_s: u64) -> Timing {
+        Timing {
+            at_s: 20,
+            trigger_s,
+            total_s,
+            drain_s,
+            rto_s: 5,
+        }
+    }
+
+    /// The trigger's `(start, end)` window.
+    fn window(self) -> (u64, u64) {
+        (secs(self.at_s), secs(self.at_s + self.trigger_s))
+    }
+
+    /// The workload configuration of a case: one-second bins, this timing's
+    /// drain and RTO, and the given load.
+    fn cfg(self, seed: u64, entities: u64, phases: Vec<Phase>) -> ResilienceConfig {
+        ResilienceConfig {
+            phases,
+            entities,
+            seed,
+            interval_ns: secs(1),
+            drain_ns: secs(self.drain_s),
+            rto_ns: secs(self.rto_s),
+            ..ResilienceConfig::default()
+        }
+    }
+}
+
+/// One metastability type: the unmitigated wiring, workload and trigger the
+/// figure runs and from which the `ablation_overload` harness derives its
+/// mitigation arms.
+pub struct MetaCase {
+    /// Case label.
+    pub name: &'static str,
+    /// The app workflow.
+    pub workflow: WorkflowSpec,
+    /// Unmitigated wiring: timeouts + aggressive retries, no overload
+    /// protection.
+    pub wiring: WiringSpec,
+    /// API mix driven at the entries.
+    pub mix: ApiMix,
+    /// Per-case workload + invariant configuration (phases, prefill, RTO).
+    pub cfg: ResilienceConfig,
+    /// The trigger schedule and its active window.
+    pub scenario: Scenario,
+}
+
+/// Type 1: load spike trigger, workload amplification. HotelReservation
+/// with 500 ms timeouts and 10 retries; `base_rps` → 13 krps for the
+/// trigger → `base_rps`. The spike is the trigger, so nothing is injected;
+/// the scenario window marks the spike phase.
+fn type1(t: Timing, base_rps: f64) -> MetaCase {
+    MetaCase {
+        name: "type1 load spike",
+        workflow: hr::workflow(),
+        wiring: hr::wiring(&opts_with(500, 10)),
+        mix: hr::paper_mix(),
+        cfg: t.cfg(
+            61,
+            hr::ENTITIES,
+            vec![
+                Phase::new(t.at_s, base_rps),
+                Phase::new(t.trigger_s, 13_000.0),
+                Phase::new(t.total_s - t.at_s - t.trigger_s, base_rps),
+            ],
+        ),
+        scenario: Scenario {
+            name: format!("spike 13k rps {}s", t.trigger_s),
+            window: t.window(),
+            ..Scenario::baseline()
+        },
+    }
+}
+
+/// A Type 2 or Type 3 case: 1.7 cores of CPU contention on the machine of
+/// `service` over the trigger window, under a steady `rps`.
+fn cpu_hog_case(
+    name: &'static str,
+    wiring: WiringSpec,
+    service: &str,
+    t: Timing,
+    seed: u64,
+    rps: f64,
+) -> MetaCase {
+    let host = super::host_of_service(&super::compile(&hr::workflow(), &wiring), service);
+    let scenario = super::cpu_hog(
+        &format!("cpu hog {service} {}s", t.trigger_s),
+        host,
+        1.7,
+        t.at_s,
+        t.trigger_s,
+    );
+    MetaCase {
+        name,
+        workflow: hr::workflow(),
+        wiring,
+        mix: hr::paper_mix(),
+        cfg: t.cfg(seed, hr::ENTITIES, vec![Phase::new(t.total_s, rps)]),
+        scenario,
+    }
+}
+
+/// Type 2: load spike trigger, capacity degradation amplification (GOGC=75
+/// on the ReservationService process + CPU contention on its machine at
+/// 4 krps).
+fn type2(t: Timing) -> MetaCase {
+    let wiring = hr::wiring_type2(&opts_with(500, 10));
+    cpu_hog_case("type2 gc contention", wiring, "reservation", t, 62, 4_000.0)
+}
+
+/// Type 3: capacity-decreasing trigger, workload amplification (1 s
+/// timeouts; CPU contention on the frontend's machine at 5.5 krps).
+fn type3(t: Timing) -> MetaCase {
+    let wiring = hr::wiring(&opts_with(1_000, 10));
+    cpu_hog_case("type3 capacity dip", wiring, "frontend", t, 63, 5_500.0)
+}
+
+/// Type 4: the user-timeline cache of SocialNetwork, pre-filled with all
+/// `timelines` of the timeline DB, flushed at the trigger; at 1.8 krps the
+/// misses overload the capacity-constrained DB, whose calls time out
+/// before the cache can repopulate.
+fn type4(t: Timing, timelines: u64) -> MetaCase {
+    MetaCase {
+        name: "type4 cache flush",
+        workflow: sn::workflow(),
+        wiring: sn::wiring_type4(&opts_with(1_000, 10), 1_500),
+        mix: ApiMix::single("gateway", "ReadUserTimeline"),
+        cfg: ResilienceConfig {
+            prefill_stores: vec![("ut_db".to_string(), timelines)],
+            prefill_caches: vec![("ut_cache".to_string(), timelines)],
+            ..t.cfg(64, timelines, vec![Phase::new(t.total_s, 1_800.0)])
+        },
+        scenario: Scenario {
+            name: "flush ut_cache".into(),
+            faults: FaultPlan::none().at(
+                secs(t.at_s),
+                Fault::CacheFlush {
+                    backend: "ut_cache".into(),
+                },
+            ),
+            window: t.window(),
+            ..Scenario::baseline()
+        },
+    }
+}
+
 /// The four types by name, in figure order.
 pub const TYPES: [&str; 4] = ["type1", "type2", "type3", "type4"];
+
+/// The figure's title of each type, in figure order.
+const LABELS: [&str; 4] = [
+    "Type 1 (load spike → retry storm)",
+    "Type 2 (GC amplification under contention)",
+    "Type 3 (capacity trigger → retry storm)",
+    "Type 4 (cache flush → DB overload)",
+];
+
+/// Timeline key-space of the Type 4 figure: much larger than the request
+/// rate, so after a flush the cache cannot repopulate faster than the
+/// database melts down.
+const FIGURE_TIMELINES: u64 = 200_000;
+
+/// Timeline key-space used by the Type 4 matrix case — smaller than the
+/// figure's 200 k so a protected arm can refill the cache within the run.
+const MATRIX_TIMELINES: u64 = 40_000;
 
 /// Runs the named types (all four when `names` is empty) as one parallel
 /// batch and returns each result with its name, in figure order.
 pub fn run(size: Run, names: &[String]) -> Vec<(&'static str, MetaResult)> {
-    let runs: [fn(Run) -> MetaResult; 4] = [type1, type2, type3, type4];
     let chosen: Vec<usize> = (0..TYPES.len())
         .filter(|&i| names.is_empty() || names.iter().any(|n| n == TYPES[i]))
         .collect();
+    let timing = |smoke_s, total_s| Timing::figure(size, smoke_s, total_s);
     par_run(chosen.len(), Threads::from_env(), |j| {
-        Ok::<_, SimError>((TYPES[chosen[j]], runs[chosen[j]](size)))
+        let (i, label) = (chosen[j], LABELS[chosen[j]]);
+        let result = match i {
+            0 => run_hotel(label, type1(timing(6, 180), 2_500.0), size),
+            1 => run_hotel(label, type2(timing(5, 150)), size),
+            2 => run_hotel(label, type3(timing(5, 120)), size),
+            _ => run_type4(label, type4(timing(5, 120), FIGURE_TIMELINES), size),
+        };
+        Ok::<_, SimError>((TYPES[i], result))
     })
     .expect("metastability runs")
 }
 
 /// Runs one HotelReservation type through [`run_cell`].
-fn run_hotel(
-    app: &CompiledApp,
-    label: &str,
-    scenario: &Scenario,
-    cfg: &ResilienceConfig,
-    size: Run,
-) -> MetaResult {
-    let report =
-        run_cell(app.system(), &hr::paper_mix(), label, scenario, cfg).expect("experiment runs");
-    MetaResult::new(label, report, size)
+fn run_hotel(label: &str, case: MetaCase, size: Run) -> MetaResult {
+    let app = super::compile(&case.workflow, &case.wiring);
+    let report = run_cell(app.system(), &case.mix, label, &case.scenario, &case.cfg)
+        .expect("experiment runs");
+    MetaResult::new(label, report.series, report.counters, size)
 }
 
-/// Type 1: load spike trigger, workload amplification.
-pub fn type1(size: Run) -> MetaResult {
-    let (base, spike) = (2_500.0, 13_000.0);
-    let (before, during, after) = size.pick((2, 2, 2), (60, 30, 90));
-    let cfg = ResilienceConfig {
-        phases: vec![
-            Phase::new(before, base),
-            Phase::new(during, spike),
-            Phase::new(after, base),
-        ],
-        ..super::figure_cfg(61, hr::ENTITIES)
-    };
-    // The spike phase is the trigger: there is nothing to inject.
-    let app = super::compile(&hr::workflow(), &hr::wiring(&opts_with(500, 10)));
-    let label = "Type 1 (load spike → retry storm)";
-    run_hotel(&app, label, &Scenario::baseline(), &cfg, size)
-}
-
-/// Type 2: load spike trigger, capacity degradation amplification (GOGC=75 +
-/// CPU contention on the ReservationService's machine).
-pub fn type2(size: Run) -> MetaResult {
-    let app = super::compile(&hr::workflow(), &hr::wiring_type2(&opts_with(500, 10)));
-    let host = super::host_of_service(&app, "reservation");
-    let (total, hog_at, hog_s) = size.pick((5, 2, 2), (150, 60, 30));
-    let cfg = ResilienceConfig {
-        rps: 4_000.0,
-        duration_s: total,
-        ..super::figure_cfg(62, hr::ENTITIES)
-    };
-    let scenario = super::cpu_hog("cpu hog reservation", host, 1.7, hog_at, hog_s);
-    let label = "Type 2 (GC amplification under contention)";
-    run_hotel(&app, label, &scenario, &cfg, size)
-}
-
-/// Type 3: capacity-decreasing trigger, workload amplification (1 s
-/// timeouts; 30 s of CPU contention).
-pub fn type3(size: Run) -> MetaResult {
-    let app = super::compile(&hr::workflow(), &hr::wiring(&opts_with(1_000, 10)));
-    let host = super::host_of_service(&app, "frontend");
-    let (total, hog_at, hog_s) = size.pick((5, 2, 2), (120, 60, 30));
-    let cfg = ResilienceConfig {
-        rps: 5_500.0,
-        duration_s: total,
-        ..super::figure_cfg(63, hr::ENTITIES)
-    };
-    let scenario = super::cpu_hog("cpu hog frontend", host, 1.7, hog_at, hog_s);
-    let label = "Type 3 (capacity trigger → retry storm)";
-    run_hotel(&app, label, &scenario, &cfg, size)
-}
-
-/// Type 4: cache-flush trigger on SocialNetwork's user timeline.
+/// Runs the Type 4 figure.
 ///
 /// The flush is a boot-plan fault like every other trigger, but this type
 /// stays on the bare experiment driver: its per-second cache sampler is a
 /// driver observer, which a [`Scenario`] (plans only) cannot carry.
 /// Deterministic per-interval telemetry in the simulator would let it run
 /// through [`run_cell`] too.
-pub fn type4(size: Run) -> MetaResult {
-    let opts = WiringOpts {
-        cluster: META_CLUSTER,
-        ..WiringOpts::default()
-            .without_tracing()
-            .with_timeout_retries(1_000, 10)
-    };
-    let app = super::compile(&sn::workflow(), &sn::wiring_type4(&opts, 1_500));
-    let (total, flush_at) = size.pick((5, 2), (120, 60));
-    let mut sim = app
+fn run_type4(label: &str, case: MetaCase, size: Run) -> MetaResult {
+    let cfg = &case.cfg;
+    let mut sim = super::compile(&case.workflow, &case.wiring)
         .simulation_with(SimConfig {
-            seed: 64,
-            faults: FaultPlan::none().at(
-                secs(flush_at),
-                Fault::CacheFlush {
-                    backend: "ut_cache".into(),
-                },
-            ),
+            seed: cfg.seed,
+            faults: case.scenario.faults.clone(),
             ..Default::default()
         })
         .expect("simulation boots");
     // Phase 1 of the paper: fill the cache with all content of the
-    // userTimelineDatabase. The timeline key space is much larger than the
-    // request rate, so after a flush the cache cannot repopulate faster than
-    // the database melts down.
-    const TIMELINES: u64 = 200_000;
-    sim.store_fill("ut_db", TIMELINES, 1).expect("db fill");
-    sim.cache_fill("ut_cache", TIMELINES, 1)
-        .expect("cache fill");
-
-    let gen = OpenLoopGen::new(
-        vec![Phase::new(total, 1_800.0)],
-        ApiMix::single("gateway", "ReadUserTimeline"),
-        TIMELINES,
-        64,
-    );
-    // Sample cumulative hit/miss counters each second for the miss-rate
-    // series. (`Arc<Mutex<..>>` rather than `Rc<RefCell<..>>` so the
-    // observers satisfy `Action`'s `Send` bound; the experiment itself
-    // still runs on one thread.)
+    // userTimelineDatabase.
+    for (backend, n) in &cfg.prefill_stores {
+        sim.store_fill(backend, *n, 1).expect("db fill");
+    }
+    for (backend, n) in &cfg.prefill_caches {
+        sim.cache_fill(backend, *n, 1).expect("cache fill");
+    }
+    let gen = OpenLoopGen::new(cfg.phases.clone(), case.mix.clone(), cfg.entities, cfg.seed);
+    // Sample cumulative hit/miss counters each second of the arrival window
+    // for the miss-rate series. (`Arc<Mutex<..>>` rather than
+    // `Rc<RefCell<..>>` so the observers satisfy `Action`'s `Send` bound;
+    // the experiment itself still runs on one thread.)
+    let total_s = cfg.phases.iter().map(|p| p.duration_ns).sum::<u64>() / secs(1);
     let samples: Arc<Mutex<Vec<(f64, u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let mut exp = ExperimentSpec::new(gen);
-    for t in 1..=total {
+    let mut exp = ExperimentSpec::new(gen)
+        .interval(cfg.interval_ns)
+        .drain(cfg.drain_ns);
+    for t in 1..=total_s {
         let s = samples.clone();
         exp = exp.at(secs(t), move |sim| {
             let (h, m) = sim
@@ -250,175 +388,38 @@ pub fn type4(size: Run) -> MetaResult {
         };
         miss_rate.push((*t, rate));
     }
-    let c = &sim.metrics.counters;
+    let counters = sim.metrics.counters.clone();
     MetaResult {
-        label: "Type 4 (cache flush → DB overload)".to_string(),
-        series: rec.series(),
         miss_rate,
-        retries: c.retries,
-        timeouts: c.timeouts,
-        gc_pauses: c.gc_pauses,
-        tail_s: size.pick(2, 30),
+        ..MetaResult::new(label, rec.series(), counters, size)
     }
 }
 
-/// One metastability exhibit repackaged for the verified resilience matrix:
-/// the unmitigated wiring, workload, and trigger window from which the
-/// `ablation_overload` harness derives its mitigation arms. The durations
-/// are scaled down from the figure runs, with a longer post-trigger tail so
-/// recovery time is measurable.
-pub struct MetaCase {
-    /// Case label.
-    pub name: &'static str,
-    /// The app workflow.
-    pub workflow: WorkflowSpec,
-    /// Unmitigated wiring: timeouts + aggressive retries, no overload
-    /// protection.
-    pub wiring: WiringSpec,
-    /// API mix driven at the entries.
-    pub mix: ApiMix,
-    /// Per-case workload + invariant configuration (phases, prefill, RTO).
-    pub cfg: ResilienceConfig,
-    /// The trigger schedule and its active window.
-    pub scenario: Scenario,
-}
-
-/// Timeline key-space used by the Type 4 matrix case — smaller than the
-/// figure's 200 k so a protected arm can refill the cache within the run.
-pub const MATRIX_TIMELINES: u64 = 40_000;
-
-/// The four Fig. 6 failure types as matrix cases.
+/// The four types as overload-matrix cases, at the matrix's timing.
 pub fn meta_cases() -> Vec<MetaCase> {
-    let mut cases = Vec::new();
-
-    // Type 1: load spike → retry storm. The spike is the trigger; there is
-    // nothing to inject, the window just marks the spike phase.
-    cases.push(MetaCase {
-        name: "type1 load spike",
-        workflow: hr::workflow(),
-        wiring: hr::wiring(&opts_with(500, 10)),
-        mix: hr::paper_mix(),
-        cfg: ResilienceConfig {
-            phases: vec![
-                Phase::new(20, 2_500.0),
-                Phase::new(10, 13_000.0),
-                Phase::new(30, 2_500.0),
-            ],
-            entities: hr::ENTITIES,
-            seed: 61,
-            interval_ns: secs(1),
-            drain_ns: secs(10),
-            rto_ns: secs(5),
-            ..ResilienceConfig::default()
-        },
-        scenario: Scenario {
-            name: "spike 13k rps 10s".into(),
-            window: (secs(20), secs(30)),
-            ..Scenario::baseline()
-        },
-    });
-
-    // Type 2: CPU contention on the GOGC=75 ReservationService machine.
-    let wiring2 = hr::wiring_type2(&opts_with(500, 10));
-    let host2 = super::host_of_service(&super::compile(&hr::workflow(), &wiring2), "reservation");
-    cases.push(MetaCase {
-        name: "type2 gc contention",
-        workflow: hr::workflow(),
-        wiring: wiring2,
-        mix: hr::paper_mix(),
-        cfg: ResilienceConfig {
-            rps: 4_000.0,
-            duration_s: 60,
-            entities: hr::ENTITIES,
-            seed: 62,
-            interval_ns: secs(1),
-            drain_ns: secs(10),
-            rto_ns: secs(5),
-            ..ResilienceConfig::default()
-        },
-        scenario: super::cpu_hog("cpu hog reservation 10s", host2, 1.7, 20, 10),
-    });
-
-    // Type 3: CPU contention on the frontend with 1 s timeouts.
-    let wiring3 = hr::wiring(&opts_with(1_000, 10));
-    let host3 = super::host_of_service(&super::compile(&hr::workflow(), &wiring3), "frontend");
-    cases.push(MetaCase {
-        name: "type3 capacity dip",
-        workflow: hr::workflow(),
-        wiring: wiring3,
-        mix: hr::paper_mix(),
-        cfg: ResilienceConfig {
-            rps: 5_500.0,
-            duration_s: 60,
-            entities: hr::ENTITIES,
-            seed: 63,
-            interval_ns: secs(1),
-            drain_ns: secs(12),
-            rto_ns: secs(5),
-            ..ResilienceConfig::default()
-        },
-        scenario: super::cpu_hog("cpu hog frontend 10s", host3, 1.7, 20, 10),
-    });
-
-    // Type 4: user-timeline cache flush over a capacity-constrained DB.
-    let opts4 = WiringOpts {
-        cluster: META_CLUSTER,
-        ..WiringOpts::default()
-            .without_tracing()
-            .with_timeout_retries(1_000, 10)
-    };
-    cases.push(MetaCase {
-        name: "type4 cache flush",
-        workflow: sn::workflow(),
-        wiring: sn::wiring_type4(&opts4, 1_500),
-        mix: ApiMix::single("gateway", "ReadUserTimeline"),
-        cfg: ResilienceConfig {
-            rps: 1_800.0,
-            duration_s: 80,
-            entities: MATRIX_TIMELINES,
-            seed: 64,
-            interval_ns: secs(1),
-            drain_ns: secs(12),
-            rto_ns: secs(5),
-            prefill_stores: vec![("ut_db".to_string(), MATRIX_TIMELINES)],
-            prefill_caches: vec![("ut_cache".to_string(), MATRIX_TIMELINES)],
-            ..ResilienceConfig::default()
-        },
-        scenario: Scenario {
-            name: "flush ut_cache".into(),
-            faults: FaultPlan::none().at(
-                secs(20),
-                Fault::CacheFlush {
-                    backend: "ut_cache".into(),
-                },
-            ),
-            window: (secs(20), secs(22)),
-            ..Scenario::baseline()
-        },
-    });
-
-    cases
+    vec![
+        type1(Timing::matrix(10, 60, 10), 2_500.0),
+        type2(Timing::matrix(10, 60, 10)),
+        type3(Timing::matrix(10, 60, 12)),
+        type4(Timing::matrix(2, 80, 12), MATRIX_TIMELINES),
+    ]
 }
 
 /// A miniature Type 1 for the CI smoke: small enough to run twice (thread
-/// determinism compare) in seconds, same spike shape.
+/// determinism compare) in seconds, same spike shape from a 1.5 krps base.
+/// The drain covers a worst-case retry chain (11 × 500 ms + backoffs).
 pub fn smoke_case() -> MetaCase {
-    let mut c = meta_cases().remove(0);
-    c.name = "type1 smoke";
-    c.cfg.phases = vec![
-        Phase::new(5, 1_500.0),
-        Phase::new(3, 13_000.0),
-        Phase::new(8, 1_500.0),
-    ];
-    // Long enough for a worst-case retry chain (11 × 500 ms + backoffs).
-    c.cfg.drain_ns = secs(8);
-    c.cfg.rto_ns = secs(3);
-    c.scenario = Scenario {
-        name: "spike 13k rps 3s".into(),
-        window: (secs(5), secs(8)),
-        ..Scenario::baseline()
+    let t = Timing {
+        at_s: 5,
+        trigger_s: 3,
+        total_s: 16,
+        drain_s: 8,
+        rto_s: 3,
     };
-    c
+    MetaCase {
+        name: "type1 smoke",
+        ..type1(t, 1_500.0)
+    }
 }
 
 /// Renders one result (series + summary line).
@@ -434,9 +435,9 @@ pub fn print(r: &MetaResult) -> String {
     }
     out.push_str(&format!(
         "summary: retries={} timeouts={} gc_pauses={} final-{}s error rate={:.3}\n",
-        r.retries,
-        r.timeouts,
-        r.gc_pauses,
+        r.counters.retries,
+        r.counters.timeouts,
+        r.counters.gc_pauses,
         r.tail_s,
         r.final_error_rate(r.tail_s),
     ));

@@ -10,6 +10,7 @@
 use blueprint_apps::{hotel_reservation as hr, WiringOpts};
 use blueprint_simrt::time::{secs, SimTime};
 use blueprint_simrt::SimError;
+use blueprint_workload::generator::Phase;
 use blueprint_workload::parallel::{par_run, Threads};
 use blueprint_workload::recorder::IntervalStats;
 use blueprint_workload::resilience::{run_cell, ResilienceConfig};
@@ -94,8 +95,7 @@ pub fn run(size: Run) -> Vec<Cell> {
         let (ai, rps, dur) = jobs[j];
         let (r, app, host) = &apps[ai];
         let cfg = ResilienceConfig {
-            rps,
-            duration_s: total,
+            phases: vec![Phase::new(total, rps)],
             ..super::figure_cfg(7, 10_000)
         };
         let hog = super::cpu_hog(

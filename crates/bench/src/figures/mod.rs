@@ -38,7 +38,7 @@ pub fn boot(app: &CompiledApp, seed: u64) -> Sim {
 
 /// The workload configuration of a figure run: the experiment driver's
 /// one-second bins and five-second drain, with the given seed and entity
-/// space. Callers set the load (`rps` and `duration_s`, or `phases`).
+/// space. Callers set the load (`phases`).
 pub fn figure_cfg(seed: u64, entities: u64) -> ResilienceConfig {
     ResilienceConfig {
         seed,

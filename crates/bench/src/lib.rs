@@ -19,7 +19,11 @@
 //!
 //! The resilience matrix and cross-validation binaries
 //! (`ablation_{faults,overload,reconfig,consistency}`, `lint_validation`,
-//! `capacity_validation`) share the [`matrix`] skeleton.
+//! `capacity_validation`) take every piece they share from one definition:
+//! the mitigation arms, the fault matrix's workload and crash scenario and
+//! the compile step live in [`matrix`], and the four Fig. 6 metastability
+//! types (one constructor each, run by the figure and by
+//! `ablation_overload`) in [`figures::fig6`].
 //!
 //! Every binary but `lint_gate` takes one optional flag, parsed by [`Run`]:
 //! nothing runs the full-length exhibit and writes `results/<name>.txt`;

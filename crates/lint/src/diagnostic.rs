@@ -4,14 +4,11 @@ use serde::{Deserialize, Serialize};
 
 /// How seriously a finding is treated.
 ///
-/// `Allow` suppresses the rule, `Warn` reports without failing gates, and
-/// `Deny` fails the CI lint gate. The compiler itself never fails a build on
-/// diagnostics — hazardous variants must still compile so the fault harness
-/// can measure them.
+/// `Warn` reports without failing gates; `Deny` fails the CI lint gate. The
+/// compiler itself never fails a build on diagnostics — hazardous variants
+/// must still compile so the fault harness can measure them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Severity {
-    /// Suppressed.
-    Allow,
     /// Reported, non-fatal.
     Warn,
     /// Reported, fails the CI lint gate.
@@ -22,19 +19,8 @@ impl Severity {
     /// The lowercase label used in text and JSON output.
     pub fn label(self) -> &'static str {
         match self {
-            Severity::Allow => "allow",
             Severity::Warn => "warn",
             Severity::Deny => "deny",
-        }
-    }
-
-    /// Parses a lowercase label.
-    pub fn parse(s: &str) -> Option<Severity> {
-        match s {
-            "allow" => Some(Severity::Allow),
-            "warn" => Some(Severity::Warn),
-            "deny" => Some(Severity::Deny),
-            _ => None,
         }
     }
 }
@@ -72,7 +58,8 @@ pub struct Diagnostic {
     pub rule: String,
     /// Rule slug, e.g. `retry-amplification`.
     pub name: String,
-    /// Effective severity (after configuration overrides).
+    /// Severity: the rule's default, or the tier a graded rule picked
+    /// (BP013/BP014 warn below their deny tier).
     pub severity: Severity,
     /// Offending nodes, most significant first.
     pub nodes: Vec<Subject>,
@@ -137,16 +124,6 @@ impl Diagnostic {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn severity_labels_roundtrip() {
-        for s in [Severity::Allow, Severity::Warn, Severity::Deny] {
-            assert_eq!(Severity::parse(s.label()), Some(s));
-        }
-        assert_eq!(Severity::parse("fatal"), None);
-        assert!(Severity::Warn < Severity::Deny);
-        assert!(Severity::Allow < Severity::Warn);
-    }
 
     #[test]
     fn builder_accumulates_subjects() {

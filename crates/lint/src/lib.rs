@@ -61,8 +61,6 @@ pub mod model;
 pub mod passes;
 pub mod render;
 
-use std::collections::BTreeMap;
-
 pub use context::LintContext;
 pub use diagnostic::{Diagnostic, Severity, Subject};
 pub use passes::{LintPass, Rule};
@@ -118,16 +116,12 @@ pub struct ScalingLimit {
     pub peak_rps: Option<f64>,
 }
 
-/// Linter configuration: per-rule severity overrides plus the numeric
-/// thresholds the quantitative rules compare against.
-#[derive(Debug, Clone)]
+/// Linter configuration: the deployment plan and traffic the plan-relative
+/// rules check against. Every rule's thresholds are fixed
+/// ([`passes::retry_amplification::AMPLIFICATION_THRESHOLD`],
+/// [`passes::capacity::UTILIZATION_KNEE`]).
+#[derive(Debug, Clone, Default)]
 pub struct LintConfig {
-    /// Per-rule severity overrides (`rule id → severity`). A rule set to
-    /// [`Severity::Allow`] is suppressed entirely.
-    pub severity: BTreeMap<String, Severity>,
-    /// BP001: flag call chains whose worst-case wire amplification (product
-    /// of per-hop attempt counts) exceeds this, absent a circuit breaker.
-    pub amplification_threshold: f64,
     /// BP012: planned restarts to check for drainless-restart hazards.
     /// Empty (the default) disables the rule — restart hazards only exist
     /// relative to a concrete deployment plan.
@@ -136,39 +130,12 @@ pub struct LintConfig {
     /// `None` (the default) disables the rate-dependent checks — capacity
     /// hazards only exist relative to a target rate.
     pub traffic: Option<TrafficSpec>,
-    /// BP013: warn when a machine's pessimistic utilization at the target
-    /// rate reaches this fraction (the knee of the latency curve).
-    pub utilization_knee: f64,
-    /// Miss probability the pessimistic model assumes for
-    /// `cache_get_or_fetch` slow paths. 1.0 (the default) charges the full
-    /// miss path on every lookup.
-    pub cache_miss_rate: f64,
     /// BP015: scaling ceilings to check. Empty (the default) disables the
     /// rule, like `restart_targets` for BP012.
     pub scaling_limits: Vec<ScalingLimit>,
 }
 
-impl Default for LintConfig {
-    fn default() -> Self {
-        LintConfig {
-            severity: BTreeMap::new(),
-            amplification_threshold: 10.0,
-            restart_targets: Vec::new(),
-            traffic: None,
-            utilization_knee: 0.8,
-            cache_miss_rate: 1.0,
-            scaling_limits: Vec::new(),
-        }
-    }
-}
-
 impl LintConfig {
-    /// Overrides one rule's severity.
-    pub fn with_severity(mut self, rule: &str, severity: Severity) -> Self {
-        self.severity.insert(rule.to_string(), severity);
-        self
-    }
-
     /// Adds a planned restart for BP012 to check.
     pub fn with_restart_target(mut self, service: &str, drainless: bool) -> Self {
         self.restart_targets.push(RestartTarget {
@@ -218,8 +185,7 @@ impl LintConfig {
 }
 
 /// The pass registry: owns the pass list and the configuration, runs every
-/// pass, applies severity overrides, and returns a deterministically ordered
-/// diagnostic list.
+/// pass, and returns a deterministically ordered diagnostic list.
 pub struct Linter {
     passes: Vec<Box<dyn LintPass>>,
     config: LintConfig,
@@ -259,9 +225,8 @@ impl Linter {
     /// Runs every pass, supplying the workflow spec's behavior programs so
     /// the analytic capacity model (BP013–BP015) can run.
     ///
-    /// Diagnostics carrying an [`Severity::Allow`] severity (after overrides)
-    /// are dropped; the rest come back sorted by rule id, then primary
-    /// subject, then message, so output is stable across runs.
+    /// Diagnostics come back sorted by rule id, then primary subject, then
+    /// message, so output is stable across runs.
     pub fn run_with_workflow(
         &self,
         ir: &blueprint_ir::IrGraph,
@@ -273,12 +238,6 @@ impl Linter {
         for pass in &self.passes {
             out.extend(pass.run(&ctx));
         }
-        for d in &mut out {
-            if let Some(s) = self.config.severity.get(&d.rule) {
-                d.severity = *s;
-            }
-        }
-        out.retain(|d| d.severity != Severity::Allow);
         out.sort_by(|a, b| {
             (&a.rule, a.primary_subject(), &a.message).cmp(&(
                 &b.rule,
@@ -319,23 +278,6 @@ mod tests {
         w.define("orphan_retry", "Retry", vec![]).unwrap();
         w.service("svc", "SvcImpl", &[], &[]).unwrap();
         (ir, w)
-    }
-
-    #[test]
-    fn severity_override_applies_and_allow_suppresses() {
-        let (ir, w) = graph_with_dead_modifier();
-        let diags = Linter::default().run(&ir, &w);
-        assert!(diags.iter().any(|d| d.rule == "BP007"));
-
-        let warn =
-            Linter::new(LintConfig::default().with_severity("BP007", Severity::Warn)).run(&ir, &w);
-        assert!(warn
-            .iter()
-            .all(|d| d.rule != "BP007" || d.severity == Severity::Warn));
-
-        let off =
-            Linter::new(LintConfig::default().with_severity("BP007", Severity::Allow)).run(&ir, &w);
-        assert!(off.iter().all(|d| d.rule != "BP007"));
     }
 
     #[test]

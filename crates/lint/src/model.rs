@@ -12,8 +12,8 @@
 //!   upper-bounds the measured knee.
 //! * **pessimistic** — full demand: request/reply serialization, client
 //!   overheads (tracer spans, backend driver marshalling), tracer server
-//!   spans, amortized GC CPU for heap allocations, the configured
-//!   cache-miss rate, and the BP001 retry-amplification bound on wire
+//!   spans, amortized GC CPU for heap allocations, the full miss path of
+//!   every cache lookup, and the BP001 retry-amplification bound on wire
 //!   attempts. The pessimistic saturating rate under-predicts capacity, so
 //!   it lower-bounds the measured knee.
 //!
@@ -531,8 +531,7 @@ impl<'a> Model<'a> {
                 Step::CacheGetOrFetch { cache, on_miss, .. } => {
                     self.backend_demand(svc, cache, ratio, 0.0, pess, acc);
                     if pess {
-                        let miss = self.ctx.config.cache_miss_rate.clamp(0.0, 1.0);
-                        self.walk_behavior(svc, on_miss, ratio * miss, mode, acc, stack);
+                        self.walk_behavior(svc, on_miss, ratio, mode, acc, stack);
                     }
                 }
                 Step::Db { dep, op, .. } => {
@@ -670,8 +669,7 @@ impl<'a> Model<'a> {
                 Step::CacheGetOrFetch { cache, on_miss, .. } => {
                     let mut ns = self.backend_sojourn(svc, cache, 0.0, false, pess, inflation);
                     if pess {
-                        let miss = self.ctx.config.cache_miss_rate.clamp(0.0, 1.0);
-                        ns += miss * self.behavior_sojourn(svc, on_miss, mode, inflation, stack);
+                        ns += self.behavior_sojourn(svc, on_miss, mode, inflation, stack);
                     }
                     ns
                 }

@@ -9,7 +9,7 @@
 //! * **BP013 capacity-saturation** denies when a machine's *optimistic*
 //!   utilization reaches 1 at the declared target rate (even the
 //!   best-case model saturates), and warns when the *pessimistic*
-//!   utilization crosses the configured knee fraction.
+//!   utilization crosses the latency curve's knee ([`UTILIZATION_KNEE`]).
 //! * **BP014 infeasible-timeout** denies when a service's timeout/deadline
 //!   budget is below the *optimistic unloaded* sojourn of a method (the
 //!   timeout cannot be met even on an idle cluster), and warns when only
@@ -35,7 +35,7 @@ pub static RULE_SATURATION: Rule = Rule {
           placement, weighted by call-graph visit ratios. Deny: even the \
           optimistic (base-demand) model puts a machine at utilization >= 1 \
           at the declared target rate. Warn: the pessimistic (full-demand) \
-          model crosses the configured utilization knee. The bound is the \
+          model crosses the 0.8 utilization knee. The bound is the \
           predicted saturating rate in rps — optimistic for denies (the \
           rate capacity certainly runs out by), pessimistic for warns (the \
           rate saturation may start at). Fix: add replicas of the busiest \
@@ -114,6 +114,10 @@ impl LintPass for Capacity {
     }
 }
 
+/// BP013 warns when a machine's pessimistic utilization at the target rate
+/// reaches this fraction (the knee of the latency curve).
+pub const UTILIZATION_KNEE: f64 = 0.8;
+
 /// BP013: per-machine utilization at the target rate.
 fn saturation(
     ctx: &LintContext<'_>,
@@ -127,7 +131,7 @@ fn saturation(
     let u_full = model.host_utilization(full, rps);
     for (h, machine) in model.machines.iter().enumerate() {
         let deny = u_base[h] >= 1.0;
-        let warm = u_full[h] >= ctx.config.utilization_knee;
+        let warm = u_full[h] >= UTILIZATION_KNEE;
         if !deny && !warm {
             continue;
         }

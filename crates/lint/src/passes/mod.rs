@@ -24,7 +24,7 @@ pub struct Rule {
     pub id: &'static str,
     /// Slug, e.g. `retry-amplification`.
     pub name: &'static str,
-    /// Default severity (overridable per run via `LintConfig`).
+    /// Default severity.
     pub severity: Severity,
     /// One-line description for `--help`-style listings.
     pub summary: &'static str,

@@ -29,6 +29,10 @@ pub static RULE: Rule = Rule {
           cut the retry budgets (Retry max=...).",
 };
 
+/// BP001 flags a chain whose worst-case wire amplification (the product of
+/// its per-hop attempt counts) exceeds this, absent a circuit breaker.
+pub const AMPLIFICATION_THRESHOLD: f64 = 10.0;
+
 /// The pass. Emits at most one finding per entry point: the worst
 /// unprotected chain rooted there (every further chain shares the fix).
 pub struct RetryAmplification;
@@ -46,7 +50,6 @@ impl LintPass for RetryAmplification {
     }
 
     fn run(&self, ctx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let threshold = ctx.config.amplification_threshold;
         let mut out = Vec::new();
         for entry in ctx.entry_services() {
             let mut best: Option<Chain> = None;
@@ -57,7 +60,6 @@ impl LintPass for RetryAmplification {
                 entry,
                 ctx.attempts_into(entry),
                 ctx.breaker_on(entry),
-                threshold,
                 &mut path_nodes,
                 &mut path_edges,
                 &mut best,
@@ -97,16 +99,15 @@ impl LintPass for RetryAmplification {
 }
 
 /// Walks invocation edges depth-first, compounding per-hop attempt counts.
-/// At each chain end the product is compared against the threshold; the
-/// worst offending chain per entry is kept. Load balancers participate as
-/// ordinary hops (their invocation edges lead to the replicas).
-#[allow(clippy::too_many_arguments)]
+/// At each chain end the product is compared against
+/// [`AMPLIFICATION_THRESHOLD`]; the worst offending chain per entry is kept.
+/// Load balancers participate as ordinary hops (their invocation edges lead
+/// to the replicas).
 fn dfs(
     ctx: &LintContext<'_>,
     node: NodeId,
     product: f64,
     protected: bool,
-    threshold: f64,
     path_nodes: &mut Vec<NodeId>,
     path_edges: &mut Vec<EdgeId>,
     best: &mut Option<Chain>,
@@ -135,7 +136,6 @@ fn dfs(
             to,
             product * ctx.attempts_into(to),
             protected || ctx.breaker_on(to),
-            threshold,
             path_nodes,
             path_edges,
             best,
@@ -144,7 +144,7 @@ fn dfs(
         path_nodes.pop();
     }
 
-    if !advanced && !protected && product > threshold {
+    if !advanced && !protected && product > AMPLIFICATION_THRESHOLD {
         let better = best.as_ref().is_none_or(|b| product > b.product);
         if better {
             *best = Some(Chain {
@@ -159,7 +159,7 @@ fn dfs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LintConfig, Linter};
+    use crate::Linter;
     use blueprint_ir::{Granularity, IrGraph, Node, NodeRole};
     use blueprint_wiring::WiringSpec;
 
@@ -176,8 +176,8 @@ mod tests {
         ir.attach_modifier(target, m).unwrap();
     }
 
-    /// frontend -> mid -> leaf with max=10 retries into mid and leaf.
-    fn chain_graph() -> (IrGraph, WiringSpec) {
+    /// frontend -> mid -> leaf with `max` retries into mid and leaf.
+    fn chain_graph(max: i64) -> (IrGraph, WiringSpec) {
         let mut ir = IrGraph::new("t");
         let fe = ir
             .add_component("frontend", "workflow.service", Granularity::Instance)
@@ -190,14 +190,14 @@ mod tests {
             .unwrap();
         ir.add_invocation(fe, mid, vec![]).unwrap();
         ir.add_invocation(mid, leaf, vec![]).unwrap();
-        retry_mod(&mut ir, "mid_retry", mid, 10);
-        retry_mod(&mut ir, "leaf_retry", leaf, 10);
+        retry_mod(&mut ir, "mid_retry", mid, max);
+        retry_mod(&mut ir, "leaf_retry", leaf, max);
         (ir, WiringSpec::new("t"))
     }
 
     #[test]
     fn unprotected_chain_fires_once_with_bound() {
-        let (ir, w) = chain_graph();
+        let (ir, w) = chain_graph(10);
         let diags: Vec<_> = Linter::default()
             .run(&ir, &w)
             .into_iter()
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn breaker_on_chain_silences() {
-        let (mut ir, w) = chain_graph();
+        let (mut ir, w) = chain_graph(10);
         let mid = ir.by_name("mid").unwrap();
         let br = ir
             .add_node(Node::new(
@@ -230,13 +230,10 @@ mod tests {
 
     #[test]
     fn below_threshold_is_clean() {
-        let (ir, w) = chain_graph();
-        // Same graph, threshold above the 121x product.
-        let cfg = LintConfig {
-            amplification_threshold: 200.0,
-            ..LintConfig::default()
-        };
-        let diags = Linter::new(cfg).run(&ir, &w);
-        assert!(diags.iter().all(|d| d.rule != "BP001"));
+        // Same chain with max=2 retries per hop: the 3x3 = 9 product stays
+        // under the threshold of 10.
+        let (ir, w) = chain_graph(2);
+        let diags = Linter::default().run(&ir, &w);
+        assert!(diags.iter().all(|d| d.rule != "BP001"), "{diags:?}");
     }
 }

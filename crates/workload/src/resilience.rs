@@ -23,6 +23,7 @@
 //! the deterministic parallel engine: each cell is an independent seeded
 //! run, so the matrix is byte-identical at any `BLUEPRINT_THREADS`.
 
+use blueprint_simrt::metrics::SimCounters;
 use blueprint_simrt::time::SimTime;
 use blueprint_simrt::{FaultPlan, ReconfigPlan, Sim, SimConfig, SimError, SystemSpec};
 
@@ -86,10 +87,10 @@ pub struct ConsistencyProbe {
 /// Workload + invariant configuration shared by every cell of a matrix.
 #[derive(Debug, Clone)]
 pub struct ResilienceConfig {
-    /// Steady offered load, requests/second.
-    pub rps: f64,
-    /// Arrival window, seconds.
-    pub duration_s: u64,
+    /// The offered load, phase by phase (one phase for a steady load).
+    /// Empty by default, so every caller states its own load; a cell run
+    /// with no phase panics.
+    pub phases: Vec<Phase>,
     /// Entity-id space size.
     pub entities: u64,
     /// Seed for both the simulator and the arrival process.
@@ -103,9 +104,6 @@ pub struct ResilienceConfig {
     pub rto_ns: SimTime,
     /// Interval error rate above which the interval counts as unavailable.
     pub error_threshold: f64,
-    /// Explicit load phases (spike shapes). Empty means one steady phase of
-    /// `rps` for `duration_s`.
-    pub phases: Vec<Phase>,
     /// Stores pre-filled before arrivals: `(backend, n_keys)` at version 1.
     pub prefill_stores: Vec<(String, u64)>,
     /// Caches pre-filled before arrivals: `(backend, n_keys)` at version 1.
@@ -118,15 +116,13 @@ pub struct ResilienceConfig {
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
-            rps: 1_000.0,
-            duration_s: 12,
+            phases: Vec::new(),
             entities: 10_000,
             seed: 7,
             interval_ns: 250_000_000,
             drain_ns: 5_000_000_000,
             rto_ns: 2_000_000_000,
             error_threshold: 0.5,
-            phases: Vec::new(),
             prefill_stores: Vec::new(),
             prefill_caches: Vec::new(),
             probe: None,
@@ -229,74 +225,71 @@ pub struct ConsistencyAudit {
     pub audited: u64,
 }
 
-/// The verified outcome of one (variant, scenario) cell.
+/// The verified outcome of one (variant, scenario) cell: the run's own
+/// records (conservation, series, counters) and the verdicts drawn from
+/// them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellReport {
     /// System-variant label (the mitigation arm).
     pub variant: String,
     /// Scenario label.
     pub scenario: String,
-    /// Full conservation accounting (submitted vs terminated).
+    /// Full conservation accounting (submitted vs terminated);
+    /// `conservation.holds()` is the conservation invariant.
     pub conservation: ConservationReport,
-    /// Whether every submitted request terminated exactly once.
-    pub conserved: bool,
-    /// Total width of unavailable intervals (error rate above threshold).
-    pub unavailable_ns: SimTime,
-    /// End of the last unavailable interval, if any.
-    pub recovered_ns: Option<SimTime>,
-    /// Whether all unavailability fell inside the window + RTO.
-    pub bounded: bool,
-    /// Whether the degraded state sustained past the window + RTO (the
-    /// metastability signature; see [`Assessment::metastable`]).
-    pub metastable: bool,
-    /// Measured recovery time past the window end (`Some(0)` = never
-    /// degraded, `None` = never recovered).
-    pub recovery_ns: Option<SimTime>,
+    /// The availability verdict of `series` against the scenario window.
+    pub assessment: Assessment,
     /// The recorded per-interval series (including any settle stragglers).
     pub series: Vec<IntervalStats>,
-    /// Total client-side retries issued during the run.
-    pub retries: u64,
-    /// Client-side RPC timeouts fired (all levels).
-    pub timeouts: u64,
-    /// Stop-the-world GC pauses.
-    pub gc_pauses: u64,
+    /// The simulator's counters at the end of the run (audit reads
+    /// included when the cell is probed).
+    pub counters: SimCounters,
+    /// Acked writes the simulator discarded at elections, over all stores.
+    pub runtime_lost_writes: u64,
+    /// Session-mode reads redirected to the primary, over all stores.
+    pub session_redirects: u64,
+    /// The consistency audit, present when the config carries a probe.
+    pub consistency: Option<ConsistencyAudit>,
+}
+
+impl CellReport {
     /// Retries per submitted request — the amplification hazard metric.
-    pub retry_amplification: f64,
-    /// Attempts a circuit breaker rejected locally (never sent).
-    pub breaker_rejections: u64,
+    pub fn retry_amplification(&self) -> f64 {
+        self.per_submitted(self.counters.retries)
+    }
+
     /// Attempts that actually reached the transport, per submitted request:
     /// `(submitted + retries − breaker_rejections) / submitted`. Healthy
     /// baseline ≈ 1; a retry storm pushes it far above 1; a breaker
     /// suppresses it by failing attempts locally instead of sending them.
-    pub wire_amplification: f64,
+    pub fn wire_amplification(&self) -> f64 {
+        let c = &self.counters;
+        self.per_submitted(
+            (self.conservation.submitted + c.retries).saturating_sub(c.breaker_rejections),
+        )
+    }
+
     /// Wire attempts per *hop-level* call:
     /// `(client_calls + retries − breaker_rejections) / client_calls`.
-    /// Unlike `wire_amplification` (whose denominator is end-to-end
-    /// submissions), this is the quantity a retry budget bounds by
-    /// construction: ≤ `1 + ratio` on every budgeted arm.
-    pub hop_amplification: f64,
-    /// Calls that failed fast because their deadline was exhausted.
-    pub deadline_exceeded: u64,
-    /// Arrivals rejected by the adaptive load-shedding controller.
-    pub shed_rejections: u64,
-    /// Retries denied by an exhausted retry budget.
-    pub budget_denied: u64,
-    /// Arrivals rejected by a draining or out-of-rotation replica.
-    pub drain_rejections: u64,
-    /// Autoscaler scale-out actions taken during the run.
-    pub autoscale_ups: u64,
-    /// Autoscaler scale-in actions taken during the run.
-    pub autoscale_downs: u64,
-    /// Primary failovers the simulator executed.
-    pub failovers: u64,
-    /// Acked writes the simulator discarded at elections.
-    pub runtime_lost_writes: u64,
-    /// Writes/reads rejected for lack of a reachable quorum.
-    pub quorum_rejections: u64,
-    /// Session-mode reads redirected to the primary by the session floor.
-    pub session_redirects: u64,
-    /// The consistency audit, present when the config carries a probe.
-    pub consistency: Option<ConsistencyAudit>,
+    /// Unlike [`CellReport::wire_amplification`] (whose denominator is
+    /// end-to-end submissions), this is the quantity a retry budget bounds
+    /// by construction: ≤ `1 + ratio` on every budgeted arm.
+    pub fn hop_amplification(&self) -> f64 {
+        let c = &self.counters;
+        if c.client_calls == 0 {
+            0.0
+        } else {
+            (c.client_calls + c.retries).saturating_sub(c.breaker_rejections) as f64
+                / c.client_calls as f64
+        }
+    }
+
+    fn per_submitted(&self, n: u64) -> f64 {
+        match self.conservation.submitted {
+            0 => 0.0,
+            submitted => n as f64 / submitted as f64,
+        }
+    }
 }
 
 /// Runs one variant through one scenario and verifies the invariants.
@@ -329,12 +322,7 @@ pub fn run_cell(
     for (backend, n) in &cfg.prefill_caches {
         sim.cache_fill(backend, *n, 1)?;
     }
-    let phases = if cfg.phases.is_empty() {
-        vec![Phase::new(cfg.duration_s, cfg.rps)]
-    } else {
-        cfg.phases.clone()
-    };
-    let gen = OpenLoopGen::new(phases, mix.clone(), cfg.entities, cfg.seed);
+    let gen = OpenLoopGen::new(cfg.phases.clone(), mix.clone(), cfg.entities, cfg.seed);
     // The generator is a pure function of its seed, so an identical clone
     // yields the exact submission count the driver will make.
     let submitted = gen.clone().count() as u64;
@@ -372,54 +360,16 @@ pub fn run_cell(
             (rec, Some(ConsistencyAudit { anomalies, audited }))
         }
     };
-    let conservation = rec.conservation(submitted);
-    let conserved = conservation.holds();
     let series = rec.series();
-    let verdict = assess(&series, scenario.window, cfg);
-
     let m = &sim.metrics;
-    let c = &m.counters;
-    let (retries, breaker_rejections, client_calls) =
-        (c.retries, c.breaker_rejections, c.client_calls);
     Ok(CellReport {
         variant: variant.to_string(),
         scenario: scenario.name.clone(),
-        conservation,
-        conserved,
-        unavailable_ns: verdict.unavailable_ns,
-        recovered_ns: verdict.recovered_ns,
-        bounded: verdict.bounded,
-        metastable: verdict.metastable,
-        recovery_ns: verdict.recovery_ns,
+        conservation: rec.conservation(submitted),
+        assessment: assess(&series, scenario.window, cfg),
         series,
-        retries,
-        timeouts: c.timeouts,
-        gc_pauses: c.gc_pauses,
-        retry_amplification: if submitted == 0 {
-            0.0
-        } else {
-            retries as f64 / submitted as f64
-        },
-        breaker_rejections,
-        wire_amplification: if submitted == 0 {
-            0.0
-        } else {
-            (submitted + retries).saturating_sub(breaker_rejections) as f64 / submitted as f64
-        },
-        hop_amplification: if client_calls == 0 {
-            0.0
-        } else {
-            (client_calls + retries).saturating_sub(breaker_rejections) as f64 / client_calls as f64
-        },
-        deadline_exceeded: c.deadline_exceeded,
-        shed_rejections: c.shed_rejections,
-        budget_denied: c.budget_denied,
-        drain_rejections: c.drain_rejections,
-        autoscale_ups: c.autoscale_ups,
-        autoscale_downs: c.autoscale_downs,
-        failovers: c.store_failovers,
+        counters: m.counters.clone(),
         runtime_lost_writes: m.backends.values().map(|b| b.lost_writes).sum(),
-        quorum_rejections: c.quorum_rejections,
         session_redirects: m.backends.values().map(|b| b.session_redirects).sum(),
         consistency,
     })
@@ -528,8 +478,7 @@ mod tests {
 
     fn cfg() -> ResilienceConfig {
         ResilienceConfig {
-            rps: 400.0,
-            duration_s: 10,
+            phases: vec![Phase::new(10, 400.0)],
             entities: 100,
             seed: 13,
             ..Default::default()
@@ -547,10 +496,10 @@ mod tests {
             &cfg(),
         )
         .unwrap();
-        assert!(r.conserved, "{}", r.conservation);
-        assert!(r.bounded);
-        assert_eq!(r.unavailable_ns, 0);
-        assert_eq!(r.recovered_ns, None);
+        assert!(r.conservation.holds(), "{}", r.conservation);
+        assert!(r.assessment.bounded);
+        assert_eq!(r.assessment.unavailable_ns, 0);
+        assert_eq!(r.assessment.recovered_ns, None);
         assert_eq!(r.conservation.errors, 0);
     }
 
@@ -567,7 +516,7 @@ mod tests {
         .unwrap();
         // Every request terminated exactly once even though the backend
         // crashed mid-run: in-flight work failed fast as "crash".
-        assert!(r.conserved, "{}", r.conservation);
+        assert!(r.conservation.holds(), "{}", r.conservation);
         assert!(
             r.conservation.by_cause.contains_key("crash"),
             "{}",
@@ -575,8 +524,11 @@ mod tests {
         );
         // The outage tracks the fault window (crash at 4 s, restart at 6 s)
         // and heals within the RTO.
-        assert!(r.unavailable_ns >= secs(1), "outage seen: {r:?}");
-        assert!(r.bounded, "unavailability outside fault window: {r:?}");
+        assert!(r.assessment.unavailable_ns >= secs(1), "outage seen: {r:?}");
+        assert!(
+            r.assessment.bounded,
+            "unavailability outside fault window: {r:?}"
+        );
     }
 
     #[test]
@@ -600,10 +552,10 @@ mod tests {
             &cfg(),
         )
         .unwrap();
-        assert_eq!(plain.retries, 0);
-        assert!(retrying.retries > 0);
-        assert!(retrying.retry_amplification > plain.retry_amplification);
-        assert!(retrying.conserved, "{}", retrying.conservation);
+        assert_eq!(plain.counters.retries, 0);
+        assert!(retrying.counters.retries > 0);
+        assert!(retrying.retry_amplification() > plain.retry_amplification());
+        assert!(retrying.conservation.holds(), "{}", retrying.conservation);
     }
 
     fn interval(start_ns: SimTime, ok: usize, errors: usize) -> IntervalStats {
@@ -704,7 +656,7 @@ mod tests {
             &cfg(),
         )
         .unwrap();
-        assert!(r.conserved, "{}", r.conservation);
+        assert!(r.conservation.holds(), "{}", r.conservation);
     }
 
     /// Light load rides out a short CPU hog: after the hog the run is
@@ -726,8 +678,7 @@ mod tests {
             ..Scenario::baseline()
         };
         let cfg = ResilienceConfig {
-            rps: 100.0,
-            duration_s: 20,
+            phases: vec![Phase::new(20, 100.0)],
             seed: 1,
             interval_ns: secs(1),
             ..ResilienceConfig::default()
@@ -740,8 +691,8 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        assert!(r.conserved, "{}", r.conservation);
-        assert!(r.bounded && !r.metastable, "{r:?}");
+        assert!(r.conservation.holds(), "{}", r.conservation);
+        assert!(r.assessment.bounded && !r.assessment.metastable, "{r:?}");
         let tail = r.series.iter().filter(|s| s.start_ns >= secs(15));
         let (errors, count) = tail.fold((0, 0), |(e, n), s| (e + s.errors, n + s.count));
         assert!(count > 0);
@@ -836,10 +787,13 @@ mod tests {
             &cfg(),
         )
         .unwrap();
-        assert!(r.conserved, "{}", r.conservation);
-        assert!(r.bounded, "deploy unavailability exceeded the window");
+        assert!(r.conservation.holds(), "{}", r.conservation);
         assert!(
-            !r.metastable,
+            r.assessment.bounded,
+            "deploy unavailability exceeded the window"
+        );
+        assert!(
+            !r.assessment.metastable,
             "a drained deploy must not trigger metastability"
         );
         assert_eq!(
@@ -926,8 +880,7 @@ mod tests {
 
     fn cons_cfg() -> ResilienceConfig {
         ResilienceConfig {
-            rps: 300.0,
-            duration_s: 8,
+            phases: vec![Phase::new(8, 300.0)],
             entities: 50,
             seed: 11,
             prefill_stores: vec![("db".into(), 50)],
@@ -974,7 +927,7 @@ mod tests {
             &cons_cfg(),
         )
         .unwrap();
-        assert!(r.conserved, "{}", r.conservation);
+        assert!(r.conservation.holds(), "{}", r.conservation);
         let audit = r.consistency.clone().expect("probed cell carries an audit");
         (r, audit)
     }
@@ -983,7 +936,10 @@ mod tests {
     fn unguarded_arm_shows_stale_and_lost_under_primary_crash() {
         let (r, a) = cons_cell(ConsistencyMode::ReadReplica, "read_replica");
         assert_eq!(a.audited, 50, "every entity audited after settle");
-        assert!(r.failovers >= 1, "crash must elect a replica: {r:?}");
+        assert!(
+            r.counters.store_failovers >= 1,
+            "crash must elect a replica: {r:?}"
+        );
         assert!(
             a.anomalies.stale_reads > 0,
             "asynchronous lag must surface stale reads: {}",
@@ -1036,7 +992,10 @@ mod tests {
             let par = run_matrix(&variants, &scenarios, &mix, &cfg, Threads::new(4)).unwrap();
             assert_eq!(seq.len(), variants.len() * scenarios.len());
             assert_eq!(seq, par);
-            assert!(seq.iter().all(|c| c.conserved), "every cell conserved");
+            assert!(
+                seq.iter().all(|c| c.conservation.holds()),
+                "every cell conserved"
+            );
             seq
         };
         let retry = |retries| ClientSpec {
@@ -1081,7 +1040,7 @@ mod tests {
         // drainless spike end-to-end — visible instead as retry traffic.
         assert_eq!(seq[n + 2].conservation.errors, 0);
         assert!(
-            seq[n + 2].retries > seq[n + 1].retries,
+            seq[n + 2].counters.retries > seq[n + 1].counters.retries,
             "masking the drainless spike costs retries"
         );
 
@@ -1096,7 +1055,7 @@ mod tests {
             vec![Scenario::baseline(), late_crash()],
             cons_mix(),
             ResilienceConfig {
-                duration_s: 4,
+                phases: vec![Phase::new(4, 300.0)],
                 ..cons_cfg()
             },
         );
@@ -1147,12 +1106,18 @@ mod tests {
         .unwrap();
         // Availability: the crash and the drain both fail work fast, and the
         // outage stays inside the window.
-        assert!(r.conserved, "{}", r.conservation);
+        assert!(r.conservation.holds(), "{}", r.conservation);
         for cause in ["crash", "drain"] {
             assert!(r.conservation.by_cause.contains_key(cause), "{r:?}");
         }
-        assert!(r.unavailable_ns > 0 && r.bounded && !r.metastable, "{r:?}");
-        assert!(r.failovers >= 1 && r.drain_rejections > 0, "{r:?}");
+        assert!(
+            r.assessment.unavailable_ns > 0 && r.assessment.bounded && !r.assessment.metastable,
+            "{r:?}"
+        );
+        assert!(
+            r.counters.store_failovers >= 1 && r.counters.drain_rejections > 0,
+            "{r:?}"
+        );
         // Consistency: the same run was settled, audited and classified.
         let a = r.consistency.expect("probed cell carries an audit");
         assert_eq!(a.audited, 50);

@@ -126,8 +126,9 @@ mod tests {
     use blueprint_workflow::Behavior;
 
     /// Everything a sweep shares across worker threads, and everything a
-    /// worker sends back, must be `Send + Sync` (the `Sim` itself is
-    /// intentionally `!Send` and stays worker-local).
+    /// worker sends back, must be `Send + Sync`. (Each `Sim` is built inside
+    /// its worker and stays there, although it is `Send`: `blueprint-simrt`
+    /// pins that with a compile-time assert.)
     const fn assert_send_sync<T: Send + Sync>() {}
     const _: () = {
         assert_send_sync::<SystemSpec>();

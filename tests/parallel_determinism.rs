@@ -50,9 +50,9 @@ fn sweep_parallel_equals_sequential_across_seeds() {
 }
 
 /// A small CPU-contention trigger grid (2 rates × 2 durations) run through
-/// `run_cell` must produce identical reports — the whole `CellReport`,
-/// series and counters included, not just a verdict — at 1 and 4 worker
-/// threads, for every seed.
+/// `run_cell` must produce identical reports — the whole `CellReport`:
+/// series, verdicts and every `SimCounters` field, not just a verdict — at
+/// 1 and 4 worker threads, for every seed.
 #[test]
 fn trigger_grid_parallel_equals_sequential_across_seeds() {
     let app = hotel();
@@ -88,8 +88,7 @@ fn trigger_grid_parallel_equals_sequential_across_seeds() {
                 ..Scenario::baseline()
             };
             let cfg = ResilienceConfig {
-                rps,
-                duration_s: 12,
+                phases: vec![Phase::new(12, rps)],
                 seed,
                 interval_ns: secs(1),
                 ..ResilienceConfig::default()
@@ -102,7 +101,9 @@ fn trigger_grid_parallel_equals_sequential_across_seeds() {
         let seq = grid(Threads::sequential(), seed);
         let par = grid(Threads::new(4), seed);
         assert_eq!(seq, par, "trigger grid diverged at seed {seed}");
-        assert!(seq.iter().all(|r| r.conserved && !r.series.is_empty()));
+        assert!(seq
+            .iter()
+            .all(|r| r.conservation.holds() && !r.series.is_empty()));
     }
 }
 
