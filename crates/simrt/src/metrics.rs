@@ -88,13 +88,18 @@ pub struct SimCounters {
 
 /// Kind of a dispatched simulator event: the index into
 /// [`SimCounters::dispatched`]. One per event variant, except that a CPU
-/// host check is split by whether it was still current when it fired (a
-/// stale one finds its host's generation moved on and does nothing).
+/// host check is split by whether it was still its host's designated check
+/// when it fired (a stale one does nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvKind {
     /// A host check that collected due CPU jobs.
     HostCheckLive,
-    /// A host check superseded by a later scheduler change.
+    /// A host check displaced by a later scheduler change: a re-arm moved
+    /// the host's next completion to another time, or could not keep the
+    /// queued check without reordering it against a same-time event, or
+    /// ran under another host's or the control context. A re-arm that
+    /// finds a queued check at the new time keeps it instead, so the
+    /// common case leaves no stale check behind.
     HostCheckStale,
     /// A frame resumes its interpreter.
     Resume,

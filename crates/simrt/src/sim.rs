@@ -813,9 +813,12 @@ struct Frame {
 
 #[derive(Debug)]
 enum Ev {
+    /// Collects a host's due CPU jobs, if it is still the host's live
+    /// check (`HostRt::live`); `seq` is the check's own event key, which
+    /// identifies it.
     HostCheck {
         host: usize,
-        gen: u64,
+        seq: u64,
     },
     Resume {
         frame: FrameId,
@@ -1476,14 +1479,56 @@ impl FrameTable {
     }
 }
 
-/// Per-host runtime: the CPU scheduler, the frame table, and the host's
-/// share of the event-sequence counter.
+/// A queued `HostCheck`, as its host's runtime records it.
+#[derive(Clone, Copy)]
+struct CheckRec {
+    time: SimTime,
+    /// The check's event key (and its id in `Ev::HostCheck`).
+    seq: u64,
+    /// Whether `touch_host` may keep this check instead of pushing a fresh
+    /// one for the same time: it was pushed under its host's own context,
+    /// and `Sim::next_seq` has keyed nothing else under that context for
+    /// the same time since.
+    reusable: bool,
+}
+
+impl CheckRec {
+    /// No check. `u64::MAX` is never a key: contexts stop at [`CTRL_CTX`]
+    /// and a counter stays below [`SEQ_MASK`].
+    const NONE: CheckRec = CheckRec {
+        time: SimTime::MAX,
+        seq: u64::MAX,
+        reusable: false,
+    };
+
+    fn is_none(&self) -> bool {
+        self.seq == CheckRec::NONE.seq
+    }
+
+    /// A check `touch_host` may keep as the one due at `t`.
+    fn reusable_at(&self, t: SimTime) -> bool {
+        self.reusable && self.time == t
+    }
+}
+
+/// Per-host runtime: the CPU scheduler, the frame table, the host's share
+/// of the event-sequence counter, and the records of its queued CPU checks.
+///
+/// Of the host's queued `HostCheck`s only `live` runs; any other finds its
+/// id unmatched when it fires and does nothing (`EvKind::HostCheckStale`).
+/// `touch_host` re-arms the host by keeping `live`, by swapping `parked`
+/// back in, or by parking `live` and pushing a fresh check; see there for
+/// why keeping a queued check leaves the `(time, seq)` order unchanged.
 struct HostRt {
     ps: PsHost<JobCont>,
     /// Reused buffer for the continuations a `HostCheck` collects.
     due: Vec<JobCont>,
-    /// Bumped on every scheduler perturbation; guards stale `HostCheck`s.
-    host_gen: u64,
+    /// The designated check: the one that collects due jobs when it fires.
+    /// [`CheckRec::NONE`] once it has fired, or when the host has no
+    /// active job.
+    live: CheckRec,
+    /// The check `live` last displaced, still queued (until it fires).
+    parked: CheckRec,
     /// Push counter for events generated while dispatching this host's
     /// events (the low 48 bits of their `(time, seq)` keys).
     ev_seq: u64,
@@ -1532,10 +1577,10 @@ fn ev_home_host(sh: &Shared, clients: &[ClientRt], ev: &Ev) -> Option<usize> {
 }
 
 /// Kind of an event about to be dispatched (see [`EvKind`]); a host check
-/// is stale when its host's generation has moved on since it was pushed.
+/// is stale unless it is its host's live check.
 fn ev_kind(hosts: &[HostRt], ev: &Ev) -> EvKind {
     match ev {
-        Ev::HostCheck { host, gen } if hosts[*host].host_gen != *gen => EvKind::HostCheckStale,
+        Ev::HostCheck { host, seq } if hosts[*host].live.seq != *seq => EvKind::HostCheckStale,
         Ev::HostCheck { .. } => EvKind::HostCheckLive,
         Ev::Resume { .. } => EvKind::Resume,
         Ev::Timeout { .. } => EvKind::Timeout,
@@ -1603,6 +1648,36 @@ pub struct Sim {
     pub traces: TraceCollector,
 
     spec_name: String,
+
+    #[cfg(debug_assertions)]
+    audit: OrderAudit,
+}
+
+/// Debug-build record of the dispatch order, for the tests of the event-key
+/// rules (`Sim::dispatch_order_fold`).
+#[cfg(debug_assertions)]
+struct OrderAudit {
+    /// FNV-1a fold, one 64-bit word at a time, of `(time, kind, context)`
+    /// over every dispatched event but stale host checks.
+    fold: u64,
+    /// Re-arms under a host's own context that found a queued check of that
+    /// host, pushed under it, at the new time, but could not keep it because
+    /// a same-time push came between.
+    tie_blocks: u64,
+}
+
+#[cfg(debug_assertions)]
+impl OrderAudit {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn observe(&mut self, time: SimTime, kind: EvKind, ctx: u64) {
+        if kind != EvKind::HostCheckStale {
+            for word in [time, kind as u64, ctx] {
+                self.fold = (self.fold ^ word).wrapping_mul(Self::FNV_PRIME);
+            }
+        }
+    }
 }
 
 /// `Sim` is `Send` by construction: program interning is arena-index based
@@ -1693,7 +1768,8 @@ impl Sim {
             .map(|h| HostRt {
                 ps: PsHost::new(h.cores),
                 due: Vec::new(),
-                host_gen: 0,
+                live: CheckRec::NONE,
+                parked: CheckRec::NONE,
                 ev_seq: 0,
                 frames: FrameTable::default(),
             })
@@ -1893,6 +1969,11 @@ impl Sim {
             },
             traces: TraceCollector::new(),
             spec_name: spec.name.clone(),
+            #[cfg(debug_assertions)]
+            audit: OrderAudit {
+                fold: OrderAudit::FNV_OFFSET,
+                tie_blocks: 0,
+            },
         };
         sim.schedule_fault_plan()?;
         sim.schedule_reconfig_plan()?;
@@ -2312,24 +2393,36 @@ impl Sim {
         Some(self.procs[idx].heap)
     }
 
-    /// Pushes an event keyed by the current context (`ctx`): the
-    /// high key bits carry the context id, the low bits that context's
-    /// private push counter.
+    /// Pushes an event keyed by the current context (see [`Sim::next_seq`]).
     fn push_ev(&mut self, time: SimTime, ev: Ev) {
+        let time = time.max(self.now);
+        let seq = self.next_seq(time);
+        self.events.push(evq::Entry {
+            time,
+            seq,
+            item: ev,
+        });
+    }
+
+    /// Takes the key of an event at `time` pushed under the current context
+    /// (`ctx`): the high key bits carry the context id, the low bits that
+    /// context's private push counter. Under a host's context this also
+    /// ends the reuse of that host's check records at the same time, since
+    /// the new key sorts between a queued check's and a fresh one's.
+    fn next_seq(&mut self, time: SimTime) -> u64 {
         let ctx = self.ctx;
         let counter = if ctx == CTRL_CTX {
             &mut self.ctrl_seq
         } else {
-            &mut self.hosts[ctx as usize].ev_seq
+            let h = &mut self.hosts[ctx as usize];
+            h.live.reusable &= h.live.time != time;
+            h.parked.reusable &= h.parked.time != time;
+            &mut h.ev_seq
         };
         debug_assert!(*counter < SEQ_MASK);
         let seq = (ctx << CTX_SHIFT) | *counter;
         *counter += 1;
-        self.events.push(evq::Entry {
-            time: time.max(self.now),
-            seq,
-            item: ev,
-        });
+        seq
     }
 
     // -- Public driver API ---------------------------------------------------
@@ -2438,12 +2531,30 @@ impl Sim {
             self.now = e.time;
             self.ctx =
                 ev_home_host(&self.sh, &self.clients, &e.item).map_or(CTRL_CTX, |h| h as u64);
-            self.metrics.counters.dispatched[ev_kind(&self.hosts, &e.item) as usize] += 1;
+            let kind = ev_kind(&self.hosts, &e.item);
+            self.metrics.counters.dispatched[kind as usize] += 1;
+            #[cfg(debug_assertions)]
+            self.audit.observe(e.time, kind, self.ctx);
             self.dispatch(e.item);
         }
         // Driver calls between slices push under the control context.
         self.ctx = CTRL_CTX;
         self.now = self.now.max(t);
+        debug_assert!(
+            self.hosts
+                .iter()
+                .all(|h| h.ps.active_jobs() == 0 || !h.live.is_none()),
+            "a host with active jobs has no live check"
+        );
+    }
+
+    /// FNV-1a fold of `(time, kind, home context)` over every event
+    /// dispatched so far except stale host checks (debug builds only). It
+    /// pins the dispatch order where completion streams cannot: events at
+    /// equal times often commute.
+    #[cfg(debug_assertions)]
+    pub fn dispatch_order_fold(&self) -> u64 {
+        self.audit.fold
     }
 
     /// Takes the completions recorded since the last drain, in completion

@@ -100,7 +100,7 @@ impl Sim {
 
     fn dispatch(&mut self, ev: Ev) {
         match ev {
-            Ev::HostCheck { host, gen } => {
+            Ev::HostCheck { host, seq } => {
                 let now = self.now;
                 // Collect continuations first, then run them: every removal
                 // precedes any `run_cont` (which may add fresh jobs but can
@@ -109,9 +109,16 @@ impl Sim {
                 // borrowed out for the loop and handed back empty.
                 let mut due = {
                     let h = &mut self.hosts[host];
-                    if h.host_gen != gen {
+                    if h.live.seq != seq {
+                        // A displaced check: at most its record to forget.
+                        if h.parked.seq == seq {
+                            h.parked = CheckRec::NONE;
+                        }
                         return;
                     }
+                    debug_assert_eq!(h.live.time, now, "a live check fires at its record's time");
+                    // Fired: a re-arm from here on pushes a fresh check.
+                    h.live = CheckRec::NONE;
                     let mut due = std::mem::take(&mut h.due);
                     h.ps.collect_due(now, &mut due);
                     due
@@ -261,16 +268,59 @@ impl Sim {
     // Host/CPU plumbing.
     // ------------------------------------------------------------------
 
-    /// Re-arms the completion check event for a host.
+    /// Re-arms the completion check event for a host, after any change to
+    /// its scheduler.
+    ///
+    /// Under the host's own context, a queued check already at the new
+    /// next-completion time is kept instead of pushing a fresh one: `live`
+    /// as it is, or `parked` swapped back in. Otherwise `live` is parked
+    /// and a fresh check pushed. Keeping a check leaves the `(time, seq)`
+    /// order unchanged. A fresh check would take key `(t, ctx << 48 | n)`,
+    /// the kept one holds `(t, ctx << 48 | m)` with `m < n`, and only an
+    /// event of the same time and context can sort between the two. Pushing
+    /// one clears the kept check's `reusable` (`Sim::next_seq`). Counters
+    /// within a context stay monotone, so the skipped push reorders nothing
+    /// else. Across contexts the two keys sort apart among equal times, so
+    /// a check pushed under another context (a CPU hog's re-arm under
+    /// `CTRL_CTX`) is never kept, and a re-arm under another context never
+    /// keeps one.
     fn touch_host(&mut self, host: usize) {
         let now = self.now;
-        let (gen, next) = {
-            let h = &mut self.hosts[host];
-            h.host_gen += 1;
-            (h.host_gen, h.ps.next_completion(now))
-        };
+        let own = self.ctx == host as u64;
+        let h = &mut self.hosts[host];
+        let next = h.ps.next_completion(now);
+        if let Some(t) = next.filter(|_| own) {
+            if h.live.reusable_at(t) {
+                return;
+            }
+            if h.parked.reusable_at(t) {
+                std::mem::swap(&mut h.live, &mut h.parked);
+                return;
+            }
+            #[cfg(debug_assertions)]
+            if [h.live, h.parked]
+                .iter()
+                .any(|r| r.time == t && r.seq >> CTX_SHIFT == host as u64)
+            {
+                self.audit.tie_blocks += 1;
+            }
+        }
+        if !h.live.is_none() {
+            h.parked = h.live;
+        }
+        h.live = CheckRec::NONE;
         if let Some(t) = next {
-            self.push_ev(t, Ev::HostCheck { host, gen });
+            let seq = self.next_seq(t);
+            self.events.push(evq::Entry {
+                time: t,
+                seq,
+                item: Ev::HostCheck { host, seq },
+            });
+            self.hosts[host].live = CheckRec {
+                time: t,
+                seq,
+                reusable: own,
+            };
         }
     }
 

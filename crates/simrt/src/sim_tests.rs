@@ -3406,3 +3406,135 @@ fn str_arena_ids_are_dense_in_first_seen_order() {
         assert_eq!(arena.get(*id), *n);
     }
 }
+
+/// A uniform multiple of 10 µs in `[lo, hi]` tens.
+#[cfg(debug_assertions)]
+fn tens(rng: &mut SmallRng, lo: u64, hi: u64) -> SimTime {
+    us(10) * rng.gen_range(lo..=hi)
+}
+
+/// Runs case `case` of the tie-prone scenarios and returns the sim. Every
+/// CPU cost, delay, slice and fault time is a multiple of 10 µs, so events
+/// often share a time. There are 1–2 hosts of 1–2 cores, and the back end
+/// forks two branches, so a host often holds several jobs. The driver
+/// submits bursts of 1–4 requests per slice, after a short gap (staggered
+/// requests) or a long one (an idle host). Twelve short CPU hogs start
+/// under `CTRL_CTX`, where a re-arm pushes its check.
+#[cfg(debug_assertions)]
+fn tie_prone_run(case: u64) -> Sim {
+    let mut rng = SmallRng::seed_from_u64(0x71E5 ^ case);
+    let n_hosts = rng.gen_range(1usize..=2);
+    let hosts = (0..n_hosts)
+        .map(|i| HostSpec {
+            name: format!("h{i}"),
+            cores: rng.gen_range(1u32..=2) as f64,
+        })
+        .collect();
+    let processes = (0..2)
+        .map(|i| ProcessSpec {
+            name: format!("p{i}"),
+            host: i.min(n_hosts - 1),
+            gc: None,
+        })
+        .collect();
+    let mut spec = SystemSpec {
+        name: "ties".into(),
+        hosts,
+        processes,
+        ..Default::default()
+    };
+    let mut front = ServiceSpec::new("front", 0);
+    let front_m = Behavior::build()
+        .compute(tens(&mut rng, 1, 3), 0)
+        .call("back", "Work")
+        .compute(tens(&mut rng, 0, 2), 0)
+        .done();
+    front.methods.insert("M".into(), front_m);
+    let client = if rng.gen_bool(0.8) {
+        ClientSpec::over(TransportSpec::Grpc {
+            serialize_ns: tens(&mut rng, 1, 2),
+            net_ns: tens(&mut rng, 1, 2),
+        })
+    } else {
+        ClientSpec::local()
+    };
+    front
+        .deps
+        .insert("back".into(), DepBinding::Service { target: 1, client });
+    let mut back = ServiceSpec::new("back", 1);
+    let branches = vec![
+        Behavior::build().compute(tens(&mut rng, 1, 2), 0).done(),
+        Behavior::build().compute(tens(&mut rng, 1, 2), 0).done(),
+    ];
+    let back_m = Behavior::build()
+        .compute(tens(&mut rng, 1, 2), 0)
+        .parallel(branches)
+        .done();
+    back.methods.insert("Work".into(), back_m);
+    spec.services.push(front);
+    spec.services.push(back);
+    spec.entries.insert(
+        "front".into(),
+        EntrySpec {
+            service: 0,
+            client: ClientSpec::local(),
+        },
+    );
+
+    let slices = 300;
+    let mut faults = FaultPlan::none();
+    for _ in 0..12 {
+        let hog = Fault::CpuHog {
+            host: format!("h{}", rng.gen_range(0..n_hosts)),
+            cores: if rng.gen_bool(0.5) { 0.5 } else { 1.0 },
+            duration_ns: tens(&mut rng, 1, 30),
+        };
+        faults = faults.at(tens(&mut rng, 5, slices * 10), hog);
+    }
+    let cfg = SimConfig {
+        seed: case,
+        faults,
+        ..Default::default()
+    };
+    let mut sim = Sim::new(&spec, cfg).unwrap();
+    let mut t = 0;
+    for k in 0..slices {
+        t += if rng.gen_bool(0.5) {
+            tens(&mut rng, 1, 3)
+        } else {
+            tens(&mut rng, 20, 60)
+        };
+        sim.run_until(t);
+        for _ in 0..rng.gen_range(1..=4) {
+            sim.submit("front", "M", k).unwrap();
+        }
+    }
+    sim.run_until(t + ms(50));
+    sim
+}
+
+/// Pins the dispatch order (`Sim::dispatch_order_fold`) of four tie-prone
+/// scenarios. The pins were taken before host checks were ever reused, so
+/// they hold exactly when keeping a queued check moved no event. Each of
+/// these breaks at least two of them: keeping a check across a same-time
+/// push, keeping one across contexts (case 242 needs a CPU hog's re-arm
+/// under `CTRL_CTX`), and keeping `parked` without swapping it in. A
+/// same-time push must also have blocked a reuse at least once, or the
+/// scenarios would not test the first rule.
+#[cfg(debug_assertions)]
+#[test]
+fn host_check_reuse_keeps_dispatch_order() {
+    let pins = [
+        (17, 0x59a9_692c_a59c_03ef),
+        (21, 0xd2b0_b198_6e2c_8862),
+        (242, 0x0acb_4fff_81e7_87e1),
+        (837, 0xdc4e_379e_0a87_e770),
+    ];
+    let mut tie_blocks = 0;
+    for (case, fold) in pins {
+        let sim = tie_prone_run(case);
+        assert_eq!(sim.dispatch_order_fold(), fold, "case {case}");
+        tie_blocks += sim.audit.tie_blocks;
+    }
+    assert!(tie_blocks > 0, "no same-time push blocked a reuse");
+}

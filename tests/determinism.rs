@@ -71,12 +71,23 @@ fn anchor_run_dispatch_counts_by_kind() {
     let d = &sim.metrics.counters.dispatched;
     let mut expect = [0; EvKind::COUNT];
     expect[EvKind::HostCheckLive as usize] = 365_644;
-    expect[EvKind::HostCheckStale as usize] = 139_707;
+    expect[EvKind::HostCheckStale as usize] = 1_007;
     expect[EvKind::Resume as usize] = 10_162;
     expect[EvKind::DeliverRequest as usize] = 159_682;
     expect[EvKind::DeliverResponse as usize] = 159_682;
     assert_eq!(*d, expect, "dispatches by kind");
-    assert_eq!(d.iter().sum::<u64>(), 834_877);
+    assert_eq!(d.iter().sum::<u64>(), 696_177);
+}
+
+/// The same anchor run's dispatch order, as `Sim::dispatch_order_fold`
+/// folds it: every event but stale host checks, by time, kind and home
+/// context. The checksum cannot see an order change among equal-time events
+/// that commute; this can.
+#[cfg(debug_assertions)]
+#[test]
+fn anchor_run_dispatch_order() {
+    let (sim, _) = run_hotel(5, 5, 2_000.0);
+    assert_eq!(sim.dispatch_order_fold(), 0xcaad_f67d_1f9a_d23d);
 }
 
 #[test]
