@@ -56,9 +56,11 @@ cmp "$committed/ci_lint.txt" results/ci_lint.txt
 # results/ report, which must be byte-identical to the committed copy at
 # BLUEPRINT_THREADS=1 and =4 (the variable only sets cross-run workers). A
 # ci_* report comes from a CI-sized --smoke run; any other report is the
-# full-length exhibit, for the exhibits whose full run takes under a second
-# (Tabs. 1-5, Figs. 8 and 9). The matrix and cross-validation binaries also
-# panic when one of their invariants breaks:
+# full-length exhibit, for the exhibits whose full run takes a few seconds at
+# most: Tabs. 1-5 and Figs. 8 and 9, and the fault, reconfig, consistency and
+# lint-validation matrices, which are gated at both sizes (one entry each).
+# The matrix and cross-validation binaries also panic when one of their
+# invariants breaks:
 # - ablation_faults: conservation, or the breaker arm failing to suppress
 #   retry amplification;
 # - ablation_overload: conservation, or a retry-budget arm breaking its
@@ -88,10 +90,14 @@ set -- \
     fig12_cache_interface:ci_fig12.txt \
     ablation_resilience:ci_resilience.txt \
     ablation_faults:ci_fault_matrix.txt \
+    ablation_faults:fault_matrix.txt \
     ablation_overload:ci_overload.txt \
     ablation_reconfig:ci_reconfig.txt \
+    ablation_reconfig:reconfig_matrix.txt \
     ablation_consistency:ci_consistency.txt \
+    ablation_consistency:consistency_matrix.txt \
     lint_validation:ci_lint_validation.txt \
+    lint_validation:lint_validation.txt \
     capacity_validation:ci_capacity.txt
 # Every exhibit binary (all of crates/bench/src/bin but the lint_gate tool)
 # must have an entry above, so a new binary cannot skip the gate.

@@ -3,14 +3,14 @@
 //! [`crate::sim::Sim`] dispatches events in `(time, seq)` order — `time` is
 //! virtual nanoseconds, `seq` the unique push sequence number. [`Wheel`], a
 //! hierarchical timing wheel (Varghese & Lauck), provides that order: far
-//! events land in time-bucketed slots in O(1), cascading toward a small
-//! near-term heap (`due`) that provides the final total order. One 64-bit
-//! occupancy bitmap per level lets the cursor jump to the next occupied
-//! slot with `trailing_zeros`, so it skips idle ticks and empty rotations
-//! in one step. Ties are resolved by `seq`, never by insertion order or
-//! bucket layout, so the pop order is exactly that of a
-//! `BinaryHeap<Reverse<Entry>>` over the same pushes — the unit tests below
-//! check the wheel against that heap.
+//! events land in time-bucketed slots in O(1) and cascade down to level 0,
+//! whose next occupied slot is swapped out whole as the due run (`due`),
+//! sorted once, descending, so a pop is a `Vec::pop`. One 64-bit occupancy
+//! bitmap per level lets the cursor jump to the next occupied slot with
+//! `trailing_zeros`, skipping idle ticks and empty rotations in one step.
+//! Ties are resolved by `seq`, never by insertion order or bucket layout, so
+//! the pop order is exactly that of a `BinaryHeap<Reverse<Entry>>` over the
+//! same pushes — the unit tests below check the wheel against that heap.
 //! `DESIGN.md` §6 records why the simulator keeps the wheel rather than a
 //! heap, measured end to end with `examples/benchmark`.
 //!
@@ -84,13 +84,13 @@ fn tick_of(time: SimTime) -> u64 {
 
 /// Hashed hierarchical timing wheel.
 ///
-/// Invariant: every event with `tick < cur_tick` lives in `due` (a heap, so
-/// the final `(time, seq)` order never depends on bucket layout); every
-/// event with `tick >= cur_tick` lives in the slot of the lowest level whose
-/// window contained it at insert time, or in `overflow` if that was past the
-/// wheel span — `advance` moves overflow events into the wheel before the
-/// cursor can reach them. `due`'s minimum is therefore always the global
-/// minimum.
+/// Invariant: every event with `tick < cur_tick` lives in `due`, a run kept
+/// strictly descending by `(time, seq)` (keys are unique), so its minimum is
+/// `last()` and the order never depends on bucket layout; every event with
+/// `tick >= cur_tick` lives in the slot of the lowest level whose window
+/// contained it at insert time, or in `overflow` if that was past the wheel
+/// span — `advance` moves overflow events into the wheel before the cursor
+/// can reach them. `due`'s last entry is therefore the global minimum.
 ///
 /// Bit `i` of `occ[l]` is set exactly when `slots[l * SLOTS + i]` is
 /// non-empty, so `advance` finds the next occupied slot of a level with one
@@ -99,7 +99,7 @@ fn tick_of(time: SimTime) -> u64 {
 /// whose index equals the cursor's is the wrapped one, 64 slots ahead.
 #[derive(Debug)]
 pub struct Wheel<T> {
-    due: BinaryHeap<Reverse<Entry<T>>>,
+    due: Vec<Entry<T>>,
     /// `LEVELS × SLOTS` buckets (unordered within a bucket).
     slots: Vec<Vec<Entry<T>>>,
     /// Occupancy bitmap per level, one bit per slot.
@@ -119,7 +119,7 @@ impl<T> Wheel<T> {
     /// An empty wheel with its cursor at tick 0.
     pub fn new() -> Self {
         Wheel {
-            due: BinaryHeap::new(),
+            due: Vec::new(),
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occ: [0; LEVELS],
             cur_tick: 0,
@@ -132,7 +132,8 @@ impl<T> Wheel<T> {
     pub fn push(&mut self, e: Entry<T>) {
         self.len += 1;
         if tick_of(e.time) < self.cur_tick {
-            self.due.push(Reverse(e));
+            let i = self.due.partition_point(|x| x.key() > e.key());
+            self.due.insert(i, e);
         } else {
             self.insert_wheel(e);
         }
@@ -154,12 +155,12 @@ impl<T> Wheel<T> {
         self.overflow.push(Reverse(e));
     }
 
-    /// Moves the cursor one step toward tick `stop`, never past it: drains
-    /// the next level-0 cohort of the current rotation into `due`, or jumps
-    /// to the next tick where a slot must cascade (or to `stop`, whichever
-    /// is first). Parking at `stop` keeps events pushed later for earlier
-    /// ticks in wheel slots rather than in the `due` heap.
-    /// Precondition: the wheel (slots or overflow) is non-empty.
+    /// Moves the cursor one step toward tick `stop`, never past it: swaps
+    /// the next level-0 cohort of the current rotation out whole as `due`,
+    /// or jumps to the next tick where a slot must cascade (or to `stop`,
+    /// whichever is first). Parking at `stop` keeps events pushed later for
+    /// earlier ticks in wheel slots rather than inserted into `due`.
+    /// Preconditions: `due` is empty and the wheel (slots or overflow) is not.
     fn advance(&mut self, stop: u64) {
         // One step moves the cursor at most to the next occupied slot, less
         // than a wheel span, so pulling the overflow in first keeps the
@@ -178,10 +179,11 @@ impl<T> Wheel<T> {
                 return;
             }
             self.occ[0] &= !(1 << idx);
-            for e in self.slots[idx].drain(..) {
-                self.due.push(Reverse(e));
+            std::mem::swap(&mut self.slots[idx], &mut self.due);
+            if self.due.len() > 1 {
+                self.due.sort_unstable_by(|a, b| b.cmp(a));
             }
-            // The drain may leave the cursor exactly on a level boundary;
+            // The swap may leave the cursor exactly on a level boundary;
             // the cascade must still run or the next advance would jump past
             // the un-cascaded slot and deliver its events a rotation late.
             self.cur_tick = t + 1;
@@ -273,23 +275,20 @@ impl<T> Wheel<T> {
         self.pop_until(SimTime::MAX)
     }
 
-    /// Removes and returns the minimum event if its time is at most `until`.
-    /// The cursor stops at `until`'s tick, so a run loop that pops up to a
-    /// horizon never jumps the wheel ahead to a far event (a fault seconds
-    /// away) and turns it into a plain heap for everything pushed before it.
-    /// An empty wheel moves its cursor straight to `until`'s tick (never
-    /// back), so the next push does not leave idle time for `advance` to
-    /// walk one rotation at a time.
+    /// Removes and returns the minimum event, `due`'s last entry, if its
+    /// time is at most `until`. The cursor stops at `until`'s tick, so a run
+    /// loop that pops up to a horizon never jumps the wheel ahead to a far
+    /// event (a fault seconds away) and sorts everything pushed before it
+    /// into `due` one insertion at a time. An empty wheel moves its cursor
+    /// straight to `until`'s tick (never back), so the next push does not
+    /// leave idle ticks for `advance` to cross.
     pub fn pop_until(&mut self, until: SimTime) -> Option<Entry<T>> {
         if self.len == 0 {
             self.cur_tick = self.cur_tick.max(tick_of(until));
             return None;
         }
         self.ensure_due(tick_of(until) + 1);
-        if self.due.peek()?.0.time > until {
-            return None;
-        }
-        let Reverse(e) = self.due.pop()?;
+        let e = self.due.pop_if(|x| x.time <= until)?;
         self.len -= 1;
         Some(e)
     }
@@ -333,7 +332,8 @@ mod tests {
     /// Feeds a wheel and the reference `BinaryHeap<Reverse<Entry>>` the same
     /// pushes and pops, asserting after every pop that both agree on the
     /// popped key and the population, and after every push and pop that
-    /// each occupancy bit matches its slot.
+    /// each occupancy bit matches its slot and that `due` is a strictly
+    /// descending run of keys whose ticks are all behind the cursor.
     struct Oracle {
         heap: BinaryHeap<Reverse<Entry<u64>>>,
         wheel: Wheel<u64>,
@@ -352,12 +352,32 @@ mod tests {
         fn push(&mut self, time: SimTime, seq: u64) {
             self.heap.push(Reverse(e(time, seq)));
             self.wheel.push(e(time, seq));
-            self.check_occupancy();
+            self.check_layout();
         }
 
         /// Bit `i` of `occ[l]` is set if and only if slot `l * SLOTS + i`
-        /// is non-empty.
-        fn check_occupancy(&self) {
+        /// is non-empty; `due` is strictly descending by key, so its last
+        /// entry is its minimum, and holds only ticks below the cursor.
+        fn check_layout(&self) {
+            let due = &self.wheel.due;
+            for w in due.windows(2) {
+                assert!(
+                    w[0].key() > w[1].key(),
+                    "`due` not strictly descending at pop #{}: {:?} then {:?}",
+                    self.pops,
+                    w[0].key(),
+                    w[1].key()
+                );
+            }
+            for x in due {
+                assert!(
+                    tick_of(x.time) < self.wheel.cur_tick,
+                    "`due` holds {:?}, not behind cursor tick {} at pop #{}",
+                    x.key(),
+                    self.wheel.cur_tick,
+                    self.pops
+                );
+            }
             for (l, &bits) in self.wheel.occ.iter().enumerate() {
                 for i in 0..SLOTS {
                     assert_eq!(
@@ -376,7 +396,7 @@ mod tests {
             let b = self.wheel.pop().map(|x| x.key());
             assert_eq!(a, b, "wheel diverged from the heap at pop #{}", self.pops);
             assert_eq!(self.wheel.len(), self.heap.len());
-            self.check_occupancy();
+            self.check_layout();
             self.pops += usize::from(a.is_some());
             a.map(|(t, _)| t)
         }
@@ -398,7 +418,7 @@ mod tests {
                 self.pops += 1;
             }
             assert_eq!(self.wheel.len(), self.heap.len());
-            self.check_occupancy();
+            self.check_layout();
             want.map(|(t, _)| t)
         }
 
@@ -448,8 +468,8 @@ mod tests {
         assert!(q.pops > 10_000);
 
         // Input 2: a 200-key equal-time storm with shuffled `seq`s, with a
-        // pop every 16 pushes so later keys land behind the cursor (in
-        // `due`) as well as in the wheel.
+        // pop every 16 pushes so later keys land behind the cursor (inserted
+        // into `due`) as well as in the wheel.
         let mut q = Oracle::new();
         let mut seqs: Vec<u64> = (0..200).collect();
         for i in (1..seqs.len()).rev() {
@@ -578,7 +598,7 @@ mod tests {
 
     /// Popping up to a horizon leaves the cursor at the horizon even when
     /// the next event is far away, so a later push for an earlier time
-    /// lands in a wheel slot, not in the `due` heap.
+    /// lands in a wheel slot, not in `due`.
     #[test]
     fn pop_until_stops_the_cursor_at_the_horizon() {
         let mut q = Wheel::new();
@@ -614,6 +634,74 @@ mod tests {
             drain(&mut q),
             vec![(100_000 * TICK, 1), (100_003 * TICK, 2)]
         );
+    }
+
+    /// A drained multi-event cohort takes late pushes for its own tick, as
+    /// in a same-time storm: before, between and after its remaining keys,
+    /// and below the last popped key, as a lower host context can push at
+    /// `now`. Every pop must match the heap.
+    #[test]
+    fn late_pushes_into_a_drained_cohort_match_the_heap() {
+        let ctx = |c: u64, n: u64| (c << 48) | n;
+        let t = 7 * TICK + 100;
+        let mut q = Oracle::new();
+        for (dt, s) in [
+            (900, ctx(3, 3)),
+            (0, ctx(5, 0)),
+            (50, ctx(4, 0)),
+            (0, ctx(3, 0)),
+            (50, ctx(3, 2)),
+            (0, ctx(3, 1)),
+        ] {
+            q.push(t + dt, s);
+        }
+        assert_eq!(q.pop(), Some(t));
+        assert_eq!(q.wheel.due.len(), 5, "the cohort left its slot whole");
+        assert!(q.wheel.slots.iter().all(Vec::is_empty));
+        // Below the last popped key (t, ctx(3, 0)): a lower context at `now`.
+        q.push(t, ctx(1, 0));
+        // Between (t, ctx(3, 1)) and (t, ctx(5, 0)), and between the two
+        // keys at t + 50.
+        q.push(t, ctx(4, 7));
+        q.push(t + 50, ctx(3, 9));
+        // After the whole run: a tie with the largest key, and the drained
+        // tick's last nanosecond.
+        q.push(t + 900, ctx(9, 0));
+        q.push(8 * TICK - 1, ctx(0, 0));
+        assert_eq!(q.pop(), Some(t));
+        assert_eq!(q.pop(), Some(t));
+        // Behind the last popped key again, now mid-run.
+        q.push(t, ctx(2, 0));
+        q.drain();
+        assert_eq!(q.pops, 12);
+
+        // The same pattern at random: a storm of 2..40 keys in one tick,
+        // some popped, then late keys for that tick (at or after the last
+        // popped time, any context) interleaved with pops.
+        let mut rng = SmallRng::seed_from_u64(31);
+        let mut q = Oracle::new();
+        let mut n = 0u64;
+        let mut key = |rng: &mut SmallRng| {
+            n += 1;
+            ctx(rng.gen_range(0..8), n)
+        };
+        for round in 1..=300u64 {
+            let base = round * 3 * TICK;
+            for _ in 0..rng.gen_range(2..40u32) {
+                q.push(base + rng.gen_range(0..TICK), key(&mut rng));
+            }
+            let mut now = q.pop().expect("storm");
+            for _ in 0..rng.gen_range(0..60u32) {
+                if rng.gen_bool(0.5) {
+                    let end = base + TICK;
+                    q.push(rng.gen_range(now..end), key(&mut rng));
+                } else if let Some(t) = q.pop() {
+                    now = t;
+                }
+            }
+            q.drain();
+        }
+        assert!(q.pops > 10_000);
     }
 
     #[test]

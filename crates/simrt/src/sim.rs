@@ -1687,8 +1687,8 @@ impl OrderAudit {
 const fn _assert_send<T: Send>() {}
 const _: () = _assert_send::<Sim>();
 
-/// Size pins of the per-event payloads. Every event is copied through a
-/// wheel slot, the due heap's sift steps and `dispatch`, and every job
+/// Size pins of the per-event payloads. Every event is moved into a wheel
+/// slot, through the sort of its due run and out to `dispatch`, and every job
 /// continuation and outstanding call rides in a frame or a CPU-job slot, so
 /// in-flight requests (and rare fault payloads) travel boxed. A field that
 /// re-inlines a large payload fails the build here.
