@@ -29,10 +29,10 @@
 //! * **Tracing.** Optional span recording with per-span CPU overhead, feeding
 //!   the trace collector and the Sifter reproduction (Fig. 9).
 //! * **Faults.** A deterministic injection engine ([`spec::FaultPlan`]):
-//!   process crash + restart, host down/up, network partitions and link
-//!   degradation, backend brownouts — scheduled or drawn from a seeded chaos
-//!   process. In-flight work affected by a fault fails fast with a
-//!   classified error, preserving request conservation.
+//!   process crash + restart, network partitions, backend brownouts, CPU
+//!   hogs and cache flushes, each scheduled at a virtual time. In-flight
+//!   work affected by a fault fails fast with a classified error,
+//!   preserving request conservation.
 //!
 //! Determinism: per-entity RNG streams derived from one seed and a total
 //! event order by `(time, sequence)`, dispatched by one sequential loop over
@@ -50,10 +50,10 @@ pub mod time;
 
 pub use sim::{Completion, EntryHandle, Sim, SimConfig};
 pub use spec::{
-    AutoscalerSpec, BackendRtKind, BackendSpec, BreakerSpec, Change, ChaosSpec, ClientSpec,
-    ConsistencyMode, DeadlineSpec, DepBinding, EntrySpec, ExpBackoff, FailoverSpec, Fault,
-    FaultPlan, GcSpec, HostSpec, LbPolicy, ProcessSpec, ReconfigPlan, RetryBudgetSpec, ServiceSpec,
-    ShedSpec, SystemSpec, TransportSpec,
+    AutoscalerSpec, BackendRtKind, BackendSpec, BreakerSpec, Change, ClientSpec, ConsistencyMode,
+    DeadlineSpec, DepBinding, EntrySpec, ExpBackoff, FailoverSpec, Fault, FaultPlan, GcSpec,
+    HostSpec, LbPolicy, ProcessSpec, ReconfigPlan, RetryBudgetSpec, ServiceSpec, ShedSpec,
+    SystemSpec, TransportSpec,
 };
 pub use time::{ms, secs, us, SimTime};
 

@@ -31,14 +31,14 @@ pub struct SimCounters {
     pub spans: u64,
     /// Messages dropped by full queues.
     pub queue_drops: u64,
-    /// Faults injected (scheduled, chaos-drawn, or injected at `now`
-    /// through `Sim::inject_fault`), CPU hogs and cache flushes included.
+    /// Faults injected (scheduled, or injected at `now` through
+    /// `Sim::inject_fault`), CPU hogs and cache flushes included.
     pub faults_injected: u64,
-    /// Process crashes executed (host-down counts one per resident process).
+    /// Process crashes executed.
     pub process_crashes: u64,
     /// Frames killed by a process crash.
     pub crashed_frames: u64,
-    /// Requests lost to a partition or lossy link.
+    /// Requests lost to a partition.
     pub link_unreachable: u64,
     /// Requests rejected by an unavailable (browned-out) backend.
     pub brownout_rejections: u64,
@@ -59,7 +59,7 @@ pub struct SimCounters {
     /// rotation (stable error class `"drain"`).
     #[serde(default)]
     pub drain_rejections: u64,
-    /// Runtime changes started (rolling deploys, scale actions, canaries).
+    /// Runtime changes started (rolling deploys and scale actions).
     #[serde(default)]
     pub reconfig_changes: u64,
     /// Autoscaler scale-out actions.
@@ -68,12 +68,6 @@ pub struct SimCounters {
     /// Autoscaler scale-in actions.
     #[serde(default)]
     pub autoscale_downs: u64,
-    /// Canary rollouts promoted group-wide.
-    #[serde(default)]
-    pub canary_promotions: u64,
-    /// Canary rollouts rolled back to the saved wiring.
-    #[serde(default)]
-    pub canary_rollbacks: u64,
     /// Store primary failovers executed (elections that promoted a replica).
     #[serde(default)]
     pub store_failovers: u64,
@@ -123,8 +117,6 @@ pub enum EvKind {
     FaultFire,
     /// A crashed process restarts.
     ProcRestart,
-    /// The chaos process draws its next fault.
-    ChaosFire,
     /// A scheduled reconfiguration change starts.
     ReconfigFire,
     /// A drain budget expires.
@@ -133,14 +125,12 @@ pub enum EvKind {
     RollAdvance,
     /// An autoscaler observation.
     AutoscaleTick,
-    /// A canary evaluation.
-    CanaryEval,
 }
 
 impl EvKind {
     /// Number of kinds (the length of [`SimCounters::dispatched`]);
-    /// `CanaryEval` must stay the last variant.
-    pub const COUNT: usize = EvKind::CanaryEval as usize + 1;
+    /// `AutoscaleTick` must stay the last variant.
+    pub const COUNT: usize = EvKind::AutoscaleTick as usize + 1;
 }
 
 /// Per-backend statistics.

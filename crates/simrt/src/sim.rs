@@ -63,9 +63,9 @@ pub struct SimConfig {
     /// a build without the engine.
     pub faults: FaultPlan,
     /// Live runtime changes to apply during the run (rolling deploys,
-    /// scale-out/in, canary rollouts, autoscalers). Like `faults`, an empty
-    /// plan (the default) adds zero events and RNG draws, so no-reconfig
-    /// runs are byte-identical to a build without the engine.
+    /// scale-out/in, autoscalers). Like `faults`, an empty plan (the
+    /// default) adds zero events and RNG draws, so no-reconfig runs are
+    /// byte-identical to a build without the engine.
     pub reconfig: ReconfigPlan,
 }
 
@@ -130,17 +130,16 @@ pub struct EntryHandle {
 // ---------------------------------------------------------------------------
 
 /// RNG stream domain: per-process draws (service-time branches, fail coins,
-/// random keys, shed coins, link-loss coins).
+/// random keys, shed coins).
 pub const DOMAIN_PROC: u64 = 1;
 /// RNG stream domain: per-client draws (random load balancing, retry jitter).
 pub const DOMAIN_CLIENT: u64 = 2;
 /// RNG stream domain: per-backend draws (evictions, replication lag).
 pub const DOMAIN_BACKEND: u64 = 3;
 /// RNG stream domain: reconfiguration draws (autoscaler tick jitter keyed
-/// by scaler index; canary salts and tolerances on the plan-level stream,
-/// entity id 0). Keeping every reconfig draw on this dedicated domain means
-/// enabling a plan perturbs no workload stream — and an empty plan creates
-/// no stream at all.
+/// by scaler index + 1). Keeping every reconfig draw on this dedicated
+/// domain means enabling a plan perturbs no workload stream — and an empty
+/// plan creates no stream at all.
 pub const DOMAIN_AUTOSCALER: u64 = 4;
 
 /// splitmix64 finalizer (Steele/Lea/Flood mixing constants).
@@ -278,7 +277,7 @@ enum CallErr {
     QueueFull,
     /// The serving process crashed with the request in flight.
     Crash,
-    /// The request was lost to a partition or lossy link.
+    /// The request was lost to a partition.
     Unreachable,
     /// The backend rejected the request while browned out.
     Brownout,
@@ -875,8 +874,6 @@ enum Ev {
         proc: usize,
         gen: u64,
     },
-    /// The chaos process draws and injects its next fault.
-    ChaosFire,
     /// A scheduled reconfiguration change starts (indexes
     /// `ReconfigRt::changes`).
     ReconfigFire {
@@ -897,11 +894,6 @@ enum Ev {
     AutoscaleTick {
         scaler: usize,
     },
-    /// A canary's observation window closed: compare error rates and
-    /// promote or roll back (indexes `ReconfigRt::canaries`).
-    CanaryEval {
-        canary: usize,
-    },
 }
 
 /// A fault with every name resolved to a dense index at boot (or at
@@ -912,18 +904,10 @@ enum RFault {
         proc: usize,
         restart_ns: SimTime,
     },
-    HostDown {
-        host: usize,
-        down_ns: SimTime,
-    },
-    /// Partition and link degradation share one runtime shape: a partition
-    /// is a link with `loss == 1.0` and no extra latency.
-    Link {
+    Partition {
         a: usize,
         b: usize,
         dur: SimTime,
-        extra_ns: u64,
-        loss: f64,
     },
     Brownout {
         backend: usize,
@@ -941,26 +925,8 @@ enum RFault {
     },
 }
 
-/// Active degradation of one directed process pair. Entries persist after
-/// expiry (checked against `until`) but are inert.
-#[derive(Debug, Clone, Copy)]
-struct LinkFault {
-    until: SimTime,
-    extra_ns: u64,
-    loss: f64,
-}
-
-/// Runtime state of the chaos process. Its RNG is separate from the main
-/// simulation RNG so chaos never perturbs workload randomness.
-struct ChaosRt {
-    rng: SmallRng,
-    menu: Vec<RFault>,
-    mean_gap_ns: SimTime,
-    end_ns: SimTime,
-}
-
 // ---------------------------------------------------------------------------
-// Runtime reconfiguration (rolling deploys, scaling, canaries).
+// Runtime reconfiguration (rolling deploys, scaling).
 // ---------------------------------------------------------------------------
 
 /// A reconfiguration change with its service group resolved to dense
@@ -977,13 +943,6 @@ enum RChange {
         group: Vec<usize>,
         replicas: usize,
         drain_ns: SimTime,
-    },
-    Canary {
-        group: Vec<usize>,
-        fraction: f64,
-        evaluate_ns: SimTime,
-        timeout_ns: Option<SimTime>,
-        retries: Option<u32>,
     },
 }
 
@@ -1033,60 +992,15 @@ struct ScalerRt {
     rng: SmallRng,
 }
 
-/// A canary rollout in progress: the group's highest replica runs with
-/// mutated outbound client wiring while a deterministic traffic fraction is
-/// routed to it.
-struct CanaryRt {
-    /// The canary service (highest group index).
-    svc: usize,
-    /// Baseline group members (everything but the canary).
-    baseline: Vec<usize>,
-    timeout_ns: Option<SimTime>,
-    retries: Option<u32>,
-    /// `(client id, original spec)` for rollback.
-    saved: Vec<(usize, ClientSpec)>,
-    /// Completion counters at canary start (ok, err), canary then baseline.
-    can0: (u64, u64),
-    base0: (u64, u64),
-    done: bool,
-}
-
-/// Deterministic canary routing state, read by LB picks.
-#[derive(Debug, Clone, Copy)]
-struct CanaryRoute {
-    /// Seeded salt hashed with the request's root sequence number, so one
-    /// request keeps its canary/baseline assignment across retries.
-    salt: u64,
-    /// Route to the canary when `mix64(salt ^ root_seq) < threshold`.
-    threshold: u64,
-}
-
-/// All reconfiguration runtime state. Built at boot; its RNG is seeded by
-/// [`derive_seed`] rather than drawn from any stream, so building it
-/// perturbs nothing, and an empty plan pushes no events and draws nothing.
+/// All reconfiguration runtime state. Built empty at boot; an empty plan
+/// pushes no events and draws nothing.
+#[derive(Default)]
 struct ReconfigRt {
-    /// Plan-level RNG stream ([`DOMAIN_AUTOSCALER`], entity 0): canary
-    /// salts and promote-tolerance draws.
-    rng: SmallRng,
     /// Resolved changes; `Ev::ReconfigFire` indexes this.
     changes: Vec<RChange>,
     rollings: Vec<RollingRt>,
     drains: Vec<DrainRt>,
     scalers: Vec<ScalerRt>,
-    canaries: Vec<CanaryRt>,
-}
-
-impl ReconfigRt {
-    fn new(root_seed: u64) -> Self {
-        ReconfigRt {
-            rng: SmallRng::seed_from_u64(derive_seed(root_seed, DOMAIN_AUTOSCALER, 0)),
-            changes: Vec::new(),
-            rollings: Vec::new(),
-            drains: Vec::new(),
-            scalers: Vec::new(),
-            canaries: Vec::new(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1142,8 +1056,7 @@ struct ProcRt {
     /// The in-progress GC pause job (cancelled if the process crashes).
     gc_job: Option<JobId>,
     /// Private RNG stream ([`DOMAIN_PROC`], keyed by dense process id):
-    /// service-time branches, fail coins, random keys, shed coins, and
-    /// link-loss coins for requests this process sends.
+    /// service-time branches, fail coins, random keys and shed coins.
     rng: SmallRng,
 }
 
@@ -1218,10 +1131,6 @@ struct SvcRt {
     /// Adaptive admission controller; `None` keeps the plain
     /// `max_concurrent` fast-fail and costs nothing.
     shed: Option<ShedCtl>,
-    /// Completed entry/RPC frames that succeeded (canary comparisons).
-    done_ok: u64,
-    /// Completed frames that failed.
-    done_err: u64,
 }
 
 /// Per-entry-point runtime: the shim service plus its method name table.
@@ -1412,21 +1321,20 @@ struct Shared {
     proc_down: Vec<bool>,
     /// Crash generation per process; guards stale `ProcRestart` events.
     proc_gen: Vec<u64>,
-    /// Active (or expired-but-inert) link faults, keyed by directed
-    /// (src process, dst process). Lookup-only, so map order never matters.
-    link_faults: HashMap<(usize, usize), LinkFault>,
+    /// Partition heal time of each directed (src process, dst process)
+    /// pair ever cut; an entry at or before `now` is inert. Lookup-only,
+    /// so map order never matters.
+    link_faults: HashMap<(usize, usize), SimTime>,
 
     // Reconfiguration state: written by control events only. With no
-    // plan every replica is active and none drains or is a canary, so the
-    // hot-path checks pass through without touching any RNG.
+    // plan every replica is active and none drains, so the hot-path
+    // checks pass through without touching any RNG.
     /// Service in the load-balancer rotation (scale state). All true at
     /// boot; scaled-in replicas turn false.
     svc_active: Vec<bool>,
     /// Service draining: load balancers route away and new deliveries fail
     /// fast with `"drain"`; in-flight work keeps running.
     svc_draining: Vec<bool>,
-    /// Per-service canary routing (set on the canary replica itself).
-    canary_route: Vec<Option<CanaryRoute>>,
 }
 
 /// One host's frame table: generational slots recycled through a free list.
@@ -1536,7 +1444,7 @@ struct HostRt {
 }
 
 /// Home host of an event — the host whose context keys the events its
-/// dispatch pushes. `None` for control events (faults, restarts, chaos,
+/// dispatch pushes. `None` for control events (faults, restarts,
 /// failover, reconfiguration), which dispatch under [`CTRL_CTX`].
 ///
 /// Frame ids carry their home host, so this never needs to resolve
@@ -1566,12 +1474,10 @@ fn ev_home_host(sh: &Shared, clients: &[ClientRt], ev: &Ev) -> Option<usize> {
         // rewiring, a store's serving process), so no single host owns them.
         Ev::FaultFire { .. }
         | Ev::ProcRestart { .. }
-        | Ev::ChaosFire
         | Ev::ReconfigFire { .. }
         | Ev::DrainDone { .. }
         | Ev::RollAdvance { .. }
         | Ev::AutoscaleTick { .. }
-        | Ev::CanaryEval { .. }
         | Ev::StoreFailover { .. } => None,
     }
 }
@@ -1593,12 +1499,10 @@ fn ev_kind(hosts: &[HostRt], ev: &Ev) -> EvKind {
         Ev::StoreFailover { .. } => EvKind::StoreFailover,
         Ev::FaultFire { .. } => EvKind::FaultFire,
         Ev::ProcRestart { .. } => EvKind::ProcRestart,
-        Ev::ChaosFire => EvKind::ChaosFire,
         Ev::ReconfigFire { .. } => EvKind::ReconfigFire,
         Ev::DrainDone { .. } => EvKind::DrainDone,
         Ev::RollAdvance { .. } => EvKind::RollAdvance,
         Ev::AutoscaleTick { .. } => EvKind::AutoscaleTick,
-        Ev::CanaryEval { .. } => EvKind::CanaryEval,
     }
 }
 
@@ -1635,11 +1539,8 @@ pub struct Sim {
     entry_rts: Vec<EntryRt>,
     next_root: u64,
 
-    /// Chaos process, when configured (its RNG stream is separate from the
-    /// per-entity streams, as before).
-    chaos: Option<ChaosRt>,
-    /// Reconfiguration runtime: resolved changes, rolling deploys, drains,
-    /// autoscalers and canaries (all empty without a plan).
+    /// Reconfiguration runtime: resolved changes, rolling deploys, drains
+    /// and autoscalers (all empty without a plan).
     reconfig: ReconfigRt,
 
     /// Aggregate metrics of the run.
@@ -1850,8 +1751,6 @@ impl Sim {
                 traced: s.trace_overhead_ns.is_some(),
                 overhead_prog,
                 shed: s.shed.clone().map(ShedCtl::new),
-                done_ok: 0,
-                done_err: 0,
             });
         }
 
@@ -1936,9 +1835,7 @@ impl Sim {
             link_faults: HashMap::new(),
             svc_active: vec![true; n_svcs],
             svc_draining: vec![false; n_svcs],
-            canary_route: vec![None; n_svcs],
         };
-        let reconfig = ReconfigRt::new(cfg.seed);
         let mut sim = Sim {
             cfg,
             now: 0,
@@ -1961,8 +1858,7 @@ impl Sim {
             // Root sequence numbers double as write versions; 0 is reserved
             // for "absent".
             next_root: 1,
-            chaos: None,
-            reconfig,
+            reconfig: ReconfigRt::default(),
             metrics: Metrics {
                 counters: Default::default(),
                 backends: BackendTable::new(spec.backends.iter().map(|b| b.name.clone()).collect()),
@@ -1997,30 +1893,6 @@ impl Sim {
                     fault: Box::new(fault),
                 },
             );
-        }
-        if let Some(chaos) = &plan.chaos {
-            if chaos.menu.is_empty() {
-                return Err(SimError::BadSpec("chaos menu is empty".into()));
-            }
-            if chaos.mean_gap_ns == 0 {
-                return Err(SimError::BadSpec("chaos mean_gap_ns must be > 0".into()));
-            }
-            let menu: Vec<RFault> = chaos
-                .menu
-                .iter()
-                .map(|f| self.resolve_fault(f))
-                .collect::<Result<_>>()?;
-            let mut rng = SmallRng::seed_from_u64(chaos.seed);
-            let first = chaos.start_ns + exp_gap(&mut rng, chaos.mean_gap_ns);
-            self.chaos = Some(ChaosRt {
-                rng,
-                menu,
-                mean_gap_ns: chaos.mean_gap_ns,
-                end_ns: chaos.end_ns,
-            });
-            if first < chaos.end_ns {
-                self.push_ev(first, Ev::ChaosFire);
-            }
         }
         Ok(())
     }
@@ -2065,8 +1937,8 @@ impl Sim {
 
     // -- Name resolution -----------------------------------------------------
     //
-    // The one path from names to dense indices. Boot plans, the chaos menu,
-    // `inject_fault` and the by-name accessors all resolve here, so they
+    // The one path from names to dense indices. Boot plans, `inject_fault`
+    // and the by-name accessors all resolve here, so they
     // accept and reject the same names and parameters.
 
     /// The user's entity names of one kind, in index order. `Sim::new`
@@ -2127,26 +1999,19 @@ impl Sim {
         Ok(group)
     }
 
-    /// Processes resident on a host, in index order.
-    fn residents(&self, host: usize) -> Vec<usize> {
-        (0..self.sh.proc_host.len())
-            .filter(|&p| self.sh.proc_host[p] as usize == host)
-            .collect()
-    }
-
-    /// Rejects a step that stops every process in `stopped` while a
-    /// replicated store keeps all of its members among them: the store has
-    /// replicas, but no peer able to promote survives the step (no failover
-    /// spec, replica processes that coincide with the primary's, or a host
-    /// going down with all of them). Such a plan advertises replication it
-    /// cannot deliver, so it fails instead of silently measuring nothing.
-    fn check_store_stranded(&self, stopped: &[usize], what: &str) -> Result<()> {
+    /// Rejects a step that stops process `stopped` while a replicated store
+    /// keeps all of its members in it: the store has replicas, but no peer
+    /// able to promote survives the step (no failover spec, or replica
+    /// processes that coincide with the primary's). Such a plan advertises
+    /// replication it cannot deliver, so it fails instead of silently
+    /// measuring nothing.
+    fn check_store_stranded(&self, stopped: usize, what: &str) -> Result<()> {
         for (bi, b) in self.backends.iter().enumerate() {
             let members = &b.store.members;
-            if members.len() > 1 && members.iter().all(|m| stopped.contains(&(m.proc as usize))) {
+            if members.len() > 1 && members.iter().all(|m| m.proc as usize == stopped) {
                 return Err(SimError::BadSpec(format!(
                     "{what} stops process {}, but store {} keeps its {} \
-                     replica(s) in stopped processes too: no reachable peer \
+                     replica(s) in that process too: no reachable peer \
                      to promote. Give the store a failover spec with replica \
                      processes, or drop the replicas",
                     self.proc_names[self.sh.backend_proc[bi] as usize],
@@ -2159,67 +2024,36 @@ impl Sim {
     }
 
     /// Resolves a named fault to dense indices: the one check every fault
-    /// passes, from a boot plan, the chaos menu or [`Sim::inject_fault`].
-    /// Rejects unknown names, out-of-range parameters, and a crash or host
-    /// outage that would strand a replicated store.
+    /// passes, from a boot plan or [`Sim::inject_fault`]. Rejects unknown
+    /// names, out-of-range parameters, and a crash that would strand a
+    /// replicated store.
     fn resolve_fault(&self, f: &Fault) -> Result<RFault> {
-        let link = |a: &str, b: &str, what: &str| -> Result<(usize, usize)> {
-            let pair = (
-                self.lookup(NameKind::Process, a)?,
-                self.lookup(NameKind::Process, b)?,
-            );
-            if pair.0 == pair.1 {
-                return Err(SimError::BadSpec(format!("{what} of {a} with itself")));
-            }
-            Ok(pair)
-        };
         Ok(match f {
             Fault::ProcessCrash {
                 process,
                 restart_delay_ns,
             } => {
                 let proc = self.lookup(NameKind::Process, process)?;
-                self.check_store_stranded(&[proc], "process-crash fault")?;
+                self.check_store_stranded(proc, "process-crash fault")?;
                 RFault::Crash {
                     proc,
                     restart_ns: *restart_delay_ns,
                 }
             }
-            Fault::HostDown { host, down_ns } => {
-                let host = self.lookup(NameKind::Host, host)?;
-                self.check_store_stranded(&self.residents(host), "host-down fault")?;
-                RFault::HostDown {
-                    host,
-                    down_ns: *down_ns,
-                }
-            }
-            Fault::Partition { a, b, duration_ns } => {
-                let (a, b) = link(a, b, "partition")?;
-                RFault::Link {
-                    a,
-                    b,
-                    dur: *duration_ns,
-                    extra_ns: 0,
-                    loss: 1.0,
-                }
-            }
-            Fault::LinkDegrade {
-                a,
-                b,
+            Fault::Partition {
+                a: pa,
+                b: pb,
                 duration_ns,
-                extra_latency_ns,
-                loss,
             } => {
-                let (a, b) = link(a, b, "link degrade")?;
-                if !loss.is_finite() || !(0.0..=1.0).contains(loss) {
-                    return Err(SimError::BadSpec(format!("link loss {loss} not in [0, 1]")));
+                let a = self.lookup(NameKind::Process, pa)?;
+                let b = self.lookup(NameKind::Process, pb)?;
+                if a == b {
+                    return Err(SimError::BadSpec(format!("partition of {pa} with itself")));
                 }
-                RFault::Link {
+                RFault::Partition {
                     a,
                     b,
                     dur: *duration_ns,
-                    extra_ns: *extra_latency_ns,
-                    loss: *loss,
                 }
             }
             Fault::Brownout {
@@ -2291,7 +2125,7 @@ impl Sim {
                 // Each step stops one member's process.
                 for &svc in &group {
                     let proc = self.sh.svc_proc[svc] as usize;
-                    self.check_store_stranded(&[proc], "rolling restart")?;
+                    self.check_store_stranded(proc, "rolling restart")?;
                 }
                 Ok(RChange::Rolling {
                     group,
@@ -2320,36 +2154,6 @@ impl Sim {
                     group,
                     replicas: *replicas,
                     drain_ns: *drain_ns,
-                })
-            }
-            Change::Canary {
-                service,
-                fraction,
-                evaluate_ns,
-                timeout_ns,
-                retries,
-            } => {
-                if group.len() < 2 {
-                    return Err(SimError::BadSpec(format!(
-                        "canary for {service} needs >= 2 replicas (one canary, one baseline)"
-                    )));
-                }
-                if !fraction.is_finite() || *fraction <= 0.0 || *fraction >= 1.0 {
-                    return Err(SimError::BadSpec(format!(
-                        "canary fraction {fraction} not in (0, 1)"
-                    )));
-                }
-                if *evaluate_ns == 0 {
-                    return Err(SimError::BadSpec(format!(
-                        "canary for {service} evaluate_ns must be > 0"
-                    )));
-                }
-                Ok(RChange::Canary {
-                    group,
-                    fraction: *fraction,
-                    evaluate_ns: *evaluate_ns,
-                    timeout_ns: *timeout_ns,
-                    retries: *retries,
                 })
             }
         }
@@ -2692,12 +2496,6 @@ fn check_autoscaler(a: &AutoscalerSpec, boot: usize) -> Result<()> {
         "autoscaler for {} {problem}",
         a.service
     )))
-}
-
-/// Exponentially distributed gap with the given mean, at least 1 ns.
-fn exp_gap(rng: &mut SmallRng, mean_ns: SimTime) -> SimTime {
-    let u: f64 = rng.gen();
-    ((-(1.0 - u).ln()) * mean_ns as f64).max(1.0) as SimTime
 }
 
 // The execution half (event dispatch + behavior interpreter) lives in

@@ -160,12 +160,10 @@ impl Sim {
                 }
             }
             Ev::StoreFailover { backend, gen } => self.on_store_failover(backend, gen),
-            Ev::ChaosFire => self.on_chaos_fire(),
             Ev::ReconfigFire { idx } => self.start_change(idx),
             Ev::DrainDone { token } => self.on_drain_done(token),
             Ev::RollAdvance { rolling } => self.on_roll_advance(rolling),
             Ev::AutoscaleTick { scaler } => self.on_autoscale_tick(scaler),
-            Ev::CanaryEval { canary } => self.on_canary_eval(canary),
         }
     }
 
@@ -193,15 +191,11 @@ impl Sim {
             if self.sh.proc_down[member_proc] {
                 return;
             }
-            // Replication link fully cut: defer the apply to the
-            // partition's heal time (replica catch-up). Degraded
-            // (lossy but not cut) links deliver as usual.
-            if let Some(lf) = self.sh.link_faults.get(&(serving_proc, member_proc)) {
-                if lf.loss >= 1.0 && self.now < lf.until {
-                    let until = lf.until;
-                    self.push_ev(until, Ev::ReplicaApply { backend, member, key, version, gen });
-                    return;
-                }
+            // Replication link cut: defer the apply to the partition's
+            // heal time (replica catch-up).
+            if let Some(until) = self.cut_until(serving_proc, member_proc) {
+                self.push_ev(until, Ev::ReplicaApply { backend, member, key, version, gen });
+                return;
             }
         }
         let store = &mut self.backends[backend].store;
@@ -702,7 +696,7 @@ impl Sim {
                 (CallTarget::Service { svc: target, method }, 0usize)
             }
             (CallDest::Replicated { policy, targets }, None) => {
-                let idx = self.pick_replica(client_id, policy, targets, root_seq);
+                let idx = self.pick_replica(client_id, policy, targets);
                 let (tsvc, method) = self.sh.progs.targets(targets)[idx];
                 (CallTarget::Service { svc: tsvc, method }, idx)
             }
@@ -796,15 +790,14 @@ impl Sim {
     }
 
     /// Runs the client-side serialization CPU, then delivers after `net_ns`.
-    /// An active link fault between the two processes can drop the request
-    /// (the caller sees `Unreachable` after the reply's network delay) or
-    /// add latency.
+    /// A partition between the two processes drops the request: the caller
+    /// sees `Unreachable` after the reply's network delay.
     fn send_request_with_serialize(
         &mut self,
         client_svc: usize,
         msg: Box<RequestMsg>,
         work_ns: u64,
-        mut net_ns: u64,
+        net_ns: u64,
     ) {
         let proc = self.sh.svc_proc[client_svc] as usize;
         if !self.sh.link_faults.is_empty() {
@@ -812,19 +805,11 @@ impl Sim {
                 CallTarget::Service { svc, .. } => self.sh.svc_proc[svc] as usize,
                 CallTarget::Backend { backend, .. } => self.sh.backend_proc[backend] as usize,
             };
-            if let Some(lf) = self.sh.link_faults.get(&(proc, dst)).copied() {
-                if self.now < lf.until {
-                    // Loss coin: the sender's process stream.
-                    let lost = lf.loss >= 1.0
-                        || (lf.loss > 0.0 && self.procs[proc].rng.gen::<f64>() < lf.loss);
-                    if lost {
-                        self.metrics.counters.link_unreachable += 1;
-                        let t = self.now + msg.reply.net_ns;
-                        let (caller, seq, attempt) = (msg.caller, msg.seq, msg.attempt);
-                        return self.fail_reply(t, caller, seq, attempt, CallErr::Unreachable);
-                    }
-                    net_ns += lf.extra_ns;
-                }
+            if self.cut_until(proc, dst).is_some() {
+                self.metrics.counters.link_unreachable += 1;
+                let t = self.now + msg.reply.net_ns;
+                let (caller, seq, attempt) = (msg.caller, msg.seq, msg.attempt);
+                return self.fail_reply(t, caller, seq, attempt, CallErr::Unreachable);
             }
         }
         if work_ns == 0 {
@@ -870,40 +855,20 @@ impl Sim {
         }
     }
 
-    /// Replica pick. A canary target gets its deterministic per-root traffic
-    /// share first (`mix64(salt ^ root_seq) < threshold` — no RNG draw, and
-    /// sticky across retries of the same root request); the remaining
-    /// traffic balances over replicas that are active and not draining,
-    /// with the canary excluded from the baseline share. If nothing is
-    /// eligible (mid-deploy edge) every target is, rather than stalling the
-    /// call. Without a plan every target is eligible, so round-robin takes
-    /// `rr % n`, random makes one `gen_range(0..n)` draw, and
-    /// least-outstanding takes the first minimum.
-    fn pick_replica(
-        &mut self,
-        client_id: u32,
-        policy: LbPolicy,
-        targets: TargetsId,
-        root_seq: u64,
-    ) -> usize {
+    /// Replica pick: balances over replicas that are active and not
+    /// draining. If nothing is eligible (mid-deploy edge) every target is,
+    /// rather than stalling the call. Without a plan every target is
+    /// eligible, so round-robin takes `rr % n`, random makes one
+    /// `gen_range(0..n)` draw, and least-outstanding takes the first
+    /// minimum.
+    fn pick_replica(&mut self, client_id: u32, policy: LbPolicy, targets: TargetsId) -> usize {
         let sh = &self.sh;
         let client = &mut self.clients[client_id as usize];
         let list = sh.progs.targets(targets);
         let n = list.len();
-        let mut canary_pos = None;
-        for (i, (tsvc, _)) in list.iter().enumerate() {
-            if let Some(cr) = sh.canary_route[*tsvc] {
-                if sh.svc_active[*tsvc] && !sh.svc_draining[*tsvc] {
-                    if mix64(cr.salt ^ root_seq) < cr.threshold {
-                        return i;
-                    }
-                    canary_pos = Some(i);
-                }
-            }
-        }
         let in_rotation = |i: usize| {
             let svc = list[i].0;
-            sh.svc_active[svc] && !sh.svc_draining[svc] && canary_pos != Some(i)
+            sh.svc_active[svc] && !sh.svc_draining[svc]
         };
         let rotating = (0..n).filter(|&i| in_rotation(i)).count();
         let all = rotating == 0;
@@ -1079,16 +1044,16 @@ impl Sim {
     }
 
     /// Whether a store member can serve (process up and its link from the
-    /// store's serving process not fully cut). Only consulted on armed
-    /// stores — unarmed replicas are plain in-process state.
+    /// store's serving process not cut). Only consulted on armed stores —
+    /// unarmed replicas are plain in-process state.
     fn store_member_serves(&self, serving_proc: usize, member_proc: usize) -> bool {
-        if self.sh.proc_down[member_proc] {
-            return false;
-        }
-        match self.sh.link_faults.get(&(serving_proc, member_proc)) {
-            Some(lf) => !(lf.loss >= 1.0 && self.now < lf.until),
-            None => true,
-        }
+        !self.sh.proc_down[member_proc] && self.cut_until(serving_proc, member_proc).is_none()
+    }
+
+    /// The heal time of a partition that cuts `src → dst` now, if any.
+    fn cut_until(&self, src: usize, dst: usize) -> Option<SimTime> {
+        let until = *self.sh.link_faults.get(&(src, dst))?;
+        (self.now < until).then_some(until)
     }
 
     /// Applies a backend op to its state, returning the outcome plus an
@@ -1707,12 +1672,6 @@ impl Sim {
             let now = self.now;
             let s = &mut self.services[service];
             s.active = s.active.saturating_sub(1);
-            // Per-service outcome tallies (canary vs baseline comparison).
-            if ok {
-                s.done_ok += 1;
-            } else {
-                s.done_err += 1;
-            }
             // Adaptive admission: each served request's sojourn delay feeds
             // the controller's EWMA (present only when a shed policy is
             // lowered onto the service).
@@ -1796,7 +1755,7 @@ impl Sim {
     }
 
     // ------------------------------------------------------------------
-    // Control plane: fault injection and chaos. Control events and driver
+    // Control plane: fault injection. Control events and driver
     // calls write the cluster-wide fault state (`proc_down`, `link_faults`,
     // `proc_gen`) that host-context dispatch only reads.
     // ------------------------------------------------------------------
@@ -1806,23 +1765,12 @@ impl Sim {
         self.metrics.counters.faults_injected += 1;
         match rf {
             RFault::Crash { proc, restart_ns } => self.crash_process(proc, restart_ns),
-            RFault::HostDown { host, down_ns } => {
-                for proc in self.residents(host) {
-                    self.crash_process(proc, down_ns);
-                }
-            }
-            RFault::Link { a, b, dur, extra_ns, loss } => {
+            RFault::Partition { a, b, dur } => {
                 let until = self.now + dur;
                 for pair in [(a, b), (b, a)] {
-                    let e = self.sh.link_faults.entry(pair).or_insert(LinkFault {
-                        until: 0,
-                        extra_ns: 0,
-                        loss: 0.0,
-                    });
-                    // Overlapping faults merge to the worst case.
-                    e.until = e.until.max(until);
-                    e.extra_ns = e.extra_ns.max(extra_ns);
-                    e.loss = e.loss.max(loss);
+                    // Overlapping partitions merge to the later heal time.
+                    let e = self.sh.link_faults.entry(pair).or_insert(0);
+                    *e = (*e).max(until);
                 }
                 // A cut link can isolate an armed store's primary from its
                 // replica set, which is a failover trigger.
@@ -1940,32 +1888,13 @@ impl Sim {
         self.schedule_store_failovers();
     }
 
-    /// Draws and injects the next chaos fault, then re-arms the process.
-    fn on_chaos_fire(&mut self) {
-        let (fault, next, end) = {
-            let Some(chaos) = self.chaos.as_mut() else { return };
-            if self.now >= chaos.end_ns {
-                return;
-            }
-            let idx = chaos.rng.gen_range(0..chaos.menu.len());
-            let fault = chaos.menu[idx].clone();
-            let gap = exp_gap(&mut chaos.rng, chaos.mean_gap_ns);
-            (fault, self.now + gap, chaos.end_ns)
-        };
-        self.apply_fault(fault);
-        if next < end {
-            self.push_ev(next, Ev::ChaosFire);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Store failover (armed stores only; see `FailoverSpec`).
     // ------------------------------------------------------------------
 
     /// Whether an armed store's current primary is unable to serve its
     /// replica set: its process is down, or every peer member's process has
-    /// its link to the primary fully cut (a degraded-but-delivering link is
-    /// not a trigger).
+    /// its link to the primary cut.
     fn store_failover_triggered(&self, b: usize) -> bool {
         let serving_proc = self.sh.backend_proc[b] as usize;
         if self.sh.proc_down[serving_proc] {
@@ -1979,11 +1908,7 @@ impl Sim {
                 continue;
             }
             any_peer = true;
-            let cut = match self.sh.link_faults.get(&(serving_proc, peer_proc)) {
-                Some(lf) => lf.loss >= 1.0 && self.now < lf.until,
-                None => false,
-            };
-            if !cut {
+            if self.cut_until(serving_proc, peer_proc).is_none() {
                 // At least one peer still reaches the primary: no election.
                 return false;
             }
@@ -2118,7 +2043,7 @@ impl Sim {
     // ------------------------------------------------------------------
     // Control plane: runtime reconfiguration. Like fault injection, these
     // handlers run as control events, so rotation state (`svc_active`,
-    // `svc_draining`, `canary_route`) only changes at a control event's
+    // `svc_draining`) only changes at a control event's
     // place in the `(time, seq)` order.
     // ------------------------------------------------------------------
 
@@ -2135,9 +2060,6 @@ impl Sim {
             }
             RChange::Scale { group, replicas, drain_ns } => {
                 self.apply_scale(&group, replicas, drain_ns);
-            }
-            RChange::Canary { group, fraction, evaluate_ns, timeout_ns, retries } => {
-                self.start_canary(&group, fraction, evaluate_ns, timeout_ns, retries);
             }
         }
     }
@@ -2363,137 +2285,6 @@ impl Sim {
         }
         if let Some(t) = next {
             self.push_ev(t, Ev::AutoscaleTick { scaler });
-        }
-    }
-
-    /// Starts a canary rollout: the highest-index in-rotation replica gets
-    /// the mutated wiring (timeout/retry overrides on its outbound client
-    /// specs) plus a deterministic traffic fraction; the rest of the group
-    /// is the baseline. Promotion is decided by [`Sim::on_canary_eval`].
-    fn start_canary(
-        &mut self,
-        group: &[usize],
-        fraction: f64,
-        evaluate_ns: SimTime,
-        timeout_ns: Option<SimTime>,
-        retries: Option<u32>,
-    ) {
-        let in_rotation: Vec<usize> = group
-            .iter()
-            .copied()
-            .filter(|&s| self.sh.svc_active[s] && !self.sh.svc_draining[s])
-            .collect();
-        if in_rotation.len() < 2 {
-            return; // nothing to compare against; validated at plan time
-        }
-        let canary = *in_rotation.last().expect("len >= 2");
-        let baseline: Vec<usize> = in_rotation[..in_rotation.len() - 1].to_vec();
-        let salt = self.reconfig.rng.gen::<u64>();
-        let threshold = (fraction * u64::MAX as f64) as u64;
-        self.sh.canary_route[canary] = Some(CanaryRoute { salt, threshold });
-        let mut saved = Vec::new();
-        for ci in self.services[canary].clients.clone() {
-            let c = &mut self.clients[ci];
-            saved.push((ci, c.spec.clone()));
-            if let Some(t) = timeout_ns {
-                c.spec.timeout_ns = Some(t);
-            }
-            if let Some(r) = retries {
-                c.spec.retries = r;
-            }
-        }
-        let can0 = {
-            let s = &self.services[canary];
-            (s.done_ok, s.done_err)
-        };
-        let mut base0 = (0u64, 0u64);
-        for &b in &baseline {
-            let s = &self.services[b];
-            base0.0 += s.done_ok;
-            base0.1 += s.done_err;
-        }
-        let token = {
-            let canaries = &mut self.reconfig.canaries;
-            canaries.push(CanaryRt {
-                svc: canary,
-                baseline,
-                timeout_ns,
-                retries,
-                saved,
-                can0,
-                base0,
-                done: false,
-            });
-            canaries.len() - 1
-        };
-        self.push_ev(self.now + evaluate_ns, Ev::CanaryEval { canary: token });
-    }
-
-    /// Seeded promote/rollback decision: compare canary vs baseline error
-    /// rate over the evaluation window, with a small tolerance drawn from
-    /// the plan-level stream so equal-rate comparisons don't flap on float
-    /// noise. Promote pushes the mutated wiring to the whole group;
-    /// rollback restores the canary's saved specs. Either way the traffic
-    /// split ends.
-    fn on_canary_eval(&mut self, canary: usize) {
-        let (svc, baseline, timeout_ns, retries, saved, can0, base0) = {
-            let c = &mut self.reconfig.canaries[canary];
-            if c.done {
-                return;
-            }
-            c.done = true;
-            (
-                c.svc,
-                c.baseline.clone(),
-                c.timeout_ns,
-                c.retries,
-                std::mem::take(&mut c.saved),
-                c.can0,
-                c.base0,
-            )
-        };
-        let (c_ok, c_err) = {
-            let s = &self.services[svc];
-            (s.done_ok - can0.0, s.done_err - can0.1)
-        };
-        let mut b_ok = 0u64;
-        let mut b_err = 0u64;
-        for &b in &baseline {
-            let s = &self.services[b];
-            b_ok += s.done_ok;
-            b_err += s.done_err;
-        }
-        b_ok -= base0.0;
-        b_err -= base0.1;
-        let rate = |ok: u64, err: u64| {
-            let total = ok + err;
-            if total == 0 {
-                0.0
-            } else {
-                err as f64 / total as f64
-            }
-        };
-        let eps = self.reconfig.rng.gen::<f64>() * 0.01;
-        let promote = rate(c_ok, c_err) <= rate(b_ok, b_err) + eps;
-        self.sh.canary_route[svc] = None;
-        if promote {
-            self.metrics.counters.canary_promotions += 1;
-            // The mutated wiring becomes the group-wide wiring.
-            for &b in &baseline {
-                for c in &mut self.clients[self.services[b].clients.clone()] {
-                    if let Some(t) = timeout_ns {
-                        c.spec.timeout_ns = Some(t);
-                    }
-                    if let Some(r) = retries {
-                        c.spec.retries = r;
-                    }
-                }
-            }
-        } else {
-            self.metrics.counters.canary_rollbacks += 1;
-            for (ci, spec) in saved {
-                self.clients[ci].spec = spec;
-            }
         }
     }
 }

@@ -863,7 +863,7 @@ fn cpu_hog_rejects_negative_and_non_finite_cores() {
 // Fault injection.
 // ---------------------------------------------------------------------------
 
-use crate::spec::{ChaosSpec, ExpBackoff, Fault, FaultPlan};
+use crate::spec::{ExpBackoff, Fault, FaultPlan};
 
 #[test]
 fn crash_fails_in_flight_work_and_restarts() {
@@ -1117,39 +1117,6 @@ fn far_fault_fires_on_time_under_steady_load() {
 }
 
 #[test]
-fn host_down_takes_all_resident_processes() {
-    // Both processes on one host so the fault takes the entire app down.
-    let mut spec = two_tier(
-        Behavior::build().compute(ms(10), 0).done(),
-        ClientSpec::local(),
-    );
-    spec.processes[1].host = 0;
-    let cfg = SimConfig {
-        faults: FaultPlan::none().at(
-            ms(1),
-            Fault::HostDown {
-                host: "h0".into(),
-                down_ns: ms(5),
-            },
-        ),
-        ..Default::default()
-    };
-    let mut sim = Sim::new(&spec, cfg).unwrap();
-    sim.submit("front", "M", 1).unwrap();
-    sim.run_until(ms(2));
-    let c = sim.drain_completions().pop().expect("terminated");
-    assert_eq!(c.failure, Some("crash"));
-    assert_eq!(
-        sim.metrics.counters.process_crashes, 2,
-        "both residents crashed"
-    );
-    sim.run_until(ms(10));
-    sim.submit("front", "M", 2).unwrap();
-    sim.run_until(secs(1));
-    assert!(sim.drain_completions().pop().unwrap().ok, "host came back");
-}
-
-#[test]
 fn partition_drops_requests_then_heals() {
     let spec = two_tier(
         Behavior::build().compute(us(10), 0).done(),
@@ -1182,36 +1149,6 @@ fn partition_drops_requests_then_heals() {
     sim.submit("front", "M", 3).unwrap();
     sim.run_until(secs(1));
     assert!(sim.drain_completions().pop().unwrap().ok);
-}
-
-#[test]
-fn link_degrade_adds_latency_without_loss() {
-    let client = ClientSpec::over(TransportSpec::Grpc {
-        serialize_ns: 0,
-        net_ns: us(50),
-    });
-    let spec = two_tier(Behavior::build().compute(us(100), 0).done(), client);
-    let cfg = SimConfig {
-        faults: FaultPlan::none().at(
-            0,
-            Fault::LinkDegrade {
-                a: "p_front".into(),
-                b: "p_back".into(),
-                duration_ns: secs(1),
-                extra_latency_ns: us(300),
-                loss: 0.0,
-            },
-        ),
-        ..Default::default()
-    };
-    let mut sim = Sim::new(&spec, cfg).unwrap();
-    sim.submit("front", "M", 1).unwrap();
-    sim.run_until(secs(2));
-    let c = sim.drain_completions().pop().unwrap();
-    assert!(c.ok, "degraded but reachable");
-    // Degradation applies on the request leg: 50+300, server 100, reply 50.
-    assert_eq!(c.latency_ns(), us(500));
-    assert_eq!(sim.metrics.counters.link_unreachable, 0);
 }
 
 #[test]
@@ -1302,23 +1239,15 @@ fn empty_fault_plan_is_stream_identical_to_no_plan() {
 fn fault_plans_are_deterministic_across_runs() {
     let run = || {
         let spec = cache_db_spec();
-        let chaos = ChaosSpec {
-            seed: 3,
-            mean_gap_ns: ms(20),
-            start_ns: 0,
-            end_ns: secs(1),
-            menu: vec![
-                Fault::ProcessCrash {
-                    process: "p_db".into(),
-                    restart_delay_ns: ms(5),
-                },
-                Fault::Brownout {
-                    backend: "cache".into(),
-                    duration_ns: ms(10),
-                    slow_factor: 4.0,
-                    unavailable: false,
-                },
-            ],
+        let crash = Fault::ProcessCrash {
+            process: "p_db".into(),
+            restart_delay_ns: ms(5),
+        };
+        let brownout = Fault::Brownout {
+            backend: "cache".into(),
+            duration_ns: ms(10),
+            slow_factor: 4.0,
+            unavailable: false,
         };
         let faults = FaultPlan::none()
             .at(
@@ -1329,7 +1258,10 @@ fn fault_plans_are_deterministic_across_runs() {
                     duration_ns: ms(9),
                 },
             )
-            .with_chaos(chaos);
+            .at(ms(15), crash.clone())
+            .at(ms(30), brownout.clone())
+            .at(ms(61), crash)
+            .at(ms(90), brownout);
         let mut sim = Sim::new(
             &spec,
             SimConfig {
@@ -1351,7 +1283,11 @@ fn fault_plans_are_deterministic_across_runs() {
     let (cb, mb) = run();
     assert_eq!(ca, cb);
     assert_eq!(ma, mb);
-    assert!(ma.counters.faults_injected > 1, "chaos actually fired");
+    assert_eq!(
+        ma.counters.faults_injected, 5,
+        "every scheduled fault fired"
+    );
+    assert_eq!(ma.counters.process_crashes, 2);
     // Conservation: everything submitted terminated exactly once.
     assert_eq!(ca.len(), 60);
 }
@@ -1997,7 +1933,7 @@ fn derive_seed_collision_free_and_well_mixed() {
 }
 
 // ----------------------------------------------------------------------
-// Runtime reconfiguration: rolling deploys, scaling, autoscaler, canary.
+// Runtime reconfiguration: rolling deploys, scaling, autoscaler.
 // ----------------------------------------------------------------------
 
 /// front --LB--> {back, back_r1, back_r2}, each replica in its own process
@@ -2353,146 +2289,6 @@ fn autoscaler_scales_out_under_load_and_back_down() {
     assert!(c.autoscale_downs >= 1, "scaled back in when load subsided");
     let done = sim.drain_completions();
     assert_eq!(done.len(), 150, "conserved through every scale action");
-}
-
-/// front --LB--> {mid, mid_r1} --client--> db. Canary overrides apply to
-/// the canary replica's *outbound* client, so a hostile timeout makes the
-/// canary fail where the baseline succeeds.
-fn canary_app(timeout_override: Option<SimTime>) -> (SystemSpec, SimConfig) {
-    let mut spec = SystemSpec {
-        name: "canary".into(),
-        hosts: vec![HostSpec {
-            name: "h0".into(),
-            cores: 8.0,
-        }],
-        processes: vec![
-            ProcessSpec {
-                name: "p_front".into(),
-                host: 0,
-                gc: None,
-            },
-            ProcessSpec {
-                name: "p_mid".into(),
-                host: 0,
-                gc: None,
-            },
-            ProcessSpec {
-                name: "p_mid_r1".into(),
-                host: 0,
-                gc: None,
-            },
-            ProcessSpec {
-                name: "p_db".into(),
-                host: 0,
-                gc: None,
-            },
-        ],
-        ..Default::default()
-    };
-    let mut db = ServiceSpec::new("db", 3);
-    db.methods
-        .insert("Get".into(), Behavior::build().compute(us(20), 0).done());
-    spec.services.push(db); // 0
-    for (i, name) in ["mid", "mid_r1"].iter().enumerate() {
-        let mut m = ServiceSpec::new(*name, i + 1);
-        m.methods
-            .insert("Work".into(), Behavior::build().call("db", "Get").done());
-        m.deps.insert(
-            "db".into(),
-            DepBinding::Service {
-                target: 0,
-                client: ClientSpec::local(),
-            },
-        );
-        spec.services.push(m); // 1, 2
-    }
-    let mut front = ServiceSpec::new("front", 0);
-    front
-        .methods
-        .insert("M".into(), Behavior::build().call("backend", "Work").done());
-    front.deps.insert(
-        "backend".into(),
-        DepBinding::ReplicatedService {
-            targets: vec![1, 2],
-            policy: LbPolicy::RoundRobin,
-            client: ClientSpec::local(),
-        },
-    );
-    spec.services.push(front); // 3
-    spec.entries.insert(
-        "front".into(),
-        EntrySpec {
-            service: 3,
-            client: ClientSpec::local(),
-        },
-    );
-    let cfg = SimConfig {
-        reconfig: ReconfigPlan::none().at(
-            ms(1),
-            Change::Canary {
-                service: "mid".into(),
-                fraction: 0.4,
-                evaluate_ns: ms(40),
-                timeout_ns: timeout_override,
-                retries: None,
-            },
-        ),
-        ..Default::default()
-    };
-    (spec, cfg)
-}
-
-#[test]
-fn canary_with_bad_wiring_rolls_back() {
-    // A 1 ns timeout on the canary's db client makes every canary-routed
-    // request fail; the seeded comparison must roll the canary back.
-    let (spec, cfg) = canary_app(Some(1));
-    let mut sim = Sim::new(&spec, cfg).unwrap();
-    for i in 0..100 {
-        sim.submit("front", "M", i).unwrap();
-        sim.run_until(us(300) * (i + 1));
-    }
-    sim.run_until(ms(50));
-    let mid_window = sim.metrics.counters.canary_rollbacks;
-    assert_eq!(mid_window, 1, "hostile canary rolled back");
-    assert_eq!(sim.metrics.counters.canary_promotions, 0);
-    let during = sim.drain_completions();
-    assert!(
-        during.iter().any(|c| !c.ok),
-        "the hostile canary visibly failed requests pre-rollback"
-    );
-    // Post-rollback traffic through the ex-canary succeeds again.
-    for i in 0..40 {
-        sim.submit("front", "M", 1000 + i).unwrap();
-        sim.run_until(ms(50) + us(300) * (i + 1));
-    }
-    sim.run_until(secs(1));
-    let after = sim.drain_completions();
-    assert!(!after.is_empty());
-    assert!(
-        after.iter().all(|c| c.ok),
-        "rollback restored the saved wiring"
-    );
-}
-
-#[test]
-fn canary_with_equivalent_wiring_promotes() {
-    // A generous timeout changes nothing observable: equal error rates,
-    // so the canary promotes group-wide.
-    let (spec, cfg) = canary_app(Some(secs(1)));
-    let mut sim = Sim::new(&spec, cfg).unwrap();
-    for i in 0..100 {
-        sim.submit("front", "M", i).unwrap();
-        sim.run_until(us(300) * (i + 1));
-    }
-    sim.run_until(secs(1));
-    assert_eq!(sim.metrics.counters.canary_promotions, 1);
-    assert_eq!(sim.metrics.counters.canary_rollbacks, 0);
-    assert!(
-        sim.service_served("mid_r1").unwrap() > 0,
-        "canary actually took traffic"
-    );
-    assert!(sim.drain_completions().iter().all(|c| c.ok));
 }
 
 /// An armed-but-idle plan (its only change fires after the horizon) must
@@ -2901,13 +2697,6 @@ fn crash(process: &str) -> Fault {
     }
 }
 
-fn host_down(host: &str) -> Fault {
-    Fault::HostDown {
-        host: host.into(),
-        down_ns: ms(1),
-    }
-}
-
 /// `cache_db_spec` with the store moved into `front`'s own process `p0`
 /// and given two replicas but no failover spec: stopping `p0` strands it.
 fn stranding_spec() -> SystemSpec {
@@ -2933,10 +2722,6 @@ fn plan_and_driver_paths_accept_and_reject_the_same_disturbances() {
             Want::BadSpec("no reachable peer to promote"),
         ),
         (fault(crash("p_cache")), Want::Ok),
-        (
-            fault(host_down("__workload_host")),
-            Want::Unknown("host __workload_host"),
-        ),
         (
             fault(crash("__workload_proc")),
             Want::Unknown("process __workload_proc"),
@@ -2996,25 +2781,6 @@ fn plan_and_driver_paths_accept_and_reject_the_same_disturbances() {
 }
 
 #[test]
-fn host_down_that_strands_a_replicated_store_is_rejected() {
-    // The store's primary `p_db` and both failover replicas share host
-    // `hdb` (failover replicas must share the primary's host).
-    let spec = failover_db_spec(ConsistencyMode::ReadReplica);
-    let err = both_paths(&spec, &fault(host_down("hdb"))).unwrap_err();
-    assert!(
-        matches!(err, SimError::BadSpec(ref m) if m.contains("host-down fault")
-            && m.contains("no reachable peer to promote")),
-        "{err}"
-    );
-    // Crashing only the primary leaves both replicas to promote, and the
-    // other host holds no store member.
-    both_paths(&spec, &fault(crash("p_db"))).unwrap();
-    both_paths(&spec, &fault(host_down("h0"))).unwrap();
-    // Without replicas nothing can strand: the store restarts with its host.
-    both_paths(&cache_db_spec(), &fault(host_down("hdb"))).unwrap();
-}
-
-#[test]
 fn by_name_accessors_see_only_user_entities() {
     let mut sim = Sim::new(&cache_db_spec(), SimConfig::default()).unwrap();
     assert!(sim.process_heap("p0").is_some());
@@ -3039,7 +2805,12 @@ fn fault_plan_unknown_references_caught() {
     both_paths(&spec, &fault(crash("p0"))).unwrap();
     let err = both_paths(&spec, &fault(crash("ghost"))).unwrap_err();
     assert_eq!(err, SimError::Unknown("process ghost".into()));
-    let err = both_paths(&spec, &fault(host_down("hX"))).unwrap_err();
+    let hog = fault(Fault::CpuHog {
+        host: "hX".into(),
+        cores: 1.0,
+        duration_ns: 1,
+    });
+    let err = both_paths(&spec, &hog).unwrap_err();
     assert!(err.to_string().contains("host hX"), "{err}");
     let brownout = fault(Fault::Brownout {
         backend: "nope".into(),
@@ -3072,7 +2843,7 @@ fn near_miss_names_get_suggestions() {
 
 #[test]
 fn fault_plan_bad_parameters_caught() {
-    let mut spec = cache_db_spec();
+    let spec = cache_db_spec();
     let pair = |a: &str, b: &str| {
         fault(Fault::Partition {
             a: a.into(),
@@ -3083,17 +2854,6 @@ fn fault_plan_bad_parameters_caught() {
     // A partition needs two distinct sides.
     assert!(both_paths(&spec, &pair("p0", "p0")).is_err());
     both_paths(&spec, &pair("p0", "p_db")).unwrap();
-    // Loss probability must be a probability.
-    for loss in [-0.1, 1.5, f64::NAN] {
-        let degrade = fault(Fault::LinkDegrade {
-            a: "p0".into(),
-            b: "p_db".into(),
-            duration_ns: 1,
-            extra_latency_ns: 0,
-            loss,
-        });
-        assert!(both_paths(&spec, &degrade).is_err(), "loss {loss}");
-    }
     // Slow factor must be finite and at least 1 (a sub-1 factor would
     // speed the backend up; NaN/negative would round to 0 ns latency).
     let brownout = |slow_factor: f64, unavailable: bool| {
@@ -3112,49 +2872,6 @@ fn fault_plan_bad_parameters_caught() {
     }
     // Exactly 1 (no slowdown) is the degenerate-but-legal boundary.
     both_paths(&spec, &brownout(1.0, true)).unwrap();
-
-    // Chaos needs a non-empty menu and a positive gap, and its menu goes
-    // through the same resolver.
-    let chaos = ChaosSpec {
-        seed: 1,
-        mean_gap_ns: 100,
-        start_ns: 0,
-        end_ns: 1,
-        menu: vec![crash("p0")],
-    };
-    let boot_chaos = |spec: &SystemSpec, chaos: ChaosSpec| {
-        boot_with(
-            spec,
-            FaultPlan::none().with_chaos(chaos),
-            ReconfigPlan::none(),
-        )
-        .map(drop)
-    };
-    boot_chaos(&spec, chaos.clone()).unwrap();
-    let err = boot_chaos(
-        &spec,
-        ChaosSpec {
-            menu: vec![],
-            ..chaos.clone()
-        },
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("chaos menu is empty"), "{err}");
-    let err = boot_chaos(
-        &spec,
-        ChaosSpec {
-            mean_gap_ns: 0,
-            ..chaos.clone()
-        },
-    )
-    .unwrap_err();
-    assert!(err.to_string().contains("mean_gap_ns"), "{err}");
-    spec.backends[1].process = 0;
-    if let BackendRtKind::Store { replicas, .. } = &mut spec.backends[1].kind {
-        *replicas = 1;
-    }
-    let err = boot_chaos(&spec, chaos).unwrap_err();
-    assert!(err.to_string().contains("no reachable peer"), "{err}");
 }
 
 /// `single_service` plus a three-replica `api` group in `p0` (the names
@@ -3247,31 +2964,6 @@ fn reconfig_scale_bounds_rejected_per_value() {
     for replicas in [1, 3] {
         both_paths(&spec, &scale("api", replicas)).unwrap();
     }
-}
-
-#[test]
-fn reconfig_canary_parameters_rejected_per_value() {
-    let spec = api_group_spec();
-    let canary = |service: &str, fraction: f64, evaluate_ns: SimTime| {
-        Disturbance::Change(Change::Canary {
-            service: service.into(),
-            fraction,
-            evaluate_ns,
-            timeout_ns: None,
-            retries: None,
-        })
-    };
-    for fraction in [0.0, 1.0, -0.2, 1.5, f64::NAN, f64::INFINITY] {
-        assert!(
-            both_paths(&spec, &canary("api", fraction, 100)).is_err(),
-            "fraction {fraction} should be rejected"
-        );
-    }
-    assert!(both_paths(&spec, &canary("api", 0.25, 0)).is_err());
-    both_paths(&spec, &canary("api", 0.25, 100)).unwrap();
-    // A singleton group has no baseline to compare against.
-    let err = both_paths(&spec, &canary("front", 0.25, 100)).unwrap_err();
-    assert!(err.to_string().contains(">= 2 replicas"), "{err}");
 }
 
 #[test]

@@ -422,18 +422,6 @@ pub enum ConsistencyMode {
     Session,
 }
 
-impl ConsistencyMode {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ConsistencyMode::Primary => "primary",
-            ConsistencyMode::ReadReplica => "read_replica",
-            ConsistencyMode::Quorum { .. } => "quorum",
-            ConsistencyMode::Session => "session",
-        }
-    }
-}
-
 /// Failover policy of a replicated [`BackendRtKind::Store`]: which
 /// processes host its replicas and how long detection + election take.
 ///
@@ -547,13 +535,6 @@ pub enum Fault {
         /// Downtime before the cold restart, ns.
         restart_delay_ns: SimTime,
     },
-    /// Take a host down (crashing every resident process) for `down_ns`.
-    HostDown {
-        /// Host name.
-        host: String,
-        /// Downtime, ns.
-        down_ns: SimTime,
-    },
     /// Symmetric unreachability between two processes for `duration_ns`:
     /// requests across the cut fail with `"unreachable"`.
     Partition {
@@ -563,20 +544,6 @@ pub enum Fault {
         b: String,
         /// How long the cut lasts, ns.
         duration_ns: SimTime,
-    },
-    /// Degrade the link between two processes: added one-way latency and a
-    /// loss probability (lost requests fail with `"unreachable"`).
-    LinkDegrade {
-        /// One side (process name).
-        a: String,
-        /// Other side (process name).
-        b: String,
-        /// How long the degradation lasts, ns.
-        duration_ns: SimTime,
-        /// Extra one-way latency per crossing request, ns.
-        extra_latency_ns: u64,
-        /// Per-request loss probability in `[0, 1]`.
-        loss: f64,
     },
     /// Brown out a named backend: service times multiply by `slow_factor`,
     /// and with `unavailable` set, requests fail with `"brownout"` instead.
@@ -608,38 +575,6 @@ pub enum Fault {
     },
 }
 
-impl Fault {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Fault::ProcessCrash { .. } => "process_crash",
-            Fault::HostDown { .. } => "host_down",
-            Fault::Partition { .. } => "partition",
-            Fault::LinkDegrade { .. } => "link_degrade",
-            Fault::Brownout { .. } => "brownout",
-            Fault::CpuHog { .. } => "cpu_hog",
-            Fault::CacheFlush { .. } => "cache_flush",
-        }
-    }
-}
-
-/// A seeded chaos process: faults drawn from a menu at exponentially
-/// distributed intervals. Its RNG is independent of the simulation's main
-/// RNG, so enabling chaos perturbs nothing else.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChaosSpec {
-    /// Seed of the chaos RNG (`BLUEPRINT` docs call this the chaos seed).
-    pub seed: u64,
-    /// Mean gap between injected faults, ns.
-    pub mean_gap_ns: SimTime,
-    /// First injection happens at or after this time.
-    pub start_ns: SimTime,
-    /// No injections at or after this time.
-    pub end_ns: SimTime,
-    /// Faults to draw from, uniformly.
-    pub menu: Vec<Fault>,
-}
-
 /// A schedule of faults to inject into a run ([`crate::sim::SimConfig`]
 /// carries one). Empty plans add *zero* events and RNG draws — the
 /// no-fault completion stream is byte-identical with or without the engine.
@@ -647,8 +582,6 @@ pub struct ChaosSpec {
 pub struct FaultPlan {
     /// `(time, fault)` pairs, injected in the given order at equal times.
     pub scheduled: Vec<(SimTime, Fault)>,
-    /// Optional chaos process layered on top of the schedule.
-    pub chaos: Option<ChaosSpec>,
 }
 
 impl FaultPlan {
@@ -659,18 +592,12 @@ impl FaultPlan {
 
     /// Whether the plan injects anything at all.
     pub fn is_empty(&self) -> bool {
-        self.scheduled.is_empty() && self.chaos.is_none()
+        self.scheduled.is_empty()
     }
 
     /// Builder: schedule `fault` at time `t`.
     pub fn at(mut self, t: SimTime, fault: Fault) -> Self {
         self.scheduled.push((t, fault));
-        self
-    }
-
-    /// Builder: attach a chaos process.
-    pub fn with_chaos(mut self, chaos: ChaosSpec) -> Self {
-        self.chaos = Some(chaos);
         self
     }
 }
@@ -711,48 +638,13 @@ pub enum Change {
         /// it). Stragglers past the budget finish off-rotation.
         drain_ns: SimTime,
     },
-    /// Canary rollout: route a deterministic `fraction` of the group's
-    /// balanced traffic to the highest-numbered replica, which runs with
-    /// mutated outbound wiring (`timeout_ns`/`retries` overrides applied to
-    /// its clients). After `evaluate_ns` the canary's error rate is
-    /// compared against the baseline replicas (seeded tolerance drawn on
-    /// the reconfig RNG stream): promote applies the overrides to the whole
-    /// group, rollback restores the canary's original wiring.
-    Canary {
-        /// Service group base name.
-        service: String,
-        /// Fraction of balanced traffic routed to the canary, in (0, 1).
-        fraction: f64,
-        /// Observation window before the promote/rollback decision, ns.
-        evaluate_ns: SimTime,
-        /// Override: request timeout for the canary's outbound clients.
-        timeout_ns: Option<SimTime>,
-        /// Override: retry count for the canary's outbound clients.
-        retries: Option<u32>,
-    },
 }
 
 impl Change {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Change::RollingRestart {
-                drainless: false, ..
-            } => "rolling_restart",
-            Change::RollingRestart {
-                drainless: true, ..
-            } => "drainless_restart",
-            Change::Scale { .. } => "scale",
-            Change::Canary { .. } => "canary",
-        }
-    }
-
     /// The service group a change targets.
     pub fn service(&self) -> &str {
         match self {
-            Change::RollingRestart { service, .. }
-            | Change::Scale { service, .. }
-            | Change::Canary { service, .. } => service,
+            Change::RollingRestart { service, .. } | Change::Scale { service, .. } => service,
         }
     }
 }
@@ -1089,21 +981,6 @@ impl SystemSpec {
             }
         }
         Ok(())
-    }
-
-    /// Finds a service index by name.
-    pub fn service_index(&self, name: &str) -> Option<usize> {
-        self.services.iter().position(|s| s.name == name)
-    }
-
-    /// Finds a backend index by name.
-    pub fn backend_index(&self, name: &str) -> Option<usize> {
-        self.backends.iter().position(|b| b.name == name)
-    }
-
-    /// Finds a host index by name.
-    pub fn host_index(&self, name: &str) -> Option<usize> {
-        self.hosts.iter().position(|h| h.name == name)
     }
 }
 
@@ -1446,16 +1323,6 @@ mod tests {
         );
         assert!(!plan.is_empty());
         assert_eq!(plan.scheduled.len(), 1);
-        assert_eq!(plan.scheduled[0].1.label(), "process_crash");
-    }
-
-    #[test]
-    fn lookups() {
-        let s = tiny();
-        assert_eq!(s.service_index("a"), Some(0));
-        assert_eq!(s.service_index("zz"), None);
-        assert_eq!(s.host_index("h0"), Some(0));
-        assert_eq!(s.backend_index("none"), None);
     }
 
     #[test]
@@ -1472,7 +1339,6 @@ mod tests {
             },
         );
         assert!(!plan.is_empty());
-        assert_eq!(plan.scheduled[0].1.label(), "rolling_restart");
         assert_eq!(plan.scheduled[0].1.service(), "api");
         assert!(!ReconfigPlan::default()
             .with_autoscaler(AutoscalerSpec {
@@ -1489,27 +1355,6 @@ mod tests {
                 drain_ns: 50,
             })
             .is_empty());
-    }
-
-    #[test]
-    fn change_labels() {
-        let rr = |drainless: bool| Change::RollingRestart {
-            service: "api".into(),
-            drain_ns: 1,
-            restart_ns: 1,
-            drainless,
-        };
-        assert_eq!(rr(false).label(), "rolling_restart");
-        assert_eq!(rr(true).label(), "drainless_restart");
-        assert_eq!(
-            Change::Scale {
-                service: "api".into(),
-                replicas: 2,
-                drain_ns: 0
-            }
-            .label(),
-            "scale"
-        );
     }
 
     /// A `tiny()` spec with a second process on the same host and a

@@ -43,8 +43,8 @@ pub struct Scenario {
     /// Faults, copied into [`SimConfig::faults`]: each fires as a control
     /// event at its virtual time, same-time faults in list order.
     pub faults: FaultPlan,
-    /// Runtime changes, copied into [`SimConfig::reconfig`]: rolling steps,
-    /// autoscaler ticks and canary evaluations run as control events too.
+    /// Runtime changes, copied into [`SimConfig::reconfig`]: rolling steps
+    /// and autoscaler ticks run as control events too.
     pub reconfig: ReconfigPlan,
     /// `(start, end)`: when the disturbance starts acting and when its
     /// effect ends (restart completed, partition healed, deploy settled).
